@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check vet staticcheck test race faultcheck determinism conformance allocguard routinggate introspect-smoke net-smoke replication-smoke cluster bench bench-json bench-guard benchscale kv-bench
+.PHONY: all build check vet staticcheck test race faultcheck determinism conformance allocguard routinggate introspect-smoke net-smoke replication-smoke cluster bench benchscale
 
 all: check
 
@@ -19,9 +19,11 @@ staticcheck:
 		echo "staticcheck not installed; skipping"; \
 	fi
 
-# The verify loop: everything a change must pass before it lands.
-# Set SKIP_BENCH_GUARD=1 to skip the benchmark regression guard.
-check: build vet staticcheck test race faultcheck determinism conformance allocguard routinggate introspect-smoke net-smoke replication-smoke bench-guard
+# The verify loop: everything a change must pass before it lands. The gate
+# list lives in scripts/check.sh only; the targets below are conveniences for
+# running one gate at a time.
+check:
+	sh ./scripts/check.sh
 
 test:
 	$(GO) test ./...
@@ -85,36 +87,18 @@ net-smoke:
 replication-smoke:
 	sh ./scripts/replication_smoke.sh
 
-# Latency k-sweep of the /kv HTTP surface on live 2-process clusters:
-# put/get p50/p99 for k in 1..3, written to kv_bench.json (see
-# scripts/kv_bench.sh for the OUT/NOPS/BASE_PORT/PEERS knobs).
-kv-bench:
-	sh ./scripts/kv_bench.sh
-
 # Interactive: launch an N-process TCP cluster with per-node logs and a
 # servers.json manifest; Ctrl-C stops it (see scripts/run_cluster.sh).
 cluster:
 	sh ./scripts/run_cluster.sh
 
+# Go micro-benchmarks of the figure sweeps, for profiling while you work. The
+# repository benchmark, with bounds, is `bash bench/run.sh` (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
-
-# Re-record the benchmark baseline (see BENCH_PR1.json).
-bench-json:
-	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=1x | $(GO) run ./cmd/benchjson
 
 # Short-mode scale sweep: one 10k-peer point of the Scale experiment,
 # reporting bytes/peer, peers/GB and events/sec (see EXPERIMENTS.md "Scale").
 # The full 10k/100k/1M ladder is `go run ./cmd/paperexp -run Scale`.
 benchscale:
 	$(GO) run ./cmd/paperexp -run Scale -quick -n 10000
-
-# Fail if BenchmarkEventEngine regresses >20% against the recorded baseline
-# (best of 3 runs, so a loaded machine does not read as a regression).
-bench-guard:
-	@if [ "$${SKIP_BENCH_GUARD:-0}" = "1" ]; then \
-		echo "bench guard skipped (SKIP_BENCH_GUARD=1)"; \
-	else \
-		$(GO) test -run='^$$' -bench='^BenchmarkEventEngine$$' -benchtime=2s -count=3 . \
-			| $(GO) run ./cmd/benchjson -baseline BENCH_PR1.json -bench BenchmarkEventEngine -tolerance 0.2; \
-	fi

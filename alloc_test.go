@@ -37,8 +37,9 @@ func TestEventEngineAllocFree(t *testing.T) {
 }
 
 // TestLookupAllocBudget pins the allocation cost of one no-churn lookup on a
-// settled system. The budget is the measured steady state (see BENCH_PR6.json)
-// plus headroom for run-to-run variation in routing distance; it exists to
+// settled system. The budget is the measured steady state (~140 allocs per
+// lookup since PR 6) plus headroom for run-to-run variation in routing
+// distance; it exists to
 // catch order-of-magnitude regressions (a per-message or per-event allocation
 // sneaking back into the path), not single allocations.
 func TestLookupAllocBudget(t *testing.T) {

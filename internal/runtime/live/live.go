@@ -1,9 +1,9 @@
-// Package live is the concurrent implementation of runtime.Runtime: real
+// Package live is the wall-clock implementation of runtime.Runtime: real
 // goroutines, channels and time.Timer instead of a discrete-event loop. It
 // exists so the exact protocol code that reproduces the paper's figures under
-// internal/simnet can also run as a real in-process system (cmd/hybridnode):
-// same joins, same failure detectors, same lookups, now against a wall clock
-// with genuinely concurrent message delivery.
+// internal/simnet can also run as a real system: in one process over the
+// loopback carrier in this package (cmd/hybridnode), or across processes when
+// internal/runtime/net embeds this executor and swaps Send for TCP sockets.
 //
 // # Execution model
 //
@@ -15,10 +15,13 @@
 // DES dispatch loop — while keeping everything around it concurrent:
 //
 //   - each attached address has a mailbox goroutine, so message delivery is
-//     asynchronous, per-node FIFO, and overlapping across nodes;
+//     asynchronous, per-node FIFO, and overlapping across nodes; the mailbox
+//     table has its own lock, so a carrier's reader goroutines hand messages
+//     in through Deliver without ever waiting on protocol execution;
 //   - timers are real time.AfterFunc firings that take the executor lock
-//     before running, with an epoch-free cancelled/fired flag checked under
-//     the lock (a stopped timer that already won the race to fire is a no-op);
+//     before running; the set of armed firings is executor state, so a
+//     stopped timer that already won the race to fire is a no-op and Close
+//     leaves none behind;
 //   - external callers (cmd/hybridnode, tests) enter protocol state only
 //     through Do/Await, which take the same lock.
 //
@@ -34,6 +37,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/runtime"
@@ -55,25 +59,31 @@ type Config struct {
 
 // Runtime is a live, wall-clock implementation of runtime.Runtime.
 //
-// Clock, Transport, Rand and NewAddr must only be called under the execution
+// Clock, Transport and Rand must only be called under the execution
 // guarantee — from inside a handler, a timer callback, or Do. Do, Await,
-// Sleep and Close are the external entry points and may be called from any
-// goroutine.
+// Sleep, Deliver, NewAddr, Stop and Close may be called from any goroutine.
 type Runtime struct {
 	cfg   Config
 	start time.Time
 
 	mu     sync.Mutex // the executor lock: all protocol execution holds it
 	rng    *rand.Rand
-	nodes  map[runtime.Addr]*node
-	next   runtime.Addr
 	closed bool
+	// timers is the set of armed firings (Schedule and cfg.Delay sends).
+	// Membership is what "pending" means: a firing or Unschedule removes the
+	// entry, and Close stops and clears the rest so no closure keeps a
+	// closed runtime reachable until its timer would have gone off.
+	timers map[*time.Timer]struct{}
 
-	// delayed tracks in-flight cfg.Delay sends so Close can cancel them:
-	// without the ledger a firing scheduled before Close would touch the
-	// nodes map of a runtime that has already shut down.
-	delayed    map[uint64]*time.Timer
-	delayedSeq uint64
+	// nodes has its own lock (not the executor's) because a carrier's
+	// readers must find mailboxes without ever waiting on protocol
+	// execution. Lock order: mu before nmu; Deliver takes nmu alone.
+	nmu   sync.RWMutex
+	nodes map[runtime.Addr]*node
+
+	// next is atomic so a carrier can allocate for remote processes from
+	// its reader goroutines, outside the executor lock.
+	next atomic.Int64
 
 	wg sync.WaitGroup // live mailbox goroutines
 }
@@ -99,28 +109,20 @@ type envelope struct {
 	msg  any
 }
 
-// timer is one scheduled firing. All fields are guarded by the runtime's
-// executor lock.
-type timer struct {
-	t         *time.Timer
-	fn        func()
-	cancelled bool
-	fired     bool
-}
-
 // New creates a live runtime.
 func New(cfg Config) *Runtime {
 	if cfg.AwaitTimeout <= 0 {
 		cfg.AwaitTimeout = 30 * time.Second
 	}
-	return &Runtime{
-		cfg:     cfg,
-		start:   time.Now(),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		nodes:   make(map[runtime.Addr]*node),
-		next:    serverAddr + 1,
-		delayed: make(map[uint64]*time.Timer),
+	r := &Runtime{
+		cfg:    cfg,
+		start:  time.Now(),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		timers: make(map[*time.Timer]struct{}),
+		nodes:  make(map[runtime.Addr]*node),
 	}
+	r.next.Store(int64(serverAddr))
+	return r
 }
 
 // Now returns the wall-clock time since the runtime was created.
@@ -137,50 +139,63 @@ func (r *Runtime) Schedule(d runtime.Time, fn func()) runtime.Handle {
 	if r.closed {
 		return runtime.Handle{}
 	}
-	tm := &timer{fn: fn}
-	tm.t = time.AfterFunc(time.Duration(d)*time.Microsecond, func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if tm.cancelled || r.closed {
-			return
-		}
-		tm.fired = true
-		tm.fn()
-	})
-	return runtime.MakeHandle(tm, 0)
+	return runtime.MakeHandle(r.after(time.Duration(d)*time.Microsecond, fn), 0)
 }
 
-// Unschedule cancels a pending firing. A firing that already won the race
-// (its goroutine holds or will get the executor lock first) reports false.
+// after arms one tracked firing of fn under the executor lock.
+func (r *Runtime) after(d time.Duration, fn func()) *time.Timer {
+	var t *time.Timer
+	t = time.AfterFunc(d, func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		// Not in the set: cancelled, or the runtime closed, after this
+		// firing had already won the race to its goroutine.
+		if _, ok := r.timers[t]; !ok {
+			return
+		}
+		delete(r.timers, t)
+		fn()
+	})
+	r.timers[t] = struct{}{}
+	return t
+}
+
+// Unschedule cancels a pending firing. A firing that already ran, or was
+// cancelled before, reports false.
 func (r *Runtime) Unschedule(h runtime.Handle) bool {
-	tm, ok := h.Impl().(*timer)
-	if !ok || tm.cancelled || tm.fired {
+	if !r.Scheduled(h) {
 		return false
 	}
-	tm.cancelled = true
-	tm.t.Stop()
+	t := h.Impl().(*time.Timer)
+	t.Stop()
+	delete(r.timers, t)
 	return true
 }
 
 // Scheduled reports whether the firing is still pending.
 func (r *Runtime) Scheduled(h runtime.Handle) bool {
-	tm, ok := h.Impl().(*timer)
-	return ok && !tm.cancelled && !tm.fired
+	t, ok := h.Impl().(*time.Timer)
+	if ok {
+		_, ok = r.timers[t]
+	}
+	return ok
 }
 
 // Attach registers a handler and starts its mailbox goroutine. The endpoint
-// is recorded for interface compatibility; the loopback transport has no
-// physical placement, so Host and Capacity do not shape delivery.
+// is recorded for interface compatibility; neither carrier has a physical
+// placement, so Host and Capacity do not shape delivery.
 func (r *Runtime) Attach(a runtime.Addr, _ runtime.Endpoint, h runtime.Handler) {
 	if r.closed {
 		return
 	}
+	n := &node{h: h}
+	n.qcond = sync.NewCond(&n.qmu)
+	r.nmu.Lock()
 	if old, ok := r.nodes[a]; ok {
 		old.close()
 	}
-	n := &node{h: h}
-	n.qcond = sync.NewCond(&n.qmu)
 	r.nodes[a] = n
+	r.nmu.Unlock()
 	r.wg.Add(1)
 	go r.deliverLoop(a, n)
 }
@@ -188,16 +203,23 @@ func (r *Runtime) Attach(a runtime.Addr, _ runtime.Endpoint, h runtime.Handler) 
 // Detach removes an address; its mailbox goroutine drains out and queued
 // messages to it are dropped, exactly like packets to a crashed host.
 func (r *Runtime) Detach(a runtime.Addr) {
+	r.nmu.Lock()
 	if n, ok := r.nodes[a]; ok {
 		n.close()
 		delete(r.nodes, a)
 	}
+	r.nmu.Unlock()
 }
 
-// Attached reports whether the address has a live handler.
+// Attached reports whether the address has a live handler on this runtime.
 func (r *Runtime) Attached(a runtime.Addr) bool {
-	_, ok := r.nodes[a]
-	return ok
+	return r.nodeAt(a) != nil
+}
+
+func (r *Runtime) nodeAt(a runtime.Addr) *node {
+	r.nmu.RLock()
+	defer r.nmu.RUnlock()
+	return r.nodes[a]
 }
 
 // Send enqueues msg for delivery. Size only matters to transports that model
@@ -209,34 +231,27 @@ func (r *Runtime) Attached(a runtime.Addr) bool {
 // arrive. (Capturing the *node* at send time silently dropped such messages
 // into the old incarnation's closed mailbox.)
 func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
-	if r.cfg.Delay > 0 {
-		// No liveness check here: with a delay the destination's liveness
-		// is judged at delivery time, like any packet in flight.
-		seq := r.delayedSeq
-		r.delayedSeq++
-		r.delayed[seq] = time.AfterFunc(r.cfg.Delay, func() {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			delete(r.delayed, seq)
-			if r.closed {
-				return
-			}
-			if n, ok := r.nodes[to]; ok {
-				n.enqueue(from, msg)
-			}
-		})
+	if r.closed {
 		return
 	}
-	if n, ok := r.nodes[to]; ok {
-		n.enqueue(from, msg)
+	if r.cfg.Delay > 0 {
+		r.after(r.cfg.Delay, func() { r.Deliver(from, to, msg) })
+		return
 	}
+	r.Deliver(from, to, msg)
 }
 
 // SendLocal enqueues a self-message; it is delivered like any other, on a
 // fresh mailbox turn.
-func (r *Runtime) SendLocal(a runtime.Addr, msg any) {
-	if n, ok := r.nodes[a]; ok {
-		n.enqueue(a, msg)
+func (r *Runtime) SendLocal(a runtime.Addr, msg any) { r.Deliver(a, a, msg) }
+
+// Deliver appends msg to the mailbox of to, or drops it when the address is
+// not attached here — a packet to a dead host. It takes only the mailbox
+// locks, never the executor's, so it is the entry point for a carrier's
+// reader goroutines as well as for Send.
+func (r *Runtime) Deliver(from, to runtime.Addr, msg any) {
+	if n := r.nodeAt(to); n != nil {
+		n.enqueue(from, msg)
 	}
 }
 
@@ -256,13 +271,14 @@ func (r *Runtime) deliverLoop(a runtime.Addr, n *node) {
 			return
 		}
 		env := n.queue[0]
+		n.queue[0] = envelope{} // the backing array must not pin a delivered message
 		n.queue = n.queue[1:]
 		n.qmu.Unlock()
 
 		r.mu.Lock()
 		// Re-check liveness under the executor lock: the node may have
 		// been detached between dequeue and delivery.
-		if cur, ok := r.nodes[a]; ok && cur == n && !r.closed {
+		if !r.closed && r.nodeAt(a) == n {
 			n.h.Recv(env.from, env.msg)
 		}
 		r.mu.Unlock()
@@ -291,17 +307,13 @@ func (r *Runtime) Rand() runtime.RNG { return r.rng }
 
 // NewAddr allocates the next peer address: 1, 2, … — the same sequence the
 // DES runtime produces, which the conformance tests rely on to compare runs.
-func (r *Runtime) NewAddr() runtime.Addr {
-	a := r.next
-	r.next++
-	return a
-}
+func (r *Runtime) NewAddr() runtime.Addr { return runtime.Addr(r.next.Add(1)) }
 
 // ServerAddr returns the bootstrap server's address.
 func (r *Runtime) ServerAddr() runtime.Addr { return serverAddr }
 
-// Placement returns nil: the loopback transport has no physical model, so
-// the protocol falls back to locality-free landmark and id assignment.
+// Placement returns nil: neither carrier has a physical model, so the
+// protocol falls back to locality-free landmark and id assignment.
 func (r *Runtime) Placement() runtime.Placement { return nil }
 
 // Do runs fn under the executor lock, serialized against every handler and
@@ -338,27 +350,39 @@ func (r *Runtime) Sleep(d runtime.Time) {
 	time.Sleep(time.Duration(d) * time.Microsecond)
 }
 
-// Close shuts the runtime down: every mailbox goroutine exits, pending timer
-// firings become no-ops, and every delayed send still in flight is cancelled
-// (a firing that already won the race to its AfterFunc observes the closed
-// flag under the lock and delivers nothing). Close blocks until the
-// mailboxes are gone.
-func (r *Runtime) Close() {
+// Closed reports whether Stop has run (use under the execution guarantee).
+func (r *Runtime) Closed() bool { return r.closed }
+
+// Stop ends protocol execution without waiting for it to drain: no handler
+// or timer callback starts afterwards, every armed firing is stopped and
+// forgotten, and every mailbox is told to exit. It reports whether this call
+// was the one that stopped the runtime. A carrier that must release its own
+// blocking resources before the mailbox goroutines can finish calls Stop,
+// releases them, then Close.
+func (r *Runtime) Stop() bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
-		return
+		return false
 	}
 	r.closed = true
-	for seq, t := range r.delayed {
+	for t := range r.timers {
 		t.Stop()
-		delete(r.delayed, seq)
 	}
-	for a, n := range r.nodes {
+	clear(r.timers)
+	r.nmu.Lock()
+	for _, n := range r.nodes {
 		n.close()
-		delete(r.nodes, a)
 	}
-	r.mu.Unlock()
+	clear(r.nodes)
+	r.nmu.Unlock()
+	return true
+}
+
+// Close shuts the runtime down (see Stop) and blocks until the mailbox
+// goroutines are gone. It is idempotent.
+func (r *Runtime) Close() {
+	r.Stop()
 	r.wg.Wait()
 }
 

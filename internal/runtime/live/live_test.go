@@ -78,17 +78,14 @@ func TestDelayedSendToDetachedDropped(t *testing.T) {
 	if got := rec.snapshot(); len(got) != 0 {
 		t.Fatalf("detached address received %v", got)
 	}
-	r.mu.Lock()
-	pending := len(r.delayed)
-	r.mu.Unlock()
-	if pending != 0 {
-		t.Fatalf("%d delayed sends still in the ledger after firing", pending)
+	if pending := r.PendingTimers(); pending != 0 {
+		t.Fatalf("%d delayed sends still tracked after firing", pending)
 	}
 }
 
 // TestCloseCancelsDelayedSends pins Close's accounting of pending delayed
-// sends: the ledger drains, nothing is delivered after Close, and a firing
-// racing Close observes the closed flag instead of touching freed state.
+// sends: the timer set drains, nothing is delivered after Close, and a firing
+// racing Close finds itself gone from the set instead of delivering.
 func TestCloseCancelsDelayedSends(t *testing.T) {
 	r := New(Config{Delay: 10 * time.Millisecond})
 	rec := &recorder{}
@@ -99,18 +96,12 @@ func TestCloseCancelsDelayedSends(t *testing.T) {
 			r.Send(1, dst, 0, i)
 		}
 	})
-	r.mu.Lock()
-	pending := len(r.delayed)
-	r.mu.Unlock()
-	if pending != 50 {
-		t.Fatalf("ledger holds %d delayed sends before Close, want 50", pending)
+	if pending := r.PendingTimers(); pending != 50 {
+		t.Fatalf("%d delayed sends tracked before Close, want 50", pending)
 	}
 	r.Close()
-	r.mu.Lock()
-	pending = len(r.delayed)
-	r.mu.Unlock()
-	if pending != 0 {
-		t.Fatalf("ledger holds %d delayed sends after Close, want 0", pending)
+	if pending := r.PendingTimers(); pending != 0 {
+		t.Fatalf("%d delayed sends tracked after Close, want 0", pending)
 	}
 	time.Sleep(30 * time.Millisecond) // past the delay: any stray firing would land here
 	if got := rec.snapshot(); len(got) != 0 {
@@ -140,87 +131,5 @@ func TestDelayedSendCloseRace(t *testing.T) {
 		time.Sleep(time.Duration(iter%5) * 50 * time.Microsecond)
 		r.Close()
 		wg.Wait()
-	}
-}
-
-// TestMailboxFIFOUnderConcurrentSenders asserts the per-pair FIFO guarantee
-// with zero delay: each sender's messages arrive at the shared receiver in
-// send order, even with many senders interleaving under the executor lock.
-func TestMailboxFIFOUnderConcurrentSenders(t *testing.T) {
-	r := New(Config{})
-	defer r.Close()
-
-	const (
-		senders = 8
-		perSend = 200
-		dst     = runtime.Addr(100)
-	)
-	rec := &recorder{}
-	r.Do(func() { r.Attach(dst, runtime.Endpoint{}, rec) })
-
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			from := runtime.Addr(s + 1)
-			for i := 0; i < perSend; i++ {
-				r.Do(func() { r.Send(from, dst, 0, i) })
-			}
-		}(s)
-	}
-	wg.Wait()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rec.mu.Lock()
-		n := len(rec.got)
-		rec.mu.Unlock()
-		if n == senders*perSend {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d messages delivered", n, senders*perSend)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	next := make(map[runtime.Addr]int)
-	for i, m := range rec.got {
-		from := rec.from[i]
-		seq := m.(int)
-		if seq != next[from] {
-			t.Fatalf("sender %d: message %d arrived when %d was expected (position %d)", from, seq, next[from], i)
-		}
-		next[from]++
-	}
-}
-
-// TestDetachDropsQueuedMessages: with zero delay the message is enqueued into
-// the current incarnation's mailbox, so a detach between enqueue and delivery
-// drops it — it was in flight when the host crashed — and a re-attached
-// incarnation must not see it.
-func TestDetachDropsQueuedMessages(t *testing.T) {
-	r := New(Config{})
-	defer r.Close()
-
-	first, second := &recorder{}, &recorder{}
-	const dst runtime.Addr = 9
-	r.Do(func() {
-		r.Attach(dst, runtime.Endpoint{}, first)
-		// The mailbox goroutine cannot deliver while we hold the executor
-		// lock, so the detach below is guaranteed to beat delivery.
-		r.Send(1, dst, 0, "crashing")
-		r.Detach(dst)
-		r.Attach(dst, runtime.Endpoint{}, second)
-	})
-	time.Sleep(10 * time.Millisecond)
-	if got := first.snapshot(); len(got) != 0 {
-		t.Fatalf("first incarnation got %v after detach", got)
-	}
-	if got := second.snapshot(); len(got) != 0 {
-		t.Fatalf("second incarnation got %v; zero-delay sends bind at send time", got)
 	}
 }

@@ -1,8 +1,8 @@
-// Package net is the TCP-socket implementation of runtime.Runtime: the same
-// hybrid protocol that runs under the discrete-event simulation
-// (internal/simnet) and the in-process goroutine runtime
-// (internal/runtime/live) here runs across real sockets, so a cluster can
-// span processes and machines (cmd/hybridnode -addr/-bootstrap).
+// Package net is the TCP-socket carrier for the wall-clock executor of
+// internal/runtime/live: the same hybrid protocol that runs under the
+// discrete-event simulation (internal/simnet) and in one process on live's
+// loopback carrier here runs across real sockets, so a cluster can span
+// processes and machines (cmd/hybridnode -addr/-bootstrap).
 //
 // # Topology
 //
@@ -25,24 +25,24 @@
 //
 // # Execution model
 //
-// Identical to internal/runtime/live, because it solves the same problem:
-// the protocol wants run-to-completion semantics and peers on one process
-// share a System. All protocol execution serializes behind one executor
-// mutex; each attached address has a mailbox goroutine; timers are
-// time.AfterFunc firings that take the executor lock. What differs is only
-// Send: every message — including one whose destination is hosted by the
-// sending process — is encoded by the codec (codec.go), framed in the wire
-// envelope (wire.go), and written to the destination process's socket. The
-// uniform path means the conformance suite exercises the codec and framing
-// even in a single process.
+// Runtime embeds *live.Runtime, so the executor lock, mailboxes, timers,
+// Do/Await/Sleep and the address counter are that package's, not copies of
+// them. This package adds only what sockets need: Attach, Detach, Attached,
+// NewAddr and Close call the embedded method and then do their directory or
+// connection work, and Send replaces the loopback hand-off: every message —
+// including one whose destination is hosted by the sending process — is
+// encoded by the codec (codec.go), framed in the wire envelope (wire.go),
+// and written to the destination process's socket. The uniform path means
+// the conformance suite exercises the codec and framing even in a single
+// process.
 //
 // Each connection has exactly one reader goroutine, and it never blocks on
-// protocol execution: data frames are decoded and appended to the target
-// mailbox (dropped if the address is not attached here — a packet to a dead
-// host), control responses are handed to the waiter parked in the
-// inflight[msgID] map, and control requests touch only the directory and
-// allocator locks, never the executor. A slow or wedged peer therefore
-// cannot stall delivery to anyone else.
+// protocol execution: data frames are decoded and handed to live's Deliver,
+// which takes only mailbox locks (dropped if the address is not attached
+// here — a packet to a dead host), control responses are handed to the
+// waiter parked in the inflight[msgID] map, and control requests touch only
+// the directory and the atomic address counter, never the executor. A slow
+// or wedged peer therefore cannot stall delivery to anyone else.
 //
 // Message-level guarantees match the live runtime: sends are asynchronous
 // and unreliable (an unresolvable address, unreachable endpoint, or dead
@@ -61,6 +61,7 @@ import (
 	"time"
 
 	"repro/internal/runtime"
+	"repro/internal/runtime/live"
 )
 
 // Config tunes the socket runtime.
@@ -94,36 +95,19 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Runtime is the TCP implementation of runtime.Runtime.
-//
-// Clock, Transport, Rand and NewAddr must only be called under the execution
-// guarantee — from inside a handler, a timer callback, or Do. Do, Await,
-// Sleep and Close are the external entry points and may be called from any
-// goroutine.
+// Runtime is the TCP implementation of runtime.Runtime: the live executor
+// plus sockets. The calling rules are the embedded runtime's — Transport and
+// NewAddr under the execution guarantee, Close from any goroutine.
 type Runtime struct {
+	*live.Runtime
+
 	cfg    Config
 	codec  *Codec
-	start  time.Time
 	isBoot bool
 	self   string // advertised endpoint
 	boot   string // bootstrap endpoint (== self on the bootstrap)
 
 	ln nnet.Listener
-
-	mu     sync.Mutex // the executor lock: all protocol execution holds it
-	rng    *rand.Rand
-	closed bool
-
-	// nodes has its own lock (not the executor's) because connection
-	// readers must find mailboxes without ever waiting on protocol
-	// execution. Lock order: mu before nmu; readers take nmu alone.
-	nmu   sync.RWMutex
-	nodes map[runtime.Addr]*node
-
-	// amu guards the bootstrap's address counter; readers answering
-	// JOIN-ALLOC take it, so it must not be the executor lock.
-	amu  sync.Mutex
-	next runtime.Addr
 
 	dir *directory
 
@@ -146,35 +130,7 @@ type Runtime struct {
 	msgID    atomic.Uint64
 
 	closedCh chan struct{}
-	wg       sync.WaitGroup // mailbox goroutines
 	readers  sync.WaitGroup // accept loop + connection readers
-}
-
-// serverAddr is the bootstrap server's protocol address, hosted by the
-// bootstrap process; NewAddr allocations start right above it.
-const serverAddr runtime.Addr = 0
-
-// node is one attached address: a handler plus its mailbox (identical to the
-// live runtime's — see that package for the lock-ordering discussion).
-type node struct {
-	h runtime.Handler
-
-	qmu    sync.Mutex
-	qcond  *sync.Cond
-	queue  []envelopeLocal
-	closed bool
-}
-
-type envelopeLocal struct {
-	from runtime.Addr
-	msg  any
-}
-
-type timer struct {
-	t         *time.Timer
-	fn        func()
-	cancelled bool
-	fired     bool
 }
 
 // New creates a socket runtime: it binds the listener, starts accepting,
@@ -186,9 +142,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if len(cfg.Messages) == 0 {
 		return nil, errors.New("net: Config.Messages is required (see core.WireMessages)")
-	}
-	if cfg.AwaitTimeout <= 0 {
-		cfg.AwaitTimeout = 30 * time.Second
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
@@ -213,14 +166,11 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("net: listen %s: %w", cfg.Listen, err)
 	}
 	r := &Runtime{
+		Runtime:    live.New(live.Config{Seed: cfg.Seed, AwaitTimeout: cfg.AwaitTimeout}),
 		cfg:        cfg,
 		codec:      codec,
-		start:      time.Now(),
 		isBoot:     cfg.Bootstrap == "",
 		ln:         ln,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		nodes:      make(map[runtime.Addr]*node),
-		next:       serverAddr + 1,
 		dir:        newDirectory(),
 		conns:      make(map[string]*wconn),
 		inbound:    make(map[*wconn]struct{}),
@@ -240,7 +190,7 @@ func New(cfg Config) (*Runtime, error) {
 		// The server's address is bootstrap information, not something to
 		// discover: seed the resolution cache so the very first join can
 		// reach address 0.
-		r.dir.set(int64(serverAddr), r.boot, true)
+		r.dir.set(int64(r.ServerAddr()), r.boot, true)
 	}
 	r.readers.Add(1)
 	go r.acceptLoop()
@@ -266,72 +216,17 @@ func (r *Runtime) Endpoint() string { return r.self }
 // IsBootstrap reports whether this process hosts address 0 and the broker.
 func (r *Runtime) IsBootstrap() bool { return r.isBoot }
 
-// --- Clock -----------------------------------------------------------------
-
-// Now returns the wall-clock time since the runtime was created.
-func (r *Runtime) Now() runtime.Time {
-	return runtime.Time(time.Since(r.start) / time.Microsecond)
-}
-
-// Schedule arms a wall-clock timer; the callback takes the executor lock.
-func (r *Runtime) Schedule(d runtime.Time, fn func()) runtime.Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("net: negative delay %v", d))
-	}
-	if r.closed {
-		return runtime.Handle{}
-	}
-	tm := &timer{fn: fn}
-	tm.t = time.AfterFunc(time.Duration(d)*time.Microsecond, func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if tm.cancelled || r.closed {
-			return
-		}
-		tm.fired = true
-		tm.fn()
-	})
-	return runtime.MakeHandle(tm, 0)
-}
-
-// Unschedule cancels a pending firing.
-func (r *Runtime) Unschedule(h runtime.Handle) bool {
-	tm, ok := h.Impl().(*timer)
-	if !ok || tm.cancelled || tm.fired {
-		return false
-	}
-	tm.cancelled = true
-	tm.t.Stop()
-	return true
-}
-
-// Scheduled reports whether the firing is still pending.
-func (r *Runtime) Scheduled(h runtime.Handle) bool {
-	tm, ok := h.Impl().(*timer)
-	return ok && !tm.cancelled && !tm.fired
-}
-
 // --- Transport -------------------------------------------------------------
 
 // Attach registers a handler, starts its mailbox goroutine, and announces
 // the address to the bootstrap's directory so other processes can route to
 // it. The announcement is synchronous: when Attach returns, a response sent
 // to this address by any process resolves.
-func (r *Runtime) Attach(a runtime.Addr, _ runtime.Endpoint, h runtime.Handler) {
-	if r.closed {
+func (r *Runtime) Attach(a runtime.Addr, ep runtime.Endpoint, h runtime.Handler) {
+	if r.Closed() {
 		return
 	}
-	n := &node{h: h}
-	n.qcond = sync.NewCond(&n.qmu)
-	r.nmu.Lock()
-	if old, ok := r.nodes[a]; ok {
-		old.close()
-	}
-	r.nodes[a] = n
-	r.nmu.Unlock()
-	r.wg.Add(1)
-	go r.deliverLoop(a, n)
-
+	r.Runtime.Attach(a, ep, h)
 	r.dir.set(int64(a), r.self, true)
 	if !r.isBoot {
 		if _, err := r.rpc(ctrlRegisterReq, registerPayload(int64(a), r.self)); err != nil {
@@ -344,12 +239,7 @@ func (r *Runtime) Attach(a runtime.Addr, _ runtime.Endpoint, h runtime.Handler) 
 // already in flight to it are dropped on arrival, like packets to a crashed
 // host.
 func (r *Runtime) Detach(a runtime.Addr) {
-	r.nmu.Lock()
-	if n, ok := r.nodes[a]; ok {
-		n.close()
-		delete(r.nodes, a)
-	}
-	r.nmu.Unlock()
+	r.Runtime.Detach(a)
 	r.dir.markDead(int64(a))
 	if !r.isBoot {
 		if c, err := r.connTo(r.boot); err == nil {
@@ -361,13 +251,10 @@ func (r *Runtime) Detach(a runtime.Addr) {
 }
 
 // Attached reports whether the address currently has a live handler
-// anywhere in the cluster: locally via the node table, elsewhere via the
+// anywhere in the cluster: locally via the mailbox table, elsewhere via the
 // bootstrap's directory (a broker round trip on non-bootstrap processes).
 func (r *Runtime) Attached(a runtime.Addr) bool {
-	r.nmu.RLock()
-	_, local := r.nodes[a]
-	r.nmu.RUnlock()
-	if local {
+	if r.Runtime.Attached(a) {
 		return true
 	}
 	if r.isBoot {
@@ -389,7 +276,7 @@ func (r *Runtime) Attached(a runtime.Addr) bool {
 // serialization cost on the simulated transports; here the real bytes are
 // the cost.
 func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
-	if r.closed {
+	if r.Closed() {
 		return
 	}
 	ep, ok := r.endpointOf(to)
@@ -435,17 +322,6 @@ func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
 	r.cmu.Unlock()
 }
 
-// SendLocal enqueues a self-message directly — it never touches the socket,
-// mirroring the negligible-delay contract.
-func (r *Runtime) SendLocal(a runtime.Addr, msg any) {
-	r.nmu.RLock()
-	n, ok := r.nodes[a]
-	r.nmu.RUnlock()
-	if ok {
-		n.enqueue(a, msg)
-	}
-}
-
 // endpointOf resolves an address to its hosting process's endpoint: local
 // cache first, then a broker round trip. Endpoints are immutable once
 // registered, so positive results are cached forever; negative results are
@@ -469,57 +345,6 @@ func (r *Runtime) endpointOf(a runtime.Addr) (string, bool) {
 	return ep, true
 }
 
-// deliverLoop is a node's mailbox goroutine: pop one envelope, take the
-// executor lock, deliver, repeat (the live runtime's pattern, including the
-// re-check that the address was not detached between dequeue and delivery).
-func (r *Runtime) deliverLoop(a runtime.Addr, n *node) {
-	defer r.wg.Done()
-	for {
-		n.qmu.Lock()
-		for len(n.queue) == 0 && !n.closed {
-			n.qcond.Wait()
-		}
-		if n.closed {
-			n.qmu.Unlock()
-			return
-		}
-		env := n.queue[0]
-		n.queue = n.queue[1:]
-		n.qmu.Unlock()
-
-		r.mu.Lock()
-		r.nmu.RLock()
-		cur, ok := r.nodes[a]
-		r.nmu.RUnlock()
-		if ok && cur == n && !r.closed {
-			n.h.Recv(env.from, env.msg)
-		}
-		r.mu.Unlock()
-	}
-}
-
-func (n *node) enqueue(from runtime.Addr, msg any) {
-	n.qmu.Lock()
-	if !n.closed {
-		n.queue = append(n.queue, envelopeLocal{from: from, msg: msg})
-		n.qcond.Signal()
-	}
-	n.qmu.Unlock()
-}
-
-func (n *node) close() {
-	n.qmu.Lock()
-	n.closed = true
-	n.queue = nil
-	n.qcond.Broadcast()
-	n.qmu.Unlock()
-}
-
-// --- Runtime ---------------------------------------------------------------
-
-// Rand returns the runtime's RNG (use only under the execution guarantee).
-func (r *Runtime) Rand() runtime.RNG { return r.rng }
-
 // NewAddr allocates the next cluster-wide peer address: locally on the
 // bootstrap, via a JOIN-ALLOC broker request elsewhere. Allocation is the
 // one runtime operation that cannot degrade gracefully — a node that cannot
@@ -528,11 +353,7 @@ func (r *Runtime) Rand() runtime.RNG { return r.rng }
 // address space.
 func (r *Runtime) NewAddr() runtime.Addr {
 	if r.isBoot {
-		r.amu.Lock()
-		a := r.next
-		r.next++
-		r.amu.Unlock()
-		return a
+		return r.Runtime.NewAddr()
 	}
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
@@ -551,65 +372,18 @@ func (r *Runtime) NewAddr() runtime.Addr {
 	panic(fmt.Sprintf("net: address allocation via %s failed: %v", r.boot, lastErr))
 }
 
-// ServerAddr returns the bootstrap server's address.
-func (r *Runtime) ServerAddr() runtime.Addr { return serverAddr }
-
-// Placement returns nil: the socket transport has no physical model.
-func (r *Runtime) Placement() runtime.Placement { return nil }
-
-// Do runs fn under the executor lock.
-func (r *Runtime) Do(fn func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	fn()
-}
-
-// Await polls cond under the executor lock until it reports true, yielding
-// between polls; it fails after the configured wall-clock timeout.
-func (r *Runtime) Await(cond func() bool) error {
-	deadline := time.Now().Add(r.cfg.AwaitTimeout)
-	for {
-		r.mu.Lock()
-		ok := cond()
-		r.mu.Unlock()
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("net: condition not reached within %v", r.cfg.AwaitTimeout)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-// Sleep blocks the caller while the runtime keeps executing. It must not be
-// called while holding the executor lock.
-func (r *Runtime) Sleep(d runtime.Time) {
-	time.Sleep(time.Duration(d) * time.Microsecond)
-}
-
-// Close shuts the runtime down: the listener and every connection close (so
-// all readers exit), mailbox goroutines drain out, pending timer firings
-// become no-ops, and outstanding broker requests fail. Close blocks until
-// every goroutine is gone.
+// Close shuts the runtime down: protocol execution stops and pending timers
+// are dropped (live's Stop), the listener and every connection close (so all
+// readers exit, blocked writes return and outstanding broker requests fail),
+// and only then does it wait — sockets go before the wait so that nothing a
+// goroutine could be blocked on outlives it. Close blocks until every
+// goroutine is gone.
 func (r *Runtime) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	if !r.Stop() {
 		return
 	}
-	r.closed = true
-	r.mu.Unlock()
-
 	close(r.closedCh)
 	r.ln.Close()
-
-	r.nmu.Lock()
-	for a, n := range r.nodes {
-		n.close()
-		delete(r.nodes, a)
-	}
-	r.nmu.Unlock()
 
 	r.cmu.Lock()
 	r.connsDown = true
@@ -623,7 +397,7 @@ func (r *Runtime) Close() {
 	}
 	r.cmu.Unlock()
 
-	r.wg.Wait()
+	r.Runtime.Close()
 	r.readers.Wait()
 }
 
@@ -906,22 +680,12 @@ func (r *Runtime) handleFrame(c *wconn, env envelope) {
 			r.cfg.Logf("frame %d->%d: %v", env.From, env.To, err)
 			return
 		}
-		r.nmu.RLock()
-		n, ok := r.nodes[runtime.Addr(env.To)]
-		r.nmu.RUnlock()
-		if ok {
-			n.enqueue(runtime.Addr(env.From), msg)
-		}
-		// else: not attached here — the host is gone (or never was);
-		// drop, as the unreliable-transport contract promises.
+		r.Deliver(runtime.Addr(env.From), runtime.Addr(env.To), msg)
 
 	case env.Type == ctrlAllocReq:
 		a := int64(-1)
 		if r.isBoot {
-			r.amu.Lock()
-			a = int64(r.next)
-			r.next++
-			r.amu.Unlock()
+			a = int64(r.Runtime.NewAddr())
 		}
 		r.reply(c, ctrlAllocResp, env.MsgID, addrPayload(a))
 

@@ -353,37 +353,6 @@ func TestUnknownAddrDropsSilently(t *testing.T) {
 	// Nothing to assert beyond "we got here without blocking".
 }
 
-// TestTimersAndAwait exercises the clock path: a timer fires under the
-// executor lock and Await observes its effect.
-func TestTimersAndAwait(t *testing.T) {
-	boot := newBoot(t)
-	fired := false
-	boot.Do(func() {
-		boot.Schedule(runtime.Millisecond, func() { fired = true })
-	})
-	if err := boot.Await(func() bool { return fired }); err != nil {
-		t.Fatal(err)
-	}
-
-	cancelled := false
-	var h runtime.Handle
-	boot.Do(func() {
-		h = boot.Schedule(50*runtime.Millisecond, func() { cancelled = true })
-		if !boot.Scheduled(h) {
-			t.Error("fresh timer not scheduled")
-		}
-		if !boot.Unschedule(h) {
-			t.Error("unschedule failed")
-		}
-	})
-	time.Sleep(80 * time.Millisecond)
-	boot.Do(func() {
-		if cancelled {
-			t.Error("cancelled timer fired")
-		}
-	})
-}
-
 // TestConcurrentCrossTraffic hammers two runtimes with interleaved sends in
 // both directions; the race detector plus per-sender FIFO are the assertions.
 func TestConcurrentCrossTraffic(t *testing.T) {
