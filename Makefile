@@ -1,6 +1,7 @@
 GO ?= go
+GATES := faultcheck determinism conformance allocguard routinggate retired introspect-smoke net-smoke replication-smoke
 
-.PHONY: all build check vet staticcheck test race faultcheck determinism conformance allocguard routinggate introspect-smoke net-smoke replication-smoke cluster bench benchscale
+.PHONY: all build check vet staticcheck test race $(GATES) cluster bench benchscale
 
 all: check
 
@@ -20,8 +21,7 @@ staticcheck:
 	fi
 
 # The verify loop: everything a change must pass before it lands. The gate
-# list lives in scripts/check.sh only; the targets below are conveniences for
-# running one gate at a time.
+# list lives in scripts/check.sh only.
 check:
 	sh ./scripts/check.sh
 
@@ -31,61 +31,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Crash-path gate: churn storms and recovery paths under injected message
-# faults, invariant-checked at every quiescence point (-count=1 defeats the
-# test cache so the gate always executes).
-faultcheck:
-	$(GO) test ./internal/core -count=1 \
-		-run '^(TestChurnStormUnderFaults|TestRecoveryPathsUnderFaults|TestSustainedChurnKeepsInvariants)$$'
-
-# Determinism gate: sweeps with the fault layer compiled in but disabled must
-# be byte-identical to ones that never touch it.
-determinism:
-	$(GO) test ./internal/exp -count=1 \
-		-run '^(TestFaultLayerOffIsByteIdentical|TestParallelSweepDeterminism)$$'
-
-# Cross-runtime conformance gate: the same scenario on the DES, the live
-# goroutine runtime and the TCP socket runtime, audited on all three, under
-# the race detector (the wall-clock runtimes' whole point is real
-# concurrency, so -race is load-bearing).
-conformance:
-	$(GO) test -race ./internal/conformance -count=1
-
-# Allocation budgets: the event-engine hot path and Histogram.Record must
-# stay at zero allocs, and a no-churn lookup within its per-op budget.
-allocguard:
-	$(GO) test . -count=1 -run '^(TestEventEngineAllocFree|TestLookupAllocBudget)$$'
-	$(GO) test ./internal/obs -count=1 -run '^TestHistogramRecordAllocFree$$'
-
-# Routing-seam gate (PR 10): the Kademlia baseline's own unit tests, a
-# four-arm baseline determinism check (two full RunBaselines passes must be
-# byte-identical), the α-parallel + path-cache ablation acceptance test
-# (alpha=3+cache must strictly beat alpha=1 on failure ratio or latency at
-# the same fault schedule), and the path-cache invalidation suite under
-# churn (-count=1 defeats the test cache so the gates always execute).
-routinggate:
-	$(GO) test ./internal/kad -count=1
-	$(GO) test ./internal/exp -count=1 \
-		-run '^(TestBaselinesDeterminism|TestAblationRoutingGate)$$'
-	$(GO) test ./internal/core -count=1 \
-		-run '^(TestPathCache|TestAlphaProbes)'
-
-# Introspection smoke gate: boot a live hybridnode with -http, poll /healthz
-# until healthy, and assert /metrics serves well-formed Prometheus exposition.
-introspect-smoke:
-	sh ./scripts/introspect_smoke.sh
-
-# Multi-process smoke gate: 3-process hybridnode TCP cluster on loopback,
-# cross-process lookups, a SIGKILLed worker, /healthz green again on the
-# survivors, clean SIGTERM shutdown.
-net-smoke:
-	sh ./scripts/net_smoke.sh
-
-# Replication smoke gate: 4-process cluster at k=3, 50 keys stored through
-# the /kv HTTP surface, both all-s workers SIGKILLed — every key must still
-# read back and /healthz must return to a zero replica deficit.
-replication-smoke:
-	sh ./scripts/replication_smoke.sh
+# One gate at a time: `make determinism`, `make net-smoke`, ... Each gate's
+# command line lives in scripts/check.sh; `sh scripts/check.sh nosuchgate`
+# lists them.
+$(GATES):
+	sh ./scripts/check.sh $@
 
 # Interactive: launch an N-process TCP cluster with per-node logs and a
 # servers.json manifest; Ctrl-C stops it (see scripts/run_cluster.sh).

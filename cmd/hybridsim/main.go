@@ -62,7 +62,6 @@ type simParams struct {
 	zipf           bool
 	walk           bool
 	caching        bool
-	linear         bool
 	hist           bool
 	alpha          int
 	pathcache      bool
@@ -104,11 +103,10 @@ func run() int {
 		zipf      = flag.Bool("zipf", false, "Zipf-skewed lookup popularity instead of uniform")
 		walk      = flag.Bool("walk", false, "random-walk s-network search instead of flooding")
 		caching   = flag.Bool("caching", false, "enable the future-work hot-data caching scheme")
-		linear    = flag.Bool("linear", false, "successor-only ring routing (the paper's simulated behavior)")
 		hist      = flag.Bool("hist", false, "record lookup/store histograms and print latency/hop percentiles")
 		alpha     = flag.Int("alpha", 1, "parallel lookup probes on the t-network (1 = the paper's single walk)")
 		pathcache = flag.Bool("pathcache", false, "enable lookup-path caching (successful lookups deposit route hints)")
-		route     = flag.String("route", "finger", "t-network routing strategy: finger | succ")
+		route     = flag.String("route", "finger", "t-network routing strategy: finger | succ (successor-only, the paper's simulated behavior; lookup timeout 180 s)")
 
 		dropRate  = flag.Float64("droprate", 0, "fault injection: per-message drop probability (0..1)")
 		dupRate   = flag.Float64("duprate", 0, "fault injection: per-message duplication probability (0..1)")
@@ -170,8 +168,7 @@ func run() int {
 			hetero: *hetero, topoaware: *topoaware, landmarks: *landmarks,
 			bypass: *bypass, tracker: *tracker, interests: *interests,
 			crash: *crash, zipf: *zipf, walk: *walk, caching: *caching,
-			linear: *linear, hist: *hist,
-			alpha: *alpha, pathcache: *pathcache, route: *route,
+			hist: *hist, alpha: *alpha, pathcache: *pathcache, route: *route,
 			dropRate: *dropRate, dupRate: *dupRate, jitter: sim.Time(jitter.Microseconds()),
 			partStart: partStart, partEnd: partEnd, hasPartition: hasPartition,
 			faultSeed: *faultSeed,
@@ -212,8 +209,7 @@ func run() int {
 			"hetero": *hetero, "topoaware": *topoaware, "landmarks": *landmarks,
 			"bypass": *bypass, "tracker": *tracker, "interests": *interests,
 			"crash": *crash, "zipf": *zipf, "walk": *walk, "caching": *caching,
-			"linear": *linear, "hist": *hist,
-			"alpha": *alpha, "pathcache": *pathcache, "route": *route,
+			"hist": *hist, "alpha": *alpha, "pathcache": *pathcache, "route": *route,
 			"droprate": *dropRate, "duprate": *dupRate, "jitter": jitter.String(),
 			"partition": *partition, "faultseed": *faultSeed,
 		})
@@ -299,14 +295,12 @@ func runSim(w io.Writer, topo *topology.Graph, p simParams, tr *obs.Tracer, rec 
 	cfg.Delta = p.delta
 	cfg.TTL = p.ttl
 	cfg.Heterogeneity = p.hetero
-	cfg.TopologyAware = p.topoaware
 	cfg.Landmarks = p.landmarks
 	cfg.Bypass = p.bypass
 	cfg.TrackerMode = p.tracker
 	cfg.InterestCategories = p.interests
 	cfg.RandomWalk = p.walk
 	cfg.Caching = p.caching
-	cfg.SuccessorRouting = p.linear
 	cfg.LookupAlpha = p.alpha
 	cfg.PathCache = p.pathcache
 	strat, err := core.StrategyByName(p.route)
@@ -315,8 +309,8 @@ func runSim(w io.Writer, topo *topology.Graph, p simParams, tr *obs.Tracer, rec 
 	}
 	cfg.Route = strat
 	cfg.LookupTimeout = 5 * sim.Second
-	if p.linear {
-		cfg.LookupTimeout = 180 * sim.Second
+	if _, linear := strat.(core.SuccessorWalk); linear {
+		cfg.LookupTimeout = 180 * sim.Second // covers linear ring traversals
 	}
 	if p.topoaware {
 		cfg.Assignment = core.AssignCluster
@@ -379,18 +373,17 @@ func runSim(w io.Writer, topo *topology.Graph, p simParams, tr *obs.Tracer, rec 
 		net.SetTracer(tr)
 		sys.SetTracer(tr)
 	}
-	// The registry exists up front so -hist can record lookup/store
-	// histograms while the run executes; the manifest snapshot at the end
-	// reuses it. Recording never feeds back into the simulation (no
+	// The registry exists up front so the system records lookup/store
+	// histograms while the run executes: -hist prints their percentiles and
+	// the manifest snapshot at the end carries them (lookup.latency_us and
+	// friends). Recording never feeds back into the simulation (no
 	// randomness, no extra clock reads), so the report above these added
 	// percentile lines stays byte-identical with -hist on or off.
 	var reg *obs.Registry
 	if p.hist || rec != nil {
 		reg = obs.NewRegistry()
 	}
-	if p.hist {
-		sys.SetMetrics(reg)
-	}
+	sys.SetMetrics(reg)
 
 	fmt.Fprintf(w, "building %d peers (ps=%.2f δ=%d ttl=%d placement=%s)...\n", p.n, p.ps, p.delta, p.ttl, cfg.Placement)
 	var caps []float64
@@ -471,7 +464,6 @@ func runSim(w io.Writer, topo *topology.Graph, p simParams, tr *obs.Tracer, rec 
 		pick = zp
 	}
 	var hops, lat, contacts metrics.Summary
-	var latSamples []float64
 	fails := 0
 	for i := 0; i < p.lookups; i++ {
 		origin := peers[(i*53)%len(peers)]
@@ -486,9 +478,6 @@ func runSim(w io.Writer, topo *topology.Graph, p simParams, tr *obs.Tracer, rec 
 			ms := float64(r.Latency) / float64(sim.Millisecond)
 			hops.Add(float64(r.Hops))
 			lat.Add(ms)
-			if rec != nil {
-				latSamples = append(latSamples, ms)
-			}
 		} else {
 			fails++
 		}
@@ -542,10 +531,6 @@ func runSim(w io.Writer, topo *topology.Graph, p simParams, tr *obs.Tracer, rec 
 		reg.Counter("core.cache_hits").Add(int64(st.CacheHits))
 		reg.Gauge("core.peers").Set(float64(sys.NumPeers()))
 		reg.Gauge("lookup.failed").Set(float64(fails))
-		lt := reg.Timer("lookup.latency_ms")
-		for _, v := range latSamples {
-			lt.Observe(v)
-		}
 		rec.Point(fmt.Sprintf("ps=%.2f", p.ps), time.Since(wallStart), reg.Snapshot())
 	}
 	return nil

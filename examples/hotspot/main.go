@@ -52,7 +52,6 @@ func flashCrowd(caching bool) crowdOutcome {
 	cfg.CacheHotThreshold = 6
 	cfg.CacheWindow = 120 * sim.Second
 	cfg.CacheTTL = 600 * sim.Second
-	cfg.CacheFanout = 3
 	cfg.LookupTimeout = 5 * sim.Second
 	sys, err := core.NewSystem(simnet.NewRuntime(eng, net), cfg, topo.StubNodes()[0])
 	if err != nil {

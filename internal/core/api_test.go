@@ -20,7 +20,7 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"timeout<=hello", func(c *Config) { c.HelloTimeout = c.HelloEvery }},
 		{"lookup0", func(c *Config) { c.LookupTimeout = 0 }},
 		{"msg0", func(c *Config) { c.MessageBytes = 0 }},
-		{"landmarks", func(c *Config) { c.TopologyAware = true; c.Landmarks = 0 }},
+		{"landmarks", func(c *Config) { c.Assignment = AssignCluster; c.Landmarks = 0 }},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -5,12 +5,15 @@ import (
 	"repro/internal/runtime"
 )
 
-// bypassLink is a soft cross-s-network shortcut (§5.4). Links expire when
-// idle; using one refreshes its timer.
+// bypassTTL is the idle expiry of a bypass link.
+const bypassTTL = 120 * runtime.Second
+
+// bypassLink is a soft cross-s-network shortcut (§5.4), kept in an
+// idleTable keyed by the remote peer's address: links expire when idle and
+// using one refreshes it.
 type bypassLink struct {
 	peer  Ref
 	segLo idspace.ID
-	timer *runtime.Timer
 }
 
 // addBypass installs a bypass link to a peer of another s-network, obeying
@@ -26,26 +29,12 @@ func (p *Peer) installBypass(peer Ref, segLo idspace.ID, announce bool) {
 	if peer.Addr == p.Addr {
 		return
 	}
-	if p.bypass == nil {
-		p.bypass = make(map[runtime.Addr]*bypassLink)
-	}
-	if l, ok := p.bypass[peer.Addr]; ok {
-		l.peer = peer
-		l.segLo = segLo
-		l.timer.Reset()
-		return
-	}
-	if p.Degree()+len(p.bypass) >= p.sys.Cfg.Delta {
+	_, known := p.bypass.peek(peer.Addr)
+	if !known && p.Degree()+len(p.bypass) >= p.sys.Cfg.Delta {
 		return // rule 1: no bypass link on a peer at the degree threshold
 	}
-	addr := peer.Addr
-	l := &bypassLink{peer: peer, segLo: segLo}
-	l.timer = runtime.NewTimer(p.sys.rt, p.sys.Cfg.BypassTTL, func() {
-		delete(p.bypass, addr)
-	})
-	l.timer.Start()
-	p.bypass[peer.Addr] = l
-	if announce {
+	p.bypass.put(p.sys.rt, bypassTTL, peer.Addr, bypassLink{peer: peer, segLo: segLo})
+	if !known && announce {
 		p.send(peer.Addr, bypassAdd{Peer: p.Ref(), SegLo: p.segLo})
 	}
 }
@@ -56,27 +45,26 @@ func (p *Peer) handleBypassAdd(m bypassAdd) {
 	p.installBypass(m.Peer, m.SegLo, false)
 }
 
-// bypassFor returns a live bypass link whose s-network segment covers the
-// given id, refreshing its expiry ("transmitting a packet through the
-// bypass link will refresh the attached timer"). Links are scanned in
-// address order for determinism.
-func (p *Peer) bypassFor(sid idspace.ID) *bypassLink {
-	if len(p.bypass) == 0 {
-		return nil
-	}
-	var best *bypassLink
-	for _, l := range p.bypass {
+// bypassFor returns the far end of a live bypass link whose s-network
+// segment covers the given id, refreshing its expiry ("transmitting a packet
+// through the bypass link will refresh the attached timer"). Of several
+// covering links the lowest address wins, for determinism.
+func (p *Peer) bypassFor(sid idspace.ID) (Ref, bool) {
+	best := NilRef
+	for _, e := range p.bypass {
+		l := e.val
 		if !idspace.Between(l.segLo, sid, l.peer.ID) {
 			continue
 		}
-		if best == nil || l.peer.Addr < best.peer.Addr {
-			best = l
+		if !best.Valid() || l.peer.Addr < best.Addr {
+			best = l.peer
 		}
 	}
-	if best != nil {
-		best.timer.Reset()
+	if !best.Valid() {
+		return NilRef, false
 	}
-	return best
+	p.bypass.get(best.Addr) // a use: restarts the link's idle timer
+	return best, true
 }
 
 // NumBypass returns the number of live bypass links.

@@ -11,7 +11,8 @@ package core
 //     a flood reaching the neighborhood hits a copy before the holder;
 //   - which data: any item served more than CacheHotThreshold times within
 //     one CacheWindow;
-//   - how long: CacheTTL of idleness, refreshed whenever the copy serves.
+//   - how long: CacheTTL of idleness, refreshed whenever the copy serves
+//     (an idleTable keyed by data id).
 
 import (
 	"repro/internal/idspace"
@@ -19,11 +20,8 @@ import (
 	"repro/internal/runtime"
 )
 
-// cacheEntry is one surrogate copy with its idle-expiry timer.
-type cacheEntry struct {
-	item  Item
-	timer *runtime.Timer
-}
+// cacheFanout is how many tree neighbors receive a copy of a hot item.
+const cacheFanout = 2
 
 // serveStat tracks per-item serve counts inside the current hot window.
 type serveStat struct {
@@ -41,13 +39,11 @@ func (p *Peer) lookupCached(did idspace.ID) (Item, bool) {
 	if !p.sys.Cfg.Caching || p.cache == nil {
 		return Item{}, false
 	}
-	e, ok := p.cache[did]
-	if !ok {
-		return Item{}, false
+	it, ok := p.cache.get(did)
+	if ok {
+		p.sys.stats.CacheHits++
 	}
-	e.timer.Reset()
-	p.sys.stats.CacheHits++
-	return e.item, true
+	return it, ok
 }
 
 // findLocal checks the database and then the cache.
@@ -88,7 +84,7 @@ func (p *Peer) pushSurrogates(it Item) {
 		return
 	}
 	rng := p.sys.rt.Rand()
-	fanout := p.sys.Cfg.CacheFanout
+	fanout := cacheFanout
 	if fanout > len(nbs) {
 		fanout = len(nbs)
 	}
@@ -104,21 +100,14 @@ func (p *Peer) handleCacheAdd(m cacheAdd) {
 	if _, owned := p.data[m.Item.DID]; owned {
 		return
 	}
-	if p.cache == nil {
-		p.cache = make(map[idspace.ID]*cacheEntry)
-	}
-	if e, ok := p.cache[m.Item.DID]; ok {
-		e.item = m.Item
-		e.timer.Reset()
-		return
-	}
-	did := m.Item.DID
-	e := &cacheEntry{item: m.Item}
-	e.timer = runtime.NewTimer(p.sys.rt, p.sys.Cfg.CacheTTL, func() {
-		delete(p.cache, did)
-	})
-	e.timer.Start()
-	p.cache[did] = e
+	p.cache.put(p.sys.rt, p.sys.Cfg.CacheTTL, m.Item.DID, m.Item)
+}
+
+// forget drops what this peer remembers about a deleted item beyond its
+// database: the surrogate copy and the route hint.
+func (p *Peer) forget(did idspace.ID) {
+	p.cache.drop(did)
+	p.hints.drop(did)
 }
 
 // NumCached returns the number of surrogate copies this peer holds.

@@ -85,7 +85,8 @@ const (
 	// s-network serving it (§5.3).
 	AssignInterest
 	// AssignCluster uses landmark binning to co-locate physically close
-	// peers in the same s-network (§5.2).
+	// peers in the same s-network (§5.2): joining peers report a landmark
+	// coordinate and Config.Landmarks sets the number of landmarks.
 	AssignCluster
 )
 
@@ -108,22 +109,16 @@ type Config struct {
 	// assign the fastest as t-peers (§5.1), and makes connect points
 	// check link usage before accepting a child.
 	Heterogeneity bool
-	// MaxLinkUsage is the link-usage threshold (degree / capacity) above
-	// which a connect point passes a join request on (§5.1).
-	MaxLinkUsage float64
 
-	// TopologyAware enables landmark binning (§5.2); Landmarks is the
-	// number of landmark peers.
-	TopologyAware bool
-	Landmarks     int
+	// Landmarks is the number of landmark peers AssignCluster bins by.
+	Landmarks int
 
 	// InterestCategories > 0 enables interest-based s-networks (§5.3)
 	// with that many content categories.
 	InterestCategories int
 
-	// Bypass enables bypass links (§5.4); BypassTTL is their idle expiry.
-	Bypass    bool
-	BypassTTL runtime.Time
+	// Bypass enables bypass links (§5.4).
+	Bypass bool
 
 	// TrackerMode turns every s-network into a BitTorrent-style tracker
 	// network (§5.5): the t-peer indexes its s-network's content and no
@@ -144,23 +139,12 @@ type Config struct {
 
 	// Caching implements the paper's future-work scheme: a peer that
 	// serves the same item more than CacheHotThreshold times within
-	// CacheWindow pushes copies to CacheFanout random tree neighbors
-	// (surrogates); cached copies answer lookups and expire after
-	// CacheTTL of idleness.
+	// CacheWindow pushes copies to random tree neighbors (surrogates);
+	// cached copies answer lookups and expire after CacheTTL of idleness.
 	Caching           bool
 	CacheHotThreshold int
 	CacheWindow       runtime.Time
 	CacheTTL          runtime.Time
-	CacheFanout       int
-
-	// SuccessorRouting forwards data operations along successor pointers
-	// only, without finger acceleration. The paper's NS2 simulation
-	// behaves this way — its Table 2 reports ~N/2 contacted peers per
-	// lookup at p_s = 0 and Fig. 6a calls the t-network step
-	// "proportional to the total number of t-peers" — so the experiments
-	// regenerating those results enable this to match the paper's shape.
-	// Join requests always use fingers, as §4.1 assumes.
-	SuccessorRouting bool
 
 	// HelloEvery is the heartbeat period; HelloTimeout the failure
 	// detection timeout; SuppressTimeout gates acknowledgment messages.
@@ -174,10 +158,8 @@ type Config struct {
 	// server.
 	JoinTimeout runtime.Time
 
-	// MessageBytes is the nominal control message size; DataBytes the
-	// nominal data item payload size.
+	// MessageBytes is the nominal control message size.
 	MessageBytes int
-	DataBytes    int
 
 	// FingerRefreshEvery is the period of the t-network finger refresh.
 	FingerRefreshEvery runtime.Time
@@ -201,12 +183,10 @@ type Config struct {
 	// PathCache enables lookup-path caching: a successful remote lookup
 	// deposits a (DID -> holder) hint at the origin and its ring entry
 	// point, and later lookups shortcut straight at the holder. Hints expire
-	// after PathCacheTTL of idleness (the surrogate-cache pattern), are
-	// dropped when the suspect machinery marks the holder dead, and a holder
-	// that no longer has the item bounces the hint off in one extra hop. See
-	// pathcache.go.
-	PathCache    bool
-	PathCacheTTL runtime.Time
+	// when idle (the surrogate-cache pattern), are dropped when the suspect
+	// machinery marks the holder dead, and a holder that no longer has the
+	// item bounces the hint off in one extra hop. See pathcache.go.
+	PathCache bool
 
 	// Route overrides the ring routing strategy; nil selects FingerWalk,
 	// the paper's closest-preceding-finger walk. See RouteStrategy.
@@ -223,9 +203,7 @@ func DefaultConfig() Config {
 		Placement:          PlaceSpread,
 		IDGen:              IDRandom,
 		Assignment:         AssignSmallest,
-		MaxLinkUsage:       3,
 		Landmarks:          8,
-		BypassTTL:          120 * runtime.Second,
 		Reflood:            0,
 		HelloEvery:         2 * runtime.Second,
 		HelloTimeout:       5 * runtime.Second,
@@ -233,17 +211,14 @@ func DefaultConfig() Config {
 		LookupTimeout:      30 * runtime.Second,
 		JoinTimeout:        30 * runtime.Second,
 		MessageBytes:       128,
-		DataBytes:          512,
 		FingerRefreshEvery: 2 * runtime.Second,
 		WalkCount:          4,
 		WalkTTL:            32,
 		CacheHotThreshold:  8,
 		CacheWindow:        30 * runtime.Second,
 		CacheTTL:           120 * runtime.Second,
-		CacheFanout:        2,
 		ReplicationK:       1,
 		LookupAlpha:        1,
-		PathCacheTTL:       120 * runtime.Second,
 	}
 }
 
@@ -264,17 +239,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: LookupTimeout must be positive")
 	case c.MessageBytes <= 0:
 		return fmt.Errorf("core: MessageBytes must be positive")
-	case c.TopologyAware && c.Landmarks < 1:
-		return fmt.Errorf("core: TopologyAware requires at least one landmark")
+	case c.topologyAware() && c.Landmarks < 1:
+		return fmt.Errorf("core: AssignCluster requires at least one landmark")
 	case c.ReplicationK < 0:
 		return fmt.Errorf("core: ReplicationK %d must be >= 0", c.ReplicationK)
 	case c.LookupAlpha < 1 || c.LookupAlpha > MaxLookupAlpha:
 		return fmt.Errorf("core: LookupAlpha %d outside [1, %d]", c.LookupAlpha, MaxLookupAlpha)
-	case c.PathCacheTTL <= 0:
-		return fmt.Errorf("core: PathCacheTTL must be positive")
 	}
 	return nil
 }
+
+// topologyAware reports whether peers compute landmark coordinates (§5.2):
+// only cluster assignment consumes them.
+func (c Config) topologyAware() bool { return c.Assignment == AssignCluster }
 
 // withDefaults fills zero-valued fields from DefaultConfig.
 func (c Config) withDefaults() Config {
@@ -285,14 +262,8 @@ func (c Config) withDefaults() Config {
 	if c.TTL == 0 {
 		c.TTL = d.TTL
 	}
-	if c.MaxLinkUsage == 0 {
-		c.MaxLinkUsage = d.MaxLinkUsage
-	}
 	if c.Landmarks == 0 {
 		c.Landmarks = d.Landmarks
-	}
-	if c.BypassTTL == 0 {
-		c.BypassTTL = d.BypassTTL
 	}
 	if c.HelloEvery == 0 {
 		c.HelloEvery = d.HelloEvery
@@ -312,9 +283,6 @@ func (c Config) withDefaults() Config {
 	if c.MessageBytes == 0 {
 		c.MessageBytes = d.MessageBytes
 	}
-	if c.DataBytes == 0 {
-		c.DataBytes = d.DataBytes
-	}
 	if c.FingerRefreshEvery == 0 {
 		c.FingerRefreshEvery = d.FingerRefreshEvery
 	}
@@ -333,17 +301,11 @@ func (c Config) withDefaults() Config {
 	if c.CacheTTL == 0 {
 		c.CacheTTL = d.CacheTTL
 	}
-	if c.CacheFanout == 0 {
-		c.CacheFanout = d.CacheFanout
-	}
 	if c.ReplicationK == 0 {
 		c.ReplicationK = d.ReplicationK
 	}
 	if c.LookupAlpha == 0 {
 		c.LookupAlpha = d.LookupAlpha
-	}
-	if c.PathCacheTTL == 0 {
-		c.PathCacheTTL = d.PathCacheTTL
 	}
 	if c.Route == nil {
 		c.Route = FingerWalk{}

@@ -140,7 +140,7 @@ func (p *Peer) opTimeout(qid uint64) {
 		// The hinted holder never answered (crashed before the suspect
 		// machinery noticed, or unreachable): invalidate the hint so the next
 		// lookup for this item rides the ring instead of the same dead end.
-		p.dropHint(o.did)
+		p.hints.drop(o.did)
 	}
 	p.finishOp(qid, OpResult{OK: false})
 }
@@ -195,20 +195,6 @@ func (p *Peer) forwardTowardSegment(sid idspace.ID, msg any, from runtime.Addr) 
 	}
 	p.sys.stats.RingForwards++
 	p.send(next.Addr, msg)
-}
-
-// nextHopToward picks the ring hop for a segment-routed request before the
-// suspect detour: closest preceding finger normally, the successor under
-// SuccessorRouting or when fingers have nothing closer.
-func (p *Peer) nextHopToward(sid idspace.ID) Ref {
-	next := NilRef
-	if !p.sys.Cfg.SuccessorRouting {
-		next = p.closestPreceding(sid)
-	}
-	if !next.Valid() || next.Addr == p.Addr {
-		next = p.succ
-	}
-	return next
 }
 
 // rehomeForeignItems re-routes stored items that this peer's s-network no

@@ -50,7 +50,6 @@ func TestLinkUsageGatesConnectPoints(t *testing.T) {
 		c.Ps = 0.8
 		c.Delta = 5
 		c.Heterogeneity = true
-		c.MaxLinkUsage = 2
 	})
 	caps := workload.CapacityClasses(80)
 	if _, _, err := sys.BuildPopulation(PopulationOpts{N: 80, Capacities: caps}); err != nil {
@@ -109,7 +108,6 @@ func TestHeterogeneityLowersLatency(t *testing.T) {
 func TestClusterAssignmentGroupsNearbyPeers(t *testing.T) {
 	sys := newTestSystem(t, 63, func(c *Config) {
 		c.Ps = 0.8
-		c.TopologyAware = true
 		c.Landmarks = 6
 		c.Assignment = AssignCluster
 	})
@@ -147,7 +145,6 @@ func TestClusterAssignmentGroupsNearbyPeers(t *testing.T) {
 
 func TestLandmarkCoordOrdersByDistance(t *testing.T) {
 	sys := newTestSystem(t, 64, func(c *Config) {
-		c.TopologyAware = true
 		c.Landmarks = 4
 	})
 	stubs := sys.Topo().StubNodes()
@@ -252,7 +249,6 @@ func TestBypassLinksCreatedAndUsed(t *testing.T) {
 	sys := newTestSystem(t, 66, func(c *Config) {
 		c.Ps = 0.7
 		c.Bypass = true
-		c.BypassTTL = 600 * sim.Second
 	})
 	if _, _, err := sys.BuildPopulation(PopulationOpts{N: 60}); err != nil {
 		t.Fatal(err)
@@ -319,34 +315,6 @@ func TestBypassRespectsDegreeRule(t *testing.T) {
 			t.Errorf("peer %d: degree %d + bypass %d > delta %d",
 				p.Addr, p.Degree(), p.NumBypass(), sys.Cfg.Delta)
 		}
-	}
-}
-
-func TestBypassLinksExpire(t *testing.T) {
-	sys := newTestSystem(t, 68, func(c *Config) {
-		c.Ps = 0.7
-		c.Bypass = true
-		c.BypassTTL = 20 * sim.Second
-	})
-	peers, _, err := sys.BuildPopulation(PopulationOpts{N: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Settle(6 * sys.Cfg.HelloEvery)
-	for i := 0; i < 30; i++ {
-		key := fmt.Sprintf("exp-%02d", i)
-		if _, err := sys.StoreSync(peers[1], key, "v"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	had := peers[1].NumBypass()
-	if had == 0 {
-		t.Skip("no bypass links created at this seed")
-	}
-	// Idle well past the TTL: links must vanish.
-	sys.Settle(60 * sim.Second)
-	if got := peers[1].NumBypass(); got != 0 {
-		t.Fatalf("%d bypass links survived their idle TTL", got)
 	}
 }
 

@@ -22,3 +22,39 @@ func (s *System) Net() *simnet.Network { return s.desRuntime().Net }
 
 // Topo returns the physical topology under the system's runtime.
 func (s *System) Topo() *topology.Graph { return s.desRuntime().Net.Topo }
+
+// armed counts the entries whose idle timer is scheduled.
+func (t idleTable[K, V]) armed() int {
+	n := 0
+	for _, e := range t {
+		if e.timer.Active() {
+			n++
+		}
+	}
+	return n
+}
+
+// armedTimers counts the timers this peer has scheduled, bar its two
+// maintenance tickers (a runtime.Ticker does not say whether it is armed).
+func (p *Peer) armedTimers() int {
+	n := p.cache.armed() + p.hints.armed() + p.bypass.armed()
+	for i := range p.nbrs {
+		if t := p.nbrs[i].timer; t != nil && t.Active() {
+			n++
+		}
+	}
+	if p.sys.rt.Scheduled(p.joinTimer) {
+		n++
+	}
+	for _, o := range p.pending {
+		if p.sys.rt.Scheduled(o.timer) {
+			n++
+		}
+	}
+	for _, o := range p.searches {
+		if p.sys.rt.Scheduled(o.timer) {
+			n++
+		}
+	}
+	return n
+}

@@ -140,7 +140,6 @@ func TestCachingSpreadsHotLoad(t *testing.T) {
 			c.CacheHotThreshold = 5
 			c.CacheWindow = 1000 * sim.Second
 			c.CacheTTL = 1000 * sim.Second
-			c.CacheFanout = 3
 		})
 		peers, _, err := sys.BuildPopulation(PopulationOpts{N: 60})
 		if err != nil {
@@ -214,44 +213,6 @@ func TestCachePushAndHitCounters(t *testing.T) {
 	}
 	if st.CacheHits == 0 {
 		t.Fatal("surrogate copies never served")
-	}
-}
-
-func TestCacheEntriesExpire(t *testing.T) {
-	sys := newTestSystem(t, 84, func(c *Config) {
-		c.Ps = 0.8
-		c.Caching = true
-		c.CacheHotThreshold = 2
-		c.CacheWindow = 1000 * sim.Second
-		c.CacheTTL = 15 * sim.Second
-	})
-	peers, _, err := sys.BuildPopulation(PopulationOpts{N: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Settle(6 * sys.Cfg.HelloEvery)
-	if _, err := sys.StoreSync(peers[0], "fading-item", "v"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := sys.LookupSync(peers[(i*11+1)%40], "fading-item"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	had := 0
-	for _, p := range sys.Peers() {
-		had += p.NumCached()
-	}
-	if had == 0 {
-		t.Skip("item never became hot at this seed")
-	}
-	sys.Settle(60 * sim.Second)
-	still := 0
-	for _, p := range sys.Peers() {
-		still += p.NumCached()
-	}
-	if still != 0 {
-		t.Fatalf("%d cached copies survived their idle TTL", still)
 	}
 }
 

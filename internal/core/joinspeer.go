@@ -70,6 +70,10 @@ func (p *Peer) handleSJoinReq(m sJoinReq) {
 	p.send(next.Addr, m)
 }
 
+// maxLinkUsage is the link-usage threshold (degree / capacity) above which a
+// connect point passes a join request on (§5.1).
+const maxLinkUsage = 3
+
 // acceptChild applies the degree constraint and, with link heterogeneity on,
 // the link-usage gate from §5.1: a connect point only accepts when
 // degree/capacity stays under the threshold.
@@ -79,7 +83,7 @@ func (p *Peer) acceptChild() bool {
 	}
 	if p.sys.Cfg.Heterogeneity {
 		usage := float64(p.Degree()+1) / p.Capacity
-		if usage > p.sys.Cfg.MaxLinkUsage {
+		if usage > maxLinkUsage {
 			return len(p.children) == 0 // never strand the walk at a leaf
 		}
 	}
@@ -181,7 +185,7 @@ func (p *Peer) rejoinViaServer() {
 		Host:      p.Host,
 		ForceRole: int8(SPeer),
 	}
-	if p.sys.Cfg.TopologyAware {
+	if p.sys.Cfg.topologyAware() {
 		req.Coord = p.sys.landmarkCoord(p.Host)
 	}
 	// Re-enter the join state machine: the completed-join guard must not

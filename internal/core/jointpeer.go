@@ -64,7 +64,7 @@ func (p *Peer) armJoinTimer() {
 		if !p.alive || p.joined {
 			return
 		}
-		if p.sys.Cfg.TopologyAware {
+		if p.sys.Cfg.topologyAware() {
 			p.joinReq.Coord = p.sys.landmarkCoord(p.Host)
 		}
 		p.send(p.sys.serverAddr, p.joinReq)

@@ -90,11 +90,11 @@ func (p *Peer) lookupRemote(o *op, qid uint64) {
 	}
 	m := lookupReq{QID: qid, DID: o.did, SID: o.sid, Origin: p.Ref(), TTL: o.ttl, Hops: 1}
 	if p.sys.Cfg.Bypass {
-		if link := p.bypassFor(o.sid); link != nil {
+		if far, ok := p.bypassFor(o.sid); ok {
 			o.probes = 1
 			p.sys.stats.BypassUses++
-			p.sys.trace(obs.EvLookupForward, qid, p.Addr, link.peer.Addr, 1, "bypass")
-			p.send(link.peer.Addr, m)
+			p.sys.trace(obs.EvLookupForward, qid, p.Addr, far.Addr, 1, "bypass")
+			p.send(far.Addr, m)
 			return
 		}
 	}

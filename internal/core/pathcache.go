@@ -12,9 +12,9 @@ import (
 // iterative design ported onto the hybrid overlay's recursive routing: a
 // successful remote lookup deposits a (DID -> holder) hint at the origin and
 // at the origin's ring entry point, and later lookups for the same item
-// shortcut straight at the holder instead of walking the ring. Hints follow
-// the surrogate cache's idle-TTL pattern (cache.go) and are invalidated
-// three ways:
+// shortcut straight at the holder instead of walking the ring. Hints live in
+// an idleTable like the surrogate cache's copies (pathCacheTTL of idleness,
+// refreshed on every use) and are invalidated three ways:
 //
 //   - the suspect/dead machinery: markSuspect drops every hint naming the
 //     suspected address (dropHintsTo);
@@ -29,13 +29,8 @@ import (
 // resurrected through the path cache: the hinted holder simply misses and
 // bounces.
 
-// hintEntry is one cached (DID -> holder) route. The timer evicts the hint
-// after PathCacheTTL of idleness and is reset on every use, exactly like the
-// surrogate cache's entries.
-type hintEntry struct {
-	holder Ref
-	timer  *runtime.Timer
-}
+// pathCacheTTL is the idle expiry of a path-cache hint.
+const pathCacheTTL = 120 * runtime.Second
 
 // routeHint deposits a lookup-path hint at the receiver: the origin of a
 // successful remote lookup sends one to its t-peer so the whole s-network
@@ -58,44 +53,22 @@ func (p *Peer) addHint(did idspace.ID, holder Ref) {
 	if !p.sys.Cfg.PathCache || !holder.Valid() || holder.Addr == p.Addr {
 		return
 	}
-	if e, ok := p.hints[did]; ok {
-		e.holder = holder
-		e.timer.Reset()
-		return
-	}
-	if p.hints == nil {
-		p.hints = make(map[idspace.ID]*hintEntry)
-	}
-	e := &hintEntry{holder: holder}
-	e.timer = runtime.NewTimer(p.sys.rt, p.sys.Cfg.PathCacheTTL, func() {
-		delete(p.hints, did)
-	})
-	e.timer.Start()
-	p.hints[did] = e
+	p.hints.put(p.sys.rt, pathCacheTTL, did, holder)
 }
 
 // pathHint returns the cached holder for an item, refreshing the entry's
 // idle timer. Hints naming a suspected-dead holder are dropped on sight —
 // the watchdog may have marked the holder after the hint was deposited.
 func (p *Peer) pathHint(did idspace.ID) (Ref, bool) {
-	e, ok := p.hints[did]
+	holder, ok := p.hints.peek(did)
 	if !ok {
 		return NilRef, false
 	}
-	if len(p.suspect) != 0 && p.suspect[e.holder.Addr] {
-		p.dropHint(did)
+	if len(p.suspect) != 0 && p.suspect[holder.Addr] {
+		p.hints.drop(did)
 		return NilRef, false
 	}
-	e.timer.Reset()
-	return e.holder, true
-}
-
-// dropHint invalidates one path-cache hint.
-func (p *Peer) dropHint(did idspace.ID) {
-	if e, ok := p.hints[did]; ok {
-		e.timer.Stop()
-		delete(p.hints, did)
-	}
+	return p.hints.get(did)
 }
 
 // dropHintsTo invalidates every hint naming an address, called when the
@@ -108,7 +81,7 @@ func (p *Peer) dropHintsTo(a runtime.Addr) {
 	}
 	var stale []idspace.ID
 	for did, e := range p.hints {
-		if e.holder.Addr == a {
+		if e.val.Addr == a {
 			stale = append(stale, did)
 		}
 	}
@@ -116,14 +89,7 @@ func (p *Peer) dropHintsTo(a runtime.Addr) {
 		sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
 	}
 	for _, did := range stale {
-		p.dropHint(did)
-	}
-}
-
-// stopHints releases every hint timer; part of Peer.stop.
-func (p *Peer) stopHints() {
-	for _, e := range p.hints {
-		e.timer.Stop()
+		p.hints.drop(did)
 	}
 }
 
@@ -139,12 +105,12 @@ func (p *Peer) handleRouteHint(m routeHint) {
 // the hinted holder itself may drop the hint, so a late bounce cannot clear
 // a fresher hint pointing elsewhere.
 func (p *Peer) handleHintDrop(from runtime.Addr, m hintDrop) {
-	if e, ok := p.hints[m.DID]; ok && e.holder.Addr == from {
+	if holder, ok := p.hints.peek(m.DID); ok && holder.Addr == from {
 		p.sys.stats.PathHintDrops++
 		if p.sys.met != nil {
 			p.sys.met.hintDrops.Inc()
 		}
-		p.dropHint(m.DID)
+		p.hints.drop(m.DID)
 	}
 }
 

@@ -103,7 +103,7 @@ func TestPathCacheStaleHintBounces(t *testing.T) {
 	if st.PathHintDrops == 0 {
 		t.Fatal("stale holder never bounced a hintDrop")
 	}
-	if e, ok := origin.hints[did]; ok && e.holder.Addr == wrong.Addr {
+	if h, ok := origin.hints.peek(did); ok && h.Addr == wrong.Addr {
 		t.Fatal("bounced hint still cached at the origin")
 	}
 }
@@ -167,7 +167,7 @@ func TestPathCacheCrashDropsHintOnTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := origin.hints[did]; ok && e.holder.Addr == victim.Addr {
+	if h, ok := origin.hints.peek(did); ok && h.Addr == victim.Addr {
 		t.Fatalf("hint to the dead holder survived the lookup (result %+v)", r)
 	}
 	// The hint is gone, so a retry routes normally and must find the item
@@ -217,28 +217,6 @@ func TestPathCacheDeletedKeyDoesNotResurrect(t *testing.T) {
 		if r.OK {
 			t.Fatalf("deleted key %s resurrected with value %q", key, r.Value)
 		}
-	}
-}
-
-// TestPathCacheTTLExpiry: an idle hint must evict after PathCacheTTL, the
-// same idle-reset discipline as the surrogate cache.
-func TestPathCacheTTLExpiry(t *testing.T) {
-	sys, peers, keys := populate(t, 65, 50, 40, func(c *Config) {
-		pathCacheConfig(c)
-		c.PathCacheTTL = 20 * sim.Second
-	})
-	for i, key := range keys {
-		r, err := sys.LookupSync(peers[(i*7+3)%len(peers)], key)
-		if err != nil || !r.OK {
-			t.Fatalf("lookup %s: %+v %v", key, r, err)
-		}
-	}
-	if totalHints(sys) == 0 {
-		t.Fatal("no hints deposited")
-	}
-	sys.Settle(25 * sim.Second)
-	if n := totalHints(sys); n != 0 {
-		t.Fatalf("%d hints survived past PathCacheTTL", n)
 	}
 }
 

@@ -77,20 +77,20 @@ type Peer struct {
 	// index is the tracker-mode content index (tracker t-peers only).
 	index map[idspace.ID]Ref
 	// cache holds surrogate copies of hot items (future-work caching).
-	cache map[idspace.ID]*cacheEntry
+	cache idleTable[idspace.ID, Item]
 	// serves tracks per-item hot-window serve counts.
 	serves map[idspace.ID]*serveStat
 	// served counts every lookup this peer answered.
 	served uint64
 
 	// --- bypass links (§5.4) ---
-	bypass map[runtime.Addr]*bypassLink
+	bypass idleTable[runtime.Addr, bypassLink]
 
 	// --- lookup-path cache (Config.PathCache; nil when off) ---
 	// hints maps a data id to the holder a successful remote lookup
 	// reported; ring routing consults it to shortcut straight at the
-	// holder. Expiry and invalidation live in pathcache.go.
-	hints map[idspace.ID]*hintEntry
+	// holder. Invalidation lives in pathcache.go.
+	hints idleTable[idspace.ID, Ref]
 
 	// --- replication (ReplicationK > 1; all state nil/zero at k = 1) ---
 	// owned is the t-peer's authoritative copy of every in-segment item,
@@ -324,9 +324,12 @@ func (p *Peer) send(to runtime.Addr, msg any) {
 	p.sys.rt.Send(p.Addr, to, p.sys.Cfg.MessageBytes, msg)
 }
 
+// dataBytes is the nominal payload size of one data item on the wire.
+const dataBytes = 512
+
 // sendData transmits a message carrying n data items.
 func (p *Peer) sendData(to runtime.Addr, n int, msg any) {
-	size := p.sys.Cfg.MessageBytes + n*p.sys.Cfg.DataBytes
+	size := p.sys.Cfg.MessageBytes + n*dataBytes
 	p.sys.rt.Send(p.Addr, to, size, msg)
 }
 
@@ -756,10 +759,9 @@ func (p *Peer) stop() {
 	for _, qid := range pending {
 		p.finishOp(qid, OpResult{OK: false})
 	}
-	for _, e := range p.cache {
-		e.timer.Stop()
-	}
-	p.stopHints()
+	p.cache.stopAll()
+	p.hints.stopAll()
+	p.bypass.stopAll()
 	// Close search windows for the same reason: report what was collected
 	// so far rather than leaving a SearchSync caller hanging.
 	searches := make([]uint64, 0, len(p.searches))

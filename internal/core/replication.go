@@ -281,10 +281,11 @@ func (p *Peer) handleOwnerAnnounce(m ownerAnnounce) {
 	}
 }
 
-// replicaFallback serves a lookup from the local replica set when routing
-// toward the owner would forward into a suspected crash, re-installing the
-// item on the current owner (read-repair) so the next lookup routes
-// normally. Returns false when normal routing should proceed.
+// replicaFallback serves a lookup from the local replica set when the owner
+// is suspected dead or the routing strategy's next hop toward it is (no live
+// detour either), re-installing the item on the current owner (read-repair)
+// so the next lookup routes normally. Returns false when normal routing
+// should proceed.
 func (p *Peer) replicaFallback(did, sid idspace.ID) (Item, bool) {
 	if !p.replicationOn() || p.Role != TPeer || len(p.reps) == 0 {
 		return Item{}, false
@@ -296,7 +297,7 @@ func (p *Peer) replicaFallback(did, sid idspace.ID) (Item, bool) {
 	suspected := func(a runtime.Addr) bool {
 		return len(p.suspect) != 0 && p.suspect[a]
 	}
-	next := p.nextHopToward(sid)
+	next := p.sys.route.NextHop(p, sid)
 	if !suspected(e.owner.Addr) && next.Valid() && !suspected(next.Addr) {
 		return Item{}, false // the route is believed healthy; let it run
 	}
@@ -449,11 +450,7 @@ func (p *Peer) ownerDelete(did idspace.ID) bool {
 			existed = true
 		}
 	}
-	if e, ok := p.cache[did]; ok {
-		e.timer.Stop()
-		delete(p.cache, did)
-	}
-	p.dropHint(did)
+	p.forget(did)
 	if len(p.children) > 0 {
 		var flood any = deleteFlood{DID: did, TTL: 1 << 20}
 		for i := range p.children {
@@ -514,11 +511,7 @@ func (p *Peer) handleDeleteFlood(from runtime.Addr, m deleteFlood) {
 			p.send(p.tpeer.Addr, indexRemove{DID: m.DID, Holder: p.Ref()})
 		}
 	}
-	if e, ok := p.cache[m.DID]; ok {
-		e.timer.Stop()
-		delete(p.cache, m.DID)
-	}
-	p.dropHint(m.DID)
+	p.forget(m.DID)
 	if m.TTL <= 1 {
 		return
 	}
@@ -537,11 +530,7 @@ func (p *Peer) handleDeleteRing(m deleteRing) {
 	if p.Addr == m.Origin.Addr || m.TTL <= 1 {
 		return
 	}
-	if e, ok := p.cache[m.DID]; ok {
-		e.timer.Stop()
-		delete(p.cache, m.DID)
-	}
-	p.dropHint(m.DID)
+	p.forget(m.DID)
 	if len(p.children) > 0 {
 		var flood any = deleteFlood{DID: m.DID, TTL: 1 << 20}
 		for i := range p.children {

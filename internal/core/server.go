@@ -402,7 +402,7 @@ func (sv *Server) assignSNetwork(m serverJoinReq) (Ref, bool) {
 	case AssignInterest:
 		return sv.ringSuccessor(CategoryID(m.Interest)), true
 	case AssignCluster:
-		if sv.sys.Cfg.TopologyAware && m.Coord != "" {
+		if m.Coord != "" {
 			return sv.assignByCluster(m.Coord), true
 		}
 		return sv.smallestSNet(), true

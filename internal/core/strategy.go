@@ -33,10 +33,9 @@ type RouteStrategy interface {
 	NextHops(p *Peer, sid idspace.ID, max int, dst []Ref) []Ref
 }
 
-// FingerWalk is the paper's default routing: the closest preceding finger
-// (or the plain successor under Config.SuccessorRouting), with the
-// suspect/succ2 detour when the chosen hop is presumed crashed. This is
-// byte-for-byte the pre-seam behavior.
+// FingerWalk is the default routing: the closest preceding finger, the
+// successor when fingers have nothing closer, with the suspect/succ2 detour
+// when the chosen hop is presumed crashed.
 type FingerWalk struct{}
 
 // Name implements RouteStrategy.
@@ -44,13 +43,20 @@ func (FingerWalk) Name() string { return "finger" }
 
 // NextHop implements RouteStrategy.
 func (FingerWalk) NextHop(p *Peer, sid idspace.ID) Ref {
-	next := p.nextHopToward(sid)
+	next := p.closestPreceding(sid)
+	if !next.Valid() || next.Addr == p.Addr {
+		next = p.succ
+	}
+	return p.detour(next)
+}
+
+// detour replaces a hop that is suspected dead, and whose repair has not
+// landed, by the successor's successor learned from stabilization, instead
+// of forwarding into the crash.
+func (p *Peer) detour(next Ref) Ref {
 	if len(p.suspect) != 0 && p.suspect[next.Addr] &&
 		p.succ2.Valid() && p.succ2.Addr != p.Addr && !p.suspect[p.succ2.Addr] {
-		// The chosen hop is suspected dead and its repair has not landed:
-		// detour via the successor's successor learned from stabilization
-		// instead of forwarding into the crash.
-		next = p.succ2
+		return p.succ2
 	}
 	return next
 }
@@ -93,24 +99,20 @@ func (s FingerWalk) NextHops(p *Peer, sid idspace.ID, max int, dst []Ref) []Ref 
 	return dst
 }
 
-// SuccessorWalk routes every request along the immediate successor only, no
-// finger acceleration: O(n) hops, but immune to stale finger tables. It is
-// the strategy-seam equivalent of Config.SuccessorRouting and exists mainly
-// to prove the seam admits more than one implementation.
+// SuccessorWalk routes every data operation along the immediate successor
+// only, no finger acceleration: O(n) hops, but immune to stale finger tables.
+// The paper's NS2 simulation behaves this way — its Table 2 reports ~N/2
+// contacted peers per lookup at p_s = 0 and Fig. 6a calls the t-network step
+// "proportional to the total number of t-peers" — so the experiments
+// regenerating those results select it to match the paper's shape. Join
+// requests always use fingers, as §4.1 assumes.
 type SuccessorWalk struct{}
 
 // Name implements RouteStrategy.
 func (SuccessorWalk) Name() string { return "succ" }
 
 // NextHop implements RouteStrategy.
-func (SuccessorWalk) NextHop(p *Peer, _ idspace.ID) Ref {
-	next := p.succ
-	if len(p.suspect) != 0 && p.suspect[next.Addr] &&
-		p.succ2.Valid() && p.succ2.Addr != p.Addr && !p.suspect[p.succ2.Addr] {
-		next = p.succ2
-	}
-	return next
-}
+func (SuccessorWalk) NextHop(p *Peer, _ idspace.ID) Ref { return p.detour(p.succ) }
 
 // NextHops implements RouteStrategy: the successor chain is the only path,
 // so at most succ and succ2 diverge.

@@ -316,7 +316,7 @@ func (s *System) Join(opts JoinOpts, done func(*Peer, JoinStats)) *Peer {
 	if opts.ForceRole != nil {
 		req.ForceRole = int8(*opts.ForceRole)
 	}
-	if s.Cfg.TopologyAware {
+	if s.Cfg.topologyAware() {
 		req.Coord = s.landmarkCoord(opts.Host)
 	}
 	// Keep the request and arm the retry timer before the first send: with

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"repro/internal/chord"
 	"repro/internal/gnutella"
@@ -12,6 +13,164 @@ import (
 	"repro/internal/simnet"
 )
 
+// overlay is what the baseline driver needs from a standalone system: add a
+// node, store a key from the i-th node, look a key up from the i-th node.
+type overlay struct {
+	join   func(id uint64, host int)
+	store  func(origin int, key string, done func())
+	lookup func(origin int, key string, done func(ok bool, hops int, latency sim.Time))
+}
+
+// baseline is one standalone comparator. Everything that differs between
+// the arms apart from the protocol itself is data here; the values are part
+// of the committed output (seeds, draw order, settle times, origin strides).
+type baseline struct {
+	name, tag      string
+	seed           int64    // offset from Options.Seed
+	drawsID        bool     // a node draws an overlay id before its host
+	joinSettle     sim.Time // simulated time each join gets to stabilize
+	warmup         sim.Time // quiet time after the last join
+	storeStride    int      // the i-th key is stored from node i*storeStride
+	lookupStride   int      // the i-th lookup starts at node i*lookupStride
+	noLatencyValue bool     // latency is tabulated but not a key value
+	build          func(*simnet.Runtime) overlay
+}
+
+var baselines = []baseline{
+	{
+		name: "chord (pure structured)", tag: "chord", seed: 800, drawsID: true,
+		joinSettle: 600 * sim.Millisecond, warmup: 30 * sim.Second,
+		storeStride: 11, lookupStride: 17,
+		build: func(rt *simnet.Runtime) overlay {
+			net := chord.NewNetwork(rt, chord.DefaultConfig())
+			var nodes []*chord.Node
+			return overlay{
+				join: func(id uint64, host int) {
+					boot := simnet.None
+					if len(nodes) > 0 {
+						boot = nodes[0].Addr
+					}
+					nodes = append(nodes, net.CreateNode(idspace.ID(id), host, 1, boot))
+				},
+				store: func(i int, key string, done func()) {
+					nodes[i].Store(key, "v", func(chord.Result) { done() })
+				},
+				lookup: func(i int, key string, done func(bool, int, sim.Time)) {
+					nodes[i].Lookup(key, func(r chord.Result) { done(r.OK, r.Hops, r.Latency) })
+				},
+			}
+		},
+	},
+	{
+		name: "gnutella (pure unstructured, TTL 5)", tag: "gnutella", seed: 810,
+		storeStride: 13, lookupStride: 19, noLatencyValue: true,
+		build: func(rt *simnet.Runtime) overlay {
+			net := gnutella.NewNetwork(rt, gnutella.DefaultConfig())
+			var peers []*gnutella.Peer
+			return overlay{
+				join: func(_ uint64, host int) { peers = append(peers, net.Join(host, 1)) },
+				store: func(i int, key string, done func()) {
+					peers[i].StoreLocal(key, "v")
+					done()
+				},
+				lookup: func(i int, key string, done func(bool, int, sim.Time)) {
+					peers[i].Lookup(key, 5, func(r gnutella.Result) { done(r.OK, r.Hops, r.Latency) })
+				},
+			}
+		},
+	},
+	{
+		name: "kademlia (α=3, k=8 iterative)", tag: "kad", seed: 830, drawsID: true,
+		joinSettle: 200 * sim.Millisecond, warmup: 30 * sim.Second,
+		storeStride: 11, lookupStride: 17,
+		build: func(rt *simnet.Runtime) overlay {
+			kcfg := kad.DefaultConfig()
+			kcfg.K = 8 // replica sets sized for paper-scale swarms, not the open internet
+			net := kad.NewNetwork(rt, kcfg)
+			var nodes []*kad.Node
+			return overlay{
+				join: func(id uint64, host int) {
+					boot := kad.NilContact
+					if len(nodes) > 0 {
+						boot = kad.Contact{ID: nodes[0].ID, Addr: nodes[0].Addr}
+					}
+					var b [8]byte
+					binary.BigEndian.PutUint64(b[:], id)
+					nodes = append(nodes, net.CreateNode(kad.HashBytes(b[:]), host, 1, boot))
+				},
+				store: func(i int, key string, done func()) {
+					nodes[i].Store(key, "v", func(kad.Result) { done() })
+				},
+				lookup: func(i int, key string, done func(bool, int, sim.Time)) {
+					nodes[i].Lookup(key, func(r kad.Result) { done(r.OK, r.Hops, r.Latency) })
+				},
+			}
+		},
+	},
+}
+
+// baselineRow is one line of the comparison table.
+type baselineRow struct {
+	name, tag              string
+	hops, latency, failure float64
+	noLatencyValue         bool
+}
+
+// runBaseline builds one standalone overlay of o.N nodes on the shared
+// topology, stores keys, runs queries lookups and tallies them.
+func runBaseline(o Options, b baseline, keys []string, queries int) (baselineRow, error) {
+	topo, err := expTopology(o, o.topoSeed())
+	if err != nil {
+		return baselineRow{}, err
+	}
+	eng := sim.New(o.Seed + b.seed)
+	ov := b.build(simnet.NewRuntime(eng, simnet.New(eng, topo, simnet.DefaultConfig())))
+	stubs, rng := topo.StubNodes(), eng.Rand()
+	for i := 0; i < o.N; i++ {
+		var id uint64
+		if b.drawsID {
+			id = rng.Uint64()
+		}
+		ov.join(id, stubs[rng.Intn(len(stubs))])
+		if b.joinSettle > 0 {
+			eng.RunUntil(eng.Now() + b.joinSettle)
+		}
+	}
+	if b.warmup > 0 {
+		eng.RunUntil(eng.Now() + b.warmup)
+	}
+
+	for i, key := range keys {
+		done := false
+		ov.store((i*b.storeStride)%o.N, key, func() { done = true })
+		for !done && eng.Step() {
+		}
+	}
+	var hops, lat metrics.Summary
+	fails := 0
+	for i := 0; i < queries; i++ {
+		done, found := false, false
+		ov.lookup((i*b.lookupStride)%o.N, keys[i%len(keys)], func(ok bool, h int, l sim.Time) {
+			done, found = true, ok
+			if ok {
+				hops.Add(float64(h))
+				lat.Add(float64(l) / float64(sim.Millisecond))
+			}
+		})
+		for !done && eng.Step() {
+		}
+		if !found {
+			fails++
+		}
+	}
+	return baselineRow{
+		name: b.name, tag: b.tag,
+		hops: hops.Mean(), latency: lat.Mean(),
+		failure:        float64(fails) / float64(queries),
+		noLatencyValue: b.noLatencyValue,
+	}, nil
+}
+
 // RunBaselines compares the standalone Chord, Gnutella and Kademlia
 // implementations against the hybrid system at several p_s values on the
 // same topology and workload: mean lookup hops, latency and failure ratio.
@@ -20,194 +179,37 @@ import (
 // outright rather than taken as the hybrid's degenerate ends — Kademlia
 // (XOR metric, k-buckets, α-parallel iterative lookup) being the
 // industry-standard comparator. Each system is an independent simulation,
-// so the five arms run as worker-pool tasks.
+// so the arms run as worker-pool tasks: the baselines first, then the hybrid
+// at p_s = 0.3 and 0.7.
 func RunBaselines(o Options) (*Result, error) {
 	o = o.normalize()
 	res := newResult("Baselines")
 	keys := keysN(o.Items / 2)
 	queries := o.Lookups / 2
 
-	type row struct {
-		name                   string
-		tag                    string // value-key prefix; latency omitted when empty for that metric
-		hops, latency, failure float64
-		noLatencyValue         bool
-	}
-	arms, err := sweep(o, 5, func(i int) (row, error) {
-		switch i {
-		case 0: // Chord
-			topo, err := expTopology(o, o.topoSeed())
-			if err != nil {
-				return row{}, err
-			}
-			eng := sim.New(o.Seed + 800)
-			net := simnet.New(eng, topo, simnet.DefaultConfig())
-			cnet := chord.NewNetwork(simnet.NewRuntime(eng, net), chord.DefaultConfig())
-			stubs := topo.StubNodes()
-			var nodes []*chord.Node
-			boot := simnet.None
-			for i := 0; i < o.N; i++ {
-				n := cnet.CreateNode(idspace.ID(eng.Rand().Uint64()), stubs[eng.Rand().Intn(len(stubs))], 1, boot)
-				if boot == simnet.None {
-					boot = n.Addr
-				}
-				// Give each join a slice of stabilization time.
-				eng.RunUntil(eng.Now() + 600*sim.Millisecond)
-				nodes = append(nodes, n)
-			}
-			eng.RunUntil(eng.Now() + 30*sim.Second)
-
-			for i, key := range keys {
-				var done bool
-				nodes[(i*11)%len(nodes)].Store(key, "v", func(chord.Result) { done = true })
-				for !done && eng.Step() {
-				}
-			}
-			var hops, lat metrics.Summary
-			fails := 0
-			for i := 0; i < queries; i++ {
-				var done bool
-				var r chord.Result
-				nodes[(i*17)%len(nodes)].Lookup(keys[i%len(keys)], func(res chord.Result) {
-					done = true
-					r = res
-				})
-				for !done && eng.Step() {
-				}
-				if r.OK {
-					hops.Add(float64(r.Hops))
-					lat.Add(float64(r.Latency) / float64(sim.Millisecond))
-				} else {
-					fails++
-				}
-			}
-			return row{
-				name: "chord (pure structured)", tag: "chord",
-				hops: hops.Mean(), latency: lat.Mean(),
-				failure: float64(fails) / float64(queries),
-			}, nil
-
-		case 1: // Gnutella
-			topo, err := expTopology(o, o.topoSeed())
-			if err != nil {
-				return row{}, err
-			}
-			eng := sim.New(o.Seed + 810)
-			net := simnet.New(eng, topo, simnet.DefaultConfig())
-			gnet := gnutella.NewNetwork(simnet.NewRuntime(eng, net), gnutella.DefaultConfig())
-			stubs := topo.StubNodes()
-			peers := make([]*gnutella.Peer, o.N)
-			for i := range peers {
-				peers[i] = gnet.Join(stubs[eng.Rand().Intn(len(stubs))], 1)
-			}
-			for i, key := range keys {
-				peers[(i*13)%len(peers)].StoreLocal(key, "v")
-			}
-			var hops, lat metrics.Summary
-			fails := 0
-			for i := 0; i < queries; i++ {
-				var done bool
-				var r gnutella.Result
-				peers[(i*19)%len(peers)].Lookup(keys[i%len(keys)], 5, func(res gnutella.Result) {
-					done = true
-					r = res
-				})
-				for !done && eng.Step() {
-				}
-				if r.OK {
-					hops.Add(float64(r.Hops))
-					lat.Add(float64(r.Latency) / float64(sim.Millisecond))
-				} else {
-					fails++
-				}
-			}
-			return row{
-				name: "gnutella (pure unstructured, TTL 5)", tag: "gnutella",
-				hops: hops.Mean(), latency: lat.Mean(),
-				failure:        float64(fails) / float64(queries),
-				noLatencyValue: true,
-			}, nil
-
-		case 2: // Kademlia
-			topo, err := expTopology(o, o.topoSeed())
-			if err != nil {
-				return row{}, err
-			}
-			eng := sim.New(o.Seed + 830)
-			net := simnet.New(eng, topo, simnet.DefaultConfig())
-			kcfg := kad.DefaultConfig()
-			kcfg.K = 8 // replica sets sized for paper-scale swarms, not the open internet
-			knet := kad.NewNetwork(simnet.NewRuntime(eng, net), kcfg)
-			stubs := topo.StubNodes()
-			var nodes []*kad.Node
-			boot := kad.NilContact
-			for i := 0; i < o.N; i++ {
-				var b [8]byte
-				binary.BigEndian.PutUint64(b[:], eng.Rand().Uint64())
-				n := knet.CreateNode(kad.HashBytes(b[:]), stubs[eng.Rand().Intn(len(stubs))], 1, boot)
-				if !boot.Valid() {
-					boot = kad.Contact{ID: n.ID, Addr: n.Addr}
-				}
-				// Give each join's self-lookup a slice of time to settle.
-				eng.RunUntil(eng.Now() + 200*sim.Millisecond)
-				nodes = append(nodes, n)
-			}
-			eng.RunUntil(eng.Now() + 30*sim.Second)
-
-			for i, key := range keys {
-				var done bool
-				nodes[(i*11)%len(nodes)].Store(key, "v", func(kad.Result) { done = true })
-				for !done && eng.Step() {
-				}
-			}
-			var hops, lat metrics.Summary
-			fails := 0
-			for i := 0; i < queries; i++ {
-				var done bool
-				var r kad.Result
-				nodes[(i*17)%len(nodes)].Lookup(keys[i%len(keys)], func(res kad.Result) {
-					done = true
-					r = res
-				})
-				for !done && eng.Step() {
-				}
-				if r.OK {
-					hops.Add(float64(r.Hops))
-					lat.Add(float64(r.Latency) / float64(sim.Millisecond))
-				} else {
-					fails++
-				}
-			}
-			return row{
-				name: "kademlia (α=3, k=8 iterative)", tag: "kad",
-				hops: hops.Mean(), latency: lat.Mean(),
-				failure: float64(fails) / float64(queries),
-			}, nil
-
-		default: // Hybrid at p_s = 0.3 and 0.7
-			ps := 0.3
-			name, tag := "hybrid p_s=0.3", "hybrid_ps0.3"
-			if i == 4 {
-				ps, name, tag = 0.7, "hybrid p_s=0.7", "hybrid_ps0.7"
-			}
-			cfg := expConfig(ps)
-			sc, err := buildScenario(o, cfg, o.Seed+820+int64(ps*100), nil, nil)
-			if err != nil {
-				return row{}, err
-			}
-			if _, err := sc.storeItems(keys); err != nil {
-				return row{}, err
-			}
-			rs, err := sc.lookupBatch(queries, 4, keys, func(k int) int { return k })
-			if err != nil {
-				return row{}, err
-			}
-			sc.observe(o, "Baselines "+name)
-			return row{
-				name: name, tag: tag,
-				hops: meanHops(rs), latency: meanLatencyMs(rs), failure: failureRatio(rs),
-			}, nil
+	hybridPs := []float64{0.3, 0.7}
+	arms, err := sweep(o, len(baselines)+len(hybridPs), func(i int) (baselineRow, error) {
+		if i < len(baselines) {
+			return runBaseline(o, baselines[i], keys, queries)
 		}
+		ps := hybridPs[i-len(baselines)]
+		name, tag := fmt.Sprintf("hybrid p_s=%.1f", ps), fmt.Sprintf("hybrid_ps%.1f", ps)
+		sc, err := buildScenario(o, expConfig(ps), o.Seed+820+int64(ps*100), nil, nil)
+		if err != nil {
+			return baselineRow{}, err
+		}
+		if _, err := sc.storeItems(keys); err != nil {
+			return baselineRow{}, err
+		}
+		rs, err := sc.lookupBatch(queries, 4, keys, func(k int) int { return k })
+		if err != nil {
+			return baselineRow{}, err
+		}
+		sc.observe(o, "Baselines "+name)
+		return baselineRow{
+			name: name, tag: tag,
+			hops: meanHops(rs), latency: meanLatencyMs(rs), failure: failureRatio(rs),
+		}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -188,7 +188,6 @@ func RunLinkStress(o Options) (*Result, error) {
 		}
 		cfg := expConfig(0.7)
 		if aware {
-			cfg.TopologyAware = true
 			cfg.Landmarks = 8
 			cfg.Assignment = core.AssignCluster
 		}

@@ -115,7 +115,6 @@ func RunFig6b(o Options) (*Result, error) {
 		ps := points[i%len(points)]
 		cfg := paperRoutingConfig(ps)
 		if mode.aware {
-			cfg.TopologyAware = true
 			cfg.Landmarks = mode.landmarks
 			cfg.Assignment = core.AssignCluster
 		}

@@ -113,11 +113,11 @@ func expConfig(ps float64) core.Config {
 }
 
 // paperRoutingConfig is expConfig plus the successor-only data routing the
-// paper's own simulation used (see Config.SuccessorRouting); the lookup
-// timeout grows to cover linear ring traversals.
+// paper's own simulation used (see core.SuccessorWalk); the lookup timeout
+// grows to cover linear ring traversals.
 func paperRoutingConfig(ps float64) core.Config {
 	cfg := expConfig(ps)
-	cfg.SuccessorRouting = true
+	cfg.Route = core.SuccessorWalk{}
 	cfg.LookupTimeout = 180 * sim.Second
 	return cfg
 }
@@ -203,9 +203,9 @@ func (s *scenario) observe(o Options, label string) {
 	reg.Counter("core.cache_hits").Add(int64(cs.CacheHits))
 	reg.Gauge("core.peers").Set(float64(s.Sys.NumPeers()))
 
-	items := reg.Timer("peer.items")
+	items := reg.Histogram("peer.items")
 	for _, n := range s.Sys.ItemsPerPeer() {
-		items.Observe(float64(n))
+		items.Record(int64(n))
 	}
 
 	reg.Counter("exp.topo_cache_hits").Add(topoCacheHits.Load())

@@ -162,14 +162,14 @@ func TestRegistryKindCollisionPanics(t *testing.T) {
 }
 
 // TestWritePromTextGolden pins the Prometheus exposition byte-for-byte for a
-// registry with all four metric kinds.
+// registry with all three metric kinds.
 func TestWritePromTextGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("net.sent").Add(12)
 	r.Gauge("sim.time_s").Set(1.5)
-	tm := r.Timer("peer.items")
-	tm.Observe(2)
-	tm.Observe(4)
+	items := r.Histogram("peer.items")
+	items.Record(2)
+	items.Record(4)
 	h := r.Histogram("lookup.hops")
 	h.Record(1)
 	h.Record(3)
@@ -185,7 +185,10 @@ lookup_hops_sum 27.5
 lookup_hops_count 4
 # TYPE net_sent counter
 net_sent 12
-# TYPE peer_items summary
+# TYPE peer_items histogram
+peer_items_bucket{le="2"} 1
+peer_items_bucket{le="4"} 2
+peer_items_bucket{le="+Inf"} 2
 peer_items_sum 6
 peer_items_count 2
 # TYPE sim_time_s gauge
@@ -220,7 +223,7 @@ func TestObsStress(t *testing.T) {
 				h.Record(int64(g*perG + i))
 				r.Counter("stress.count").Inc()
 				r.Gauge("stress.gauge").Set(float64(i))
-				r.Timer("stress.timer").Observe(1)
+				r.Histogram("stress.items").Record(1)
 				tr.Emit(EvMsgSend, 0, uint64(i), g, g+1, 0, "")
 				if i%64 == 0 {
 					h.Quantile(0.99)
@@ -245,7 +248,7 @@ func TestObsStress(t *testing.T) {
 		t.Fatalf("histogram lost updates: count = %d, want %d", got, total)
 	}
 	snap := r.Snapshot()
-	if snap["stress.count"] != total || snap["stress.timer.count"] != total {
+	if snap["stress.count"] != total || snap["stress.items.count"] != total {
 		t.Fatalf("registry lost updates: %v", snap)
 	}
 	if snap["stress.hist.count"] != total {

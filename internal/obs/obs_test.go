@@ -109,16 +109,17 @@ func TestRegistrySnapshot(t *testing.T) {
 	r.Counter("net.sent").Add(5)
 	r.Counter("net.sent").Inc()
 	r.Gauge("sim.time_s").Set(1.25)
-	tm := r.Timer("peer.items")
-	tm.Observe(2)
-	tm.Observe(4)
+	h := r.Histogram("peer.items")
+	h.Record(2)
+	h.Record(3)
+	h.Record(4)
 	snap := r.Snapshot()
 	want := map[string]float64{
 		"net.sent":         6,
 		"sim.time_s":       1.25,
-		"peer.items.count": 2,
-		"peer.items.mean":  3,
-		"peer.items.min":   2,
+		"peer.items.count": 3,
+		"peer.items.p50":   3,
+		"peer.items.p999":  4,
 		"peer.items.max":   4,
 	}
 	for k, v := range want {
@@ -141,7 +142,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				r.Counter("c").Inc()
-				r.Timer("t").Observe(1)
+				r.Histogram("t").Record(1)
 			}
 		}()
 	}

@@ -13,7 +13,6 @@ import (
 // metric name so the output is deterministic and golden-testable.
 //
 //   - counters and gauges render as single samples;
-//   - a Timer "x" renders as a summary: x_count and x_sum;
 //   - a Histogram "x" renders as a native Prometheus histogram: cumulative
 //     x_bucket{le="..."} samples over the non-empty buckets, the mandatory
 //     le="+Inf" bucket, x_sum and x_count.
@@ -73,10 +72,6 @@ func (r *Registry) WritePromText(w io.Writer) error {
 	for n, g := range r.gauges {
 		gauges[n] = g
 	}
-	timers := make(map[string]*Timer, len(r.timers))
-	for n, t := range r.timers {
-		timers[n] = t
-	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for n, h := range r.hists {
 		hists[n] = h
@@ -92,11 +87,6 @@ func (r *Registry) WritePromText(w io.Writer) error {
 			fmt.Fprintf(&b, "# TYPE %s counter\n%s %s\n", pn, pn, promFloat(float64(counters[name].Value())))
 		case "gauge":
 			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %s\n", pn, pn, promFloat(gauges[name].Value()))
-		case "timer":
-			s := timers[name].Summary()
-			fmt.Fprintf(&b, "# TYPE %s summary\n", pn)
-			fmt.Fprintf(&b, "%s_sum %s\n", pn, promFloat(s.Mean()*float64(s.N())))
-			fmt.Fprintf(&b, "%s_count %d\n", pn, s.N())
 		case "histogram":
 			s := hists[name].Snapshot()
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", pn)

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/metrics"
 )
 
 // Counter is a monotonically increasing named count.
@@ -34,30 +32,7 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Timer accumulates observations into a metrics.Summary (count/mean/min/max).
-// Despite the name it records any distribution, not just durations. For
-// percentile reporting use a Histogram instead.
-type Timer struct {
-	mu sync.Mutex
-	s  metrics.Summary
-}
-
-// Observe records one observation.
-func (t *Timer) Observe(v float64) {
-	t.mu.Lock()
-	t.s.Add(v)
-	t.mu.Unlock()
-}
-
-// Summary returns a copy of the accumulated summary.
-func (t *Timer) Summary() metrics.Summary {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.s
-}
-
-// Registry is a get-or-create namespace of counters, gauges, timers and
-// histograms. It is safe for concurrent use; Snapshot flattens everything
+// Registry is a get-or-create namespace of counters, gauges and histograms. It is safe for concurrent use; Snapshot flattens everything
 // into a map[string]float64 suitable for a manifest point record, and
 // WritePromText (prom.go) renders the whole registry in Prometheus text
 // exposition format.
@@ -71,7 +46,6 @@ type Registry struct {
 	kinds    map[string]string
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	timers   map[string]*Timer
 	hists    map[string]*Histogram
 }
 
@@ -81,7 +55,6 @@ func NewRegistry() *Registry {
 		kinds:    make(map[string]string),
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		timers:   make(map[string]*Timer),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -121,19 +94,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Timer returns the timer registered under name, creating it if needed.
-func (r *Registry) Timer(name string) *Timer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "timer")
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
-}
-
 // Histogram returns the histogram registered under name, creating it if
 // needed.
 func (r *Registry) Histogram(name string) *Histogram {
@@ -161,28 +121,17 @@ func (r *Registry) Names() []string {
 }
 
 // Snapshot flattens the registry into name -> value. Counters and gauges map
-// directly; a timer named "x" expands to "x.count", "x.mean", "x.min", "x.max"
-// (min/max omitted while empty); a histogram named "x" expands to "x.count",
-// "x.p50", "x.p90", "x.p99", "x.p999", "x.max" (quantiles omitted while
-// empty).
+// directly; a histogram named "x" expands to "x.count", "x.p50", "x.p90",
+// "x.p99", "x.p999", "x.max" (quantiles omitted while empty).
 func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.counters)+len(r.gauges)+4*len(r.timers)+6*len(r.hists))
+	out := make(map[string]float64, len(r.counters)+len(r.gauges)+6*len(r.hists))
 	for n, c := range r.counters {
 		out[n] = float64(c.Value())
 	}
 	for n, g := range r.gauges {
 		out[n] = g.Value()
-	}
-	for n, t := range r.timers {
-		s := t.Summary()
-		out[n+".count"] = float64(s.N())
-		out[n+".mean"] = s.Mean()
-		if s.N() > 0 {
-			out[n+".min"] = s.Min()
-			out[n+".max"] = s.Max()
-		}
 	}
 	for n, h := range r.hists {
 		s := h.Snapshot()

@@ -3,12 +3,126 @@
 # script): build, vet (plus staticcheck when installed), tests, the race
 # detector over the full suite (the parallel sweep runner and the shared
 # topology cache are exercised concurrently by the exp tests, so -race is
-# load-bearing here), the named gates below, and the benchmark harness's own
-# tests. Nothing here compares timings: performance is measured by
+# load-bearing here), the benchmark harness's own tests, and the named gates
+# below. Nothing here compares timings: performance is measured by
 # `bash bench/run.sh` against the bounds in BENCHMARK.json.
+#
+# `sh scripts/check.sh <gate>...` runs only the named gates (the Makefile's
+# per-gate targets call this), so each gate's command line exists once.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+GATES="faultcheck determinism conformance allocguard routinggate retired introspect-smoke net-smoke replication-smoke scale"
+
+gate() {
+    case "$1" in
+    faultcheck)
+        # Crash-path gate: churn storms and recovery paths under injected
+        # message faults, with the full invariant checker run at every
+        # quiescence point. -count=1 defeats the test cache so the gate
+        # always actually executes.
+        echo "== fault-injection invariant gate"
+        go test ./internal/core -count=1 \
+            -run '^(TestChurnStormUnderFaults|TestRecoveryPathsUnderFaults|TestSustainedChurnKeepsInvariants)$'
+        ;;
+    determinism)
+        # Determinism gate: with the fault layer compiled in but disabled,
+        # sweep output must stay byte-identical to a build with no fault
+        # layer armed, at any worker count — and every experiment's quick
+        # output must match the hashes committed in
+        # internal/exp/testdata/quick_golden.sha256.
+        echo "== determinism gate (fault layer off, worker counts, quick-output golden)"
+        go test ./internal/exp -count=1 \
+            -run '^(TestFaultLayerOffIsByteIdentical|TestParallelSweepDeterminism|TestQuickOutputGolden)$'
+        ;;
+    conformance)
+        # Cross-runtime conformance gate: the same join/store/crash/lookup
+        # scenario on the DES, the live goroutine runtime and the TCP socket
+        # runtime, the structural audit green on all three, under the race
+        # detector. -count=1 so the wall-clock halves always execute.
+        echo "== cross-runtime conformance gate (DES vs live vs net, -race)"
+        go test -race ./internal/conformance -count=1
+        ;;
+    allocguard)
+        # Allocation budgets: the event-engine hot path must stay at zero
+        # allocs per event, and a no-churn lookup must stay within its per-op
+        # budget. -count=1 defeats the cache; these are the cheap tripwires
+        # for the pooling work.
+        echo "== allocation budget gate (event engine, lookup path, histogram record)"
+        go test . -count=1 -run '^(TestEventEngineAllocFree|TestLookupAllocBudget)$'
+        go test ./internal/obs -count=1 -run '^TestHistogramRecordAllocFree$'
+        ;;
+    routinggate)
+        # Routing-seam gate: Kademlia baseline unit tests, baseline
+        # determinism (two full RunBaselines passes byte-identical), the
+        # α-parallel + path-cache ablation acceptance test, SuccessorWalk
+        # held to the recorded successor-only hops, and the path-cache
+        # invalidation suite under churn.
+        echo "== routing-seam gate (kad, baseline determinism, alpha/path-cache ablation)"
+        go test ./internal/kad -count=1
+        go test ./internal/exp -count=1 \
+            -run '^(TestBaselinesDeterminism|TestAblationRoutingGate)$'
+        go test ./internal/core -count=1 \
+            -run '^(TestPathCache|TestAlphaProbes|TestStrategyEquivalence)'
+        ;;
+    retired)
+        # Names deleted on purpose must not come back: the routing bool
+        # beside the strategy seam, the registry's Timer kind, hybridsim's
+        # flag for the former. CHANGES.md, ROADMAP.md and ISSUE.md may tell
+        # the story; this script has to spell the patterns.
+        echo "== retired-name gate (routing bool, obs Timer, hybridsim linear flag)"
+        if grep -rnE 'SuccessorRouting|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)' \
+            --include='*.go' --include='*.md' --include='*.sh' --include=Makefile \
+            --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh \
+            --exclude-dir=.git --exclude-dir=.bench_build .; then
+            echo "check: a retired name reappeared (see above)" >&2
+            exit 1
+        fi
+        ;;
+    introspect-smoke)
+        # Introspection smoke gate: boot a live hybridnode with -http, poll
+        # /healthz until the ring-health sampler reports healthy, and assert
+        # /metrics serves well-formed Prometheus exposition.
+        echo "== introspection smoke gate (hybridnode -http)"
+        sh ./scripts/introspect_smoke.sh
+        ;;
+    net-smoke)
+        # Multi-process smoke gate: a 3-process hybridnode TCP cluster on
+        # loopback — cross-process store/lookup, a SIGKILLed worker, /healthz
+        # back to green on the survivors, clean SIGTERM shutdown.
+        echo "== multi-process socket smoke gate (hybridnode -addr/-bootstrap)"
+        sh ./scripts/net_smoke.sh
+        ;;
+    replication-smoke)
+        # Replication smoke gate: a 4-process cluster at k=3 stores 50 keys
+        # through the /kv surface, both all-s workers are SIGKILLed, and
+        # every key must still be readable with /healthz back at zero replica
+        # deficit.
+        echo "== replication smoke gate (hybridnode -k 3, /kv, 2-process kill)"
+        sh ./scripts/replication_smoke.sh
+        ;;
+    scale)
+        # Quick scale point: one reduced build-and-drive pass through the
+        # Scale experiment (peers/GB, events/sec). Catches OOM-class
+        # regressions in the dense peer/finger tables; the full 10k/100k/1M
+        # ladder is `make benchscale` and `go run ./cmd/paperexp -run Scale`.
+        echo "== quick scale sweep (Scale, n=2000)"
+        go run ./cmd/paperexp -run Scale -quick -n 2000 >/dev/null
+        ;;
+    *)
+        echo "check.sh: unknown gate '$1' (gates: $GATES)" >&2
+        exit 2
+        ;;
+    esac
+}
+
+if [ $# -gt 0 ]; then
+    for g in "$@"; do
+        gate "$g"
+    done
+    exit 0
+fi
 
 echo "== go build ./..."
 go build ./...
@@ -35,68 +149,8 @@ go test -race ./...
 echo "== bench module tests (cd bench && go test ./...)"
 (cd bench && go test ./...)
 
-# Crash-path gate: churn storms and recovery paths under injected message
-# faults, with the full invariant checker run at every quiescence point.
-# -count=1 defeats the test cache so the gate always actually executes.
-echo "== fault-injection invariant gate"
-go test ./internal/core -count=1 \
-    -run '^(TestChurnStormUnderFaults|TestRecoveryPathsUnderFaults|TestSustainedChurnKeepsInvariants)$'
-
-# Determinism gate: with the fault layer compiled in but disabled, sweep
-# output must stay byte-identical to a build with no fault layer armed.
-echo "== fault-layer-off determinism gate"
-go test ./internal/exp -count=1 \
-    -run '^(TestFaultLayerOffIsByteIdentical|TestParallelSweepDeterminism)$'
-
-# Cross-runtime conformance gate: the same join/store/crash/lookup scenario
-# on the DES, the live goroutine runtime and the TCP socket runtime, the
-# structural audit green on all three, under the race detector. -count=1 so
-# the wall-clock halves always execute.
-echo "== cross-runtime conformance gate (DES vs live vs net, -race)"
-go test -race ./internal/conformance -count=1
-
-# Allocation budgets: the event-engine hot path must stay at zero allocs per
-# event, and a no-churn lookup must stay within its per-op budget. -count=1
-# defeats the cache; these are the cheap tripwires for the pooling work.
-echo "== allocation budget gate (event engine, lookup path, histogram record)"
-go test . -count=1 -run '^(TestEventEngineAllocFree|TestLookupAllocBudget)$'
-go test ./internal/obs -count=1 -run '^TestHistogramRecordAllocFree$'
-
-# Routing-seam gate: Kademlia baseline unit tests, four-arm baseline
-# determinism (two full RunBaselines passes byte-identical), the α-parallel
-# + path-cache ablation acceptance test, and the path-cache invalidation
-# suite under churn. -count=1 defeats the cache so the gates always execute.
-echo "== routing-seam gate (kad, baseline determinism, alpha/path-cache ablation)"
-go test ./internal/kad -count=1
-go test ./internal/exp -count=1 \
-    -run '^(TestBaselinesDeterminism|TestAblationRoutingGate)$'
-go test ./internal/core -count=1 \
-    -run '^(TestPathCache|TestAlphaProbes)'
-
-# Introspection smoke gate: boot a live hybridnode with -http, poll /healthz
-# until the ring-health sampler reports healthy, and assert /metrics serves
-# well-formed Prometheus exposition (see scripts/introspect_smoke.sh).
-echo "== introspection smoke gate (hybridnode -http)"
-sh ./scripts/introspect_smoke.sh
-
-# Multi-process smoke gate: a 3-process hybridnode TCP cluster on loopback —
-# cross-process store/lookup, a SIGKILLed worker, /healthz back to green on
-# the survivors, clean SIGTERM shutdown (see scripts/net_smoke.sh).
-echo "== multi-process socket smoke gate (hybridnode -addr/-bootstrap)"
-sh ./scripts/net_smoke.sh
-
-# Replication smoke gate: a 4-process cluster at k=3 stores 50 keys through
-# the /kv surface, both all-s workers are SIGKILLed, and every key must still
-# be readable with /healthz back at zero replica deficit (see
-# scripts/replication_smoke.sh).
-echo "== replication smoke gate (hybridnode -k 3, /kv, 2-process kill)"
-sh ./scripts/replication_smoke.sh
-
-# Quick scale point: one reduced build-and-drive pass through the Scale
-# experiment (peers/GB, events/sec). Catches OOM-class regressions in the
-# dense peer/finger tables; the full 10k/100k/1M ladder is `make benchscale`
-# and `go run ./cmd/paperexp -run Scale`.
-echo "== quick scale sweep (Scale, n=2000)"
-go run ./cmd/paperexp -run Scale -quick -n 2000 >/dev/null
+for g in $GATES; do
+    gate "$g"
+done
 
 echo "check: OK"
