@@ -46,6 +46,16 @@ func (p *Peer) segmentID(key string) idspace.ID {
 	return idspace.HashKey(key)
 }
 
+// itemSID is segmentID for an item already in hand: without interest
+// categories the segment id is the data id the item carries, which spares
+// the per-tick scans a key hash per stored item.
+func (p *Peer) itemSID(it Item) idspace.ID {
+	if p.sys.Cfg.InterestCategories == 0 {
+		return it.DID
+	}
+	return p.segmentID(it.Key)
+}
+
 // inLocalSegment reports whether an id belongs to this peer's s-network,
 // using the segment bounds cached from join time and HELLO piggyback.
 func (p *Peer) inLocalSegment(sid idspace.ID) bool {
@@ -172,6 +182,9 @@ func (p *Peer) storeLocal(it Item) {
 		p.data = make(map[idspace.ID]Item)
 	}
 	p.data[it.DID] = it
+	if p.Role == SPeer && p.replicationOn() {
+		p.repPending = append(p.repPending, it.DID) // for the next ownerAnnounce
+	}
 	if p.sys.Cfg.TrackerMode {
 		p.announceItems([]Item{it})
 	}
@@ -210,14 +223,19 @@ func (p *Peer) rehomeForeignItems() {
 	}
 	var moved []Item
 	for _, it := range p.data {
-		if !p.inLocalSegment(p.segmentID(it.Key)) {
+		if !p.inLocalSegment(p.itemSID(it)) {
 			moved = append(moved, it)
 		}
 	}
 	for _, it := range moved {
 		delete(p.data, it.DID)
 	}
-	moved = p.sweepReplicas(moved)
+	p.rehome(p.sweepReplicas(moved))
+}
+
+// rehome forwards items this peer has already let go of toward their owning
+// segment, like fresh insertions, in DID order.
+func (p *Peer) rehome(moved []Item) {
 	if len(moved) == 0 {
 		return
 	}
@@ -230,7 +248,7 @@ func (p *Peer) rehomeForeignItems() {
 			// and double-send the batch downstream.
 			continue
 		}
-		sid := p.segmentID(it.Key)
+		sid := p.itemSID(it)
 		p.sys.stats.ItemsRehomed++
 		p.forwardTowardSegment(sid, storeReq{Item: it, SID: sid, Origin: p.Ref(), Hops: 1}, runtime.None)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -12,7 +13,29 @@ import (
 // engine, inject faults and inspect the topology. Living in a _test.go file,
 // these helpers keep sim/simnet out of the package's import graph.
 
-func (s *System) desRuntime() *simnet.Runtime { return s.rt.(*simnet.Runtime) }
+func (s *System) desRuntime() *simnet.Runtime {
+	if tr, ok := s.rt.(*tapRuntime); ok {
+		return tr.Runtime
+	}
+	return s.rt.(*simnet.Runtime)
+}
+
+// tapRuntime is the DES runtime with a hook that sees every message the
+// protocol sends, payload included (the network's tracer only names types).
+type tapRuntime struct {
+	*simnet.Runtime
+	tap func(from, to runtime.Addr, msg any)
+}
+
+func (r *tapRuntime) Send(from, to runtime.Addr, size int, msg any) {
+	r.tap(from, to, msg)
+	r.Runtime.Send(from, to, size, msg)
+}
+
+// TapSends routes every later Send of the system through tap first.
+func (s *System) TapSends(tap func(from, to runtime.Addr, msg any)) {
+	s.rt = &tapRuntime{Runtime: s.desRuntime(), tap: tap}
+}
 
 // Eng returns the simulation engine under the system's runtime.
 func (s *System) Eng() *sim.Engine { return s.desRuntime().Eng }

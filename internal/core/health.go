@@ -128,7 +128,7 @@ func (s *System) HealthScore() HealthScore {
 			}
 			if known {
 				for _, it := range p.data {
-					if owner(p.segmentID(it.Key)) != root {
+					if owner(p.itemSID(it)) != root {
 						h.UnownedItems++
 					}
 				}
@@ -215,6 +215,9 @@ type healthGauges struct {
 	// a /metrics scrape can watch repair traffic without protocol access.
 	repPushed, repServes       *obs.Gauge
 	readRepairs, repPromotions *obs.Gauge
+	// Full pushes against digests and deltas: the full:delta ratio of the
+	// replication maintenance, and how often anti-entropy found divergence.
+	repFullPushes, repDigests, digestMismatches *obs.Gauge
 }
 
 func newHealthGauges(reg *obs.Registry) healthGauges {
@@ -238,6 +241,10 @@ func newHealthGauges(reg *obs.Registry) healthGauges {
 		repServes:     reg.Gauge("core.replica_serves"),
 		readRepairs:   reg.Gauge("core.read_repairs"),
 		repPromotions: reg.Gauge("core.replica_promotions"),
+
+		repFullPushes:    reg.Gauge("core.replica_full_pushes"),
+		repDigests:       reg.Gauge("core.replica_digests"),
+		digestMismatches: reg.Gauge("core.replica_digest_mismatches"),
 	}
 }
 
@@ -314,6 +321,9 @@ func (hs *HealthSampler) sample() {
 	hs.gauges.repServes.Set(float64(hs.sys.stats.ReplicaServes))
 	hs.gauges.readRepairs.Set(float64(hs.sys.stats.ReadRepairs))
 	hs.gauges.repPromotions.Set(float64(hs.sys.stats.ReplicaPromotions))
+	hs.gauges.repFullPushes.Set(float64(hs.sys.stats.ReplicaFullPushes))
+	hs.gauges.repDigests.Set(float64(hs.sys.stats.ReplicaDigests))
+	hs.gauges.digestMismatches.Set(float64(hs.sys.stats.DigestMismatches))
 	hs.mu.Lock()
 	hs.last = h
 	hs.seen = true

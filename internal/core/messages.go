@@ -383,12 +383,17 @@ type bypassAdd struct {
 // TTL is the number of further hops the batch may travel (k−1 at the owner);
 // each t-peer stores a replica and forwards with TTL−1 until it runs out or
 // the batch wraps back to the owner. Round tags a tracked push so the owner
-// can count distinct ackers; Round 0 is an untracked eager push on store.
+// can count distinct ackers; Round 0 is untracked (the eager push on store,
+// and a delta that a digest follows in the same tick). Full marks a batch
+// that is the owner's whole owned set rather than a delta: it is
+// authoritative, so a holder retires every replica it keeps for that owner
+// that the batch does not name.
 type replicaPut struct {
 	Owner Ref
 	Round uint64
 	TTL   int
 	Items []Item
+	Full  bool
 }
 
 // replicaAck confirms one hop of a tracked replicaPut chain back to the owner.
@@ -403,9 +408,24 @@ type replicaDrop struct {
 	DIDs  []idspace.ID
 }
 
-// ownerAnnounce reports the in-segment items an s-peer holds (spread
-// placement) to its owning t-peer, so the owner's authoritative copy covers
-// items physically stored below it in the tree.
+// replicaDigest is the owner's periodic anti-entropy probe: the size of its
+// owned set and the XOR of itemSum over it, forwarded down the chain like a
+// replicaPut. A holder whose replicas for that owner add up to the same pair
+// refreshes them and answers with a replicaAck; one that differs stays silent
+// and does not forward, so the owner reads the missing ack as a deficit and
+// answers with a full replicaPut.
+type replicaDigest struct {
+	Owner Ref
+	Round uint64
+	TTL   int
+	Count int
+	Sum   uint64
+}
+
+// ownerAnnounce reports in-segment items an s-peer holds (spread placement)
+// to its owning t-peer, so the owner's authoritative copy covers items
+// physically stored below it in the tree: the items stored since the last
+// announce, or everything in the segment when the t-peer changed.
 type ownerAnnounce struct {
 	Items []Item
 }

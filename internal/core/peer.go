@@ -98,21 +98,36 @@ type Peer struct {
 	owned map[idspace.ID]Item
 	// reps holds replicas kept on behalf of other owners.
 	reps map[idspace.ID]repEntry
-	// repRound is the in-flight tracked push round (0 = none); repAcks
-	// counts its distinct ackers and repWrapped records that the push came
-	// back around a ring smaller than k.
+	// repRound is the in-flight tracked round (0 = none), a replicaPut or,
+	// when repDigest is set, a replicaDigest; repAcks counts its distinct
+	// ackers and repWrapped records that it came back around a ring smaller
+	// than k.
 	repRound   uint64
 	repAcks    map[runtime.Addr]bool
 	repWrapped bool
-	// repDeficit is the last evaluated replica deficit (0 = fully
-	// replicated); repDirty marks an owned-set change since the last push.
+	repDigest  bool
+	// repDirty marks that an item left the owned set since the last full
+	// push; repDeficit is the last evaluated replica deficit (0 = fully
+	// replicated). Either makes the next tick push the full set.
+	repDirty bool
+	// repTicks counts hello ticks since the owner's last full push or
+	// digest (at most repPushEvery), annTicks those since an s-peer's last
+	// full ownerAnnounce (at most announceFullEvery). Bytes, beside the
+	// flags, so that the replication fields do not push Peer into the
+	// allocator's next size class.
+	repTicks   uint8
+	annTicks   uint8
 	repDeficit int
-	repDirty   bool
-	// repSucc is the successor of the last push; repTicks counts hello
-	// ticks since it. The zero value of repSucc is the server address,
-	// never a real successor, so a fresh t-peer's first sync always pushes.
-	repSucc  runtime.Addr
-	repTicks int
+	// repPending lists the data ids added since the last tick: to owned on a
+	// t-peer (the next delta replicaPut), to data on an s-peer (the next
+	// ownerAnnounce). Released on every flush, so it is nil between writes.
+	repPending []idspace.ID
+	// repSucc is the successor the last tick pushed to. Its zero value is
+	// the server address, never a real successor, so a fresh t-peer's first
+	// sync pushes the full set. annTo is the same for an s-peer: the t-peer
+	// that has had its full in-segment set.
+	repSucc runtime.Addr
+	annTo   runtime.Addr
 
 	// --- client operations ---
 	pending map[uint64]*op
@@ -446,6 +461,8 @@ func (p *Peer) recv(from runtime.Addr, msg any) {
 		p.handleReplicaAck(from, m)
 	case replicaDrop:
 		p.handleReplicaDrop(from, m)
+	case replicaDigest:
+		p.handleReplicaDigest(m)
 	case ownerAnnounce:
 		p.handleOwnerAnnounce(m)
 	case deleteReq:
@@ -559,8 +576,9 @@ func (p *Peer) broadcastHello() {
 	if p.joined && !p.leaving && (p.Role == TPeer || p.cp.Valid()) {
 		p.rehomeForeignItems()
 	}
-	// Replication maintenance rides the hello tick: owners push the owned
-	// set down the successor chain, s-peers report in-segment holdings up.
+	// Replication maintenance rides the hello tick: owners push what changed
+	// in the owned set down the successor chain, s-peers report what they
+	// stored in the segment up.
 	if p.sys.Cfg.ReplicationK > 1 && p.joined && !p.leaving {
 		if p.Role == TPeer {
 			p.syncReplicas()

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sort"
+	"unsafe"
 
 	"repro/internal/idspace"
 	"repro/internal/runtime"
@@ -14,17 +16,31 @@ import (
 //
 // Placement rule: the owning t-peer keeps an authoritative copy of every
 // in-segment item in p.owned (even under spread placement, where the byte
-// payload may physically live on an s-peer below it; s-peers report their
-// in-segment items upward every hello tick via ownerAnnounce). The owner
-// pushes its owned set down the successor chain as replicaPut batches with
-// TTL = k−1; each successor keeps the batch in p.reps and forwards with
-// TTL−1. A push that wraps all the way back to the owner proves the ring is
-// smaller than k, which counts as fully replicated (min(k, live)).
+// payload may physically live on an s-peer below it). The owner pushes items
+// down the successor chain as replicaPut batches with TTL = k−1; each
+// successor keeps the batch in p.reps and forwards with TTL−1. A push that
+// wraps all the way back to the owner proves the ring is smaller than k,
+// which counts as fully replicated (min(k, live)).
 //
-// Repair triggers:
-//   - every repPushEvery hello ticks the owner re-pushes (periodic anti-entropy);
-//   - a changed owned set, a changed successor, or a detected deficit
-//     (tracked rounds count distinct ackers) re-pushes immediately;
+// What a hello tick sends is proportional to what changed, not to what is
+// stored:
+//   - delta: items added to owned since the last tick go out as one tracked
+//     replicaPut (on top of the untracked eager push at store time);
+//   - digest: every repPushEvery ticks the owner sends a replicaDigest (count
+//     and XOR of item checksums) instead of the set; holders that match
+//     refresh their replicas and ack, a holder that differs stays silent;
+//   - full on an edge: the whole owned set goes out, marked Full, only when
+//     the successor changed, the last tracked round (put or digest) drew
+//     fewer than k−1 acks, or an item left owned. A Full batch is
+//     authoritative: the holder forwards home whatever else it kept for
+//     that owner.
+//
+// S-peers report upward by the same rule (announceOwned): the items stored
+// since the last ownerAnnounce, and the whole in-segment set only when the
+// t-peer changed or on a slow backstop — the owner already records an item
+// on the store path, so the announce only has to cover takeover.
+//
+// Further repair triggers:
 //   - the per-tick rehome sweep forwards replicas whose owner is suspected
 //     or silent past repExpiry back to the owning segment, where the new
 //     owner installs them (churn re-replication);
@@ -40,8 +56,14 @@ type repEntry struct {
 	seen  runtime.Time // last refresh, for orphan expiry
 }
 
-// repPushEvery is the owner's periodic re-push interval in hello ticks.
+// repPushEvery is the owner's anti-entropy interval in hello ticks: a digest
+// goes out on every repPushEvery-th tick that does not send the full set.
 const repPushEvery = 3
+
+// announceFullEvery is the s-peer's backstop interval in hello ticks for
+// re-sending its whole in-segment set to an unchanged t-peer; it covers a
+// lost ownerAnnounce, which nothing acknowledges.
+const announceFullEvery = 10 * repPushEvery
 
 // repExpiry returns how long a replica may go unrefreshed before the rehome
 // sweep treats it as orphaned and forwards it back to the owning segment.
@@ -52,9 +74,22 @@ func (p *Peer) repExpiry() runtime.Time {
 // replicationOn reports whether this peer participates in replication.
 func (p *Peer) replicationOn() bool { return p.sys.Cfg.ReplicationK > 1 }
 
-// ownedAdd records an item in the owner's authoritative copy and marks the
-// set dirty for the next push. Value-compare keeps the periodic data fold
-// from re-dirtying an unchanged set every tick.
+// itemSum is one item's term in a replicaDigest: its data id and a checksum
+// of its value. The avalanche on top keeps the XOR over a set from cancelling
+// when two items swap values.
+func itemSum(it Item) uint64 {
+	// View the value's bytes in place: []byte(it.Value) would copy every
+	// stored value once per digest. The checksum only reads them. MakeTable
+	// hands out the one shared Castagnoli table and builds it on first use,
+	// so a k = 1 system never pays for it.
+	value := unsafe.Slice(unsafe.StringData(it.Value), len(it.Value))
+	crc := crc32.Checksum(value, crc32.MakeTable(crc32.Castagnoli))
+	return idspace.Mix64(uint64(it.DID) ^ uint64(crc)<<32 ^ uint64(len(it.Value)))
+}
+
+// ownedAdd records an item in the owner's authoritative copy and queues it
+// for the next tick's delta push. Value-compare keeps the periodic data fold
+// and repeated announces from re-queueing an unchanged item.
 func (p *Peer) ownedAdd(it Item) {
 	if !p.replicationOn() || p.Role != TPeer {
 		return
@@ -66,7 +101,31 @@ func (p *Peer) ownedAdd(it Item) {
 		p.owned = make(map[idspace.ID]Item)
 	}
 	p.owned[it.DID] = it
-	p.repDirty = true
+	p.repPending = append(p.repPending, it.DID)
+}
+
+// takePending returns the items of from that were queued since the last
+// push or announce, in DID order, and releases the queue.
+func (p *Peer) takePending(from map[idspace.ID]Item) []Item {
+	if len(p.repPending) == 0 {
+		return nil
+	}
+	items := make([]Item, 0, len(p.repPending))
+	for _, did := range p.repPending {
+		if it, ok := from[did]; ok {
+			items = append(items, it)
+		}
+	}
+	p.repPending = nil
+	sortItemsByDID(items)
+	// An item stored twice within a tick is queued twice; send it once.
+	uniq := items[:0]
+	for i, it := range items {
+		if i == 0 || it.DID != items[i-1].DID {
+			uniq = append(uniq, it)
+		}
+	}
+	return uniq
 }
 
 // replicaSucc returns the next hop of the replica chain: the ring successor,
@@ -84,36 +143,41 @@ func (p *Peer) replicaSucc() Ref {
 	return next
 }
 
+// pushReplicas sends one owner-originated replicaPut down the chain.
+func (p *Peer) pushReplicas(succ Ref, round uint64, full bool, items []Item) {
+	p.sys.stats.ReplicasPushed += uint64(len(items))
+	p.sendData(succ.Addr, len(items), replicaPut{
+		Owner: p.Ref(),
+		Round: round,
+		TTL:   p.sys.Cfg.ReplicationK - 1,
+		Items: items,
+		Full:  full,
+	})
+}
+
 // eagerReplicate pushes a single just-stored item down the successor chain
 // immediately (Round 0: untracked), so a crash right after the store ack
-// still leaves k copies. The periodic tracked push repairs any loss.
+// still leaves k copies. The next tick's tracked delta repairs any loss.
 func (p *Peer) eagerReplicate(it Item) {
 	if !p.replicationOn() || p.Role != TPeer {
 		return
 	}
-	succ := p.replicaSucc()
-	if !succ.Valid() {
-		return
+	if succ := p.replicaSucc(); succ.Valid() {
+		p.pushReplicas(succ, 0, false, []Item{it})
 	}
-	p.sys.stats.ReplicasPushed++
-	p.sendData(succ.Addr, 1, replicaPut{
-		Owner: p.Ref(),
-		TTL:   p.sys.Cfg.ReplicationK - 1,
-		Items: []Item{it},
-	})
 }
 
 // syncReplicas is the owner-side per-hello-tick replication maintenance:
 // fold locally stored in-segment data into the owned set, evaluate the
-// previous tracked round's ack count, and push the owned set down the
-// successor chain when anything changed, a deficit is suspected, or the
-// periodic interval elapsed.
+// previous tracked round's ack count, then send what this tick calls for —
+// the full set on an edge, else the pending delta, and a digest behind it on
+// every repPushEvery-th tick.
 func (p *Peer) syncReplicas() {
 	// Fold in-segment data into owned: covers promotion, crash takeover and
 	// direct t-peer placement without extra hooks (value-compare in ownedAdd
-	// keeps this from perpetually re-dirtying).
+	// keeps this from perpetually re-queueing).
 	for _, it := range p.data {
-		if p.inLocalSegment(p.segmentID(it.Key)) {
+		if p.inLocalSegment(p.itemSID(it)) {
 			p.ownedAdd(it)
 		}
 	}
@@ -130,6 +194,9 @@ func (p *Peer) syncReplicas() {
 			}
 			p.repDeficit = deficit
 		}
+		if p.repDigest && p.repDeficit > 0 {
+			p.sys.stats.DigestMismatches++
+		}
 		p.repRound = 0
 		p.repWrapped = false
 		for a := range p.repAcks {
@@ -140,53 +207,98 @@ func (p *Peer) syncReplicas() {
 	if !succ.Valid() || len(p.owned) == 0 {
 		p.repDeficit = 0
 		p.repSucc = runtime.None
+		p.repPending = nil
 		return
 	}
 	succChanged := succ.Addr != p.repSucc
 	p.repSucc = succ.Addr
 	p.repTicks++
-	if !p.repDirty && p.repDeficit == 0 && !succChanged && p.repTicks < repPushEvery {
+	full := p.repDirty || p.repDeficit > 0 || succChanged
+	digest := !full && p.repTicks >= repPushEvery
+	delta := p.takePending(p.owned)
+	if !full && !digest && len(delta) == 0 {
 		return
 	}
-	p.repTicks = 0
-	p.repDirty = false
-	round := p.sys.newTag()
-	p.repRound = round
 	if p.repAcks == nil {
 		p.repAcks = make(map[runtime.Addr]bool)
 	}
-	items := make([]Item, 0, len(p.owned))
-	for _, it := range p.owned {
-		items = append(items, it)
+	p.repRound = p.sys.newTag()
+	p.repDigest = digest
+	if full {
+		p.repDirty = false
+		p.repTicks = 0
+		items := make([]Item, 0, len(p.owned))
+		for _, it := range p.owned {
+			items = append(items, it)
+		}
+		sortItemsByDID(items)
+		p.sys.stats.ReplicaFullPushes++
+		p.pushReplicas(succ, p.repRound, true, items)
+		return
 	}
-	sortItemsByDID(items)
-	p.sys.stats.ReplicasPushed += uint64(len(items))
-	p.sendData(succ.Addr, len(items), replicaPut{
-		Owner: p.Ref(),
-		Round: round,
-		TTL:   p.sys.Cfg.ReplicationK - 1,
-		Items: items,
-	})
+	if len(delta) > 0 {
+		// With a digest right behind it the delta goes untracked: the
+		// digest only matches at a holder the delta reached, so its ack
+		// covers both, and a shared round would let the delta's ack hide a
+		// digest mismatch.
+		round := p.repRound
+		if digest {
+			round = 0
+		}
+		p.pushReplicas(succ, round, false, delta)
+	}
+	if digest {
+		// Sent on every periodic tick, pending delta or not: replicas age
+		// out at repExpiry unless a digest (or a full push) refreshes them.
+		p.repTicks = 0
+		var sum uint64
+		for _, it := range p.owned {
+			sum ^= itemSum(it)
+		}
+		p.sys.stats.ReplicaDigests++
+		p.send(succ.Addr, replicaDigest{
+			Owner: p.Ref(),
+			Round: p.repRound,
+			TTL:   p.sys.Cfg.ReplicationK - 1,
+			Count: len(p.owned),
+			Sum:   sum,
+		})
+	}
 }
 
 // announceOwned is the s-peer-side per-hello-tick half of the placement
 // rule: report in-segment items physically stored here (spread placement)
-// to the owning t-peer so its authoritative copy covers them.
+// to the owning t-peer so its authoritative copy covers them. The owner
+// records an item itself on the store path, so only the items stored since
+// the last announce go up; the whole in-segment set goes to a t-peer that
+// has not had it yet (promotion, crash takeover, re-attachment) and every
+// announceFullEvery ticks.
 func (p *Peer) announceOwned() {
 	if len(p.data) == 0 || !p.tpeer.Valid() || p.tpeer.Addr == p.Addr {
 		return
 	}
+	p.annTicks++
 	var items []Item
-	for _, it := range p.data {
-		if p.inLocalSegment(p.segmentID(it.Key)) {
+	if p.tpeer.Addr != p.annTo || p.annTicks >= announceFullEvery {
+		p.annTo = p.tpeer.Addr
+		p.annTicks = 0
+		p.repPending = nil
+		for _, it := range p.data {
 			items = append(items, it)
 		}
+		sortItemsByDID(items)
+	} else {
+		items = p.takePending(p.data)
 	}
-	if len(items) == 0 {
-		return
+	inSeg := items[:0]
+	for _, it := range items {
+		if p.inLocalSegment(p.itemSID(it)) {
+			inSeg = append(inSeg, it)
+		}
 	}
-	sortItemsByDID(items)
-	p.sendData(p.tpeer.Addr, len(items), ownerAnnounce{Items: items})
+	if len(inSeg) > 0 {
+		p.sendData(p.tpeer.Addr, len(inSeg), ownerAnnounce{Items: inSeg})
+	}
 }
 
 // handleReplicaPut installs a replica batch and forwards it one hop further
@@ -208,7 +320,7 @@ func (p *Peer) handleReplicaPut(from runtime.Addr, m replicaPut) {
 	}
 	now := p.sys.rt.Now()
 	for _, it := range m.Items {
-		if p.inLocalSegment(p.segmentID(it.Key)) {
+		if p.inLocalSegment(p.itemSID(it)) {
 			// The pusher thinks it owns a segment that is now ours (its
 			// pred pointer lags, or the owner crashed and we took over):
 			// install authoritatively instead of as a replica.
@@ -223,6 +335,22 @@ func (p *Peer) handleReplicaPut(from runtime.Addr, m replicaPut) {
 		}
 		p.reps[it.DID] = repEntry{it: it, owner: m.Owner, seen: now}
 	}
+	if m.Full {
+		// The batch is the owner's whole set, so anything else held for it
+		// (its segment shrank, a replicaDrop was lost) is no longer its
+		// replica. Forward it home like an expired one instead of waiting
+		// out repExpiry — until it is gone every digest would mismatch.
+		// There are no tombstones, so dropping it silently is not safe.
+		// Every entry the batch named was stamped with now just above.
+		var stale []Item
+		for did, e := range p.reps {
+			if e.owner.Addr == m.Owner.Addr && e.seen != now {
+				stale = append(stale, e.it)
+				delete(p.reps, did)
+			}
+		}
+		p.rehome(stale)
+	}
 	if m.Round != 0 {
 		p.send(m.Owner.Addr, replicaAck{Round: m.Round})
 	}
@@ -231,12 +359,52 @@ func (p *Peer) handleReplicaPut(from runtime.Addr, m replicaPut) {
 		// what tells a small ring it is fully replicated. TTL bounds the
 		// chain either way.
 		if succ := p.replicaSucc(); succ.Valid() {
-			p.sendData(succ.Addr, len(m.Items), replicaPut{
-				Owner: m.Owner,
-				Round: m.Round,
-				TTL:   m.TTL - 1,
-				Items: m.Items,
-			})
+			m.TTL--
+			p.sendData(succ.Addr, len(m.Items), m)
+		}
+	}
+}
+
+// handleReplicaDigest compares the owner's digest with the replicas held for
+// it. On a match they are as fresh as a re-push would make them: refresh,
+// ack, forward. On a mismatch do nothing at all — not even forward, since a
+// digest that wrapped back to the owner of a small ring would clear the very
+// deficit the silence is meant to raise.
+func (p *Peer) handleReplicaDigest(m replicaDigest) {
+	if !p.replicationOn() {
+		return
+	}
+	if m.Owner.Addr == p.Addr {
+		if m.Round != 0 && m.Round == p.repRound {
+			p.repWrapped = true
+		}
+		return
+	}
+	if p.Role != TPeer {
+		return
+	}
+	count, sum := 0, uint64(0)
+	for _, e := range p.reps {
+		if e.owner.Addr == m.Owner.Addr {
+			count++
+			sum ^= itemSum(e.it)
+		}
+	}
+	if count != m.Count || sum != m.Sum {
+		return
+	}
+	now := p.sys.rt.Now()
+	for did, e := range p.reps {
+		if e.owner.Addr == m.Owner.Addr {
+			e.seen = now
+			p.reps[did] = e
+		}
+	}
+	p.send(m.Owner.Addr, replicaAck{Round: m.Round})
+	if m.TTL > 1 {
+		if succ := p.replicaSucc(); succ.Valid() {
+			m.TTL--
+			p.send(succ.Addr, m)
 		}
 	}
 }
@@ -275,7 +443,7 @@ func (p *Peer) handleOwnerAnnounce(m ownerAnnounce) {
 		return
 	}
 	for _, it := range m.Items {
-		if p.inLocalSegment(p.segmentID(it.Key)) {
+		if p.inLocalSegment(p.itemSID(it)) {
 			p.ownedAdd(it)
 		}
 	}
@@ -320,7 +488,7 @@ func (p *Peer) sweepReplicas(moved []Item) []Item {
 	}
 	var foreign []Item
 	for _, it := range p.owned {
-		if !p.inLocalSegment(p.segmentID(it.Key)) {
+		if !p.inLocalSegment(p.itemSID(it)) {
 			foreign = append(foreign, it)
 		}
 	}
@@ -334,7 +502,7 @@ func (p *Peer) sweepReplicas(moved []Item) []Item {
 	var promote, orphaned []Item
 	for _, e := range p.reps {
 		switch {
-		case p.Role == TPeer && p.inLocalSegment(p.segmentID(e.it.Key)):
+		case p.Role == TPeer && p.inLocalSegment(p.itemSID(e.it)):
 			promote = append(promote, e.it)
 		case now-e.seen >= p.repExpiry(),
 			len(p.suspect) != 0 && p.suspect[e.owner.Addr]:

@@ -147,6 +147,22 @@ func TestReplicationDegradesBelowK(t *testing.T) {
 		}
 	})
 
+	// A digest that wraps the two-peer ring clears the deficit like a wrapped
+	// put does: anti-entropy keeps running without re-sending the set.
+	base := sys.Stats()
+	sys.Settle(2 * repPushEvery * sys.Cfg.HelloEvery)
+	st := sys.Stats()
+	if st.ReplicaDigests == base.ReplicaDigests {
+		t.Error("no digest sent on a ring smaller than k")
+	}
+	if st.DigestMismatches != base.DigestMismatches || st.ReplicaFullPushes != base.ReplicaFullPushes {
+		t.Errorf("wrapped digests read as a deficit: mismatches %d -> %d, full pushes %d -> %d",
+			base.DigestMismatches, st.DigestMismatches, base.ReplicaFullPushes, st.ReplicaFullPushes)
+	}
+	if h := sys.HealthScore(); h.ReplicaDeficit != 0 {
+		t.Errorf("replica deficit %d after wrapped digests", h.ReplicaDeficit)
+	}
+
 	// Down to one: the survivor owns the whole ring and must still answer.
 	sys.Runtime().Do(func() { peers[0].Crash() })
 	sys.Settle(6 * sys.Cfg.HelloTimeout)
@@ -426,5 +442,377 @@ func TestReplicationLiveRuntime(t *testing.T) {
 	}
 	if ok != len(keys) {
 		t.Fatalf("only %d/%d keys survived the crash wave at k=2", ok, len(keys))
+	}
+}
+
+// --- incremental replication (delta / digest / full-on-edge) -----------------
+
+// repTraffic tallies replication messages seen by a send tap.
+type repTraffic struct {
+	fullPuts  map[runtime.Addr]int // replicaPuts marked Full, by originating owner
+	digests   int                  // owner-originated replicaDigests
+	announced int                  // item copies carried by ownerAnnounces
+	// wholeSets counts, by the t-peer addressed, ownerAnnounces that carried
+	// the sender's whole in-segment set of two or more items.
+	wholeSets map[runtime.Addr]int
+	byType    map[string]int
+}
+
+// tapReplication installs a send tap that tallies replication traffic.
+func tapReplication(sys *System) *repTraffic {
+	tr := &repTraffic{
+		fullPuts:  make(map[runtime.Addr]int),
+		wholeSets: make(map[runtime.Addr]int),
+		byType:    make(map[string]int),
+	}
+	sys.TapSends(func(from, to runtime.Addr, msg any) {
+		tr.byType[fmt.Sprintf("%T", msg)]++
+		switch m := msg.(type) {
+		case replicaPut:
+			if m.Full && from == m.Owner.Addr {
+				tr.fullPuts[from]++
+			}
+		case replicaDigest:
+			if from == m.Owner.Addr {
+				tr.digests++
+			}
+		case ownerAnnounce:
+			tr.announced += len(m.Items)
+			inSeg := 0
+			sp := sys.peerAt(from)
+			for _, it := range sp.data {
+				if sp.inLocalSegment(sp.itemSID(it)) {
+					inSeg++
+				}
+			}
+			if inSeg >= 2 && len(m.Items) == inSeg {
+				tr.wholeSets[to]++
+			}
+		}
+	})
+	return tr
+}
+
+// busiestOwner returns the live t-peer with the most s-peers below it that
+// also has two distinct ring successors, i.e. a full k=3 chain. Call under Do.
+func busiestOwner(t *testing.T, sys *System) *Peer {
+	t.Helper()
+	var best *Peer
+	for _, tp := range sys.TPeers() {
+		if tp.succ.Addr == tp.Addr || tp.succ2.Addr == tp.Addr || tp.succ2.Addr == tp.succ.Addr {
+			continue
+		}
+		if best == nil || tp.subtreeSize() > best.subtreeSize() {
+			best = tp
+		}
+	}
+	if best == nil {
+		t.Fatal("no t-peer with two distinct successors")
+	}
+	return best
+}
+
+// keysOwnedBy returns n fresh keys whose segment owner is the given t-peer.
+func keysOwnedBy(sys *System, owner *Peer, prefix string, n int) []string {
+	var keys []string
+	for i := 0; len(keys) < n; i++ {
+		key := keyf("%s-%05d", prefix, i)
+		if keyOwner(sys, key) == owner {
+			keys = append(keys, key)
+		}
+	}
+	return keys
+}
+
+// heldFor returns the replicas a peer holds on behalf of one owner.
+func heldFor(holder, owner *Peer) map[idspace.ID]repEntry {
+	out := make(map[idspace.ID]repEntry)
+	for did, e := range holder.reps {
+		if e.owner.Addr == owner.Addr {
+			out[did] = e
+		}
+	}
+	return out
+}
+
+// storeVia stores keys from a given origin peer, failing the test on a miss.
+func storeVia(t *testing.T, sys *System, origin *Peer, keys []string) {
+	t.Helper()
+	for _, key := range keys {
+		if r, err := sys.StoreSync(origin, key, "v"); err != nil || !r.OK {
+			t.Fatalf("store %s: ok=%v err=%v", key, r.OK, err)
+		}
+	}
+}
+
+// steadyChain builds a k=3 system, stores warm keys on one owner with a full
+// chain — from its predecessor, so that spread placement scatters them over
+// the owner's s-network — and lets replication settle. Returns the owner and
+// its two holders.
+func steadyChain(t *testing.T, seed int64, warm int) (*System, *repTraffic, *Peer, [2]*Peer) {
+	t.Helper()
+	sys := newTestSystem(t, seed, replConfig(3))
+	tr := tapReplication(sys)
+	if _, _, err := sys.BuildPopulation(PopulationOpts{N: 40}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Settle(10 * sim.Second)
+	owner := busiestOwner(t, sys)
+	storeVia(t, sys, sys.peerAt(owner.pred.Addr), keysOwnedBy(sys, owner, "warm", warm))
+	sys.Settle(2 * repPushEvery * sys.Cfg.HelloEvery)
+	if err := sys.CheckInvariants(); err != nil {
+		t.Fatalf("after warm-up: %v", err)
+	}
+	holders := [2]*Peer{sys.peerAt(owner.succ.Addr), sys.peerAt(owner.succ2.Addr)}
+	for _, h := range holders {
+		if got := len(heldFor(h, owner)); got != len(owner.owned) {
+			t.Fatalf("holder %d keeps %d of the owner's %d items after warm-up", h.Addr, got, len(owner.owned))
+		}
+	}
+	return sys, tr, owner, holders
+}
+
+// TestReplicationSteadyWrites is the digest-starvation guard and the
+// traffic-proportional-to-writes check: one store per tick, all on one owner,
+// for longer than three replica lifetimes. The digest must ride behind every
+// periodic delta (or the holders' copies age out and the rehome sweep
+// re-stores them), and no path may re-send the stored set: item copies pushed
+// and announced stay linear in the stores, with no full push after the
+// owner's first.
+func TestReplicationSteadyWrites(t *testing.T) {
+	sys, tr, owner, holders := steadyChain(t, 31, 1)
+	tick := sys.Cfg.HelloEvery
+	base, baseFull, baseAnnounced := sys.Stats(), tr.fullPuts[owner.Addr], tr.announced
+	stores := 3*int(owner.repExpiry()/tick) + 5
+	origin := sys.peerAt(owner.pred.Addr)
+	for i, key := range keysOwnedBy(sys, owner, "steady", stores) {
+		storeVia(t, sys, origin, []string{key})
+		sys.Settle(tick)
+		now := sys.Eng().Now()
+		for _, h := range holders {
+			for did, e := range heldFor(h, owner) {
+				if age := now - e.seen; age > (repPushEvery+1)*tick {
+					t.Fatalf("tick %d: holder %d's replica %v not refreshed for %v", i, h.Addr, did, age)
+				}
+			}
+		}
+	}
+	sys.Settle(2 * tick)
+	st := sys.Stats()
+	if got := st.ItemsRehomed - base.ItemsRehomed; got != 0 {
+		t.Errorf("%d items rehomed under steady writes, want 0", got)
+	}
+	if got := st.ReplicasPushed - base.ReplicasPushed; got > uint64(3*stores) {
+		t.Errorf("%d replica copies pushed for %d stores, want <= %d", got, stores, 3*stores)
+	}
+	if got := tr.announced - baseAnnounced; got > 3*stores {
+		t.Errorf("%d item copies announced for %d stores, want <= %d", got, stores, 3*stores)
+	}
+	if got := tr.fullPuts[owner.Addr] - baseFull; got != 0 {
+		t.Errorf("%d full pushes with quiet membership, want 0", got)
+	}
+	if got := st.ReplicaFullPushes - base.ReplicaFullPushes; got != 0 {
+		t.Errorf("ReplicaFullPushes rose by %d with quiet membership", got)
+	}
+	if st.DigestMismatches != base.DigestMismatches {
+		t.Errorf("digest mismatches %d -> %d with nothing diverging", base.DigestMismatches, st.DigestMismatches)
+	}
+	if st.ReplicaDigests == base.ReplicaDigests || tr.digests == 0 {
+		t.Error("no digest went out under sustained writes")
+	}
+	if err := sys.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplicationDeltaLossFullPush: a delta replicaPut lost on the wire draws
+// no acks, which the next tick reads as a deficit and answers with the full
+// set.
+func TestReplicationDeltaLossFullPush(t *testing.T) {
+	sys, tr, owner, holders := steadyChain(t, 32, 3)
+	tick := sys.Cfg.HelloEvery
+	faults := simnet.NewFaults(simnet.FaultConfig{Seed: 1})
+	faults.SetLink(owner.Addr, holders[0].Addr, simnet.LinkFaults{DropRate: 1})
+	sys.Net().SetFaults(faults)
+	storeVia(t, sys, owner, keysOwnedBy(sys, owner, "lost", 1))
+	sys.Settle(tick) // the eager push and the tick's delta both die on the link
+	sys.Net().SetFaults(nil)
+	if err := sys.CheckReplication(); err == nil {
+		t.Fatal("replication invariant holds although every push of the new item was dropped")
+	}
+	baseFull := tr.fullPuts[owner.Addr]
+	sys.Settle(tick)
+	if got := tr.fullPuts[owner.Addr] - baseFull; got != 1 {
+		t.Fatalf("%d full pushes on the tick after a lost delta, want 1", got)
+	}
+	sys.Settle(tick)
+	if err := sys.CheckReplication(); err != nil {
+		t.Fatalf("not repaired two ticks after the loss: %v", err)
+	}
+	if owner.repDeficit != 0 {
+		t.Fatalf("deficit %d after the repair", owner.repDeficit)
+	}
+	sys.Settle(2 * repPushEvery * tick)
+	if got := tr.fullPuts[owner.Addr] - baseFull; got != 1 {
+		t.Fatalf("full pushes kept coming after the repair: %d", got)
+	}
+}
+
+// TestReplicationDigestRepairs: a holder that lost an entry, or keeps one the
+// owner no longer names, fails the digest; the owner's full push repairs it
+// (the stale extra is forwarded home, not kept), the next digest matches and
+// full pushes stop.
+func TestReplicationDigestRepairs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		diverge func(sys *System, owner, holder *Peer) idspace.ID
+		rehomed uint64
+	}{
+		{name: "missing", diverge: func(_ *System, owner, holder *Peer) idspace.ID {
+			for did := range heldFor(holder, owner) {
+				delete(holder.reps, did)
+				return did
+			}
+			return 0
+		}},
+		{name: "stale-extra", rehomed: 1, diverge: func(sys *System, owner, holder *Peer) idspace.ID {
+			for i := 0; ; i++ {
+				key := keyf("stale-%04d", i)
+				if o := keyOwner(sys, key); o != owner && o != holder {
+					it := Item{Key: key, Value: "v", DID: idspace.HashKey(key)}
+					holder.reps[it.DID] = repEntry{it: it, owner: owner.Ref(), seen: sys.Eng().Now()}
+					return it.DID
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, tr, owner, holders := steadyChain(t, 33, 6)
+			tick := sys.Cfg.HelloEvery
+			base, baseFull := sys.Stats(), tr.fullPuts[owner.Addr]
+			did := tc.diverge(sys, owner, holders[1])
+			sys.Settle(2 * repPushEvery * tick)
+			st := sys.Stats()
+			if got := st.DigestMismatches - base.DigestMismatches; got != 1 {
+				t.Fatalf("%d digest mismatches, want 1", got)
+			}
+			if got := tr.fullPuts[owner.Addr] - baseFull; got != 1 {
+				t.Fatalf("%d full pushes to repair one divergence, want 1", got)
+			}
+			if got := st.ItemsRehomed - base.ItemsRehomed; got != tc.rehomed {
+				t.Fatalf("%d items rehomed, want %d", got, tc.rehomed)
+			}
+			held := heldFor(holders[1], owner)
+			if _, ok := held[did]; ok != (tc.rehomed == 0) {
+				t.Fatalf("diverged entry %v present=%v after the repair", did, ok)
+			}
+			if len(held) != len(owner.owned) {
+				t.Fatalf("holder keeps %d of the owner's %d items", len(held), len(owner.owned))
+			}
+			// Matching again: digests keep going out, nothing else does.
+			digests := st.ReplicaDigests
+			sys.Settle(2 * repPushEvery * tick)
+			st = sys.Stats()
+			if st.ReplicaDigests == digests {
+				t.Fatal("no digest after the repair")
+			}
+			if got := st.DigestMismatches - base.DigestMismatches; got != 1 {
+				t.Fatalf("digest still mismatching after the repair (%d rounds)", got)
+			}
+			if got := tr.fullPuts[owner.Addr] - baseFull; got != 1 {
+				t.Fatalf("full pushes kept coming after the repair: %d", got)
+			}
+			if err := sys.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestReplicationTakeover: under spread placement a t-peer crash changes two
+// edges at once. Its predecessor gets a new successor, which must receive the
+// predecessor's full set, and the promoted s-peer becomes the owner of items
+// whose bytes sit on its former siblings, which it learns from their full
+// re-announce.
+func TestReplicationTakeover(t *testing.T) {
+	sys, tr, victim, _ := steadyChain(t, 34, 12)
+	tick := sys.Cfg.HelloEvery
+	if len(victim.children) == 0 {
+		t.Fatal("victim has no s-peers to promote")
+	}
+	pred := sys.peerAt(victim.pred.Addr)
+	storeVia(t, sys, pred, keysOwnedBy(sys, pred, "pred", 4))
+	sys.Settle(2 * tick)
+	victim.Crash()
+	sys.Settle(2*sys.Cfg.HelloTimeout + 4*tick)
+
+	heir := sys.peerAt(pred.succ.Addr)
+	if heir == nil || heir == victim || heir.ID != victim.ID {
+		t.Fatalf("no s-peer was promoted into the crashed t-peer's position")
+	}
+	for did := range pred.owned {
+		if _, ok := heir.reps[did]; !ok {
+			t.Errorf("new successor lacks replica %v of its predecessor's set", did)
+		}
+	}
+	covered := 0
+	for _, sp := range sys.SPeers() {
+		if sp.tpeer.Addr != heir.Addr {
+			continue
+		}
+		for did, it := range sp.data {
+			if sp.inLocalSegment(sp.itemSID(it)) {
+				covered++
+				if _, ok := heir.owned[did]; !ok {
+					t.Errorf("promoted owner does not cover item %v stored on s-peer %d", did, sp.Addr)
+				}
+			}
+		}
+	}
+	if covered == 0 {
+		t.Fatal("no spread item sits below the promoted owner; the test proves nothing")
+	}
+	// Replicas forwarded home by the dead owner's chain would get the heir
+	// there as well, item by item; the s-peers re-sending their sets is what
+	// must have run.
+	if tr.wholeSets[heir.Addr] == 0 {
+		t.Error("no s-peer re-announced its whole in-segment set to the promoted owner")
+	}
+	if err := sys.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplicationOffSendsNothing: k = 1 stays inert — no replication message
+// of any kind and no replication state on any peer.
+func TestReplicationOffSendsNothing(t *testing.T) {
+	sys := newTestSystem(t, 35, func(c *Config) {
+		c.Ps = 0.7
+		hardenedConfig(c)
+	})
+	tr := tapReplication(sys)
+	peers, _, err := sys.BuildPopulation(PopulationOpts{N: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Settle(10 * sim.Second)
+	for i := 0; i < 20; i++ {
+		if r, err := sys.StoreSync(peers[(i*7)%len(peers)], keyf("inert-%02d", i), "v"); err != nil || !r.OK {
+			t.Fatalf("store %d: ok=%v err=%v", i, r.OK, err)
+		}
+	}
+	sys.Settle(2 * repPushEvery * sys.Cfg.HelloEvery)
+	for _, typ := range []string{"core.replicaPut", "core.replicaDigest", "core.replicaAck", "core.ownerAnnounce"} {
+		if n := tr.byType[typ]; n != 0 {
+			t.Errorf("%d %s sent at k=1", n, typ)
+		}
+	}
+	if tr.byType["core.helloMsg"] == 0 {
+		t.Fatal("the tap saw no traffic at all")
+	}
+	for _, p := range sys.Peers() {
+		if p.owned != nil || p.reps != nil || p.repPending != nil || p.repAcks != nil {
+			t.Errorf("peer %d allocated replication state at k=1", p.Addr)
+		}
 	}
 }

@@ -95,7 +95,10 @@ type SystemStats struct {
 	WalksSent          uint64
 	SearchesSent       uint64
 	ItemsRehomed       uint64 // foreign items re-routed to their owning segment
-	ReplicasPushed     uint64 // replica copies sent down the successor chain
+	ReplicasPushed     uint64 // item copies in owner-originated replicaPuts (eager, delta and full)
+	ReplicaFullPushes  uint64 // replicaPuts that carried an owner's whole owned set
+	ReplicaDigests     uint64 // replicaDigests sent by owners
+	DigestMismatches   uint64 // digest rounds that drew fewer than k−1 acks
 	ReplicaServes      uint64 // lookups answered from an owned or replica copy
 	ReadRepairs        uint64 // replica serves that re-installed the item on its owner
 	ReplicaPromotions  uint64 // held replicas promoted to owned after a takeover

@@ -95,5 +95,8 @@ func WireMessages() []any {
 		routeHint{},
 		hintDrop{},
 		deleteRing{},
+
+		// Replication anti-entropy (PR 20).
+		replicaDigest{},
 	}
 }

@@ -27,7 +27,7 @@ func (id ID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
 func HashKey(key string) ID {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	return ID(mix64(h.Sum64()))
+	return ID(Mix64(h.Sum64()))
 }
 
 // HashBytes maps raw bytes (e.g. a serialized network address) to an ID.
@@ -35,11 +35,12 @@ func HashKey(key string) ID {
 func HashBytes(b []byte) ID {
 	h := fnv.New64a()
 	h.Write(b)
-	return ID(mix64(h.Sum64()))
+	return ID(Mix64(h.Sum64()))
 }
 
-// mix64 is the MurmurHash3/SplitMix64 avalanche finalizer.
-func mix64(h uint64) uint64 {
+// Mix64 is the MurmurHash3/SplitMix64 avalanche finalizer: a bijection on
+// 64-bit words in which every input bit affects every output bit.
+func Mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

@@ -143,7 +143,8 @@ func appendValue(buf []byte, v reflect.Value) []byte {
 }
 
 // maxWireSlice bounds decoded slice and string lengths; a corrupt or hostile
-// length prefix must not drive an allocation by itself.
+// length prefix must not drive an allocation by itself. Below it, a length is
+// also held against the bytes that remain to back it.
 const maxWireSlice = 1 << 20
 
 func readValue(b []byte, v reflect.Value) ([]byte, error) {
@@ -195,6 +196,12 @@ func readValue(b []byte, v reflect.Value) ([]byte, error) {
 		b = b[w:]
 		if n == 0 {
 			return b, nil // leave the field nil, matching the encoded value
+		}
+		// Every kind that occupies memory encodes to at least one byte, so
+		// a count beyond the bytes left cannot be honest; refuse it before
+		// it sizes an allocation.
+		if n > uint64(len(b)) && v.Type().Elem().Size() != 0 {
+			return nil, fmt.Errorf("slice length %d exceeds the %d bytes left", n, len(b))
 		}
 		s := reflect.MakeSlice(v.Type(), int(n), int(n))
 		var err error

@@ -63,6 +63,15 @@ await_healthz() {
     done
 }
 
+# metric_sum NAME — add one gauge up over the /metrics of both processes that
+# serve HTTP. They host every t-peer (workers 2 and 3 are all-s), so for an
+# owner-side counter that is the cluster total.
+metric_sum() {
+    for addr in "$BOOT_HTTP" "$W1_HTTP"; do
+        curl -fsS "http://$addr/metrics" || fail "GET /metrics on $addr failed"
+    done | awk -v m="$1" '$1 == m { s += $2 } END { printf "%d\n", s }'
+}
+
 # http_addr LOG — extract the introspection address from the banner.
 http_addr() {
     sed -n 's|^introspection: http://\([^/]*\)/.*|\1|p' "$1"
@@ -141,6 +150,21 @@ while [ $i -lt $KEYS ]; do
     i=$((i + 1))
 done
 
+# The incremental path is the one in use: an item costs its eager push and
+# one tracked delta (2 copies), plus each owner's first full push — not a
+# re-send of the owner's whole set per tick (about 20 copies per key here).
+# The gauges are set by the health sampler, so wait for them to stand still.
+PUSHED=-1
+for try in 1 2 3 4 5 6 7 8 9 10; do
+    prev=$PUSHED
+    PUSHED=$(metric_sum core_replicas_pushed)
+    [ "$PUSHED" -gt 0 ] && [ "$PUSHED" = "$prev" ] && break
+    sleep 0.5
+done
+[ "$PUSHED" -gt 0 ] || fail "core_replicas_pushed is 0 after $KEYS PUTs at k=3"
+[ "$PUSHED" -le $((3 * KEYS)) ] \
+    || fail "$PUSHED replica copies pushed for $KEYS keys (more than 3 per key): replication is re-sending stored state"
+
 # 6. SIGKILL both all-s workers at once: sixteen peers — and whatever data
 # was spread onto them — vanish mid-heartbeat.
 kill -9 "$W2_PID" "$W3_PID"
@@ -182,4 +206,4 @@ BOOT_PID=""
 wait "$W1_PID" || fail "worker1 exited nonzero after SIGTERM"
 W1_PID=""
 
-echo "replication smoke: OK ($KEYS/$KEYS keys survived losing 2 of 4 processes at k=3)"
+echo "replication smoke: OK ($KEYS/$KEYS keys survived losing 2 of 4 processes at k=3; $PUSHED replica copies pushed for $KEYS PUTs)"
