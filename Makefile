@@ -1,7 +1,7 @@
 GO ?= go
 GATES := faultcheck determinism conformance allocguard routinggate retired introspect-smoke net-smoke replication-smoke
 
-.PHONY: all build check vet staticcheck test race $(GATES) cluster bench benchscale
+.PHONY: all build check vet staticcheck test race $(GATES) cluster benchscale
 
 all: check
 
@@ -41,11 +41,6 @@ $(GATES):
 # servers.json manifest; Ctrl-C stops it (see scripts/run_cluster.sh).
 cluster:
 	sh ./scripts/run_cluster.sh
-
-# Go micro-benchmarks of the figure sweeps, for profiling while you work. The
-# repository benchmark, with bounds, is `bash bench/run.sh` (BENCHMARK.json).
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x
 
 # Short-mode scale sweep: one 10k-peer point of the Scale experiment,
 # reporting bytes/peer, peers/GB and events/sec (see EXPERIMENTS.md "Scale").

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/simnet"
+	"repro/internal/topology"
 )
 
 // Allocation guards for the two hot paths the memory work pinned down: the
@@ -46,7 +49,7 @@ func TestLookupAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a full system")
 	}
-	sys, peers := benchSystem(t, 0.7)
+	sys, peers := benchSystem(t)
 	const keys = 64
 	for i := 0; i < keys; i++ {
 		if _, err := sys.StoreSync(peers[i%len(peers)], fmt.Sprintf("ak-%04d", i), "v"); err != nil {
@@ -65,4 +68,34 @@ func TestLookupAllocBudget(t *testing.T) {
 		t.Fatalf("lookup allocates %.1f allocs/op, budget %d", avg, budget)
 	}
 	t.Logf("lookup allocs/op: %.1f (budget %d)", avg, budget)
+}
+
+// benchSystem builds the settled 100-peer system the lookup budget is
+// measured on.
+func benchSystem(t *testing.T) (*core.System, []*core.Peer) {
+	t.Helper()
+	tc := topology.Config{
+		TransitDomains: 2, TransitNodesPerDomain: 2,
+		StubDomainsPerTransit: 2, StubNodesPerDomain: 12,
+		ExtraTransitEdges: 2, ExtraStubEdges: 2,
+		TransitScale: 10, BaseLatency: 500, LatencyPerUnit: 20000,
+	}
+	topo, err := topology.GenerateTransitStub(tc, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.New(7)
+	net := simnet.New(eng, topo, simnet.DefaultConfig())
+	cfg := core.DefaultConfig()
+	cfg.Ps = 0.7
+	sys, err := core.NewSystem(simnet.NewRuntime(eng, net), cfg, topo.StubNodes()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers, _, err := sys.BuildPopulation(core.PopulationOpts{N: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Settle(5 * sim.Second)
+	return sys, peers
 }

@@ -1,23 +1,17 @@
-// Package repro_test holds the benchmark harness: one benchmark per paper
-// table/figure (regenerating it at a reduced, fixed scale so timings are
-// comparable across runs) plus micro-benchmarks on the hot paths.
+// Package repro_test holds one Go benchmark per paper table/figure, each
+// regenerating it at a reduced, fixed scale, for profiling while you work:
 //
-// Run everything with:
+//	go test -bench=Fig3b -benchmem -cpuprofile cpu.out
 //
-//	go test -bench=. -benchmem
+// Nothing reads their timings. The repository benchmark, with bounds and
+// per-layer probes (event heap, topology, hash, codec), is `bash bench/run.sh`
+// (BENCHMARK.json); the allocation guards are in alloc_test.go.
 package repro_test
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/analytic"
-	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/idspace"
-	"repro/internal/sim"
-	"repro/internal/simnet"
-	"repro/internal/topology"
 )
 
 // benchOptions is the fixed scale every per-figure benchmark runs at.
@@ -40,8 +34,6 @@ func runExperiment(b *testing.B, id string) {
 	}
 }
 
-// --- One benchmark per paper table/figure -----------------------------------
-
 func BenchmarkFig3aJoinLatency(b *testing.B)     { runExperiment(b, "Fig3a") }
 func BenchmarkFig3bLookupLatency(b *testing.B)   { runExperiment(b, "Fig3b") }
 func BenchmarkFig4DataDistribution(b *testing.B) { runExperiment(b, "Fig4") }
@@ -50,210 +42,3 @@ func BenchmarkFig5bCrashFailure(b *testing.B)    { runExperiment(b, "Fig5b") }
 func BenchmarkFig6aHeterogeneity(b *testing.B)   { runExperiment(b, "Fig6a") }
 func BenchmarkFig6bTopologyAware(b *testing.B)   { runExperiment(b, "Fig6b") }
 func BenchmarkTable2Connum(b *testing.B)         { runExperiment(b, "Table2") }
-
-// --- Ablation benchmarks (design decisions from DESIGN.md) -------------------
-
-func BenchmarkAblationSNetTopology(b *testing.B) { runExperiment(b, "AblationTree") }
-func BenchmarkAblationBypassLinks(b *testing.B)  { runExperiment(b, "AblationBypass") }
-func BenchmarkBaselines(b *testing.B)            { runExperiment(b, "Baselines") }
-
-// --- Parallel sweep ----------------------------------------------------------
-
-// BenchmarkSweepParallel runs one full multi-point experiment through the
-// worker-pool sweep runner at 1 and 4 workers. On a multi-core machine the
-// 4-worker variant should approach a 4x speedup (the points are independent
-// simulations over one shared topology); on a single-core machine the two
-// are expected to tie.
-func BenchmarkSweepParallel(b *testing.B) {
-	e, ok := exp.ByID("Fig5a")
-	if !ok {
-		b.Fatal("Fig5a not registered")
-	}
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			o := benchOptions()
-			o.Workers = w
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkLatencyMatrix compares point latency queries answered by the
-// precomputed stub-to-stub matrix against the on-demand Dijkstra tree cache,
-// plus the one-time cost of building the matrix itself.
-func BenchmarkLatencyMatrix(b *testing.B) {
-	build := func(b *testing.B) *topology.Graph {
-		g, err := topology.GenerateTransitStub(topology.DefaultConfig(), 11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return g
-	}
-
-	b.Run("precompute", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			g := build(b)
-			b.StartTimer()
-			g.PrecomputeStubMatrix(4)
-		}
-	})
-
-	queryLoop := func(b *testing.B, g *topology.Graph) {
-		stubs := g.StubNodes()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := g.Latency(stubs[(i*31)%len(stubs)], stubs[(i*17+5)%len(stubs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("lookup/dijkstra", func(b *testing.B) {
-		g := build(b)
-		queryLoop(b, g) // first pass per source pays Dijkstra, then tree reads
-	})
-	b.Run("lookup/matrix", func(b *testing.B) {
-		g := build(b)
-		g.PrecomputeStubMatrix(4)
-		queryLoop(b, g)
-	})
-}
-
-// --- Micro-benchmarks on the hot paths ---------------------------------------
-
-func BenchmarkEventEngine(b *testing.B) {
-	eng := sim.New(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.After(sim.Time(i%1000+1), func() {})
-		if i%64 == 63 {
-			eng.RunSteps(64)
-		}
-	}
-	eng.Run()
-}
-
-func BenchmarkHashKey(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = idspace.HashKey("item-000123")
-	}
-}
-
-func BenchmarkBetween(b *testing.B) {
-	a, x, c := idspace.ID(10), idspace.ID(500), idspace.ID(100)
-	for i := 0; i < b.N; i++ {
-		_ = idspace.Between(a, x, c)
-	}
-}
-
-func BenchmarkTopologyGenerate(b *testing.B) {
-	cfg := topology.DefaultConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := topology.GenerateTransitStub(cfg, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDijkstraShortestPath(b *testing.B) {
-	g, err := topology.GenerateTransitStub(topology.DefaultConfig(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	stubs := g.StubNodes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Uncached source each iteration defeats memoization on the
-		// first pass; later passes measure the cached path.
-		if _, err := g.Latency(stubs[i%len(stubs)], stubs[(i*31+7)%len(stubs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchSystem builds a reusable hybrid system for operation benchmarks.
-func benchSystem(b testing.TB, ps float64) (*core.System, []*core.Peer) {
-	b.Helper()
-	tc := topology.Config{
-		TransitDomains: 2, TransitNodesPerDomain: 2,
-		StubDomainsPerTransit: 2, StubNodesPerDomain: 12,
-		ExtraTransitEdges: 2, ExtraStubEdges: 2,
-		TransitScale: 10, BaseLatency: 500, LatencyPerUnit: 20000,
-	}
-	topo, err := topology.GenerateTransitStub(tc, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := sim.New(7)
-	net := simnet.New(eng, topo, simnet.DefaultConfig())
-	cfg := core.DefaultConfig()
-	cfg.Ps = ps
-	sys, err := core.NewSystem(simnet.NewRuntime(eng, net), cfg, topo.StubNodes()[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	peers, _, err := sys.BuildPopulation(core.PopulationOpts{N: 100})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys.Settle(5 * sim.Second)
-	return sys, peers
-}
-
-func BenchmarkHybridJoin(b *testing.B) {
-	sys, _ := benchSystem(b, 0.7)
-	stubs := sys.Runtime().Placement().StubHosts()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sys.JoinSync(core.JoinOpts{Host: stubs[i%len(stubs)], Capacity: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHybridStore(b *testing.B) {
-	sys, peers := benchSystem(b, 0.7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.StoreSync(peers[i%len(peers)], fmt.Sprintf("bench-%08d", i), "v"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHybridLookup(b *testing.B) {
-	sys, peers := benchSystem(b, 0.7)
-	const keys = 256
-	for i := 0; i < keys; i++ {
-		if _, err := sys.StoreSync(peers[i%len(peers)], fmt.Sprintf("lk-%04d", i), "v"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.LookupSync(peers[(i*13)%len(peers)], fmt.Sprintf("lk-%04d", i%keys)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAnalyticJoinLatency(b *testing.B) {
-	p := analytic.Params{N: 1000, Ps: 0.7, Delta: 3, TTL: 4}
-	for i := 0; i < b.N; i++ {
-		_ = analytic.JoinLatency(p)
-	}
-}

@@ -538,21 +538,3 @@ func (s *System) ItemsPerPeer() []int {
 	}
 	return out
 }
-
-// DebugPendingOps lists in-flight client operations per peer ("kind key"),
-// for tests and debugging.
-func (s *System) DebugPendingOps() map[runtime.Addr][]string {
-	out := make(map[runtime.Addr][]string)
-	for _, p := range s.peers {
-		if p == nil {
-			continue
-		}
-		for _, o := range p.pending {
-			if o.kind == "fixfinger" {
-				continue
-			}
-			out[p.Addr] = append(out[p.Addr], fmt.Sprintf("%s %s timer=%v", o.kind, o.key, s.rt.Scheduled(o.timer)))
-		}
-	}
-	return out
-}

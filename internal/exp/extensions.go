@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -172,38 +171,22 @@ func RunLinkStress(o Options) (*Result, error) {
 	}
 	arms, err := sweep(o, len(modes), func(i int) (stressArm, error) {
 		aware := modes[i]
-		// The simnet tracks per-link stress, so each arm builds its own net
-		// over the shared immutable topology graph.
-		topoGraph, err := expTopology(o, o.topoSeed())
-		if err != nil {
-			return stressArm{}, err
-		}
-		armStart := time.Now()
-		eng := sim.New(o.Seed + 920)
+		// Only this experiment pays for per-link counting, so it hands
+		// construct its own message-layer configuration.
 		ncfg := simnet.DefaultConfig()
 		ncfg.TrackLinkStress = true
-		net := simnet.New(eng, topoGraph, ncfg)
-		if o.Trace != nil {
-			net.SetTracer(o.Trace)
-		}
 		cfg := expConfig(0.7)
 		if aware {
 			cfg.Landmarks = 8
 			cfg.Assignment = core.AssignCluster
 		}
-		sys, err := core.NewSystem(simnet.NewRuntime(eng, net), cfg, topoGraph.StubNodes()[0])
+		sc, err := construct(o, nil, ncfg, cfg, o.Seed+920)
 		if err != nil {
 			return stressArm{}, err
 		}
-		peers, joins, err := sys.BuildPopulation(core.PopulationOpts{N: o.N})
-		if err != nil {
+		if err := sc.populate(o.N, nil, nil); err != nil {
 			return stressArm{}, err
 		}
-		if o.Trace != nil {
-			sys.SetTracer(o.Trace)
-		}
-		sys.Settle(2 * cfg.HelloEvery)
-		sc := &scenario{Sys: sys, Eng: eng, Net: net, Topo: topoGraph, Peers: peers, Joins: joins, wallStart: armStart}
 		if _, err := sc.storeItems(keys); err != nil {
 			return stressArm{}, err
 		}
@@ -217,7 +200,7 @@ func RunLinkStress(o Options) (*Result, error) {
 			sc.observe(o, "LinkStress basic")
 		}
 		return stressArm{
-			maxStress: float64(net.MaxLinkStress()),
+			maxStress: float64(sc.Net.MaxLinkStress()),
 			latency:   meanLatencyMs(rs),
 		}, nil
 	})

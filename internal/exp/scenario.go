@@ -138,18 +138,23 @@ type scenario struct {
 	wallStart time.Time
 }
 
-// buildScenario creates a system with the given config and joins N peers.
-// seed drives the simulation engine only; the topology is the experiment's
-// shared graph (see topoSeed), so concurrent sweep points build their
-// populations over one immutable physical network.
-func buildScenario(o Options, cfg core.Config, seed int64, capacities []float64, interests []int) (*scenario, error) {
+// construct creates one hybrid system with nobody in it yet: engine, message
+// layer (o.Faults armed), system, tracer and — with o.Hist — the histogram
+// registry. seed drives the simulation engine only. topo is the physical
+// network; nil means the experiment's shared graph (see topoSeed), so
+// concurrent sweep points build over one immutable network. Between construct
+// and populate a caller may still act on the empty system (hybridsim adds its
+// partition window to the fault layer there).
+func construct(o Options, topo *topology.Graph, ncfg simnet.Config, cfg core.Config, seed int64) (*scenario, error) {
 	start := time.Now()
-	topo, err := expTopology(o, o.topoSeed())
-	if err != nil {
-		return nil, err
+	if topo == nil {
+		var err error
+		if topo, err = expTopology(o, o.topoSeed()); err != nil {
+			return nil, err
+		}
 	}
 	eng := sim.New(seed)
-	net := simnet.New(eng, topo, simnet.DefaultConfig())
+	net := simnet.New(eng, topo, ncfg)
 	if o.Faults != nil {
 		net.SetFaults(simnet.NewFaults(*o.Faults))
 	}
@@ -166,25 +171,51 @@ func buildScenario(o Options, cfg core.Config, seed int64, capacities []float64,
 		reg = obs.NewRegistry()
 		sys.SetMetrics(reg)
 	}
-	peers, joins, err := sys.BuildPopulation(core.PopulationOpts{
-		N:          o.N,
+	return &scenario{Sys: sys, Eng: eng, Net: net, Topo: topo, Reg: reg, wallStart: start}, nil
+}
+
+// populate joins n peers and lets the overlay settle for two HELLO periods.
+func (s *scenario) populate(n int, capacities []float64, interests []int) error {
+	var err error
+	s.Peers, s.Joins, err = s.Sys.BuildPopulation(core.PopulationOpts{
+		N:          n,
 		Capacities: capacities,
 		Interests:  interests,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sys.Settle(2 * cfg.HelloEvery)
-	return &scenario{Sys: sys, Eng: eng, Net: net, Topo: topo, Peers: peers, Joins: joins, Reg: reg, wallStart: start}, nil
+	s.Sys.Settle(2 * s.Sys.Cfg.HelloEvery)
+	return nil
 }
 
-// observe snapshots the scenario's engine, network and protocol counters into
-// the run recorder as one labeled point. It is a no-op without a recorder, and
-// it never writes to the result path.
+// buildScenario is construct over the shared topology plus populate with o.N
+// peers: what every experiment without a step of its own in between uses.
+func buildScenario(o Options, cfg core.Config, seed int64, capacities []float64, interests []int) (*scenario, error) {
+	sc, err := construct(o, nil, simnet.DefaultConfig(), cfg, seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := sc.populate(o.N, capacities, interests); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// observe records the scenario's snapshot in the run recorder as one labeled
+// point. It is a no-op without a recorder, and it never writes to the result
+// path.
 func (s *scenario) observe(o Options, label string) {
 	if o.Obs == nil {
 		return
 	}
+	o.Obs.Point(label, time.Since(s.wallStart), s.snapshot())
+}
+
+// snapshot reads the scenario's engine, network and protocol counters, the
+// items-per-peer distribution and (with Options.Hist) the system's own
+// lookup/store histograms into one manifest point.
+func (s *scenario) snapshot() map[string]float64 {
 	reg := obs.NewRegistry()
 	reg.Counter("sim.events").Add(int64(s.Eng.Dispatched()))
 	reg.Gauge("sim.time_s").Set(float64(s.Eng.Now()) / float64(sim.Second))
@@ -211,11 +242,7 @@ func (s *scenario) observe(o Options, label string) {
 	reg.Counter("exp.topo_cache_hits").Add(topoCacheHits.Load())
 	reg.Counter("exp.topo_cache_misses").Add(topoCacheMisses.Load())
 
-	wall := time.Duration(0)
-	if !s.wallStart.IsZero() {
-		wall = time.Since(s.wallStart)
-	}
-	o.Obs.Point(label, wall, s.mergeHistSnapshot(reg.Snapshot()))
+	return s.mergeHistSnapshot(reg.Snapshot())
 }
 
 // alivePeer returns the i-th peer if alive, else scans forward for a live
@@ -340,11 +367,9 @@ func (s *scenario) drain(remaining *int) error {
 	return nil
 }
 
-// crashFraction abruptly crashes the given fraction of live peers, chosen
-// uniformly, without any load transfer, then lets failure detection and
-// recovery run.
-func (s *scenario) crashFraction(f float64) int {
-	rng := s.Eng.Rand()
+// crashWave abruptly crashes the given fraction of live peers, chosen
+// uniformly, without any load transfer.
+func (s *scenario) crashWave(f float64) {
 	var live []*core.Peer
 	for _, p := range s.Peers {
 		if p.Alive() {
@@ -352,18 +377,18 @@ func (s *scenario) crashFraction(f float64) int {
 		}
 	}
 	n := int(f * float64(len(live)))
-	perm := rng.Perm(len(live))
-	crashed := 0
-	for _, idx := range perm[:n] {
+	for _, idx := range s.Eng.Rand().Perm(len(live))[:n] {
 		live[idx].Crash()
-		crashed++
 	}
-	// Let watchdogs fire, replacements settle and the ring re-stabilize:
-	// the paper's Fig. 5b measures the steady-state failure ratio caused
-	// by lost data, not the transient routing breakage right after the
-	// crash wave.
+}
+
+// crashFraction is crashWave followed by the long settle the figures want:
+// watchdogs fire, replacements settle and the ring re-stabilizes, because the
+// paper's Fig. 5b measures the steady-state failure ratio caused by lost
+// data, not the transient routing breakage right after the crash wave.
+func (s *scenario) crashFraction(f float64) {
+	s.crashWave(f)
 	s.Sys.Settle(8*s.Sys.Cfg.HelloTimeout + 10*s.Sys.Cfg.FingerRefreshEvery)
-	return crashed
 }
 
 // capacities13 builds the paper's 1/3-1/3-1/3 capacity mix.

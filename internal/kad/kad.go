@@ -232,15 +232,6 @@ func (n *Node) Alive() bool { return n.alive }
 // NumItems returns the number of stored items.
 func (n *Node) NumItems() int { return len(n.data) }
 
-// NumContacts returns the total routing-table size (tests).
-func (n *Node) NumContacts() int {
-	total := 0
-	for i := range n.buckets {
-		total += len(n.buckets[i])
-	}
-	return total
-}
-
 func (n *Node) self() Contact { return Contact{ID: n.ID, Addr: n.Addr} }
 
 func (n *Node) send(to runtime.Addr, msg any) {

@@ -166,41 +166,6 @@ func (h *Histogram) PDF() ([]int, []float64) {
 	return bounds, probs
 }
 
-// MassAtOrBelow returns the probability mass for values <= v.
-func (h *Histogram) MassAtOrBelow(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var m int64
-	for k, c := range h.counts {
-		if k*h.Width <= v {
-			m += c
-		}
-	}
-	return float64(m) / float64(h.total)
-}
-
-// Ratio tracks successes over trials (e.g. the lookup failure ratio).
-type Ratio struct {
-	Hits, Total int64
-}
-
-// Record adds one trial.
-func (r *Ratio) Record(hit bool) {
-	r.Total++
-	if hit {
-		r.Hits++
-	}
-}
-
-// Value returns hits/total, or 0 with no trials.
-func (r *Ratio) Value() float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Total)
-}
-
 // Table is an aligned-column text table, used to print paper-style rows.
 type Table struct {
 	Title   string
@@ -312,29 +277,4 @@ func (s *Series) YAt(x float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// RenderSeries prints several curves that share an x-axis as one table.
-func RenderSeries(title, xName string, curves ...*Series) string {
-	headers := append([]string{xName}, make([]string, len(curves))...)
-	for i, c := range curves {
-		headers[i+1] = c.Name
-	}
-	t := NewTable(title, headers...)
-	if len(curves) == 0 {
-		return t.String()
-	}
-	for i := range curves[0].X {
-		row := make([]any, len(curves)+1)
-		row[0] = fmt.Sprintf("%.2f", curves[0].X[i])
-		for j, c := range curves {
-			if i < len(c.Y) {
-				row[j+1] = c.Y[i]
-			} else {
-				row[j+1] = ""
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t.String()
 }

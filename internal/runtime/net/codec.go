@@ -78,9 +78,6 @@ func validateWireType(t reflect.Type, depth int) error {
 	}
 }
 
-// Code returns the wire code for a message, or 0 if its type is unregistered.
-func (c *Codec) Code(msg any) uint16 { return c.byType[reflect.TypeOf(msg)] }
-
 // Encode serializes a registered message, returning its code and payload.
 func (c *Codec) Encode(msg any) (uint16, []byte, error) {
 	code, ok := c.byType[reflect.TypeOf(msg)]

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/runtime"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -282,10 +284,15 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 }
 
+// The Timer/Ticker tests below drive runtime.Timer and runtime.Ticker with
+// the engine as their runtime.Clock: the DES is the one clock under which
+// "fires at exactly t" can be asserted, so the only unit tests of that logic
+// live beside the engine.
+
 func TestTimerResetExtends(t *testing.T) {
 	eng := New(1)
 	fired := 0
-	tm := NewTimer(eng, 100, func() { fired++ })
+	tm := runtime.NewTimer(eng, 100, func() { fired++ })
 	tm.Start()
 	eng.RunUntil(50)
 	tm.Reset() // now expires at 150
@@ -305,7 +312,7 @@ func TestTimerResetExtends(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	eng := New(1)
 	fired := 0
-	tm := NewTimer(eng, 10, func() { fired++ })
+	tm := runtime.NewTimer(eng, 10, func() { fired++ })
 	tm.Start()
 	tm.Stop()
 	eng.Run()
@@ -320,7 +327,7 @@ func TestTimerStop(t *testing.T) {
 func TestTimerStartAfterOverride(t *testing.T) {
 	eng := New(1)
 	var at Time
-	tm := NewTimer(eng, 1000, func() { at = eng.Now() })
+	tm := runtime.NewTimer(eng, 1000, func() { at = eng.Now() })
 	tm.StartAfter(10)
 	eng.Run()
 	if at != 10 {
@@ -331,7 +338,7 @@ func TestTimerStartAfterOverride(t *testing.T) {
 func TestTimerRestart(t *testing.T) {
 	eng := New(1)
 	fired := 0
-	tm := NewTimer(eng, 10, func() { fired++ })
+	tm := runtime.NewTimer(eng, 10, func() { fired++ })
 	tm.Start()
 	eng.Run()
 	tm.Start()
@@ -344,7 +351,7 @@ func TestTimerRestart(t *testing.T) {
 func TestTicker(t *testing.T) {
 	eng := New(1)
 	var times []Time
-	tk := NewTicker(eng, 10, func() { times = append(times, eng.Now()) })
+	tk := runtime.NewTicker(eng, 10, func() { times = append(times, eng.Now()) })
 	tk.Start()
 	eng.RunUntil(55)
 	tk.Stop()
@@ -365,7 +372,7 @@ func TestTicker(t *testing.T) {
 func TestTickerRestartResets(t *testing.T) {
 	eng := New(1)
 	ticks := 0
-	tk := NewTicker(eng, 10, func() { ticks++ })
+	tk := runtime.NewTicker(eng, 10, func() { ticks++ })
 	tk.Start()
 	eng.RunUntil(25)
 	tk.Start() // restart re-phases the ticker

@@ -30,11 +30,12 @@ gate() {
         # Determinism gate: with the fault layer compiled in but disabled,
         # sweep output must stay byte-identical to a build with no fault
         # layer armed, at any worker count — and every experiment's quick
-        # output must match the hashes committed in
-        # internal/exp/testdata/quick_golden.sha256.
-        echo "== determinism gate (fault layer off, worker counts, quick-output golden)"
+        # output and hybridsim's pinned command lines must match the hashes
+        # committed in internal/exp/testdata/{quick,freeform}_golden.sha256.
+        echo "== determinism gate (fault layer off, worker counts, quick-output and hybridsim goldens)"
         go test ./internal/exp -count=1 \
-            -run '^(TestFaultLayerOffIsByteIdentical|TestParallelSweepDeterminism|TestQuickOutputGolden)$'
+            -run '^(TestFaultLayerOffIsByteIdentical|TestParallelSweepDeterminism|TestQuickOutputGolden|TestFreeformGolden)$'
+        go test ./cmd/hybridsim -count=1 -run '^TestStdoutGolden$'
         ;;
     conformance)
         # Cross-runtime conformance gate: the same join/store/crash/lookup
@@ -69,10 +70,13 @@ gate() {
     retired)
         # Names deleted on purpose must not come back: the routing bool
         # beside the strategy seam, the registry's Timer kind, hybridsim's
-        # flag for the former. CHANGES.md, ROADMAP.md and ISSUE.md may tell
-        # the story; this script has to spell the patterns.
-        echo "== retired-name gate (routing bool, obs Timer, hybridsim linear flag)"
-        if grep -rnE 'SuccessorRouting|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)' \
+        # flag for the former; the programs nothing ran (topogen, four of the
+        # examples), sim's copy of the runtime timers, the metrics types
+        # without a caller, the recorded-output files and the `bench` Make
+        # target. CHANGES.md, ROADMAP.md and ISSUE.md may tell the story;
+        # this script has to spell the patterns.
+        echo "== retired-name gate (deleted flags, types, programs, files and Make targets stay deleted)"
+        if grep -rnE 'SuccessorRouting|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)' \
             --include='*.go' --include='*.md' --include='*.sh' --include=Makefile \
             --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh \
             --exclude-dir=.git --exclude-dir=.bench_build .; then
