@@ -49,7 +49,7 @@ func TestLookupAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a full system")
 	}
-	sys, peers := benchSystem(t)
+	sys, peers := benchSystem(t, 100, func(c *core.Config) { c.Ps = 0.7 })
 	const keys = 64
 	for i := 0; i < keys; i++ {
 		if _, err := sys.StoreSync(peers[i%len(peers)], fmt.Sprintf("ak-%04d", i), "v"); err != nil {
@@ -70,9 +70,9 @@ func TestLookupAllocBudget(t *testing.T) {
 	t.Logf("lookup allocs/op: %.1f (budget %d)", avg, budget)
 }
 
-// benchSystem builds the settled 100-peer system the lookup budget is
-// measured on.
-func benchSystem(t *testing.T) (*core.System, []*core.Peer) {
+// benchSystem builds a settled n-peer system on the topology the lookup
+// budget is measured on; mut adjusts the default configuration.
+func benchSystem(t *testing.T, n int, mut func(*core.Config)) (*core.System, []*core.Peer) {
 	t.Helper()
 	tc := topology.Config{
 		TransitDomains: 2, TransitNodesPerDomain: 2,
@@ -87,15 +87,33 @@ func benchSystem(t *testing.T) (*core.System, []*core.Peer) {
 	eng := sim.New(7)
 	net := simnet.New(eng, topo, simnet.DefaultConfig())
 	cfg := core.DefaultConfig()
-	cfg.Ps = 0.7
+	mut(&cfg)
 	sys, err := core.NewSystem(simnet.NewRuntime(eng, net), cfg, topo.StubNodes()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	peers, _, err := sys.BuildPopulation(core.PopulationOpts{N: 100})
+	peers, _, err := sys.BuildPopulation(core.PopulationOpts{N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Settle(5 * sim.Second)
 	return sys, peers
+}
+
+// TestFingerRefreshLocalAllocFree pins an all-local finger refresh at zero
+// allocations: a lone t-peer (succ == self) answers all 64 finger starts
+// itself, so a full eight-tick refresh cycle boxes no message and arms no
+// round timeout — the only events are the finger ticker's own re-arms (the
+// hello period is pushed past the measured window: a heartbeat boxes its
+// message and reports to the server every tick).
+func TestFingerRefreshLocalAllocFree(t *testing.T) {
+	sys, _ := benchSystem(t, 1, func(c *core.Config) {
+		c.HelloEvery, c.HelloTimeout = 3600*sim.Second, 7200*sim.Second
+	})
+	cycle := 8 * sys.Cfg.FingerRefreshEvery
+	sys.Settle(cycle)
+	avg := testing.AllocsPerRun(10, func() { sys.Settle(cycle) })
+	if avg != 0 {
+		t.Fatalf("all-local finger refresh allocates: %.2f allocs per 8-tick cycle, want 0", avg)
+	}
 }

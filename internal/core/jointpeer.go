@@ -695,6 +695,7 @@ func (p *Peer) refreshFingers() {
 	const perRound = 8
 	start := p.nextFinger
 	var firstTag uint64
+	inFlight := false // some probe of this round left the peer
 	for i := 0; i < perRound; i++ {
 		idx := p.nextFinger
 		p.nextFinger = (p.nextFinger + 1) % FingerBits
@@ -705,12 +706,17 @@ func (p *Peer) refreshFingers() {
 		}
 		p.fingerTag[idx] = tag
 		p.routeFindSucc(findSuccReq{Target: target, Origin: p.Addr, Tag: tag, Fidx: idx})
+		inFlight = inFlight || p.fingerTag[idx] == tag
+	}
+	if !inFlight {
+		return // every probe was answered in place: nothing to time out
 	}
 	// A refresh that never answers was routed into a dead finger (a crashed
 	// peer gives no error). Clearing the slot on timeout makes the next
 	// route fall back to lower fingers or the successor, un-wedging the
 	// refresh itself. One timer covers the whole round: the loop draws its
-	// tags back to back, so slot k of this round holds exactly firstTag+k
+	// tags back to back — a slot answered in place draws one too, and has
+	// already cleared it — so slot k of this round holds exactly firstTag+k
 	// until the answer (or this timeout) clears it, and a slot is never
 	// re-issued before the timeout fires (the refresh cycles through all 64
 	// slots before returning, eight rounds later).
@@ -734,11 +740,11 @@ func (p *Peer) routeFindSucc(m findSuccReq) {
 		return // looping route; the refresh timeout clears the finger slot
 	}
 	if !p.succ.Valid() || p.succ.Addr == p.Addr {
-		p.send(m.Origin, findSuccResp{Succ: p.Ref(), Tag: m.Tag, Fidx: m.Fidx, Hops: m.Hops})
+		p.answerFindSucc(m, p.Ref(), m.Hops)
 		return
 	}
 	if idspace.Between(p.ID, m.Target, p.succ.ID) {
-		p.send(m.Origin, findSuccResp{Succ: p.succ, Tag: m.Tag, Fidx: m.Fidx, Hops: m.Hops + 1})
+		p.answerFindSucc(m, p.succ, m.Hops+1)
 		return
 	}
 	next := p.closestPreceding(m.Target)
@@ -747,6 +753,19 @@ func (p *Peer) routeFindSucc(m findSuccReq) {
 	}
 	m.Hops++
 	p.send(next.Addr, m)
+}
+
+// answerFindSucc delivers the answer to a successor query. A peer does not
+// mail itself: when the answerer is the query's origin (a finger start inside
+// (ID, succ.ID], or a probe that routed back home) the answer is applied in
+// place, so it crosses no link and the fault layer cannot lose it.
+func (p *Peer) answerFindSucc(m findSuccReq, succ Ref, hops int) {
+	resp := findSuccResp{Succ: succ, Tag: m.Tag, Fidx: m.Fidx, Hops: hops}
+	if m.Origin == p.Addr {
+		p.handleFindSuccResp(resp)
+		return
+	}
+	p.send(m.Origin, resp)
 }
 
 func (p *Peer) handleFindSucc(m findSuccReq) {

@@ -47,11 +47,12 @@ gate() {
         ;;
     allocguard)
         # Allocation budgets: the event-engine hot path must stay at zero
-        # allocs per event, and a no-churn lookup must stay within its per-op
-        # budget. -count=1 defeats the cache; these are the cheap tripwires
+        # allocs per event, a no-churn lookup must stay within its per-op
+        # budget, and a finger refresh answered in place must allocate
+        # nothing. -count=1 defeats the cache; these are the cheap tripwires
         # for the pooling work.
-        echo "== allocation budget gate (event engine, lookup path, histogram record)"
-        go test . -count=1 -run '^(TestEventEngineAllocFree|TestLookupAllocBudget)$'
+        echo "== allocation budget gate (event engine, lookup path, local finger refresh, histogram record)"
+        go test . -count=1 -run '^(TestEventEngineAllocFree|TestLookupAllocBudget|TestFingerRefreshLocalAllocFree)$'
         go test ./internal/obs -count=1 -run '^TestHistogramRecordAllocFree$'
         ;;
     routinggate)
