@@ -1,5 +1,6 @@
 GO ?= go
-GATES := faultcheck determinism conformance allocguard routinggate retired introspect-smoke net-smoke replication-smoke
+# The gate list lives in scripts/check.sh only; `make <gate>` works for each.
+GATES := $(shell sh ./scripts/check.sh -l)
 
 .PHONY: all build check vet staticcheck test race $(GATES) cluster benchscale
 

@@ -40,11 +40,11 @@ func TestEventEngineAllocFree(t *testing.T) {
 }
 
 // TestLookupAllocBudget pins the allocation cost of one no-churn lookup on a
-// settled system. The budget is the measured steady state (~140 allocs per
-// lookup since PR 6) plus headroom for run-to-run variation in routing
-// distance; it exists to
-// catch order-of-magnitude regressions (a per-message or per-event allocation
-// sneaking back into the path), not single allocations.
+// settled system. The test reads 73 allocs per lookup (82 before the printf
+// trace hook stopped boxing its arguments on every operation); the budget is
+// about twice that, headroom for run-to-run variation in routing distance.
+// It exists to catch a per-message or per-event allocation sneaking back into
+// the path, not single allocations.
 func TestLookupAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a full system")
@@ -63,7 +63,7 @@ func TestLookupAllocBudget(t *testing.T) {
 		}
 		i++
 	})
-	const budget = 400 // measured ~140 allocs/lookup after the pooling work
+	const budget = 150
 	if avg > budget {
 		t.Fatalf("lookup allocates %.1f allocs/op, budget %d", avg, budget)
 	}

@@ -179,8 +179,8 @@ func run() int {
 	}
 	if netMode {
 		// Even the bootstrap's peer table is a partial view once workers
-		// join: structural audits must consult the cluster directory for
-		// remote liveness instead of treating unknown addresses as dead.
+		// join: the audit must consult the cluster directory for remote
+		// liveness instead of treating unknown addresses as dead.
 		sys.MarkPartial()
 	}
 
@@ -355,25 +355,15 @@ func lookupPhase(sys *core.System, peers []*core.Peer, keys []string, count int,
 // awaitConsistent polls the structural audit under the executor lock until it
 // passes or the wall-clock deadline expires. Live runs need the poll: the
 // audit can observe a repair mid-flight (a watchdog not yet cancelled, an
-// operation not yet drained) that the next heartbeat round resolves.
-//
-// A full-view system runs the white-box invariant checker. A partial system
-// (one process of a multi-process cluster) cannot — ring and tree edges cross
-// process boundaries — so it runs the scored HealthScore pass, which consults
-// the cluster directory for remote liveness, and requires a clean bill.
+// operation not yet drained) that the next heartbeat round resolves. The
+// audit itself knows what one process of a cluster can decide (every edge
+// with both ends here, remote liveness through the cluster directory) and
+// what only a full view can, so there is one call for both transports.
 func awaitConsistent(rt runtime.Runtime, sys *core.System, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		var err error
-		rt.Do(func() {
-			if sys.Partial() {
-				if h := sys.HealthScore(); !h.Healthy() {
-					err = fmt.Errorf("health: %+v", h)
-				}
-			} else {
-				err = sys.CheckInvariants()
-			}
-		})
+		rt.Do(func() { err = sys.CheckInvariants() })
 		if err == nil {
 			return nil
 		}

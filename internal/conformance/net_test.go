@@ -1,10 +1,13 @@
 package conformance
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/runtime"
 	rnet "repro/internal/runtime/net"
 )
 
@@ -86,4 +89,82 @@ func TestConformanceDESvsNet(t *testing.T) {
 	}
 	t.Logf("des: %+v", des)
 	t.Logf("net: %+v", nt)
+}
+
+// TestPartialViewAudit runs the one structural audit on both halves of a
+// two-process deployment (two socket runtimes, a bootstrap System and a
+// peer-only one, in this process): CheckInvariants is green on each slice
+// once the ring has settled; when a t-peer of the worker crashes, the
+// bootstrap's audit — through the cluster directory, since the address is
+// not in its table — names the invariant and the dead address until the
+// repair lands, and then both slices are green again.
+func TestPartialViewAudit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs wall-clock seconds")
+	}
+	cfg := netConfig()
+	cfg.HelloTimeout = 1 * runtime.Second // a wide window to observe the crash in
+	role := core.TPeer
+	var rts []*rnet.Runtime
+	var syss []*core.System
+	for i := 0; i < 2; i++ {
+		ncfg := rnet.Config{
+			Listen:       "127.0.0.1:0",
+			Messages:     core.WireMessages(),
+			Seed:         scenarioSeed + int64(i),
+			AwaitTimeout: 60 * time.Second,
+		}
+		if i > 0 {
+			ncfg.Bootstrap = rts[0].Endpoint()
+		}
+		rt, err := rnet.New(ncfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		var sys *core.System
+		if i == 0 {
+			sys, err = core.NewSystem(rt, cfg, 0)
+		} else {
+			sys, err = core.NewPeerSystem(rt, cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.MarkPartial()
+		if _, _, err := sys.BuildPopulation(core.PopulationOpts{N: 6, ForceRole: &role}); err != nil {
+			t.Fatal(err)
+		}
+		rts, syss = append(rts, rt), append(syss, sys)
+	}
+	boot, worker := syss[0], syss[1]
+	awaitInvariants(t, rts[0], boot, "on the bootstrap's slice")
+	awaitInvariants(t, rts[1], worker, "on the worker's slice")
+
+	// A bootstrap t-peer whose ring predecessor lives in the worker process.
+	witness, victim := runtime.None, runtime.None
+	rts[0].Do(func() {
+		for _, p := range boot.TPeers() {
+			if pred := p.Predecessor().Addr; boot.Peer(pred) == nil {
+				witness, victim = p.Addr, pred
+			}
+		}
+	})
+	if victim == runtime.None {
+		t.Fatal("no ring edge crosses the two processes")
+	}
+	rts[1].Do(func() { worker.Peer(victim).Crash() })
+	want := fmt.Sprintf("dead_ring_ptrs at %d (peer %d)", witness, victim)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		var err error
+		rts[0].Do(func() { err = boot.CheckInvariants() })
+		if err != nil && strings.Contains(err.Error(), want) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("bootstrap audit after the remote crash = %v, want %q", err, want)
+		}
+	}
+	awaitInvariants(t, rts[0], boot, "on the bootstrap's slice after repair")
+	awaitInvariants(t, rts[1], worker, "on the worker's slice after repair")
 }

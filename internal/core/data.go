@@ -85,11 +85,9 @@ func (p *Peer) newOp(kind, key string, done func(OpResult)) (*op, uint64) {
 		p.pending = make(map[uint64]*op)
 	}
 	p.pending[qid] = o
-	timerAt := p.sys.rt.Now() + p.sys.Cfg.LookupTimeout
 	o.timer = p.sys.rt.Schedule(p.sys.Cfg.LookupTimeout, func() {
 		p.opTimeout(qid)
 	})
-	p.sys.tracef("t=%v NEWOP peer=%d qid=%d kind=%s key=%s timerAt=%v", p.sys.rt.Now(), p.Addr, qid, kind, key, timerAt)
 	if kind == "lookup" {
 		p.sys.trace(obs.EvLookupStart, qid, p.Addr, runtime.None, 0, key)
 	}
@@ -99,7 +97,6 @@ func (p *Peer) newOp(kind, key string, done func(OpResult)) (*op, uint64) {
 // finishOp completes an operation exactly once and reports the result.
 func (p *Peer) finishOp(qid uint64, r OpResult) {
 	o, ok := p.pending[qid]
-	p.sys.tracef("t=%v FINISH peer=%d qid=%d known=%v ok=%v", p.sys.rt.Now(), p.Addr, qid, ok, r.OK)
 	if !ok {
 		return
 	}
@@ -129,7 +126,6 @@ func (p *Peer) finishOp(qid uint64, r OpResult) {
 // if configured (§3.4), otherwise declares failure.
 func (p *Peer) opTimeout(qid uint64) {
 	o, ok := p.pending[qid]
-	p.sys.tracef("t=%v OPTIMEOUT peer=%d qid=%d known=%v", p.sys.rt.Now(), p.Addr, qid, ok)
 	if !ok {
 		return
 	}

@@ -12,7 +12,6 @@ func (p *Peer) neighborTimeout(nb runtime.Addr) {
 		return
 	}
 	p.sys.stats.WatchdogExpiries++
-	p.sys.tracef("t=%v TIMEOUT at=%d nb=%d role=%v pred=%d succ=%d cp=%d", p.sys.rt.Now(), p.Addr, nb, p.Role, p.pred.Addr, p.succ.Addr, p.cp.Addr)
 	p.unwatch(nb)
 
 	// A crashed child: drop it from the tree. Its own subtree re-attaches

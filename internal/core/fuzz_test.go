@@ -106,6 +106,7 @@ func fuzzOnce(t *testing.T, seed int64) {
 	if err := sys.CheckTrees(); err != nil {
 		t.Fatalf("tree invariant: %v", err)
 	}
+	auditAgrees(t, sys)
 
 	// The system must still serve new work end to end.
 	live := sys.Peers()

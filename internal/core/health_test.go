@@ -84,8 +84,12 @@ func TestHealthSamplerTracksCrashWave(t *testing.T) {
 
 	// Let failure detection and repair run; the ticker keeps sampling the
 	// whole way (samples counter proves it ran during churn).
+	// At every tick of it the score and the audit's violations must agree.
 	before := hs.Samples()
-	sys.Settle(8*sys.Cfg.HelloTimeout + 10*sys.Cfg.FingerRefreshEvery)
+	for end := sys.Eng().Now() + 8*sys.Cfg.HelloTimeout + 10*sys.Cfg.FingerRefreshEvery; sys.Eng().Now() < end; {
+		sys.Settle(sys.Cfg.HelloEvery)
+		auditAgrees(t, sys)
+	}
 	if err := sys.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after repair: %v", err)
 	}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/idspace"
 	"repro/internal/runtime"
@@ -9,9 +9,8 @@ import (
 
 // This file builds the read-only JSON view the introspection server serves at
 // /ring: the t-network ring with each root's s-tree summarized, plus
-// system-wide totals. Like HealthScore, the summary must be computed under
-// the runtime's execution guarantee (Runtime.Do); the returned value is a
-// deep copy, safe to marshal from any goroutine afterwards.
+// system-wide totals. The returned value is a deep copy, safe to marshal from
+// any goroutine afterwards.
 
 // RefView is a peer reference in the introspection JSON.
 type RefView struct {
@@ -66,34 +65,26 @@ type RingView struct {
 	Ring []TPeerView `json:"ring"`
 }
 
-// RingSummary builds the /ring snapshot. Read-only; must run under the
-// runtime's execution guarantee.
+// RingSummary builds the /ring snapshot from the audit's view (audit.go): its
+// totals and tree depth are the ones HealthScore reports. Read-only; must run
+// under the runtime's execution guarantee.
 func (s *System) RingSummary() RingView {
-	v := RingView{At: s.rt.Now()}
-
-	for _, p := range s.peers {
-		if p == nil || !p.alive {
-			continue
-		}
-		v.LivePeers++
-		v.Items += len(p.data)
-		v.PendingOps += len(p.pending)
-		if p.Role == SPeer {
-			v.LiveSPeers++
-			if d := s.treeDepth(p); d > v.TreeDepthMax {
-				v.TreeDepthMax = d
-			}
-			continue
-		}
-		v.LiveTPeers++
-
+	v := newView(s)
+	c := v.census()
+	rv := RingView{
+		At:        s.rt.Now(),
+		LivePeers: len(v.live), LiveTPeers: len(v.tps), LiveSPeers: len(v.sps),
+		Items: c.items, PendingOps: c.pending, TreeDepthMax: c.depthMax,
+	}
+	for _, p := range v.tps {
 		tv := TPeerView{
-			Addr:  p.Addr,
-			ID:    p.ID,
-			Pred:  refView(p.pred),
-			Succ:  refView(p.succ),
-			Succ2: refView(p.succ2),
-			Items: len(p.data),
+			Addr:    p.Addr,
+			ID:      p.ID,
+			Pred:    refView(p.pred),
+			Succ:    refView(p.succ),
+			Succ2:   refView(p.succ2),
+			Items:   len(p.data),
+			Subtree: 1,
 		}
 		seen := map[runtime.Addr]bool{}
 		for _, f := range p.finger {
@@ -105,42 +96,12 @@ func (s *System) RingSummary() RingView {
 		for a := range p.suspect {
 			tv.Suspects = append(tv.Suspects, a)
 		}
-		sortAddrs(tv.Suspects)
-		tv.Subtree = 1
+		slices.Sort(tv.Suspects)
 		for _, c := range p.children {
 			tv.Children = append(tv.Children, RefView{Addr: c.Ref.Addr, ID: c.Ref.ID})
 			tv.Subtree += c.Subtree
 		}
-		v.Ring = append(v.Ring, tv)
+		rv.Ring = append(rv.Ring, tv)
 	}
-
-	sortTPeerViews(v.Ring)
-	return v
-}
-
-// treeDepth walks an s-peer's connect-point chain to its root, bounded by the
-// peer count so a transiently cyclic chain cannot hang the walk.
-func (s *System) treeDepth(p *Peer) int {
-	depth := 0
-	cur := p
-	for cur.Role == SPeer {
-		next := s.peerAt(cur.cp.Addr)
-		if next == nil || !next.alive {
-			break
-		}
-		cur = next
-		depth++
-		if depth > s.numPeers {
-			break
-		}
-	}
-	return depth
-}
-
-func sortAddrs(a []runtime.Addr) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-}
-
-func sortTPeerViews(v []TPeerView) {
-	sort.Slice(v, func(i, j int) bool { return v[i].ID < v[j].ID })
+	return rv
 }

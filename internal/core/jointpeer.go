@@ -126,7 +126,6 @@ func (p *Peer) startJoinTriangle(m tJoinReq) {
 	p.triJoiner = m.Joiner.Addr
 	p.triEpoch = m.Epoch
 	p.armMutexGuard(p.sys.Cfg.HelloTimeout)
-	p.sys.tracef("t=%v TRIANGLE pre=%d joiner=%d succ=%d", p.sys.rt.Now(), p.Addr, m.Joiner.Addr, p.succ.Addr)
 	setup := tJoinSetup{Pred: p.Ref(), Succ: p.succ, Epoch: m.Epoch, Hops: m.Hops}
 	// pre.check: resolve id conflicts with the midpoint rule (Table 1).
 	if m.Joiner.ID == p.ID || m.Joiner.ID == p.succ.ID {
@@ -223,7 +222,6 @@ func (p *Peer) armMutexGuard(d runtime.Time) {
 // handleTJoinToSucc is succ learning about the inserted joiner: it adopts the
 // joiner as predecessor, triggers the load transfer and closes the triangle.
 func (p *Peer) handleTJoinToSucc(m tJoinToSucc) {
-	p.sys.tracef("t=%v TOSUCC at=%d joiner=%d oldpred=%d", p.sys.rt.Now(), p.Addr, m.Joiner.Addr, p.pred.Addr)
 	oldPred := p.pred
 	p.pred = m.Joiner
 	p.segLo = m.Joiner.ID
@@ -261,7 +259,6 @@ func (p *Peer) handleTJoinDone(m tJoinDone) {
 		// would detach us from the ring.
 		return
 	}
-	p.sys.tracef("t=%v DONE at=%d joiner=%d oldsucc=%d", p.sys.rt.Now(), p.Addr, m.Joiner.Addr, p.succ.Addr)
 	// Pre may have released the triangle mutex already (cancel or guard)
 	// and moved on, so only flip the successor when the joiner is still an
 	// improvement: strictly between us and the current successor. A stale

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"hash/crc32"
-	"sort"
 	"unsafe"
 
 	"repro/internal/idspace"
@@ -709,59 +707,4 @@ func (p *Peer) handleDeleteRing(m deleteRing) {
 		m.TTL--
 		p.send(p.succ.Addr, m)
 	}
-}
-
-// --- invariant ---------------------------------------------------------------
-
-// CheckReplication verifies the replication invariant at quiescence: every
-// item present in any live peer's database has at least min(k, live t-peers)
-// distinct holders across data, owned and replica sets. Partial (multi-
-// process) views skip the check — no single process sees every holder.
-func (s *System) CheckReplication() error {
-	k := s.Cfg.ReplicationK
-	if k <= 1 || s.partial {
-		return nil
-	}
-	tps := s.TPeers()
-	if len(tps) == 0 {
-		return nil
-	}
-	want := k
-	if len(tps) < want {
-		want = len(tps)
-	}
-	holders := make(map[idspace.ID]map[runtime.Addr]bool)
-	addHolder := func(did idspace.ID, a runtime.Addr) {
-		m := holders[did]
-		if m == nil {
-			m = make(map[runtime.Addr]bool)
-			holders[did] = m
-		}
-		m[a] = true
-	}
-	live := make(map[idspace.ID]bool)
-	for _, p := range s.Peers() {
-		for did := range p.data {
-			live[did] = true
-			addHolder(did, p.Addr)
-		}
-		for did := range p.owned {
-			addHolder(did, p.Addr)
-		}
-		for did := range p.reps {
-			addHolder(did, p.Addr)
-		}
-	}
-	dids := make([]idspace.ID, 0, len(live))
-	for did := range live {
-		dids = append(dids, did)
-	}
-	sort.Slice(dids, func(i, j int) bool { return dids[i] < dids[j] })
-	for _, did := range dids {
-		if n := len(holders[did]); n < want {
-			return fmt.Errorf("core: item %x has %d replicas, want >= %d (k=%d, %d t-peers)",
-				did, n, want, k, len(tps))
-		}
-	}
-	return nil
 }

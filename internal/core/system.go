@@ -1,7 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -25,10 +26,9 @@ type System struct {
 
 	server *Server
 	// partial marks a system that hosts only a slice of the deployment's
-	// peers (a worker process on the socket runtime): the dense peer table
-	// is a partial view, so checks that need the full membership either
-	// consult the runtime's Attached (ring/tree liveness) or are skipped
-	// (global data ownership). See HealthScore.
+	// peers (one process of a multi-process cluster on the socket runtime):
+	// the dense peer table is a partial view. Only the audit reads the flag
+	// (audit.go: view.liveAt and the invariant table's fullView column).
 	partial bool
 	// peers is the dense peer table, indexed by Addr.Index() (both runtimes
 	// allocate addresses sequentially — see runtime.Addr.Index). A nil slot
@@ -58,20 +58,6 @@ type System struct {
 	// met caches registry metric pointers for the protocol hot paths; nil
 	// (the default) disables recording. See SetMetrics in obsmetrics.go.
 	met *sysMetrics
-
-	// traceHook, when non-nil, receives protocol trace lines (tests only).
-	// Per-System rather than package-global so concurrent systems (parallel
-	// sweep workers, the live runtime) never race on it.
-	traceHook func(format string, args ...any)
-}
-
-// SetTraceHook installs (or clears, with nil) the protocol trace sink.
-func (s *System) SetTraceHook(fn func(format string, args ...any)) { s.traceHook = fn }
-
-func (s *System) tracef(format string, args ...any) {
-	if s.traceHook != nil {
-		s.traceHook(format, args...)
-	}
 }
 
 // SystemStats aggregates protocol-level counters for a run.
@@ -130,8 +116,8 @@ func NewSystem(rt runtime.Runtime, cfg Config, serverHost int) (*System, error) 
 // runtime. Peers joined here talk to the cluster's real server at the
 // runtime's bootstrap address, exactly as they would talk to a local one —
 // the protocol is message-pure, so it cannot tell the difference. The
-// system is marked partial: structural checks fall back to the runtime's
-// view of remote liveness (see HealthScore).
+// system is marked partial: the audit asks the runtime's directory about
+// addresses this process does not host (audit.go).
 func NewPeerSystem(rt runtime.Runtime, cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -235,18 +221,15 @@ func (s *System) TPeers() []*Peer {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID != out[j].ID {
-			return out[i].ID < out[j].ID
-		}
-		return out[i].Addr < out[j].Addr
+	slices.SortFunc(out, func(a, b *Peer) int {
+		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Addr, b.Addr))
 	})
 	return out
 }
 
 // SPeers returns all live s-peers sorted by address.
 func (s *System) SPeers() []*Peer {
-	var out []*Peer
+	out := make([]*Peer, 0, s.numPeers)
 	for _, p := range s.peers {
 		if p != nil && p.alive && p.Role == SPeer {
 			out = append(out, p)
@@ -426,95 +409,6 @@ func (s *System) takeContacts(qid uint64) int {
 	n := s.contacts[qid]
 	delete(s.contacts, qid)
 	return n
-}
-
-// CheckRing validates the t-network ring invariants: following successor
-// pointers from the smallest-id t-peer visits every live t-peer exactly once
-// and ids increase monotonically around the ring. It returns nil when the
-// ring is consistent. Intended for tests and debugging.
-func (s *System) CheckRing() error {
-	tps := s.TPeers()
-	if len(tps) == 0 {
-		return nil
-	}
-	byAddr := make(map[runtime.Addr]*Peer, len(tps))
-	for _, p := range tps {
-		byAddr[p.Addr] = p
-	}
-	start := tps[0]
-	cur := start
-	visited := make(map[runtime.Addr]bool)
-	for {
-		if visited[cur.Addr] {
-			return fmt.Errorf("core: successor cycle revisits %d before covering the ring", cur.Addr)
-		}
-		visited[cur.Addr] = true
-		if !cur.succ.Valid() {
-			return fmt.Errorf("core: t-peer %d has no successor", cur.Addr)
-		}
-		next, ok := byAddr[cur.succ.Addr]
-		if !ok {
-			return fmt.Errorf("core: t-peer %d points at dead successor %d", cur.Addr, cur.succ.Addr)
-		}
-		if next.pred.Addr != cur.Addr {
-			state := "dead"
-			if pp, ok := byAddr[next.pred.Addr]; ok {
-				state = fmt.Sprintf("live, id=%s pred=%d succ=%d joining=%v leaving=%v",
-					pp.ID, pp.pred.Addr, pp.succ.Addr, pp.joining, pp.leaving)
-			}
-			state += fmt.Sprintf("; cur id=%s joining=%v leaving=%v; next id=%s joining=%v leaving=%v",
-				cur.ID, cur.joining, cur.leaving, next.ID, next.joining, next.leaving)
-			watched := next.watching(next.pred.Addr)
-			return fmt.Errorf("core: t-peer %d predecessor is %d (%s, watched=%v, suspect=%v), want %d",
-				next.Addr, next.pred.Addr, state, watched, next.suspect[next.pred.Addr], cur.Addr)
-		}
-		cur = next
-		if cur == start {
-			break
-		}
-	}
-	if len(visited) != len(tps) {
-		return fmt.Errorf("core: ring covers %d of %d t-peers", len(visited), len(tps))
-	}
-	return nil
-}
-
-// CheckTrees validates the s-network invariants: every live s-peer has a
-// connect point, parent/child pointers agree, degrees respect δ (except
-// roots that inherited children during substitution), and every s-peer
-// reaches its t-peer by following connect points.
-func (s *System) CheckTrees() error {
-	for _, p := range s.SPeers() {
-		if !p.cp.Valid() {
-			return fmt.Errorf("core: s-peer %d has no connect point (joined=%v joining=%v leaving=%v epoch=%d ticks=%d ticker=%v tpeer=%d)",
-				p.Addr, p.joined, p.joining, p.leaving, p.joinEpoch, p.cpLostTicks, p.helloTicker != nil, p.tpeer.Addr)
-		}
-		parent := s.peerAt(p.cp.Addr)
-		if parent == nil || !parent.alive {
-			return fmt.Errorf("core: s-peer %d connect point %d is dead", p.Addr, p.cp.Addr)
-		}
-		if parent.childIndex(p.Addr) < 0 {
-			return fmt.Errorf("core: peer %d does not list s-peer %d as a child", parent.Addr, p.Addr)
-		}
-		// Walk to the root.
-		cur := p
-		steps := 0
-		for cur.Role == SPeer {
-			next := s.peerAt(cur.cp.Addr)
-			if next == nil || !next.alive {
-				return fmt.Errorf("core: s-peer %d ancestry broken at %d", p.Addr, cur.cp.Addr)
-			}
-			cur = next
-			steps++
-			if steps > s.numPeers {
-				return fmt.Errorf("core: s-peer %d connect-point cycle", p.Addr)
-			}
-		}
-		if p.tpeer.Valid() && cur.Addr != p.tpeer.Addr {
-			return fmt.Errorf("core: s-peer %d cached t-peer %d but root is %d", p.Addr, p.tpeer.Addr, cur.Addr)
-		}
-	}
-	return nil
 }
 
 // TotalItems returns the number of data items stored across all live peers.

@@ -258,100 +258,86 @@ func (s *scenario) alivePeer(i int) *core.Peer {
 	return nil
 }
 
+// batches issues count operations, at most 64 at a time so that their
+// timeout waits overlap, and drains each batch before starting the next.
+// issue starts operation i and must arrange for done to be called exactly
+// once, when the operation completes (at once, if it starts none).
+func (s *scenario) batches(count int, issue func(i int, done func()) error) error {
+	const batch = 64
+	for start := 0; start < count; start += batch {
+		remaining := 0
+		done := func() { remaining-- }
+		for i := start; i < min(start+batch, count); i++ {
+			remaining++
+			if err := issue(i, done); err != nil {
+				return err
+			}
+		}
+		if err := s.drain(&remaining); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // storeItems injects keys from deterministically chosen origins and returns
 // the number stored successfully.
 func (s *scenario) storeItems(keys []string) (int, error) {
 	rng := s.Eng.Rand()
 	stored := 0
-	const batch = 64
-	for start := 0; start < len(keys); start += batch {
-		end := start + batch
-		if end > len(keys) {
-			end = len(keys)
+	err := s.batches(len(keys), func(i int, done func()) error {
+		p := s.alivePeer(rng.Intn(len(s.Peers)))
+		if p == nil {
+			return fmt.Errorf("exp: no live peers to store from")
 		}
-		remaining := 0
-		okCount := 0
-		for _, key := range keys[start:end] {
-			p := s.alivePeer(rng.Intn(len(s.Peers)))
-			if p == nil {
-				return stored, fmt.Errorf("exp: no live peers to store from")
+		p.Store(keys[i], "value-of-"+keys[i], func(r core.OpResult) {
+			if r.OK {
+				stored++
 			}
-			remaining++
-			p.Store(key, "value-of-"+key, func(r core.OpResult) {
-				remaining--
-				if r.OK {
-					okCount++
-				}
-			})
-		}
-		if err := s.drain(&remaining); err != nil {
-			return stored, err
-		}
-		stored += okCount
-	}
-	return stored, nil
+			done()
+		})
+		return nil
+	})
+	return stored, err
 }
 
-// lookupBatch issues lookups in batches (so timeout waits overlap) and
-// returns the results. pick chooses a key index per lookup; originOf chooses
-// the requesting peer.
+// lookupBatch issues lookups from random live origins and returns the
+// results. pick chooses a key index per lookup.
 func (s *scenario) lookupBatch(count int, ttl int, keys []string, pick func(i int) int) ([]core.OpResult, error) {
 	rng := s.Eng.Rand()
 	results := make([]core.OpResult, 0, count)
-	const batch = 64
-	for start := 0; start < count; start += batch {
-		end := start + batch
-		if end > count {
-			end = count
+	err := s.batches(count, func(i int, done func()) error {
+		p := s.alivePeer(rng.Intn(len(s.Peers)))
+		if p == nil {
+			return fmt.Errorf("exp: no live peers to look up from")
 		}
-		remaining := 0
-		for i := start; i < end; i++ {
-			p := s.alivePeer(rng.Intn(len(s.Peers)))
-			if p == nil {
-				return results, fmt.Errorf("exp: no live peers to look up from")
-			}
-			key := keys[pick(i)%len(keys)]
-			remaining++
-			p.LookupWithTTL(key, ttl, func(r core.OpResult) {
-				remaining--
-				results = append(results, r)
-			})
-		}
-		if err := s.drain(&remaining); err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+		p.LookupWithTTL(keys[pick(i)%len(keys)], ttl, func(r core.OpResult) {
+			results = append(results, r)
+			done()
+		})
+		return nil
+	})
+	return results, err
 }
 
 // lookupFrom is lookupBatch with a fixed origin set instead of random
-// origins (used by workloads that model a few heavy consumers).
+// origins (used by workloads that model a few heavy consumers); a dead
+// origin's turn is skipped.
 func (s *scenario) lookupFrom(origins []*core.Peer, count, ttl int, keys []string, pick func(i int) int) ([]core.OpResult, error) {
 	results := make([]core.OpResult, 0, count)
-	const batch = 64
-	for start := 0; start < count; start += batch {
-		end := start + batch
-		if end > count {
-			end = count
+	err := s.batches(count, func(i int, done func()) error {
+		p := origins[i%len(origins)]
+		if !p.Alive() {
+			done()
+			return nil
 		}
-		remaining := 0
-		for i := start; i < end; i++ {
-			p := origins[i%len(origins)]
-			if !p.Alive() {
-				continue
-			}
-			key := keys[pick(i)%len(keys)]
-			remaining++
-			p.LookupWithTTL(key, ttl, func(r core.OpResult) {
-				remaining--
-				results = append(results, r)
-			})
-		}
-		if err := s.drain(&remaining); err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+		p.LookupWithTTL(keys[pick(i)%len(keys)], ttl, func(r core.OpResult) {
+			results = append(results, r)
+			done()
+		})
+		return nil
+	})
+	return results, err
 }
 
 // drain steps the engine until *remaining reaches zero.

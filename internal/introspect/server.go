@@ -10,7 +10,9 @@
 // Endpoints:
 //
 //	/metrics  Prometheus text exposition (0.0.4) of the whole registry
-//	/healthz  JSON health verdict; 200 when healthy, 503 when not
+//	/healthz  JSON health verdict; 200 when healthy, 503 when not. The score
+//	          counts violations per invariant and lists the first 32 with
+//	          invariant, addr, peer and detail (core.HealthScore)
 //	/ring     JSON ring/finger/s-tree summary (core.RingSummary)
 //	/trace    JSONL tail of the bounded tracer (?n=, default 256)
 //	/kv/<key> client-facing KV surface: GET looks the key up, PUT/POST

@@ -13,6 +13,9 @@ import (
 	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/runtime/live"
+	"repro/internal/sim"
+	"repro/internal/simnet"
+	"repro/internal/topology"
 )
 
 // TestServerEndpoints is the in-tree smoke gate for the introspection server:
@@ -164,5 +167,109 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if code, _ := get("/trace?n=bogus"); code != http.StatusBadRequest {
 		t.Fatalf("/trace?n=bogus status %d, want 400", code)
+	}
+}
+
+// oneWay is the DES runtime with every message from one address to another
+// lost: the fault that plants a stale child edge. The parent stops hearing
+// the child and drops it a watchdog timeout later, while the child, which
+// heard the parent until then, keeps its connect point one timeout more.
+type oneWay struct {
+	*simnet.Runtime
+	from, to runtime.Addr
+}
+
+func (r *oneWay) Send(from, to runtime.Addr, size int, msg any) {
+	if from != r.from || to != r.to {
+		r.Runtime.Send(from, to, size, msg)
+	}
+}
+
+// TestHealthzNamesInvariantAndAddress: /healthz red says which invariant and
+// which address. A stale child edge — a check only the quiescence audit used
+// to make — turns it 503 with the edge's two ends in the body; a crash wave
+// lists at most 32 violations beside the full counts; the field names the
+// smoke scripts and bench/ read are unchanged.
+func TestHealthzNamesInvariantAndAddress(t *testing.T) {
+	topo, err := topology.GenerateTransitStub(topology.DefaultConfig(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.New(7)
+	rt := &oneWay{Runtime: simnet.NewRuntime(eng, simnet.New(eng, topo, simnet.DefaultConfig())), from: runtime.None}
+	cfg := core.DefaultConfig()
+	cfg.Ps = 0.6
+	sys, err := core.NewSystem(rt, cfg, topo.StubNodes()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sys.BuildPopulation(core.PopulationOpts{N: 120}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Settle(10 * sim.Second)
+	srv, err := Start(Config{Addr: "127.0.0.1:0", Sys: sys, Reg: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	type healthz struct {
+		Healthy bool `json:"healthy"`
+		Score   struct {
+			core.HealthScore
+			Violations []map[string]any `json:"violations"`
+		} `json:"score"`
+	}
+	get := func() (int, healthz, string) {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.Addr() + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		var hz healthz
+		if err := json.Unmarshal(body, &hz); err != nil {
+			t.Fatalf("/healthz not JSON: %v\n%s", err, body)
+		}
+		return resp.StatusCode, hz, string(body)
+	}
+
+	code, hz, body := get()
+	if code != http.StatusOK || !hz.Healthy || strings.Contains(body, `"violations"`) {
+		t.Fatalf("settled system: status %d\n%s", code, body)
+	}
+	for _, field := range []string{`"healthy"`, `"sampled"`, `"t_us"`, `"live_peers"`, `"live_tpeers"`, `"live_speers"`,
+		`"suspected_ptrs"`, `"dead_ring_ptrs"`, `"broken_ring_links"`, `"stree_depth_max"`, `"orphan_speers"`,
+		`"delta_violations"`, `"unowned_items"`, `"stuck_ops"`, `"replica_deficit"`} {
+		if !strings.Contains(body, field) {
+			t.Errorf("/healthz lost its %s field", field)
+		}
+	}
+
+	child := sys.SPeers()[0]
+	parent := child.ConnectPoint().Addr
+	rt.from, rt.to = child.Addr, parent
+	for end := eng.Now() + 3*cfg.HelloTimeout; code == http.StatusOK && eng.Now() < end; {
+		sys.Settle(cfg.HelloEvery)
+		code, hz, body = get()
+	}
+	if code != http.StatusServiceUnavailable || hz.Healthy || hz.Score.UnlistedChildren != 1 || len(hz.Score.Violations) != 1 {
+		t.Fatalf("stale child edge %d -> %d: status %d\n%s", child.Addr, parent, code, body)
+	}
+	v := hz.Score.Violations[0]
+	if v["invariant"] != "unlisted_children" || v["addr"] != float64(child.Addr) || v["peer"] != float64(parent) || v["detail"] == "" {
+		t.Fatalf("violation %v does not name unlisted_children at %d (peer %d)", v, child.Addr, parent)
+	}
+
+	for i, p := range sys.Peers() {
+		if i%2 == 0 {
+			p.Crash()
+		}
+	}
+	code, hz, body = get()
+	s := hz.Score
+	if total := s.DeadRingPtrs + s.BrokenRingLinks + s.OrphanSPeers + s.UnlistedChildren + s.RootMismatches; code != http.StatusServiceUnavailable || total <= 32 || len(s.Violations) != 32 {
+		t.Fatalf("crash wave: status %d, %d violations counted, %d listed\n%s", code, total, len(s.Violations), body)
 	}
 }

@@ -7,11 +7,12 @@
 // goroutines, wall clocks, physical topologies — lives behind these
 // interfaces.
 //
-// Two implementations exist: internal/simnet provides the deterministic
+// Three implementations exist: internal/simnet provides the deterministic
 // discrete-event runtime the paper's experiments run on (byte-identical
-// output for a given seed), and internal/runtime/live provides a concurrent
-// runtime backed by goroutines, channels and time.Timer for running the same
-// protocol code as a real in-process cluster.
+// output for a given seed); internal/runtime/live is the one wall-clock
+// executor, backed by goroutines, mailboxes and time.Timer, and runs the same
+// protocol code as a real cluster inside one process; internal/runtime/net
+// embeds it and adds sockets, so the cluster can span processes over TCP.
 package runtime
 
 import "fmt"

@@ -8,7 +8,9 @@
 # `bash bench/run.sh` against the bounds in BENCHMARK.json.
 #
 # `sh scripts/check.sh <gate>...` runs only the named gates (the Makefile's
-# per-gate targets call this), so each gate's command line exists once.
+# per-gate targets call this), so each gate's command line exists once;
+# `sh scripts/check.sh -l` lists them, which is where the Makefile gets its
+# target names.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -73,11 +75,11 @@ gate() {
         # beside the strategy seam, the registry's Timer kind, hybridsim's
         # flag for the former; the programs nothing ran (topogen, four of the
         # examples), sim's copy of the runtime timers, the metrics types
-        # without a caller, the recorded-output files and the `bench` Make
-        # target. CHANGES.md, ROADMAP.md and ISSUE.md may tell the story;
+        # without a caller, the recorded-output files, the `bench` Make
+        # target and core's printf trace hook beside obs.Tracer. CHANGES.md, ROADMAP.md and ISSUE.md may tell the story;
         # this script has to spell the patterns.
         echo "== retired-name gate (deleted flags, types, programs, files and Make targets stay deleted)"
-        if grep -rnE 'SuccessorRouting|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)' \
+        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)' \
             --include='*.go' --include='*.md' --include='*.sh' --include=Makefile \
             --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh \
             --exclude-dir=.git --exclude-dir=.bench_build .; then
@@ -121,6 +123,11 @@ gate() {
         ;;
     esac
 }
+
+if [ "${1:-}" = "-l" ]; then
+    echo "$GATES"
+    exit 0
+fi
 
 if [ $# -gt 0 ]; then
     for g in "$@"; do

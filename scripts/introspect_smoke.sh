@@ -8,62 +8,17 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-TMP=$(mktemp -d)
-HN_PID=""
-cleanup() {
-    [ -n "$HN_PID" ] && kill "$HN_PID" 2>/dev/null || true
-    rm -rf "$TMP"
-}
-trap cleanup EXIT INT TERM
-
-go build -o "$TMP/hybridnode" ./cmd/hybridnode
+SMOKE="introspect smoke"
+. ./scripts/smoke_lib.sh
 
 # Port 0 lets the kernel pick; the bound address is parsed from the banner.
-"$TMP/hybridnode" -n 64 -items 50 -lookups 50 -crash 4 \
-    -http 127.0.0.1:0 -linger 60s > "$TMP/hybridnode.log" 2>&1 &
-HN_PID=$!
+launch hybridnode -n 64 -items 50 -lookups 50 -crash 4 -http 127.0.0.1:0 -linger 60s
+await_line "$PID" "$TMP/hybridnode.log" '^introspection: ' 50
+ADDR=$(http_addr "$TMP/hybridnode.log")
 
-ADDR=""
-i=0
-while [ $i -lt 50 ]; do
-    ADDR=$(sed -n 's|^introspection: http://\([^/]*\)/.*|\1|p' "$TMP/hybridnode.log")
-    [ -n "$ADDR" ] && break
-    if ! kill -0 "$HN_PID" 2>/dev/null; then
-        echo "introspect smoke: hybridnode exited before serving" >&2
-        cat "$TMP/hybridnode.log" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ -z "$ADDR" ]; then
-    echo "introspect smoke: no introspection banner within 10s" >&2
-    cat "$TMP/hybridnode.log" >&2
-    exit 1
-fi
-
-# Poll /healthz until the sampler verdict is healthy (200). The cluster is
-# joining and crash-recovering underneath, so 503s are expected transients.
-healthy=0
-i=0
-while [ $i -lt 150 ]; do
-    if curl -fsS -o "$TMP/healthz.json" "http://$ADDR/healthz" 2>/dev/null; then
-        healthy=1
-        break
-    fi
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ "$healthy" != "1" ]; then
-    echo "introspect smoke: /healthz never reported healthy" >&2
-    curl -sS "http://$ADDR/healthz" >&2 || true
-    exit 1
-fi
-grep -q '"healthy": true' "$TMP/healthz.json" || {
-    echo "introspect smoke: /healthz 200 without healthy verdict" >&2
-    cat "$TMP/healthz.json" >&2
-    exit 1
-}
+# The cluster is joining and crash-recovering underneath, so 503s are
+# expected transients on the way to a healthy verdict.
+await_healthz node "$ADDR"
 
 # /metrics: well-formed exposition with the sampler gauges and, once lookups
 # have run, the lookup latency histogram (poll briefly for the latter).
@@ -84,15 +39,12 @@ for want in \
     '^# TYPE health_samples counter$'
 do
     grep -q "$want" "$TMP/metrics.txt" || {
-        echo "introspect smoke: /metrics missing $want" >&2
         head -40 "$TMP/metrics.txt" >&2
-        exit 1
+        fail "/metrics missing $want"
     }
 done
 # Every non-comment line must be exactly "name value".
-if awk '!/^#/ && NF != 2 { bad = 1 } END { exit bad }' "$TMP/metrics.txt"; then :; else
-    echo "introspect smoke: malformed exposition line in /metrics" >&2
-    exit 1
-fi
+awk '!/^#/ && NF != 2 { bad = 1 } END { exit bad }' "$TMP/metrics.txt" \
+    || fail "malformed exposition line in /metrics"
 
 echo "introspect smoke: OK (addr=$ADDR)"

@@ -11,57 +11,15 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-TMP=$(mktemp -d)
-BOOT_PID=""
-W1_PID=""
-W2_PID=""
-cleanup() {
-    for pid in "$BOOT_PID" "$W1_PID" "$W2_PID"; do
-        [ -n "$pid" ] && kill -9 "$pid" 2>/dev/null || true
-    done
-    rm -rf "$TMP"
-}
-trap cleanup EXIT INT TERM
-
-fail() {
-    echo "net smoke: $1" >&2
-    for log in boot w1 w2; do
-        [ -f "$TMP/$log.log" ] && { echo "--- $log ---" >&2; cat "$TMP/$log.log" >&2; }
-    done
-    exit 1
-}
-
-# await_line PID LOG PATTERN TRIES — poll a log for a line, failing if the
-# process dies first.
-await_line() {
-    i=0
-    while ! grep -q "$3" "$2" 2>/dev/null; do
-        kill -0 "$1" 2>/dev/null || fail "process died waiting for '$3' in $2"
-        i=$((i + 1))
-        [ $i -gt "$4" ] && fail "timeout waiting for '$3' in $2"
-        sleep 0.2
-    done
-}
-
-# http_addr LOG — extract the introspection address from the banner.
-http_addr() {
-    sed -n 's|^introspection: http://\([^/]*\)/.*|\1|p' "$1"
-}
-
-# cluster_ep LOG — extract the node's cluster endpoint from the banner.
-cluster_ep() {
-    sed -n 's|^socket transport: .* node at \(.*\)$|\1|p' "$1"
-}
-
-go build -o "$TMP/hybridnode" ./cmd/hybridnode
+SMOKE="net smoke"
+. ./scripts/smoke_lib.sh
 
 COMMON="-n 8 -items 0 -keys 40 -lookups 40 -crash 0 -minsuccess 0.9 -linger 300s"
 
 # 1. Bootstrap: hosts the server, stores the 40-key universe.
-"$TMP/hybridnode" -addr 127.0.0.1:0 -http 127.0.0.1:0 \
-    -n 8 -items 40 -keys 40 -lookups 40 -crash 0 -minsuccess 0.9 -linger 300s \
-    > "$TMP/boot.log" 2>&1 &
-BOOT_PID=$!
+launch boot -addr 127.0.0.1:0 -http 127.0.0.1:0 \
+    -n 8 -items 40 -keys 40 -lookups 40 -crash 0 -minsuccess 0.9 -linger 300s
+BOOT_PID=$PID
 await_line "$BOOT_PID" "$TMP/boot.log" '^stored 40/40' 150
 # Wait for the bootstrap to finish every phase (it prints the linger banner)
 # before starting workers: its lookup phases must not race worker join churn,
@@ -74,17 +32,15 @@ BOOT_HTTP=$(http_addr "$TMP/boot.log")
 
 # 2. Worker 1: joins over TCP, looks up the keys the bootstrap stored.
 # Sequential starts keep each lookup phase free of concurrent join churn.
-"$TMP/hybridnode" -addr 127.0.0.1:0 -bootstrap "$BOOT_EP" -http 127.0.0.1:0 \
-    $COMMON > "$TMP/w1.log" 2>&1 &
-W1_PID=$!
+launch w1 -addr 127.0.0.1:0 -bootstrap "$BOOT_EP" -http 127.0.0.1:0 $COMMON
+W1_PID=$PID
 await_line "$W1_PID" "$TMP/w1.log" '^lingering' 300
 W1_HTTP=$(http_addr "$TMP/w1.log")
 [ -n "$W1_HTTP" ] || fail "no introspection endpoint in worker1 banner"
 
 # 3. Worker 2: same dance, then it becomes the crash victim.
-"$TMP/hybridnode" -addr 127.0.0.1:0 -bootstrap "$BOOT_EP" -http 127.0.0.1:0 \
-    $COMMON > "$TMP/w2.log" 2>&1 &
-W2_PID=$!
+launch w2 -addr 127.0.0.1:0 -bootstrap "$BOOT_EP" -http 127.0.0.1:0 $COMMON
+W2_PID=$PID
 await_line "$W2_PID" "$TMP/w2.log" '^lingering' 300
 
 # Cross-process lookups must actually succeed: each worker stored nothing,
@@ -99,35 +55,18 @@ done
 # arbitration repair the ring and trees across the surviving processes.
 kill -9 "$W2_PID"
 wait "$W2_PID" 2>/dev/null || true
-W2_PID=""
 
 # 5. Survivors' /healthz must go green again within the repair budget. Give
 # the failure detectors a few heartbeat-timeout windows first, so the poll
 # cannot pass on a sample taken before the damage registered.
 sleep 2
-for node in "boot:$BOOT_HTTP" "w1:$W1_HTTP"; do
-    name=${node%%:*}
-    addr=${node#*:}
-    healthy=0
-    i=0
-    while [ $i -lt 300 ]; do
-        if curl -fsS -o "$TMP/$name.healthz" "http://$addr/healthz" 2>/dev/null \
-            && grep -q '"healthy": true' "$TMP/$name.healthz"; then
-            healthy=1
-            break
-        fi
-        i=$((i + 1))
-        sleep 0.2
-    done
-    [ "$healthy" = "1" ] || fail "$name /healthz never went green after the kill"
-done
+await_healthz boot "$BOOT_HTTP"
+await_healthz w1 "$W1_HTTP"
 
 # 6. Clean shutdown: SIGTERM both survivors; the signal handler must close
 # the runtime and report the verdict, i.e. exit 0.
 kill -TERM "$BOOT_PID" "$W1_PID"
 wait "$BOOT_PID" || fail "bootstrap exited nonzero after SIGTERM"
-BOOT_PID=""
 wait "$W1_PID" || fail "worker1 exited nonzero after SIGTERM"
-W1_PID=""
 
 echo "net smoke: OK (bootstrap=$BOOT_EP, survivors repaired after kill)"

@@ -14,54 +14,11 @@ cd "$(dirname "$0")/.."
 
 KEYS=50
 
-TMP=$(mktemp -d)
-BOOT_PID=""
-W1_PID=""
-W2_PID=""
-W3_PID=""
-cleanup() {
-    for pid in "$BOOT_PID" "$W1_PID" "$W2_PID" "$W3_PID"; do
-        [ -n "$pid" ] && kill -9 "$pid" 2>/dev/null || true
-    done
-    rm -rf "$TMP"
-}
-trap cleanup EXIT INT TERM
+SMOKE="replication smoke"
+. ./scripts/smoke_lib.sh
 
-fail() {
-    echo "replication smoke: $1" >&2
-    for log in boot w1 w2 w3; do
-        [ -f "$TMP/$log.log" ] && { echo "--- $log ---" >&2; cat "$TMP/$log.log" >&2; }
-    done
-    exit 1
-}
-
-# await_line PID LOG PATTERN TRIES — poll a log for a line, failing if the
-# process dies first.
-await_line() {
-    i=0
-    while ! grep -q "$3" "$2" 2>/dev/null; do
-        kill -0 "$1" 2>/dev/null || fail "process died waiting for '$3' in $2"
-        i=$((i + 1))
-        [ $i -gt "$4" ] && fail "timeout waiting for '$3' in $2"
-        sleep 0.2
-    done
-}
-
-# await_healthz NAME ADDR — poll /healthz until it reports healthy with a
-# zero replica deficit (the replication invariant as seen by the sampler).
-await_healthz() {
-    i=0
-    while :; do
-        if curl -fsS -o "$TMP/$1.healthz" "http://$2/healthz" 2>/dev/null \
-            && grep -q '"healthy": true' "$TMP/$1.healthz" \
-            && grep -q '"replica_deficit": 0' "$TMP/$1.healthz"; then
-            return 0
-        fi
-        i=$((i + 1))
-        [ $i -gt 300 ] && fail "$1 /healthz never reached healthy with zero replica deficit"
-        sleep 0.2
-    done
-}
+# The replication invariant as the sampler sees it.
+NO_DEFICIT='"replica_deficit": 0'
 
 # metric_sum NAME — add one gauge up over the /metrics of both processes that
 # serve HTTP. They host every t-peer (workers 2 and 3 are all-s), so for an
@@ -72,25 +29,12 @@ metric_sum() {
     done | awk -v m="$1" '$1 == m { s += $2 } END { printf "%d\n", s }'
 }
 
-# http_addr LOG — extract the introspection address from the banner.
-http_addr() {
-    sed -n 's|^introspection: http://\([^/]*\)/.*|\1|p' "$1"
-}
-
-# cluster_ep LOG — extract the node's cluster endpoint from the banner.
-cluster_ep() {
-    sed -n 's|^socket transport: .* node at \(.*\)$|\1|p' "$1"
-}
-
-go build -o "$TMP/hybridnode" ./cmd/hybridnode
-
 COMMON="-n 8 -k 3 -items 0 -lookups 0 -crash 0 -linger 300s"
 
 # 1. Bootstrap: hosts the server; all eight of its peers are t-peers so the
 # ring is deep enough for k=3 replica chains from the start.
-"$TMP/hybridnode" -addr 127.0.0.1:0 -http 127.0.0.1:0 -role t \
-    $COMMON > "$TMP/boot.log" 2>&1 &
-BOOT_PID=$!
+launch boot -addr 127.0.0.1:0 -http 127.0.0.1:0 -role t $COMMON
+BOOT_PID=$PID
 await_line "$BOOT_PID" "$TMP/boot.log" '^lingering' 300
 BOOT_EP=$(cluster_ep "$TMP/boot.log")
 BOOT_HTTP=$(http_addr "$TMP/boot.log")
@@ -99,25 +43,22 @@ BOOT_HTTP=$(http_addr "$TMP/boot.log")
 
 # 2. Worker 1: a mixed-role survivor with its own /kv endpoint, so reads
 # after the kill go through a process that stored nothing itself.
-"$TMP/hybridnode" -addr 127.0.0.1:0 -bootstrap "$BOOT_EP" -http 127.0.0.1:0 \
-    $COMMON > "$TMP/w1.log" 2>&1 &
-W1_PID=$!
+launch w1 -addr 127.0.0.1:0 -bootstrap "$BOOT_EP" -http 127.0.0.1:0 $COMMON
+W1_PID=$PID
 await_line "$W1_PID" "$TMP/w1.log" '^lingering' 300
 W1_HTTP=$(http_addr "$TMP/w1.log")
 [ -n "$W1_HTTP" ] || fail "no introspection endpoint in worker1 banner"
 
 # 3. Workers 2 and 3: forced all-s, the future SIGKILL victims. Their s-peers
 # attach under the surviving processes' t-peers and will hold spread data.
-"$TMP/hybridnode" -addr 127.0.0.1:0 -bootstrap "$BOOT_EP" -role s \
-    $COMMON > "$TMP/w2.log" 2>&1 &
-W2_PID=$!
+launch w2 -addr 127.0.0.1:0 -bootstrap "$BOOT_EP" -role s $COMMON
+W2_PID=$PID
 await_line "$W2_PID" "$TMP/w2.log" '^lingering' 300
-"$TMP/hybridnode" -addr 127.0.0.1:0 -bootstrap "$BOOT_EP" -role s \
-    $COMMON > "$TMP/w3.log" 2>&1 &
-W3_PID=$!
+launch w3 -addr 127.0.0.1:0 -bootstrap "$BOOT_EP" -role s $COMMON
+W3_PID=$PID
 await_line "$W3_PID" "$TMP/w3.log" '^lingering' 300
 
-await_healthz boot "$BOOT_HTTP"
+await_healthz boot "$BOOT_HTTP" "$NO_DEFICIT"
 
 # 4. Store the key universe through the bootstrap's /kv surface. A request
 # can hit a transient routing window during settling, so each key retries.
@@ -140,8 +81,8 @@ done
 
 # 5. The cluster must report zero replica deficit once the chains settle, and
 # every key must be readable cross-process before the kill.
-await_healthz boot "$BOOT_HTTP"
-await_healthz w1 "$W1_HTTP"
+await_healthz boot "$BOOT_HTTP" "$NO_DEFICIT"
+await_healthz w1 "$W1_HTTP" "$NO_DEFICIT"
 i=0
 while [ $i -lt $KEYS ]; do
     GOT=$(curl -fsS "http://$W1_HTTP/kv/smoke-$i" 2>/dev/null) \
@@ -170,13 +111,11 @@ done
 kill -9 "$W2_PID" "$W3_PID"
 wait "$W2_PID" 2>/dev/null || true
 wait "$W3_PID" 2>/dev/null || true
-W2_PID=""
-W3_PID=""
 
 # 7. Survivors must repair the trees and re-converge to zero replica deficit.
 sleep 2
-await_healthz boot "$BOOT_HTTP"
-await_healthz w1 "$W1_HTTP"
+await_healthz boot "$BOOT_HTTP" "$NO_DEFICIT"
+await_healthz w1 "$W1_HTTP" "$NO_DEFICIT"
 
 # 8. Every key must still be readable through the survivor: served from the
 # owners' authoritative copies and replica chains, with read-repair filling
@@ -202,8 +141,6 @@ done
 # the runtime and exit 0.
 kill -TERM "$BOOT_PID" "$W1_PID"
 wait "$BOOT_PID" || fail "bootstrap exited nonzero after SIGTERM"
-BOOT_PID=""
 wait "$W1_PID" || fail "worker1 exited nonzero after SIGTERM"
-W1_PID=""
 
 echo "replication smoke: OK ($KEYS/$KEYS keys survived losing 2 of 4 processes at k=3; $PUSHED replica copies pushed for $KEYS PUTs)"
