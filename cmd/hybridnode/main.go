@@ -33,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -50,32 +51,38 @@ import (
 	"repro/internal/workload"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("hybridnode", flag.ContinueOnError)
 	var (
-		n          = flag.Int("n", 96, "number of peers this process joins (min 64 in-process, 1 with -addr)")
-		ps         = flag.Float64("ps", 0.6, "proportion of s-peers (0..1)")
-		delta      = flag.Int("delta", 3, "s-network degree constraint")
-		items      = flag.Int("items", 200, "data items to store from this process")
-		keys       = flag.Int("keys", 0, "size of the shared key universe to look up (0: the keys stored here); lets one cluster process look up items another stored")
-		lookups    = flag.Int("lookups", 400, "lookups per measurement phase")
-		crash      = flag.Int("crash", 8, "peers to crash abruptly mid-run")
-		seed       = flag.Int64("seed", 1, "RNG seed (runs stay nondeterministic: real concurrency orders the draws)")
-		delay      = flag.Duration("delay", 200*time.Microsecond, "artificial one-way message delay (in-process transport only)")
-		minSuccess = flag.Float64("minsuccess", 0.75, "minimum post-crash lookup success rate")
-		httpAddr   = flag.String("http", "", "serve live introspection (\"/metrics\", \"/healthz\", \"/ring\", \"/trace\") on this address, e.g. 127.0.0.1:8080")
-		linger     = flag.Duration("linger", 0, "keep the cluster (and -http server) running this long after the phases finish")
-		addr       = flag.String("addr", "", "TCP endpoint to listen on (e.g. 127.0.0.1:7000); selects the multi-process socket transport")
-		advertise  = flag.String("advertise", "", "endpoint other cluster processes dial to reach this one (default: the -addr listener)")
-		bootstrap  = flag.String("bootstrap", "", "the cluster bootstrap's endpoint; empty with -addr set makes this process the bootstrap")
-		replK      = flag.Int("k", 1, "replication factor: each item lives on its owning t-peer plus k-1 ring successors (1 disables replication)")
-		roleFlag   = flag.String("role", "", "pin every peer this process joins to one role: \"t\" or \"s\" (default: let the server decide)")
-		alpha      = flag.Int("alpha", 1, "parallel lookup probes on the t-network (1 = single walk)")
-		pathcache  = flag.Bool("pathcache", false, "enable lookup-path caching (route hints from successful lookups)")
-		routeFlag  = flag.String("route", "finger", "t-network routing strategy: finger | succ")
+		n          = fs.Int("n", 96, "number of peers this process joins (min 64 in-process, 1 with -addr)")
+		ps         = fs.Float64("ps", 0.6, "proportion of s-peers (0..1)")
+		delta      = fs.Int("delta", 3, "s-network degree constraint")
+		items      = fs.Int("items", 200, "data items to store from this process")
+		keys       = fs.Int("keys", 0, "size of the shared key universe to look up (0: the keys stored here); lets one cluster process look up items another stored")
+		lookups    = fs.Int("lookups", 400, "lookups per measurement phase")
+		crash      = fs.Int("crash", 8, "peers to crash abruptly mid-run")
+		seed       = fs.Int64("seed", 1, "RNG seed (runs stay nondeterministic: real concurrency orders the draws)")
+		delay      = fs.Duration("delay", 200*time.Microsecond, "artificial one-way message delay (in-process transport only)")
+		minSuccess = fs.Float64("minsuccess", 0.75, "minimum post-crash lookup success rate")
+		httpAddr   = fs.String("http", "", "serve live introspection (\"/metrics\", \"/healthz\", \"/ring\", \"/trace\") on this address, e.g. 127.0.0.1:8080")
+		linger     = fs.Duration("linger", 0, "keep the cluster (and -http server) running this long after the phases finish")
+		addr       = fs.String("addr", "", "TCP endpoint to listen on (e.g. 127.0.0.1:7000); selects the multi-process socket transport")
+		advertise  = fs.String("advertise", "", "endpoint other cluster processes dial to reach this one (default: the -addr listener)")
+		bootstrap  = fs.String("bootstrap", "", "the cluster bootstrap's endpoint; empty with -addr set makes this process the bootstrap")
+		replK      = fs.Int("k", 1, "replication factor: each item lives on its owning t-peer plus k-1 ring successors (1 disables replication)")
+		roleFlag   = fs.String("role", "", "pin every peer this process joins to one role: \"t\" or \"s\" (default: let the server decide)")
+		alpha      = fs.Int("alpha", 1, "parallel lookup probes on the t-network (1 = single walk)")
+		pathcache  = fs.Bool("pathcache", false, "enable lookup-path caching (route hints from successful lookups)")
+		routeFlag  = fs.String("route", "finger", "t-network routing strategy: finger | succ")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	netMode := *addr != ""
 	minN := 64
 	if netMode {
@@ -89,6 +96,10 @@ func run() int {
 	}
 	if *crash < 0 || *crash > *n/2 {
 		fmt.Fprintf(os.Stderr, "hybridnode: -crash %d outside [0, n/2]\n", *crash)
+		return 2
+	}
+	if *items < 0 || *keys < 0 || *lookups < 0 {
+		fmt.Fprintf(os.Stderr, "hybridnode: -items %d, -keys %d and -lookups %d must not be negative\n", *items, *keys, *lookups)
 		return 2
 	}
 	if !netMode && *bootstrap != "" {
@@ -291,7 +302,6 @@ func run() int {
 	if okAfter < 0 {
 		return 1
 	}
-	rate := float64(okAfter) / float64(*lookups)
 	if *linger > 0 {
 		// A lingering node is a server: SIGINT/SIGTERM must shut it down
 		// cleanly — runtime and introspection closed by the deferred
@@ -309,7 +319,13 @@ func run() int {
 		signal.Stop(sigCh)
 	}
 	fmt.Printf("\ntotal wall time: %v\n", time.Since(wallStart).Round(time.Millisecond))
-	if rate < *minSuccess {
+	if *lookups == 0 {
+		// No lookup was issued, so there is no success rate to hold to
+		// -minsuccess (0/0): the run stands on its audits.
+		fmt.Println("no lookups asked for: -minsuccess not applied")
+		return 0
+	}
+	if rate := float64(okAfter) / float64(*lookups); rate < *minSuccess {
 		fmt.Fprintf(os.Stderr, "hybridnode: post-crash success %.2f below minimum %.2f\n", rate, *minSuccess)
 		return 1
 	}

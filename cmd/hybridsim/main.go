@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -41,9 +40,9 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run parses the flags into an exp.Freeform, runs it, prints the reports to
-// stdout and writes the trace/manifest/profile files. All of the simulation
-// is exp.RunFreeform.
+// run parses the flags into an exp.Freeform, runs it and prints the reports
+// to stdout. All of the simulation is exp.RunFreeform; the observability
+// flags are obs.Flags, the set cmd/paperexp takes too.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hybridsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -78,12 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		partition = fs.String("partition", "", "fault injection: \"start,end\" in simulated seconds; isolates the first half of the stub hosts for that window")
 		faultSeed = fs.Int64("faultseed", 1, "fault injection RNG seed (independent of -seed)")
 
-		tracePath    = fs.String("trace", "", "write a JSONL structured event trace to this file")
-		traceCap     = fs.Int("tracecap", obs.DefaultTraceCap, "ring-buffer capacity per sweep point (with -trace)")
-		manifestPath = fs.String("manifest", "", "write a machine-readable run manifest (JSON) to this file")
-		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile   = fs.String("memprofile", "", "write a pprof heap profile to this file")
-		progress     = fs.Bool("progress", false, "stream per-point completion lines to stderr")
+		ob = obs.Flags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -126,43 +120,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
+	if err := ob.Start("hybridsim", *seed, *workers, map[string]any{
+		"n": *n, "ps": *psList, "delta": *delta, "ttl": *ttl,
+		"items": *items, "lookups": *lookups, "placement": *placement,
+		"hetero": *hetero, "topoaware": *topoaware, "landmarks": *landmarks,
+		"bypass": *bypass, "tracker": *tracker, "interests": *interests,
+		"crash": *crash, "zipf": *zipf, "walk": *walk, "caching": *caching,
+		"hist": *hist, "alpha": *alpha, "pathcache": *pathcache, "route": *route,
+		"droprate": *dropRate, "duprate": *dupRate, "jitter": jitter.String(),
+		"partition": *partition, "faultseed": *faultSeed,
+	}, stderr); err != nil {
 		fmt.Fprintln(stderr, "hybridsim:", err)
 		return 1
 	}
 	defer func() {
-		if err := stopProfiles(); err != nil {
+		if err := ob.Close(); err != nil {
 			fmt.Fprintln(stderr, "hybridsim:", err)
 		}
 	}()
-
+	p.Obs = ob.Recorder
 	// One tracer per sweep point so concurrent points never interleave in the
 	// ring; the JSONL file is written sequentially in point order afterwards.
-	if *tracePath != "" {
-		for _, ps := range p.Ps {
-			tr := obs.NewTracer(*traceCap)
-			tr.SetLabel(fmt.Sprintf("ps=%.2f", ps))
+	for _, ps := range p.Ps {
+		if tr := ob.Tracer(fmt.Sprintf("ps=%.2f", ps)); tr != nil {
 			p.Tracers = append(p.Tracers, tr)
-		}
-	}
-	if *manifestPath != "" || *progress {
-		w := *workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		p.Obs = obs.NewRecorder("hybridsim", *seed, min(w, len(p.Ps)), map[string]any{
-			"n": *n, "ps": *psList, "delta": *delta, "ttl": *ttl,
-			"items": *items, "lookups": *lookups, "placement": *placement,
-			"hetero": *hetero, "topoaware": *topoaware, "landmarks": *landmarks,
-			"bypass": *bypass, "tracker": *tracker, "interests": *interests,
-			"crash": *crash, "zipf": *zipf, "walk": *walk, "caching": *caching,
-			"hist": *hist, "alpha": *alpha, "pathcache": *pathcache, "route": *route,
-			"droprate": *dropRate, "duprate": *dupRate, "jitter": jitter.String(),
-			"partition": *partition, "faultseed": *faultSeed,
-		})
-		if *progress {
-			p.Obs.SetProgress(stderr)
 		}
 	}
 
@@ -179,32 +160,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if *tracePath != "" {
-		if err := writeTrace(*tracePath, p.Tracers); err != nil {
-			fmt.Fprintln(stderr, "hybridsim:", err)
-			return 1
-		}
+	if err := ob.WriteTrace(p.Tracers...); err != nil {
+		fmt.Fprintln(stderr, "hybridsim:", err)
+		return 1
 	}
-	if *manifestPath != "" {
-		if err := p.Obs.WriteManifest(*manifestPath); err != nil {
-			fmt.Fprintln(stderr, "hybridsim:", err)
-			return 1
-		}
+	if err := ob.WriteManifest(); err != nil {
+		fmt.Fprintln(stderr, "hybridsim:", err)
+		return 1
 	}
 	return 0
-}
-
-// writeTrace concatenates the per-point rings into one JSONL file.
-func writeTrace(path string, tracers []*obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for _, tr := range tracers {
-		if err := tr.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
 }

@@ -23,47 +23,52 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/exp"
 	"repro/internal/obs"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+// run parses the flags into exp.Options, runs the selected experiments and
+// prints their tables to stdout. The observability flags are obs.Flags, the
+// set cmd/hybridsim takes too.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paperexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		runID   = flag.String("run", "", "experiment id (see -list) or 'all'")
-		list    = flag.Bool("list", false, "list experiments and exit")
-		quick   = flag.Bool("quick", false, "scaled-down sweep (fast, coarse)")
-		n       = flag.Int("n", 0, "system size (default 1000, or 200 with -quick)")
-		items   = flag.Int("items", 0, "data items injected")
-		lookups = flag.Int("lookups", 0, "lookups measured")
-		seed    = flag.Int64("seed", 42, "random seed")
-		workers = flag.Int("workers", 0, "parallel sweep workers (0 = all CPUs, 1 = sequential)")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		hist    = flag.Bool("hist", false, "record lookup histograms; lookup experiments append a percentile table")
-
-		tracePath    = flag.String("trace", "", "write a JSONL structured event trace to this file")
-		traceCap     = flag.Int("tracecap", obs.DefaultTraceCap, "trace ring-buffer capacity (with -trace)")
-		manifestPath = flag.String("manifest", "", "write a machine-readable run manifest (JSON) to this file")
-		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile   = flag.String("memprofile", "", "write a pprof heap profile to this file")
-		progress     = flag.Bool("progress", false, "stream per-point completion lines to stderr")
+		runID   = fs.String("run", "", "experiment id (see -list) or 'all'")
+		list    = fs.Bool("list", false, "list experiments and exit")
+		quick   = fs.Bool("quick", false, "scaled-down sweep (fast, coarse)")
+		n       = fs.Int("n", 0, "system size (default 1000, or 200 with -quick)")
+		items   = fs.Int("items", 0, "data items injected")
+		lookups = fs.Int("lookups", 0, "lookups measured")
+		seed    = fs.Int64("seed", 42, "random seed")
+		workers = fs.Int("workers", 0, "parallel sweep workers (0 = all CPUs, 1 = sequential)")
+		csv     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		hist    = fs.Bool("hist", false, "record lookup histograms; lookup experiments append a percentile table")
+		ob      = obs.Flags(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list || *runID == "" {
-		fmt.Println("experiments:")
+		fmt.Fprintln(stdout, "experiments:")
 		for _, e := range exp.Registry() {
-			fmt.Printf("  %-16s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "  %-16s %s\n", e.ID, e.Title)
 		}
 		if *runID == "" {
-			fmt.Println("\nrun one with -run <id>, or -run all")
+			fmt.Fprintln(stdout, "\nrun one with -run <id>, or -run all")
 		}
 		return 0
 	}
@@ -89,92 +94,59 @@ func run() int {
 		opts.Lookups = *lookups
 	}
 
-	var selected []exp.Experiment
-	if *runID == "all" {
-		selected = exp.Registry()
-	} else {
+	selected := exp.Registry()
+	if *runID != "all" {
 		e, ok := exp.ByID(*runID)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "paperexp: unknown experiment %q (use -list)\n", *runID)
+			fmt.Fprintf(stderr, "paperexp: unknown experiment %q (use -list)\n", *runID)
 			return 2
 		}
 		selected = []exp.Experiment{e}
 	}
 
-	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperexp:", err)
+	if err := ob.Start("paperexp", opts.Seed, opts.Workers, map[string]any{
+		"run": *runID, "quick": *quick,
+		"n": opts.N, "items": opts.Items, "lookups": opts.Lookups,
+	}, stderr); err != nil {
+		fmt.Fprintln(stderr, "paperexp:", err)
 		return 1
 	}
 	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "paperexp:", err)
+		if err := ob.Close(); err != nil {
+			fmt.Fprintln(stderr, "paperexp:", err)
 		}
 	}()
-
-	// One tracer per experiment (fresh ring, labeled with the experiment ID),
-	// appended to a single JSONL file as each experiment finishes.
-	var traceFile *os.File
-	if *tracePath != "" {
-		traceFile, err = os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperexp:", err)
-			return 1
-		}
-		defer traceFile.Close()
-	}
-	if *manifestPath != "" || *progress {
-		w := opts.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		opts.Obs = obs.NewRecorder("paperexp", opts.Seed, w, map[string]any{
-			"run": *runID, "quick": *quick,
-			"n": opts.N, "items": opts.Items, "lookups": opts.Lookups,
-		})
-		if *progress {
-			opts.Obs.SetProgress(os.Stderr)
-		}
-	}
+	opts.Obs = ob.Recorder
 
 	for _, e := range selected {
-		fmt.Printf("### %s — %s (N=%d items=%d lookups=%d seed=%d)\n\n", e.ID, e.Title, opts.N, opts.Items, opts.Lookups, *seed)
+		fmt.Fprintf(stdout, "### %s — %s (N=%d items=%d lookups=%d seed=%d)\n\n", e.ID, e.Title, opts.N, opts.Items, opts.Lookups, *seed)
 		start := time.Now()
-		if traceFile != nil {
-			opts.Trace = obs.NewTracer(*traceCap)
-			opts.Trace.SetLabel(e.ID)
-		}
+		// One tracer per experiment (fresh ring, labeled with the experiment
+		// ID), appended to the trace file as each experiment finishes — a
+		// failing run included: that is when the event trace is most needed.
+		opts.Trace = ob.Tracer(e.ID)
 		res, err := e.Run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperexp: %s: %v\n", e.ID, err)
-			// Flush whatever the tracer captured: a failing run is exactly
-			// when the event trace is most needed.
-			if traceFile != nil {
-				if werr := opts.Trace.WriteJSONL(traceFile); werr != nil {
-					fmt.Fprintln(os.Stderr, "paperexp:", werr)
-				}
+			fmt.Fprintf(stderr, "paperexp: %s: %v\n", e.ID, err)
+		} else {
+			render := res.String
+			if *csv {
+				render = res.CSV
 			}
+			fmt.Fprintf(stdout, "%s(%s in %.1fs wall)\n\n", render(), e.ID, time.Since(start).Seconds())
+		}
+		if werr := ob.WriteTrace(opts.Trace); werr != nil {
+			fmt.Fprintln(stderr, "paperexp:", werr)
 			return 1
 		}
-		if *csv {
-			fmt.Print(res.CSV())
-		} else {
-			fmt.Print(res.String())
-		}
-		fmt.Printf("(%s in %.1fs wall)\n\n", e.ID, time.Since(start).Seconds())
-		if traceFile != nil {
-			if err := opts.Trace.WriteJSONL(traceFile); err != nil {
-				fmt.Fprintln(os.Stderr, "paperexp:", err)
-				return 1
-			}
+		if err != nil {
+			return 1
 		}
 	}
 
-	if *manifestPath != "" {
-		if err := opts.Obs.WriteManifest(*manifestPath); err != nil {
-			fmt.Fprintln(os.Stderr, "paperexp:", err)
-			return 1
-		}
+	if err := ob.WriteManifest(); err != nil {
+		fmt.Fprintln(stderr, "paperexp:", err)
+		return 1
 	}
 	return 0
 }

@@ -432,15 +432,6 @@ func (s *System) CheckTrees() error {
 	return s.check("orphan_speers", "unlisted_children", "root_mismatches")
 }
 
-// CheckDegrees audits the δ bound on s-network degrees.
-func (s *System) CheckDegrees() error { return s.check("delta_violations") }
-
-// CheckDataOwnership audits data placement against the ring segments.
-func (s *System) CheckDataOwnership() error { return s.check("unowned_items") }
-
-// CheckWatchdogs audits failure-detector hygiene.
-func (s *System) CheckWatchdogs() error { return s.check("dead_watchdogs") }
-
 // CheckOpsDrained audits that no client operation outlives its protocol:
 // every pending and search table is empty and every contact counter consumed.
 func (s *System) CheckOpsDrained() error { return s.check("stuck_ops", "contact_leaks") }

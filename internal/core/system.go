@@ -136,10 +136,6 @@ func NewPeerSystem(rt runtime.Runtime, cfg Config) (*System, error) {
 // Server returns the bootstrap server, or nil on a peer-only system.
 func (s *System) Server() *Server { return s.server }
 
-// Partial reports whether this system hosts only a slice of the deployment
-// (a worker process in a multi-process cluster).
-func (s *System) Partial() bool { return s.partial }
-
 // MarkPartial marks the system as hosting only a slice of the deployment.
 // The bootstrap process of a multi-process cluster needs this: it owns the
 // server (so it is built with NewSystem), but other processes' peers join

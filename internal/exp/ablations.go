@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/gnutella"
 	"repro/internal/metrics"
@@ -18,6 +20,9 @@ func RunAblationTree(o Options) (*Result, error) {
 	res := newResult("AblationTree")
 
 	keys := keysN(o.Items / 2)
+	if len(keys) == 0 {
+		return nil, errNoKeys // the mesh arm indexes keys without the scenario's check
+	}
 	queries := o.Lookups / 2
 
 	// Both arms flood the same workload over the shared topology; each is
@@ -28,15 +33,11 @@ func RunAblationTree(o Options) (*Result, error) {
 	arms, err := sweep(o, 2, func(i int) (arm, error) {
 		if i == 1 {
 			// The hybrid tree: same scale at p_s = 0.9 so floods dominate.
-			cfg := expConfig(0.9)
-			sc, err := buildScenario(o, cfg, o.Seed+701, nil, nil)
+			sc, err := buildScenario(o, expConfig(0.9), o.Seed+701, nil, keys)
 			if err != nil {
 				return arm{}, err
 			}
-			if _, err := sc.storeItems(keys); err != nil {
-				return arm{}, err
-			}
-			rs, err := sc.lookupBatch(queries, 4, keys, func(k int) int { return k })
+			rs, err := sc.lookups(queries, 4, keys, sc.anyLive, func(k int) int { return k })
 			if err != nil {
 				return arm{}, err
 			}
@@ -116,11 +117,11 @@ func RunAblationBypass(o Options) (*Result, error) {
 
 	keys := keysN(200) // small, hot key set so repeats hit bypass links
 	modes := []struct {
-		name   string
-		bypass bool
+		name, tag string
+		bypass    bool
 	}{
-		{"no bypass", false},
-		{"bypass links", true},
+		{"no bypass", "nobypass", false},
+		{"bypass links", "bypass", true},
 	}
 
 	type bypassArm struct {
@@ -131,11 +132,8 @@ func RunAblationBypass(o Options) (*Result, error) {
 		mode := modes[i]
 		cfg := expConfig(0.7)
 		cfg.Bypass = mode.bypass
-		sc, err := buildScenario(o, cfg, o.Seed+720, nil, nil)
+		sc, err := buildScenario(o, cfg, o.Seed+720, nil, keys)
 		if err != nil {
-			return bypassArm{}, err
-		}
-		if _, err := sc.storeItems(keys); err != nil {
 			return bypassArm{}, err
 		}
 		// Bypass links live per peer, so they only pay off for peers that
@@ -152,10 +150,14 @@ func RunAblationBypass(o Options) (*Result, error) {
 			}
 		}
 		if len(origins) == 0 {
-			origins = sc.Sys.Peers()[:10]
+			if origins = sc.Sys.Peers(); len(origins) < 10 {
+				return bypassArm{}, fmt.Errorf("exp: %d peers and no leaf s-peer among them: too few for 10 heavy consumers", len(origins))
+			}
+			origins = origins[:10]
 		}
+		consumer := func(i int) *core.Peer { return origins[i%len(origins)] }
 		before := sc.Sys.Stats().RingForwards
-		rs, err := sc.lookupFrom(origins, o.Lookups/2, 4, keys, func(k int) int { return k % len(keys) })
+		rs, err := sc.lookups(o.Lookups/2, 4, keys, consumer, func(k int) int { return k })
 		if err != nil {
 			return bypassArm{}, err
 		}
@@ -177,13 +179,9 @@ func RunAblationBypass(o Options) (*Result, error) {
 	for i, mode := range modes {
 		a := arms[i]
 		t.AddRow(mode.name, a.ringPer, a.latency, a.uses, a.success)
-		key := "nobypass"
-		if mode.bypass {
-			key = "bypass"
-		}
-		res.Values["ringforwards_"+key] = a.ringPer
-		res.Values["latency_"+key] = a.latency
-		res.Values["uses_"+key] = float64(a.uses)
+		res.Values["ringforwards_"+mode.tag] = a.ringPer
+		res.Values["latency_"+mode.tag] = a.latency
+		res.Values["uses_"+mode.tag] = float64(a.uses)
 	}
 	res.Tables = append(res.Tables, t)
 	res.Notes = append(res.Notes,

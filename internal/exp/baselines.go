@@ -185,6 +185,9 @@ func RunBaselines(o Options) (*Result, error) {
 	o = o.normalize()
 	res := newResult("Baselines")
 	keys := keysN(o.Items / 2)
+	if len(keys) == 0 {
+		return nil, errNoKeys // runBaseline indexes keys without the scenario's check
+	}
 	queries := o.Lookups / 2
 
 	hybridPs := []float64{0.3, 0.7}
@@ -194,14 +197,11 @@ func RunBaselines(o Options) (*Result, error) {
 		}
 		ps := hybridPs[i-len(baselines)]
 		name, tag := fmt.Sprintf("hybrid p_s=%.1f", ps), fmt.Sprintf("hybrid_ps%.1f", ps)
-		sc, err := buildScenario(o, expConfig(ps), o.Seed+820+int64(ps*100), nil, nil)
+		sc, err := buildScenario(o, expConfig(ps), o.Seed+820+int64(ps*100), nil, keys)
 		if err != nil {
 			return baselineRow{}, err
 		}
-		if _, err := sc.storeItems(keys); err != nil {
-			return baselineRow{}, err
-		}
-		rs, err := sc.lookupBatch(queries, 4, keys, func(k int) int { return k })
+		rs, err := sc.lookups(queries, 4, keys, sc.anyLive, func(k int) int { return k })
 		if err != nil {
 			return baselineRow{}, err
 		}

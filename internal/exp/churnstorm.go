@@ -47,11 +47,8 @@ func RunChurnStorm(o Options) (*Result, error) {
 		oa := o
 		oa.Faults = &fc // armed for the build too: joins must survive loss
 		cfg := expConfig(0.7)
-		sc, err := buildScenario(oa, cfg, o.Seed+970+int64(i), nil, nil)
+		sc, err := buildScenario(oa, cfg, o.Seed+970+int64(i), nil, keys)
 		if err != nil {
-			return stormArm{}, err
-		}
-		if _, err := sc.storeItems(keys); err != nil {
 			return stormArm{}, err
 		}
 		sys := sc.Sys
@@ -109,7 +106,7 @@ func RunChurnStorm(o Options) (*Result, error) {
 		}
 		// Measure lookups with the faults still armed: the failure column
 		// reports degradation under loss, not post-recovery performance.
-		rs, err := sc.lookupBatch(o.Lookups/3, 4, keys, func(k int) int { return k })
+		rs, err := sc.lookups(o.Lookups/3, 4, keys, sc.anyLive, func(k int) int { return k })
 		if err != nil {
 			return stormArm{}, err
 		}

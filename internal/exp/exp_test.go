@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -380,5 +381,32 @@ func TestQuickOptionsSane(t *testing.T) {
 	q := QuickOptions()
 	if !q.Quick || q.N == 0 || q.Items == 0 || q.Lookups == 0 {
 		t.Fatalf("QuickOptions: %+v", q)
+	}
+}
+
+// TestTinySizesNeverPanic: a size the command line can ask for either runs or
+// is refused with an error. An empty key universe (-items 1 where an
+// experiment stores half) used to divide by zero, a population below an
+// experiment's fixed picks to slice out of range. One worker, so that a panic
+// would unwind through this goroutine.
+func TestTinySizesNeverPanic(t *testing.T) {
+	for _, size := range [][3]int{{1, 1, 6}, {2, 1, 1}, {40, 1, 6}} {
+		for _, e := range Registry() {
+			if e.ID == "Scale" {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/n%d_items%d_lookups%d", e.ID, size[0], size[1], size[2]), func(t *testing.T) {
+				o := QuickOptions()
+				o.N, o.Items, o.Lookups, o.Workers = size[0], size[1], size[2], 1
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("panic: %v", r)
+					}
+				}()
+				if res, err := e.Run(o); err == nil && res == nil {
+					t.Error("neither a result nor an error")
+				}
+			})
+		}
 	}
 }

@@ -20,7 +20,13 @@ func RunExtCaching(o Options) (*Result, error) {
 	res := newResult("ExtCaching")
 
 	keys := keysN(o.Items / 4) // small universe so Zipf repeats bite
-	modes := []bool{false, true}
+	modes := []struct {
+		name, tag string
+		caching   bool
+	}{
+		{"no caching", "nocache", false},
+		{"with caching", "cache", true},
+	}
 
 	type cacheArm struct {
 		maxServes     uint64
@@ -28,24 +34,21 @@ func RunExtCaching(o Options) (*Result, error) {
 		pushes, hits  uint64
 	}
 	arms, err := sweep(o, len(modes), func(i int) (cacheArm, error) {
-		caching := modes[i]
+		mode := modes[i]
 		cfg := expConfig(0.8)
-		cfg.Caching = caching
+		cfg.Caching = mode.caching
 		cfg.CacheHotThreshold = 8
 		cfg.CacheWindow = 60 * sim.Second
 		cfg.CacheTTL = 600 * sim.Second
-		sc, err := buildScenario(o, cfg, o.Seed+900, nil, nil)
+		sc, err := buildScenario(o, cfg, o.Seed+900, nil, keys)
 		if err != nil {
-			return cacheArm{}, err
-		}
-		if _, err := sc.storeItems(keys); err != nil {
 			return cacheArm{}, err
 		}
 		zipf, err := workload.NewZipfPicker(sc.Eng.Rand(), 1.3, 1, len(keys))
 		if err != nil {
 			return cacheArm{}, err
 		}
-		rs, err := sc.lookupBatch(o.Lookups, 4, keys, func(int) int { return zipf.Pick() })
+		rs, err := sc.lookups(o.Lookups, 4, keys, sc.anyLive, func(int) int { return zipf.Pick() })
 		if err != nil {
 			return cacheArm{}, err
 		}
@@ -61,7 +64,7 @@ func RunExtCaching(o Options) (*Result, error) {
 		a.gini = gini(serves)
 		a.latency = meanLatencyMs(rs)
 		a.pushes, a.hits = st.CachePushes, st.CacheHits
-		sc.observe(o, "ExtCaching "+modeName(caching))
+		sc.observe(o, "ExtCaching "+mode.name)
 		return a, nil
 	})
 	if err != nil {
@@ -70,28 +73,17 @@ func RunExtCaching(o Options) (*Result, error) {
 
 	t := metrics.NewTable("Extension: future-work caching under Zipf lookups (p_s=0.8)",
 		"mode", "max serves", "serve gini", "mean ms", "cache pushes", "cache hits")
-	for i, caching := range modes {
+	for i, mode := range modes {
 		a := arms[i]
-		t.AddRow(modeName(caching), a.maxServes, a.gini, a.latency, a.pushes, a.hits)
-		tag := "nocache"
-		if caching {
-			tag = "cache"
-		}
-		res.Values["maxserves_"+tag] = float64(a.maxServes)
-		res.Values["gini_"+tag] = a.gini
-		res.Values["latency_"+tag] = a.latency
+		t.AddRow(mode.name, a.maxServes, a.gini, a.latency, a.pushes, a.hits)
+		res.Values["maxserves_"+mode.tag] = float64(a.maxServes)
+		res.Values["gini_"+mode.tag] = a.gini
+		res.Values["latency_"+mode.tag] = a.latency
 	}
 	res.Tables = append(res.Tables, t)
 	res.Notes = append(res.Notes,
 		"paper (future work): 'distribute the load among as many peers as possible so that no peer is overwhelmed'")
 	return res, nil
-}
-
-func modeName(caching bool) string {
-	if caching {
-		return "with caching"
-	}
-	return "no caching"
 }
 
 // RunExtWalk compares flooding with k-walker random walks (§3.1 allows both)
@@ -100,34 +92,32 @@ func RunExtWalk(o Options) (*Result, error) {
 	o = o.normalize()
 	res := newResult("ExtWalk")
 
-	keys := keysFor(o)
-	modes := []bool{false, true}
+	keys := keysN(o.Items)
+	modes := []struct {
+		name, tag string
+		walk      bool
+	}{
+		{"flood (TTL 4)", "flood", false},
+		{"3 walkers, TTL 12", "walk", true},
+	}
 
 	type walkArm struct {
 		contacts, failure, latency float64
 	}
 	arms, err := sweep(o, len(modes), func(i int) (walkArm, error) {
-		walk := modes[i]
 		cfg := expConfig(0.9)
-		cfg.RandomWalk = walk
+		cfg.RandomWalk = modes[i].walk
 		cfg.WalkCount = 3
 		cfg.WalkTTL = 12
-		sc, err := buildScenario(o, cfg, o.Seed+910, nil, nil)
+		sc, err := buildScenario(o, cfg, o.Seed+910, nil, keys)
 		if err != nil {
 			return walkArm{}, err
 		}
-		if _, err := sc.storeItems(keys); err != nil {
-			return walkArm{}, err
-		}
-		rs, err := sc.lookupBatch(o.Lookups/2, 4, keys, func(k int) int { return k })
+		rs, err := sc.lookups(o.Lookups/2, 4, keys, sc.anyLive, func(k int) int { return k })
 		if err != nil {
 			return walkArm{}, err
 		}
-		if walk {
-			sc.observe(o, "ExtWalk walk")
-		} else {
-			sc.observe(o, "ExtWalk flood")
-		}
+		sc.observe(o, "ExtWalk "+modes[i].tag)
 		return walkArm{
 			contacts: float64(totalContacts(rs)) / float64(len(rs)),
 			failure:  failureRatio(rs),
@@ -140,15 +130,11 @@ func RunExtWalk(o Options) (*Result, error) {
 
 	t := metrics.NewTable("Extension: flooding vs k-walker random walks (p_s=0.9)",
 		"search", "contacts/lookup", "failure", "mean ms")
-	for i, walk := range modes {
+	for i, mode := range modes {
 		a := arms[i]
-		name, tag := "flood (TTL 4)", "flood"
-		if walk {
-			name, tag = "3 walkers, TTL 12", "walk"
-		}
-		t.AddRow(name, a.contacts, a.failure, a.latency)
-		res.Values["contacts_"+tag] = a.contacts
-		res.Values["failure_"+tag] = a.failure
+		t.AddRow(mode.name, a.contacts, a.failure, a.latency)
+		res.Values["contacts_"+mode.tag] = a.contacts
+		res.Values["failure_"+mode.tag] = a.failure
 	}
 	res.Tables = append(res.Tables, t)
 	res.Notes = append(res.Notes,
@@ -164,19 +150,24 @@ func RunLinkStress(o Options) (*Result, error) {
 	res := newResult("LinkStress")
 
 	keys := keysN(o.Items / 2)
-	modes := []bool{false, true}
+	modes := []struct {
+		name, tag string
+		aware     bool
+	}{
+		{"basic", "basic", false},
+		{"topology-aware (8 landmarks)", "aware", true},
+	}
 
 	type stressArm struct {
 		maxStress, latency float64
 	}
 	arms, err := sweep(o, len(modes), func(i int) (stressArm, error) {
-		aware := modes[i]
 		// Only this experiment pays for per-link counting, so it hands
 		// construct its own message-layer configuration.
 		ncfg := simnet.DefaultConfig()
 		ncfg.TrackLinkStress = true
 		cfg := expConfig(0.7)
-		if aware {
+		if modes[i].aware {
 			cfg.Landmarks = 8
 			cfg.Assignment = core.AssignCluster
 		}
@@ -187,18 +178,14 @@ func RunLinkStress(o Options) (*Result, error) {
 		if err := sc.populate(o.N, nil, nil); err != nil {
 			return stressArm{}, err
 		}
-		if _, err := sc.storeItems(keys); err != nil {
+		if err := sc.storeItems(keys); err != nil {
 			return stressArm{}, err
 		}
-		rs, err := sc.lookupBatch(o.Lookups/2, 4, keys, func(k int) int { return k })
+		rs, err := sc.lookups(o.Lookups/2, 4, keys, sc.anyLive, func(k int) int { return k })
 		if err != nil {
 			return stressArm{}, err
 		}
-		if aware {
-			sc.observe(o, "LinkStress aware")
-		} else {
-			sc.observe(o, "LinkStress basic")
-		}
+		sc.observe(o, "LinkStress "+modes[i].tag)
 		return stressArm{
 			maxStress: float64(sc.Net.MaxLinkStress()),
 			latency:   meanLatencyMs(rs),
@@ -210,14 +197,10 @@ func RunLinkStress(o Options) (*Result, error) {
 
 	t := metrics.NewTable("Extension: physical link stress with/without topology awareness (p_s=0.7)",
 		"mode", "max link stress", "mean ms")
-	for i, aware := range modes {
+	for i, mode := range modes {
 		a := arms[i]
-		name, tag := "basic", "basic"
-		if aware {
-			name, tag = "topology-aware (8 landmarks)", "aware"
-		}
-		t.AddRow(name, a.maxStress, a.latency)
-		res.Values["maxstress_"+tag] = a.maxStress
+		t.AddRow(mode.name, a.maxStress, a.latency)
+		res.Values["maxstress_"+mode.tag] = a.maxStress
 	}
 	res.Tables = append(res.Tables, t)
 	res.Notes = append(res.Notes,
@@ -250,12 +233,8 @@ func RunChurn(o Options) (*Result, error) {
 	}
 	arms, err := sweep(o, len(intensities), func(i int) (churnArm, error) {
 		in := intensities[i]
-		cfg := expConfig(0.7)
-		sc, err := buildScenario(o, cfg, o.Seed+930+int64(i), nil, nil)
+		sc, err := buildScenario(o, expConfig(0.7), o.Seed+930+int64(i), nil, keys)
 		if err != nil {
-			return churnArm{}, err
-		}
-		if _, err := sc.storeItems(keys); err != nil {
 			return churnArm{}, err
 		}
 		schedule := workload.PoissonSchedule(sc.Eng.Rand(), workload.ChurnConfig{
@@ -266,7 +245,7 @@ func RunChurn(o Options) (*Result, error) {
 		})
 		applyChurn(sc, schedule)
 
-		rs, err := sc.lookupBatch(o.Lookups/3, 4, keys, func(k int) int { return k })
+		rs, err := sc.lookups(o.Lookups/3, 4, keys, sc.anyLive, func(k int) int { return k })
 		if err != nil {
 			return churnArm{}, err
 		}

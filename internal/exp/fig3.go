@@ -7,6 +7,27 @@ import (
 	"repro/internal/metrics"
 )
 
+// fig3TTL is the flood radius of Fig. 3b's lookups and of its Eq. curves
+// (Eq. (1), Fig. 3a's, has no TTL term).
+const fig3TTL = 4
+
+var fig3Deltas = []float64{2, 3, 4}
+
+// analyticCurves evaluates one of the paper's closed forms at every sweep
+// point for δ in {2, 3, 4}: the curves Fig. 3a and 3b plot beside their
+// simulated δ = 3 curve.
+func analyticCurves(o Options, points []float64, eq func(analytic.Params) float64) []*metrics.Series {
+	curves := make([]*metrics.Series, 0, len(fig3Deltas)+1)
+	for _, d := range fig3Deltas {
+		s := &metrics.Series{Name: fmt.Sprintf("analytic δ=%g", d)}
+		for _, ps := range points {
+			s.Add(ps, eq(analytic.Params{N: float64(o.N), Ps: ps, Delta: d, TTL: fig3TTL}))
+		}
+		curves = append(curves, s)
+	}
+	return curves
+}
+
 // RunFig3a regenerates Fig. 3a: the average join latency (in overlay hops)
 // as a function of p_s for δ in {2, 3, 4}. Analytic curves come from Eq. (1);
 // the simulated curve measures the hop counts of real joins at δ = 3 and
@@ -14,56 +35,30 @@ import (
 func RunFig3a(o Options) (*Result, error) {
 	o = o.normalize()
 	res := newResult("Fig3a")
-
-	deltas := []float64{2, 3, 4}
 	points := o.psPoints()
 
-	curves := make([]*metrics.Series, 0, len(deltas)+1)
-	for _, d := range deltas {
-		s := &metrics.Series{Name: fmt.Sprintf("analytic δ=%g", d)}
-		for _, ps := range points {
-			s.Add(ps, analytic.JoinLatency(analytic.Params{N: float64(o.N), Ps: ps, Delta: d}))
-		}
-		curves = append(curves, s)
-	}
-
-	simHops, err := sweepPoints(o, points, func(_ int, ps float64) (float64, error) {
-		cfg := expConfig(ps)
-		sc, err := buildScenario(o, cfg, o.Seed+int64(ps*100), nil, nil)
+	sim, _, err := grid(o, []string{"simulated δ=3"}, points, func(_ int, ps float64) (histVal, error) {
+		sc, err := buildScenario(o, expConfig(ps), o.Seed+int64(ps*100), nil, nil)
 		if err != nil {
-			return 0, err
+			return histVal{}, err
 		}
 		total := 0.0
 		for _, js := range sc.Joins {
 			total += float64(js.Hops)
 		}
 		sc.observe(o, fmt.Sprintf("Fig3a ps=%.2f", ps))
-		return total / float64(len(sc.Joins)), nil
+		return histVal{v: total / float64(len(sc.Joins))}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	simSeries := &metrics.Series{Name: "simulated δ=3"}
-	for i, ps := range points {
-		simSeries.Add(ps, simHops[i])
-	}
-	curves = append(curves, simSeries)
+	curves := append(analyticCurves(o, points, analytic.JoinLatency), sim...)
+	res.Tables = append(res.Tables, curveTable("Fig 3a: average join latency (hops) vs p_s", "p_s", "%.2f", points, curves))
 
-	t := metrics.NewTable("Fig 3a: average join latency (hops) vs p_s")
-	t.Headers = append([]string{"p_s"}, seriesNames(curves)...)
-	for i, ps := range points {
-		row := []any{fmt.Sprintf("%.2f", ps)}
-		for _, c := range curves {
-			row = append(row, c.Y[i])
-		}
-		t.AddRow(row...)
-	}
-	res.Tables = append(res.Tables, t)
-
-	for _, d := range deltas {
+	for _, d := range fig3Deltas {
 		res.Values[fmt.Sprintf("optimal_ps_delta%g", d)] = analytic.OptimalJoinPs(float64(o.N), d)
 	}
-	res.Values["sim_argmin_ps"] = simSeries.ArgMin()
+	res.Values["sim_argmin_ps"] = sim[0].ArgMin()
 	res.Notes = append(res.Notes,
 		"paper: join latency is minimized around p_s = 0.7 (δ=2); larger δ shifts the minimum right and lowers the curve")
 	return res, nil
@@ -76,32 +71,17 @@ func RunFig3a(o Options) (*Result, error) {
 func RunFig3b(o Options) (*Result, error) {
 	o = o.normalize()
 	res := newResult("Fig3b")
-
-	deltas := []float64{2, 3, 4}
 	points := o.psPoints()
-	const ttl = 4
+	keys := keysN(o.Items)
 
-	curves := make([]*metrics.Series, 0, len(deltas)+1)
-	for _, d := range deltas {
-		s := &metrics.Series{Name: fmt.Sprintf("analytic δ=%g", d)}
-		for _, ps := range points {
-			s.Add(ps, analytic.LookupLatency(analytic.Params{N: float64(o.N), Ps: ps, Delta: d, TTL: ttl}))
-		}
-		curves = append(curves, s)
-	}
-
-	keys := keysFor(o)
-	simHops, err := sweepPoints(o, points, func(_ int, ps float64) (histVal, error) {
+	sim, cells, err := grid(o, []string{"simulated δ=3"}, points, func(_ int, ps float64) (histVal, error) {
 		cfg := expConfig(ps)
-		cfg.TTL = ttl
-		sc, err := buildScenario(o, cfg, o.Seed+100+int64(ps*100), nil, nil)
+		cfg.TTL = fig3TTL
+		sc, err := buildScenario(o, cfg, o.Seed+100+int64(ps*100), nil, keys)
 		if err != nil {
 			return histVal{}, err
 		}
-		if _, err := sc.storeItems(keys); err != nil {
-			return histVal{}, err
-		}
-		rs, err := sc.lookupBatch(o.Lookups, ttl, keys, func(i int) int { return i })
+		rs, err := sc.lookups(o.Lookups, fig3TTL, keys, sc.anyLive, func(i int) int { return i })
 		if err != nil {
 			return histVal{}, err
 		}
@@ -111,61 +91,16 @@ func RunFig3b(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	simSeries := &metrics.Series{Name: "simulated δ=3"}
-	for i, ps := range points {
-		simSeries.Add(ps, simHops[i].v)
-	}
-	curves = append(curves, simSeries)
-
-	t := metrics.NewTable("Fig 3b: average lookup latency (hops) vs p_s")
-	t.Headers = append([]string{"p_s"}, seriesNames(curves)...)
-	for i, ps := range points {
-		row := []any{fmt.Sprintf("%.2f", ps)}
-		for _, c := range curves {
-			row = append(row, c.Y[i])
-		}
-		t.AddRow(row...)
-	}
-	res.Tables = append(res.Tables, t)
-
+	curves := append(analyticCurves(o, points, analytic.LookupLatency), sim...)
+	res.Tables = append(res.Tables, curveTable("Fig 3b: average lookup latency (hops) vs p_s", "p_s", "%.2f", points, curves))
 	if o.Hist {
-		labels := make([]string, len(points))
-		hps := make([]histPoint, len(points))
-		for i, ps := range points {
-			labels[i] = fmt.Sprintf("ps=%.2f", ps)
-			hps[i] = simHops[i].hp
-		}
-		res.Tables = append(res.Tables, histTable(
-			"Fig 3b supplement: simulated lookup percentiles per p_s", labels, hps))
+		res.Tables = append(res.Tables, histSupplement(
+			"Fig 3b supplement: simulated lookup percentiles per p_s", []string{""}, points, cells))
 	}
 
-	first, _ := simSeries.YAt(points[0])
-	last, _ := simSeries.YAt(points[len(points)-1])
-	res.Values["sim_hops_at_low_ps"] = first
-	res.Values["sim_hops_at_high_ps"] = last
+	res.Values["sim_hops_at_low_ps"] = sim[0].Y[0]
+	res.Values["sim_hops_at_high_ps"] = sim[0].Y[len(points)-1]
 	res.Notes = append(res.Notes,
 		"paper: latency is flat for p_s < 0.5 (lookups dominated by the t-network) and falls as p_s grows")
 	return res, nil
-}
-
-// seriesNames extracts curve names for table headers.
-func seriesNames(curves []*metrics.Series) []string {
-	names := make([]string, len(curves))
-	for i, c := range curves {
-		names[i] = c.Name
-	}
-	return names
-}
-
-// keysFor builds the experiment's key universe.
-func keysFor(o Options) []string {
-	return keysN(o.Items)
-}
-
-func keysN(n int) []string {
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("item-%06d", i)
-	}
-	return keys
 }

@@ -19,7 +19,7 @@ func RunFig4(o Options) (*Result, error) {
 
 	psValues := []float64{0, 0.4, 0.9}
 	schemes := []core.Placement{core.PlaceAtTPeer, core.PlaceSpread}
-	keys := keysFor(o)
+	keys := keysN(o.Items)
 
 	// One worker-pool task per (scheme, p_s) cell; each returns its summary
 	// row plus the PDF panel, assembled below in grid order.
@@ -34,11 +34,8 @@ func RunFig4(o Options) (*Result, error) {
 		ps := psValues[i%len(psValues)]
 		cfg := expConfig(ps)
 		cfg.Placement = scheme
-		sc, err := buildScenario(o, cfg, o.Seed+int64(ps*1000)+int64(scheme), nil, nil)
+		sc, err := buildScenario(o, cfg, o.Seed+int64(ps*1000)+int64(scheme), nil, keys)
 		if err != nil {
-			return fig4Cell{}, err
-		}
-		if _, err := sc.storeItems(keys); err != nil {
 			return fig4Cell{}, err
 		}
 		sc.observe(o, fmt.Sprintf("Fig4 %s ps=%.1f", scheme, ps))

@@ -3,8 +3,37 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
+
+// ttls are the flood radii Fig. 5a and Table 2 compare.
+var ttls = []int{1, 2, 4}
+
+// ttlCells is the sweep Fig. 5a and Table 2 share: one system per p_s point
+// (config(ps), seeded seedOff past the run's seed), and on it one batch of
+// o.Lookups/len(ttls) lookups per TTL, the k-th for key pick(ti, ttl, k).
+// out[pi][ti] is measure over the batch at points[pi], ttls[ti].
+func ttlCells(o Options, id string, seedOff int64, config func(ps float64) core.Config,
+	pick func(ti, ttl, k int) int, measure func([]core.OpResult) float64) ([][]float64, error) {
+	keys := keysN(o.Items)
+	return sweepPoints(o, o.psPoints(), func(_ int, ps float64) ([]float64, error) {
+		sc, err := buildScenario(o, config(ps), o.Seed+seedOff+int64(ps*100), nil, keys)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]float64, len(ttls))
+		for ti, ttl := range ttls {
+			rs, err := sc.lookups(o.Lookups/len(ttls), ttl, keys, sc.anyLive, func(k int) int { return pick(ti, ttl, k) })
+			if err != nil {
+				return nil, err
+			}
+			out[ti] = measure(rs)
+		}
+		sc.observe(o, fmt.Sprintf("%s ps=%.2f", id, ps))
+		return out, nil
+	})
+}
 
 // RunFig5a regenerates Fig. 5a: the lookup failure ratio as a function of
 // p_s under TTL in {1, 2, 4}. Expected shape: ~0 for p_s < 0.5 (s-networks
@@ -13,54 +42,21 @@ import (
 func RunFig5a(o Options) (*Result, error) {
 	o = o.normalize()
 	res := newResult("Fig5a")
-
-	ttls := []int{1, 2, 4}
 	points := o.psPoints()
-	keys := keysFor(o)
 
-	curves := make([]*metrics.Series, len(ttls))
-	for i, ttl := range ttls {
-		curves[i] = &metrics.Series{Name: fmt.Sprintf("TTL=%d", ttl)}
-	}
-	fails, err := sweepPoints(o, points, func(_ int, ps float64) ([]float64, error) {
-		cfg := expConfig(ps)
-		sc, err := buildScenario(o, cfg, o.Seed+200+int64(ps*100), nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := sc.storeItems(keys); err != nil {
-			return nil, err
-		}
-		out := make([]float64, len(ttls))
-		for i, ttl := range ttls {
-			rs, err := sc.lookupBatch(o.Lookups/len(ttls), ttl, keys, func(k int) int { return k*7 + i })
-			if err != nil {
-				return nil, err
-			}
-			out[i] = failureRatio(rs)
-		}
-		sc.observe(o, fmt.Sprintf("Fig5a ps=%.2f", ps))
-		return out, nil
-	})
+	fails, err := ttlCells(o, "Fig5a", 200, expConfig,
+		func(ti, _, k int) int { return k*7 + ti }, failureRatio)
 	if err != nil {
 		return nil, err
 	}
-	for pi, ps := range points {
-		for i := range ttls {
-			curves[i].Add(ps, fails[pi][i])
+	curves := make([]*metrics.Series, len(ttls))
+	for ti, ttl := range ttls {
+		curves[ti] = &metrics.Series{Name: fmt.Sprintf("TTL=%d", ttl)}
+		for pi, ps := range points {
+			curves[ti].Add(ps, fails[pi][ti])
 		}
 	}
-
-	t := metrics.NewTable("Fig 5a: lookup failure ratio vs p_s")
-	t.Headers = append([]string{"p_s"}, seriesNames(curves)...)
-	for i, ps := range points {
-		row := []any{fmt.Sprintf("%.2f", ps)}
-		for _, c := range curves {
-			row = append(row, c.Y[i])
-		}
-		t.AddRow(row...)
-	}
-	res.Tables = append(res.Tables, t)
+	res.Tables = append(res.Tables, curveTable("Fig 5a: lookup failure ratio vs p_s", "p_s", "%.2f", points, curves))
 
 	for i, ttl := range ttls {
 		lo, _ := curves[i].YAt(pointNear(points, 0.3))
@@ -86,76 +82,37 @@ func RunFig5b(o Options) (*Result, error) {
 	if o.Quick {
 		fractions = []float64{0, 0.1, 0.2}
 	}
-	keys := keysFor(o)
+	keys := keysN(o.Items)
 
-	// The sweep grid is (p_s, crashed fraction); flatten it so every cell
-	// is one independent worker-pool task.
-	fails, err := sweep(o, len(psValues)*len(fractions), func(i int) (float64, error) {
-		ps := psValues[i/len(fractions)]
-		f := fractions[i%len(fractions)]
-		cfg := expConfig(ps)
-		sc, err := buildScenario(o, cfg, o.Seed+300+int64(ps*100)+int64(f*1000), nil, nil)
+	arms := make([]string, len(psValues))
+	for i, ps := range psValues {
+		arms[i] = fmt.Sprintf("p_s=%.1f", ps)
+	}
+	curves, _, err := grid(o, arms, fractions, func(arm int, f float64) (histVal, error) {
+		ps := psValues[arm]
+		sc, err := buildScenario(o, expConfig(ps), o.Seed+300+int64(ps*100)+int64(f*1000), nil, keys)
 		if err != nil {
-			return 0, err
-		}
-		if _, err := sc.storeItems(keys); err != nil {
-			return 0, err
+			return histVal{}, err
 		}
 		sc.crashFraction(f)
-		rs, err := sc.lookupBatch(o.Lookups/len(fractions), 4, keys, func(k int) int { return k })
+		rs, err := sc.lookups(o.Lookups/len(fractions), 4, keys, sc.anyLive, func(k int) int { return k })
 		if err != nil {
-			return 0, err
+			return histVal{}, err
 		}
 		sc.observe(o, fmt.Sprintf("Fig5b ps=%.1f crash=%.2f", ps, f))
-		return failureRatio(rs), nil
+		return histVal{v: failureRatio(rs)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	curves := make([]*metrics.Series, len(psValues))
-	for i, ps := range psValues {
-		curves[i] = &metrics.Series{Name: fmt.Sprintf("p_s=%.1f", ps)}
-		for j, f := range fractions {
-			curves[i].Add(f, fails[i*len(fractions)+j])
-		}
-	}
-
-	t := metrics.NewTable("Fig 5b: lookup failure ratio vs crashed fraction (scheme 2)")
-	t.Headers = append([]string{"crashed"}, seriesNames(curves)...)
-	for i, f := range fractions {
-		row := []any{fmt.Sprintf("%.2f", f)}
-		for _, c := range curves {
-			row = append(row, c.Y[i])
-		}
-		t.AddRow(row...)
-	}
-	res.Tables = append(res.Tables, t)
+	res.Tables = append(res.Tables, curveTable(
+		"Fig 5b: lookup failure ratio vs crashed fraction (scheme 2)", "crashed", "%.2f", fractions, curves))
 
 	for i, ps := range psValues {
-		base := curves[i].Y[0]
-		worst := curves[i].Y[len(curves[i].Y)-1]
-		res.Values[fmt.Sprintf("crashfail_ps%.1f_base", ps)] = base
-		res.Values[fmt.Sprintf("crashfail_ps%.1f_worst", ps)] = worst
+		res.Values[fmt.Sprintf("crashfail_ps%.1f_base", ps)] = curves[i].Y[0]
+		res.Values[fmt.Sprintf("crashfail_ps%.1f_worst", ps)] = curves[i].Y[len(fractions)-1]
 	}
 	res.Notes = append(res.Notes,
 		"paper: the failure ratio rises linearly with the crashed fraction; changing p_s has little effect under scheme 2")
 	return res, nil
-}
-
-// pointNear returns the sweep point closest to the target.
-func pointNear(points []float64, target float64) float64 {
-	best := points[0]
-	for _, p := range points {
-		if abs(p-target) < abs(best-target) {
-			best = p
-		}
-	}
-	return best
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

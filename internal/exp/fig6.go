@@ -5,7 +5,56 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/workload"
 )
+
+// latencyArm is one curve of Fig. 6a or 6b: a name and what it changes in
+// the successor-walk configuration every arm starts from.
+type latencyArm struct {
+	name string
+	tune func(*core.Config)
+}
+
+// latencyVsPs is the body Fig. 6a and 6b share: per (arm, p_s) cell one
+// system (seeded seedOff past the run's seed, the same for every arm, over
+// capacities), o.Lookups/len(arms) TTL-4 lookups, mean latency in simulated
+// milliseconds. fig is the figure's number ("6a"), what the feature its title
+// says the curves are with/without. It returns the result holding the curve
+// table (and the -hist supplement) and the curves, one per arm.
+func latencyVsPs(o Options, fig, what string, seedOff int64, capacities []float64, arms []latencyArm) (*Result, []*metrics.Series, error) {
+	res := newResult("Fig" + fig)
+	points := o.psPoints()
+	keys := keysN(o.Items)
+	names := make([]string, len(arms))
+	for i, arm := range arms {
+		names[i] = arm.name
+	}
+
+	curves, cells, err := grid(o, names, points, func(arm int, ps float64) (histVal, error) {
+		cfg := paperRoutingConfig(ps)
+		arms[arm].tune(&cfg)
+		sc, err := buildScenario(o, cfg, o.Seed+seedOff+int64(ps*100), capacities, keys)
+		if err != nil {
+			return histVal{}, err
+		}
+		rs, err := sc.lookups(o.Lookups/len(arms), 4, keys, sc.anyLive, func(k int) int { return k })
+		if err != nil {
+			return histVal{}, err
+		}
+		sc.observe(o, fmt.Sprintf("Fig%s %s ps=%.2f", fig, names[arm], ps))
+		return histVal{meanLatencyMs(rs), sc.histPoint()}, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Tables = append(res.Tables, curveTable(
+		fmt.Sprintf("Fig %s: average lookup latency (ms) with/without %s", fig, what), "p_s", "%.2f", points, curves))
+	if o.Hist {
+		res.Tables = append(res.Tables, histSupplement(
+			fmt.Sprintf("Fig %s supplement: lookup latency percentiles per mode and p_s", fig), names, points, cells))
+	}
+	return res, curves, nil
+}
 
 // RunFig6a regenerates Fig. 6a: the average lookup latency (simulated
 // milliseconds) with and without link heterogeneity support, as p_s grows.
@@ -14,70 +63,15 @@ import (
 // for p_s between 0.4 and 0.8 (the paper reports ~20% at p_s = 0.7).
 func RunFig6a(o Options) (*Result, error) {
 	o = o.normalize()
-	res := newResult("Fig6a")
-
-	points := o.psPoints()
-	keys := keysFor(o)
-	modes := []struct {
-		name   string
-		hetero bool
-	}{
-		{"basic", false},
-		{"heterogeneity", true},
-	}
-
-	lats, err := sweep(o, len(modes)*len(points), func(i int) (histVal, error) {
-		mode := modes[i/len(points)]
-		ps := points[i%len(points)]
-		cfg := paperRoutingConfig(ps)
-		cfg.Heterogeneity = mode.hetero
-		sc, err := buildScenario(o, cfg, o.Seed+400+int64(ps*100), capacities13(o.N), nil)
-		if err != nil {
-			return histVal{}, err
-		}
-		if _, err := sc.storeItems(keys); err != nil {
-			return histVal{}, err
-		}
-		rs, err := sc.lookupBatch(o.Lookups/2, 4, keys, func(k int) int { return k })
-		if err != nil {
-			return histVal{}, err
-		}
-		sc.observe(o, fmt.Sprintf("Fig6a %s ps=%.2f", mode.name, ps))
-		return histVal{meanLatencyMs(rs), sc.histPoint()}, nil
+	// Both arms run over the paper's 1/3-1/3-1/3 capacity mix.
+	res, curves, err := latencyVsPs(o, "6a", "link heterogeneity", 400, workload.CapacityClasses(o.N), []latencyArm{
+		{"basic", func(*core.Config) {}},
+		{"heterogeneity", func(c *core.Config) { c.Heterogeneity = true }},
 	})
 	if err != nil {
 		return nil, err
 	}
-	curves := make([]*metrics.Series, len(modes))
-	for i, mode := range modes {
-		curves[i] = &metrics.Series{Name: mode.name}
-		for pi, ps := range points {
-			curves[i].Add(ps, lats[i*len(points)+pi].v)
-		}
-	}
-
-	t := metrics.NewTable("Fig 6a: average lookup latency (ms) with/without link heterogeneity")
-	t.Headers = append([]string{"p_s"}, seriesNames(curves)...)
-	for i, ps := range points {
-		row := []any{fmt.Sprintf("%.2f", ps)}
-		for _, c := range curves {
-			row = append(row, c.Y[i])
-		}
-		t.AddRow(row...)
-	}
-	res.Tables = append(res.Tables, t)
-	if o.Hist {
-		labels := make([]string, len(lats))
-		hps := make([]histPoint, len(lats))
-		for i := range lats {
-			labels[i] = fmt.Sprintf("%s ps=%.2f", modes[i/len(points)].name, points[i%len(points)])
-			hps[i] = lats[i].hp
-		}
-		res.Tables = append(res.Tables, histTable(
-			"Fig 6a supplement: lookup latency percentiles per mode and p_s", labels, hps))
-	}
-
-	mid := pointNear(points, 0.7)
+	mid := pointNear(o.psPoints(), 0.7)
 	base, _ := curves[0].YAt(mid)
 	het, _ := curves[1].YAt(mid)
 	res.Values["latency_basic_ps0.7"] = base
@@ -96,75 +90,21 @@ func RunFig6a(o Options) (*Result, error) {
 // near p_s = 0.9.
 func RunFig6b(o Options) (*Result, error) {
 	o = o.normalize()
-	res := newResult("Fig6b")
-
-	points := o.psPoints()
-	keys := keysFor(o)
-	modes := []struct {
-		name      string
-		aware     bool
-		landmarks int
-	}{
-		{"basic", false, 0},
-		{"topo-aware L=8", true, 8},
-		{"topo-aware L=12", true, 12},
+	aware := func(landmarks int) func(*core.Config) {
+		return func(c *core.Config) {
+			c.Landmarks = landmarks
+			c.Assignment = core.AssignCluster
+		}
 	}
-
-	lats, err := sweep(o, len(modes)*len(points), func(i int) (histVal, error) {
-		mode := modes[i/len(points)]
-		ps := points[i%len(points)]
-		cfg := paperRoutingConfig(ps)
-		if mode.aware {
-			cfg.Landmarks = mode.landmarks
-			cfg.Assignment = core.AssignCluster
-		}
-		sc, err := buildScenario(o, cfg, o.Seed+500+int64(ps*100), nil, nil)
-		if err != nil {
-			return histVal{}, err
-		}
-		if _, err := sc.storeItems(keys); err != nil {
-			return histVal{}, err
-		}
-		rs, err := sc.lookupBatch(o.Lookups/3, 4, keys, func(k int) int { return k })
-		if err != nil {
-			return histVal{}, err
-		}
-		sc.observe(o, fmt.Sprintf("Fig6b %s ps=%.2f", mode.name, ps))
-		return histVal{meanLatencyMs(rs), sc.histPoint()}, nil
+	res, curves, err := latencyVsPs(o, "6b", "topology awareness", 500, nil, []latencyArm{
+		{"basic", func(*core.Config) {}},
+		{"topo-aware L=8", aware(8)},
+		{"topo-aware L=12", aware(12)},
 	})
 	if err != nil {
 		return nil, err
 	}
-	curves := make([]*metrics.Series, len(modes))
-	for i, mode := range modes {
-		curves[i] = &metrics.Series{Name: mode.name}
-		for pi, ps := range points {
-			curves[i].Add(ps, lats[i*len(points)+pi].v)
-		}
-	}
-
-	t := metrics.NewTable("Fig 6b: average lookup latency (ms) with/without topology awareness")
-	t.Headers = append([]string{"p_s"}, seriesNames(curves)...)
-	for i, ps := range points {
-		row := []any{fmt.Sprintf("%.2f", ps)}
-		for _, c := range curves {
-			row = append(row, c.Y[i])
-		}
-		t.AddRow(row...)
-	}
-	res.Tables = append(res.Tables, t)
-	if o.Hist {
-		labels := make([]string, len(lats))
-		hps := make([]histPoint, len(lats))
-		for i := range lats {
-			labels[i] = fmt.Sprintf("%s ps=%.2f", modes[i/len(points)].name, points[i%len(points)])
-			hps[i] = lats[i].hp
-		}
-		res.Tables = append(res.Tables, histTable(
-			"Fig 6b supplement: lookup latency percentiles per mode and p_s", labels, hps))
-	}
-
-	mid := pointNear(points, 0.3)
+	mid := pointNear(o.psPoints(), 0.3)
 	basic, _ := curves[0].YAt(mid)
 	aware8, _ := curves[1].YAt(mid)
 	aware12, _ := curves[2].YAt(mid)

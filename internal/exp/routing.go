@@ -49,11 +49,8 @@ func RunAblationRouting(o Options) (*Result, error) {
 		cfg := expConfig(0.7)
 		cfg.LookupAlpha = mode.alpha
 		cfg.PathCache = mode.cache
-		sc, err := buildScenario(o, cfg, o.Seed+990, nil, nil)
+		sc, err := buildScenario(o, cfg, o.Seed+990, nil, keys)
 		if err != nil {
-			return routingArm{}, err
-		}
-		if _, err := sc.storeItems(keys); err != nil {
 			return routingArm{}, err
 		}
 		// The crash wave creates suspects and dead holders, exercising hint
@@ -62,11 +59,11 @@ func RunAblationRouting(o Options) (*Result, error) {
 		// Warm pass with clean delivery: deposits path hints (cache arms) and
 		// lets read-repair restore replicas, modeling a population that has
 		// looked keys up before the loss sets in.
-		if _, err := sc.lookupBatch(queries/2, 4, keys, func(k int) int { return k }); err != nil {
+		if _, err := sc.lookups(queries/2, 4, keys, sc.anyLive, func(k int) int { return k }); err != nil {
 			return routingArm{}, err
 		}
 		sc.Net.SetFaults(simnet.NewFaults(fc))
-		rs, err := sc.lookupBatch(queries, 4, keys, func(k int) int { return k })
+		rs, err := sc.lookups(queries, 4, keys, sc.anyLive, func(k int) int { return k })
 		if err != nil {
 			return routingArm{}, err
 		}

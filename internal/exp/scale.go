@@ -169,10 +169,10 @@ func runScalePoint(o Options, n int) (p scalePoint, err error) {
 		keys[i] = fmt.Sprintf("scale-%07d", i)
 	}
 	sc := &scenario{Sys: sys, Eng: eng, Net: net, Topo: topo, Peers: peers, wallStart: start}
-	if _, err := sc.storeItems(keys); err != nil {
+	if err := sc.storeItems(keys); err != nil {
 		return p, err
 	}
-	results, err := sc.lookupBatch(lookups, 0, keys, func(i int) int { return i * 7 })
+	results, err := sc.lookups(lookups, 0, keys, sc.anyLive, func(i int) int { return i * 7 })
 	if err != nil {
 		return p, err
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/topology"
-	"repro/internal/workload"
 )
 
 // expTopoConfig returns the paper-scale transit-stub generator configuration
@@ -189,14 +188,18 @@ func (s *scenario) populate(n int, capacities []float64, interests []int) error 
 	return nil
 }
 
-// buildScenario is construct over the shared topology plus populate with o.N
-// peers: what every experiment without a step of its own in between uses.
-func buildScenario(o Options, cfg core.Config, seed int64, capacities []float64, interests []int) (*scenario, error) {
+// buildScenario is the prelude of every experiment cell without a step of its
+// own in between: construct over the shared topology, populate with o.N
+// peers, store keys (none for a cell that only measures joins).
+func buildScenario(o Options, cfg core.Config, seed int64, capacities []float64, keys []string) (*scenario, error) {
 	sc, err := construct(o, nil, simnet.DefaultConfig(), cfg, seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := sc.populate(o.N, capacities, interests); err != nil {
+	if err := sc.populate(o.N, capacities, nil); err != nil {
+		return nil, err
+	}
+	if err := sc.storeItems(keys); err != nil {
 		return nil, err
 	}
 	return sc, nil
@@ -280,53 +283,41 @@ func (s *scenario) batches(count int, issue func(i int, done func()) error) erro
 	return nil
 }
 
-// storeItems injects keys from deterministically chosen origins and returns
-// the number stored successfully.
-func (s *scenario) storeItems(keys []string) (int, error) {
-	rng := s.Eng.Rand()
-	stored := 0
-	err := s.batches(len(keys), func(i int, done func()) error {
-		p := s.alivePeer(rng.Intn(len(s.Peers)))
+// storeItems injects keys from deterministically chosen origins. A store the
+// protocol fails is not an error here: the lookups that miss the item report
+// it.
+func (s *scenario) storeItems(keys []string) error {
+	return s.batches(len(keys), func(i int, done func()) error {
+		p := s.anyLive(i)
 		if p == nil {
 			return fmt.Errorf("exp: no live peers to store from")
 		}
-		p.Store(keys[i], "value-of-"+keys[i], func(r core.OpResult) {
-			if r.OK {
-				stored++
-			}
-			done()
-		})
+		p.Store(keys[i], "value-of-"+keys[i], func(core.OpResult) { done() })
 		return nil
 	})
-	return stored, err
 }
 
-// lookupBatch issues lookups from random live origins and returns the
-// results. pick chooses a key index per lookup.
-func (s *scenario) lookupBatch(count int, ttl int, keys []string, pick func(i int) int) ([]core.OpResult, error) {
-	rng := s.Eng.Rand()
+// anyLive is the origin chooser of every experiment but one: a uniformly
+// drawn peer, or the next live one after it.
+func (s *scenario) anyLive(int) *core.Peer {
+	return s.alivePeer(s.Eng.Rand().Intn(len(s.Peers)))
+}
+
+// lookups issues count lookups, the i-th from origin(i) for key
+// keys[pick(i)%len(keys)], and returns the results; the turn of an origin
+// that has died is skipped. It refuses an empty key universe: a size option
+// too small for the experiment's share of it is the caller's input, not a
+// bug.
+func (s *scenario) lookups(count, ttl int, keys []string, origin func(i int) *core.Peer, pick func(i int) int) ([]core.OpResult, error) {
+	if len(keys) == 0 {
+		return nil, errNoKeys
+	}
 	results := make([]core.OpResult, 0, count)
 	err := s.batches(count, func(i int, done func()) error {
-		p := s.alivePeer(rng.Intn(len(s.Peers)))
+		p := origin(i)
 		if p == nil {
 			return fmt.Errorf("exp: no live peers to look up from")
 		}
-		p.LookupWithTTL(keys[pick(i)%len(keys)], ttl, func(r core.OpResult) {
-			results = append(results, r)
-			done()
-		})
-		return nil
-	})
-	return results, err
-}
-
-// lookupFrom is lookupBatch with a fixed origin set instead of random
-// origins (used by workloads that model a few heavy consumers); a dead
-// origin's turn is skipped.
-func (s *scenario) lookupFrom(origins []*core.Peer, count, ttl int, keys []string, pick func(i int) int) ([]core.OpResult, error) {
-	results := make([]core.OpResult, 0, count)
-	err := s.batches(count, func(i int, done func()) error {
-		p := origins[i%len(origins)]
 		if !p.Alive() {
 			done()
 			return nil
@@ -376,9 +367,6 @@ func (s *scenario) crashFraction(f float64) {
 	s.crashWave(f)
 	s.Sys.Settle(8*s.Sys.Cfg.HelloTimeout + 10*s.Sys.Cfg.FingerRefreshEvery)
 }
-
-// capacities13 builds the paper's 1/3-1/3-1/3 capacity mix.
-func capacities13(n int) []float64 { return workload.CapacityClasses(n) }
 
 // meanHops averages the hop counts of successful results.
 func meanHops(rs []core.OpResult) float64 {

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -13,43 +14,22 @@ import (
 func RunTable2(o Options) (*Result, error) {
 	o = o.normalize()
 	res := newResult("Table2")
-
-	ttls := []int{1, 2, 4}
 	points := o.psPoints()
-	keys := keysFor(o)
-	perTTL := o.Lookups / len(ttls)
 
-	t := metrics.NewTable(
-		fmt.Sprintf("Table 2: total connum over %d lookups per cell", perTTL),
-		"p_s", "TTL=1", "TTL=2", "TTL=4")
-	rows, err := sweepPoints(o, points, func(_ int, ps float64) ([]int, error) {
-		cfg := paperRoutingConfig(ps)
-		sc, err := buildScenario(o, cfg, o.Seed+600+int64(ps*100), nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := sc.storeItems(keys); err != nil {
-			return nil, err
-		}
-		out := make([]int, len(ttls))
-		for i, ttl := range ttls {
-			rs, err := sc.lookupBatch(perTTL, ttl, keys, func(k int) int { return k*3 + ttl })
-			if err != nil {
-				return nil, err
-			}
-			out[i] = totalContacts(rs)
-		}
-		sc.observe(o, fmt.Sprintf("Table2 ps=%.2f", ps))
-		return out, nil
-	})
+	rows, err := ttlCells(o, "Table2", 600, paperRoutingConfig,
+		func(_, ttl, k int) int { return k*3 + ttl },
+		func(rs []core.OpResult) float64 { return float64(totalContacts(rs)) })
 	if err != nil {
 		return nil, err
 	}
+	t := metrics.NewTable(
+		fmt.Sprintf("Table 2: total connum over %d lookups per cell", o.Lookups/len(ttls)),
+		"p_s", "TTL=1", "TTL=2", "TTL=4")
 	totals := make(map[string]int)
 	for pi, ps := range points {
 		row := []any{fmt.Sprintf("%.2f", ps)}
 		for i, ttl := range ttls {
-			c := rows[pi][i]
+			c := int(rows[pi][i])
 			totals[fmt.Sprintf("%.1f/%d", ps, ttl)] = c
 			row = append(row, c)
 		}

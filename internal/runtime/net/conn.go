@@ -31,11 +31,11 @@ func newWconn(c nnet.Conn) *wconn {
 // frame: the receiver's reader never blocks (it only decodes and enqueues),
 // so a stalled write means a dead or wedged peer, and failing the send is
 // the correct unreliable-transport outcome.
-func (c *wconn) write(env envelope, timeout time.Duration) error {
+func (c *wconn) write(env envelope) error {
 	buf := appendEnvelope(nil, env)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.c.SetWriteDeadline(time.Now().Add(timeout))
+	c.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := c.c.Write(buf)
 	return err
 }

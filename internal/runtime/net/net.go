@@ -64,6 +64,14 @@ import (
 	"repro/internal/runtime/live"
 )
 
+// The transport's I/O bounds: one connection attempt, one broker request,
+// one frame write.
+const (
+	dialTimeout  = 5 * time.Second
+	rpcTimeout   = 5 * time.Second
+	writeTimeout = 10 * time.Second
+)
+
 // Config tunes the socket runtime.
 type Config struct {
 	// Listen is the TCP endpoint to listen on, e.g. "127.0.0.1:7000" or
@@ -84,12 +92,6 @@ type Config struct {
 	Seed int64
 	// AwaitTimeout bounds a single Await call. Default 30s.
 	AwaitTimeout time.Duration
-	// DialTimeout bounds one connection attempt. Default 5s.
-	DialTimeout time.Duration
-	// RPCTimeout bounds one broker request. Default 5s.
-	RPCTimeout time.Duration
-	// WriteTimeout bounds one frame write. Default 10s.
-	WriteTimeout time.Duration
 	// Logf receives transport diagnostics (encode failures, broker errors).
 	// Defaults to stderr.
 	Logf func(format string, args ...any)
@@ -142,15 +144,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if len(cfg.Messages) == 0 {
 		return nil, errors.New("net: Config.Messages is required (see core.WireMessages)")
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.RPCTimeout <= 0 {
-		cfg.RPCTimeout = 5 * time.Second
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 10 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(format string, args ...any) {
@@ -243,7 +236,7 @@ func (r *Runtime) Detach(a runtime.Addr) {
 	r.dir.markDead(int64(a))
 	if !r.isBoot {
 		if c, err := r.connTo(r.boot); err == nil {
-			if err := c.write(envelope{Type: ctrlDetach, From: -1, To: -1, Payload: addrPayload(int64(a))}, r.cfg.WriteTimeout); err != nil {
+			if err := c.write(envelope{Type: ctrlDetach, From: -1, To: -1, Payload: addrPayload(int64(a))}); err != nil {
 				r.dropConn(r.boot, c)
 			}
 		}
@@ -297,7 +290,7 @@ func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
 	}
 	if c, ok := r.conns[ep]; ok {
 		r.cmu.Unlock()
-		if err := c.write(env, r.cfg.WriteTimeout); err != nil {
+		if err := c.write(env); err != nil {
 			r.dropConn(ep, c)
 		}
 		return
@@ -463,7 +456,7 @@ func (r *Runtime) dialAndInstall(ep string) (*wconn, error) {
 	}
 	r.cmu.Unlock()
 
-	nc, err := nnet.DialTimeout("tcp", ep, r.cfg.DialTimeout)
+	nc, err := nnet.DialTimeout("tcp", ep, dialTimeout)
 	if err != nil {
 		r.cmu.Lock()
 		r.dialFailAt[ep] = time.Now()
@@ -495,7 +488,7 @@ func (r *Runtime) dialAndInstall(ep string) (*wconn, error) {
 	// dead, and this revives them (one-way frames; nothing to await).
 	if !r.isBoot && ep == r.boot {
 		for _, a := range r.dir.liveAt(r.self) {
-			if err := c.write(envelope{Type: ctrlRegisterReq, From: -1, To: -1, Payload: registerPayload(a, r.self)}, r.cfg.WriteTimeout); err != nil {
+			if err := c.write(envelope{Type: ctrlRegisterReq, From: -1, To: -1, Payload: registerPayload(a, r.self)}); err != nil {
 				break
 			}
 		}
@@ -524,7 +517,7 @@ func (r *Runtime) dialLoop(ep string) {
 			}
 			r.cmu.Unlock()
 			for _, env := range pending {
-				if err := c.write(env, r.cfg.WriteTimeout); err != nil {
+				if err := c.write(env); err != nil {
 					// The fresh connection died mid-flush: the rest of the
 					// backlog is lost (unreliable contract).
 					r.dropConn(ep, c)
@@ -592,7 +585,7 @@ func (r *Runtime) rpc(typ uint16, payload []byte) (envelope, error) {
 		r.imu.Unlock()
 
 		env := envelope{Type: typ, From: -1, To: -1, MsgID: id, Payload: payload}
-		if err := c.write(env, r.cfg.WriteTimeout); err != nil {
+		if err := c.write(env); err != nil {
 			r.unpark(id)
 			r.dropConn(r.boot, c)
 			lastErr = err
@@ -602,7 +595,7 @@ func (r *Runtime) rpc(typ uint16, payload []byte) (envelope, error) {
 		case resp := <-ch:
 			r.unpark(id)
 			return resp, nil
-		case <-time.After(r.cfg.RPCTimeout):
+		case <-time.After(rpcTimeout):
 			r.unpark(id)
 			lastErr = fmt.Errorf("broker request %#x timed out", typ)
 		case <-r.closedCh:
@@ -741,7 +734,7 @@ func (r *Runtime) handleFrame(c *wconn, env envelope) {
 // reply writes a control response on the connection the request arrived on.
 func (r *Runtime) reply(c *wconn, typ uint16, msgID uint64, payload []byte) {
 	env := envelope{Type: typ, From: -1, To: -1, MsgID: msgID, Payload: payload}
-	if err := c.write(env, r.cfg.WriteTimeout); err != nil {
+	if err := c.write(env); err != nil {
 		c.c.Close() // the reader will notice and clean up
 	}
 }

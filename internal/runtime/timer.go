@@ -75,9 +75,6 @@ func (t *Timer) Resets() int { return t.resets }
 // Duration returns the default duration the timer was created with.
 func (t *Timer) Duration() Time { return t.d }
 
-// SetDuration changes the default duration used by Start and Reset.
-func (t *Timer) SetDuration(d Time) { t.d = d }
-
 // Ticker invokes a callback at a fixed period until stopped. It is used for
 // periodic protocol maintenance: finger refresh and HELLO broadcasts.
 type Ticker struct {

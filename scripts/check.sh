@@ -32,12 +32,15 @@ gate() {
         # Determinism gate: with the fault layer compiled in but disabled,
         # sweep output must stay byte-identical to a build with no fault
         # layer armed, at any worker count — and every experiment's quick
-        # output and hybridsim's pinned command lines must match the hashes
-        # committed in internal/exp/testdata/{quick,freeform}_golden.sha256.
-        echo "== determinism gate (fault layer off, worker counts, quick-output and hybridsim goldens)"
+        # output (plain, with -hist, and the labels and metric keys of its
+        # manifest) and hybridsim's pinned command lines must match what is
+        # committed in internal/exp/testdata. paperexp's own tests hold its
+        # stdout to the same bytes with and without the observability flags.
+        echo "== determinism gate (fault layer off, worker counts, quick-output, -hist, manifest and hybridsim goldens)"
         go test ./internal/exp -count=1 \
-            -run '^(TestFaultLayerOffIsByteIdentical|TestParallelSweepDeterminism|TestQuickOutputGolden|TestFreeformGolden)$'
+            -run '^(TestFaultLayerOffIsByteIdentical|TestParallelSweepDeterminism|TestQuickOutputGolden|TestHistOutputGolden|TestManifestLabelsGolden|TestFreeformGolden)$'
         go test ./cmd/hybridsim -count=1 -run '^TestStdoutGolden$'
+        go test ./cmd/paperexp -count=1
         ;;
     conformance)
         # Cross-runtime conformance gate: the same join/store/crash/lookup
@@ -76,10 +79,14 @@ gate() {
         # flag for the former; the programs nothing ran (topogen, four of the
         # examples), sim's copy of the runtime timers, the metrics types
         # without a caller, the recorded-output files, the `bench` Make
-        # target and core's printf trace hook beside obs.Tracer. CHANGES.md, ROADMAP.md and ISSUE.md may tell the story;
-        # this script has to spell the patterns.
+        # target and core's printf trace hook beside obs.Tracer; exp's one-line
+        # aliases and its two lookup issuers (one function with an origin
+        # chooser now), the socket runtime's three timeouts nobody set
+        # (constants now) and five methods nobody called. CHANGES.md,
+        # ROADMAP.md and ISSUE.md may tell the story; this script has to spell
+        # the patterns.
         echo "== retired-name gate (deleted flags, types, programs, files and Make targets stay deleted)"
-        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)' \
+        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(' \
             --include='*.go' --include='*.md' --include='*.sh' --include=Makefile \
             --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh \
             --exclude-dir=.git --exclude-dir=.bench_build .; then
