@@ -12,7 +12,7 @@ import (
 // TestLiveChurn runs sustained churn against the live runtime: peers crash
 // while replacements join and clients keep issuing operations from separate
 // goroutines. Under -race this is the main concurrency exercise for the
-// executor-lock model — mailbox goroutines, wall-clock timer firings, and
+// executor-lock model — the dispatcher, wall-clock timer firings, and
 // external Do/Await callers all contend for the same protocol state.
 func TestLiveChurn(t *testing.T) {
 	if testing.Short() {

@@ -12,8 +12,8 @@ import (
 
 // The executor suite: every test below runs once on a live.Runtime and once
 // on a single-process bootstrap net.Runtime, which embeds the same executor.
-// What a carrier may change is how Send travels; timers, mailboxes, Await
-// and Close must behave identically.
+// What a carrier may change is how Send travels; timers, the run queue,
+// Await and Close must behave identically.
 
 // executor is what the suite drives.
 type executor interface {
@@ -135,16 +135,7 @@ func TestMailboxFIFOUnderConcurrentSenders(t *testing.T) {
 			dst     = runtime.Addr(100)
 		)
 		rec := &recorder{}
-		// The warm-up message brings the net carrier's self-dialed connection
-		// up first: frames queued while a dial is in progress may be
-		// overtaken by the first direct writes.
-		rt.Do(func() {
-			rt.Attach(dst, runtime.Endpoint{}, rec)
-			rt.Send(0, dst, 0, seqMsg{})
-		})
-		if err := rt.Await(func() bool { return len(rec.got) == 1 }); err != nil {
-			t.Fatal(err)
-		}
+		rt.Do(func() { rt.Attach(dst, runtime.Endpoint{}, rec) })
 
 		var wg sync.WaitGroup
 		for s := 0; s < senders; s++ {
@@ -157,14 +148,14 @@ func TestMailboxFIFOUnderConcurrentSenders(t *testing.T) {
 			}(runtime.Addr(s + 1))
 		}
 		wg.Wait()
-		if err := rt.Await(func() bool { return len(rec.got) == 1+senders*perSend }); err != nil {
-			rt.Do(func() { t.Fatalf("only %d of %d messages delivered", len(rec.got)-1, senders*perSend) })
+		if err := rt.Await(func() bool { return len(rec.got) == senders*perSend }); err != nil {
+			rt.Do(func() { t.Fatalf("only %d of %d messages delivered", len(rec.got), senders*perSend) })
 		}
 
 		rt.Do(func() {
 			next := make(map[runtime.Addr]int)
-			for i, m := range rec.got[1:] {
-				from := rec.from[i+1]
+			for i, m := range rec.got {
+				from := rec.from[i]
 				if seq := m.(seqMsg).Seq; seq != next[from] {
 					t.Fatalf("sender %d: message %d arrived when %d was expected (position %d)", from, seq, next[from], i)
 				}
@@ -174,7 +165,7 @@ func TestMailboxFIFOUnderConcurrentSenders(t *testing.T) {
 	})
 }
 
-// TestDetachDropsQueuedMessages: a message sitting in a mailbox when its
+// TestDetachDropsQueuedMessages: a message sitting in the run queue when its
 // address detaches is dropped — it was in flight when the host crashed — and
 // a re-attached incarnation must not see it. SendLocal queues directly on
 // both carriers (live's zero-delay Send is the same Deliver call).
@@ -184,15 +175,15 @@ func TestDetachDropsQueuedMessages(t *testing.T) {
 		const dst runtime.Addr = 9
 		rt.Do(func() {
 			rt.Attach(dst, runtime.Endpoint{}, first)
-			// The mailbox goroutine cannot deliver while we hold the executor
-			// lock, so the detach below is guaranteed to beat delivery.
+			// The dispatcher cannot deliver while we hold the executor lock,
+			// so the detach below is guaranteed to beat delivery.
 			rt.SendLocal(dst, seqMsg{Seq: 1})
 			rt.Detach(dst)
 			rt.Attach(dst, runtime.Endpoint{}, second)
 			rt.SendLocal(dst, seqMsg{Seq: 2})
 		})
-		// Mailboxes are FIFO, so once the second message is in, the first
-		// would have been too.
+		// The run queue is FIFO, so once the second message is in, the
+		// first would have been too.
 		if err := rt.Await(func() bool { return len(second.got) > 0 }); err != nil {
 			t.Fatal(err)
 		}

@@ -14,10 +14,12 @@
 // protocol execution behind one executor mutex — the direct analogue of the
 // DES dispatch loop — while keeping everything around it concurrent:
 //
-//   - each attached address has a mailbox goroutine, so message delivery is
-//     asynchronous, per-node FIFO, and overlapping across nodes; the mailbox
-//     table has its own lock, so a carrier's reader goroutines hand messages
-//     in through Deliver without ever waiting on protocol execution;
+//   - message delivery is asynchronous: every send lands in one bounded run
+//     queue per runtime, which one dispatcher goroutine drains in arrival
+//     order, one delivery per turn of the executor lock (so FIFO per pair of
+//     nodes); the queue and the address table have their own lock, so a
+//     carrier's reader goroutines hand messages in through Deliver without
+//     ever waiting on protocol execution;
 //   - timers are real time.AfterFunc firings that take the executor lock
 //     before running; the set of armed firings is executor state, so a
 //     stopped timer that already won the race to fire is a no-op and Close
@@ -50,7 +52,7 @@ type Config struct {
 	Seed int64
 	// Delay is the artificial one-way delivery delay applied to every
 	// Send, modeling a network round trip on the loopback transport.
-	// Zero means deliver as fast as the mailbox drains.
+	// Zero means deliver as fast as the run queue drains.
 	Delay time.Duration
 	// AwaitTimeout bounds a single Await call in wall-clock time.
 	// Zero means the default of 30 seconds.
@@ -75,38 +77,44 @@ type Runtime struct {
 	// closed runtime reachable until its timer would have gone off.
 	timers map[*time.Timer]struct{}
 
-	// nodes has its own lock (not the executor's) because a carrier's
-	// readers must find mailboxes without ever waiting on protocol
-	// execution. Lock order: mu before nmu; Deliver takes nmu alone.
-	nmu   sync.RWMutex
-	nodes map[runtime.Addr]*node
+	// The address table and the run queue have their own lock (not the
+	// executor's) because a carrier's readers must queue deliveries without
+	// ever waiting on protocol execution. Lock order: mu before qmu; Deliver
+	// takes qmu alone. nodes is nil once Stop has run.
+	qmu     sync.Mutex
+	qcond   *sync.Cond // signalled when queue grows or nodes goes nil
+	nodes   map[runtime.Addr]*node
+	queue   []delivery
+	dropped int // deliveries refused because the queue was full
 
 	// next is atomic so a carrier can allocate for remote processes from
 	// its reader goroutines, outside the executor lock.
 	next atomic.Int64
 
-	wg sync.WaitGroup // live mailbox goroutines
+	wg sync.WaitGroup // the dispatcher
 }
 
 // serverAddr is the bootstrap address handed to the first System on this
 // runtime; NewAddr starts right above it, mirroring the DES runtime.
 const serverAddr runtime.Addr = 0
 
-// node is one attached address: a handler plus its mailbox. The queue has
-// its own tiny lock so senders holding the executor lock never block on a
-// mailbox goroutine that is waiting for the executor lock.
-type node struct {
-	h runtime.Handler
+// runQueueMax bounds the run queue. A delivery that finds it full is
+// dropped and counted — the newest message loses, like a packet at a full
+// router queue; what is already queued keeps its order. A handler sends a
+// few messages per delivery and the dispatcher drains one per lock turn, so
+// the queue stays a few dozen deep under the kv benchmark's load; the bound
+// is for a process that stops draining, not for normal bursts.
+const runQueueMax = 1 << 16
 
-	qmu    sync.Mutex
-	qcond  *sync.Cond
-	queue  []envelope
-	closed bool
-}
+// node is one attachment of an address. A delivery carries the node it was
+// queued for, so one queued before a Detach, or before a Detach and a fresh
+// Attach of the same address, finds a different node and is dropped.
+type node struct{ h runtime.Handler }
 
-type envelope struct {
-	from runtime.Addr
-	msg  any
+type delivery struct {
+	n        *node
+	from, to runtime.Addr
+	msg      any
 }
 
 // New creates a live runtime.
@@ -121,7 +129,10 @@ func New(cfg Config) *Runtime {
 		timers: make(map[*time.Timer]struct{}),
 		nodes:  make(map[runtime.Addr]*node),
 	}
+	r.qcond = sync.NewCond(&r.qmu)
 	r.next.Store(int64(serverAddr))
+	r.wg.Add(1)
+	go r.dispatch()
 	return r
 }
 
@@ -181,45 +192,32 @@ func (r *Runtime) Scheduled(h runtime.Handle) bool {
 	return ok
 }
 
-// Attach registers a handler and starts its mailbox goroutine. The endpoint
-// is recorded for interface compatibility; neither carrier has a physical
-// placement, so Host and Capacity do not shape delivery.
+// Attach registers a handler. The endpoint is recorded for interface
+// compatibility; neither carrier has a physical placement, so Host and
+// Capacity do not shape delivery. Messages still queued for an earlier
+// attachment of the address are not delivered to this one.
 func (r *Runtime) Attach(a runtime.Addr, _ runtime.Endpoint, h runtime.Handler) {
 	if r.closed {
 		return
 	}
-	n := &node{h: h}
-	n.qcond = sync.NewCond(&n.qmu)
-	r.nmu.Lock()
-	if old, ok := r.nodes[a]; ok {
-		old.close()
-	}
-	r.nodes[a] = n
-	r.nmu.Unlock()
-	r.wg.Add(1)
-	go r.deliverLoop(a, n)
+	r.qmu.Lock()
+	r.nodes[a] = &node{h: h}
+	r.qmu.Unlock()
 }
 
-// Detach removes an address; its mailbox goroutine drains out and queued
-// messages to it are dropped, exactly like packets to a crashed host.
+// Detach removes an address; messages queued to it are dropped, exactly
+// like packets to a crashed host.
 func (r *Runtime) Detach(a runtime.Addr) {
-	r.nmu.Lock()
-	if n, ok := r.nodes[a]; ok {
-		n.close()
-		delete(r.nodes, a)
-	}
-	r.nmu.Unlock()
+	r.qmu.Lock()
+	delete(r.nodes, a)
+	r.qmu.Unlock()
 }
 
 // Attached reports whether the address has a live handler on this runtime.
 func (r *Runtime) Attached(a runtime.Addr) bool {
-	return r.nodeAt(a) != nil
-}
-
-func (r *Runtime) nodeAt(a runtime.Addr) *node {
-	r.nmu.RLock()
-	defer r.nmu.RUnlock()
-	return r.nodes[a]
+	r.qmu.Lock()
+	defer r.qmu.Unlock()
+	return r.nodes[a] != nil
 }
 
 // Send enqueues msg for delivery. Size only matters to transports that model
@@ -229,7 +227,7 @@ func (r *Runtime) nodeAt(a runtime.Addr) *node {
 // detaches and re-attaches while the message is in flight is live again and
 // must receive it, exactly as a packet addressed to a rebooted host would
 // arrive. (Capturing the *node* at send time silently dropped such messages
-// into the old incarnation's closed mailbox.)
+// into the old incarnation's mailbox.)
 func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
 	if r.closed {
 		return
@@ -242,64 +240,60 @@ func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
 }
 
 // SendLocal enqueues a self-message; it is delivered like any other, on a
-// fresh mailbox turn.
+// fresh dispatcher turn.
 func (r *Runtime) SendLocal(a runtime.Addr, msg any) { r.Deliver(a, a, msg) }
 
-// Deliver appends msg to the mailbox of to, or drops it when the address is
-// not attached here — a packet to a dead host. It takes only the mailbox
-// locks, never the executor's, so it is the entry point for a carrier's
-// reader goroutines as well as for Send.
+// Deliver queues msg for the current attachment of to, or drops it when
+// the address is not attached here — a packet to a dead host — or the run
+// queue is full (see runQueueMax). It takes only the queue lock, never the
+// executor's, so it is the entry point for a carrier's reader goroutines as
+// well as for Send.
 func (r *Runtime) Deliver(from, to runtime.Addr, msg any) {
-	if n := r.nodeAt(to); n != nil {
-		n.enqueue(from, msg)
+	r.qmu.Lock()
+	defer r.qmu.Unlock()
+	n := r.nodes[to]
+	switch {
+	case n == nil:
+	case len(r.queue) >= runQueueMax:
+		r.dropped++
+	default:
+		r.queue = append(r.queue, delivery{n: n, from: from, to: to, msg: msg})
+		r.qcond.Signal()
 	}
 }
 
-// deliverLoop is a node's mailbox goroutine: pop one envelope, take the
-// executor lock, deliver, repeat. It must never hold the queue lock while
-// taking the executor lock, or a sender holding the executor lock would
-// deadlock against it.
-func (r *Runtime) deliverLoop(a runtime.Addr, n *node) {
+// dispatch is the runtime's one delivery goroutine: wait for the queue to
+// fill, take the executor lock, pop the head and hand it to its handler if
+// its attachment is still current, release, repeat. It pops only while
+// holding the executor lock, so nothing leaves the queue while Do or a
+// handler runs, and it never waits on the queue lock's condition while
+// holding the executor lock, which a sender inside Do already holds.
+func (r *Runtime) dispatch() {
 	defer r.wg.Done()
 	for {
-		n.qmu.Lock()
-		for len(n.queue) == 0 && !n.closed {
-			n.qcond.Wait()
+		r.qmu.Lock()
+		for len(r.queue) == 0 && r.nodes != nil {
+			r.qcond.Wait()
 		}
-		if n.closed {
-			n.qmu.Unlock()
-			return
-		}
-		env := n.queue[0]
-		n.queue[0] = envelope{} // the backing array must not pin a delivered message
-		n.queue = n.queue[1:]
-		n.qmu.Unlock()
+		r.qmu.Unlock()
 
 		r.mu.Lock()
-		// Re-check liveness under the executor lock: the node may have
-		// been detached between dequeue and delivery.
-		if !r.closed && r.nodeAt(a) == n {
-			n.h.Recv(env.from, env.msg)
+		r.qmu.Lock()
+		if r.nodes == nil {
+			r.qmu.Unlock()
+			r.mu.Unlock()
+			return
+		}
+		d := r.queue[0]
+		r.queue[0] = delivery{} // the backing array must not pin a delivered message
+		r.queue = r.queue[1:]
+		current := r.nodes[d.to] == d.n
+		r.qmu.Unlock()
+		if current {
+			d.n.h.Recv(d.from, d.msg)
 		}
 		r.mu.Unlock()
 	}
-}
-
-func (n *node) enqueue(from runtime.Addr, msg any) {
-	n.qmu.Lock()
-	if !n.closed {
-		n.queue = append(n.queue, envelope{from: from, msg: msg})
-		n.qcond.Signal()
-	}
-	n.qmu.Unlock()
-}
-
-func (n *node) close() {
-	n.qmu.Lock()
-	n.closed = true
-	n.queue = nil
-	n.qcond.Broadcast()
-	n.qmu.Unlock()
 }
 
 // Rand returns the runtime's RNG (use only under the execution guarantee).
@@ -355,10 +349,10 @@ func (r *Runtime) Closed() bool { return r.closed }
 
 // Stop ends protocol execution without waiting for it to drain: no handler
 // or timer callback starts afterwards, every armed firing is stopped and
-// forgotten, and every mailbox is told to exit. It reports whether this call
-// was the one that stopped the runtime. A carrier that must release its own
-// blocking resources before the mailbox goroutines can finish calls Stop,
-// releases them, then Close.
+// forgotten, and the run queue is emptied and the dispatcher told to exit.
+// It reports whether this call was the one that stopped the runtime. A
+// carrier that must release its own blocking resources before its
+// goroutines can finish calls Stop, releases them, then Close.
 func (r *Runtime) Stop() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -370,17 +364,15 @@ func (r *Runtime) Stop() bool {
 		t.Stop()
 	}
 	clear(r.timers)
-	r.nmu.Lock()
-	for _, n := range r.nodes {
-		n.close()
-	}
-	clear(r.nodes)
-	r.nmu.Unlock()
+	r.qmu.Lock()
+	r.nodes, r.queue = nil, nil
+	r.qcond.Broadcast()
+	r.qmu.Unlock()
 	return true
 }
 
-// Close shuts the runtime down (see Stop) and blocks until the mailbox
-// goroutines are gone. It is idempotent.
+// Close shuts the runtime down (see Stop) and blocks until the dispatcher
+// has exited. It is idempotent.
 func (r *Runtime) Close() {
 	r.Stop()
 	r.wg.Wait()

@@ -109,6 +109,37 @@ func TestCloseCancelsDelayedSends(t *testing.T) {
 	}
 }
 
+// TestRunQueueDropsNewestAtBound: deliveries queued inside one Do, where the
+// dispatcher cannot pop (it pops only under the executor lock), fill the run
+// queue to runQueueMax; the ones past it are dropped and counted, and the
+// ones before it are delivered in order.
+func TestRunQueueDropsNewestAtBound(t *testing.T) {
+	r := New(Config{})
+	defer r.Close()
+	rec := &recorder{}
+	const extra = 5
+	r.Do(func() {
+		r.Attach(1, runtime.Endpoint{}, rec)
+		for i := 0; i < runQueueMax+extra; i++ {
+			r.SendLocal(1, i)
+		}
+	})
+	if err := r.Await(func() bool { return len(rec.got) == runQueueMax }); err != nil {
+		t.Fatal(err)
+	}
+	r.qmu.Lock()
+	dropped := r.dropped
+	r.qmu.Unlock()
+	if dropped != extra {
+		t.Errorf("%d deliveries counted as dropped, want %d", dropped, extra)
+	}
+	for i, m := range rec.snapshot() {
+		if m != i {
+			t.Fatalf("position %d holds %v", i, m)
+		}
+	}
+}
+
 // TestDelayedSendCloseRace hammers delayed sends from one goroutine while
 // another closes the runtime; the race detector is the assertion.
 func TestDelayedSendCloseRace(t *testing.T) {

@@ -25,35 +25,40 @@
 //
 // # Execution model
 //
-// Runtime embeds *live.Runtime, so the executor lock, mailboxes, timers,
+// Runtime embeds *live.Runtime, so the executor lock, run queue, timers,
 // Do/Await/Sleep and the address counter are that package's, not copies of
 // them. This package adds only what sockets need: Attach, Detach, Attached,
 // NewAddr and Close call the embedded method and then do their directory or
 // connection work, and Send replaces the loopback hand-off: every message —
 // including one whose destination is hosted by the sending process — is
 // encoded by the codec (codec.go), framed in the wire envelope (wire.go),
-// and written to the destination process's socket. The uniform path means
-// the conformance suite exercises the codec and framing even in a single
-// process.
+// and posted to the outbox of the destination process's endpoint (conn.go).
+// The uniform path means the conformance suite exercises the codec and
+// framing even in a single process.
+//
+// An outbox is a bounded FIFO and one writer goroutine, the only code that
+// dials its endpoint or writes to that connection. Send, Detach and the
+// broker requests only post to it, so the executor never waits on a
+// socket, and one peer that stops reading stalls its own writer, not the
+// peers of the process.
 //
 // Each connection has exactly one reader goroutine, and it never blocks on
 // protocol execution: data frames are decoded and handed to live's Deliver,
-// which takes only mailbox locks (dropped if the address is not attached
-// here — a packet to a dead host), control responses are handed to the
-// waiter parked in the inflight[msgID] map, and control requests touch only
-// the directory and the atomic address counter, never the executor. A slow
-// or wedged peer therefore cannot stall delivery to anyone else.
+// which takes only the run queue's lock (dropped if the address is not
+// attached here — a packet to a dead host), control responses are handed to
+// the waiter parked in the inflight[msgID] map, and control requests touch
+// only the directory and the atomic address counter, never the executor.
 //
 // Message-level guarantees match the live runtime: sends are asynchronous
-// and unreliable (an unresolvable address, unreachable endpoint, or dead
-// connection drops the message silently), and delivery between a pair of
-// processes is FIFO because it shares one connection.
+// and unreliable (an unresolvable address, a full outbox, an endpoint that
+// stays unreachable through the redial schedule, or a failed write drops
+// messages silently), and the frames to one endpoint leave in the order
+// they were posted, across reconnects too, because one writer sends them.
 package net
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	nnet "net"
 	"os"
 	"sync"
@@ -113,17 +118,12 @@ type Runtime struct {
 
 	dir *directory
 
-	// cmu guards the connection cache, the inbound set and the negative
-	// dial cache.
-	cmu        sync.Mutex
-	conns      map[string]*wconn
-	inbound    map[*wconn]struct{}
-	dialFailAt map[string]time.Time
-	// dials holds, per endpoint with no live connection, the messages queued
-	// while a background reconnect loop (dialLoop) retries the dial with
-	// exponential backoff. Guarded by cmu.
-	dials     map[string]*dialState
-	connsDown bool // set by Close before sweeping, so no conn leaks past it
+	// cmu guards the outboxes (the map and every queue in it), the set of
+	// open connections, dialed and accepted, and connsDown.
+	cmu       sync.Mutex
+	outboxes  map[string]*outbox
+	open      map[*wconn]struct{}
+	connsDown bool // set by Close before sweeping, so no conn or writer starts after it
 
 	// inflight parks one waiter channel per outstanding broker request,
 	// keyed by MsgID; the bootstrap connection's reader completes them.
@@ -132,7 +132,7 @@ type Runtime struct {
 	msgID    atomic.Uint64
 
 	closedCh chan struct{}
-	readers  sync.WaitGroup // accept loop + connection readers
+	wg       sync.WaitGroup // accept loop, connection readers, outbox writers
 }
 
 // New creates a socket runtime: it binds the listener, starts accepting,
@@ -159,18 +159,16 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("net: listen %s: %w", cfg.Listen, err)
 	}
 	r := &Runtime{
-		Runtime:    live.New(live.Config{Seed: cfg.Seed, AwaitTimeout: cfg.AwaitTimeout}),
-		cfg:        cfg,
-		codec:      codec,
-		isBoot:     cfg.Bootstrap == "",
-		ln:         ln,
-		dir:        newDirectory(),
-		conns:      make(map[string]*wconn),
-		inbound:    make(map[*wconn]struct{}),
-		dialFailAt: make(map[string]time.Time),
-		dials:      make(map[string]*dialState),
-		inflight:   make(map[uint64]chan envelope),
-		closedCh:   make(chan struct{}),
+		Runtime:  live.New(live.Config{Seed: cfg.Seed, AwaitTimeout: cfg.AwaitTimeout}),
+		cfg:      cfg,
+		codec:    codec,
+		isBoot:   cfg.Bootstrap == "",
+		ln:       ln,
+		dir:      newDirectory(),
+		outboxes: make(map[string]*outbox),
+		open:     make(map[*wconn]struct{}),
+		inflight: make(map[uint64]chan envelope),
+		closedCh: make(chan struct{}),
 	}
 	r.self = cfg.Advertise
 	if r.self == "" {
@@ -185,7 +183,7 @@ func New(cfg Config) (*Runtime, error) {
 		// reach address 0.
 		r.dir.set(int64(r.ServerAddr()), r.boot, true)
 	}
-	r.readers.Add(1)
+	r.wg.Add(1)
 	go r.acceptLoop()
 	return r, nil
 }
@@ -211,10 +209,10 @@ func (r *Runtime) IsBootstrap() bool { return r.isBoot }
 
 // --- Transport -------------------------------------------------------------
 
-// Attach registers a handler, starts its mailbox goroutine, and announces
-// the address to the bootstrap's directory so other processes can route to
-// it. The announcement is synchronous: when Attach returns, a response sent
-// to this address by any process resolves.
+// Attach registers a handler and announces the address to the bootstrap's
+// directory so other processes can route to it. The announcement is
+// synchronous: when Attach returns, a response sent to this address by any
+// process resolves.
 func (r *Runtime) Attach(a runtime.Addr, ep runtime.Endpoint, h runtime.Handler) {
 	if r.Closed() {
 		return
@@ -235,16 +233,12 @@ func (r *Runtime) Detach(a runtime.Addr) {
 	r.Runtime.Detach(a)
 	r.dir.markDead(int64(a))
 	if !r.isBoot {
-		if c, err := r.connTo(r.boot); err == nil {
-			if err := c.write(envelope{Type: ctrlDetach, From: -1, To: -1, Payload: addrPayload(int64(a))}); err != nil {
-				r.dropConn(r.boot, c)
-			}
-		}
+		r.post(r.boot, envelope{Type: ctrlDetach, From: -1, To: -1, Payload: addrPayload(int64(a))})
 	}
 }
 
 // Attached reports whether the address currently has a live handler
-// anywhere in the cluster: locally via the mailbox table, elsewhere via the
+// anywhere in the cluster: locally via the address table, elsewhere via the
 // bootstrap's directory (a broker round trip on non-bootstrap processes).
 func (r *Runtime) Attached(a runtime.Addr) bool {
 	if r.Runtime.Attached(a) {
@@ -260,14 +254,12 @@ func (r *Runtime) Attached(a runtime.Addr) bool {
 	return resp.Payload[0] != 0
 }
 
-// Send encodes the message and writes it to the destination's process. An
-// unknown address or dead connection drops the message silently — the
-// transport contract is unreliable delivery. A transiently unreachable
-// endpoint no longer drops on the spot: the message is queued (bounded) and
-// a background reconnect loop retries the dial with exponential backoff,
-// delivering the backlog once the endpoint comes up. size only models
-// serialization cost on the simulated transports; here the real bytes are
-// the cost.
+// Send encodes the message and posts it to the outbox of the destination's
+// process. An unknown address drops the message silently — the transport
+// contract is unreliable delivery — and so does anything the outbox drops;
+// an endpoint that is down for a moment (a listener coming up late) gets
+// the frame once its writer's redial lands. size only models serialization
+// cost on the simulated transports; here the real bytes are the cost.
 func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
 	if r.Closed() {
 		return
@@ -281,38 +273,7 @@ func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
 		r.cfg.Logf("send %d->%d: %v", from, to, err)
 		return
 	}
-	env := envelope{Type: code, From: int64(from), To: int64(to), Payload: payload}
-
-	r.cmu.Lock()
-	if r.connsDown {
-		r.cmu.Unlock()
-		return
-	}
-	if c, ok := r.conns[ep]; ok {
-		r.cmu.Unlock()
-		if err := c.write(env); err != nil {
-			r.dropConn(ep, c)
-		}
-		return
-	}
-	// No live connection: queue the frame and make sure one reconnect loop
-	// is working the endpoint. Overflow past the queue bound drops the
-	// message — the contract is unreliable, the queue just covers transient
-	// outages (a peer restarting, a listener coming up late).
-	ds := r.dials[ep]
-	if ds == nil {
-		ds = &dialState{}
-		r.dials[ep] = ds
-	}
-	if len(ds.pending) < dialQueueMax {
-		ds.pending = append(ds.pending, env)
-	}
-	if !ds.active {
-		ds.active = true
-		r.readers.Add(1)
-		go r.dialLoop(ep)
-	}
-	r.cmu.Unlock()
+	r.post(ep, envelope{Type: code, From: int64(from), To: int64(to), Payload: payload})
 }
 
 // endpointOf resolves an address to its hosting process's endpoint: local
@@ -342,8 +303,9 @@ func (r *Runtime) endpointOf(a runtime.Addr) (string, bool) {
 // bootstrap, via a JOIN-ALLOC broker request elsewhere. Allocation is the
 // one runtime operation that cannot degrade gracefully — a node that cannot
 // reach its bootstrap while joining has no place in the cluster — so an
-// unreachable broker panics after retries instead of corrupting the dense
-// address space.
+// unreachable broker panics after three requests, each given rpcTimeout,
+// instead of corrupting the dense address space. A bootstrap that comes up
+// while the requests wait is reached by the outbox's redial.
 func (r *Runtime) NewAddr() runtime.Addr {
 	if r.isBoot {
 		return r.Runtime.NewAddr()
@@ -367,10 +329,10 @@ func (r *Runtime) NewAddr() runtime.Addr {
 
 // Close shuts the runtime down: protocol execution stops and pending timers
 // are dropped (live's Stop), the listener and every connection close (so all
-// readers exit, blocked writes return and outstanding broker requests fail),
-// and only then does it wait — sockets go before the wait so that nothing a
-// goroutine could be blocked on outlives it. Close blocks until every
-// goroutine is gone.
+// readers exit, blocked writes return, outbox writers stop and outstanding
+// broker requests fail), and only then does it wait — sockets go before the
+// wait so that nothing a goroutine could be blocked on outlives it. Close
+// blocks until every goroutine is gone.
 func (r *Runtime) Close() {
 	if !r.Stop() {
 		return
@@ -380,266 +342,63 @@ func (r *Runtime) Close() {
 
 	r.cmu.Lock()
 	r.connsDown = true
-	for ep, c := range r.conns {
+	for c := range r.open {
 		c.c.Close()
-		delete(r.conns, ep)
-	}
-	for c := range r.inbound {
-		c.c.Close()
-		delete(r.inbound, c)
 	}
 	r.cmu.Unlock()
 
 	r.Runtime.Close()
-	r.readers.Wait()
+	r.wg.Wait()
 }
 
-// --- Connections and the broker dialogue -----------------------------------
+// --- The broker dialogue and the readers ---------------------------------
 
-// dialBackoff is how long a failed endpoint is considered unreachable
-// before another synchronous dial (connTo: broker RPCs, Attach) is
-// attempted; it keeps callers on the blocking path from paying a connect
-// timeout per request.
-const dialBackoff = 500 * time.Millisecond
-
-// Reconnect-loop tuning: a queued endpoint is retried dialAttempts times
-// with jittered exponential backoff from dialRetryBase up to dialRetryCap
-// (~8 attempts spanning roughly six seconds), holding at most dialQueueMax
-// frames. Past either bound the backlog is dropped — unreliable delivery.
-const (
-	dialQueueMax  = 1024
-	dialAttempts  = 8
-	dialRetryBase = 50 * time.Millisecond
-	dialRetryCap  = 2 * time.Second
-)
-
-// dialState is the per-endpoint reconnect backlog (guarded by cmu).
-type dialState struct {
-	pending []envelope
-	active  bool // a dialLoop goroutine is working this endpoint
-}
-
-// connTo returns the cached connection to an endpoint, dialing if needed.
-// This is the synchronous path (broker RPCs, Attach): it respects the
-// negative dial cache so blocking callers fail fast on a dead endpoint.
-func (r *Runtime) connTo(ep string) (*wconn, error) {
-	r.cmu.Lock()
-	if r.connsDown {
-		r.cmu.Unlock()
-		return nil, errors.New("net: runtime closed")
-	}
-	if c, ok := r.conns[ep]; ok {
-		r.cmu.Unlock()
-		return c, nil
-	}
-	if t, ok := r.dialFailAt[ep]; ok && time.Since(t) < dialBackoff {
-		r.cmu.Unlock()
-		return nil, errors.New("net: endpoint recently unreachable")
-	}
-	r.cmu.Unlock()
-	return r.dialAndInstall(ep)
-}
-
-// dialAndInstall dials an endpoint and installs the connection in the cache
-// (or yields to a connection that won the install race). It bypasses the
-// negative dial cache — the reconnect loop owns its own backoff schedule and
-// must be able to retry faster than dialBackoff.
-func (r *Runtime) dialAndInstall(ep string) (*wconn, error) {
-	r.cmu.Lock()
-	if r.connsDown {
-		r.cmu.Unlock()
-		return nil, errors.New("net: runtime closed")
-	}
-	if c, ok := r.conns[ep]; ok {
-		r.cmu.Unlock()
-		return c, nil
-	}
-	r.cmu.Unlock()
-
-	nc, err := nnet.DialTimeout("tcp", ep, dialTimeout)
-	if err != nil {
-		r.cmu.Lock()
-		r.dialFailAt[ep] = time.Now()
-		r.cmu.Unlock()
-		return nil, err
-	}
-	c := newWconn(nc)
-
-	r.cmu.Lock()
-	if r.connsDown {
-		r.cmu.Unlock()
-		nc.Close()
-		return nil, errors.New("net: runtime closed")
-	}
-	if existing, ok := r.conns[ep]; ok {
-		r.cmu.Unlock()
-		nc.Close()
-		return existing, nil
-	}
-	r.conns[ep] = c
-	delete(r.dialFailAt, ep)
-	r.cmu.Unlock()
-
-	r.readers.Add(1)
-	go r.readLoop(c, ep)
-
-	// A fresh connection to the bootstrap re-announces every live local
-	// address: if the previous connection dropped, the broker marked them
-	// dead, and this revives them (one-way frames; nothing to await).
-	if !r.isBoot && ep == r.boot {
-		for _, a := range r.dir.liveAt(r.self) {
-			if err := c.write(envelope{Type: ctrlRegisterReq, From: -1, To: -1, Payload: registerPayload(a, r.self)}); err != nil {
-				break
-			}
-		}
-	}
-	return c, nil
-}
-
-// dialLoop is the per-endpoint reconnect worker: retry the dial with
-// jittered exponential backoff until it lands, then flush the frames queued
-// while the endpoint was down. Sends racing the flush write directly on the
-// installed connection, so a brief reorder around the reconnect is possible
-// — strictly milder than the old behavior, which dropped every one of these
-// messages on the floor.
-func (r *Runtime) dialLoop(ep string) {
-	defer r.readers.Done()
-	backoff := dialRetryBase
-	for attempt := 0; attempt < dialAttempts; attempt++ {
-		c, err := r.dialAndInstall(ep)
-		if err == nil {
-			r.cmu.Lock()
-			var pending []envelope
-			if ds := r.dials[ep]; ds != nil {
-				pending = ds.pending
-				ds.pending = nil
-				ds.active = false
-			}
-			r.cmu.Unlock()
-			for _, env := range pending {
-				if err := c.write(env); err != nil {
-					// The fresh connection died mid-flush: the rest of the
-					// backlog is lost (unreliable contract).
-					r.dropConn(ep, c)
-					break
-				}
-			}
-			return
-		}
-		// Jitter half the backoff window. The executor-locked r.rng must not
-		// be touched from here; the global source is thread-safe.
-		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		select {
-		case <-time.After(d):
-		case <-r.closedCh:
-			r.abandonDial(ep)
-			return
-		}
-		backoff *= 2
-		if backoff > dialRetryCap {
-			backoff = dialRetryCap
-		}
-	}
-	r.abandonDial(ep)
-}
-
-// abandonDial drops an endpoint's backlog after the reconnect loop gives up
-// (or the runtime closes), so a later Send can start a fresh loop.
-func (r *Runtime) abandonDial(ep string) {
-	r.cmu.Lock()
-	if ds := r.dials[ep]; ds != nil {
-		ds.pending = nil
-		ds.active = false
-	}
-	r.cmu.Unlock()
-}
-
-// dropConn forgets a connection after a write error so the next send
-// redials.
-func (r *Runtime) dropConn(ep string, c *wconn) {
-	c.c.Close()
-	r.cmu.Lock()
-	if cur, ok := r.conns[ep]; ok && cur == c {
-		delete(r.conns, ep)
-	}
-	r.cmu.Unlock()
-}
-
-// rpc is one broker round trip: stamp a MsgID, park a waiter, write the
-// request on the bootstrap connection, wait for the reader to complete it.
+// rpc is one broker round trip: stamp a MsgID, park a waiter, post the
+// request to the bootstrap's outbox, wait for the reader to complete it.
 func (r *Runtime) rpc(typ uint16, payload []byte) (envelope, error) {
 	if r.isBoot {
 		return envelope{}, errors.New("net: the bootstrap answers locally")
 	}
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		c, err := r.connTo(r.boot)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		id := r.msgID.Add(1)
-		ch := make(chan envelope, 1)
-		r.imu.Lock()
-		r.inflight[id] = ch
-		r.imu.Unlock()
-
-		env := envelope{Type: typ, From: -1, To: -1, MsgID: id, Payload: payload}
-		if err := c.write(env); err != nil {
-			r.unpark(id)
-			r.dropConn(r.boot, c)
-			lastErr = err
-			continue
-		}
-		select {
-		case resp := <-ch:
-			r.unpark(id)
-			return resp, nil
-		case <-time.After(rpcTimeout):
-			r.unpark(id)
-			lastErr = fmt.Errorf("broker request %#x timed out", typ)
-		case <-r.closedCh:
-			r.unpark(id)
-			return envelope{}, errors.New("net: runtime closed")
-		}
-	}
-	return envelope{}, lastErr
-}
-
-func (r *Runtime) unpark(id uint64) {
+	id := r.msgID.Add(1)
+	ch := make(chan envelope, 1)
 	r.imu.Lock()
-	delete(r.inflight, id)
+	r.inflight[id] = ch
 	r.imu.Unlock()
+	defer func() {
+		r.imu.Lock()
+		delete(r.inflight, id)
+		r.imu.Unlock()
+	}()
+
+	r.post(r.boot, envelope{Type: typ, From: -1, To: -1, MsgID: id, Payload: payload})
+	select {
+	case resp := <-ch:
+		return resp, nil
+	case <-time.After(rpcTimeout):
+		return envelope{}, fmt.Errorf("broker request %#x timed out", typ)
+	case <-r.closedCh:
+		return envelope{}, errors.New("net: runtime closed")
+	}
 }
 
 // acceptLoop owns the listener.
 func (r *Runtime) acceptLoop() {
-	defer r.readers.Done()
+	defer r.wg.Done()
 	for {
 		nc, err := r.ln.Accept()
-		if err != nil {
+		if err != nil || r.serve(nc, true) == nil {
 			return // listener closed
 		}
-		c := newWconn(nc)
-		r.cmu.Lock()
-		if r.connsDown {
-			r.cmu.Unlock()
-			nc.Close()
-			return
-		}
-		r.inbound[c] = struct{}{}
-		r.cmu.Unlock()
-		r.readers.Add(1)
-		go r.readLoop(c, "")
 	}
 }
 
 // readLoop is a connection's single reader. It never takes the executor
-// lock: every frame either lands in a mailbox, completes an inflight
-// waiter, or touches the directory/allocator. ep is the dialed endpoint
-// ("" for inbound connections).
-func (r *Runtime) readLoop(c *wconn, ep string) {
-	defer r.readers.Done()
+// lock: every frame either lands in the run queue, completes an inflight
+// waiter, or touches the directory/allocator. When the connection ends it
+// marks it down, so the outbox writer that dialed it redials instead of
+// writing into it.
+func (r *Runtime) readLoop(c *wconn) {
+	defer r.wg.Done()
 	for {
 		env, err := readEnvelope(c.br)
 		if err != nil {
@@ -647,15 +406,10 @@ func (r *Runtime) readLoop(c *wconn, ep string) {
 		}
 		r.handleFrame(c, env)
 	}
+	c.down.Store(true)
 	c.c.Close()
 	r.cmu.Lock()
-	if ep != "" {
-		if cur, ok := r.conns[ep]; ok && cur == c {
-			delete(r.conns, ep)
-		}
-	} else {
-		delete(r.inbound, c)
-	}
+	delete(r.open, c)
 	r.cmu.Unlock()
 	// The connection is gone: every address the remote process registered
 	// through it went with the process.
@@ -731,8 +485,14 @@ func (r *Runtime) handleFrame(c *wconn, env envelope) {
 	}
 }
 
-// reply writes a control response on the connection the request arrived on.
+// reply writes a control response on the connection the request arrived on,
+// from its reader. Only an accepted connection is answered: no legitimate
+// peer sends requests down a connection this process dialed, and there the
+// outbox writer must stay the one writer.
 func (r *Runtime) reply(c *wconn, typ uint16, msgID uint64, payload []byte) {
+	if !c.accepted {
+		return
+	}
 	env := envelope{Type: typ, From: -1, To: -1, MsgID: msgID, Payload: payload}
 	if err := c.write(env); err != nil {
 		c.c.Close() // the reader will notice and clean up

@@ -1,7 +1,9 @@
 package net
 
 import (
+	"bufio"
 	nnet "net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -445,6 +447,146 @@ func TestSendReconnectsToLateListener(t *testing.T) {
 		if m.(ping).Seq != i+1 || from[i] != 1 {
 			t.Fatalf("position %d holds %v from %v", i, m, from[i])
 		}
+	}
+}
+
+// TestOutboxDropsNewestAtBound: frames posted to an endpoint that refuses
+// connections wait in its outbox up to outboxMax; the ones past it are
+// dropped and counted, and the ones before it arrive in order once a
+// listener comes up.
+func TestOutboxDropsNewestAtBound(t *testing.T) {
+	boot := newBoot(t)
+	ln, err := nnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := ln.Addr().String()
+	ln.Close()
+
+	const (
+		lateAddr runtime.Addr = 42
+		extra                 = 5
+	)
+	boot.dir.set(int64(lateAddr), ep, true)
+	// One Do posts everything: the writer takes its queue only once a dial
+	// has landed, so nothing leaves the outbox meanwhile.
+	boot.Do(func() {
+		for i := 0; i < outboxMax+extra; i++ {
+			boot.Send(1, lateAddr, 0, ping{Seq: i})
+		}
+	})
+	boot.cmu.Lock()
+	dropped := boot.outboxes[ep].dropped
+	boot.cmu.Unlock()
+	if dropped != extra {
+		t.Errorf("%d frames counted as dropped, want %d", dropped, extra)
+	}
+
+	if ln, err = nnet.Listen("tcp", ep); err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ln.(*nnet.TCPListener).SetDeadline(time.Now().Add(10 * time.Second))
+	nc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(nc)
+	for i := 0; i < outboxMax; i++ {
+		env, err := readEnvelope(br)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if m, err := boot.codec.Decode(env.Type, env.Payload); err != nil || m != (ping{Seq: i}) {
+			t.Fatalf("frame %d holds %v (%v)", i, m, err)
+		}
+	}
+}
+
+// TestSendNeverWaitsOnAWedgedEndpoint: a peer whose process stops reading
+// must not stall its neighbours. The endpoint below accepts and never
+// reads, so its socket buffers fill within a few frames; every Send to it
+// must still return at once, and a timer armed before them must still fire.
+func TestSendNeverWaitsOnAWedgedEndpoint(t *testing.T) {
+	boot := newBoot(t)
+	ln, err := nnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []nnet.Conn
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, nc)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, nc := range held {
+			nc.Close()
+		}
+	})
+
+	const wedged runtime.Addr = 42
+	boot.dir.set(int64(wedged), ln.Addr().String(), true)
+	fired := false
+	boot.Do(func() { boot.Schedule(runtime.Millisecond, func() { fired = true }) })
+	big := ping{Note: strings.Repeat("x", 1<<20)}
+	for i := 0; i < 64; i++ {
+		start := time.Now()
+		boot.Do(func() { boot.Send(1, wedged, 0, big) })
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Fatalf("Send %d of a 1 MiB frame to a wedged endpoint took %v", i, d)
+		}
+	}
+	if err := boot.Await(func() bool { return fired }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWorkerStartedBeforeItsBootstrapJoins: a worker whose bootstrap is not
+// listening yet keeps its address request in the bootstrap's outbox while
+// the writer redials, so NewAddr returns once the bootstrap binds instead of
+// failing on the first refused dial.
+func TestWorkerStartedBeforeItsBootstrapJoins(t *testing.T) {
+	ln, err := nnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := ln.Addr().String()
+	ln.Close()
+
+	worker, err := New(Config{Listen: "127.0.0.1:0", Bootstrap: ep, Messages: testMessages(), AwaitTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(worker.Close)
+	got := make(chan runtime.Addr, 1)
+	go worker.Do(func() { got <- worker.NewAddr() })
+
+	time.Sleep(300 * time.Millisecond)
+	boot, err := New(Config{Listen: ep, Messages: testMessages(), AwaitTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(boot.Close)
+	select {
+	case a := <-got:
+		if a != 1 {
+			t.Fatalf("first address allocated is %d, want 1", a)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("NewAddr did not return after the bootstrap came up")
 	}
 }
 

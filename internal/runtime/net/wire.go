@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // The wire envelope. Every frame on a cluster connection is:
@@ -80,7 +81,7 @@ func appendEnvelope(buf []byte, env envelope) []byte {
 }
 
 // readEnvelope reads one frame. io.EOF on a clean boundary means the peer
-// closed; a partial header surfaces as ErrUnexpectedEOF.
+// closed; a partial header or payload surfaces as ErrUnexpectedEOF.
 func readEnvelope(r io.Reader) (envelope, error) {
 	var h [headerLen]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
@@ -96,11 +97,21 @@ func readEnvelope(r io.Reader) (envelope, error) {
 	if n > maxPayload {
 		return envelope{}, fmt.Errorf("net: frame payload %d exceeds limit", n)
 	}
-	if n > 0 {
-		env.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, env.Payload); err != nil {
+	// The payload grows as its bytes arrive — one step of up to 64 KiB,
+	// then doubling — so a header alone cannot make the reader allocate the
+	// up to maxPayload bytes it claims.
+	for want := int(n); len(env.Payload) < want; {
+		if len(env.Payload) == cap(env.Payload) {
+			env.Payload = slices.Grow(env.Payload, min(max(len(env.Payload), 64<<10), want-len(env.Payload)))
+		}
+		end := min(cap(env.Payload), want)
+		if _, err := io.ReadFull(r, env.Payload[len(env.Payload):end]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more
+			}
 			return envelope{}, err
 		}
+		env.Payload = env.Payload[:end]
 	}
 	return env, nil
 }

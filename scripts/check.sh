@@ -46,9 +46,13 @@ gate() {
         # Cross-runtime conformance gate: the same join/store/crash/lookup
         # scenario on the DES, the live goroutine runtime and the TCP socket
         # runtime, the structural audit green on all three, under the race
-        # detector. -count=1 so the wall-clock halves always execute.
-        echo "== cross-runtime conformance gate (DES vs live vs net, -race)"
+        # detector. -count=1 so the wall-clock halves always execute. Then
+        # the executor suite on both carriers, the run-queue and outbox
+        # bounds and the wedged-peer and late-bootstrap tests, three times
+        # under -race: their interleavings differ run to run.
+        echo "== cross-runtime conformance gate (DES vs live vs net, -race; runtime suites x3)"
         go test -race ./internal/conformance -count=1
+        go test -race ./internal/runtime/... -count=3
         ;;
     allocguard)
         # Allocation budgets: the event-engine hot path must stay at zero
@@ -82,11 +86,13 @@ gate() {
         # target and core's printf trace hook beside obs.Tracer; exp's one-line
         # aliases and its two lookup issuers (one function with an origin
         # chooser now), the socket runtime's three timeouts nobody set
-        # (constants now) and five methods nobody called. CHANGES.md,
+        # (constants now) and five methods nobody called; the socket
+        # runtime's second dial path with its negative cache and backlog,
+        # and live's mailbox goroutine per address. CHANGES.md,
         # ROADMAP.md and ISSUE.md may tell the story; this script has to spell
         # the patterns.
         echo "== retired-name gate (deleted flags, types, programs, files and Make targets stay deleted)"
-        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(' \
+        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop' \
             --include='*.go' --include='*.md' --include='*.sh' --include=Makefile \
             --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh \
             --exclude-dir=.git --exclude-dir=.bench_build .; then
