@@ -94,10 +94,13 @@ func TestConformanceDESvsNet(t *testing.T) {
 // TestPartialViewAudit runs the one structural audit on both halves of a
 // two-process deployment (two socket runtimes, a bootstrap System and a
 // peer-only one, in this process): CheckInvariants is green on each slice
-// once the ring has settled; when a t-peer of the worker crashes, the
-// bootstrap's audit — through the cluster directory, since the address is
-// not in its table — names the invariant and the dead address until the
-// repair lands, and then both slices are green again.
+// once the ring has settled. When a t-peer crashes whose ring neighbour
+// lives in the other process, that process's audit — through its copy of
+// the cluster directory, since the address is not in its table — names the
+// invariant and the dead address until the repair lands, and then both
+// slices are green again. It runs once each way: a worker's t-peer seen from
+// the bootstrap, and a bootstrap's t-peer seen from the worker, whose copy
+// the bootstrap pushes.
 func TestPartialViewAudit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs wall-clock seconds")
@@ -141,30 +144,57 @@ func TestPartialViewAudit(t *testing.T) {
 	awaitInvariants(t, rts[0], boot, "on the bootstrap's slice")
 	awaitInvariants(t, rts[1], worker, "on the worker's slice")
 
-	// A bootstrap t-peer whose ring predecessor lives in the worker process.
-	witness, victim := runtime.None, runtime.None
-	rts[0].Do(func() {
-		for _, p := range boot.TPeers() {
-			if pred := p.Predecessor().Addr; boot.Peer(pred) == nil {
-				witness, victim = p.Addr, pred
+	// edge waits until the t-peers of both processes form a ring whose every
+	// link both ends agree on — what neither slice's audit can check, and
+	// what keeps a closer t-peer from taking over a crashed one's pointer at
+	// once — and returns a link from a worker t-peer to its bootstrap
+	// successor.
+	edge := func() (onBoot, onWorker runtime.Addr) {
+		for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			succ, pred, host := map[runtime.Addr]runtime.Addr{}, map[runtime.Addr]runtime.Addr{}, map[runtime.Addr]int{}
+			for i := range rts {
+				rts[i].Do(func() {
+					for _, p := range syss[i].TPeers() {
+						succ[p.Addr], pred[p.Addr], host[p.Addr] = p.Successor().Addr, p.Predecessor().Addr, i
+					}
+				})
+			}
+			agree := true
+			onBoot, onWorker = runtime.None, runtime.None
+			for a, s := range succ {
+				agree = agree && pred[s] == a
+				if host[a] == 1 && host[s] == 0 {
+					onBoot, onWorker = s, a
+				}
+			}
+			if agree && onBoot != runtime.None {
+				return onBoot, onWorker
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the ring never settled with a link across the processes: succ %v, pred %v", succ, pred)
 			}
 		}
-	})
-	if victim == runtime.None {
-		t.Fatal("no ring edge crosses the two processes")
 	}
-	rts[1].Do(func() { worker.Peer(victim).Crash() })
-	want := fmt.Sprintf("dead_ring_ptrs at %d (peer %d)", witness, victim)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-		var err error
-		rts[0].Do(func() { err = boot.CheckInvariants() })
-		if err != nil && strings.Contains(err.Error(), want) {
-			break
+	// crash crashes victim in process v and waits until the audit of process
+	// w names the dead pointer at witness, then until the repair lands.
+	crash := func(w, v int, witness, victim runtime.Addr) {
+		rts[v].Do(func() { syss[v].Peer(victim).Crash() })
+		want := fmt.Sprintf("dead_ring_ptrs at %d (peer %d)", witness, victim)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+			var err error
+			rts[w].Do(func() { err = syss[w].CheckInvariants() })
+			if err != nil && strings.Contains(err.Error(), want) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("audit of process %d after the crash in process %d = %v, want %q", w, v, err, want)
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("bootstrap audit after the remote crash = %v, want %q", err, want)
-		}
+		awaitInvariants(t, rts[0], boot, "on the bootstrap's slice after repair")
+		awaitInvariants(t, rts[1], worker, "on the worker's slice after repair")
 	}
-	awaitInvariants(t, rts[0], boot, "on the bootstrap's slice after repair")
-	awaitInvariants(t, rts[1], worker, "on the worker's slice after repair")
+	b, w := edge()
+	crash(0, 1, b, w)
+	b, w = edge()
+	crash(1, 0, w, b)
 }

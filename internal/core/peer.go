@@ -193,14 +193,13 @@ type nbrWatch struct {
 
 // op is an in-flight store or lookup issued by this peer.
 type op struct {
-	kind    string // "store", "lookup" or "fixfinger"
+	kind    string // "store" or "lookup"
 	key     string
 	qid     uint64
 	did     idspace.ID
 	sid     idspace.ID // segment-selection id (differs from did in interest mode)
 	start   runtime.Time
 	ttl     int
-	fidx    int // finger index (fixfinger ops)
 	attempt int
 	// localFlood records that a remote lookup also flooded the local
 	// s-network in parallel (§3.1); ringMiss records that the ring path

@@ -3,6 +3,8 @@ package net
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"math"
 	"reflect"
 )
@@ -25,6 +27,11 @@ import (
 type Codec struct {
 	types  []reflect.Type
 	byType map[reflect.Type]uint16
+	// fp fingerprints the registry: FNV-64a over each type's name and then
+	// its fields' names and kinds, depth first, in registration order. A
+	// worker's alloc request carries it, and the bootstrap refuses one that
+	// differs from its own instead of letting the two mis-decode each other.
+	fp uint64
 }
 
 // NewCodec builds a codec from prototype values, assigning codes 1..N in
@@ -32,6 +39,7 @@ type Codec struct {
 // cluster must build its codec from the same list.
 func NewCodec(protos ...any) (*Codec, error) {
 	c := &Codec{byType: make(map[reflect.Type]uint16, len(protos))}
+	h := fnv.New64a()
 	for _, p := range protos {
 		t := reflect.TypeOf(p)
 		if t == nil {
@@ -40,20 +48,24 @@ func NewCodec(protos ...any) (*Codec, error) {
 		if _, dup := c.byType[t]; dup {
 			return nil, fmt.Errorf("net: duplicate codec prototype %v", t)
 		}
-		if err := validateWireType(t, 0); err != nil {
+		fmt.Fprintf(h, "%v=", t)
+		if err := validateWireType(t, 0, h); err != nil {
 			return nil, fmt.Errorf("net: prototype %v: %w", t, err)
 		}
 		c.types = append(c.types, t)
 		c.byType[t] = uint16(len(c.types)) // codes start at 1
 	}
+	c.fp = h.Sum64()
 	return c, nil
 }
 
-// validateWireType checks every reachable field kind is encodable.
-func validateWireType(t reflect.Type, depth int) error {
+// validateWireType checks every reachable field kind is encodable, writing
+// each kind and field name it passes to the fingerprint.
+func validateWireType(t reflect.Type, depth int, fp io.Writer) error {
 	if depth > 16 {
 		return fmt.Errorf("type nesting too deep (cycle?)")
 	}
+	fmt.Fprintf(fp, "%v;", t.Kind())
 	switch t.Kind() {
 	case reflect.Bool,
 		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
@@ -61,14 +73,15 @@ func validateWireType(t reflect.Type, depth int) error {
 		reflect.Float64, reflect.String:
 		return nil
 	case reflect.Slice:
-		return validateWireType(t.Elem(), depth+1)
+		return validateWireType(t.Elem(), depth+1, fp)
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
 			if !f.IsExported() {
 				return fmt.Errorf("field %s.%s is unexported", t, f.Name)
 			}
-			if err := validateWireType(f.Type, depth+1); err != nil {
+			fmt.Fprintf(fp, "%s:", f.Name)
+			if err := validateWireType(f.Type, depth+1, fp); err != nil {
 				return err
 			}
 		}

@@ -9,30 +9,26 @@ import (
 	"time"
 )
 
-// wconn is one cluster connection: a TCP conn, whether this process accepted
-// it, whether its reader has seen it end, and, on the bootstrap side, the
-// list of addresses registered through it. That list is the cluster's
-// failure detector of last resort: when the connection dies, every address
-// the remote process registered over it is marked detached in the directory,
-// exactly as the remote's peers stopped existing when the process did.
+// wconn is one cluster connection: a TCP conn, whether its reader has seen
+// it end, and, on the bootstrap side of a worker's connection, the endpoint
+// the worker named on it. That name is the cluster's failure detector of
+// last resort: when the last connection naming an endpoint dies, every
+// address at that endpoint is marked detached in the directory, exactly as
+// the remote's peers stopped existing when the process did.
 type wconn struct {
-	c        nnet.Conn
-	br       *bufio.Reader
-	accepted bool
-	down     atomic.Bool
-
-	regMu sync.Mutex
-	reg   []int64
+	c    nnet.Conn
+	br   *bufio.Reader
+	down atomic.Bool
+	ep   string // touched only by the connection's reader
 }
 
 // write frames and sends a batch of envelopes in one Write under one
-// deadline. Every connection has exactly one writing goroutine — the outbox
-// writer on a connection this process dialed, the reader (control replies)
-// on one it accepted — so frames never interleave. The receiver's reader
-// never blocks (it only decodes and enqueues), so a stalled write means a
-// dead or wedged peer, and failing the batch is the correct
-// unreliable-transport outcome; only the goroutine writing to that peer
-// waited for it.
+// deadline. Only the outbox writer that dialed a connection writes to it —
+// a connection this process accepted is read-only — so frames never
+// interleave. The receiver's reader never blocks (it only decodes and
+// enqueues), so a stalled write means a dead or wedged peer, and failing the
+// batch is the correct unreliable-transport outcome; only the goroutine
+// writing to that peer waited for it.
 func (c *wconn) write(frames ...envelope) error {
 	n := 0
 	for _, env := range frames {
@@ -47,22 +43,6 @@ func (c *wconn) write(frames ...envelope) error {
 	c.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := c.c.Write(buf)
 	return err
-}
-
-// addReg records an address registered via this connection.
-func (c *wconn) addReg(a int64) {
-	c.regMu.Lock()
-	c.reg = append(c.reg, a)
-	c.regMu.Unlock()
-}
-
-// takeReg returns the addresses registered via this connection.
-func (c *wconn) takeReg() []int64 {
-	c.regMu.Lock()
-	defer c.regMu.Unlock()
-	out := c.reg
-	c.reg = nil
-	return out
 }
 
 // outboxMax bounds each outbox. A frame posted to a full outbox is dropped
@@ -87,10 +67,10 @@ const (
 
 // outbox is the one way out of this process to one remote endpoint: a
 // bounded FIFO of frames and the one writer goroutine that dials the
-// endpoint and writes them. Send, Detach and the broker requests only post
-// here, so the executor never touches a socket, and a refusing or wedged
-// endpoint holds up its own writer and nothing else. queue, dropped and the
-// wake token are guarded by Runtime.cmu.
+// endpoint and writes them. Send, Attach, Detach, NewAddr and the directory
+// pushes only post here, so the executor never touches a socket, and a
+// refusing or wedged endpoint holds up its own writer and nothing else.
+// queue, dropped and the wake token are guarded by Runtime.cmu.
 type outbox struct {
 	queue   []envelope
 	dropped int           // frames refused at outboxMax
@@ -142,7 +122,7 @@ func (r *Runtime) take(ob *outbox) []envelope {
 // the order they were posted, across reconnects too. On each wake it makes
 // sure a connection is up — dialing on the redial schedule, and on a fresh
 // connection to the bootstrap re-announcing every live local address first
-// (if the previous connection dropped, the broker marked them dead) — and
+// (if the previous connection dropped, the bootstrap marked them dead) — and
 // then writes everything queued in one syscall. A failed write loses that
 // batch; the next one redials.
 func (r *Runtime) writeLoop(ep string, ob *outbox) {
@@ -162,7 +142,7 @@ func (r *Runtime) writeLoop(ep string, ob *outbox) {
 			}
 			if !r.isBoot && ep == r.boot {
 				for _, a := range r.dir.liveAt(r.self) {
-					announce = append(announce, envelope{Type: ctrlRegisterReq, From: -1, To: -1, Payload: registerPayload(a, r.self)})
+					announce = append(announce, dirFrame(a, r.self, true))
 				}
 			}
 		}
@@ -193,7 +173,7 @@ func (r *Runtime) dial(ep string) *wconn {
 			backoff = min(2*backoff, dialRetryCap)
 		}
 		if nc, err := nnet.DialTimeout("tcp", ep, dialTimeout); err == nil {
-			return r.serve(nc, false)
+			return r.serve(nc)
 		}
 	}
 	return nil
@@ -201,28 +181,29 @@ func (r *Runtime) dial(ep string) *wconn {
 
 // serve adds a connection to the open set and starts its reader; once Close
 // has begun it closes the connection instead and returns nil.
-func (r *Runtime) serve(nc nnet.Conn, accepted bool) *wconn {
+func (r *Runtime) serve(nc nnet.Conn) *wconn {
 	r.cmu.Lock()
 	defer r.cmu.Unlock()
 	if r.connsDown {
 		nc.Close()
 		return nil
 	}
-	c := &wconn{c: nc, br: bufio.NewReaderSize(nc, 32<<10), accepted: accepted}
+	c := &wconn{c: nc, br: bufio.NewReaderSize(nc, 32<<10)}
 	r.open[c] = struct{}{}
 	r.wg.Add(1)
 	go r.readLoop(c)
 	return c
 }
 
-// directory is the bootstrap's authoritative addr → endpoint map (and every
-// other process's resolution cache). Endpoints are immutable once
-// registered — addresses are never reused across processes — so cached
-// entries cannot go stale; only liveness changes, and only the bootstrap's
-// copy tracks it.
+// directory is every process's copy of addr → endpoint and liveness. The
+// bootstrap's is the authority; a worker's follows it through the register
+// and detach frames the bootstrap pushes (see Runtime.publish). Endpoints
+// are immutable once set — addresses are never re-homed — so only liveness
+// changes.
 type directory struct {
 	mu      sync.Mutex
 	entries map[int64]*dirEntry
+	workers map[string]int // bootstrap only: worker endpoint → connections that named it
 }
 
 type dirEntry struct {
@@ -231,13 +212,32 @@ type dirEntry struct {
 }
 
 func newDirectory() *directory {
-	return &directory{entries: make(map[int64]*dirEntry)}
+	return &directory{entries: make(map[int64]*dirEntry), workers: make(map[string]int)}
 }
 
 func (d *directory) set(a int64, endpoint string, alive bool) {
 	d.mu.Lock()
 	d.entries[a] = &dirEntry{endpoint: endpoint, alive: alive}
 	d.mu.Unlock()
+}
+
+// apply records a register (alive, at endpoint) or a detach of a. It leaves
+// an entry at keep alone: a worker passes its own endpoint for a frame from
+// the bootstrap, because Attach and Detach here own those entries.
+func (d *directory) apply(a int64, endpoint string, alive bool, keep string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.applyLocked(a, endpoint, alive, keep)
+}
+
+func (d *directory) applyLocked(a int64, endpoint string, alive bool, keep string) {
+	switch e := d.entries[a]; {
+	case e != nil && e.endpoint == keep, alive && endpoint == keep:
+	case alive:
+		d.entries[a] = &dirEntry{endpoint: endpoint, alive: true}
+	case e != nil:
+		e.alive = false
+	}
 }
 
 func (d *directory) endpoint(a int64) (string, bool) {
@@ -254,24 +254,6 @@ func (d *directory) alive(a int64) bool {
 	defer d.mu.Unlock()
 	e, ok := d.entries[a]
 	return ok && e.alive
-}
-
-func (d *directory) markDead(a int64) {
-	d.mu.Lock()
-	if e, ok := d.entries[a]; ok {
-		e.alive = false
-	}
-	d.mu.Unlock()
-}
-
-func (d *directory) markDeadAll(addrs []int64) {
-	d.mu.Lock()
-	for _, a := range addrs {
-		if e, ok := d.entries[a]; ok {
-			e.alive = false
-		}
-	}
-	d.mu.Unlock()
 }
 
 // liveAt returns the live addresses registered at the given endpoint, for

@@ -8,20 +8,29 @@
 //
 // Every process listens on one TCP endpoint and may host any number of
 // protocol addresses. One process is the bootstrap: it hosts address 0 (the
-// protocol's well-known server) and brokers the two pieces of cluster-global
+// protocol's well-known server) and keeps the two pieces of cluster-global
 // state the runtime contract requires:
 //
 //   - address allocation: NewAddr on a non-bootstrap process is a JOIN-ALLOC
 //     request to the bootstrap, which hands out dense addresses 1, 2, 3, …
 //     from a single counter. This preserves the Addr.Index density contract
-//     (flat array-backed routing tables) across process boundaries.
-//   - the directory: Attach registers "address A lives at endpoint E";
-//     senders resolve unknown addresses through the bootstrap and cache the
-//     result forever (addresses are never re-homed, so entries cannot go
-//     stale). Liveness is tracked only at the bootstrap: explicit detaches
-//     mark entries dead, and a process's connection dropping marks every
-//     address it registered dead — TCP is the failure detector of last
-//     resort for whole-process crashes.
+//     (flat array-backed routing tables) across process boundaries. It is
+//     the only request in the package, and the only code that waits on
+//     another process.
+//   - the directory: which endpoint hosts each address, and whether it is
+//     attached. Every process keeps a copy. Attach and Detach update the
+//     local copy and, on a worker, post a register or detach frame to the
+//     bootstrap without waiting; the bootstrap applies every change — its
+//     own, a worker's, and a detach for each address of a worker whose last
+//     connection dropped (TCP as the failure detector of last resort) — and
+//     posts the same frame, in the order applied, to every other worker. A
+//     worker's connection starts with the whole live directory. Attached is
+//     "attached here, or alive in the copy" on every process.
+//
+// Send reads only the local copy. On a worker a miss posts the frame to the
+// bootstrap, which relays a data frame meant for another process unchanged
+// (it recorded the address's endpoint when it allocated it); on the
+// bootstrap a miss drops the frame.
 //
 // # Execution model
 //
@@ -37,23 +46,27 @@
 // framing even in a single process.
 //
 // An outbox is a bounded FIFO and one writer goroutine, the only code that
-// dials its endpoint or writes to that connection. Send, Detach and the
-// broker requests only post to it, so the executor never waits on a
-// socket, and one peer that stops reading stalls its own writer, not the
-// peers of the process.
+// dials its endpoint or writes to that connection. Everything else only
+// posts to it, so the executor never waits on a socket, and one peer that
+// stops reading stalls its own writer, not the peers of the process.
 //
 // Each connection has exactly one reader goroutine, and it never blocks on
 // protocol execution: data frames are decoded and handed to live's Deliver,
 // which takes only the run queue's lock (dropped if the address is not
-// attached here — a packet to a dead host), control responses are handed to
-// the waiter parked in the inflight[msgID] map, and control requests touch
-// only the directory and the atomic address counter, never the executor.
+// attached here — a packet to a dead host), and control frames touch only
+// the directory, the outboxes and the atomic address counter, never the
+// executor.
 //
 // Message-level guarantees match the live runtime: sends are asynchronous
-// and unreliable (an unresolvable address, a full outbox, an endpoint that
+// and unreliable (a miss on the bootstrap, a full outbox, an endpoint that
 // stays unreachable through the redial schedule, or a failed write drops
 // messages silently), and the frames to one endpoint leave in the order
 // they were posted, across reconnects too, because one writer sends them.
+// Two consequences of the pushed directory: Attach returns before the
+// bootstrap has marked the address alive, though every later frame from
+// the process still arrives after the register, since they share one
+// outbox; and a frame relayed through the bootstrap can be overtaken by a
+// later frame sent directly to the same address.
 package net
 
 import (
@@ -69,13 +82,16 @@ import (
 	"repro/internal/runtime/live"
 )
 
-// The transport's I/O bounds: one connection attempt, one broker request,
+// The transport's I/O bounds: one connection attempt, one alloc request,
 // one frame write.
 const (
 	dialTimeout  = 5 * time.Second
 	rpcTimeout   = 5 * time.Second
 	writeTimeout = 10 * time.Second
 )
+
+// allocAttempts is how many alloc requests NewAddr makes before it panics.
+const allocAttempts = 3
 
 // Config tunes the socket runtime.
 type Config struct {
@@ -87,8 +103,8 @@ type Config struct {
 	// rewritten to 127.0.0.1 — set it explicitly when crossing machines.
 	Advertise string
 	// Bootstrap is the bootstrap process's advertised endpoint. Empty means
-	// this process IS the bootstrap: it hosts address 0 and serves
-	// allocation and directory requests.
+	// this process IS the bootstrap: it hosts address 0, allocates
+	// addresses and keeps the authoritative directory.
 	Bootstrap string
 	// Messages are the codec prototypes, in the cluster-wide shared order
 	// (core.WireMessages). Required.
@@ -97,7 +113,7 @@ type Config struct {
 	Seed int64
 	// AwaitTimeout bounds a single Await call. Default 30s.
 	AwaitTimeout time.Duration
-	// Logf receives transport diagnostics (encode failures, broker errors).
+	// Logf receives transport diagnostics (encode failures, bad frames).
 	// Defaults to stderr.
 	Logf func(format string, args ...any)
 }
@@ -125,11 +141,11 @@ type Runtime struct {
 	open      map[*wconn]struct{}
 	connsDown bool // set by Close before sweeping, so no conn or writer starts after it
 
-	// inflight parks one waiter channel per outstanding broker request,
-	// keyed by MsgID; the bootstrap connection's reader completes them.
-	imu      sync.Mutex
-	inflight map[uint64]chan envelope
-	msgID    atomic.Uint64
+	// allocs hands alloc responses from the readers to NewAddr, which skips
+	// any whose MsgID is not its current request's; it has room for a late
+	// answer to each earlier attempt.
+	allocs chan envelope
+	msgID  atomic.Uint64
 
 	closedCh chan struct{}
 	wg       sync.WaitGroup // accept loop, connection readers, outbox writers
@@ -167,21 +183,16 @@ func New(cfg Config) (*Runtime, error) {
 		dir:      newDirectory(),
 		outboxes: make(map[string]*outbox),
 		open:     make(map[*wconn]struct{}),
-		inflight: make(map[uint64]chan envelope),
+		allocs:   make(chan envelope, allocAttempts),
 		closedCh: make(chan struct{}),
 	}
 	r.self = cfg.Advertise
 	if r.self == "" {
 		r.self = advertisable(ln.Addr())
 	}
+	r.boot = cfg.Bootstrap
 	if r.isBoot {
 		r.boot = r.self
-	} else {
-		r.boot = cfg.Bootstrap
-		// The server's address is bootstrap information, not something to
-		// discover: seed the resolution cache so the very first join can
-		// reach address 0.
-		r.dir.set(int64(r.ServerAddr()), r.boot, true)
 	}
 	r.wg.Add(1)
 	go r.acceptLoop()
@@ -204,69 +215,64 @@ func advertisable(a nnet.Addr) string {
 // Endpoint returns this process's advertised endpoint.
 func (r *Runtime) Endpoint() string { return r.self }
 
-// IsBootstrap reports whether this process hosts address 0 and the broker.
+// IsBootstrap reports whether this process hosts address 0, the allocator
+// and the authoritative directory.
 func (r *Runtime) IsBootstrap() bool { return r.isBoot }
 
 // --- Transport -------------------------------------------------------------
 
-// Attach registers a handler and announces the address to the bootstrap's
-// directory so other processes can route to it. The announcement is
-// synchronous: when Attach returns, a response sent to this address by any
-// process resolves.
+// Attach registers a handler, records the address in this process's
+// directory and tells the cluster without waiting (see change).
 func (r *Runtime) Attach(a runtime.Addr, ep runtime.Endpoint, h runtime.Handler) {
 	if r.Closed() {
 		return
 	}
 	r.Runtime.Attach(a, ep, h)
-	r.dir.set(int64(a), r.self, true)
-	if !r.isBoot {
-		if _, err := r.rpc(ctrlRegisterReq, registerPayload(int64(a), r.self)); err != nil {
-			r.cfg.Logf("register addr %d: %v", a, err)
-		}
-	}
+	r.change(int64(a), true)
 }
 
-// Detach removes an address and reports it dead to the bootstrap. Frames
-// already in flight to it are dropped on arrival, like packets to a crashed
-// host.
+// Detach removes an address and tells the cluster it is dead. Frames already
+// in flight to it are dropped on arrival, like packets to a crashed host.
 func (r *Runtime) Detach(a runtime.Addr) {
 	r.Runtime.Detach(a)
-	r.dir.markDead(int64(a))
-	if !r.isBoot {
-		r.post(r.boot, envelope{Type: ctrlDetach, From: -1, To: -1, Payload: addrPayload(int64(a))})
-	}
+	r.change(int64(a), false)
 }
 
-// Attached reports whether the address currently has a live handler
-// anywhere in the cluster: locally via the address table, elsewhere via the
-// bootstrap's directory (a broker round trip on non-bootstrap processes).
-func (r *Runtime) Attached(a runtime.Addr) bool {
-	if r.Runtime.Attached(a) {
-		return true
-	}
+// change applies a local Attach or Detach: the bootstrap publishes it to
+// every worker; a worker records it and posts it to the bootstrap.
+func (r *Runtime) change(a int64, alive bool) {
 	if r.isBoot {
-		return r.dir.alive(int64(a))
+		r.publish(a, r.self, alive, "")
+		return
 	}
-	resp, err := r.rpc(ctrlAttachedReq, addrPayload(int64(a)))
-	if err != nil || len(resp.Payload) < 1 {
-		return false
-	}
-	return resp.Payload[0] != 0
+	r.dir.apply(a, r.self, alive, "")
+	r.post(r.boot, dirFrame(a, r.self, alive))
+}
+
+// Attached reports whether the address has a live handler here or is alive
+// in this process's copy of the directory. It never leaves the process.
+func (r *Runtime) Attached(a runtime.Addr) bool {
+	return r.Runtime.Attached(a) || r.dir.alive(int64(a))
 }
 
 // Send encodes the message and posts it to the outbox of the destination's
-// process. An unknown address drops the message silently — the transport
-// contract is unreliable delivery — and so does anything the outbox drops;
-// an endpoint that is down for a moment (a listener coming up late) gets
-// the frame once its writer's redial lands. size only models serialization
-// cost on the simulated transports; here the real bytes are the cost.
+// process, as this process's directory names it. A worker posts an address
+// its copy lacks to the bootstrap, which relays it; the bootstrap drops it
+// silently — the transport contract is unreliable delivery — and so does
+// anything the outbox drops; an endpoint that is down for a moment (a
+// listener coming up late) gets the frame once its writer's redial lands.
+// size only models serialization cost on the simulated transports; here the
+// real bytes are the cost.
 func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
 	if r.Closed() {
 		return
 	}
-	ep, ok := r.endpointOf(to)
+	ep, ok := r.dir.endpoint(int64(to))
 	if !ok {
-		return
+		if r.isBoot {
+			return
+		}
+		ep = r.boot // the bootstrap relays it
 	}
 	code, payload, err := r.codec.Encode(msg)
 	if err != nil {
@@ -276,63 +282,56 @@ func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
 	r.post(ep, envelope{Type: code, From: int64(from), To: int64(to), Payload: payload})
 }
 
-// endpointOf resolves an address to its hosting process's endpoint: local
-// cache first, then a broker round trip. Endpoints are immutable once
-// registered, so positive results are cached forever; negative results are
-// not cached (the address may be registered a moment later).
-func (r *Runtime) endpointOf(a runtime.Addr) (string, bool) {
-	if ep, ok := r.dir.endpoint(int64(a)); ok {
-		return ep, true
-	}
-	if r.isBoot {
-		return "", false
-	}
-	resp, err := r.rpc(ctrlResolveReq, addrPayload(int64(a)))
-	if err != nil {
-		return "", false
-	}
-	found, ep, err := readResolvePayload(resp.Payload)
-	if err != nil || !found {
-		return "", false
-	}
-	r.dir.set(int64(a), ep, true)
-	return ep, true
-}
-
 // NewAddr allocates the next cluster-wide peer address: locally on the
-// bootstrap, via a JOIN-ALLOC broker request elsewhere. Allocation is the
-// one runtime operation that cannot degrade gracefully — a node that cannot
-// reach its bootstrap while joining has no place in the cluster — so an
-// unreachable broker panics after three requests, each given rpcTimeout,
-// instead of corrupting the dense address space. A bootstrap that comes up
-// while the requests wait is reached by the outbox's redial.
+// bootstrap, via a JOIN-ALLOC request elsewhere — the one request a process
+// waits on. The request carries the codec's fingerprint, and a bootstrap
+// built from a different message list refuses it, which panics here naming
+// both. Allocation is the one runtime operation that cannot degrade
+// gracefully — a node that cannot reach its bootstrap while joining has no
+// place in the cluster — so an unreachable bootstrap panics after
+// allocAttempts requests, each given rpcTimeout, instead of corrupting the
+// dense address space. A bootstrap that comes up while the requests wait is
+// reached by the outbox's redial.
 func (r *Runtime) NewAddr() runtime.Addr {
 	if r.isBoot {
 		return r.Runtime.NewAddr()
 	}
 	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		resp, err := r.rpc(ctrlAllocReq, nil)
-		if err != nil {
-			lastErr = err
+	for attempt := 0; attempt < allocAttempts; attempt++ {
+		id := r.msgID.Add(1)
+		r.post(r.boot, envelope{Type: ctrlAllocReq, From: -1, To: -1, MsgID: id, Payload: allocPayload(r.codec.fp, -1, r.self)})
+		timeout := time.After(rpcTimeout)
+		var resp envelope
+		for lastErr = nil; lastErr == nil && resp.MsgID != id; {
+			select {
+			case resp = <-r.allocs:
+			case <-timeout:
+				lastErr = fmt.Errorf("alloc request timed out after %v", rpcTimeout)
+			case <-r.closedCh:
+				lastErr = errors.New("runtime closed")
+			}
+		}
+		if lastErr != nil {
 			continue
 		}
-		a, err := readAddrPayload(resp.Payload)
-		if err != nil || a < 0 {
-			lastErr = fmt.Errorf("bad alloc response (addr %d, %v)", a, err)
-			continue
+		fp, a, _, err := readAllocPayload(resp.Payload)
+		if err == nil && fp != r.codec.fp {
+			panic(fmt.Sprintf("net: wire schema %016x here, %016x at the bootstrap %s: every process must be built from the same message list", r.codec.fp, fp, r.boot))
 		}
-		return runtime.Addr(a)
+		if err == nil && a >= 0 {
+			return runtime.Addr(a)
+		}
+		lastErr = fmt.Errorf("bad alloc response (addr %d, %v)", a, err)
 	}
 	panic(fmt.Sprintf("net: address allocation via %s failed: %v", r.boot, lastErr))
 }
 
 // Close shuts the runtime down: protocol execution stops and pending timers
 // are dropped (live's Stop), the listener and every connection close (so all
-// readers exit, blocked writes return, outbox writers stop and outstanding
-// broker requests fail), and only then does it wait — sockets go before the
-// wait so that nothing a goroutine could be blocked on outlives it. Close
-// blocks until every goroutine is gone.
+// readers exit, blocked writes return, outbox writers stop and a waiting
+// NewAddr fails), and only then does it wait — sockets go before the wait so
+// that nothing a goroutine could be blocked on outlives it. Close blocks
+// until every goroutine is gone.
 func (r *Runtime) Close() {
 	if !r.Stop() {
 		return
@@ -351,33 +350,60 @@ func (r *Runtime) Close() {
 	r.wg.Wait()
 }
 
-// --- The broker dialogue and the readers ---------------------------------
+// --- The directory on the bootstrap and the readers ----------------------
 
-// rpc is one broker round trip: stamp a MsgID, park a waiter, post the
-// request to the bootstrap's outbox, wait for the reader to complete it.
-func (r *Runtime) rpc(typ uint16, payload []byte) (envelope, error) {
-	if r.isBoot {
-		return envelope{}, errors.New("net: the bootstrap answers locally")
+// publish applies a change to the bootstrap's directory and posts the same
+// frame, in the order applied, to every named worker but origin. Posting
+// under the directory lock is what orders a change against a worker's
+// starting copy (name).
+func (r *Runtime) publish(a int64, endpoint string, alive bool, origin string) {
+	r.dir.mu.Lock()
+	defer r.dir.mu.Unlock()
+	r.dir.applyLocked(a, endpoint, alive, "")
+	r.pushLocked(dirFrame(a, endpoint, alive), origin)
+}
+
+func (r *Runtime) pushLocked(env envelope, origin string) {
+	for w := range r.dir.workers {
+		if w != origin {
+			r.post(w, env)
+		}
 	}
-	id := r.msgID.Add(1)
-	ch := make(chan envelope, 1)
-	r.imu.Lock()
-	r.inflight[id] = ch
-	r.imu.Unlock()
-	defer func() {
-		r.imu.Lock()
-		delete(r.inflight, id)
-		r.imu.Unlock()
-	}()
+}
 
-	r.post(r.boot, envelope{Type: typ, From: -1, To: -1, MsgID: id, Payload: payload})
-	select {
-	case resp := <-ch:
-		return resp, nil
-	case <-time.After(rpcTimeout):
-		return envelope{}, fmt.Errorf("broker request %#x timed out", typ)
-	case <-r.closedCh:
-		return envelope{}, errors.New("net: runtime closed")
+// name subscribes the endpoint a worker's connection names in its first
+// alloc or register frame: the whole live directory is posted to it, then
+// every change after it.
+func (r *Runtime) name(c *wconn, ep string) {
+	if c.ep != "" {
+		return
+	}
+	c.ep = ep
+	r.dir.mu.Lock()
+	defer r.dir.mu.Unlock()
+	r.dir.workers[ep]++
+	for a, e := range r.dir.entries {
+		if e.alive {
+			r.post(ep, dirFrame(a, e.endpoint, true))
+		}
+	}
+}
+
+// unname ends a named connection. When it was the last one naming its
+// endpoint the process is gone, and so is every address it hosted: each is
+// marked detached and the detach published.
+func (r *Runtime) unname(ep string) {
+	r.dir.mu.Lock()
+	defer r.dir.mu.Unlock()
+	if r.dir.workers[ep]--; r.dir.workers[ep] > 0 {
+		return
+	}
+	delete(r.dir.workers, ep)
+	for a, e := range r.dir.entries {
+		if e.alive && e.endpoint == ep {
+			e.alive = false
+			r.pushLocked(dirFrame(a, ep, false), ep)
+		}
 	}
 }
 
@@ -386,17 +412,17 @@ func (r *Runtime) acceptLoop() {
 	defer r.wg.Done()
 	for {
 		nc, err := r.ln.Accept()
-		if err != nil || r.serve(nc, true) == nil {
+		if err != nil || r.serve(nc) == nil {
 			return // listener closed
 		}
 	}
 }
 
 // readLoop is a connection's single reader. It never takes the executor
-// lock: every frame either lands in the run queue, completes an inflight
-// waiter, or touches the directory/allocator. When the connection ends it
-// marks it down, so the outbox writer that dialed it redials instead of
-// writing into it.
+// lock: every frame either lands in the run queue or an outbox, goes to a
+// waiting NewAddr, or touches the directory/allocator. When the connection
+// ends it marks it down, so the outbox writer that dialed it redials instead
+// of writing into it.
 func (r *Runtime) readLoop(c *wconn) {
 	defer r.wg.Done()
 	for {
@@ -411,17 +437,23 @@ func (r *Runtime) readLoop(c *wconn) {
 	r.cmu.Lock()
 	delete(r.open, c)
 	r.cmu.Unlock()
-	// The connection is gone: every address the remote process registered
-	// through it went with the process.
-	if r.isBoot {
-		r.dir.markDeadAll(c.takeReg())
+	if c.ep != "" {
+		r.unname(c.ep)
 	}
 }
 
-// handleFrame dispatches one decoded envelope on a reader goroutine.
+// handleFrame dispatches one decoded envelope on a reader goroutine. On the
+// bootstrap, register and detach frames are a worker's changes to publish;
+// on a worker, they are the bootstrap's pushes to apply.
 func (r *Runtime) handleFrame(c *wconn, env envelope) {
 	switch {
 	case env.Type < ctrlBase:
+		if r.isBoot {
+			if ep, ok := r.dir.endpoint(env.To); ok && ep != r.self {
+				r.post(ep, env) // a worker's directory miss: relay it unchanged
+				return
+			}
+		}
 		msg, err := r.codec.Decode(env.Type, env.Payload)
 		if err != nil {
 			r.cfg.Logf("frame %d->%d: %v", env.From, env.To, err)
@@ -429,73 +461,49 @@ func (r *Runtime) handleFrame(c *wconn, env envelope) {
 		}
 		r.Deliver(runtime.Addr(env.From), runtime.Addr(env.To), msg)
 
-	case env.Type == ctrlAllocReq:
+	case env.Type == ctrlAllocReq && r.isBoot:
+		fp, _, ep, err := readAllocPayload(env.Payload)
+		if err != nil || ep == "" {
+			r.cfg.Logf("bad alloc frame: %v", err)
+			return
+		}
 		a := int64(-1)
-		if r.isBoot {
+		if fp == r.codec.fp {
+			r.name(c, ep)
 			a = int64(r.Runtime.NewAddr())
+			r.dir.set(a, ep, false) // routable at once, alive once registered
 		}
-		r.reply(c, ctrlAllocResp, env.MsgID, addrPayload(a))
+		r.post(ep, envelope{Type: ctrlAllocResp, From: -1, To: -1, MsgID: env.MsgID, Payload: allocPayload(r.codec.fp, a, "")})
 
-	case env.Type == ctrlRegisterReq:
-		a, endpoint, err := readRegisterPayload(env.Payload)
-		if err != nil {
+	case env.Type == ctrlAllocResp:
+		select {
+		case r.allocs <- env:
+		default:
+		}
+
+	case env.Type == ctrlRegister:
+		a, ep, err := readRegisterPayload(env.Payload)
+		switch {
+		case err != nil || ep == "":
 			r.cfg.Logf("bad register frame: %v", err)
-			return
+		case r.isBoot:
+			r.name(c, ep)
+			r.publish(a, ep, true, ep)
+		default:
+			r.dir.apply(a, ep, true, r.self)
 		}
-		r.dir.set(a, endpoint, true)
-		c.addReg(a)
-		if env.MsgID != 0 {
-			r.reply(c, ctrlRegisterResp, env.MsgID, nil)
-		}
-
-	case env.Type == ctrlResolveReq:
-		a, err := readAddrPayload(env.Payload)
-		if err != nil {
-			return
-		}
-		endpoint, found := r.dir.endpoint(a)
-		r.reply(c, ctrlResolveResp, env.MsgID, resolvePayload(found, endpoint))
-
-	case env.Type == ctrlAttachedReq:
-		a, err := readAddrPayload(env.Payload)
-		if err != nil {
-			return
-		}
-		r.reply(c, ctrlAttachedResp, env.MsgID, boolPayload(r.dir.alive(a)))
 
 	case env.Type == ctrlDetach:
-		if a, err := readAddrPayload(env.Payload); err == nil {
-			r.dir.markDead(a)
-		}
-
-	case env.Type == ctrlAllocResp || env.Type == ctrlRegisterResp ||
-		env.Type == ctrlResolveResp || env.Type == ctrlAttachedResp:
-		r.imu.Lock()
-		ch := r.inflight[env.MsgID]
-		r.imu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- env:
-			default:
-			}
+		if a, err := readAddrPayload(env.Payload); err != nil {
+			r.cfg.Logf("bad detach frame: %v", err)
+		} else if r.isBoot {
+			r.publish(a, "", false, c.ep)
+		} else {
+			r.dir.apply(a, "", false, r.self)
 		}
 
 	default:
-		r.cfg.Logf("unknown frame type %#x", env.Type)
-	}
-}
-
-// reply writes a control response on the connection the request arrived on,
-// from its reader. Only an accepted connection is answered: no legitimate
-// peer sends requests down a connection this process dialed, and there the
-// outbox writer must stay the one writer.
-func (r *Runtime) reply(c *wconn, typ uint16, msgID uint64, payload []byte) {
-	if !c.accepted {
-		return
-	}
-	env := envelope{Type: typ, From: -1, To: -1, MsgID: msgID, Payload: payload}
-	if err := c.write(env); err != nil {
-		c.c.Close() // the reader will notice and clean up
+		r.cfg.Logf("unexpected frame type %#x", env.Type)
 	}
 }
 

@@ -2,6 +2,7 @@ package net
 
 import (
 	"bufio"
+	"fmt"
 	nnet "net"
 	"strings"
 	"sync"
@@ -244,8 +245,25 @@ func TestSelfDialLoopback(t *testing.T) {
 	}
 }
 
-// TestAttachedAcrossProcesses: Attached consults the bootstrap's directory,
-// and Detach propagates.
+// attached reads Attached under r's execution guarantee.
+func attached(r *Runtime, a runtime.Addr) bool {
+	var ok bool
+	r.Do(func() { ok = r.Attached(a) })
+	return ok
+}
+
+// eventually polls cond for up to 5 s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not within 5s", what)
+		}
+	}
+}
+
+// TestAttachedAcrossProcesses: a worker's Attach and Detach reach the
+// bootstrap's directory. Neither waits for it, so the test polls.
 func TestAttachedAcrossProcesses(t *testing.T) {
 	boot := newBoot(t)
 	worker := newWorker(t, boot)
@@ -255,25 +273,10 @@ func TestAttachedAcrossProcesses(t *testing.T) {
 		a = worker.NewAddr()
 		worker.Attach(a, runtime.Endpoint{}, &rec{})
 	})
-
-	var fromBoot bool
-	boot.Do(func() { fromBoot = boot.Attached(a) })
-	if !fromBoot {
-		t.Fatal("bootstrap does not see the worker's address as attached")
-	}
+	eventually(t, "the bootstrap sees the worker's address as attached", func() bool { return attached(boot, a) })
 
 	worker.Do(func() { worker.Detach(a) })
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		boot.Do(func() { fromBoot = boot.Attached(a) })
-		if !fromBoot {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("detach never propagated to the bootstrap directory")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	eventually(t, "the detach reaches the bootstrap's directory", func() bool { return !attached(boot, a) })
 }
 
 // TestConnDropMarksDead: killing a worker process (modeled by Close) makes
@@ -289,27 +292,158 @@ func TestConnDropMarksDead(t *testing.T) {
 		worker.Attach(a1, runtime.Endpoint{}, &rec{})
 		worker.Attach(a2, runtime.Endpoint{}, &rec{})
 	})
-
-	var ok bool
-	boot.Do(func() { ok = boot.Attached(a1) && boot.Attached(a2) })
-	if !ok {
-		t.Fatal("worker addresses not visible before the crash")
-	}
+	eventually(t, "the worker's addresses are visible before the crash", func() bool { return attached(boot, a1) && attached(boot, a2) })
 
 	worker.Close()
+	eventually(t, "the conn drop marks the worker's addresses dead", func() bool { return !attached(boot, a1) && !attached(boot, a2) })
+}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var any bool
-		boot.Do(func() { any = boot.Attached(a1) || boot.Attached(a2) })
-		if !any {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("conn drop never marked the worker's addresses dead")
-		}
-		time.Sleep(time.Millisecond)
+// TestLateWorkerLearnsTheDirectory: a worker that joins after another
+// worker's attaches finds them in its copy of the directory as soon as its
+// first NewAddr returns, without any traffic to them, and later learns of
+// their detach.
+func TestLateWorkerLearnsTheDirectory(t *testing.T) {
+	boot := newBoot(t)
+	early := newWorker(t, boot)
+	var a1, a2 runtime.Addr
+	early.Do(func() {
+		a1, a2 = early.NewAddr(), early.NewAddr()
+		early.Attach(a1, runtime.Endpoint{}, &rec{})
+		early.Attach(a2, runtime.Endpoint{}, &rec{})
+	})
+	eventually(t, "the bootstrap sees the early worker's addresses", func() bool { return attached(boot, a1) && attached(boot, a2) })
+
+	late := newWorker(t, boot)
+	late.Do(func() { late.NewAddr() })
+	if !attached(late, a1) || !attached(late, a2) {
+		t.Fatalf("after its first NewAddr the late worker sees %d: %v, %d: %v", a1, attached(late, a1), a2, attached(late, a2))
 	}
+	early.Do(func() { early.Detach(a1) })
+	eventually(t, "the late worker learns of the detach", func() bool { return !attached(late, a1) && attached(late, a2) })
+}
+
+// TestSendToAnUnlearnedAddressIsRelayed: a worker whose copy of the
+// directory lacks an address posts the frame to the bootstrap, which relays
+// it to the process hosting the address.
+func TestSendToAnUnlearnedAddressIsRelayed(t *testing.T) {
+	boot := newBoot(t)
+	w1, w2 := newWorker(t, boot), newWorker(t, boot)
+	got := &rec{}
+	var a, b runtime.Addr
+	w1.Do(func() {
+		a = w1.NewAddr()
+		w1.Attach(a, runtime.Endpoint{}, &rec{})
+	})
+	w2.Do(func() {
+		b = w2.NewAddr()
+		w2.Attach(b, runtime.Endpoint{}, got)
+	})
+	eventually(t, "w1 learns of w2's address", func() bool { return attached(w1, b) })
+
+	w1.dir.mu.Lock()
+	delete(w1.dir.entries, int64(b))
+	w1.dir.mu.Unlock()
+	w1.Do(func() { w1.Send(a, b, 0, ping{Seq: 7}) })
+	awaitDelivery(t, got, 1)
+	if msgs, from := got.snapshot(); msgs[0] != (ping{Seq: 7}) || from[0] != a {
+		t.Fatalf("relayed frame arrived as %v from %v", msgs[0], from[0])
+	}
+	w1.cmu.Lock()
+	defer w1.cmu.Unlock()
+	if w1.outboxes[w2.Endpoint()] != nil {
+		t.Fatal("w1 dialed w2 directly instead of through the bootstrap")
+	}
+}
+
+// TestBrokerNeverWaitedOn: once NewAddr has returned, nothing a worker does
+// waits on the bootstrap. The stand-in below answers alloc requests on the
+// connection they arrive on, and nothing else; Attach, Detach, Attached for
+// a remote address and Send to an unknown address must each return at once.
+func TestBrokerNeverWaitedOn(t *testing.T) {
+	ln, err := nnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for next := int64(1); ; {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			for br := bufio.NewReader(nc); ; {
+				env, err := readEnvelope(br)
+				if err != nil {
+					nc.Close()
+					break
+				}
+				if env.Type == ctrlAllocReq {
+					fp, _, _, _ := readAllocPayload(env.Payload)
+					nc.Write(appendEnvelope(nil, envelope{Type: ctrlAllocResp, From: -1, To: -1, MsgID: env.MsgID, Payload: allocPayload(fp, next, "")}))
+					next++
+				}
+			}
+		}
+	}()
+
+	worker, err := New(Config{Listen: "127.0.0.1:0", Bootstrap: ln.Addr().String(), Messages: testMessages(), AwaitTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(worker.Close)
+	var a runtime.Addr
+	worker.Do(func() { a = worker.NewAddr() })
+	for _, step := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Attach", func() { worker.Attach(a, runtime.Endpoint{}, &rec{}) }},
+		{"Attached of a remote address", func() { worker.Attached(a + 1) }},
+		{"Send to an unknown address", func() { worker.Send(a, a+1, 0, ping{Seq: 1}) }},
+		{"Detach", func() { worker.Detach(a) }},
+	} {
+		start := time.Now()
+		worker.Do(step.fn)
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("%s took %v against a bootstrap that answers only alloc", step.name, d)
+		}
+	}
+}
+
+// TestMismatchedWireSchemaIsRefused: a worker built from a different message
+// list is refused at its first NewAddr, which panics at once naming both
+// fingerprints, and the bootstrap spends no address on it.
+func TestMismatchedWireSchemaIsRefused(t *testing.T) {
+	boot := newBoot(t)
+	type extra struct{ N int }
+	worker, err := New(Config{Listen: "127.0.0.1:0", Bootstrap: boot.Endpoint(), Messages: append(testMessages(), extra{}), AwaitTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(worker.Close)
+	if worker.codec.fp == boot.codec.fp {
+		t.Fatalf("an extra message type leaves the fingerprint at %016x", boot.codec.fp)
+	}
+
+	start := time.Now()
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		worker.NewAddr()
+		return
+	}()
+	if d := time.Since(start); d > rpcTimeout/2 {
+		t.Errorf("refusal took %v", d)
+	}
+	for _, fp := range []uint64{worker.codec.fp, boot.codec.fp} {
+		if !strings.Contains(msg, fmt.Sprintf("%016x", fp)) {
+			t.Fatalf("NewAddr panicked with %q, which does not name %016x", msg, fp)
+		}
+	}
+	boot.Do(func() {
+		if a := boot.NewAddr(); a != 1 {
+			t.Fatalf("the bootstrap allocated %d after the refusal, want 1", a)
+		}
+	})
 }
 
 // TestDetachDropsInFlight: a frame to a detached address is dropped on
@@ -590,7 +724,7 @@ func TestWorkerStartedBeforeItsBootstrapJoins(t *testing.T) {
 	}
 }
 
-// TestCloseUnblocksEverything: Close while a worker has in-flight broker
+// TestCloseUnblocksEverything: Close while a worker has in-flight directory
 // traffic terminates promptly and leaves no goroutines wedged (the test
 // binary would hang otherwise).
 func TestCloseUnblocksEverything(t *testing.T) {

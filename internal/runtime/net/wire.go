@@ -17,11 +17,10 @@ import (
 //	26      4     Len    — payload length
 //	30      Len   payload
 //
-// all integers little-endian. Protocol messages are one-way datagrams (the
-// transport contract is asynchronous and unreliable), so their MsgID is 0.
-// Control frames — the bootstrap broker dialogue — are request/response:
-// the requester stamps a fresh MsgID, parks a waiter channel in its
-// inflight map, and the connection's reader delivers the matching response.
+// all integers little-endian. Every frame is a one-way datagram (the
+// transport contract is asynchronous and unreliable) with MsgID 0, except
+// the one request, alloc: the requester stamps a fresh MsgID and its
+// response carries it back.
 const (
 	headerLen  = 30
 	maxPayload = 16 << 20
@@ -32,32 +31,21 @@ const (
 const (
 	ctrlBase uint16 = 0xFF00
 
-	// ctrlAllocReq asks the bootstrap for a fresh peer address (JOIN-ALLOC).
-	// Empty payload; the response carries the address. Addresses are handed
-	// out densely from one counter, preserving the Addr.Index contract
-	// across every process in the cluster.
+	// ctrlAllocReq asks the bootstrap for a fresh peer address (JOIN-ALLOC);
+	// ctrlAllocResp answers it on the requester's endpoint. Addresses are
+	// handed out densely from one counter, preserving the Addr.Index contract
+	// across every process in the cluster. Payload: allocPayload.
 	ctrlAllocReq  uint16 = 0xFF01
 	ctrlAllocResp uint16 = 0xFF02
 
-	// ctrlRegisterReq announces "address A is served at endpoint E" to the
-	// bootstrap's directory. Payload: varint addr, uvarint len, endpoint.
-	ctrlRegisterReq  uint16 = 0xFF03
-	ctrlRegisterResp uint16 = 0xFF04
+	// ctrlRegister says "address A is attached at endpoint E": a worker's
+	// to the bootstrap, and the bootstrap's to every worker. Payload: varint
+	// addr, uvarint len, endpoint.
+	ctrlRegister uint16 = 0xFF03
 
-	// ctrlResolveReq asks the bootstrap which endpoint serves an address.
-	// Payload: varint addr. Response: 1 byte found, uvarint len, endpoint.
-	ctrlResolveReq  uint16 = 0xFF05
-	ctrlResolveResp uint16 = 0xFF06
-
-	// ctrlAttachedReq asks the bootstrap whether an address is currently
-	// attached anywhere in the cluster. Payload: varint addr. Response:
-	// 1 byte.
-	ctrlAttachedReq  uint16 = 0xFF07
-	ctrlAttachedResp uint16 = 0xFF08
-
-	// ctrlDetach reports a local detach to the bootstrap's directory.
-	// One-way (MsgID 0). Payload: varint addr.
-	ctrlDetach uint16 = 0xFF09
+	// ctrlDetach says "address A is detached", on the same paths. Payload:
+	// varint addr.
+	ctrlDetach uint16 = 0xFF04
 )
 
 type envelope struct {
@@ -149,31 +137,31 @@ func readRegisterPayload(b []byte) (int64, string, error) {
 	return a, string(b[w : w+int(l)]), nil
 }
 
-func resolvePayload(found bool, endpoint string) []byte {
-	b := make([]byte, 1, 1+len(endpoint)+2)
-	if found {
-		b[0] = 1
-	}
-	b = binary.AppendUvarint(b, uint64(len(endpoint)))
+// allocPayload is both halves of the alloc dialogue: the sender's wire
+// fingerprint (8 bytes), a varint address, and an endpoint filling the rest.
+// The request carries the worker's fingerprint, -1 and its endpoint; the
+// response the bootstrap's fingerprint, the address (-1 when refused) and no
+// endpoint.
+func allocPayload(fp uint64, a int64, endpoint string) []byte {
+	b := binary.AppendVarint(binary.LittleEndian.AppendUint64(nil, fp), a)
 	return append(b, endpoint...)
 }
 
-func readResolvePayload(b []byte) (bool, string, error) {
-	if len(b) < 1 {
-		return false, "", fmt.Errorf("net: bad resolve payload")
+func readAllocPayload(b []byte) (uint64, int64, string, error) {
+	if len(b) < 8 {
+		return 0, 0, "", fmt.Errorf("net: bad alloc payload")
 	}
-	found := b[0] != 0
-	b = b[1:]
-	l, w := binary.Uvarint(b)
-	if w <= 0 || uint64(len(b)-w) < l {
-		return false, "", fmt.Errorf("net: bad resolve endpoint")
+	a, n := binary.Varint(b[8:])
+	if n <= 0 {
+		return 0, 0, "", fmt.Errorf("net: bad alloc address")
 	}
-	return found, string(b[w : w+int(l)]), nil
+	return binary.LittleEndian.Uint64(b), a, string(b[8+n:]), nil
 }
 
-func boolPayload(v bool) []byte {
-	if v {
-		return []byte{1}
+// dirFrame is the directory frame for a register (alive) or a detach.
+func dirFrame(a int64, endpoint string, alive bool) envelope {
+	if alive {
+		return envelope{Type: ctrlRegister, From: -1, To: -1, Payload: registerPayload(a, endpoint)}
 	}
-	return []byte{0}
+	return envelope{Type: ctrlDetach, From: -1, To: -1, Payload: addrPayload(a)}
 }

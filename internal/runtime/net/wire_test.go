@@ -62,7 +62,7 @@ func FuzzReadEnvelope(f *testing.F) {
 	})
 }
 
-// FuzzControlPayloads runs the broker dialogue's three payload readers on
+// FuzzControlPayloads runs the control frames' three payload readers on
 // arbitrary bytes. Each returns its fields or an error — never panics,
 // never fields beside an error — allocates in proportion to its input, and
 // what it accepts survives a second encode and decode unchanged.
@@ -70,8 +70,8 @@ func FuzzControlPayloads(f *testing.F) {
 	f.Add(addrPayload(42))
 	f.Add(addrPayload(-1))
 	f.Add(registerPayload(7, "127.0.0.1:7000"))
-	f.Add(resolvePayload(true, "127.0.0.1:7001"))
-	f.Add(resolvePayload(false, ""))
+	f.Add(allocPayload(0x9e3779b97f4a7c15, -1, "127.0.0.1:7001"))
+	f.Add(allocPayload(1, 5, ""))
 	// Endpoint lengths past the end of the payload.
 	f.Add(binary.AppendUvarint(binary.AppendVarint(nil, 1), 1<<40))
 	f.Add(binary.AppendUvarint([]byte{1}, 1<<20))
@@ -79,15 +79,15 @@ func FuzzControlPayloads(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var (
-			addr, regAddr         int64
-			regEp, resEp          string
-			found                 bool
-			addrErr, regErr, rErr error
+			addr, regAddr, allocAddr int64
+			regEp, allocEp           string
+			fp                       uint64
+			addrErr, regErr, aErr    error
 		)
 		got := allocated(func() {
 			addr, addrErr = readAddrPayload(b)
 			regAddr, regEp, regErr = readRegisterPayload(b)
-			found, resEp, rErr = readResolvePayload(b)
+			fp, allocAddr, allocEp, aErr = readAllocPayload(b)
 		})
 		if got > allocLimit(b) {
 			t.Fatalf("payload readers on %d bytes allocated %d bytes, limit %d", len(b), got, allocLimit(b))
@@ -109,12 +109,12 @@ func FuzzControlPayloads(f *testing.F) {
 			t.Fatalf("register (%d, %q) does not round-trip: (%d, %q, %v)", regAddr, regEp, a, ep, err)
 		}
 
-		if rErr != nil {
-			if found || resEp != "" {
-				t.Fatalf("readResolvePayload(%x) = (%v, %q, %v)", b, found, resEp, rErr)
+		if aErr != nil {
+			if fp != 0 || allocAddr != 0 || allocEp != "" {
+				t.Fatalf("readAllocPayload(%x) = (%x, %d, %q, %v)", b, fp, allocAddr, allocEp, aErr)
 			}
-		} else if fd, ep, err := readResolvePayload(resolvePayload(found, resEp)); err != nil || fd != found || ep != resEp {
-			t.Fatalf("resolve (%v, %q) does not round-trip: (%v, %q, %v)", found, resEp, fd, ep, err)
+		} else if f2, a, ep, err := readAllocPayload(allocPayload(fp, allocAddr, allocEp)); err != nil || f2 != fp || a != allocAddr || ep != allocEp {
+			t.Fatalf("alloc (%x, %d, %q) does not round-trip: (%x, %d, %q, %v)", fp, allocAddr, allocEp, f2, a, ep, err)
 		}
 	})
 }
