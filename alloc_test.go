@@ -39,6 +39,41 @@ func TestEventEngineAllocFree(t *testing.T) {
 	}
 }
 
+// TestLatencyAllocFree pins Graph.Latency, paid by every simulated message,
+// at zero allocations per call over the three kinds of pair its table
+// answers: two stubs of one domain, stubs of two domains, a transit node and
+// a stub.
+func TestLatencyAllocFree(t *testing.T) {
+	g, err := topology.GenerateTransitStub(topology.DefaultConfig(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stubs, transit := g.StubNodes(), g.TransitNodes()
+	a := stubs[0]
+	var same, other int
+	for _, s := range stubs[1:] {
+		if g.Nodes[s].Domain == g.Nodes[a].Domain {
+			same = s
+		} else {
+			other = s
+		}
+	}
+	pairs := [][2]int{{a, same}, {a, other}, {transit[0], a}, {other, transit[len(transit)-1]}}
+	for _, p := range pairs {
+		if _, err := g.Latency(p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		for _, p := range pairs {
+			g.Latency(p[0], p[1])
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Latency allocates: %.2f allocs per %d calls, want 0", avg, len(pairs))
+	}
+}
+
 // TestLookupAllocBudget pins the allocation cost of one no-churn lookup on a
 // settled system. The test reads 73 allocs per lookup (82 before the printf
 // trace hook stopped boxing its arguments on every operation); the budget is

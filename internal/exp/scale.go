@@ -126,8 +126,8 @@ func runScalePoint(o Options, n int) (p scalePoint, err error) {
 	start := time.Now()
 
 	// A compact physical network: peers share stub hosts, so the host graph
-	// does not need to grow with the population. The latency matrix is never
-	// precomputed — topology-aware routing is off here.
+	// does not need to grow with the population; its latency table is a few
+	// KiB and counts toward no peer.
 	tc := expTopoConfig(Options{Quick: true})
 	topo, err := topology.GenerateTransitStub(tc, o.topoSeed())
 	if err != nil {

@@ -39,9 +39,6 @@ var topoCache struct {
 type topoKey struct {
 	cfg  topology.Config
 	seed int64
-	// matrix records whether the dense stub latency table was requested,
-	// so quick runs without it don't alias full-scale runs with it.
-	matrix bool
 }
 
 type topoEntry struct {
@@ -55,13 +52,11 @@ type topoEntry struct {
 var topoCacheHits, topoCacheMisses atomic.Int64
 
 // expTopology returns the shared transit-stub topology for the experiment
-// scale and seed. At full scale it also precomputes the stub-to-stub latency
-// matrix, built once and amortized over every sweep point that shares the
-// graph.
+// scale and seed, its latency table built with it and shared by every sweep
+// point that routes over the graph.
 func expTopology(o Options, seed int64) (*topology.Graph, error) {
 	cfg := expTopoConfig(o)
-	wantMatrix := !o.Quick
-	key := topoKey{cfg: cfg, seed: seed, matrix: wantMatrix}
+	key := topoKey{cfg: cfg, seed: seed}
 
 	topoCache.mu.Lock()
 	if topoCache.m == nil {
@@ -79,9 +74,6 @@ func expTopology(o Options, seed int64) (*topology.Graph, error) {
 		generated = true
 		topoCacheMisses.Add(1)
 		e.g, e.err = topology.GenerateTransitStub(cfg, seed)
-		if e.err == nil && wantMatrix {
-			e.g.PrecomputeStubMatrix(o.workers())
-		}
 	})
 	if !generated {
 		topoCacheHits.Add(1)

@@ -245,6 +245,22 @@ func TestAwaitTimeoutAndWaiters(t *testing.T) {
 	})
 }
 
+// TestAwaitOnClosedRuntimeFailsAtOnce: once Close has run nothing can make a
+// condition true, so Await reports an error at once instead of waiting out
+// AwaitTimeout.
+func TestAwaitOnClosedRuntimeFailsAtOnce(t *testing.T) {
+	onCarriers(t, 10*time.Second, func(t *testing.T, rt executor) {
+		rt.Close()
+		start := time.Now()
+		if err := rt.Await(func() bool { return false }); err == nil {
+			t.Fatal("Await on a closed runtime returned nil for a condition that never held")
+		}
+		if d := time.Since(start); d >= 50*time.Millisecond {
+			t.Errorf("Await on a closed runtime took %v to fail", d)
+		}
+	})
+}
+
 // TestCloseStopsPendingTimers: Close leaves no armed firing behind. Their
 // closures would otherwise keep the closed runtime, its Systems and (on net)
 // its connection buffers reachable until the longest one went off.

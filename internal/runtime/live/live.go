@@ -320,15 +320,20 @@ func (r *Runtime) Do(fn func()) {
 
 // Await polls cond under the executor lock until it reports true, yielding
 // between polls so mailboxes and timers can run. It fails after the
-// configured wall-clock timeout.
+// configured wall-clock timeout, or at once when cond fails on a closed
+// runtime, which nothing will ever run again.
 func (r *Runtime) Await(cond func() bool) error {
 	deadline := time.Now().Add(r.cfg.AwaitTimeout)
 	for {
 		r.mu.Lock()
 		ok := cond()
+		closed := r.closed
 		r.mu.Unlock()
 		if ok {
 			return nil
+		}
+		if closed {
+			return fmt.Errorf("live: condition not reached: runtime closed")
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("live: condition not reached within %v", r.cfg.AwaitTimeout)

@@ -204,7 +204,8 @@ type Runtime interface {
 	// Await drives the runtime until cond reports true, then returns nil.
 	// cond is evaluated under the same guarantee as Do. Await returns an
 	// error if the runtime can make no further progress (discrete-event:
-	// event queue drained or step budget exceeded; live: deadline).
+	// event queue drained or step budget exceeded; live: deadline or
+	// closed).
 	Await(cond func() bool) error
 	// Sleep lets the runtime run for d without a completion condition.
 	Sleep(d Time)

@@ -5,22 +5,20 @@ import (
 	"testing"
 )
 
-// TestLatencyConcurrent exercises the lazily-built shortest-path cache from
-// many goroutines at once, all hitting overlapping sources. Run under
-// -race this is the regression test for the pathCache data race: the old
-// map-based cache was populated without synchronization.
+// TestLatencyConcurrent exercises the lazily built latency table and
+// shortest-path cache from many goroutines at once, all hitting overlapping
+// pairs of a graph no Latency call has touched yet. Run under -race this is
+// the regression test for the pathCache data race (the old map-based cache
+// was populated without synchronization) and for the table's one-time build.
 func TestLatencyConcurrent(t *testing.T) {
-	g, err := GenerateTransitStub(DefaultConfig(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stubs := g.StubNodes()
-
-	// Sequential reference pass on a second, identical graph.
 	ref, err := GenerateTransitStub(DefaultConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The same network as a Graph of its own, whose table is built by
+	// whichever goroutine below asks first.
+	g := &Graph{Nodes: ref.Nodes, Adj: ref.Adj}
+	stubs := g.StubNodes()
 
 	const goroutines = 8
 	const pairs = 400
@@ -56,50 +54,89 @@ func TestLatencyConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if g.table() == nil {
+		t.Fatal("a generated network built no latency table")
+	}
 }
 
-// TestStubMatrixMatchesDijkstra checks that the precomputed stub-to-stub
-// latency matrix returns exactly the distances the on-demand Dijkstra cache
-// computes, for every stub pair.
+// TestStubMatrixMatchesDijkstra checks that Latency returns exactly the
+// distance a fresh Dijkstra run over the whole graph computes, for every
+// ordered pair of nodes, transit endpoints included, across generator shapes
+// and seeds: the hierarchical table is exact, not an approximation. A graph
+// whose stub domain has two uplinks must fall back to Dijkstra and agree too.
 func TestStubMatrixMatchesDijkstra(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StubNodesPerDomain = 6 // keep the all-pairs check fast
-	withMatrix, err := GenerateTransitStub(cfg, 5)
-	if err != nil {
-		t.Fatal(err)
+	quick := DefaultConfig() // exp's quick-mode network
+	quick.TransitDomains, quick.TransitNodesPerDomain = 2, 2
+	quick.StubDomainsPerTransit, quick.StubNodesPerDomain = 2, 12
+	oneTransit := DefaultConfig()
+	oneTransit.TransitDomains, oneTransit.TransitNodesPerDomain = 1, 1
+	oneStub := DefaultConfig()
+	oneStub.StubNodesPerDomain = 1
+	treeStubs := DefaultConfig()
+	treeStubs.ExtraStubEdges = 0
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", DefaultConfig()},
+		{"quick", quick},
+		{"one-transit-node", oneTransit},
+		{"one-stub-per-domain", oneStub},
+		{"no-extra-stub-edges", treeStubs},
 	}
-	plain, err := GenerateTransitStub(cfg, 5)
-	if err != nil {
-		t.Fatal(err)
+	seeds := int64(12)
+	if raceEnabled {
+		seeds = 2
 	}
-	if withMatrix.HasStubMatrix() {
-		t.Fatal("fresh graph claims a stub matrix")
-	}
-	withMatrix.PrecomputeStubMatrix(4)
-	if !withMatrix.HasStubMatrix() {
-		t.Fatal("PrecomputeStubMatrix did not publish the matrix")
-	}
-
-	stubs := withMatrix.StubNodes()
-	for _, a := range stubs {
-		for _, b := range stubs {
-			got, err := withMatrix.Latency(a, b)
+	for _, c := range configs {
+		for seed := int64(0); seed < seeds; seed++ {
+			g, err := GenerateTransitStub(c.cfg, seed)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s seed %d: %v", c.name, seed, err)
 			}
-			want, err := plain.Latency(a, b)
-			if err != nil {
-				t.Fatal(err)
+			if g.table() == nil {
+				t.Fatalf("%s seed %d: generated graph took the Dijkstra fallback", c.name, seed)
 			}
-			if got != want {
-				t.Fatalf("matrix Latency(%d,%d) = %d, Dijkstra says %d", a, b, got, want)
-			}
+			assertLatencyIsDijkstra(t, g, c.name)
 		}
 	}
 
-	// Non-stub endpoints must still work (they fall back to the tree cache).
-	tr := withMatrix.TransitNodes()
-	if _, err := withMatrix.Latency(tr[0], stubs[0]); err != nil {
-		t.Fatal(err)
+	// Two transit nodes 100 apart and a stub domain {2, 3} with an uplink to
+	// each: the backbone's shortest path runs through the stub domain (70),
+	// which the single-uplink decomposition cannot see.
+	g := &Graph{Nodes: []Node{
+		{ID: 0, Kind: Transit}, {ID: 1, Kind: Transit},
+		{ID: 2, Kind: Stub, Domain: 1}, {ID: 3, Kind: Stub, Domain: 1},
+		{ID: 4, Kind: Stub, Domain: 2},
+	}, Adj: make([][]Edge, 5)}
+	g.addEdge(0, 1, 100)
+	g.addEdge(2, 3, 50)
+	g.addEdge(2, 0, 10)
+	g.addEdge(3, 1, 10)
+	g.addEdge(4, 1, 5)
+	if g.table() != nil {
+		t.Fatal("a stub domain with two uplinks got a hierarchical table")
+	}
+	if d, err := g.Latency(0, 1); err != nil || d != 70 {
+		t.Fatalf("two-uplink Latency(0,1) = %d, %v; want 70 through the stub domain", d, err)
+	}
+	assertLatencyIsDijkstra(t, g, "two-uplink")
+}
+
+// assertLatencyIsDijkstra compares Latency with g.dijkstra for every ordered
+// pair of g's nodes.
+func assertLatencyIsDijkstra(t *testing.T, g *Graph, name string) {
+	t.Helper()
+	for a := range g.Nodes {
+		want := g.dijkstra(a).dist
+		for b := range g.Nodes {
+			got, err := g.Latency(a, b)
+			if err != nil {
+				t.Fatalf("%s: Latency(%d,%d): %v", name, a, b, err)
+			}
+			if got != want[b] {
+				t.Fatalf("%s: Latency(%d,%d) = %d, Dijkstra says %d", name, a, b, got, want[b])
+			}
+		}
 	}
 }

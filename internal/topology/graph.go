@@ -14,7 +14,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // NodeKind classifies a physical node.
@@ -63,9 +62,11 @@ type Graph struct {
 	// node, each computed at most once even under concurrent access.
 	sp     []spSlot
 	spInit sync.Once
-	// stubMatrix, when precomputed, holds a dense stub-to-stub latency
-	// table consulted by Latency before falling back to Dijkstra.
-	stubMatrix atomic.Pointer[latencyMatrix]
+	// hier is the exact latency table Latency answers from, built once; nil
+	// when the graph lacks the single-uplink shape, and Latency falls back to
+	// sp.
+	hier     *hierarchy
+	hierOnce sync.Once
 }
 
 // spSlot guards lazy computation of one source's shortest-path tree.
@@ -163,6 +164,12 @@ func (g *Graph) shortestPaths(src int) *spTree {
 	return slot.t
 }
 
+// table returns the hierarchical latency table, building it on first use.
+func (g *Graph) table() *hierarchy {
+	g.hierOnce.Do(func() { g.hier = g.buildHierarchy() })
+	return g.hier
+}
+
 // dijkstra computes a fresh single-source shortest-path tree.
 func (g *Graph) dijkstra(src int) *spTree {
 	n := len(g.Nodes)
@@ -192,18 +199,15 @@ func (g *Graph) dijkstra(src int) *spTree {
 }
 
 // Latency returns the shortest-path latency between two nodes in simulated
-// microseconds, or an error if they are disconnected.
+// microseconds, or an error if they are disconnected. A transit-stub graph
+// answers from its hierarchical table (see hierarchy); any other graph from
+// per-source Dijkstra trees.
 func (g *Graph) Latency(a, b int) (int64, error) {
 	if a == b {
 		return 0, nil
 	}
-	if m := g.stubMatrix.Load(); m != nil {
-		if d, ok := m.lookup(a, b); ok {
-			if d == math.MaxInt64 {
-				return 0, fmt.Errorf("topology: nodes %d and %d are disconnected", a, b)
-			}
-			return d, nil
-		}
+	if h := g.table(); h != nil {
+		return h.latency(a, b), nil
 	}
 	t := g.shortestPaths(a)
 	if t.dist[b] == math.MaxInt64 {
@@ -212,76 +216,10 @@ func (g *Graph) Latency(a, b int) (int64, error) {
 	return t.dist[b], nil
 }
 
-// latencyMatrix is a dense latency table over the stub nodes, where overlay
-// peers live. Row/column order follows StubNodes().
-type latencyMatrix struct {
-	index []int32 // node id -> compact stub index, -1 for transit nodes
-	n     int
-	dist  []int64 // n*n, MaxInt64 for disconnected pairs
-}
-
-// lookup returns the latency between two nodes if both are covered.
-func (m *latencyMatrix) lookup(a, b int) (int64, bool) {
-	ia, ib := m.index[a], m.index[b]
-	if ia < 0 || ib < 0 {
-		return 0, false
-	}
-	return m.dist[int(ia)*m.n+int(ib)], true
-}
-
-// PrecomputeStubMatrix builds the dense stub-to-stub latency table, running
-// up to workers Dijkstra computations in parallel. It is optional: without it
-// Latency falls back to per-source shortest-path trees. Intended for
-// full-scale sweeps where every pair of the ~1,000 stub nodes is exercised.
-// Safe to call while other goroutines read the graph; the table is published
-// atomically and at most one build runs per call.
-func (g *Graph) PrecomputeStubMatrix(workers int) {
-	if g.stubMatrix.Load() != nil {
-		return
-	}
-	stubs := g.StubNodes()
-	m := &latencyMatrix{index: make([]int32, len(g.Nodes)), n: len(stubs)}
-	for i := range m.index {
-		m.index[i] = -1
-	}
-	for i, id := range stubs {
-		m.index[id] = int32(i)
-	}
-	m.dist = make([]int64, len(stubs)*len(stubs))
-
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(stubs) {
-		workers = len(stubs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(stubs) {
-					return
-				}
-				// A throwaway tree per row: rows only need distances
-				// to stubs, so the prev arrays are not retained.
-				t := g.dijkstra(stubs[i])
-				row := m.dist[i*m.n : (i+1)*m.n]
-				for j, id := range stubs {
-					row[j] = t.dist[id]
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	g.stubMatrix.Store(m)
-}
-
-// HasStubMatrix reports whether the dense latency table is available.
-func (g *Graph) HasStubMatrix() bool { return g.stubMatrix.Load() != nil }
+// PrecomputeStubMatrix does nothing: Latency needs no precomputation (see
+// hierarchy). The method stays for callers written when a dense stub-to-stub
+// table had to be requested.
+func (g *Graph) PrecomputeStubMatrix(workers int) {}
 
 // Path returns the node sequence of the shortest path from a to b, inclusive
 // of both endpoints. Used for link-stress accounting.

@@ -178,7 +178,9 @@ func GenerateTransitStub(cfg Config, seed int64) (*Graph, error) {
 					g.addEdge(a, b, latency(g.Nodes[a], g.Nodes[b], 1))
 				}
 			}
-			// Uplink: one gateway stub node connects to the transit node.
+			// Uplink: one gateway stub node connects to the transit node,
+			// the domain's only link out, which makes Latency's
+			// hierarchical table exact (see hierarchy).
 			gw := members[rng.Intn(len(members))]
 			g.addEdge(gw, tn, latency(g.Nodes[gw], g.Nodes[tn], 2))
 		}
@@ -187,6 +189,7 @@ func GenerateTransitStub(cfg Config, seed int64) (*Graph, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("topology: generated graph is disconnected (seed %d)", seed)
 	}
+	g.table()
 	return g, nil
 }
 

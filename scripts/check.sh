@@ -56,12 +56,12 @@ gate() {
         ;;
     allocguard)
         # Allocation budgets: the event-engine hot path must stay at zero
-        # allocs per event, a no-churn lookup must stay within its per-op
-        # budget, and a finger refresh answered in place must allocate
-        # nothing. -count=1 defeats the cache; these are the cheap tripwires
-        # for the pooling work.
-        echo "== allocation budget gate (event engine, lookup path, local finger refresh, histogram record)"
-        go test . -count=1 -run '^(TestEventEngineAllocFree|TestLookupAllocBudget|TestFingerRefreshLocalAllocFree)$'
+        # allocs per event, a topology latency lookup at zero per call, a
+        # no-churn lookup within its per-op budget, and a finger refresh
+        # answered in place must allocate nothing. -count=1 defeats the
+        # cache; these are the cheap tripwires for the pooling work.
+        echo "== allocation budget gate (event engine, topology latency, lookup path, local finger refresh, histogram record)"
+        go test . -count=1 -run '^(TestEventEngineAllocFree|TestLatencyAllocFree|TestLookupAllocBudget|TestFingerRefreshLocalAllocFree)$'
         go test ./internal/obs -count=1 -run '^TestHistogramRecordAllocFree$'
         ;;
     routinggate)
@@ -90,11 +90,12 @@ gate() {
         # runtime's second dial path with its negative cache and backlog,
         # and live's mailbox goroutine per address; the broker requests a
         # pushed directory replaced (resolve, attached, the register's
-        # response) with their payloads and the markDeadAll sweep. CHANGES.md,
+        # response) with their payloads and the markDeadAll sweep; the dense
+        # stub latency matrix the hierarchical table replaced. CHANGES.md,
         # ROADMAP.md and ISSUE.md may tell the story; this script has to spell
         # the patterns.
         echo "== retired-name gate (deleted flags, types, programs, files and Make targets stay deleted)"
-        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll' \
+        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix' \
             --include='*.go' --include='*.md' --include='*.sh' --include=Makefile \
             --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh \
             --exclude-dir=.git --exclude-dir=.bench_build .; then
