@@ -55,10 +55,11 @@ func main() { os.Exit(run(os.Args[1:])) }
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("hybridnode", flag.ContinueOnError)
+	def := core.DefaultConfig()
 	var (
 		n          = fs.Int("n", 96, "number of peers this process joins (min 64 in-process, 1 with -addr)")
 		ps         = fs.Float64("ps", 0.6, "proportion of s-peers (0..1)")
-		delta      = fs.Int("delta", 3, "s-network degree constraint")
+		delta      = fs.Int("delta", def.Delta, "s-network degree constraint")
 		items      = fs.Int("items", 200, "data items to store from this process")
 		keys       = fs.Int("keys", 0, "size of the shared key universe to look up (0: the keys stored here); lets one cluster process look up items another stored")
 		lookups    = fs.Int("lookups", 400, "lookups per measurement phase")
@@ -71,9 +72,9 @@ func run(args []string) int {
 		addr       = fs.String("addr", "", "TCP endpoint to listen on (e.g. 127.0.0.1:7000); selects the multi-process socket transport")
 		advertise  = fs.String("advertise", "", "endpoint other cluster processes dial to reach this one (default: the -addr listener)")
 		bootstrap  = fs.String("bootstrap", "", "the cluster bootstrap's endpoint; empty with -addr set makes this process the bootstrap")
-		replK      = fs.Int("k", 1, "replication factor: each item lives on its owning t-peer plus k-1 ring successors (1 disables replication)")
+		replK      = fs.Int("k", def.ReplicationK, "replication factor: each item lives on its owning t-peer plus k-1 ring successors (1 disables replication)")
 		roleFlag   = fs.String("role", "", "pin every peer this process joins to one role: \"t\" or \"s\" (default: let the server decide)")
-		alpha      = fs.Int("alpha", 1, "parallel lookup probes on the t-network (1 = single walk)")
+		alpha      = fs.Int("alpha", def.LookupAlpha, "parallel lookup probes on the t-network (1 = single walk)")
 		pathcache  = fs.Bool("pathcache", false, "enable lookup-path caching (route hints from successful lookups)")
 		routeFlag  = fs.String("route", "finger", "t-network routing strategy: finger | succ")
 	)
@@ -125,7 +126,7 @@ func run(args []string) int {
 	// seconds while keeping every Validate constraint: failure detection
 	// still takes several missed heartbeats, operations still time out long
 	// after any plausible delivery delay.
-	cfg := core.DefaultConfig()
+	cfg := def
 	cfg.Ps = *ps
 	cfg.Delta = *delta
 	cfg.HelloEvery = 100 * runtime.Millisecond
@@ -143,6 +144,10 @@ func run(args []string) int {
 		return 2
 	}
 	cfg.Route = strat
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "hybridnode:", err)
+		return 2
+	}
 
 	var rt runtime.Runtime
 	var closeRT func()

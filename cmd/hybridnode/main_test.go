@@ -4,10 +4,14 @@ import "testing"
 
 // TestCountsCheckedBeforeTheCluster: a negative -items used to join every
 // peer and then panic in workload.Keys, a negative -lookups to end in
-// "success -0.00 below minimum"; both are usage errors now, refused with the
-// other flag checks before anything is built.
+// "success -0.00 below minimum", and -k 0, -alpha 0 and -delta 0 were
+// silently replaced by their defaults; all are usage errors now, refused with
+// the other flag checks before anything is built.
 func TestCountsCheckedBeforeTheCluster(t *testing.T) {
-	for _, args := range [][]string{{"-items", "-1"}, {"-keys", "-1"}, {"-lookups", "-1"}} {
+	for _, args := range [][]string{
+		{"-items", "-1"}, {"-keys", "-1"}, {"-lookups", "-1"},
+		{"-k", "0"}, {"-alpha", "0"}, {"-delta", "0"},
+	} {
 		if code := run(args); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}

@@ -33,6 +33,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -46,11 +47,12 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hybridsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	def := core.DefaultConfig()
 	var (
 		n         = fs.Int("n", 1000, "number of peers")
 		psList    = fs.String("ps", "0.7", "proportion of s-peers (0..1); comma-separated list sweeps")
-		delta     = fs.Int("delta", 3, "s-network degree constraint")
-		ttl       = fs.Int("ttl", 4, "flood TTL")
+		delta     = fs.Int("delta", def.Delta, "s-network degree constraint")
+		ttl       = fs.Int("ttl", def.TTL, "flood TTL")
 		items     = fs.Int("items", 5000, "data items to insert")
 		lookups   = fs.Int("lookups", 2000, "lookups to measure")
 		seed      = fs.Int64("seed", 1, "random seed")
@@ -58,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		placement = fs.String("placement", "spread", "data placement: tpeer | spread")
 		hetero    = fs.Bool("hetero", false, "enable link heterogeneity support")
 		topoaware = fs.Bool("topoaware", false, "enable landmark binning")
-		landmarks = fs.Int("landmarks", 8, "number of landmarks (with -topoaware)")
+		landmarks = fs.Int("landmarks", def.Landmarks, "number of landmarks (with -topoaware)")
 		bypass    = fs.Bool("bypass", false, "enable bypass links")
 		tracker   = fs.Bool("tracker", false, "BitTorrent-style tracker s-networks")
 		interests = fs.Int("interests", 0, "interest categories (>0 enables interest-based s-networks)")
@@ -67,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		walk      = fs.Bool("walk", false, "random-walk s-network search instead of flooding")
 		caching   = fs.Bool("caching", false, "enable the future-work hot-data caching scheme")
 		hist      = fs.Bool("hist", false, "record lookup/store histograms and print latency/hop percentiles")
-		alpha     = fs.Int("alpha", 1, "parallel lookup probes on the t-network (1 = the paper's single walk)")
+		alpha     = fs.Int("alpha", def.LookupAlpha, "parallel lookup probes on the t-network (1 = the paper's single walk)")
 		pathcache = fs.Bool("pathcache", false, "enable lookup-path caching (successful lookups deposit route hints)")
 		route     = fs.String("route", "finger", "t-network routing strategy: finger | succ (successor-only, the paper's simulated behavior; lookup timeout 180 s)")
 

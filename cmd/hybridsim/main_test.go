@@ -38,8 +38,10 @@ func TestStdoutGolden(t *testing.T) {
 	}
 }
 
-// TestBadFlagValues: values that used to panic the binary (and the ones that
-// were already refused) exit 2 with one line on stderr and nothing on stdout.
+// TestBadFlagValues: values that used to panic the binary, protocol knobs
+// that used to be silently replaced by their defaults (-ttl 0 ran TTL 4), and
+// the ones that were already refused exit 2 with one line on stderr and
+// nothing on stdout.
 func TestBadFlagValues(t *testing.T) {
 	for _, args := range []string{
 		"-items 0 -lookups 10",
@@ -49,6 +51,10 @@ func TestBadFlagValues(t *testing.T) {
 		"-route random",
 		"-ps 0.5,abc",
 		"-partition 5,3",
+		"-ttl 0",
+		"-delta 0",
+		"-alpha 0",
+		"-topoaware -landmarks 0",
 	} {
 		t.Run(args, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

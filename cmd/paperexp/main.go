@@ -78,10 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts = exp.QuickOptions()
 	}
 	opts.Seed = *seed
-	if *seed == 0 {
-		// A literal -seed 0 means "seed zero", not "use the default".
-		opts.Seed = exp.SeedZero
-	}
 	opts.Workers = *workers
 	opts.Hist = *hist
 	if *n > 0 {

@@ -18,30 +18,29 @@ import (
 // FingerBits is the identifier size in bits; fingers cover 2^0 .. 2^63.
 const FingerBits = 64
 
-// Config tunes a Chord deployment.
-type Config struct {
-	// SuccessorListLen is r, the length of each node's successor list.
-	SuccessorListLen int
-	// StabilizeEvery is the period of the stabilization protocol.
-	StabilizeEvery runtime.Time
-	// FixFingersPerRound is how many finger entries each stabilization
+// Fixed protocol parameters; no experiment varies them.
+const (
+	// successorListLen is r, the length of each node's successor list.
+	successorListLen = 8
+	// stabilizeEvery is the period of the stabilization protocol.
+	stabilizeEvery = 500 * runtime.Millisecond
+	// fixFingersPerRound is how many finger entries each stabilization
 	// round refreshes.
-	FixFingersPerRound int
-	// MessageBytes is the nominal size of a control message.
-	MessageBytes int
+	fixFingersPerRound = 8
+	// messageBytes is the nominal size of a control message.
+	messageBytes = 128
+)
+
+// Config tunes a Chord deployment. NewNetwork uses it as given; start from
+// DefaultConfig.
+type Config struct {
 	// LookupTimeout bounds a lookup before it is declared failed.
 	LookupTimeout runtime.Time
 }
 
 // DefaultConfig returns the settings used in the experiments.
 func DefaultConfig() Config {
-	return Config{
-		SuccessorListLen:   8,
-		StabilizeEvery:     500 * runtime.Millisecond,
-		FixFingersPerRound: 8,
-		MessageBytes:       128,
-		LookupTimeout:      60 * runtime.Second,
-	}
+	return Config{LookupTimeout: 60 * runtime.Second}
 }
 
 // ref is a (id, address) pair naming a remote node.
@@ -65,21 +64,6 @@ type Network struct {
 
 // NewNetwork creates an empty Chord deployment.
 func NewNetwork(rt runtime.Runtime, cfg Config) *Network {
-	if cfg.SuccessorListLen <= 0 {
-		cfg.SuccessorListLen = DefaultConfig().SuccessorListLen
-	}
-	if cfg.StabilizeEvery <= 0 {
-		cfg.StabilizeEvery = DefaultConfig().StabilizeEvery
-	}
-	if cfg.FixFingersPerRound <= 0 {
-		cfg.FixFingersPerRound = DefaultConfig().FixFingersPerRound
-	}
-	if cfg.MessageBytes <= 0 {
-		cfg.MessageBytes = DefaultConfig().MessageBytes
-	}
-	if cfg.LookupTimeout <= 0 {
-		cfg.LookupTimeout = DefaultConfig().LookupTimeout
-	}
 	return &Network{rt: rt, Cfg: cfg, nodes: make(map[runtime.Addr]*Node)}
 }
 
@@ -154,7 +138,7 @@ func (nw *Network) CreateNode(id idspace.ID, host int, capacity float64, bootstr
 	nw.nodes[addr] = n
 	nw.rt.Attach(addr, runtime.Endpoint{Host: host, Capacity: capacity}, runtime.HandlerFunc(n.recv))
 
-	n.stabilizer = runtime.NewTicker(nw.rt, nw.Cfg.StabilizeEvery, n.stabilize)
+	n.stabilizer = runtime.NewTicker(nw.rt, stabilizeEvery, n.stabilize)
 	n.stabilizer.Start()
 
 	if bootstrap == runtime.None {
@@ -207,9 +191,9 @@ func (n *Node) Predecessor() runtime.Addr { return n.predecessor.Addr }
 // NumItems returns the number of data items the node stores.
 func (n *Node) NumItems() int { return len(n.data) }
 
-// send transmits a control message of the configured nominal size.
+// send transmits a control message of the nominal size.
 func (n *Node) send(to runtime.Addr, msg any) {
-	n.net.rt.Send(n.Addr, to, n.net.Cfg.MessageBytes, msg)
+	n.net.rt.Send(n.Addr, to, messageBytes, msg)
 }
 
 func (n *Node) self() ref { return ref{ID: n.ID, Addr: n.Addr} }
@@ -373,8 +357,8 @@ func (n *Node) successorList() []ref {
 	out := make([]ref, 0, len(n.successors)+1)
 	out = append(out, n.self())
 	out = append(out, n.successors...)
-	if len(out) > n.net.Cfg.SuccessorListLen {
-		out = out[:n.net.Cfg.SuccessorListLen]
+	if len(out) > successorListLen {
+		out = out[:successorListLen]
 	}
 	return out
 }
@@ -417,8 +401,8 @@ func (n *Node) handleStabilizeResp(from runtime.Addr, m getPredResp) {
 			dedup = append(dedup, r)
 		}
 	}
-	if len(dedup) > n.net.Cfg.SuccessorListLen {
-		dedup = dedup[:n.net.Cfg.SuccessorListLen]
+	if len(dedup) > successorListLen {
+		dedup = dedup[:successorListLen]
 	}
 	n.successors = dedup
 	n.send(succ.Addr, notifyMsg{Cand: n.self()})
@@ -452,13 +436,13 @@ func (n *Node) transferOwnedBelow(pred ref, _ bool) {
 		}
 	}
 	if len(moved) > 0 {
-		n.net.rt.Send(n.Addr, pred.Addr, n.net.Cfg.MessageBytes*len(moved), transferMsg{Items: moved})
+		n.net.rt.Send(n.Addr, pred.Addr, messageBytes*len(moved), transferMsg{Items: moved})
 	}
 }
 
 // fixFingers refreshes the next few finger entries.
 func (n *Node) fixFingers() {
-	for i := 0; i < n.net.Cfg.FixFingersPerRound; i++ {
+	for i := 0; i < fixFingersPerRound; i++ {
 		idx := n.nextFinger
 		n.nextFinger = (n.nextFinger + 1) % FingerBits
 		target := idspace.FingerStart(n.ID, idx)
@@ -572,7 +556,7 @@ func (n *Node) Leave() {
 			items = append(items, it)
 		}
 		if len(items) > 0 {
-			n.net.rt.Send(n.Addr, succ.Addr, n.net.Cfg.MessageBytes*len(items), transferMsg{Items: items})
+			n.net.rt.Send(n.Addr, succ.Addr, messageBytes*len(items), transferMsg{Items: items})
 		}
 		n.send(succ.Addr, leaveMsg{Pred: n.predecessor, Succ: nilRef})
 		if n.predecessor.valid() {

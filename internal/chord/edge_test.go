@@ -16,9 +16,9 @@ func TestAliveAndAccessors(t *testing.T) {
 	}
 	eng := sim.New(31)
 	net := simnet.New(eng, topo, simnet.DefaultConfig())
-	cnet := NewNetwork(simnet.NewRuntime(eng, net), Config{}) // zero config: defaults fill in
-	if cnet.Cfg.SuccessorListLen == 0 || cnet.Cfg.LookupTimeout == 0 {
-		t.Fatal("zero config not defaulted")
+	cnet := NewNetwork(simnet.NewRuntime(eng, net), DefaultConfig())
+	if cnet.Cfg != DefaultConfig() {
+		t.Fatalf("Cfg %+v, want DefaultConfig", cnet.Cfg)
 	}
 	n := cnet.CreateNode(42, topo.StubNodes()[0], 1, simnet.None)
 	if !n.Alive() {

@@ -19,8 +19,17 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"hello0", func(c *Config) { c.HelloEvery = 0 }},
 		{"timeout<=hello", func(c *Config) { c.HelloTimeout = c.HelloEvery }},
 		{"lookup0", func(c *Config) { c.LookupTimeout = 0 }},
-		{"msg0", func(c *Config) { c.MessageBytes = 0 }},
+		{"join0", func(c *Config) { c.JoinTimeout = 0 }},
+		{"finger0", func(c *Config) { c.FingerRefreshEvery = 0 }},
 		{"landmarks", func(c *Config) { c.Assignment = AssignCluster; c.Landmarks = 0 }},
+		{"walkcount0", func(c *Config) { c.RandomWalk = true; c.WalkCount = 0 }},
+		{"walkttl0", func(c *Config) { c.RandomWalk = true; c.WalkTTL = 0 }},
+		{"cachehot0", func(c *Config) { c.Caching = true; c.CacheHotThreshold = 0 }},
+		{"cachewindow0", func(c *Config) { c.Caching = true; c.CacheWindow = 0 }},
+		{"cachettl0", func(c *Config) { c.Caching = true; c.CacheTTL = 0 }},
+		{"k0", func(c *Config) { c.ReplicationK = 0 }},
+		{"alpha0", func(c *Config) { c.LookupAlpha = 0 }},
+		{"route nil", func(c *Config) { c.Route = nil }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -34,20 +43,24 @@ func TestConfigValidateErrors(t *testing.T) {
 	}
 }
 
+// TestConfigWithDefaults: nothing fills a zero field in any more. A zero
+// Config is refused, and so is a partial one; a zero that is meaningful
+// (SuppressTimeout: never suppress) or belongs to a feature that is off
+// (Landmarks without AssignCluster, the walk and cache knobs) is accepted.
 func TestConfigWithDefaults(t *testing.T) {
 	var zero Config
-	filled := zero.withDefaults()
-	d := DefaultConfig()
-	if filled.Delta != d.Delta || filled.TTL != d.TTL ||
-		filled.HelloEvery != d.HelloEvery || filled.LookupTimeout != d.LookupTimeout ||
-		filled.WalkCount != d.WalkCount || filled.CacheTTL != d.CacheTTL {
-		t.Fatalf("withDefaults left gaps: %+v", filled)
+	if err := zero.Validate(); err == nil {
+		t.Fatal("zero Config accepted")
 	}
-	// Explicit values are preserved.
-	custom := Config{Delta: 5, TTL: 9}
-	out := custom.withDefaults()
-	if out.Delta != 5 || out.TTL != 9 {
-		t.Fatal("withDefaults clobbered explicit values")
+	if _, err := NewSystem(nil, Config{Delta: 5, TTL: 9}, 0); err == nil {
+		t.Fatal("NewSystem accepted Config{Delta: 5, TTL: 9}")
+	}
+	c := DefaultConfig()
+	c.SuppressTimeout, c.Landmarks = 0, 0
+	c.WalkCount, c.WalkTTL = 0, 0
+	c.CacheHotThreshold, c.CacheWindow, c.CacheTTL = 0, 0, 0
+	if err := c.Validate(); err != nil {
+		t.Fatalf("meaningful or unused zeros refused: %v", err)
 	}
 }
 

@@ -90,7 +90,9 @@ const (
 	AssignCluster
 )
 
-// Config carries every tunable of the hybrid system.
+// Config carries every tunable of the hybrid system. Build one from
+// DefaultConfig: NewSystem uses every field as given and Validate refuses a
+// zero that has no meaning (a zero Config is invalid).
 type Config struct {
 	// Ps is the target proportion of s-peers (the paper's central knob).
 	Ps float64
@@ -158,9 +160,6 @@ type Config struct {
 	// server.
 	JoinTimeout runtime.Time
 
-	// MessageBytes is the nominal control message size.
-	MessageBytes int
-
 	// FingerRefreshEvery is the period of the t-network finger refresh.
 	FingerRefreshEvery runtime.Time
 
@@ -188,7 +187,7 @@ type Config struct {
 	// item bounces the hint off in one extra hop. See pathcache.go.
 	PathCache bool
 
-	// Route overrides the ring routing strategy; nil selects FingerWalk,
+	// Route is the ring routing strategy; DefaultConfig sets FingerWalk,
 	// the paper's closest-preceding-finger walk. See RouteStrategy.
 	Route RouteStrategy
 }
@@ -210,7 +209,6 @@ func DefaultConfig() Config {
 		SuppressTimeout:    1 * runtime.Second,
 		LookupTimeout:      30 * runtime.Second,
 		JoinTimeout:        30 * runtime.Second,
-		MessageBytes:       128,
 		FingerRefreshEvery: 2 * runtime.Second,
 		WalkCount:          4,
 		WalkTTL:            32,
@@ -219,10 +217,11 @@ func DefaultConfig() Config {
 		CacheTTL:           120 * runtime.Second,
 		ReplicationK:       1,
 		LookupAlpha:        1,
+		Route:              FingerWalk{},
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, a zero without meaning among them.
 func (c Config) Validate() error {
 	switch {
 	case c.Ps < 0 || c.Ps > 1:
@@ -237,14 +236,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: HelloTimeout %v must exceed HelloEvery %v", c.HelloTimeout, c.HelloEvery)
 	case c.LookupTimeout <= 0:
 		return fmt.Errorf("core: LookupTimeout must be positive")
-	case c.MessageBytes <= 0:
-		return fmt.Errorf("core: MessageBytes must be positive")
+	case c.JoinTimeout <= 0, c.FingerRefreshEvery <= 0:
+		return fmt.Errorf("core: JoinTimeout and FingerRefreshEvery must be positive")
 	case c.topologyAware() && c.Landmarks < 1:
 		return fmt.Errorf("core: AssignCluster requires at least one landmark")
-	case c.ReplicationK < 0:
-		return fmt.Errorf("core: ReplicationK %d must be >= 0", c.ReplicationK)
+	case c.RandomWalk && (c.WalkCount < 1 || c.WalkTTL < 1):
+		return fmt.Errorf("core: RandomWalk requires WalkCount and WalkTTL >= 1, got %d and %d", c.WalkCount, c.WalkTTL)
+	case c.Caching && (c.CacheHotThreshold < 1 || c.CacheWindow <= 0 || c.CacheTTL <= 0):
+		return fmt.Errorf("core: Caching requires CacheHotThreshold >= 1 and positive CacheWindow and CacheTTL")
+	case c.ReplicationK < 1:
+		return fmt.Errorf("core: ReplicationK %d < 1", c.ReplicationK)
 	case c.LookupAlpha < 1 || c.LookupAlpha > MaxLookupAlpha:
 		return fmt.Errorf("core: LookupAlpha %d outside [1, %d]", c.LookupAlpha, MaxLookupAlpha)
+	case c.Route == nil:
+		return fmt.Errorf("core: Route must be set (DefaultConfig uses FingerWalk)")
 	}
 	return nil
 }
@@ -252,63 +257,3 @@ func (c Config) Validate() error {
 // topologyAware reports whether peers compute landmark coordinates (§5.2):
 // only cluster assignment consumes them.
 func (c Config) topologyAware() bool { return c.Assignment == AssignCluster }
-
-// withDefaults fills zero-valued fields from DefaultConfig.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.Delta == 0 {
-		c.Delta = d.Delta
-	}
-	if c.TTL == 0 {
-		c.TTL = d.TTL
-	}
-	if c.Landmarks == 0 {
-		c.Landmarks = d.Landmarks
-	}
-	if c.HelloEvery == 0 {
-		c.HelloEvery = d.HelloEvery
-	}
-	if c.HelloTimeout == 0 {
-		c.HelloTimeout = d.HelloTimeout
-	}
-	if c.SuppressTimeout == 0 {
-		c.SuppressTimeout = d.SuppressTimeout
-	}
-	if c.LookupTimeout == 0 {
-		c.LookupTimeout = d.LookupTimeout
-	}
-	if c.JoinTimeout == 0 {
-		c.JoinTimeout = d.JoinTimeout
-	}
-	if c.MessageBytes == 0 {
-		c.MessageBytes = d.MessageBytes
-	}
-	if c.FingerRefreshEvery == 0 {
-		c.FingerRefreshEvery = d.FingerRefreshEvery
-	}
-	if c.WalkCount == 0 {
-		c.WalkCount = d.WalkCount
-	}
-	if c.WalkTTL == 0 {
-		c.WalkTTL = d.WalkTTL
-	}
-	if c.CacheHotThreshold == 0 {
-		c.CacheHotThreshold = d.CacheHotThreshold
-	}
-	if c.CacheWindow == 0 {
-		c.CacheWindow = d.CacheWindow
-	}
-	if c.CacheTTL == 0 {
-		c.CacheTTL = d.CacheTTL
-	}
-	if c.ReplicationK == 0 {
-		c.ReplicationK = d.ReplicationK
-	}
-	if c.LookupAlpha == 0 {
-		c.LookupAlpha = d.LookupAlpha
-	}
-	if c.Route == nil {
-		c.Route = FingerWalk{}
-	}
-	return c
-}

@@ -198,7 +198,7 @@ func (p *Peer) forwardTowardSegment(sid idspace.ID, msg any, from runtime.Addr) 
 		}
 		return
 	}
-	next := p.sys.route.NextHop(p, sid)
+	next := p.sys.Cfg.Route.NextHop(p, sid)
 	if !next.Valid() || next.Addr == p.Addr {
 		return // lone t-peer: nowhere to forward
 	}

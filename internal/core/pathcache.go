@@ -136,7 +136,7 @@ func (p *Peer) sendRingProbes(sid idspace.ID, m lookupReq, max int) int {
 		return max
 	}
 	var buf [MaxLookupAlpha]Ref
-	cands := p.sys.route.NextHops(p, sid, max, buf[:0])
+	cands := p.sys.Cfg.Route.NextHops(p, sid, max, buf[:0])
 	for _, c := range cands {
 		p.sys.stats.RingForwards++
 		p.sys.stats.ProbesSent++
@@ -156,7 +156,7 @@ func (p *Peer) forwardProbe(m lookupReq, from runtime.Addr) {
 	idx := int(m.Probe)
 	m.Probe = 0
 	var buf [MaxLookupAlpha]Ref
-	cands := p.sys.route.NextHops(p, m.SID, idx+1, buf[:0])
+	cands := p.sys.Cfg.Route.NextHops(p, m.SID, idx+1, buf[:0])
 	if len(cands) == 0 {
 		p.forwardTowardSegment(m.SID, m, from)
 		return

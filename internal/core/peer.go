@@ -333,17 +333,21 @@ func (p *Peer) Successor() Ref { return p.succ }
 // Predecessor returns the ring predecessor (t-peers).
 func (p *Peer) Predecessor() Ref { return p.pred }
 
+// Nominal wire sizes: every control message is messageBytes, and a message
+// carrying data items adds dataBytes per item.
+const (
+	messageBytes = 128
+	dataBytes    = 512
+)
+
 // send transmits a control-sized message.
 func (p *Peer) send(to runtime.Addr, msg any) {
-	p.sys.rt.Send(p.Addr, to, p.sys.Cfg.MessageBytes, msg)
+	p.sys.rt.Send(p.Addr, to, messageBytes, msg)
 }
-
-// dataBytes is the nominal payload size of one data item on the wire.
-const dataBytes = 512
 
 // sendData transmits a message carrying n data items.
 func (p *Peer) sendData(to runtime.Addr, n int, msg any) {
-	size := p.sys.Cfg.MessageBytes + n*dataBytes
+	size := messageBytes + n*dataBytes
 	p.sys.rt.Send(p.Addr, to, size, msg)
 }
 

@@ -463,7 +463,7 @@ func (p *Peer) replicaFallback(did, sid idspace.ID) (Item, bool) {
 	suspected := func(a runtime.Addr) bool {
 		return len(p.suspect) != 0 && p.suspect[a]
 	}
-	next := p.sys.route.NextHop(p, sid)
+	next := p.sys.Cfg.Route.NextHop(p, sid)
 	if !suspected(e.owner.Addr) && next.Valid() && !suspected(next.Addr) {
 		return Item{}, false // the route is believed healthy; let it run
 	}

@@ -174,7 +174,7 @@ func (sv *Server) recv(from runtime.Addr, msg any) {
 }
 
 func (sv *Server) send(to runtime.Addr, msg any) {
-	sv.sys.rt.Send(sv.sys.serverAddr, to, sv.sys.Cfg.MessageBytes, msg)
+	sv.sys.rt.Send(sv.sys.serverAddr, to, messageBytes, msg)
 }
 
 // handleSizeSync overwrites the incremental s-network counter with the

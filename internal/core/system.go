@@ -19,10 +19,6 @@ type System struct {
 
 	rt         runtime.Runtime
 	serverAddr runtime.Addr
-	// route is Cfg.Route resolved once at construction (nil -> FingerWalk)
-	// so the routing hot path loads one interface word instead of
-	// re-checking the config every hop.
-	route RouteStrategy
 
 	server *Server
 	// partial marks a system that hosts only a slice of the deployment's
@@ -96,7 +92,6 @@ type SystemStats struct {
 // NewSystem creates an empty hybrid system on the given runtime. The server
 // is attached at the runtime's bootstrap address on the given physical host.
 func NewSystem(rt runtime.Runtime, cfg Config, serverHost int) (*System, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -104,7 +99,6 @@ func NewSystem(rt runtime.Runtime, cfg Config, serverHost int) (*System, error) 
 		Cfg:        cfg,
 		rt:         rt,
 		serverAddr: rt.ServerAddr(),
-		route:      cfg.Route,
 		contacts:   make(map[uint64]int),
 	}
 	s.server = newServer(s, serverHost)
@@ -119,7 +113,6 @@ func NewSystem(rt runtime.Runtime, cfg Config, serverHost int) (*System, error) 
 // system is marked partial: the audit asks the runtime's directory about
 // addresses this process does not host (audit.go).
 func NewPeerSystem(rt runtime.Runtime, cfg Config) (*System, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -127,7 +120,6 @@ func NewPeerSystem(rt runtime.Runtime, cfg Config) (*System, error) {
 		Cfg:        cfg,
 		rt:         rt,
 		serverAddr: rt.ServerAddr(),
-		route:      cfg.Route,
 		contacts:   make(map[uint64]int),
 		partial:    true,
 	}, nil

@@ -16,7 +16,6 @@ import (
 // links. The experiment floods the same workload over both and reports
 // deliveries and duplicates per query.
 func RunAblationTree(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("AblationTree")
 
 	keys := keysN(o.Items / 2)
@@ -112,7 +111,6 @@ func RunAblationTree(o Options) (*Result, error) {
 // reducing ring forwarding and latency under a skewed (repeat-heavy)
 // workload.
 func RunAblationBypass(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("AblationBypass")
 
 	keys := keysN(200) // small, hot key set so repeats hit bypass links

@@ -182,7 +182,6 @@ func runBaseline(o Options, b baseline, keys []string, queries int) (baselineRow
 // so the arms run as worker-pool tasks: the baselines first, then the hybrid
 // at p_s = 0.3 and 0.7.
 func RunBaselines(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("Baselines")
 	keys := keysN(o.Items / 2)
 	if len(keys) == 0 {

@@ -19,7 +19,6 @@ import (
 // The zero-rate arm keeps the fault layer attached but inert, so the run also
 // demonstrates that an all-zero policy is behaviorally identical to none.
 func RunChurnStorm(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("ChurnStorm")
 
 	rates := []float64{0, 0.01, 0.05}

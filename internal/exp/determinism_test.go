@@ -77,13 +77,19 @@ func TestSweepOrderAndErrors(t *testing.T) {
 	}
 }
 
+// TestSeedZeroSentinel: Seed 0 is a seed like any other, not a request for
+// the default one, so a run at seed 0 differs from a run at seed 42.
 func TestSeedZeroSentinel(t *testing.T) {
-	// Seed:0 means "use the default" (historic behavior, now documented) ...
-	if got := (Options{}).normalize().Seed; got != DefaultOptions().Seed {
-		t.Fatalf("Seed:0 normalized to %d, want default %d", got, DefaultOptions().Seed)
+	render := func(seed int64) string {
+		o := QuickOptions()
+		o.Seed = seed
+		res, err := RunFig4(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.String()
 	}
-	// ... and SeedZero is the explicit way to request a literal zero seed.
-	if got := (Options{Seed: SeedZero}).normalize().Seed; got != 0 {
-		t.Fatalf("Seed:SeedZero normalized to %d, want 0", got)
+	if render(0) == render(42) {
+		t.Fatal("Seed 0 ran the default seed 42")
 	}
 }

@@ -37,11 +37,13 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestOptionsNormalize: nothing normalizes Options any more, so the two
+// constructors must state every scale field, and the sweep follows Quick.
 func TestOptionsNormalize(t *testing.T) {
-	o := Options{}.normalize()
-	d := DefaultOptions()
-	if o.Seed != d.Seed || o.N != d.N || o.Items != d.Items || o.Lookups != d.Lookups {
-		t.Fatalf("normalize: %+v", o)
+	for _, o := range []Options{DefaultOptions(), QuickOptions()} {
+		if o.Seed == 0 || o.N == 0 || o.Items == 0 || o.Lookups == 0 {
+			t.Fatalf("incomplete options: %+v", o)
+		}
 	}
 	if got := (Options{Quick: true}).psPoints(); len(got) != 5 {
 		t.Fatalf("quick sweep has %d points", len(got))

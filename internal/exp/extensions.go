@@ -16,7 +16,6 @@ import (
 // mode: the hottest peer's serve count, the serve-count Gini, and mean
 // latency.
 func RunExtCaching(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("ExtCaching")
 
 	keys := keysN(o.Items / 4) // small universe so Zipf repeats bite
@@ -89,7 +88,6 @@ func RunExtCaching(o Options) (*Result, error) {
 // RunExtWalk compares flooding with k-walker random walks (§3.1 allows both)
 // inside large s-networks: contacts per lookup, failure ratio and latency.
 func RunExtWalk(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("ExtWalk")
 
 	keys := keysN(o.Items)
@@ -146,7 +144,6 @@ func RunExtWalk(o Options) (*Result, error) {
 // link stress (copies of overlay messages crossing one physical link) with
 // and without topology-aware peer clustering.
 func RunLinkStress(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("LinkStress")
 
 	keys := keysN(o.Items / 2)
@@ -213,7 +210,6 @@ func RunLinkStress(o Options) (*Result, error) {
 // failure ratio and recovery counters per churn intensity. This extends
 // Fig. 5b from a one-shot crash wave to sustained membership turnover.
 func RunChurn(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("Churn")
 
 	intensities := []struct {

@@ -33,7 +33,6 @@ func analyticCurves(o Options, points []float64, eq func(analytic.Params) float6
 // the simulated curve measures the hop counts of real joins at δ = 3 and
 // must reproduce the U shape with its minimum around p_s = 0.7-0.8.
 func RunFig3a(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("Fig3a")
 	points := o.psPoints()
 
@@ -69,7 +68,6 @@ func RunFig3a(o Options) (*Result, error) {
 // simulated lookups at δ = 3. The curves must be flat-high for p_s < 0.5 and
 // fall as p_s grows, with larger δ below smaller δ.
 func RunFig3b(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("Fig3b")
 	points := o.psPoints()
 	keys := keysN(o.Items)

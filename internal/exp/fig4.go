@@ -14,7 +14,6 @@ import (
 // data on t-peers (at p_s = 0.9 most peers hold nothing and a few t-peers
 // hold hundreds); the second scheme spreads it across each s-network.
 func RunFig4(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("Fig4")
 
 	psValues := []float64{0, 0.4, 0.9}

@@ -40,7 +40,6 @@ func ttlCells(o Options, id string, seedOff int64, config func(ps float64) core.
 // average less than one peer, every flood covers them) and rising sharply
 // afterwards, with larger TTLs much flatter.
 func RunFig5a(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("Fig5a")
 	points := o.psPoints()
 
@@ -74,7 +73,6 @@ func RunFig5a(o Options) (*Result, error) {
 // the improved placement scheme. Expected shape: failure ratio grows
 // ~linearly with the crashed fraction and is nearly independent of p_s.
 func RunFig5b(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("Fig5b")
 
 	psValues := []float64{0.1, 0.5, 0.9}

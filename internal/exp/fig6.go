@@ -62,7 +62,6 @@ func latencyVsPs(o Options, fig, what string, seedOff int64, capacities []float6
 // connect points gate on link usage, which should cut latency most visibly
 // for p_s between 0.4 and 0.8 (the paper reports ~20% at p_s = 0.7).
 func RunFig6a(o Options) (*Result, error) {
-	o = o.normalize()
 	// Both arms run over the paper's 1/3-1/3-1/3 capacity mix.
 	res, curves, err := latencyVsPs(o, "6a", "link heterogeneity", 400, workload.CapacityClasses(o.N), []latencyArm{
 		{"basic", func(*core.Config) {}},
@@ -89,7 +88,6 @@ func RunFig6a(o Options) (*Result, error) {
 // curves should drop faster as p_s grows and converge with the basic curve
 // near p_s = 0.9.
 func RunFig6b(o Options) (*Result, error) {
-	o = o.normalize()
 	aware := func(landmarks int) func(*core.Config) {
 		return func(c *core.Config) {
 			c.Landmarks = landmarks

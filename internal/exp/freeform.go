@@ -61,7 +61,8 @@ type Freeform struct {
 	Obs     *obs.Recorder
 }
 
-// Validate refuses the parameter values a run cannot honour.
+// Validate refuses the parameter values a run cannot honour, the protocol
+// knobs by core.Config.Validate on every point's config.
 func (p Freeform) Validate() error {
 	switch {
 	case p.N < 1:
@@ -79,8 +80,15 @@ func (p Freeform) Validate() error {
 	case len(p.Tracers) != 0 && len(p.Tracers) != len(p.Ps):
 		return fmt.Errorf("%d tracers for %d points", len(p.Tracers), len(p.Ps))
 	}
-	_, err := core.StrategyByName(p.Route)
-	return err
+	if _, err := core.StrategyByName(p.Route); err != nil {
+		return err
+	}
+	for _, ps := range p.Ps {
+		if err := p.config(ps).Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RunFreeform runs every p_s point of p and returns the reports in point

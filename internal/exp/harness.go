@@ -7,7 +7,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -16,11 +15,11 @@ import (
 	"repro/internal/simnet"
 )
 
-// Options controls experiment scale.
+// Options controls experiment scale. An experiment uses every field as
+// given; start from DefaultOptions or QuickOptions.
 type Options struct {
-	// Seed drives every random choice; same seed, same output. A zero
-	// Seed means "use the default"; to actually run with seed 0, pass
-	// SeedZero.
+	// Seed drives every random choice; same seed, same output. Every value,
+	// 0 included, is a seed as given.
 	Seed int64
 	// N is the system size (the paper uses 1,000).
 	N int
@@ -56,10 +55,6 @@ type Options struct {
 	Hist bool
 }
 
-// SeedZero is a sentinel requesting the literal random seed 0, which would
-// otherwise be indistinguishable from an unset Seed field.
-const SeedZero int64 = math.MinInt64
-
 // DefaultOptions mirrors the paper's scale.
 func DefaultOptions() Options {
 	return Options{Seed: 42, N: 1000, Items: 10000, Lookups: 5000}
@@ -68,26 +63,6 @@ func DefaultOptions() Options {
 // QuickOptions is a scaled-down configuration for tests and benchmarks.
 func QuickOptions() Options {
 	return Options{Seed: 42, N: 200, Items: 1000, Lookups: 400, Quick: true}
-}
-
-// normalize fills unset fields from the defaults.
-func (o Options) normalize() Options {
-	d := DefaultOptions()
-	if o.Seed == SeedZero {
-		o.Seed = 0
-	} else if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	if o.N == 0 {
-		o.N = d.N
-	}
-	if o.Items == 0 {
-		o.Items = d.Items
-	}
-	if o.Lookups == 0 {
-		o.Lookups = d.Lookups
-	}
-	return o
 }
 
 // psPoints returns the ps sweep for the experiment scale.

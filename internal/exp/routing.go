@@ -15,7 +15,6 @@ import (
 // and the path cache buys shorter routes on repeat keys, so the combined
 // arm must strictly beat the baseline on failure ratio or latency.
 func RunAblationRouting(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("AblationRouting")
 
 	keys := keysN(o.Items / 2)

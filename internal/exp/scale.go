@@ -33,7 +33,6 @@ import (
 // by the wall clock of the whole point (build, maintenance rounds, store and
 // lookup batches).
 func RunScale(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("Scale")
 
 	t := metrics.NewTable("Scale: build-and-drive at increasing population sizes",

@@ -12,7 +12,6 @@ import (
 // connum drops roughly linearly as p_s grows (fewer t-peers on each routing
 // path), and TTL only matters once p_s exceeds 0.5 (larger s-network floods).
 func RunTable2(o Options) (*Result, error) {
-	o = o.normalize()
 	res := newResult("Table2")
 	points := o.psPoints()
 

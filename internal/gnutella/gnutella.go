@@ -17,14 +17,19 @@ import (
 	"repro/internal/runtime"
 )
 
-// Config tunes a Gnutella deployment.
+// Fixed protocol parameters; no experiment varies them.
+const (
+	// defaultTTL is the flood radius used when a query does not override it.
+	defaultTTL = 5
+	// messageBytes is the nominal control-message size.
+	messageBytes = 128
+)
+
+// Config tunes a Gnutella deployment. NewNetwork uses it as given; start
+// from DefaultConfig.
 type Config struct {
 	// DegreeTarget is how many random neighbors a joining peer links to.
 	DegreeTarget int
-	// DefaultTTL is the flood radius used when a query does not override it.
-	DefaultTTL int
-	// MessageBytes is the nominal control-message size.
-	MessageBytes int
 	// LookupTimeout bounds a query before it is declared failed.
 	LookupTimeout runtime.Time
 	// WalkCount is the number of walkers a random-walk query launches.
@@ -37,8 +42,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		DegreeTarget:  4,
-		DefaultTTL:    5,
-		MessageBytes:  128,
 		LookupTimeout: 30 * runtime.Second,
 		WalkCount:     4,
 		WalkTTL:       32,
@@ -62,25 +65,6 @@ type Network struct {
 
 // NewNetwork creates an empty deployment.
 func NewNetwork(rt runtime.Runtime, cfg Config) *Network {
-	def := DefaultConfig()
-	if cfg.DegreeTarget <= 0 {
-		cfg.DegreeTarget = def.DegreeTarget
-	}
-	if cfg.DefaultTTL <= 0 {
-		cfg.DefaultTTL = def.DefaultTTL
-	}
-	if cfg.MessageBytes <= 0 {
-		cfg.MessageBytes = def.MessageBytes
-	}
-	if cfg.LookupTimeout <= 0 {
-		cfg.LookupTimeout = def.LookupTimeout
-	}
-	if cfg.WalkCount <= 0 {
-		cfg.WalkCount = def.WalkCount
-	}
-	if cfg.WalkTTL <= 0 {
-		cfg.WalkTTL = def.WalkTTL
-	}
 	return &Network{rt: rt, Cfg: cfg, peers: make(map[runtime.Addr]*Peer)}
 }
 
@@ -236,7 +220,7 @@ func (p *Peer) recv(from runtime.Addr, msg any) {
 }
 
 func (p *Peer) send(to runtime.Addr, msg any) {
-	p.net.rt.Send(p.Addr, to, p.net.Cfg.MessageBytes, msg)
+	p.net.rt.Send(p.Addr, to, messageBytes, msg)
 }
 
 // Lookup floods a query with the given TTL (0 uses the default) and reports
@@ -252,7 +236,7 @@ func (p *Peer) LookupWalk(key string, done func(Result)) {
 
 func (p *Peer) search(key string, ttl int, walk bool, done func(Result)) {
 	if ttl <= 0 {
-		ttl = p.net.Cfg.DefaultTTL
+		ttl = defaultTTL
 	}
 	did := idspace.HashKey(key)
 	p.nextTag++

@@ -7,7 +7,19 @@ import (
 	"repro/internal/runtime"
 )
 
-// Config tunes a Kademlia deployment.
+// Fixed protocol parameters; no experiment varies them.
+const (
+	// rpcTimeout bounds a single FIND_NODE/FIND_VALUE RPC before the
+	// contact is written off as unreachable.
+	rpcTimeout = 2 * runtime.Second
+	// lookupTimeout bounds a whole iterative operation.
+	lookupTimeout = 60 * runtime.Second
+	// messageBytes is the nominal size of a control message.
+	messageBytes = 128
+)
+
+// Config tunes a Kademlia deployment. NewNetwork uses it as given; start
+// from DefaultConfig.
 type Config struct {
 	// K is the bucket size and the store replication factor (the paper's
 	// k, classically 20).
@@ -15,24 +27,11 @@ type Config struct {
 	// Alpha is the lookup parallelism: at most α RPCs of one iterative
 	// lookup are outstanding at a time.
 	Alpha int
-	// RPCTimeout bounds a single FIND_NODE/FIND_VALUE RPC before the
-	// contact is written off as unreachable.
-	RPCTimeout runtime.Time
-	// LookupTimeout bounds a whole iterative operation.
-	LookupTimeout runtime.Time
-	// MessageBytes is the nominal size of a control message.
-	MessageBytes int
 }
 
 // DefaultConfig returns the settings used in the experiments.
 func DefaultConfig() Config {
-	return Config{
-		K:             20,
-		Alpha:         3,
-		RPCTimeout:    2 * runtime.Second,
-		LookupTimeout: 60 * runtime.Second,
-		MessageBytes:  128,
-	}
+	return Config{K: 20, Alpha: 3}
 }
 
 // Contact names a remote node.
@@ -77,22 +76,6 @@ type Network struct {
 
 // NewNetwork creates an empty Kademlia deployment.
 func NewNetwork(rt runtime.Runtime, cfg Config) *Network {
-	d := DefaultConfig()
-	if cfg.K <= 0 {
-		cfg.K = d.K
-	}
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = d.Alpha
-	}
-	if cfg.RPCTimeout <= 0 {
-		cfg.RPCTimeout = d.RPCTimeout
-	}
-	if cfg.LookupTimeout <= 0 {
-		cfg.LookupTimeout = d.LookupTimeout
-	}
-	if cfg.MessageBytes <= 0 {
-		cfg.MessageBytes = d.MessageBytes
-	}
 	return &Network{rt: rt, Cfg: cfg, nodes: make(map[runtime.Addr]*Node)}
 }
 
@@ -235,7 +218,7 @@ func (n *Node) NumItems() int { return len(n.data) }
 func (n *Node) self() Contact { return Contact{ID: n.ID, Addr: n.Addr} }
 
 func (n *Node) send(to runtime.Addr, msg any) {
-	n.net.rt.Send(n.Addr, to, n.net.Cfg.MessageBytes, msg)
+	n.net.rt.Send(n.Addr, to, messageBytes, msg)
 }
 
 func (n *Node) newTag() uint64 {
@@ -356,7 +339,7 @@ func (n *Node) startLookup(target ID, findValue bool, key string, done func(Resu
 		ls.short = append(ls.short, shortEntry{c: c, depth: 1})
 	}
 	n.pending[tag] = ls
-	ls.timeout = n.net.rt.Schedule(n.net.Cfg.LookupTimeout, func() {
+	ls.timeout = n.net.rt.Schedule(lookupTimeout, func() {
 		n.finishLookup(tag, Result{OK: false, Key: key})
 	})
 	n.step(tag, ls)
@@ -374,7 +357,7 @@ func (n *Node) step(tag uint64, ls *lookupState) {
 		ls.inflight++
 		rpc := n.newTag()
 		n.rpcs[rpc] = &rpcState{tag: tag, to: e.c, depth: e.depth}
-		n.rpcs[rpc].timer = n.net.rt.Schedule(n.net.Cfg.RPCTimeout, func() {
+		n.rpcs[rpc].timer = n.net.rt.Schedule(rpcTimeout, func() {
 			n.rpcTimeout(rpc)
 		})
 		if ls.findValue {

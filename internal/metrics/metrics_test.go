@@ -111,10 +111,10 @@ func TestSampleQuantileNearestRank(t *testing.T) {
 		{"single-q0", []float64{7}, 0, 7},
 		{"single-q50", []float64{7}, 0.5, 7},
 		{"single-q100", []float64{7}, 1, 7},
-		{"pair-median", []float64{1, 3}, 0.5, 3},       // rank 0.5 rounds up
-		{"four-p50", []float64{1, 2, 3, 4}, 0.5, 3},    // rank 1.5 rounds to 2
-		{"four-p95", []float64{1, 2, 3, 4}, 0.95, 4},   // rank 2.85 rounds to 3, not floor 2
-		{"five-p50", []float64{1, 2, 3, 4, 5}, 0.5, 3}, // exact middle
+		{"pair-median", []float64{1, 3}, 0.5, 3},                        // rank 0.5 rounds up
+		{"four-p50", []float64{1, 2, 3, 4}, 0.5, 3},                     // rank 1.5 rounds to 2
+		{"four-p95", []float64{1, 2, 3, 4}, 0.95, 4},                    // rank 2.85 rounds to 3, not floor 2
+		{"five-p50", []float64{1, 2, 3, 4, 5}, 0.5, 3},                  // exact middle
 		{"ten-p95", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 0.95, 10}, // rank 8.55 -> 9
 		{"negative-q", []float64{1, 2, 3}, -0.5, 1},
 		{"overflow-q", []float64{1, 2, 3}, 1.5, 3},

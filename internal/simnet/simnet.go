@@ -56,12 +56,13 @@ type Stats struct {
 	LocalSent         uint64
 }
 
+// baseCapacity is the slowest access-link capacity in bytes per simulated
+// microsecond. The paper's slowest links are dial-up-class; 0.015 B/us ~=
+// 120 kbit/s.
+const baseCapacity = 0.015
+
 // Config tunes the message layer.
 type Config struct {
-	// BaseCapacity is the slowest access-link capacity in bytes per
-	// simulated microsecond. The paper's slowest links are dial-up-class;
-	// 0.015 B/us ~= 120 kbit/s.
-	BaseCapacity float64
 	// TrackLinkStress enables per-physical-link message counting. It
 	// walks the physical path of every message, so leave it off for the
 	// large sweeps that do not report link stress.
@@ -70,7 +71,7 @@ type Config struct {
 
 // DefaultConfig returns the settings used by the experiments.
 func DefaultConfig() Config {
-	return Config{BaseCapacity: 0.015}
+	return Config{}
 }
 
 // Network delivers overlay messages over a physical topology.
@@ -144,9 +145,6 @@ func (n *Network) getDelivery() *delivery {
 
 // New creates a network over the given engine and topology.
 func New(eng *sim.Engine, topo *topology.Graph, cfg Config) *Network {
-	if cfg.BaseCapacity <= 0 {
-		cfg.BaseCapacity = DefaultConfig().BaseCapacity
-	}
 	return &Network{
 		Eng:    eng,
 		Topo:   topo,
@@ -285,7 +283,7 @@ func (n *Network) Delay(from, to Addr, size int) (sim.Time, error) {
 	if c := n.capacity[to.Index()]; c < cap {
 		cap = c
 	}
-	ser := float64(size) / (n.cfg.BaseCapacity * cap)
+	ser := float64(size) / (baseCapacity * cap)
 	return sim.Time(prop) + sim.Time(ser), nil
 }
 
