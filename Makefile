@@ -2,7 +2,7 @@ GO ?= go
 # The gate list lives in scripts/check.sh only; `make <gate>` works for each.
 GATES := $(shell sh ./scripts/check.sh -l)
 
-.PHONY: all build check vet staticcheck test race $(GATES) cluster benchscale
+.PHONY: all build check vet test race $(GATES) cluster benchscale
 
 all: check
 
@@ -11,15 +11,6 @@ build:
 
 vet:
 	$(GO) vet ./...
-
-# Runs staticcheck when installed; falls back to a note otherwise (the
-# container may not ship it, and go vet already ran as part of check).
-staticcheck:
-	@if command -v staticcheck >/dev/null 2>&1; then \
-		staticcheck ./...; \
-	else \
-		echo "staticcheck not installed; skipping"; \
-	fi
 
 # The verify loop: everything a change must pass before it lands. The gate
 # list lives in scripts/check.sh only.

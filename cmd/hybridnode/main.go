@@ -55,11 +55,25 @@ func main() { os.Exit(run(os.Args[1:])) }
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("hybridnode", flag.ContinueOnError)
-	def := core.DefaultConfig()
+	// Wall-clock protocol timers, scaled down from the simulation defaults
+	// (HELLO every 2s, 30s operation timeouts) so a demo run finishes in
+	// seconds while keeping every Validate constraint: failure detection
+	// still takes several missed heartbeats, operations still time out long
+	// after any plausible delivery delay. The protocol flags bind into cfg.
+	cfg := core.DefaultConfig()
+	cfg.HelloEvery = 100 * runtime.Millisecond
+	cfg.HelloTimeout = 400 * runtime.Millisecond
+	cfg.SuppressTimeout = 50 * runtime.Millisecond
+	cfg.LookupTimeout = 3 * runtime.Second
+	cfg.JoinTimeout = 3 * runtime.Second
+	cfg.FingerRefreshEvery = 250 * runtime.Millisecond
+	fs.Float64Var(&cfg.Ps, "ps", 0.6, "proportion of s-peers (0..1)")
+	fs.IntVar(&cfg.Delta, "delta", cfg.Delta, "s-network degree constraint")
+	fs.IntVar(&cfg.ReplicationK, "k", cfg.ReplicationK, "replication factor: each item lives on its owning t-peer plus k-1 ring successors (1 disables replication)")
+	fs.IntVar(&cfg.LookupAlpha, "alpha", cfg.LookupAlpha, "parallel lookup probes on the t-network (1 = single walk)")
+	fs.BoolVar(&cfg.PathCache, "pathcache", cfg.PathCache, "enable lookup-path caching (route hints from successful lookups)")
 	var (
 		n          = fs.Int("n", 96, "number of peers this process joins (min 64 in-process, 1 with -addr)")
-		ps         = fs.Float64("ps", 0.6, "proportion of s-peers (0..1)")
-		delta      = fs.Int("delta", def.Delta, "s-network degree constraint")
 		items      = fs.Int("items", 200, "data items to store from this process")
 		keys       = fs.Int("keys", 0, "size of the shared key universe to look up (0: the keys stored here); lets one cluster process look up items another stored")
 		lookups    = fs.Int("lookups", 400, "lookups per measurement phase")
@@ -72,10 +86,7 @@ func run(args []string) int {
 		addr       = fs.String("addr", "", "TCP endpoint to listen on (e.g. 127.0.0.1:7000); selects the multi-process socket transport")
 		advertise  = fs.String("advertise", "", "endpoint other cluster processes dial to reach this one (default: the -addr listener)")
 		bootstrap  = fs.String("bootstrap", "", "the cluster bootstrap's endpoint; empty with -addr set makes this process the bootstrap")
-		replK      = fs.Int("k", def.ReplicationK, "replication factor: each item lives on its owning t-peer plus k-1 ring successors (1 disables replication)")
 		roleFlag   = fs.String("role", "", "pin every peer this process joins to one role: \"t\" or \"s\" (default: let the server decide)")
-		alpha      = fs.Int("alpha", def.LookupAlpha, "parallel lookup probes on the t-network (1 = single walk)")
-		pathcache  = fs.Bool("pathcache", false, "enable lookup-path caching (route hints from successful lookups)")
 		routeFlag  = fs.String("route", "finger", "t-network routing strategy: finger | succ")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -121,26 +132,9 @@ func run(args []string) int {
 		return 2
 	}
 
-	// Wall-clock protocol timers, scaled down from the simulation defaults
-	// (HELLO every 2s, 30s operation timeouts) so a demo run finishes in
-	// seconds while keeping every Validate constraint: failure detection
-	// still takes several missed heartbeats, operations still time out long
-	// after any plausible delivery delay.
-	cfg := def
-	cfg.Ps = *ps
-	cfg.Delta = *delta
-	cfg.HelloEvery = 100 * runtime.Millisecond
-	cfg.HelloTimeout = 400 * runtime.Millisecond
-	cfg.SuppressTimeout = 50 * runtime.Millisecond
-	cfg.LookupTimeout = 3 * runtime.Second
-	cfg.JoinTimeout = 3 * runtime.Second
-	cfg.FingerRefreshEvery = 250 * runtime.Millisecond
-	cfg.ReplicationK = *replK
-	cfg.LookupAlpha = *alpha
-	cfg.PathCache = *pathcache
-	strat, stratErr := core.StrategyByName(*routeFlag)
-	if stratErr != nil {
-		fmt.Fprintln(os.Stderr, "hybridnode:", stratErr)
+	strat, err := core.StrategyByName(*routeFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hybridnode:", err)
 		return 2
 	}
 	cfg.Route = strat
@@ -181,7 +175,6 @@ func run(args []string) int {
 	defer closeRT()
 
 	var sys *core.System
-	var err error
 	if netMode && *bootstrap != "" {
 		// Worker process: the real server lives with the bootstrap; this
 		// system hosts peers only.
@@ -223,7 +216,7 @@ func run(args []string) int {
 	}
 
 	wallStart := time.Now()
-	fmt.Printf("joining %d live peers (ps=%.2f δ=%d)...\n", *n, *ps, *delta)
+	fmt.Printf("joining %d live peers (ps=%.2f δ=%d)...\n", *n, cfg.Ps, cfg.Delta)
 	peers, joins, err := sys.BuildPopulation(core.PopulationOpts{N: *n, ForceRole: forceRole})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hybridnode:", err)

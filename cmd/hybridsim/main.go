@@ -41,46 +41,45 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run parses the flags into an exp.Freeform, runs it and prints the reports
-// to stdout. All of the simulation is exp.RunFreeform; the observability
-// flags are obs.Flags, the set cmd/paperexp takes too.
+// run binds the flags straight into an exp.Freeform (its protocol half is a
+// core.Config), runs it and prints the reports to stdout. All of the
+// simulation is exp.RunFreeform; the observability flags are obs.Flags, the
+// set cmd/paperexp takes too.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hybridsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	def := core.DefaultConfig()
-	var (
-		n         = fs.Int("n", 1000, "number of peers")
-		psList    = fs.String("ps", "0.7", "proportion of s-peers (0..1); comma-separated list sweeps")
-		delta     = fs.Int("delta", def.Delta, "s-network degree constraint")
-		ttl       = fs.Int("ttl", def.TTL, "flood TTL")
-		items     = fs.Int("items", 5000, "data items to insert")
-		lookups   = fs.Int("lookups", 2000, "lookups to measure")
-		seed      = fs.Int64("seed", 1, "random seed")
-		workers   = fs.Int("workers", 0, "parallel workers for a -ps sweep (0 = all CPUs)")
-		placement = fs.String("placement", "spread", "data placement: tpeer | spread")
-		hetero    = fs.Bool("hetero", false, "enable link heterogeneity support")
-		topoaware = fs.Bool("topoaware", false, "enable landmark binning")
-		landmarks = fs.Int("landmarks", def.Landmarks, "number of landmarks (with -topoaware)")
-		bypass    = fs.Bool("bypass", false, "enable bypass links")
-		tracker   = fs.Bool("tracker", false, "BitTorrent-style tracker s-networks")
-		interests = fs.Int("interests", 0, "interest categories (>0 enables interest-based s-networks)")
-		crash     = fs.Float64("crash", 0, "fraction of peers to crash before the lookup phase, in [0, 1)")
-		zipf      = fs.Bool("zipf", false, "Zipf-skewed lookup popularity instead of uniform")
-		walk      = fs.Bool("walk", false, "random-walk s-network search instead of flooding")
-		caching   = fs.Bool("caching", false, "enable the future-work hot-data caching scheme")
-		hist      = fs.Bool("hist", false, "record lookup/store histograms and print latency/hop percentiles")
-		alpha     = fs.Int("alpha", def.LookupAlpha, "parallel lookup probes on the t-network (1 = the paper's single walk)")
-		pathcache = fs.Bool("pathcache", false, "enable lookup-path caching (successful lookups deposit route hints)")
-		route     = fs.String("route", "finger", "t-network routing strategy: finger | succ (successor-only, the paper's simulated behavior; lookup timeout 180 s)")
+	p := exp.Freeform{Cfg: exp.FreeformConfig()}
+	cfg := &p.Cfg
+	fs.IntVar(&p.N, "n", 1000, "number of peers")
+	psList := fs.String("ps", "0.7", "proportion of s-peers (0..1); comma-separated list sweeps")
+	fs.IntVar(&cfg.Delta, "delta", cfg.Delta, "s-network degree constraint")
+	fs.IntVar(&cfg.TTL, "ttl", cfg.TTL, "flood TTL")
+	fs.IntVar(&p.Items, "items", 5000, "data items to insert")
+	fs.IntVar(&p.Lookups, "lookups", 2000, "lookups to measure")
+	fs.Int64Var(&p.Seed, "seed", 1, "random seed")
+	fs.IntVar(&p.Workers, "workers", 0, "parallel workers for a -ps sweep (0 = all CPUs)")
+	placement := fs.String("placement", "spread", "data placement: tpeer | spread")
+	fs.BoolVar(&cfg.Heterogeneity, "hetero", cfg.Heterogeneity, "enable link heterogeneity support")
+	topoaware := fs.Bool("topoaware", false, "enable landmark binning")
+	fs.IntVar(&cfg.Landmarks, "landmarks", cfg.Landmarks, "number of landmarks (with -topoaware)")
+	fs.BoolVar(&cfg.Bypass, "bypass", cfg.Bypass, "enable bypass links")
+	fs.BoolVar(&cfg.TrackerMode, "tracker", cfg.TrackerMode, "BitTorrent-style tracker s-networks")
+	fs.IntVar(&cfg.InterestCategories, "interests", cfg.InterestCategories, "interest categories (>0 enables interest-based s-networks)")
+	fs.Float64Var(&p.Crash, "crash", 0, "fraction of peers to crash before the lookup phase, in [0, 1)")
+	fs.BoolVar(&p.Zipf, "zipf", false, "Zipf-skewed lookup popularity instead of uniform")
+	fs.BoolVar(&cfg.RandomWalk, "walk", cfg.RandomWalk, "random-walk s-network search instead of flooding")
+	fs.BoolVar(&cfg.Caching, "caching", cfg.Caching, "enable the future-work hot-data caching scheme")
+	fs.BoolVar(&p.Hist, "hist", false, "record lookup/store histograms and print latency/hop percentiles")
+	fs.IntVar(&cfg.LookupAlpha, "alpha", cfg.LookupAlpha, "parallel lookup probes on the t-network (1 = the paper's single walk)")
+	fs.BoolVar(&cfg.PathCache, "pathcache", cfg.PathCache, "enable lookup-path caching (successful lookups deposit route hints)")
+	route := fs.String("route", "finger", "t-network routing strategy: finger | succ (successor-only, the paper's simulated behavior; lookup timeout 180 s)")
 
-		dropRate  = fs.Float64("droprate", 0, "fault injection: per-message drop probability (0..1)")
-		dupRate   = fs.Float64("duprate", 0, "fault injection: per-message duplication probability (0..1)")
-		jitter    = fs.Duration("jitter", 0, "fault injection: max extra delivery delay per message (e.g. 50ms)")
-		partition = fs.String("partition", "", "fault injection: \"start,end\" in simulated seconds; isolates the first half of the stub hosts for that window")
-		faultSeed = fs.Int64("faultseed", 1, "fault injection RNG seed (independent of -seed)")
-
-		ob = obs.Flags(fs)
-	)
+	fs.Float64Var(&p.Faults.DropRate, "droprate", 0, "fault injection: per-message drop probability (0..1)")
+	fs.Float64Var(&p.Faults.DupRate, "duprate", 0, "fault injection: per-message duplication probability (0..1)")
+	jitter := fs.Duration("jitter", 0, "fault injection: max extra delivery delay per message (e.g. 50ms)")
+	partition := fs.String("partition", "", "fault injection: \"start,end\" in simulated seconds; isolates the first half of the stub hosts for that window")
+	fs.Int64Var(&p.Faults.Seed, "faultseed", 1, "fault injection RNG seed (independent of -seed)")
+	ob := obs.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -88,16 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	p := exp.Freeform{
-		N: *n, Delta: *delta, TTL: *ttl, Items: *items, Lookups: *lookups,
-		Seed: *seed, Workers: *workers, Placement: *placement, Route: *route,
-		Hetero: *hetero, TopoAware: *topoaware, Landmarks: *landmarks,
-		Bypass: *bypass, Tracker: *tracker, Interests: *interests,
-		Crash: *crash, Zipf: *zipf, Walk: *walk, Caching: *caching,
-		Hist: *hist, Alpha: *alpha, PathCache: *pathcache,
-		DropRate: *dropRate, DupRate: *dupRate, Jitter: sim.Time(jitter.Microseconds()),
-		FaultSeed: *faultSeed,
-	}
+	// The named values: everything else went straight into p.
 	for _, f := range strings.Split(*psList, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil {
@@ -106,6 +96,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		p.Ps = append(p.Ps, v)
 	}
+	switch *placement {
+	case "tpeer":
+		cfg.Placement = core.PlaceAtTPeer
+	case "spread":
+		cfg.Placement = core.PlaceSpread
+	default:
+		fmt.Fprintf(stderr, "hybridsim: unknown placement %q (want tpeer or spread)\n", *placement)
+		return 2
+	}
+	strat, err := core.StrategyByName(*route)
+	if err != nil {
+		fmt.Fprintln(stderr, "hybridsim:", err)
+		return 2
+	}
+	cfg.Route = strat
+	if _, linear := strat.(core.SuccessorWalk); linear {
+		*cfg = exp.SuccessorWalk(*cfg)
+	}
+	if *topoaware {
+		cfg.Assignment = core.AssignCluster
+	}
+	p.Faults.JitterMax = sim.Time(jitter.Microseconds())
 	if *partition != "" {
 		lo, hi, ok := strings.Cut(*partition, ",")
 		a, errA := strconv.ParseFloat(strings.TrimSpace(lo), 64)
@@ -122,16 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if err := ob.Start("hybridsim", *seed, *workers, map[string]any{
-		"n": *n, "ps": *psList, "delta": *delta, "ttl": *ttl,
-		"items": *items, "lookups": *lookups, "placement": *placement,
-		"hetero": *hetero, "topoaware": *topoaware, "landmarks": *landmarks,
-		"bypass": *bypass, "tracker": *tracker, "interests": *interests,
-		"crash": *crash, "zipf": *zipf, "walk": *walk, "caching": *caching,
-		"hist": *hist, "alpha": *alpha, "pathcache": *pathcache, "route": *route,
-		"droprate": *dropRate, "duprate": *dupRate, "jitter": jitter.String(),
-		"partition": *partition, "faultseed": *faultSeed,
-	}, stderr); err != nil {
+	if err := ob.Start("hybridsim", p.Seed, p.Workers, nil, stderr); err != nil {
 		fmt.Fprintln(stderr, "hybridsim:", err)
 		return 1
 	}

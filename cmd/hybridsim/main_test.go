@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -71,8 +73,8 @@ func TestBadFlagValues(t *testing.T) {
 
 // TestObservabilityFilesLeaveStdoutAlone: -trace, -manifest and -progress
 // write their files and stderr lines; stdout is the same bytes without them,
-// and the manifest has one point per -ps value with the counters bench/ and
-// the docs read.
+// the manifest has one point per -ps value with the counters bench/ and the
+// docs read, and its config holds every flag -h lists, typed.
 func TestObservabilityFilesLeaveStdoutAlone(t *testing.T) {
 	base := "-n 60 -items 40 -lookups 30 -ps 0.3,0.8"
 	var plain, stderr bytes.Buffer
@@ -98,6 +100,7 @@ func TestObservabilityFilesLeaveStdoutAlone(t *testing.T) {
 	}
 	var m struct {
 		Schema int
+		Config map[string]any
 		Points []struct {
 			Label   string
 			Metrics map[string]float64
@@ -108,6 +111,22 @@ func TestObservabilityFilesLeaveStdoutAlone(t *testing.T) {
 	}
 	if m.Schema != 1 || len(m.Points) != 2 {
 		t.Fatalf("manifest: schema %d, %d points", m.Schema, len(m.Points))
+	}
+	var help bytes.Buffer
+	run([]string{"-h"}, io.Discard, &help)
+	flags := regexp.MustCompile(`(?m)^  -(\w+)`).FindAllStringSubmatch(help.String(), -1)
+	if len(flags) < 30 {
+		t.Fatalf("-h lists %d flags:\n%s", len(flags), help.String())
+	}
+	for _, f := range flags {
+		if _, ok := m.Config[f[1]]; !ok {
+			t.Errorf("manifest config has no %q", f[1])
+		}
+	}
+	for key, want := range map[string]any{"delta": 3.0, "hetero": false, "jitter": "0s", "seed": 1.0, "ps": "0.3,0.8", "n": 60.0} {
+		if got := m.Config[key]; got != want {
+			t.Errorf("manifest config %s = %#v, want %#v", key, got, want)
+		}
 	}
 	for _, pt := range m.Points {
 		for _, key := range []string{"sim.events", "net.sent", "core.peers", "lookup.ok", "lookup.failed", "lookup.latency_us.p99"} {

@@ -61,6 +61,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if *n < 0 || *items < 0 || *lookups < 0 {
+		fmt.Fprintf(stderr, "paperexp: -n %d, -items %d and -lookups %d must not be negative (0 is the scale's default)\n", *n, *items, *lookups)
+		return 2
+	}
 
 	if *list || *runID == "" {
 		fmt.Fprintln(stdout, "experiments:")
@@ -100,8 +104,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		selected = []exp.Experiment{e}
 	}
 
+	// The sizes as resolved: a 0 flag stands for the scale's default.
 	if err := ob.Start("paperexp", opts.Seed, opts.Workers, map[string]any{
-		"run": *runID, "quick": *quick,
 		"n": opts.N, "items": opts.Items, "lookups": opts.Lookups,
 	}, stderr); err != nil {
 		fmt.Fprintln(stderr, "paperexp:", err)

@@ -10,8 +10,9 @@ import (
 	"testing"
 )
 
-// TestRefusals: an unknown experiment is a usage error (exit 2); a size an
-// experiment cannot run at — these two command lines used to end in a
+// TestRefusals: an unknown experiment and a negative size (which used to run
+// at the scale's default) are usage errors (exit 2, nothing on stdout); a
+// size an experiment cannot run at — these command lines used to end in a
 // goroutine trace — is one "paperexp: <id>: ..." line and exit 1.
 func TestRefusals(t *testing.T) {
 	for _, tc := range []struct {
@@ -19,6 +20,10 @@ func TestRefusals(t *testing.T) {
 		code int
 	}{
 		{"-run NoSuchFigure", 2},
+		{"-run Fig4 -quick -n -5 -items -3", 2},
+		{"-run Fig4 -quick -n -1", 2},
+		{"-run Fig4 -quick -items -1", 2},
+		{"-run Fig4 -quick -lookups -1", 2},
 		{"-run Baselines -quick -n 40 -items 1 -lookups 6", 1},
 		{"-run AblationTree -quick -n 40 -items 1 -lookups 6", 1},
 		{"-run Churn -quick -n 40 -items 1 -lookups 6", 1},
@@ -30,6 +35,9 @@ func TestRefusals(t *testing.T) {
 				t.Fatalf("exit %d, want %d; stderr %q", code, tc.code, stderr.String())
 			}
 			msg := stderr.String()
+			if tc.code == 2 && stdout.Len() != 0 {
+				t.Fatalf("stdout %q, want nothing", stdout.String())
+			}
 			if !strings.HasPrefix(msg, "paperexp: ") || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") {
 				t.Fatalf("stderr %q, want one paperexp: line", msg)
 			}
@@ -84,5 +92,29 @@ func TestObservabilityFilesLeaveStdoutAlone(t *testing.T) {
 	}
 	if !bytes.Contains(traced, []byte(`"Fig5a"`)) {
 		t.Error("trace has no line labelled with the experiment id")
+	}
+}
+
+// TestManifestRecordsResolvedSizes: the manifest's config is every flag of
+// the command line, except that the sizes are the ones the run used, not the
+// 0 that stands for the scale's default.
+func TestManifestRecordsResolvedSizes(t *testing.T) {
+	manifest := filepath.Join(t.TempDir(), "run.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-run", "Fig4", "-quick", "-manifest", manifest}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct{ Config map[string]any }
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]any{"n": 200.0, "run": "Fig4", "quick": true, "seed": 42.0, "manifest": manifest} {
+		if got := m.Config[key]; got != want {
+			t.Errorf("manifest config %s = %#v, want %#v", key, got, want)
+		}
 	}
 }

@@ -14,6 +14,9 @@ func TestConfigValidateErrors(t *testing.T) {
 	}{
 		{"ps<0", func(c *Config) { c.Ps = -0.1 }},
 		{"ps>1", func(c *Config) { c.Ps = 1.1 }},
+		{"placement7", func(c *Config) { c.Placement = 7 }},
+		{"idgen7", func(c *Config) { c.IDGen = 7 }},
+		{"assignment7", func(c *Config) { c.Assignment = 7 }},
 		{"delta<2", func(c *Config) { c.Delta = 1 }},
 		{"ttl<1", func(c *Config) { c.TTL = 0 }},
 		{"hello0", func(c *Config) { c.HelloEvery = 0 }},

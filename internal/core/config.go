@@ -81,9 +81,6 @@ const (
 	AssignSmallest Assignment = iota
 	// AssignRandom picks uniformly at random.
 	AssignRandom
-	// AssignInterest matches the peer's declared interest category to the
-	// s-network serving it (§5.3).
-	AssignInterest
 	// AssignCluster uses landmark binning to co-locate physically close
 	// peers in the same s-network (§5.2): joining peers report a landmark
 	// coordinate and Config.Landmarks sets the number of landmarks.
@@ -104,7 +101,8 @@ type Config struct {
 	Placement Placement
 	// IDGen selects t-peer id generation.
 	IDGen IDGen
-	// Assignment selects s-network assignment for joining s-peers.
+	// Assignment selects s-network assignment for joining s-peers; interest
+	// assignment (InterestCategories > 0) takes precedence over it.
 	Assignment Assignment
 
 	// Heterogeneity makes the server rank peers by link capacity and
@@ -115,8 +113,9 @@ type Config struct {
 	// Landmarks is the number of landmark peers AssignCluster bins by.
 	Landmarks int
 
-	// InterestCategories > 0 enables interest-based s-networks (§5.3)
-	// with that many content categories.
+	// InterestCategories > 0 selects interest assignment (§5.3): a joining
+	// s-peer goes to the s-network serving its declared category, one of
+	// that many, whatever Assignment says.
 	InterestCategories int
 
 	// Bypass enables bypass links (§5.4).
@@ -226,6 +225,12 @@ func (c Config) Validate() error {
 	switch {
 	case c.Ps < 0 || c.Ps > 1:
 		return fmt.Errorf("core: Ps %v outside [0, 1]", c.Ps)
+	case c.Placement > PlaceSpread:
+		return fmt.Errorf("core: unknown Placement %d", c.Placement)
+	case c.IDGen > IDLocation:
+		return fmt.Errorf("core: unknown IDGen %d", c.IDGen)
+	case c.Assignment > AssignCluster:
+		return fmt.Errorf("core: unknown Assignment %d", c.Assignment)
 	case c.Delta < 2:
 		return fmt.Errorf("core: Delta %d < 2 cannot form a tree", c.Delta)
 	case c.TTL < 1:
@@ -255,5 +260,7 @@ func (c Config) Validate() error {
 }
 
 // topologyAware reports whether peers compute landmark coordinates (§5.2):
-// only cluster assignment consumes them.
-func (c Config) topologyAware() bool { return c.Assignment == AssignCluster }
+// only cluster assignment consumes them, and interest assignment overrides it.
+func (c Config) topologyAware() bool {
+	return c.Assignment == AssignCluster && c.InterestCategories == 0
+}

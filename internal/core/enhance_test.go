@@ -169,7 +169,6 @@ func TestInterestLookupStaysLocal(t *testing.T) {
 	sys := newTestSystem(t, 65, func(c *Config) {
 		c.Ps = 0.8
 		c.InterestCategories = 4
-		c.Assignment = AssignInterest
 		c.TTL = 10
 	})
 	// Ring first so category segments are stable, then interest s-peers.

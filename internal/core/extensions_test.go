@@ -315,7 +315,6 @@ func TestSearchInterestRouted(t *testing.T) {
 	sys := newTestSystem(t, 87, func(c *Config) {
 		c.Ps = 0.8
 		c.InterestCategories = 3
-		c.Assignment = AssignInterest
 		c.TTL = 10
 	})
 	tRole, sRole := TPeer, SPeer

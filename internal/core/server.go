@@ -396,11 +396,12 @@ func (sv *Server) assignSNetwork(m serverJoinReq) (Ref, bool) {
 	if len(sv.ring) == 0 {
 		return NilRef, false
 	}
+	if sv.sys.Cfg.InterestCategories > 0 {
+		return sv.ringSuccessor(CategoryID(m.Interest)), true
+	}
 	switch sv.sys.Cfg.Assignment {
 	case AssignRandom:
 		return sv.ring[sv.sys.rt.Rand().Intn(len(sv.ring))], true
-	case AssignInterest:
-		return sv.ringSuccessor(CategoryID(m.Interest)), true
 	case AssignCluster:
 		if m.Coord != "" {
 			return sv.assignByCluster(m.Coord), true

@@ -45,14 +45,11 @@ func RunFig4(o Options) (*Result, error) {
 		c.g = gini(counts)
 
 		// Full PDF for the three panels the paper shows per scheme.
-		hist := metrics.NewHistogram(bucketWidth(c.max))
-		for _, n := range counts {
-			hist.Add(n)
-		}
+		width := bucketWidth(c.max)
 		c.pdf = metrics.NewTable(
-			fmt.Sprintf("Fig 4 PDF: scheme=%s p_s=%.1f (bucket width %d)", scheme, ps, hist.Width),
+			fmt.Sprintf("Fig 4 PDF: scheme=%s p_s=%.1f (bucket width %d)", scheme, ps, width),
 			"items-per-peer", "probability")
-		bounds, probs := hist.PDF()
+		bounds, probs := metrics.PDF(counts, width)
 		for i := range bounds {
 			c.pdf.AddRow(bounds[i], probs[i])
 		}

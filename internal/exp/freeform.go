@@ -15,14 +15,18 @@ import (
 	"repro/internal/workload"
 )
 
-// Freeform is one free-form simulation request — cmd/hybridsim's knobs as a
-// struct. Where a registered experiment regenerates one of the paper's
-// tables, a Freeform run answers "what happens if ...": it builds one system
-// per p_s point through the same construct/populate steps the experiments
-// use, stores, optionally crashes a fraction of the peers, looks up, and
-// renders a protocol- and performance-level report per point.
+// Freeform is one free-form simulation request: a protocol configuration
+// plus the shape of the run around it. Where a registered experiment
+// regenerates one of the paper's tables, a Freeform run answers "what happens
+// if ...": it builds one system per p_s point through the same
+// construct/populate steps the experiments use, stores, optionally crashes a
+// fraction of the peers, looks up, and renders a protocol- and
+// performance-level report per point.
 type Freeform struct {
-	N, Delta, TTL  int
+	// Cfg is the protocol every point runs, with Ps set to the point's p_s;
+	// start it from FreeformConfig.
+	Cfg            core.Config
+	N              int
 	Items, Lookups int
 	Seed           int64
 	// Ps lists the sweep points; each gets its own system and report. The
@@ -31,34 +35,29 @@ type Freeform struct {
 	Ps      []float64
 	Workers int
 
-	Placement string // "tpeer" | "spread"
-	Route     string // a core.StrategyByName name; "succ" implies the 180 s lookup timeout
-	Hetero    bool
-	TopoAware bool
-	Landmarks int
-	Bypass    bool
-	Tracker   bool
-	Interests int     // > 0 switches to interest-based s-networks
-	Crash     float64 // fraction of peers crashed before the lookup phase, [0, 1)
-	Zipf      bool
-	Walk      bool
-	Caching   bool
-	Hist      bool // append latency/hop percentile lines to each report
-	Alpha     int
-	PathCache bool
+	Crash float64 // fraction of peers crashed before the lookup phase, [0, 1)
+	Zipf  bool
+	Hist  bool // append latency/hop percentile lines to each report
 
-	// Fault injection (see simnet.FaultConfig). PartEnd > 0 isolates the
-	// first half of the stub hosts during [PartStart, PartEnd).
-	DropRate, DupRate  float64
-	Jitter             sim.Time
+	// Faults arms the simnet fault layer when a rate or the jitter is
+	// non-zero, or when PartEnd > 0 isolates the first half of the stub
+	// hosts during [PartStart, PartEnd).
+	Faults             simnet.FaultConfig
 	PartStart, PartEnd sim.Time
-	FaultSeed          int64
 
 	// Tracers, when set, holds one tracer per point, so concurrent points
 	// never interleave in one ring. Obs, when set, receives one manifest
 	// point per p_s. Neither changes a report.
 	Tracers []*obs.Tracer
 	Obs     *obs.Recorder
+}
+
+// FreeformConfig is the protocol a free-form run starts from: DefaultConfig
+// with the 5 s lookup timeout cmd/hybridsim has always used.
+func FreeformConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.LookupTimeout = 5 * sim.Second
+	return cfg
 }
 
 // Validate refuses the parameter values a run cannot honour, the protocol
@@ -75,13 +74,8 @@ func (p Freeform) Validate() error {
 		return fmt.Errorf("%d lookups need at least one stored item", p.Lookups)
 	case !(p.Crash >= 0 && p.Crash < 1):
 		return fmt.Errorf("crash fraction must be in [0, 1), got %g", p.Crash)
-	case p.Placement != "tpeer" && p.Placement != "spread":
-		return fmt.Errorf("unknown placement %q (want tpeer or spread)", p.Placement)
 	case len(p.Tracers) != 0 && len(p.Tracers) != len(p.Ps):
 		return fmt.Errorf("%d tracers for %d points", len(p.Tracers), len(p.Ps))
-	}
-	if _, err := core.StrategyByName(p.Route); err != nil {
-		return err
 	}
 	for _, ps := range p.Ps {
 		if err := p.config(ps).Validate(); err != nil {
@@ -105,13 +99,8 @@ func RunFreeform(p Freeform) ([]string, error) {
 		return nil, err
 	}
 	o := Options{Workers: p.Workers, Obs: p.Obs, Hist: p.Hist || p.Obs != nil}
-	if p.DropRate > 0 || p.DupRate > 0 || p.Jitter > 0 || p.PartEnd > 0 {
-		o.Faults = &simnet.FaultConfig{
-			DropRate:  p.DropRate,
-			DupRate:   p.DupRate,
-			JitterMax: p.Jitter,
-			Seed:      p.FaultSeed,
-		}
+	if f := p.Faults; f.DropRate > 0 || f.DupRate > 0 || f.JitterMax > 0 || p.PartEnd > 0 {
+		o.Faults = &f
 	}
 	// A failing point is a result, not a sweep error: the others still run,
 	// as they would have on their own.
@@ -138,36 +127,10 @@ func RunFreeform(p Freeform) ([]string, error) {
 	return reports, nil
 }
 
-// config maps the knobs onto core.DefaultConfig for one p_s point.
+// config is Cfg at one p_s point.
 func (p Freeform) config(ps float64) core.Config {
-	cfg := core.DefaultConfig()
+	cfg := p.Cfg
 	cfg.Ps = ps
-	cfg.Delta = p.Delta
-	cfg.TTL = p.TTL
-	cfg.Heterogeneity = p.Hetero
-	cfg.Landmarks = p.Landmarks
-	cfg.Bypass = p.Bypass
-	cfg.TrackerMode = p.Tracker
-	cfg.InterestCategories = p.Interests
-	cfg.RandomWalk = p.Walk
-	cfg.Caching = p.Caching
-	cfg.LookupAlpha = p.Alpha
-	cfg.PathCache = p.PathCache
-	cfg.Route, _ = core.StrategyByName(p.Route) // Validate vouched for the name
-	cfg.LookupTimeout = 5 * sim.Second
-	if _, linear := cfg.Route.(core.SuccessorWalk); linear {
-		cfg.LookupTimeout = 180 * sim.Second // covers linear ring traversals
-	}
-	if p.TopoAware {
-		cfg.Assignment = core.AssignCluster
-	}
-	if p.Interests > 0 {
-		cfg.Assignment = core.AssignInterest
-	}
-	cfg.Placement = core.PlaceSpread
-	if p.Placement == "tpeer" {
-		cfg.Placement = core.PlaceAtTPeer
-	}
 	return cfg
 }
 
@@ -194,7 +157,7 @@ func (s *scenario) checkQuiesced() error {
 // touches its own engine and system, so points run concurrently over topo.
 func (p Freeform) runPoint(w io.Writer, o Options, topo *topology.Graph, ps float64) error {
 	cfg := p.config(ps)
-	fmt.Fprintf(w, "building %d peers (ps=%.2f δ=%d ttl=%d placement=%s)...\n", p.N, ps, p.Delta, p.TTL, cfg.Placement)
+	fmt.Fprintf(w, "building %d peers (ps=%.2f δ=%d ttl=%d placement=%s)...\n", p.N, ps, cfg.Delta, cfg.TTL, cfg.Placement)
 	sc, err := construct(o, topo, simnet.DefaultConfig(), cfg, p.Seed)
 	if err != nil {
 		return err
@@ -204,14 +167,14 @@ func (p Freeform) runPoint(w io.Writer, o Options, topo *topology.Graph, ps floa
 		sc.Net.Faults().AddPartition(p.PartStart, p.PartEnd, stubs[:len(stubs)/2])
 	}
 	var caps []float64
-	if p.Hetero {
+	if cfg.Heterogeneity {
 		caps = workload.CapacityClasses(p.N)
 	}
 	var ints []int
-	if p.Interests > 0 {
+	if cfg.InterestCategories > 0 {
 		ints = make([]int, p.N)
 		for i := range ints {
-			ints[i] = i % p.Interests
+			ints[i] = i % cfg.InterestCategories
 		}
 	}
 	if err := sc.populate(p.N, caps, ints); err != nil {
@@ -234,8 +197,8 @@ func (p Freeform) runPoint(w io.Writer, o Options, topo *topology.Graph, ps floa
 
 	// Insert data.
 	var keys []string
-	if p.Interests > 0 {
-		keys = workload.InterestKeys(p.Items, p.Interests)
+	if cfg.InterestCategories > 0 {
+		keys = workload.InterestKeys(p.Items, cfg.InterestCategories)
 	} else {
 		keys = workload.Keys(p.Items)
 	}
@@ -309,7 +272,7 @@ func (p Freeform) runPoint(w io.Writer, o Options, topo *topology.Graph, ps floa
 	}
 
 	st := sys.Stats()
-	if p.Caching {
+	if cfg.Caching {
 		cached := 0
 		for _, pr := range sys.Peers() {
 			cached += pr.NumCached()

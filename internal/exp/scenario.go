@@ -104,10 +104,13 @@ func expConfig(ps float64) core.Config {
 }
 
 // paperRoutingConfig is expConfig plus the successor-only data routing the
-// paper's own simulation used (see core.SuccessorWalk); the lookup timeout
-// grows to cover linear ring traversals.
-func paperRoutingConfig(ps float64) core.Config {
-	cfg := expConfig(ps)
+// paper's own simulation used.
+func paperRoutingConfig(ps float64) core.Config { return SuccessorWalk(expConfig(ps)) }
+
+// SuccessorWalk returns cfg routing the ring by successors only, as the
+// paper's own simulation did (see core.SuccessorWalk), with the lookup
+// timeout grown to cover linear ring traversals.
+func SuccessorWalk(cfg core.Config) core.Config {
 	cfg.Route = core.SuccessorWalk{}
 	cfg.LookupTimeout = 180 * sim.Second
 	return cfg

@@ -6,7 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -64,104 +64,24 @@ func (s *Summary) String() string {
 		s.Mean(), s.Stddev(), s.n, s.min, s.max)
 }
 
-// Sample keeps every observation for exact quantiles.
-type Sample struct {
-	xs     []float64
-	sorted bool
-}
-
-// Add records one observation.
-func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
-}
-
-// N returns the observation count.
-func (s *Sample) N() int { return len(s.xs) }
-
-// Mean returns the sample mean.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
+// PDF buckets values (each >= 0) into integer buckets of the given width
+// (below 1 counts as 1) and returns every non-empty bucket's lower bound and
+// probability mass, in ascending order. It backs the Fig. 4
+// probability-density functions (data items per peer).
+func PDF(values []int, width int) (bounds []int, probs []float64) {
+	width = max(width, 1)
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	for _, v := range sorted {
+		lo := v / width * width
+		if len(bounds) == 0 || bounds[len(bounds)-1] != lo {
+			bounds = append(bounds, lo)
+			probs = append(probs, 0)
+		}
+		probs[len(probs)-1]++
 	}
-	total := 0.0
-	for _, x := range s.xs {
-		total += x
-	}
-	return total / float64(len(s.xs))
-}
-
-// Quantile returns the q-th (0..1) quantile by nearest-rank. The rank is
-// rounded to the nearest index rather than truncated, so p50/p95 are not
-// biased low on small samples.
-func (s *Sample) Quantile(q float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-	idx := int(q*float64(len(s.xs)-1) + 0.5)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s.xs) {
-		idx = len(s.xs) - 1
-	}
-	return s.xs[idx]
-}
-
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Quantile(0.5) }
-
-// Histogram counts observations into fixed-width integer buckets; it backs
-// the Fig. 4 probability-density functions (data items per peer).
-type Histogram struct {
-	Width  int
-	counts map[int]int64
-	total  int64
-}
-
-// NewHistogram creates a histogram with the given bucket width (>= 1).
-func NewHistogram(width int) *Histogram {
-	if width < 1 {
-		width = 1
-	}
-	return &Histogram{Width: width, counts: make(map[int]int64)}
-}
-
-// Add records an integer observation.
-func (h *Histogram) Add(v int) {
-	h.counts[v/h.Width]++
-	h.total++
-}
-
-// Total returns the observation count.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Buckets returns (bucket lower bound, count) pairs in ascending order.
-func (h *Histogram) Buckets() ([]int, []int64) {
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	bounds := make([]int, len(keys))
-	counts := make([]int64, len(keys))
-	for i, k := range keys {
-		bounds[i] = k * h.Width
-		counts[i] = h.counts[k]
-	}
-	return bounds, counts
-}
-
-// PDF returns (bucket lower bound, probability mass) pairs.
-func (h *Histogram) PDF() ([]int, []float64) {
-	bounds, counts := h.Buckets()
-	probs := make([]float64, len(counts))
-	for i, c := range counts {
-		probs[i] = float64(c) / float64(h.total)
+	for i := range probs {
+		probs[i] /= float64(len(values))
 	}
 	return bounds, probs
 }

@@ -66,72 +66,6 @@ func TestSummaryEmpty(t *testing.T) {
 	}
 }
 
-func TestSampleQuantiles(t *testing.T) {
-	var s Sample
-	for i := 100; i >= 1; i-- {
-		s.Add(float64(i))
-	}
-	if s.N() != 100 {
-		t.Fatal("N wrong")
-	}
-	if got := s.Quantile(0); got != 1 {
-		t.Fatalf("q0 = %v", got)
-	}
-	if got := s.Quantile(1); got != 100 {
-		t.Fatalf("q1 = %v", got)
-	}
-	if got := s.Median(); math.Abs(got-50) > 1.0 {
-		t.Fatalf("median = %v", got)
-	}
-	if got := s.Mean(); math.Abs(got-50.5) > 1e-9 {
-		t.Fatalf("mean = %v", got)
-	}
-	// Adding after sorting re-sorts on next query.
-	s.Add(1000)
-	if got := s.Quantile(1); got != 1000 {
-		t.Fatalf("q1 after add = %v", got)
-	}
-}
-
-func TestSampleEmpty(t *testing.T) {
-	var s Sample
-	if s.Mean() != 0 || s.Median() != 0 {
-		t.Fatal("empty sample not zero")
-	}
-}
-
-func TestSampleQuantileNearestRank(t *testing.T) {
-	cases := []struct {
-		name string
-		xs   []float64
-		q    float64
-		want float64
-	}{
-		{"empty", nil, 0.5, 0},
-		{"single-q0", []float64{7}, 0, 7},
-		{"single-q50", []float64{7}, 0.5, 7},
-		{"single-q100", []float64{7}, 1, 7},
-		{"pair-median", []float64{1, 3}, 0.5, 3},                        // rank 0.5 rounds up
-		{"four-p50", []float64{1, 2, 3, 4}, 0.5, 3},                     // rank 1.5 rounds to 2
-		{"four-p95", []float64{1, 2, 3, 4}, 0.95, 4},                    // rank 2.85 rounds to 3, not floor 2
-		{"five-p50", []float64{1, 2, 3, 4, 5}, 0.5, 3},                  // exact middle
-		{"ten-p95", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 0.95, 10}, // rank 8.55 -> 9
-		{"negative-q", []float64{1, 2, 3}, -0.5, 1},
-		{"overflow-q", []float64{1, 2, 3}, 1.5, 3},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var s Sample
-			for _, x := range tc.xs {
-				s.Add(x)
-			}
-			if got := s.Quantile(tc.q); got != tc.want {
-				t.Fatalf("Quantile(%v) on %v = %v, want %v", tc.q, tc.xs, got, tc.want)
-			}
-		})
-	}
-}
-
 func TestSummaryAllNegative(t *testing.T) {
 	var s Summary
 	for _, x := range []float64{-5, -1, -9, -3} {
@@ -174,16 +108,20 @@ func TestHistogramPDFSumsToOne(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		h := NewHistogram(int(width%10) + 1)
-		for _, v := range raw {
-			h.Add(int(v))
+		values := make([]int, len(raw))
+		for i, v := range raw {
+			values[i] = int(v)
 		}
-		_, probs := h.PDF()
+		w := int(width%10) + 1
+		bounds, probs := PDF(values, w)
 		sum := 0.0
-		for _, p := range probs {
+		for i, p := range probs {
 			sum += p
+			if bounds[i]%w != 0 || (i > 0 && bounds[i] <= bounds[i-1]) {
+				return false
+			}
 		}
-		return math.Abs(sum-1) < 1e-9 && h.Total() == int64(len(raw))
+		return len(bounds) == len(probs) && math.Abs(sum-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)
@@ -191,23 +129,21 @@ func TestHistogramPDFSumsToOne(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []int{0, 5, 9, 10, 19, 25, 25} {
-		h.Add(v)
-	}
-	bounds, counts := h.Buckets()
+	bounds, probs := PDF([]int{25, 0, 19, 5, 9, 10, 25}, 10)
 	if len(bounds) != 3 || bounds[0] != 0 || bounds[1] != 10 || bounds[2] != 20 {
 		t.Fatalf("bounds = %v", bounds)
 	}
-	if counts[0] != 3 || counts[1] != 2 || counts[2] != 2 {
-		t.Fatalf("counts = %v", counts)
+	if probs[0] != 3.0/7 || probs[1] != 2.0/7 || probs[2] != 2.0/7 {
+		t.Fatalf("probs = %v, want 3/7, 2/7, 2/7", probs)
 	}
 }
 
 func TestHistogramWidthClamp(t *testing.T) {
-	h := NewHistogram(0)
-	if h.Width != 1 {
-		t.Fatal("width not clamped to 1")
+	for _, width := range []int{0, -3} {
+		bounds, _ := PDF([]int{0, 1, 2}, width)
+		if len(bounds) != 3 || bounds[0] != 0 || bounds[1] != 1 || bounds[2] != 2 {
+			t.Fatalf("width %d: bounds = %v, want width 1", width, bounds)
+		}
 	}
 }
 

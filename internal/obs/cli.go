@@ -4,14 +4,17 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"maps"
 	"os"
 	"runtime"
+	"time"
 )
 
 // CLI is the observability half of a simulation command line: the flags
 // cmd/paperexp and cmd/hybridsim share, and what honouring them takes. None
 // of it may change what a run prints to stdout.
 type CLI struct {
+	fs                      *flag.FlagSet
 	tracePath, manifestPath *string
 	cpuProfile, memProfile  *string
 	traceCap                *int
@@ -26,9 +29,10 @@ type CLI struct {
 }
 
 // Flags registers -trace, -tracecap, -manifest, -cpuprofile, -memprofile and
-// -progress on fs.
+// -progress on fs, and keeps fs: the manifest's config is its flags.
 func Flags(fs *flag.FlagSet) *CLI {
 	return &CLI{
+		fs:           fs,
 		tracePath:    fs.String("trace", "", "write a JSONL structured event trace to this file"),
 		traceCap:     fs.Int("tracecap", DefaultTraceCap, "trace ring-buffer capacity per tracer (with -trace)"),
 		manifestPath: fs.String("manifest", "", "write a machine-readable run manifest (JSON) to this file"),
@@ -40,8 +44,11 @@ func Flags(fs *flag.FlagSet) *CLI {
 
 // Start begins the profiles, creates the -trace file and, with -manifest or
 // -progress, the recorder (workers <= 0 is recorded as one per CPU, the pool
-// size it stands for). After a successful Start the caller owes one Close.
-func (c *CLI) Start(tool string, seed int64, workers int, config map[string]any, stderr io.Writer) error {
+// size it stands for). The recorder's config is every flag of the set with
+// its parsed value (a duration as its string), overlaid with resolved: the
+// values a command derived from a flag rather than took as given. After a
+// successful Start the caller owes one Close.
+func (c *CLI) Start(tool string, seed int64, workers int, resolved map[string]any, stderr io.Writer) error {
 	stop, err := StartProfiles(*c.cpuProfile, *c.memProfile)
 	if err != nil {
 		return err
@@ -56,6 +63,18 @@ func (c *CLI) Start(tool string, seed int64, workers int, config map[string]any,
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
+		config := map[string]any{}
+		c.fs.VisitAll(func(f *flag.Flag) {
+			var v any = f.Value.String()
+			if g, ok := f.Value.(flag.Getter); ok {
+				v = g.Get()
+			}
+			if d, ok := v.(time.Duration); ok {
+				v = d.String()
+			}
+			config[f.Name] = v
+		})
+		maps.Copy(config, resolved)
 		c.Recorder = NewRecorder(tool, seed, workers, config)
 		if *c.progress {
 			c.Recorder.SetProgress(stderr)

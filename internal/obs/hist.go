@@ -120,8 +120,8 @@ func (h *Histogram) quantiles(qs, out []float64) {
 		}
 		return
 	}
-	// Nearest-rank over the flattened sample: the same rounding rule as
-	// metrics.Sample.Quantile, so small samples are not biased low.
+	// Nearest-rank over the flattened sample: rank q*(N-1) rounded half up
+	// rather than truncated, so small samples are not biased low.
 	qi := 0
 	var cum uint64
 	for b := 0; b < histBuckets && qi < len(qs); b++ {

@@ -87,8 +87,8 @@ func TestHistQuantileAllOneBucket(t *testing.T) {
 }
 
 // TestHistQuantileNearestRank pins the rounding rule to nearest rank over the
-// flattened sample (rank = q*(N-1) rounded half-up), matching
-// metrics.Sample.Quantile: values 1..10 in the exact-bucket region.
+// flattened sample (rank = q*(N-1) rounded half-up, not truncated): values
+// 1..10 in the exact-bucket region.
 func TestHistQuantileNearestRank(t *testing.T) {
 	var h Histogram
 	for v := int64(1); v <= 10; v++ {

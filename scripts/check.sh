@@ -1,10 +1,10 @@
 #!/bin/sh
 # The repo's verify loop and its only gate list (`make check` runs this
-# script): build, gofmt, vet (plus staticcheck when installed), tests, the race
-# detector over the full suite (the parallel sweep runner and the shared
-# topology cache are exercised concurrently by the exp tests, so -race is
-# load-bearing here), the benchmark harness's own tests, and the named gates
-# below. Nothing here compares timings: performance is measured by
+# script): build, gofmt, vet, tests, the race detector over the full suite
+# (the parallel sweep runner and the shared topology cache are exercised
+# concurrently by the exp tests, so -race is load-bearing here), the
+# benchmark harness's own tests, and the named gates below (staticcheck, when
+# installed, is the first). Nothing here compares timings: performance is measured by
 # `bash bench/run.sh` against the bounds in BENCHMARK.json.
 #
 # `sh scripts/check.sh <gate>...` runs only the named gates (the Makefile's
@@ -15,10 +15,19 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-GATES="faultcheck determinism conformance allocguard routinggate retired introspect-smoke net-smoke replication-smoke scale"
+GATES="staticcheck faultcheck determinism conformance allocguard routinggate retired introspect-smoke net-smoke replication-smoke scale"
 
 gate() {
     case "$1" in
+    staticcheck)
+        # Lint beyond go vet, when installed: the container may not ship it.
+        if command -v staticcheck >/dev/null 2>&1; then
+            echo "== staticcheck ./..."
+            staticcheck ./...
+        else
+            echo "== staticcheck not installed; skipping (go vet already ran)"
+        fi
+        ;;
     faultcheck)
         # Crash-path gate: churn storms and recovery paths under injected
         # message faults, with the full invariant checker run at every
@@ -94,10 +103,13 @@ gate() {
         # stub latency matrix the hierarchical table replaced; the second
         # source of defaults (core's zero-fill, exp's Options fill and its
         # seed sentinel) and the eleven config fields nobody set (constants
-        # now). CHANGES.md and ROADMAP.md may tell the story; this script
+        # now); the interest Assignment value InterestCategories > 0 selects
+        # alone, the exact-sample and map-backed metrics types metrics.PDF
+        # replaced, and Freeform's fault seed beside its simnet.FaultConfig.
+        # CHANGES.md and ROADMAP.md may tell the story; this script
         # has to spell the patterns.
         echo "== retired-name gate (deleted flags, types, programs, files and Make targets stay deleted)"
-        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout' \
+        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout|AssignInterest|metrics\.(Sample|NewHistogram)|FaultSeed' \
             --include='*.go' --include='*.md' --include='*.sh' --include=Makefile \
             --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh \
             --exclude-dir=.git --exclude-dir=.bench_build .; then
@@ -169,13 +181,6 @@ fi
 
 echo "== go vet ./..."
 go vet ./...
-
-if command -v staticcheck >/dev/null 2>&1; then
-    echo "== staticcheck ./..."
-    staticcheck ./...
-else
-    echo "== staticcheck not installed; skipping (go vet already ran)"
-fi
 
 echo "== go test ./..."
 go test ./...
