@@ -71,7 +71,6 @@ func run(args []string) int {
 	fs.IntVar(&cfg.Delta, "delta", cfg.Delta, "s-network degree constraint")
 	fs.IntVar(&cfg.ReplicationK, "k", cfg.ReplicationK, "replication factor: each item lives on its owning t-peer plus k-1 ring successors (1 disables replication)")
 	fs.IntVar(&cfg.LookupAlpha, "alpha", cfg.LookupAlpha, "parallel lookup probes on the t-network (1 = single walk)")
-	fs.BoolVar(&cfg.PathCache, "pathcache", cfg.PathCache, "enable lookup-path caching (route hints from successful lookups)")
 	var (
 		n          = fs.Int("n", 96, "number of peers this process joins (min 64 in-process, 1 with -addr)")
 		items      = fs.Int("items", 200, "data items to store from this process")

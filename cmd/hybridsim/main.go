@@ -71,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.Caching, "caching", cfg.Caching, "enable the future-work hot-data caching scheme")
 	fs.BoolVar(&p.Hist, "hist", false, "record lookup/store histograms and print latency/hop percentiles")
 	fs.IntVar(&cfg.LookupAlpha, "alpha", cfg.LookupAlpha, "parallel lookup probes on the t-network (1 = the paper's single walk)")
-	fs.BoolVar(&cfg.PathCache, "pathcache", cfg.PathCache, "enable lookup-path caching (successful lookups deposit route hints)")
 	route := fs.String("route", "finger", "t-network routing strategy: finger | succ (successor-only, the paper's simulated behavior; lookup timeout 180 s)")
 
 	fs.Float64Var(&p.Faults.DropRate, "droprate", 0, "fault injection: per-message drop probability (0..1)")

@@ -119,14 +119,6 @@ func FailureRatio(p Params) float64 {
 	return r
 }
 
-// LookupLatencyStar returns the average lookup hop count when s-networks
-// are stars (no degree constraint): p*2 + (1-p)*(2 + log((1-ps)N/2)).
-func LookupLatencyStar(p Params) float64 {
-	pl := PLocal(p)
-	ring := log2((1 - p.Ps) * p.N / 2)
-	return pl*2 + (1-pl)*(2+ring)
-}
-
 // LookupLatency returns the average lookup hop count with the degree
 // constraint δ (section 4.2):
 //
@@ -139,16 +131,6 @@ func LookupLatency(p Params) float64 {
 	}
 	ring := log2((1 - p.Ps) * p.N / 2)
 	return pl*p.TTL + (1-pl)*(climb+p.TTL+ring)
-}
-
-// Sweep evaluates f over ps in [lo, hi] with the given step and returns the
-// (ps, value) series.
-func Sweep(lo, hi, step float64, f func(ps float64) float64) (xs, ys []float64) {
-	for ps := lo; ps <= hi+1e-9; ps += step {
-		xs = append(xs, ps)
-		ys = append(ys, f(ps))
-	}
-	return xs, ys
 }
 
 // OptimalJoinPs finds the ps in (0, 0.99] minimizing Eq. (1) by grid search;

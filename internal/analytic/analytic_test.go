@@ -149,21 +149,3 @@ func TestLookupLatencyShape(t *testing.T) {
 		t.Fatalf("delta=4 latency %v > delta=2 %v", d4, d2)
 	}
 }
-
-func TestLookupLatencyStar(t *testing.T) {
-	// Star s-networks: two-hop local lookups; remote adds ring routing.
-	v := LookupLatencyStar(Params{N: 1000, Ps: 0.5})
-	if v < 2 || v > 2+math.Log2(500)+1 {
-		t.Fatalf("star latency %v outside sane bounds", v)
-	}
-}
-
-func TestSweep(t *testing.T) {
-	xs, ys := Sweep(0, 0.9, 0.1, func(ps float64) float64 { return ps * 2 })
-	if len(xs) != 10 || len(ys) != 10 {
-		t.Fatalf("sweep lengths %d/%d", len(xs), len(ys))
-	}
-	if math.Abs(ys[9]-1.8) > 1e-9 {
-		t.Fatalf("sweep value %v", ys[9])
-	}
-}

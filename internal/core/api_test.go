@@ -86,14 +86,14 @@ func TestPeerAccessors(t *testing.T) {
 	if !tp.Successor().Valid() || !tp.Predecessor().Valid() {
 		t.Fatal("t-peer ring accessors invalid")
 	}
-	if tp.TNet().Addr != tp.Addr {
+	if tp.tpeer.Addr != tp.Addr {
 		t.Fatal("t-peer is its own s-network root")
 	}
 	if tp.ConnectPoint().Valid() {
 		t.Fatal("t-peer has a connect point")
 	}
 	sp := sys.SPeers()[0]
-	if !sp.ConnectPoint().Valid() || !sp.TNet().Valid() {
+	if !sp.ConnectPoint().Valid() || !sp.tpeer.Valid() {
 		t.Fatal("s-peer accessors invalid")
 	}
 	if sp.NumItems() != len(sp.data) {
@@ -108,13 +108,13 @@ func TestServerAccessors(t *testing.T) {
 	}
 	sys.Settle(5 * sim.Second)
 	sv := sys.Server()
-	if sv.RingSize() != len(sys.TPeers()) {
-		t.Fatalf("RingSize %d != live t-peers %d", sv.RingSize(), len(sys.TPeers()))
+	if len(sv.ring) != len(sys.TPeers()) {
+		t.Fatalf("RingSize %d != live t-peers %d", len(sv.ring), len(sys.TPeers()))
 	}
 	if len(sv.Landmarks()) == 0 {
 		t.Fatal("no landmarks")
 	}
-	sizes := sv.SNetSizes()
+	sizes := sv.snetSize
 	total := 0
 	for _, n := range sizes {
 		total += n

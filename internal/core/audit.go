@@ -14,8 +14,8 @@ import (
 // This file is the structural audit: every property the protocol is supposed
 // to re-establish after churn, each stated once, in one table. Everything
 // that asks "is the system consistent" is a reading of one pass over that
-// table: CheckInvariants and the eight Check* methods join the violations
-// into an error, HealthScore (health.go) counts them, /healthz lists them and
+// table: CheckInvariants, CheckRing and CheckTrees join the violations into
+// an error, HealthScore (health.go) counts them, /healthz lists them and
 // RingSummary (introspect.go) takes its totals from the same view. The pass
 // is read-only — no clock beyond a timestamp, no randomness, no message — and
 // must run under the runtime's execution guarantee.
@@ -428,13 +428,3 @@ func (s *System) CheckRing() error {
 func (s *System) CheckTrees() error {
 	return s.check("orphan_speers", "unlisted_children", "root_mismatches")
 }
-
-// CheckOpsDrained audits that no client operation outlives its protocol:
-// every pending and search table is empty and every contact counter consumed.
-func (s *System) CheckOpsDrained() error { return s.check("stuck_ops", "contact_leaks") }
-
-// CheckServerAccounting audits the server's soft state against the live system.
-func (s *System) CheckServerAccounting() error { return s.check("server_accounting") }
-
-// CheckReplication audits the replica-holder count of every stored item.
-func (s *System) CheckReplication() error { return s.check("replica_holders") }

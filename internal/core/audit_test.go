@@ -78,7 +78,7 @@ func TestAuditTable(t *testing.T) {
 // TestAuditCountsTheDriftedChecks covers the checks the two former audits
 // disagreed on: a child edge the parent does not list and a cached t-peer
 // that is not the chain's root now fail Healthy, each named with both
-// addresses, and a leaked contact counter fails CheckOpsDrained.
+// addresses, and a leaked contact counter fails the contact_leaks row.
 func TestAuditCountsTheDriftedChecks(t *testing.T) {
 	sys := settled60(t)
 	child := sys.SPeers()[0]
@@ -123,8 +123,8 @@ func TestAuditCountsTheDriftedChecks(t *testing.T) {
 		t.Fatalf("faults undone, audit still red: %v", err)
 	}
 	sys.newQID()
-	if err := sys.CheckOpsDrained(); err == nil || !strings.Contains(err.Error(), "contact_leaks") {
-		t.Fatalf("CheckOpsDrained = %v with a leaked contact counter", err)
+	if err := sys.check("stuck_ops", "contact_leaks"); err == nil || !strings.Contains(err.Error(), "contact_leaks") {
+		t.Fatalf("check(stuck_ops, contact_leaks) = %v with a leaked contact counter", err)
 	}
 }
 

@@ -66,6 +66,3 @@ func (p *Peer) bypassFor(sid idspace.ID) (Ref, bool) {
 	p.bypass.get(best.Addr) // a use: restarts the link's idle timer
 	return best, true
 }
-
-// NumBypass returns the number of live bypass links.
-func (p *Peer) NumBypass() int { return len(p.bypass) }

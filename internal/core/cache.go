@@ -103,13 +103,6 @@ func (p *Peer) handleCacheAdd(m cacheAdd) {
 	p.cache.put(p.sys.rt, p.sys.Cfg.CacheTTL, m.Item.DID, m.Item)
 }
 
-// forget drops what this peer remembers about a deleted item beyond its
-// database: the surrogate copy and the route hint.
-func (p *Peer) forget(did idspace.ID) {
-	p.cache.drop(did)
-	p.hints.drop(did)
-}
-
 // NumCached returns the number of surrogate copies this peer holds.
 func (p *Peer) NumCached() int { return len(p.cache) }
 

@@ -178,14 +178,6 @@ type Config struct {
 	// protocol. Bounded by MaxLookupAlpha.
 	LookupAlpha int
 
-	// PathCache enables lookup-path caching: a successful remote lookup
-	// deposits a (DID -> holder) hint at the origin and its ring entry
-	// point, and later lookups shortcut straight at the holder. Hints expire
-	// when idle (the surrogate-cache pattern), are dropped when the suspect
-	// machinery marks the holder dead, and a holder that no longer has the
-	// item bounces the hint off in one extra hop. See pathcache.go.
-	PathCache bool
-
 	// Route is the ring routing strategy; DefaultConfig sets FingerWalk,
 	// the paper's closest-preceding-finger walk. See RouteStrategy.
 	Route RouteStrategy

@@ -112,7 +112,7 @@ func TestCascadedChildCrashAccounting(t *testing.T) {
 	// Let detection, subtree rejoin and several size-sync HELLO ticks run.
 	sys.Settle(6 * sys.Cfg.HelloTimeout)
 
-	if err := sys.CheckServerAccounting(); err != nil {
+	if err := sys.check("server_accounting"); err != nil {
 		t.Fatalf("server accounting did not reconcile after cascaded crash: %v", err)
 	}
 	if err := sys.CheckInvariants(); err != nil {
@@ -140,7 +140,7 @@ func TestLookupDetoursSuspectedSuccessor(t *testing.T) {
 	// Pick a crash victim T with a non-empty s-network (so the server waits
 	// for its s-peers to drive replacement before force-patching the ring,
 	// which keeps the repair window open) and its ring neighbors P and S.
-	sizes := sys.Server().SNetSizes()
+	sizes := sys.Server().snetSize
 	var pre, victim, succ *Peer
 	for _, tp := range sys.TPeers() {
 		if sizes[tp.Addr] == 0 {
@@ -243,7 +243,7 @@ func TestRecoveryPathsUnderFaults(t *testing.T) {
 			name: "replace-arbitration",
 			ps:   0.7,
 			run: func(t *testing.T, sys *System) {
-				sizes := sys.Server().SNetSizes()
+				sizes := sys.Server().snetSize
 				for _, tp := range sys.TPeers() {
 					if sizes[tp.Addr] > 0 {
 						tp.Crash()

@@ -142,12 +142,6 @@ func (p *Peer) opTimeout(qid uint64) {
 		p.floodOut(qid, o.did, o.ttl, p.Ref())
 		return
 	}
-	if o.hinted {
-		// The hinted holder never answered (crashed before the suspect
-		// machinery noticed, or unreachable): invalidate the hint so the next
-		// lookup for this item rides the ring instead of the same dead end.
-		p.hints.drop(o.did)
-	}
 	p.finishOp(qid, OpResult{OK: false})
 }
 

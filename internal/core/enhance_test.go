@@ -280,7 +280,7 @@ func TestBypassLinksCreatedAndUsed(t *testing.T) {
 			}
 		}
 	}
-	if origin.NumBypass() == 0 {
+	if len(origin.bypass) == 0 {
 		t.Fatal("no bypass links created despite cross-s-network traffic")
 	}
 	if sys.Stats().BypassUses == 0 {
@@ -310,9 +310,9 @@ func TestBypassRespectsDegreeRule(t *testing.T) {
 	}
 	// Rule 1: tree degree + bypass links never exceed δ.
 	for _, p := range sys.Peers() {
-		if p.Degree()+p.NumBypass() > sys.Cfg.Delta {
+		if p.Degree()+len(p.bypass) > sys.Cfg.Delta {
 			t.Errorf("peer %d: degree %d + bypass %d > delta %d",
-				p.Addr, p.Degree(), p.NumBypass(), sys.Cfg.Delta)
+				p.Addr, p.Degree(), len(p.bypass), sys.Cfg.Delta)
 		}
 	}
 }
@@ -357,7 +357,7 @@ func TestTrackerLookupNoFlooding(t *testing.T) {
 	// Trackers actually hold index entries.
 	indexed := 0
 	for _, tp := range sys.TPeers() {
-		indexed += tp.IndexSize()
+		indexed += len(tp.index)
 	}
 	if indexed == 0 {
 		t.Fatal("no tracker index entries")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/idspace"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -60,7 +61,7 @@ func (t idleTable[K, V]) armed() int {
 // armedTimers counts the timers this peer has scheduled, bar its two
 // maintenance tickers (a runtime.Ticker does not say whether it is armed).
 func (p *Peer) armedTimers() int {
-	n := p.cache.armed() + p.hints.armed() + p.bypass.armed()
+	n := p.cache.armed() + p.bypass.armed()
 	for i := range p.nbrs {
 		if t := p.nbrs[i].timer; t != nil && t.Active() {
 			n++
@@ -80,4 +81,10 @@ func (p *Peer) armedTimers() int {
 		}
 	}
 	return n
+}
+
+// HasItem reports whether the peer stores the item with the given key.
+func (p *Peer) HasItem(key string) bool {
+	_, ok := p.data[idspace.HashKey(key)]
+	return ok
 }

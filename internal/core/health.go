@@ -165,6 +165,3 @@ func (hs *HealthSampler) Last() (HealthScore, bool) {
 	defer hs.mu.Unlock()
 	return hs.last, hs.seen
 }
-
-// Samples returns how many scored passes have been published.
-func (hs *HealthSampler) Samples() int64 { return hs.reg.Counter("health.samples").Value() }

@@ -85,7 +85,8 @@ func TestHealthSamplerTracksCrashWave(t *testing.T) {
 	// Let failure detection and repair run; the ticker keeps sampling the
 	// whole way (samples counter proves it ran during churn).
 	// At every tick of it the score and the audit's violations must agree.
-	before := hs.Samples()
+	samples := reg.Counter("health.samples").Value
+	before := samples()
 	for end := sys.Eng().Now() + 8*sys.Cfg.HelloTimeout + 10*sys.Cfg.FingerRefreshEvery; sys.Eng().Now() < end; {
 		sys.Settle(sys.Cfg.HelloEvery)
 		auditAgrees(t, sys)
@@ -93,7 +94,7 @@ func TestHealthSamplerTracksCrashWave(t *testing.T) {
 	if err := sys.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after repair: %v", err)
 	}
-	if hs.Samples() <= before {
+	if samples() <= before {
 		t.Fatal("ticker took no samples during the repair window")
 	}
 	end := hs.Sample()
@@ -108,9 +109,9 @@ func TestHealthSamplerTracksCrashWave(t *testing.T) {
 	}
 
 	hs.Stop()
-	stopped := hs.Samples()
+	stopped := samples()
 	sys.Settle(10 * sys.Cfg.HelloEvery)
-	if hs.Samples() != stopped {
+	if samples() != stopped {
 		t.Fatal("sampler kept sampling after Stop")
 	}
 }

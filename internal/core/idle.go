@@ -4,9 +4,9 @@ import "repro/internal/runtime"
 
 // idleTable is soft state that expires when unused: every entry carries an
 // idle timer that deletes it one TTL after its last put or get. The
-// surrogate cache, the path-cache hints and the bypass links are each one
-// idleTable. The zero value is an empty table; nothing is allocated until
-// the first put, so a feature that is off costs its peer a nil map.
+// surrogate cache and the bypass links are each one idleTable. The zero
+// value is an empty table; nothing is allocated until the first put, so a
+// feature that is off costs its peer a nil map.
 type idleTable[K comparable, V any] map[K]*idleEntry[V]
 
 type idleEntry[V any] struct {
@@ -18,7 +18,7 @@ type idleEntry[V any] struct {
 func (t *idleTable[K, V]) put(clk runtime.Clock, ttl runtime.Time, k K, v V) {
 	if e, ok := (*t)[k]; ok {
 		e.val = v
-		e.timer.Reset()
+		e.timer.Start()
 		return
 	}
 	if *t == nil {
@@ -34,7 +34,7 @@ func (t *idleTable[K, V]) put(clk runtime.Clock, ttl runtime.Time, k K, v V) {
 // get returns the value under k and restarts its idle timer: a use.
 func (t idleTable[K, V]) get(k K) (v V, ok bool) {
 	if e, ok := t[k]; ok {
-		e.timer.Reset()
+		e.timer.Start()
 		return e.val, true
 	}
 	return v, false

@@ -18,7 +18,6 @@ func idleSystem(t *testing.T, seed int64) (sys *System, p, other *Peer) {
 		c.Ps = 0.7
 		c.Bypass = true
 		c.Caching = true
-		c.PathCache = true
 	})
 	if _, _, err := sys.BuildPopulation(PopulationOpts{N: 40}); err != nil {
 		t.Fatal(err)
@@ -38,11 +37,11 @@ func idleSystem(t *testing.T, seed int64) (sys *System, p, other *Peer) {
 	return sys, p, other
 }
 
-// TestIdleTables drives the three idleTable users — surrogate cache, path
-// hints, bypass links — through their protocol entry points and holds each
-// to the same contract: a use restarts the idle clock, an unused entry
-// disappears exactly one TTL after its last use, and a crashed peer keeps no
-// timer armed (so nothing fires on it afterwards).
+// TestIdleTables drives the two idleTable users — surrogate cache and bypass
+// links — through their protocol entry points and holds each to the same
+// contract: a use restarts the idle clock, an unused entry disappears exactly
+// one TTL after its last use, and a crashed peer keeps no timer armed (so
+// nothing fires on it afterwards).
 func TestIdleTables(t *testing.T) {
 	did := idspace.HashKey("idle-item")
 	tables := []struct {
@@ -60,18 +59,11 @@ func TestIdleTables(t *testing.T) {
 			n:    (*Peer).NumCached,
 		},
 		{
-			name: "hints",
-			ttl:  func(*System) runtime.Time { return pathCacheTTL },
-			put:  func(p, other *Peer) { p.handleRouteHint(routeHint{DID: did, Holder: other.Ref()}) },
-			use:  func(p, _ *Peer) bool { _, ok := p.pathHint(did); return ok },
-			n:    (*Peer).NumHints,
-		},
-		{
 			name: "bypass",
 			ttl:  func(*System) runtime.Time { return bypassTTL },
 			put:  func(p, other *Peer) { p.handleBypassAdd(bypassAdd{Peer: other.Ref(), SegLo: other.segLo}) },
 			use:  func(p, other *Peer) bool { _, ok := p.bypassFor(other.ID); return ok },
-			n:    (*Peer).NumBypass,
+			n:    func(p *Peer) int { return len(p.bypass) },
 		},
 	}
 	for i, tb := range tables {
@@ -111,32 +103,31 @@ func TestIdleTables(t *testing.T) {
 	}
 }
 
-// TestForgetDropsCopyAndHint: a delete must remove both the surrogate copy
-// and the route hint for the item, and disarm both timers.
-func TestForgetDropsCopyAndHint(t *testing.T) {
+// TestDeleteDropsCachedCopy: a delete must remove the surrogate copy of the
+// item, and only that one, and disarm its timer.
+func TestDeleteDropsCachedCopy(t *testing.T) {
 	_, p, other := idleSystem(t, 93)
 	it := Item{Key: "idle-item", Value: "v", DID: idspace.HashKey("idle-item")}
-	keep := idspace.HashKey("other-item")
+	keep := Item{Key: "other-item", Value: "v", DID: idspace.HashKey("other-item")}
 	p.handleCacheAdd(cacheAdd{Item: it})
-	p.handleRouteHint(routeHint{DID: it.DID, Holder: other.Ref()})
-	p.handleRouteHint(routeHint{DID: keep, Holder: other.Ref()})
+	p.handleCacheAdd(cacheAdd{Item: keep})
 	armed := p.armedTimers()
 
 	p.handleDeleteFlood(other.Addr, deleteFlood{DID: it.DID, TTL: 1})
-	if p.NumCached() != 0 || p.NumHints() != 1 {
-		t.Fatalf("after delete: %d cached copies, %d hints; want 0 and the unrelated hint", p.NumCached(), p.NumHints())
+	if p.NumCached() != 1 {
+		t.Fatalf("after delete: %d cached copies, want the unrelated one", p.NumCached())
 	}
-	if _, ok := p.hints.peek(keep); !ok {
-		t.Fatal("delete dropped the hint of another item")
+	if _, ok := p.cache.peek(keep.DID); !ok {
+		t.Fatal("delete dropped the copy of another item")
 	}
-	if got := p.armedTimers(); got != armed-2 {
-		t.Fatalf("%d timers armed after delete, want %d", got, armed-2)
+	if got := p.armedTimers(); got != armed-1 {
+		t.Fatalf("%d timers armed after delete, want %d", got, armed-1)
 	}
 }
 
 // TestCrashedBypassEndpointKeepsNoTimers creates bypass links through real
-// cross-s-network traffic with caching and the path cache on as well, then
-// crashes an endpoint: none of its timers may stay scheduled.
+// cross-s-network traffic with caching on as well, then crashes an endpoint:
+// none of its timers may stay scheduled.
 func TestCrashedBypassEndpointKeepsNoTimers(t *testing.T) {
 	sys, origin, _ := idleSystem(t, 66)
 	for i := 0; i < 40; i++ {
@@ -148,7 +139,7 @@ func TestCrashedBypassEndpointKeepsNoTimers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	links := origin.NumBypass()
+	links := len(origin.bypass)
 	if links == 0 {
 		t.Fatal("no bypass links created despite cross-s-network traffic")
 	}
@@ -157,7 +148,7 @@ func TestCrashedBypassEndpointKeepsNoTimers(t *testing.T) {
 		t.Fatalf("crashed peer still has %d timers scheduled", n)
 	}
 	sys.Settle(bypassTTL + sim.Second)
-	if got := origin.NumBypass(); got != links {
+	if got := len(origin.bypass); got != links {
 		t.Fatalf("an expiry fired on the dead peer: %d bypass links, had %d", got, links)
 	}
 }

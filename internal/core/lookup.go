@@ -99,27 +99,6 @@ func (p *Peer) lookupRemote(o *op, qid uint64) {
 		}
 	}
 	alpha := p.sys.Cfg.LookupAlpha
-	if p.sys.Cfg.PathCache {
-		if holder, ok := p.pathHint(o.did); ok {
-			// Probe the hinted holder directly. Under α>1 the remaining
-			// probes still ride the ring, so a stale hint costs nothing:
-			// either path may answer first.
-			o.hinted = true
-			o.probes = 1
-			p.sys.stats.PathHintUses++
-			if p.sys.met != nil {
-				p.sys.met.hintUses.Inc()
-			}
-			p.sys.trace(obs.EvLookupForward, qid, p.Addr, holder.Addr, 1, "hint")
-			hm := m
-			hm.Hinted = true
-			p.send(holder.Addr, hm)
-			if alpha > 1 {
-				o.probes += p.sendRingProbes(o.sid, m, alpha-1)
-			}
-			return
-		}
-	}
 	if alpha > 1 {
 		if n := p.sendRingProbes(o.sid, m, alpha); n > 0 {
 			o.probes = n
@@ -131,6 +110,61 @@ func (p *Peer) lookupRemote(o *op, qid uint64) {
 	o.probes = 1
 	p.sys.trace(obs.EvLookupForward, qid, p.Addr, runtime.None, 1, "ring")
 	p.forwardTowardSegment(o.sid, m, runtime.None)
+}
+
+// sendRingProbes fans a remote lookup out along up to max ring paths
+// (α-parallel probes, Kademlia-style). A t-peer origin picks the candidate
+// hops itself; an s-peer origin sends indexed copies up the tree and the
+// first t-peer on the climb diverges them (lookupReq.Probe). Returns the
+// number of probes actually sent.
+func (p *Peer) sendRingProbes(sid idspace.ID, m lookupReq, max int) int {
+	if p.Role == SPeer {
+		if !p.cp.Valid() {
+			return 0
+		}
+		for i := 0; i < max; i++ {
+			pm := m
+			pm.Probe = uint8(i)
+			p.send(p.cp.Addr, pm)
+		}
+		p.sys.stats.ProbesSent += uint64(max)
+		if p.sys.met != nil {
+			p.sys.met.probesSent.Add(int64(max))
+		}
+		return max
+	}
+	var buf [MaxLookupAlpha]Ref
+	cands := p.sys.Cfg.Route.NextHops(p, sid, max, buf[:0])
+	for _, c := range cands {
+		p.sys.stats.RingForwards++
+		p.sys.stats.ProbesSent++
+		p.send(c.Addr, m)
+	}
+	if p.sys.met != nil {
+		p.sys.met.probesSent.Add(int64(len(cands)))
+	}
+	return len(cands)
+}
+
+// forwardProbe routes one α-parallel probe at its divergence point: the
+// first t-peer on the path picks the Probe-th best candidate hop (falling
+// back to the best available) and clears the index, so from here the probe
+// follows the normal best-hop walk.
+func (p *Peer) forwardProbe(m lookupReq, from runtime.Addr) {
+	idx := int(m.Probe)
+	m.Probe = 0
+	var buf [MaxLookupAlpha]Ref
+	cands := p.sys.Cfg.Route.NextHops(p, m.SID, idx+1, buf[:0])
+	if len(cands) == 0 {
+		p.forwardTowardSegment(m.SID, m, from)
+		return
+	}
+	if idx >= len(cands) {
+		idx = len(cands) - 1
+	}
+	p.sys.trace(obs.EvLookupForward, m.QID, p.Addr, cands[idx].Addr, m.Hops, "probe")
+	p.sys.stats.RingForwards++
+	p.send(cands[idx].Addr, m)
 }
 
 // floodOut starts (or restarts) a flood of the local s-network from this
@@ -158,37 +192,12 @@ func (p *Peer) handleLookupReq(from runtime.Addr, m lookupReq) {
 		p.answer(m.Origin, m.QID, it, m.Hops+1)
 		return
 	}
-	wasHinted := m.Hinted
-	if wasHinted {
-		// This peer was probed straight off a path-cache hint but no longer
-		// has the item: bounce the stale hint back to whoever used it, then
-		// continue as a normal routed lookup — one extra hop, not a failure.
-		m.Hinted = false
-		p.send(from, hintDrop{DID: m.DID})
-	}
 	if !p.inLocalSegment(m.SID) {
 		if it, ok := p.replicaFallback(m.DID, m.SID); ok {
 			// Forwarding would route into a suspected crash: serve the local
 			// replica and let read-repair re-home the item.
 			p.answer(m.Origin, m.QID, it, m.Hops+1)
 			return
-		}
-		if p.sys.Cfg.PathCache && p.Role == TPeer && !wasHinted {
-			// Mid-route shortcut: a hint deposited here by an earlier reply
-			// sends the request straight at the holder. wasHinted guards the
-			// two-peer ping-pong where each end hints at the other.
-			if holder, ok := p.pathHint(m.DID); ok && holder.Addr != from && holder.Addr != m.Origin.Addr {
-				p.sys.stats.PathHintUses++
-				if p.sys.met != nil {
-					p.sys.met.hintUses.Inc()
-				}
-				m.Hinted = true
-				m.Probe = 0
-				m.Hops++
-				p.sys.trace(obs.EvLookupForward, m.QID, p.Addr, holder.Addr, m.Hops, "hint")
-				p.send(holder.Addr, m)
-				return
-			}
 		}
 		m.Hops++
 		if m.Probe > 0 && p.Role == TPeer {
@@ -293,16 +302,6 @@ func (p *Peer) handleFound(m foundMsg) {
 	}
 	if p.sys.Cfg.Caching && m.Holder.Addr != p.Addr {
 		p.handleCacheAdd(cacheAdd{Item: m.Item})
-	}
-	if p.sys.Cfg.PathCache && m.Holder.Addr != p.Addr {
-		if o, ok := p.pending[m.QID]; ok && !p.inLocalSegment(o.sid) {
-			// Deposit the route here and at the ring entry point, so both
-			// this peer's next lookup and the whole s-network's shortcut.
-			p.addHint(m.Item.DID, m.Holder)
-			if p.Role == SPeer && p.tpeer.Valid() && p.tpeer.Addr != m.Holder.Addr {
-				p.send(p.tpeer.Addr, routeHint{DID: m.Item.DID, Holder: m.Holder})
-			}
-		}
 	}
 	p.finishOp(m.QID, OpResult{OK: true, Value: m.Item.Value, Hops: m.Hops, Holder: m.Holder})
 }

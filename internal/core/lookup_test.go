@@ -269,3 +269,62 @@ func TestLookupLatencyPositiveAndBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestDeletedKeyDoesNotResurrect: a deleted item must stay gone even after
+// warm lookups left surrogate copies of it in other s-networks (cache.go).
+func TestDeletedKeyDoesNotResurrect(t *testing.T) {
+	sys, peers, keys := populate(t, 64, 60, 40, func(c *Config) {
+		c.Ps = 0.6
+		c.Caching = true
+		c.LookupTimeout = 5 * sim.Second
+	})
+	// Heat the keys so surrogate copies exist.
+	for round := 0; round < 3; round++ {
+		for i, key := range keys {
+			r, err := sys.LookupSync(peers[(i*13+5)%len(peers)], key)
+			if err != nil || !r.OK {
+				t.Fatalf("warm lookup %s: %+v %v", key, r, err)
+			}
+		}
+	}
+	for _, key := range keys {
+		r, err := sys.DeleteSync(peers[0], key)
+		if err != nil || !r.OK {
+			t.Fatalf("delete %s: %+v %v", key, r, err)
+		}
+	}
+	for i, key := range keys {
+		r, err := sys.LookupSync(peers[(i*13+5)%len(peers)], key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.OK {
+			t.Fatalf("deleted key %s resurrected with value %q", key, r.Value)
+		}
+	}
+}
+
+// TestAlphaProbesUnderLookups: α=3 on a healthy system must stay correct
+// (first success wins, late replies cancelled) and account its extra probes.
+func TestAlphaProbesUnderLookups(t *testing.T) {
+	sys, peers, keys := populate(t, 66, 60, 60, func(c *Config) {
+		c.Ps = 0.6
+		c.LookupAlpha = 3
+		c.LookupTimeout = 5 * sim.Second
+	})
+	for i, key := range keys {
+		r, err := sys.LookupSync(peers[(i*13+5)%len(peers)], key)
+		if err != nil || !r.OK {
+			t.Fatalf("α=3 lookup %s: %+v %v", key, r, err)
+		}
+	}
+	if st := sys.Stats(); st.ProbesSent == 0 {
+		t.Fatal("α=3 sent no extra probes")
+	}
+	// Every operation completed, so the op tables must be empty again.
+	for _, p := range sys.Peers() {
+		if n := len(p.pending); n != 0 {
+			t.Fatalf("peer %v left %d ops pending after α-parallel lookups", p.Addr, n)
+		}
+	}
+}

@@ -317,10 +317,6 @@ type lookupReq struct {
 	// hop and clears it, so probes from an s-peer origin diverge at the ring
 	// entry point. 0 on the plain single-probe path.
 	Probe uint8
-	// Hinted marks a request sent straight at a path-cache hint (PathCache):
-	// the receiver must not re-apply its own hints, and if it no longer has
-	// the item it bounces the stale hint back with hintDrop.
-	Hinted bool
 }
 
 // floodReq searches an s-network tree. It travels every tree edge away from

@@ -15,8 +15,6 @@ type sysMetrics struct {
 	storeLatUs  *obs.Histogram // end-to-end store latency, microseconds
 	deleteLatUs *obs.Histogram // end-to-end delete latency, microseconds
 	probesSent  *obs.Counter   // α-parallel ring probes fanned out
-	hintUses    *obs.Counter   // lookups forwarded straight at a path-cache hint
-	hintDrops   *obs.Counter   // stale path-cache hints bounced off
 }
 
 // SetMetrics attaches a metrics registry to the system: lookup and store
@@ -37,8 +35,6 @@ func (s *System) SetMetrics(reg *obs.Registry) {
 		storeLatUs:  reg.Histogram("store.latency_us"),
 		deleteLatUs: reg.Histogram("delete.latency_us"),
 		probesSent:  reg.Counter("lookup.probes_sent"),
-		hintUses:    reg.Counter("lookup.hint_uses"),
-		hintDrops:   reg.Counter("lookup.hint_drops"),
 	}
 }
 

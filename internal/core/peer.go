@@ -86,12 +86,6 @@ type Peer struct {
 	// --- bypass links (§5.4) ---
 	bypass idleTable[runtime.Addr, bypassLink]
 
-	// --- lookup-path cache (Config.PathCache; nil when off) ---
-	// hints maps a data id to the holder a successful remote lookup
-	// reported; ring routing consults it to shortcut straight at the
-	// holder. Invalidation lives in pathcache.go.
-	hints idleTable[idspace.ID, Ref]
-
 	// --- replication (ReplicationK > 1; all state nil/zero at k = 1) ---
 	// owned is the t-peer's authoritative copy of every in-segment item,
 	// including spread items whose bytes live on an s-peer below it.
@@ -209,11 +203,8 @@ type op struct {
 	localFlood bool
 	ringMiss   bool
 	// probes counts outstanding ring probes (LookupAlpha > 1): a definitive
-	// ring miss only counts once every probe has reported. hinted records
-	// that one probe went straight at a path-cache hint, so a timeout can
-	// invalidate the hint before failing.
+	// ring miss only counts once every probe has reported.
 	probes int
-	hinted bool
 	done   func(OpResult)
 	timer  runtime.Handle
 }
@@ -239,9 +230,6 @@ func (p *Peer) Alive() bool { return p.alive }
 
 // Ref returns the peer's own reference.
 func (p *Peer) Ref() Ref { return Ref{ID: p.ID, Addr: p.Addr} }
-
-// TNet returns the peer's s-network root reference.
-func (p *Peer) TNet() Ref { return p.tpeer }
 
 // ConnectPoint returns the peer's tree parent (invalid for t-peers).
 func (p *Peer) ConnectPoint() Ref { return p.cp }
@@ -320,12 +308,6 @@ func (p *Peer) watching(a runtime.Addr) bool {
 
 // NumItems returns the number of locally stored items.
 func (p *Peer) NumItems() int { return len(p.data) }
-
-// HasItem reports whether the peer stores the item with the given key.
-func (p *Peer) HasItem(key string) bool {
-	_, ok := p.data[idspace.HashKey(key)]
-	return ok
-}
 
 // Successor returns the ring successor (t-peers).
 func (p *Peer) Successor() Ref { return p.succ }
@@ -474,12 +456,6 @@ func (p *Peer) recv(from runtime.Addr, msg any) {
 		p.handleDeleteAck(m)
 	case deleteFlood:
 		p.handleDeleteFlood(from, m)
-
-	// Lookup-path caching (PathCache).
-	case routeHint:
-		p.handleRouteHint(m)
-	case hintDrop:
-		p.handleHintDrop(from, m)
 	case deleteRing:
 		p.handleDeleteRing(m)
 
@@ -683,7 +659,7 @@ func (p *Peer) watch(nb runtime.Addr) {
 	}
 	i := p.nbrIndex(nb)
 	if i >= 0 && p.nbrs[i].timer != nil {
-		p.nbrs[i].timer.Reset()
+		p.nbrs[i].timer.Start()
 		return
 	}
 	if i < 0 {
@@ -712,7 +688,7 @@ func (p *Peer) unwatch(nb runtime.Addr) {
 // liveness signal (HELLO or ack).
 func (p *Peer) refreshWatchdog(from runtime.Addr) {
 	if i := p.nbrIndex(from); i >= 0 && p.nbrs[i].timer != nil {
-		p.nbrs[i].timer.Reset()
+		p.nbrs[i].timer.Start()
 	}
 	if len(p.suspect) != 0 {
 		// Any liveness signal clears the routing suspicion (a partition
@@ -722,14 +698,11 @@ func (p *Peer) refreshWatchdog(from runtime.Addr) {
 }
 
 // markSuspect flags a neighbor as suspected dead for routing purposes.
-// Path-cache hints naming the suspect are invalidated with it: a hint is a
-// routing shortcut, and shortcuts into a crash are worse than none.
 func (p *Peer) markSuspect(nb runtime.Addr) {
 	if p.suspect == nil {
 		p.suspect = make(map[runtime.Addr]bool)
 	}
 	p.suspect[nb] = true
-	p.dropHintsTo(nb)
 }
 
 // maybeAck responds to a data query with an acknowledgment unless the
@@ -781,7 +754,6 @@ func (p *Peer) stop() {
 		p.finishOp(qid, OpResult{OK: false})
 	}
 	p.cache.stopAll()
-	p.hints.stopAll()
 	p.bypass.stopAll()
 	// Close search windows for the same reason: report what was collected
 	// so far rather than leaving a SearchSync caller hanging.

@@ -616,7 +616,7 @@ func (p *Peer) ownerDelete(did idspace.ID) bool {
 			existed = true
 		}
 	}
-	p.forget(did)
+	p.cache.drop(did)
 	if len(p.children) > 0 {
 		var flood any = deleteFlood{DID: did, TTL: 1 << 20}
 		for i := range p.children {
@@ -668,8 +668,6 @@ func (p *Peer) handleDeleteAck(m deleteAck) {
 }
 
 // handleDeleteFlood removes stored and cached copies down an s-network tree.
-// Path-cache hints for the item die with it: the route they name leads to a
-// holder that no longer has anything to serve.
 func (p *Peer) handleDeleteFlood(from runtime.Addr, m deleteFlood) {
 	if _, ok := p.data[m.DID]; ok {
 		delete(p.data, m.DID)
@@ -677,7 +675,7 @@ func (p *Peer) handleDeleteFlood(from runtime.Addr, m deleteFlood) {
 			p.send(p.tpeer.Addr, indexRemove{DID: m.DID, Holder: p.Ref()})
 		}
 	}
-	p.forget(m.DID)
+	p.cache.drop(m.DID)
 	if m.TTL <= 1 {
 		return
 	}
@@ -696,7 +694,7 @@ func (p *Peer) handleDeleteRing(m deleteRing) {
 	if p.Addr == m.Origin.Addr || m.TTL <= 1 {
 		return
 	}
-	p.forget(m.DID)
+	p.cache.drop(m.DID)
 	if len(p.children) > 0 {
 		var flood any = deleteFlood{DID: m.DID, TTL: 1 << 20}
 		for i := range p.children {

@@ -637,7 +637,7 @@ func TestReplicationDeltaLossFullPush(t *testing.T) {
 	storeVia(t, sys, owner, keysOwnedBy(sys, owner, "lost", 1))
 	sys.Settle(tick) // the eager push and the tick's delta both die on the link
 	sys.Net().SetFaults(nil)
-	if err := sys.CheckReplication(); err == nil {
+	if err := sys.check("replica_holders"); err == nil {
 		t.Fatal("replication invariant holds although every push of the new item was dropped")
 	}
 	baseFull := tr.fullPuts[owner.Addr]
@@ -646,7 +646,7 @@ func TestReplicationDeltaLossFullPush(t *testing.T) {
 		t.Fatalf("%d full pushes on the tick after a lost delta, want 1", got)
 	}
 	sys.Settle(tick)
-	if err := sys.CheckReplication(); err != nil {
+	if err := sys.check("replica_holders"); err != nil {
 		t.Fatalf("not repaired two ticks after the loss: %v", err)
 	}
 	if owner.repDeficit != 0 {

@@ -127,18 +127,6 @@ func (sv *Server) pickLandmarks() {
 // Landmarks returns the landmark hosts.
 func (sv *Server) Landmarks() []int { return append([]int(nil), sv.landmarks...) }
 
-// RingSize returns the number of registered t-peers.
-func (sv *Server) RingSize() int { return len(sv.ring) }
-
-// SNetSizes returns a copy of the per-s-network size table.
-func (sv *Server) SNetSizes() map[runtime.Addr]int {
-	out := make(map[runtime.Addr]int, len(sv.snetSize))
-	for k, v := range sv.snetSize {
-		out[k] = v
-	}
-	return out
-}
-
 func (sv *Server) recv(from runtime.Addr, msg any) {
 	switch m := msg.(type) {
 	case serverJoinReq:

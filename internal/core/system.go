@@ -85,8 +85,6 @@ type SystemStats struct {
 	ReadRepairs        uint64 // replica serves that re-installed the item on its owner
 	ReplicaPromotions  uint64 // held replicas promoted to owned after a takeover
 	ProbesSent         uint64 // α-parallel ring probes fanned out (LookupAlpha > 1)
-	PathHintUses       uint64 // lookups forwarded straight at a path-cache hint
-	PathHintDrops      uint64 // stale path-cache hints invalidated by a bounce
 }
 
 // NewSystem creates an empty hybrid system on the given runtime. The server

@@ -85,6 +85,3 @@ func (p *Peer) handleFetch(m fetchReq) {
 	// Stale index entry: the item moved or was lost with a crash.
 	p.send(m.Origin.Addr, notFoundMsg{QID: m.QID, Hops: m.Hops + 1})
 }
-
-// IndexSize returns the tracker index size (t-peers in tracker mode).
-func (p *Peer) IndexSize() int { return len(p.index) }

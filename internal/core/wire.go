@@ -91,9 +91,7 @@ func WireMessages() []any {
 		deleteAck{},
 		deleteFlood{},
 
-		// Lookup-path caching and cache-wide delete invalidation (PR 10).
-		routeHint{},
-		hintDrop{},
+		// Cache-wide delete invalidation.
 		deleteRing{},
 
 		// Replication anti-entropy (PR 20).

@@ -147,7 +147,7 @@ func Registry() []Experiment {
 		{ID: "Table2", Title: "Total connum under different p_s and TTL values", Run: RunTable2},
 		{ID: "AblationTree", Title: "Ablation: tree s-networks vs mesh flooding (duplicate deliveries)", Run: RunAblationTree},
 		{ID: "AblationBypass", Title: "Ablation: bypass links on/off (t-network load and latency)", Run: RunAblationBypass},
-		{ID: "AblationRouting", Title: "Ablation: routing seam — α-parallel probes and lookup-path cache under faults", Run: RunAblationRouting},
+		{ID: "AblationRouting", Title: "Ablation: routing seam — α-parallel probes under faults", Run: RunAblationRouting},
 		{ID: "Baselines", Title: "Chord, Gnutella and Kademlia baselines vs the hybrid system", Run: RunBaselines},
 		{ID: "ExtCaching", Title: "Extension: future-work caching scheme under Zipf load", Run: RunExtCaching},
 		{ID: "ExtWalk", Title: "Extension: random-walk search vs flooding", Run: RunExtWalk},

@@ -6,14 +6,13 @@ import (
 	"repro/internal/simnet"
 )
 
-// RunAblationRouting quantifies the PR-10 routing seam: the same hybrid
-// system at p_s = 0.7 is run with the default finger walk (α = 1), with
-// α = 3 parallel probes, and with α = 3 plus the lookup-path cache, all
-// under one identical fault schedule (a 10% crash wave followed by 5%
-// message drop/duplication with delay jitter). Parallel probes buy loss
-// tolerance — a lookup only fails when every outstanding probe is lost —
-// and the path cache buys shorter routes on repeat keys, so the combined
-// arm must strictly beat the baseline on failure ratio or latency.
+// RunAblationRouting quantifies α-parallel ring probes: the same hybrid
+// system at p_s = 0.7 is run with the default finger walk (α = 1) and with
+// α = 3 parallel probes, both under one identical fault schedule (a 10%
+// crash wave followed by 5% message drop/duplication with delay jitter).
+// Parallel probes buy loss tolerance — a lookup only fails when every
+// outstanding probe is lost — so the α = 3 arm must strictly beat the
+// baseline on failure ratio or latency.
 func RunAblationRouting(o Options) (*Result, error) {
 	res := newResult("AblationRouting")
 
@@ -23,16 +22,14 @@ func RunAblationRouting(o Options) (*Result, error) {
 	modes := []struct {
 		name, tag string
 		alpha     int
-		cache     bool
 	}{
-		{"hybrid alpha=1 (baseline walk)", "alpha1", 1, false},
-		{"hybrid alpha=3", "alpha3", 3, false},
-		{"hybrid alpha=3 + path cache", "alpha3cache", 3, true},
+		{"hybrid alpha=1 (baseline walk)", "alpha1", 1},
+		{"hybrid alpha=3", "alpha3", 3},
 	}
 
 	type routingArm struct {
-		failure, latency            float64
-		probes, hintUses, hintDrops uint64
+		failure, latency float64
+		probes           uint64
 	}
 	arms, err := sweep(o, len(modes), func(i int) (routingArm, error) {
 		mode := modes[i]
@@ -47,17 +44,16 @@ func RunAblationRouting(o Options) (*Result, error) {
 		}
 		cfg := expConfig(0.7)
 		cfg.LookupAlpha = mode.alpha
-		cfg.PathCache = mode.cache
 		sc, err := buildScenario(o, cfg, o.Seed+990, nil, keys)
 		if err != nil {
 			return routingArm{}, err
 		}
-		// The crash wave creates suspects and dead holders, exercising hint
-		// invalidation; the injected loss afterwards exercises the α probes.
+		// The crash wave creates suspects and dead holders; the injected loss
+		// afterwards exercises the α probes.
 		sc.crashFraction(0.10)
-		// Warm pass with clean delivery: deposits path hints (cache arms) and
-		// lets read-repair restore replicas, modeling a population that has
-		// looked keys up before the loss sets in.
+		// Warm pass with clean delivery: lets read-repair restore replicas,
+		// modeling a population that has looked keys up before the loss sets
+		// in.
 		if _, err := sc.lookups(queries/2, 4, keys, sc.anyLive, func(k int) int { return k }); err != nil {
 			return routingArm{}, err
 		}
@@ -70,11 +66,9 @@ func RunAblationRouting(o Options) (*Result, error) {
 		st := sc.Sys.Stats()
 		sc.observe(o, "AblationRouting "+mode.name)
 		return routingArm{
-			failure:   failureRatio(rs),
-			latency:   meanLatencyMs(rs),
-			probes:    st.ProbesSent,
-			hintUses:  st.PathHintUses,
-			hintDrops: st.PathHintDrops,
+			failure: failureRatio(rs),
+			latency: meanLatencyMs(rs),
+			probes:  st.ProbesSent,
 		}, nil
 	})
 	if err != nil {
@@ -82,18 +76,16 @@ func RunAblationRouting(o Options) (*Result, error) {
 	}
 
 	t := metrics.NewTable("Ablation: routing seam under faults (p_s=0.7, 10% crash wave, 5% drop/dup)",
-		"mode", "failure", "mean latency ms", "extra probes", "hint uses", "hint drops")
+		"mode", "failure", "mean latency ms", "extra probes")
 	for i, mode := range modes {
 		a := arms[i]
-		t.AddRow(mode.name, a.failure, a.latency, int(a.probes), int(a.hintUses), int(a.hintDrops))
+		t.AddRow(mode.name, a.failure, a.latency, int(a.probes))
 		res.Values[mode.tag+"_failure"] = a.failure
 		res.Values[mode.tag+"_latency_ms"] = a.latency
 		res.Values[mode.tag+"_probes"] = float64(a.probes)
-		res.Values[mode.tag+"_hint_uses"] = float64(a.hintUses)
 	}
 	res.Tables = append(res.Tables, t)
 	res.Notes = append(res.Notes,
-		"α parallel probes tolerate message loss (a lookup fails only when every probe is lost)",
-		"the path cache short-circuits repeat lookups; suspect/dead peers invalidate their hints")
+		"α parallel probes tolerate message loss (a lookup fails only when every probe is lost)")
 	return res, nil
 }

@@ -1,6 +1,5 @@
 // Package gnutella implements a Gnutella-style unstructured peer-to-peer
-// network: an arbitrary mesh overlay searched by TTL-bounded flooding or
-// random walks.
+// network: an arbitrary mesh overlay searched by TTL-bounded flooding.
 //
 // It is the unstructured comparator from the paper (the hybrid system with
 // p_s = 1 "becomes a Gnutella-style unstructured peer-to-peer system") and
@@ -32,10 +31,6 @@ type Config struct {
 	DegreeTarget int
 	// LookupTimeout bounds a query before it is declared failed.
 	LookupTimeout runtime.Time
-	// WalkCount is the number of walkers a random-walk query launches.
-	WalkCount int
-	// WalkTTL is the hop budget of each walker.
-	WalkTTL int
 }
 
 // DefaultConfig returns the parameters used by the experiments.
@@ -43,8 +38,6 @@ func DefaultConfig() Config {
 	return Config{
 		DegreeTarget:  4,
 		LookupTimeout: 30 * runtime.Second,
-		WalkCount:     4,
-		WalkTTL:       32,
 	}
 }
 
@@ -193,7 +186,6 @@ type (
 		Origin runtime.Addr
 		TTL    int
 		Hops   int
-		Walk   bool // random walk instead of flood
 	}
 	queryHit struct {
 		QID   uint64
@@ -226,15 +218,6 @@ func (p *Peer) send(to runtime.Addr, msg any) {
 // Lookup floods a query with the given TTL (0 uses the default) and reports
 // the first hit, or failure after the timeout.
 func (p *Peer) Lookup(key string, ttl int, done func(Result)) {
-	p.search(key, ttl, false, done)
-}
-
-// LookupWalk performs a k-walker random walk search instead of flooding.
-func (p *Peer) LookupWalk(key string, done func(Result)) {
-	p.search(key, 0, true, done)
-}
-
-func (p *Peer) search(key string, ttl int, walk bool, done func(Result)) {
 	if ttl <= 0 {
 		ttl = defaultTTL
 	}
@@ -253,31 +236,14 @@ func (p *Peer) search(key string, ttl int, walk bool, done func(Result)) {
 		p.net.rt.SendLocal(p.Addr, queryHit{QID: qid, Value: it.Value, Hops: 0})
 		return
 	}
-	m := queryMsg{QID: qid, DID: did, Origin: p.Addr, TTL: ttl, Hops: 0, Walk: walk}
-	if walk {
-		m.TTL = p.net.Cfg.WalkTTL
-		p.forwardWalkers(m, p.net.Cfg.WalkCount)
-		return
-	}
+	m := queryMsg{QID: qid, DID: did, Origin: p.Addr, TTL: ttl, Hops: 0}
 	for _, nb := range p.Neighbors() {
 		p.send(nb, m)
 	}
 }
 
-// forwardWalkers sends k copies of a walk query to random neighbors.
-func (p *Peer) forwardWalkers(m queryMsg, k int) {
-	nbs := p.Neighbors()
-	if len(nbs) == 0 {
-		return
-	}
-	rng := p.net.rt.Rand()
-	for i := 0; i < k; i++ {
-		p.send(nbs[rng.Intn(len(nbs))], m)
-	}
-}
-
 func (p *Peer) handleQuery(from runtime.Addr, m queryMsg) {
-	if p.seen[m.QID] && !m.Walk {
+	if p.seen[m.QID] {
 		// Mesh duplicate: the cost the hybrid system's tree eliminates.
 		p.net.DuplicateDeliveries++
 		return
@@ -287,20 +253,13 @@ func (p *Peer) handleQuery(from runtime.Addr, m queryMsg) {
 
 	if it, ok := p.data[m.DID]; ok {
 		p.send(m.Origin, queryHit{QID: m.QID, Value: it.Value, Hops: m.Hops + 1})
-		if !m.Walk {
-			return // stop flooding on hit
-		}
-		return
+		return // stop flooding on hit
 	}
 	if m.TTL <= 1 {
 		return
 	}
 	m.TTL--
 	m.Hops++
-	if m.Walk {
-		p.forwardWalkers(m, 1)
-		return
-	}
 	for _, nb := range p.Neighbors() {
 		if nb != from {
 			p.send(nb, m)

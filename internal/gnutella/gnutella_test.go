@@ -173,32 +173,6 @@ func TestDuplicateDeliveriesCounted(t *testing.T) {
 	}
 }
 
-func TestRandomWalk(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WalkCount = 8
-	cfg.WalkTTL = 64
-	cfg.LookupTimeout = 10 * sim.Second
-	eng, _, peers := mesh(t, 60, 7, cfg)
-	// Popular item: many replicas make walks effective.
-	for i := 0; i < 20; i++ {
-		peers[i*3].StoreLocal("popular", "v")
-	}
-	done := false
-	var r Result
-	peers[1].LookupWalk("popular", func(res Result) { done = true; r = res })
-	for steps := 0; !done; steps++ {
-		if steps > 20_000_000 {
-			t.Fatal("walk stuck")
-		}
-		if !eng.Step() {
-			t.Fatal("engine dry")
-		}
-	}
-	if !r.OK {
-		t.Fatal("random walk failed to find a 33%-replicated item")
-	}
-}
-
 func TestLeaveNotifiesNeighbors(t *testing.T) {
 	eng, gnet, peers := mesh(t, 30, 8, DefaultConfig())
 	victim := peers[10]

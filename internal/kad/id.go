@@ -6,8 +6,8 @@
 // It is the third baseline next to internal/chord and internal/gnutella —
 // the industry-standard comparator (BitTorrent Mainline DHT, IPFS) for the
 // hybrid system's lookup cost and churn resilience — and the reference
-// design for the α-probe and path-cache ports in internal/core (see
-// Config.LookupAlpha and Config.PathCache there).
+// design for the α-probe port in internal/core (see Config.LookupAlpha
+// there).
 package kad
 
 import (

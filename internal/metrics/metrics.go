@@ -41,16 +41,13 @@ func (s *Summary) N() int64 { return s.n }
 // Mean returns the running mean (0 with no observations).
 func (s *Summary) Mean() float64 { return s.mean }
 
-// Var returns the sample variance.
-func (s *Summary) Var() float64 {
+// Stddev returns the sample standard deviation.
+func (s *Summary) Stddev() float64 {
 	if s.n < 2 {
 		return 0
 	}
-	return s.m2 / float64(s.n-1)
+	return math.Sqrt(s.m2 / float64(s.n-1))
 }
-
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Var()) }
 
 // Min returns the smallest observation (0 with no observations).
 func (s *Summary) Min() float64 { return s.min }

@@ -44,8 +44,8 @@ func TestSummaryAgainstDirect(t *testing.T) {
 			for _, x := range xs {
 				varSum += (x - mean) * (x - mean)
 			}
-			want := varSum / float64(len(xs)-1)
-			if math.Abs(s.Var()-want) > 1e-6*(1+want) {
+			want := math.Sqrt(varSum / float64(len(xs)-1))
+			if math.Abs(s.Stddev()-want) > 1e-6*(1+want) {
 				return false
 			}
 		}
@@ -58,7 +58,7 @@ func TestSummaryAgainstDirect(t *testing.T) {
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Var() != 0 || s.Stddev() != 0 || s.N() != 0 {
+	if s.Mean() != 0 || s.Stddev() != 0 || s.N() != 0 {
 		t.Fatal("empty summary not zero")
 	}
 	if !strings.Contains(s.String(), "n=0") {

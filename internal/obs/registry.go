@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -106,18 +105,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Names returns all registered metric names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.kinds))
-	for n := range r.kinds {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Snapshot flattens the registry into name -> value. Counters and gauges map

@@ -77,13 +77,12 @@ type Event struct {
 // (each event carries its own simulated timestamp, and the point label tells
 // interleaved streams apart).
 type Tracer struct {
-	mu      sync.Mutex
-	label   string
-	cap     int
-	buf     []Event
-	start   int // index of the oldest event once the ring is full
-	seq     uint64
-	dropped uint64
+	mu    sync.Mutex
+	label string
+	cap   int
+	buf   []Event
+	start int // index of the oldest event once the ring is full
+	seq   uint64
 }
 
 // DefaultTraceCap is the default ring capacity (events kept before the oldest
@@ -126,7 +125,6 @@ func (t *Tracer) Emit(kind Kind, at runtime.Time, lookup uint64, from, to, hops 
 	} else {
 		t.buf[t.start] = e
 		t.start = (t.start + 1) % t.cap
-		t.dropped++
 	}
 	t.mu.Unlock()
 }
@@ -139,16 +137,6 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.buf)
-}
-
-// Overwritten returns how many events the ring has dropped to stay bounded.
-func (t *Tracer) Overwritten() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Events returns the retained events in emission order.

@@ -16,8 +16,6 @@ type Timer struct {
 	run    func() // the expiry thunk, bound once at construction
 	ev     Handle
 	active bool
-	fires  int
-	resets int
 }
 
 // NewTimer returns a stopped timer that runs fn after d once started.
@@ -29,13 +27,14 @@ func NewTimer(clk Clock, d Time, fn func()) *Timer {
 	t.run = func() {
 		t.active = false
 		t.ev = Handle{}
-		t.fires++
 		t.fn()
 	}
 	return t
 }
 
-// Start arms the timer. Starting an armed timer restarts it.
+// Start arms the timer with its default duration. Starting an armed timer
+// restarts it; this matches the paper's semantics where any HELLO or
+// acknowledgment re-arms the neighbor's failure detector.
 func (t *Timer) Start() {
 	t.StartAfter(t.d)
 }
@@ -48,14 +47,6 @@ func (t *Timer) StartAfter(d Time) {
 	t.ev = t.clk.Schedule(d, t.run)
 }
 
-// Reset restarts the timer with its default duration, counting the reset.
-// Reset on a stopped timer arms it; this matches the paper's semantics where
-// any HELLO or acknowledgment re-arms the neighbor's failure detector.
-func (t *Timer) Reset() {
-	t.resets++
-	t.StartAfter(t.d)
-}
-
 // Stop disarms the timer if it is armed.
 func (t *Timer) Stop() {
 	t.clk.Unschedule(t.ev)
@@ -66,15 +57,6 @@ func (t *Timer) Stop() {
 // Active reports whether the timer is armed.
 func (t *Timer) Active() bool { return t.active }
 
-// Fires returns how many times the timer has expired.
-func (t *Timer) Fires() int { return t.fires }
-
-// Resets returns how many times Reset was called.
-func (t *Timer) Resets() int { return t.resets }
-
-// Duration returns the default duration the timer was created with.
-func (t *Timer) Duration() Time { return t.d }
-
 // Ticker invokes a callback at a fixed period until stopped. It is used for
 // periodic protocol maintenance: finger refresh and HELLO broadcasts.
 type Ticker struct {
@@ -83,7 +65,6 @@ type Ticker struct {
 	fn     func()
 	run    func() // the tick thunk, bound once at construction
 	ev     Handle
-	ticks  int
 }
 
 // NewTicker returns a stopped ticker with the given period.
@@ -93,7 +74,6 @@ func NewTicker(clk Clock, period Time, fn func()) *Ticker {
 	// every peer runs a HELLO ticker forever, so per-tick closures dominate
 	// steady-state maintenance allocations.
 	t.run = func() {
-		t.ticks++
 		t.schedule()
 		t.fn()
 	}
@@ -115,6 +95,3 @@ func (t *Ticker) Stop() {
 	t.clk.Unschedule(t.ev)
 	t.ev = Handle{}
 }
-
-// Ticks returns the number of completed firings.
-func (t *Ticker) Ticks() int { return t.ticks }

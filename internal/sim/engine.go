@@ -207,15 +207,6 @@ func (e *Engine) Scheduled(h runtime.Handle) bool {
 	return (Handle{ev: ev, epoch: h.Epoch()}).Pending()
 }
 
-// RunSteps dispatches at most n events and returns the number dispatched.
-func (e *Engine) RunSteps(n int) int {
-	ran := 0
-	for ran < n && e.Step() {
-		ran++
-	}
-	return ran
-}
-
 // eventQueue is a binary min-heap over (time, seq), implemented inline
 // (mirroring topology's distHeap) so scheduling involves no interface
 // boxing or indirect Less/Swap calls.

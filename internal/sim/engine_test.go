@@ -213,22 +213,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestRunSteps(t *testing.T) {
-	eng := New(1)
-	for i := 0; i < 10; i++ {
-		eng.At(Time(i), func() {})
-	}
-	if got := eng.RunSteps(4); got != 4 {
-		t.Fatalf("RunSteps = %d, want 4", got)
-	}
-	if got := eng.RunSteps(100); got != 6 {
-		t.Fatalf("RunSteps = %d, want 6", got)
-	}
-	if eng.Dispatched() != 10 {
-		t.Fatalf("Dispatched = %d", eng.Dispatched())
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	runOnce := func() []int64 {
 		eng := New(99)
@@ -295,7 +279,7 @@ func TestTimerResetExtends(t *testing.T) {
 	tm := runtime.NewTimer(eng, 100, func() { fired++ })
 	tm.Start()
 	eng.RunUntil(50)
-	tm.Reset() // now expires at 150
+	tm.Start() // restarts: now expires at 150
 	eng.RunUntil(120)
 	if fired != 0 {
 		t.Fatal("timer fired before the reset deadline")
@@ -303,9 +287,6 @@ func TestTimerResetExtends(t *testing.T) {
 	eng.RunUntil(200)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
-	}
-	if tm.Resets() != 1 || tm.Fires() != 1 {
-		t.Fatalf("resets=%d fires=%d", tm.Resets(), tm.Fires())
 	}
 }
 
@@ -363,9 +344,6 @@ func TestTicker(t *testing.T) {
 		if ti != Time(10*(i+1)) {
 			t.Fatalf("tick %d at %v", i, ti)
 		}
-	}
-	if tk.Ticks() != 5 {
-		t.Fatalf("Ticks() = %d", tk.Ticks())
 	}
 }
 

@@ -12,7 +12,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -52,7 +51,7 @@ type Edge struct {
 //
 // Once generated, a Graph is immutable and safe for concurrent use: multiple
 // simulation engines (e.g. parallel sweep points) may share one Graph and
-// call Latency, Path and Diameter from different goroutines. A Graph must not
+// call Latency and Path from different goroutines. A Graph must not
 // be copied after first use.
 type Graph struct {
 	Nodes []Node
@@ -77,15 +76,6 @@ type spSlot struct {
 
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
-
-// NumEdges returns the number of undirected links.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, es := range g.Adj {
-		total += len(es)
-	}
-	return total / 2
-}
 
 // addEdge inserts an undirected link; duplicate links are ignored.
 func (g *Graph) addEdge(a, b int, latency int64) {
@@ -239,44 +229,6 @@ func (g *Graph) Path(a, b int) ([]int, error) {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev, nil
-}
-
-// Diameter returns the maximum shortest-path latency over sampled node pairs.
-// sources limits the computation; pass NumNodes() for the exact diameter.
-func (g *Graph) Diameter(sources int) int64 {
-	if sources > len(g.Nodes) {
-		sources = len(g.Nodes)
-	}
-	var max int64
-	for i := 0; i < sources; i++ {
-		t := g.shortestPaths(i)
-		for _, d := range t.dist {
-			if d != math.MaxInt64 && d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
-// DegreeHistogram returns degree -> node count, with degrees sorted by the
-// caller via SortedDegrees.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for i := range g.Nodes {
-		h[g.Degree(i)]++
-	}
-	return h
-}
-
-// SortedDegrees returns the distinct degrees in ascending order.
-func SortedDegrees(h map[int]int) []int {
-	out := make([]int, 0, len(h))
-	for d := range h {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // distItem and distHeap implement the Dijkstra priority queue without

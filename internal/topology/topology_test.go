@@ -227,40 +227,6 @@ func TestDisconnectedError(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g, err := GenerateTransitStub(DefaultConfig(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := g.DegreeHistogram()
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != g.NumNodes() {
-		t.Fatalf("histogram covers %d of %d nodes", total, g.NumNodes())
-	}
-	ds := SortedDegrees(h)
-	for i := 1; i < len(ds); i++ {
-		if ds[i] <= ds[i-1] {
-			t.Fatal("SortedDegrees not ascending")
-		}
-	}
-	if ds[0] < 1 {
-		t.Fatal("graph has isolated nodes")
-	}
-}
-
-func TestDiameterPositive(t *testing.T) {
-	g, err := GenerateTransitStub(DefaultConfig(), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := g.Diameter(16); d <= 0 {
-		t.Fatalf("diameter = %d", d)
-	}
-}
-
 func TestTransitBackboneLongerThanStubLinks(t *testing.T) {
 	g, err := GenerateTransitStub(DefaultConfig(), 8)
 	if err != nil {

@@ -71,13 +71,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// TotalNodes returns the node count the configuration will generate.
-func (c Config) TotalNodes() int {
-	transit := c.TransitDomains * c.TransitNodesPerDomain
-	stubs := transit * c.StubDomainsPerTransit * c.StubNodesPerDomain
-	return transit + stubs
-}
-
 // GenerateTransitStub builds a random transit-stub topology. The same
 // (config, seed) pair always yields the same graph.
 func GenerateTransitStub(cfg Config, seed int64) (*Graph, error) {

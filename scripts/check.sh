@@ -76,15 +76,15 @@ gate() {
     routinggate)
         # Routing-seam gate: Kademlia baseline unit tests, baseline
         # determinism (two full RunBaselines passes byte-identical), the
-        # α-parallel + path-cache ablation acceptance test, SuccessorWalk
-        # held to the recorded successor-only hops, and the path-cache
-        # invalidation suite under churn.
-        echo "== routing-seam gate (kad, baseline determinism, alpha/path-cache ablation)"
+        # α-parallel ablation acceptance test, SuccessorWalk held to the
+        # recorded successor-only hops, and a deleted key staying deleted
+        # past the surrogate cache.
+        echo "== routing-seam gate (kad, baseline determinism, alpha ablation)"
         go test ./internal/kad -count=1
         go test ./internal/exp -count=1 \
             -run '^(TestBaselinesDeterminism|TestAblationRoutingGate)$'
         go test ./internal/core -count=1 \
-            -run '^(TestPathCache|TestAlphaProbes|TestStrategyEquivalence)'
+            -run '^(TestDeletedKeyDoesNotResurrect|TestAlphaProbes|TestStrategyEquivalence)'
         ;;
     retired)
         # Names deleted on purpose must not come back: the routing bool
@@ -105,11 +105,14 @@ gate() {
         # seed sentinel) and the eleven config fields nobody set (constants
         # now); the interest Assignment value InterestCategories > 0 selects
         # alone, the exact-sample and map-backed metrics types metrics.PDF
-        # replaced, and Freeform's fault seed beside its simnet.FaultConfig.
+        # replaced, and Freeform's fault seed beside its simnet.FaultConfig;
+        # the lookup-path cache with its hint messages, counters and flag,
+        # the Gnutella baseline's random walk nobody ran, and the engine
+        # stepper and degree histogram nobody called.
         # CHANGES.md and ROADMAP.md may tell the story; this script
         # has to spell the patterns.
         echo "== retired-name gate (deleted flags, types, programs, files and Make targets stay deleted)"
-        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout|AssignInterest|metrics\.(Sample|NewHistogram)|FaultSeed' \
+        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout|AssignInterest|metrics\.(Sample|NewHistogram)|FaultSeed|PathCache|pathcache|routeHint|hintDrop|PathHint|NumHints|hint_(uses|drops)|LookupWalk|RunSteps|DegreeHistogram' \
             --include='*.go' --include='*.md' --include='*.sh' --include=Makefile \
             --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh \
             --exclude-dir=.git --exclude-dir=.bench_build .; then
