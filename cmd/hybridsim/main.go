@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.InterestCategories, "interests", cfg.InterestCategories, "interest categories (>0 enables interest-based s-networks)")
 	fs.Float64Var(&p.Crash, "crash", 0, "fraction of peers to crash before the lookup phase, in [0, 1)")
 	fs.BoolVar(&p.Zipf, "zipf", false, "Zipf-skewed lookup popularity instead of uniform")
-	fs.BoolVar(&cfg.RandomWalk, "walk", cfg.RandomWalk, "random-walk s-network search instead of flooding")
 	fs.BoolVar(&cfg.Caching, "caching", cfg.Caching, "enable the future-work hot-data caching scheme")
 	fs.BoolVar(&p.Hist, "hist", false, "record lookup/store histograms and print latency/hop percentiles")
 	fs.IntVar(&cfg.LookupAlpha, "alpha", cfg.LookupAlpha, "parallel lookup probes on the t-network (1 = the paper's single walk)")

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"os"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -15,7 +19,6 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"ps<0", func(c *Config) { c.Ps = -0.1 }},
 		{"ps>1", func(c *Config) { c.Ps = 1.1 }},
 		{"placement7", func(c *Config) { c.Placement = 7 }},
-		{"idgen7", func(c *Config) { c.IDGen = 7 }},
 		{"assignment7", func(c *Config) { c.Assignment = 7 }},
 		{"delta<2", func(c *Config) { c.Delta = 1 }},
 		{"ttl<1", func(c *Config) { c.TTL = 0 }},
@@ -25,8 +28,6 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"join0", func(c *Config) { c.JoinTimeout = 0 }},
 		{"finger0", func(c *Config) { c.FingerRefreshEvery = 0 }},
 		{"landmarks", func(c *Config) { c.Assignment = AssignCluster; c.Landmarks = 0 }},
-		{"walkcount0", func(c *Config) { c.RandomWalk = true; c.WalkCount = 0 }},
-		{"walkttl0", func(c *Config) { c.RandomWalk = true; c.WalkTTL = 0 }},
 		{"cachehot0", func(c *Config) { c.Caching = true; c.CacheHotThreshold = 0 }},
 		{"cachewindow0", func(c *Config) { c.Caching = true; c.CacheWindow = 0 }},
 		{"cachettl0", func(c *Config) { c.Caching = true; c.CacheTTL = 0 }},
@@ -49,7 +50,7 @@ func TestConfigValidateErrors(t *testing.T) {
 // TestConfigWithDefaults: nothing fills a zero field in any more. A zero
 // Config is refused, and so is a partial one; a zero that is meaningful
 // (SuppressTimeout: never suppress) or belongs to a feature that is off
-// (Landmarks without AssignCluster, the walk and cache knobs) is accepted.
+// (Landmarks without AssignCluster, the cache knobs) is accepted.
 func TestConfigWithDefaults(t *testing.T) {
 	var zero Config
 	if err := zero.Validate(); err == nil {
@@ -60,7 +61,6 @@ func TestConfigWithDefaults(t *testing.T) {
 	}
 	c := DefaultConfig()
 	c.SuppressTimeout, c.Landmarks = 0, 0
-	c.WalkCount, c.WalkTTL = 0, 0
 	c.CacheHotThreshold, c.CacheWindow, c.CacheTTL = 0, 0, 0
 	if err := c.Validate(); err != nil {
 		t.Fatalf("meaningful or unused zeros refused: %v", err)
@@ -216,5 +216,54 @@ func TestDeterministicRuns(t *testing.T) {
 	s2, h2, d2 := run()
 	if s1 != s2 || h1 != h2 || d1 != d2 {
 		t.Fatalf("non-deterministic:\n%+v hops=%d events=%d\n%+v hops=%d events=%d", s1, h1, d1, s2, h2, d2)
+	}
+}
+
+// TestMechanismLedgerMatchesConfig holds DESIGN.md's "Mechanism ledger" to
+// Config: one row per field other than the paper's own four parameters, so a
+// knob can neither arrive unaccounted for nor leave a row behind.
+func TestMechanismLedgerMatchesConfig(t *testing.T) {
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ledger, ok := strings.Cut(string(raw), "\n## Mechanism ledger")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "Mechanism ledger" section`)
+	}
+	rows := make(map[string]int)
+	inTable := false
+	for _, line := range strings.Split(ledger, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		first, _, _ := strings.Cut(strings.TrimPrefix(line, "|"), "|")
+		if name, ok := strings.CutPrefix(strings.TrimSpace(first), "`"); ok {
+			rows[strings.TrimSuffix(name, "`")]++
+		}
+	}
+	paper := map[string]bool{"Ps": true, "Delta": true, "TTL": true, "Placement": true}
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		name := ct.Field(i).Name
+		if paper[name] {
+			continue
+		}
+		if rows[name] != 1 {
+			t.Errorf("Config.%s has %d ledger rows, want 1", name, rows[name])
+		}
+		delete(rows, name)
+	}
+	stale := make([]string, 0, len(rows))
+	for name := range rows {
+		stale = append(stale, name)
+	}
+	sort.Strings(stale)
+	for _, name := range stale {
+		t.Errorf("ledger row %q names no Config field beyond Ps/Delta/TTL/Placement", name)
 	}
 }

@@ -303,14 +303,11 @@ func (v *view) unownedItems() {
 	}
 }
 
-// stuckOps: a store, lookup or search still pending at quiescence.
+// stuckOps: a store or lookup still pending at quiescence.
 func (v *view) stuckOps() {
 	for _, p := range v.live {
 		for qid, o := range p.pending {
 			v.report(p.Addr, runtime.None, "%s of key %q pending (qid %d)", o.kind, o.key, qid)
-		}
-		for qid := range p.searches {
-			v.report(p.Addr, runtime.None, "search pending (qid %d)", qid)
 		}
 	}
 }

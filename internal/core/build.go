@@ -118,25 +118,6 @@ func (s *System) runOp(issue func(done func(OpResult))) (OpResult, error) {
 	return result, nil
 }
 
-// SearchSync runs a prefix search and drives the engine until its window
-// closes (or it fills maxResults).
-func (s *System) SearchSync(p *Peer, prefix string, maxResults int, window runtime.Time) (SearchResult, error) {
-	var (
-		finished bool
-		result   SearchResult
-	)
-	s.rt.Do(func() {
-		p.SearchPrefix(prefix, maxResults, window, func(r SearchResult) {
-			finished = true
-			result = r
-		})
-	})
-	if err := s.rt.Await(func() bool { return finished }); err != nil {
-		return result, fmt.Errorf("core: search: %w", err)
-	}
-	return result, nil
-}
-
 // Settle advances time by d, letting periodic maintenance (HELLO rounds,
 // finger refresh, watchdogs) run.
 func (s *System) Settle(d runtime.Time) {

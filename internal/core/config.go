@@ -59,19 +59,6 @@ func (p Placement) String() string {
 	return "spread"
 }
 
-// IDGen selects how the bootstrap server generates t-peer ids (§3.2.1).
-type IDGen uint8
-
-const (
-	// IDRandom draws a uniform random id.
-	IDRandom IDGen = iota
-	// IDHashAddr hashes the peer's address.
-	IDHashAddr
-	// IDLocation derives the id from the peer's physical coordinates so
-	// that physically close peers are close on the ring.
-	IDLocation
-)
-
 // Assignment selects how the server maps joining s-peers to s-networks.
 type Assignment uint8
 
@@ -99,8 +86,6 @@ type Config struct {
 	TTL int
 	// Placement selects the data placement scheme.
 	Placement Placement
-	// IDGen selects t-peer id generation.
-	IDGen IDGen
 	// Assignment selects s-network assignment for joining s-peers; interest
 	// assignment (InterestCategories > 0) takes precedence over it.
 	Assignment Assignment
@@ -130,13 +115,6 @@ type Config struct {
 	// TTL increased by one (§3.4 allows the peer to "increase the TTL
 	// value ... and reflood"). 0 disables refloods.
 	Reflood int
-
-	// RandomWalk replaces s-network flooding with k-walker random walks
-	// (§3.1 allows "flooding or random walks"). WalkCount walkers with
-	// WalkTTL hop budgets search the tree.
-	RandomWalk bool
-	WalkCount  int
-	WalkTTL    int
 
 	// Caching implements the paper's future-work scheme: a peer that
 	// serves the same item more than CacheHotThreshold times within
@@ -191,7 +169,6 @@ func DefaultConfig() Config {
 		Delta:              3,
 		TTL:                4,
 		Placement:          PlaceSpread,
-		IDGen:              IDRandom,
 		Assignment:         AssignSmallest,
 		Landmarks:          8,
 		Reflood:            0,
@@ -201,8 +178,6 @@ func DefaultConfig() Config {
 		LookupTimeout:      30 * runtime.Second,
 		JoinTimeout:        30 * runtime.Second,
 		FingerRefreshEvery: 2 * runtime.Second,
-		WalkCount:          4,
-		WalkTTL:            32,
 		CacheHotThreshold:  8,
 		CacheWindow:        30 * runtime.Second,
 		CacheTTL:           120 * runtime.Second,
@@ -219,8 +194,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Ps %v outside [0, 1]", c.Ps)
 	case c.Placement > PlaceSpread:
 		return fmt.Errorf("core: unknown Placement %d", c.Placement)
-	case c.IDGen > IDLocation:
-		return fmt.Errorf("core: unknown IDGen %d", c.IDGen)
 	case c.Assignment > AssignCluster:
 		return fmt.Errorf("core: unknown Assignment %d", c.Assignment)
 	case c.Delta < 2:
@@ -237,8 +210,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: JoinTimeout and FingerRefreshEvery must be positive")
 	case c.topologyAware() && c.Landmarks < 1:
 		return fmt.Errorf("core: AssignCluster requires at least one landmark")
-	case c.RandomWalk && (c.WalkCount < 1 || c.WalkTTL < 1):
-		return fmt.Errorf("core: RandomWalk requires WalkCount and WalkTTL >= 1, got %d and %d", c.WalkCount, c.WalkTTL)
 	case c.Caching && (c.CacheHotThreshold < 1 || c.CacheWindow <= 0 || c.CacheTTL <= 0):
 		return fmt.Errorf("core: Caching requires CacheHotThreshold >= 1 and positive CacheWindow and CacheTTL")
 	case c.ReplicationK < 1:

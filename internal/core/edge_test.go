@@ -81,62 +81,6 @@ func TestOrphanedSPeerRehomesThroughServer(t *testing.T) {
 	}
 }
 
-func TestSearchUncategorizedStaysLocal(t *testing.T) {
-	sys := newTestSystem(t, 100, func(c *Config) { c.Ps = 0.8 })
-	if _, _, err := sys.BuildPopulation(PopulationOpts{N: 40}); err != nil {
-		t.Fatal(err)
-	}
-	sys.Settle(6 * sys.Cfg.HelloEvery)
-	origin := sys.SPeers()[0]
-	before := sys.Stats().RingForwards
-	if _, err := sys.SearchSync(origin, "plain-prefix/", 0, 3*sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.Stats().RingForwards - before; got != 0 {
-		t.Fatalf("uncategorized search used %d ring forwards; must stay in the local s-network", got)
-	}
-}
-
-func TestSearchEmptyResult(t *testing.T) {
-	sys := newTestSystem(t, 101, func(c *Config) { c.Ps = 0.6 })
-	if _, _, err := sys.BuildPopulation(PopulationOpts{N: 20}); err != nil {
-		t.Fatal(err)
-	}
-	sys.Settle(6 * sys.Cfg.HelloEvery)
-	res, err := sys.SearchSync(sys.Peers()[0], "nothing-matches/", 0, 2*sim.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Items) != 0 {
-		t.Fatalf("found %d phantom items", len(res.Items))
-	}
-	if res.Latency < 2*sim.Second {
-		t.Fatal("empty search returned before its collection window closed")
-	}
-}
-
-func TestWalkOnLoneTPeer(t *testing.T) {
-	// Walk mode on a peer with no tree neighbors must fail cleanly via the
-	// timeout rather than hanging or panicking.
-	sys := newTestSystem(t, 102, func(c *Config) {
-		c.Ps = 0
-		c.RandomWalk = true
-		c.LookupTimeout = 2 * sim.Second
-	})
-	peers, _, err := sys.BuildPopulation(PopulationOpts{N: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Settle(2 * sim.Second)
-	r, err := sys.LookupSync(peers[0], "missing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.OK {
-		t.Fatal("missing key found")
-	}
-}
-
 func TestStoreWithNilCallback(t *testing.T) {
 	sys := newTestSystem(t, 103, func(c *Config) { c.Ps = 0.5 })
 	peers, _, err := sys.BuildPopulation(PopulationOpts{N: 20})

@@ -192,7 +192,7 @@ func TestInterestLookupStaysLocal(t *testing.T) {
 	// Publishers store within their own category.
 	keys := workload.InterestKeys(60, 4)
 	for i, key := range keys {
-		cat := workload.KeyCategory(key)
+		cat := CategoryOf(key)
 		var pub *Peer
 		for _, p := range peers {
 			if p.Interest == cat && p.Alive() {
@@ -217,7 +217,7 @@ func TestInterestLookupStaysLocal(t *testing.T) {
 	before := sys.Stats().RingForwards
 	okCount := 0
 	for i, key := range keys {
-		cat := workload.KeyCategory(key)
+		cat := CategoryOf(key)
 		var origin *Peer
 		for j := range peers {
 			p := peers[(i+j)%len(peers)]

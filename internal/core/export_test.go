@@ -22,20 +22,29 @@ func (s *System) desRuntime() *simnet.Runtime {
 }
 
 // tapRuntime is the DES runtime with a hook that sees every message the
-// protocol sends, payload included (the network's tracer only names types).
+// protocol sends, payload included (the network's tracer only names types),
+// and sends what the hook returns.
 type tapRuntime struct {
 	*simnet.Runtime
-	tap func(from, to runtime.Addr, msg any)
+	rewrite func(from, to runtime.Addr, msg any) any
 }
 
 func (r *tapRuntime) Send(from, to runtime.Addr, size int, msg any) {
-	r.tap(from, to, msg)
-	r.Runtime.Send(from, to, size, msg)
+	r.Runtime.Send(from, to, size, r.rewrite(from, to, msg))
+}
+
+// RewriteSends routes every later Send of the system through rewrite, which
+// returns the message actually sent.
+func (s *System) RewriteSends(rewrite func(from, to runtime.Addr, msg any) any) {
+	s.rt = &tapRuntime{Runtime: s.desRuntime(), rewrite: rewrite}
 }
 
 // TapSends routes every later Send of the system through tap first.
 func (s *System) TapSends(tap func(from, to runtime.Addr, msg any)) {
-	s.rt = &tapRuntime{Runtime: s.desRuntime(), tap: tap}
+	s.RewriteSends(func(from, to runtime.Addr, msg any) any {
+		tap(from, to, msg)
+		return msg
+	})
 }
 
 // Eng returns the simulation engine under the system's runtime.
@@ -71,11 +80,6 @@ func (p *Peer) armedTimers() int {
 		n++
 	}
 	for _, o := range p.pending {
-		if p.sys.rt.Scheduled(o.timer) {
-			n++
-		}
-	}
-	for _, o := range p.searches {
 		if p.sys.rt.Scheduled(o.timer) {
 			n++
 		}

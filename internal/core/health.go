@@ -41,7 +41,7 @@ type HealthScore struct {
 	RootMismatches   int `json:"root_mismatches"`
 	DeltaViolations  int `json:"delta_violations"`
 	UnownedItems     int `json:"unowned_items"`
-	// StuckOps is expected under load: operations and searches in flight.
+	// StuckOps is expected under load: operations in flight.
 	StuckOps int `json:"stuck_ops"`
 
 	// Violations lists the first maxReported of those counted above, in

@@ -182,7 +182,6 @@ func (p *Peer) rejoinViaServer() {
 	req := serverJoinReq{
 		Capacity:  p.Capacity,
 		Interest:  p.Interest,
-		Host:      p.Host,
 		ForceRole: int8(SPeer),
 	}
 	if p.sys.Cfg.topologyAware() {

@@ -66,10 +66,6 @@ func (p *Peer) lookupLocal(o *op, qid uint64) {
 		p.finishOp(qid, OpResult{OK: false})
 		return
 	}
-	if p.sys.Cfg.RandomWalk {
-		p.startWalks(qid, o.did, p.Ref())
-		return
-	}
 	p.floodOut(qid, o.did, o.ttl, p.Ref())
 }
 
@@ -82,11 +78,7 @@ func (p *Peer) lookupLocal(o *op, qid uint64) {
 func (p *Peer) lookupRemote(o *op, qid uint64) {
 	if !p.sys.Cfg.TrackerMode && p.numNeighbors() > 0 {
 		o.localFlood = true
-		if p.sys.Cfg.RandomWalk {
-			p.startWalks(qid, o.did, p.Ref())
-		} else {
-			p.floodOut(qid, o.did, o.ttl, p.Ref())
-		}
+		p.floodOut(qid, o.did, o.ttl, p.Ref())
 	}
 	m := lookupReq{QID: qid, DID: o.did, SID: o.sid, Origin: p.Ref(), TTL: o.ttl, Hops: 1}
 	if p.sys.Cfg.Bypass {
@@ -232,10 +224,6 @@ func (p *Peer) handleLookupReq(from runtime.Addr, m lookupReq) {
 			m.Hops++
 			p.send(p.tpeer.Addr, m)
 		}
-		return
-	}
-	if p.sys.Cfg.RandomWalk {
-		p.startWalks(m.QID, m.DID, m.Origin)
 		return
 	}
 	// Flood away from where the request came from; for requests arriving

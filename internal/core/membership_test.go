@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/idspace"
+	"repro/internal/runtime"
 	"repro/internal/sim"
 )
 
@@ -161,22 +162,32 @@ func TestConcurrentMixedJoins(t *testing.T) {
 }
 
 func TestIDConflictResolvedByMidpoint(t *testing.T) {
-	// End to end: location-based id generation gives two peers on the same
-	// physical host the same p_id; the insertion point must detect the
+	// End to end: the server's answer to the fourth t-peer is rewritten to
+	// carry the first t-peer's p_id; the insertion point must detect the
 	// conflict and assign the midpoint id instead (Table 1, pre.check).
-	sys := newTestSystem(t, 10, func(c *Config) {
-		c.Ps = 0
-		c.IDGen = IDLocation
+	sys := newTestSystem(t, 10, func(c *Config) { c.Ps = 0 })
+	var firstID idspace.ID
+	grants := 0
+	sys.RewriteSends(func(from, to runtime.Addr, msg any) any {
+		if r, ok := msg.(serverJoinResp); ok && r.Role == TPeer {
+			grants++
+			switch grants {
+			case 1:
+				firstID = r.ID
+			case 4:
+				r.ID = firstID
+				return r
+			}
+		}
+		return msg
 	})
-	host := sys.Topo().StubNodes()[3]
-	hosts := []int{host, sys.Topo().StubNodes()[9], sys.Topo().StubNodes()[20], host}
-	peers, _, err := sys.BuildPopulation(PopulationOpts{N: 4, Hosts: hosts})
+	peers, _, err := sys.BuildPopulation(PopulationOpts{N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Settle(10 * sim.Second)
 	if got := sys.Stats().IDConflicts; got == 0 {
-		t.Fatal("co-located peers did not trigger an id conflict")
+		t.Fatal("a duplicate p_id did not trigger an id conflict")
 	}
 	if peers[0].ID == peers[3].ID {
 		t.Fatal("conflicting id kept")

@@ -34,7 +34,6 @@ type serverJoinReq struct {
 	// Coord is the peer's landmark coordinate (ordered landmark indices)
 	// when topology awareness is on; nil otherwise.
 	Coord string
-	Host  int
 	// ForceRole pins the role (-1 = let the server decide).
 	ForceRole int8
 }

@@ -125,8 +125,6 @@ type Peer struct {
 
 	// --- client operations ---
 	pending map[uint64]*op
-	// searches holds in-flight prefix searches (search.go).
-	searches map[uint64]*searchOp
 
 	// --- pending join ---
 	joinStart runtime.Time
@@ -424,12 +422,6 @@ func (p *Peer) recv(from runtime.Addr, msg any) {
 		p.handleBypassAdd(m)
 	case cacheAdd:
 		p.handleCacheAdd(m)
-	case walkReq:
-		p.handleWalk(m)
-	case searchReq:
-		p.handleSearch(from, m)
-	case searchHit:
-		p.handleSearchHit(m)
 	case ringStabQ:
 		p.send(from, ringStabA{Pred: p.pred, Succ: p.succ})
 	case ringStabA:
@@ -755,16 +747,6 @@ func (p *Peer) stop() {
 	}
 	p.cache.stopAll()
 	p.bypass.stopAll()
-	// Close search windows for the same reason: report what was collected
-	// so far rather than leaving a SearchSync caller hanging.
-	searches := make([]uint64, 0, len(p.searches))
-	for qid := range p.searches {
-		searches = append(searches, qid)
-	}
-	sort.Slice(searches, func(i, j int) bool { return searches[i] < searches[j] })
-	for _, qid := range searches {
-		p.finishSearch(qid)
-	}
 	p.sys.rt.Detach(p.Addr)
 	p.sys.removePeer(p.Addr)
 }

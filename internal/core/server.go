@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -272,7 +271,7 @@ func (sv *Server) handleJoin(from runtime.Addr, m serverJoinReq) {
 			// The first joiner is retrying — its response was lost. Re-issue
 			// the same role instead of parking it behind its own
 			// registration.
-			sv.send(from, serverJoinResp{Role: TPeer, ID: sv.generateID(from, m), First: true})
+			sv.send(from, serverJoinResp{Role: TPeer, ID: sv.generateID(), First: true})
 			return
 		} else {
 			// The first t-peer was created but its registration is still in
@@ -287,7 +286,7 @@ func (sv *Server) handleJoin(from runtime.Addr, m serverJoinReq) {
 	switch role {
 	case TPeer:
 		sv.tCount++
-		resp.ID = sv.generateID(from, m)
+		resp.ID = sv.generateID()
 		if !sv.firstIssued {
 			sv.firstIssued = true
 			sv.firstAddr = from
@@ -304,7 +303,7 @@ func (sv *Server) handleJoin(from runtime.Addr, m serverJoinReq) {
 			sv.firstIssued = true
 			sv.firstAddr = from
 			resp.Role = TPeer
-			resp.ID = sv.generateID(from, m)
+			resp.ID = sv.generateID()
 			resp.First = true
 			break
 		}
@@ -351,32 +350,10 @@ func (sv *Server) decideRole(m serverJoinReq) Role {
 	}
 }
 
-// generateID produces a p_id per the configured policy. Conflicts are
-// possible and are resolved at the insertion point with the midpoint rule.
-func (sv *Server) generateID(from runtime.Addr, m serverJoinReq) idspace.ID {
-	switch sv.sys.Cfg.IDGen {
-	case IDHashAddr:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(from))
-		return idspace.HashBytes(b[:])
-	case IDLocation:
-		// Project the host's coordinates onto the ring by angle around
-		// the unit square's center so physically close peers get close
-		// ids. Without a placement model there are no coordinates and the
-		// id falls back to a uniform draw.
-		pl := sv.sys.rt.Placement()
-		if pl == nil {
-			return idspace.ID(sv.sys.rt.Rand().Uint64())
-		}
-		x, y, ok := pl.HostCoord(m.Host)
-		if !ok {
-			return idspace.ID(sv.sys.rt.Rand().Uint64())
-		}
-		theta := math.Atan2(y-0.5, x-0.5) + math.Pi
-		return idspace.ID(theta / (2 * math.Pi) * float64(math.MaxUint64))
-	default:
-		return idspace.ID(sv.sys.rt.Rand().Uint64())
-	}
+// generateID draws a uniform random p_id. Conflicts are possible and are
+// resolved at the insertion point with the midpoint rule.
+func (sv *Server) generateID() idspace.ID {
+	return idspace.ID(sv.sys.rt.Rand().Uint64())
 }
 
 // assignSNetwork picks the s-network for a joining s-peer.

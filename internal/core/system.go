@@ -74,8 +74,6 @@ type SystemStats struct {
 	QueuedJoinRequests int
 	CachePushes        uint64
 	CacheHits          uint64
-	WalksSent          uint64
-	SearchesSent       uint64
 	ItemsRehomed       uint64 // foreign items re-routed to their owning segment
 	ReplicasPushed     uint64 // item copies in owner-originated replicaPuts (eager, delta and full)
 	ReplicaFullPushes  uint64 // replicaPuts that carried an owner's whole owned set
@@ -282,7 +280,6 @@ func (s *System) Join(opts JoinOpts, done func(*Peer, JoinStats)) *Peer {
 	req := serverJoinReq{
 		Capacity:  opts.Capacity,
 		Interest:  opts.Interest,
-		Host:      opts.Host,
 		ForceRole: -1,
 	}
 	if opts.ForceRole != nil {

@@ -75,12 +75,9 @@ func WireMessages() []any {
 		indexRemove{},
 		fetchReq{},
 
-		// Extensions: bypass links, surrogate caching, random walks, search.
+		// Extensions: bypass links, surrogate caching.
 		bypassAdd{},
 		cacheAdd{},
-		walkReq{},
-		searchReq{},
-		searchHit{},
 
 		// Replication and the client-facing delete (ReplicationK).
 		replicaPut{},

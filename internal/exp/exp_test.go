@@ -17,7 +17,7 @@ func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
 	want := []string{"Fig3a", "Fig3b", "Fig4", "Fig5a", "Fig5b", "Fig6a", "Fig6b", "Table2",
 		"AblationTree", "AblationBypass", "AblationRouting", "Baselines",
-		"ExtCaching", "ExtWalk", "LinkStress", "Churn", "ChurnStorm", "Scale"}
+		"ExtCaching", "LinkStress", "Churn", "ChurnStorm", "Scale"}
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
 	}
@@ -275,17 +275,6 @@ func TestExtCachingShape(t *testing.T) {
 	if res.Values["maxserves_cache"] >= res.Values["maxserves_nocache"] {
 		t.Errorf("caching did not flatten the hottest peer: %v vs %v",
 			res.Values["maxserves_cache"], res.Values["maxserves_nocache"])
-	}
-}
-
-func TestExtWalkShape(t *testing.T) {
-	res, err := RunExtWalk(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Values["failure_flood"] > res.Values["failure_walk"] {
-		t.Errorf("flooding failed more than walks: %v vs %v",
-			res.Values["failure_flood"], res.Values["failure_walk"])
 	}
 }
 

@@ -85,61 +85,6 @@ func RunExtCaching(o Options) (*Result, error) {
 	return res, nil
 }
 
-// RunExtWalk compares flooding with k-walker random walks (§3.1 allows both)
-// inside large s-networks: contacts per lookup, failure ratio and latency.
-func RunExtWalk(o Options) (*Result, error) {
-	res := newResult("ExtWalk")
-
-	keys := keysN(o.Items)
-	modes := []struct {
-		name, tag string
-		walk      bool
-	}{
-		{"flood (TTL 4)", "flood", false},
-		{"3 walkers, TTL 12", "walk", true},
-	}
-
-	type walkArm struct {
-		contacts, failure, latency float64
-	}
-	arms, err := sweep(o, len(modes), func(i int) (walkArm, error) {
-		cfg := expConfig(0.9)
-		cfg.RandomWalk = modes[i].walk
-		cfg.WalkCount = 3
-		cfg.WalkTTL = 12
-		sc, err := buildScenario(o, cfg, o.Seed+910, nil, keys)
-		if err != nil {
-			return walkArm{}, err
-		}
-		rs, err := sc.lookups(o.Lookups/2, 4, keys, sc.anyLive, func(k int) int { return k })
-		if err != nil {
-			return walkArm{}, err
-		}
-		sc.observe(o, "ExtWalk "+modes[i].tag)
-		return walkArm{
-			contacts: float64(totalContacts(rs)) / float64(len(rs)),
-			failure:  failureRatio(rs),
-			latency:  meanLatencyMs(rs),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	t := metrics.NewTable("Extension: flooding vs k-walker random walks (p_s=0.9)",
-		"search", "contacts/lookup", "failure", "mean ms")
-	for i, mode := range modes {
-		a := arms[i]
-		t.AddRow(mode.name, a.contacts, a.failure, a.latency)
-		res.Values["contacts_"+mode.tag] = a.contacts
-		res.Values["failure_"+mode.tag] = a.failure
-	}
-	res.Tables = append(res.Tables, t)
-	res.Notes = append(res.Notes,
-		"walks bound per-query bandwidth at the price of a higher miss probability (§3.1)")
-	return res, nil
-}
-
 // RunLinkStress measures the §5.2 motivation directly: the maximum physical
 // link stress (copies of overlay messages crossing one physical link) with
 // and without topology-aware peer clustering.

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -26,6 +27,27 @@ func readGolden(t *testing.T, path string) map[string]string {
 		}
 	}
 	return want
+}
+
+// requireRegisteredIDs fails unless the ids a golden file names are exactly
+// the registered experiments bar Scale: an experiment that leaves the
+// registry must take its golden entry with it.
+func requireRegisteredIDs(t *testing.T, file string, ids map[string]string) {
+	t.Helper()
+	var got, want []string
+	for id := range ids {
+		got = append(got, id)
+	}
+	for _, e := range Registry() {
+		if e.ID != "Scale" {
+			want = append(want, e.ID)
+		}
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s names %v, want the registered experiments bar Scale: %v", file, got, want)
+	}
 }
 
 // checkGolden runs experiment id at QuickOptions (seed 42, one worker), with
@@ -59,6 +81,7 @@ func TestQuickOutputGolden(t *testing.T) {
 		t.Skip("runs every experiment's quick pass")
 	}
 	want := readGolden(t, "testdata/quick_golden.sha256")
+	requireRegisteredIDs(t, "quick_golden.sha256", want)
 	for _, e := range Registry() {
 		if e.ID == "Scale" {
 			continue
@@ -104,6 +127,7 @@ func TestManifestLabelsGolden(t *testing.T) {
 		id, _, _ := strings.Cut(block, "\n")
 		want[id] = block
 	}
+	requireRegisteredIDs(t, "manifest_golden.txt", want)
 	for _, e := range Registry() {
 		if e.ID == "Scale" {
 			continue

@@ -150,7 +150,6 @@ func Registry() []Experiment {
 		{ID: "AblationRouting", Title: "Ablation: routing seam — α-parallel probes under faults", Run: RunAblationRouting},
 		{ID: "Baselines", Title: "Chord, Gnutella and Kademlia baselines vs the hybrid system", Run: RunBaselines},
 		{ID: "ExtCaching", Title: "Extension: future-work caching scheme under Zipf load", Run: RunExtCaching},
-		{ID: "ExtWalk", Title: "Extension: random-walk search vs flooding", Run: RunExtWalk},
 		{ID: "LinkStress", Title: "Extension: physical link stress with/without topology awareness", Run: RunLinkStress},
 		{ID: "Churn", Title: "Extension: lookups under live Poisson churn", Run: RunChurn},
 		{ID: "ChurnStorm", Title: "Hardening: churn storm under injected faults, invariants checked every epoch", Run: RunChurnStorm},

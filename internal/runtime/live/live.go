@@ -307,7 +307,7 @@ func (r *Runtime) NewAddr() runtime.Addr { return runtime.Addr(r.next.Add(1)) }
 func (r *Runtime) ServerAddr() runtime.Addr { return serverAddr }
 
 // Placement returns nil: neither carrier has a physical model, so the
-// protocol falls back to locality-free landmark and id assignment.
+// protocol falls back to locality-free landmark assignment.
 func (r *Runtime) Placement() runtime.Placement { return nil }
 
 // Do runs fn under the executor lock, serialized against every handler and

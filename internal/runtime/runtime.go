@@ -161,16 +161,14 @@ type Transport interface {
 	SendLocal(a Addr, msg any)
 }
 
-// Placement exposes the physical topology underneath the transport, for
-// protocol features that exploit locality: landmark-based ID assignment and
-// coordinate hashing. A runtime with no physical model returns nil from
-// Placement, and the protocol falls back to locality-free behavior.
+// Placement exposes the physical topology underneath the transport: the
+// hosts peers may live on, and the host latencies landmark binning measures.
+// A runtime with no physical model returns nil from Placement, and the
+// protocol falls back to locality-free behavior.
 type Placement interface {
 	// StubHosts returns the hosts peers may be placed on, in ascending
 	// order.
 	StubHosts() []int
-	// HostCoord returns a host's coordinates in the unit square.
-	HostCoord(host int) (x, y float64, ok bool)
 	// HostLatency returns the propagation latency between two hosts in
 	// microseconds.
 	HostLatency(a, b int) (int64, error)

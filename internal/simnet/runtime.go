@@ -92,14 +92,6 @@ type placement struct {
 
 func (p placement) StubHosts() []int { return p.topo.StubNodes() }
 
-func (p placement) HostCoord(host int) (x, y float64, ok bool) {
-	if host < 0 || host >= len(p.topo.Nodes) {
-		return 0, 0, false
-	}
-	n := p.topo.Nodes[host]
-	return n.X, n.Y, true
-}
-
 func (p placement) HostLatency(a, b int) (int64, error) { return p.topo.Latency(a, b) }
 
 // Do implements runtime.Runtime. Everything is already serialized on the

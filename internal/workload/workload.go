@@ -21,23 +21,14 @@ func Keys(n int) []string {
 }
 
 // InterestKeys returns n keys tagged with an interest category in [0, cats).
-// The category is recoverable with KeyCategory, letting interest-based
-// experiments route keys to themed s-networks.
+// core.CategoryOf recovers the category, letting interest-based experiments
+// route keys to themed s-networks.
 func InterestKeys(n, cats int) []string {
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("cat%02d/item-%06d", i%cats, i)
 	}
 	return keys
-}
-
-// KeyCategory extracts the category index from an InterestKeys key, or -1.
-func KeyCategory(key string) int {
-	var cat, item int
-	if _, err := fmt.Sscanf(key, "cat%02d/item-%06d", &cat, &item); err != nil {
-		return -1
-	}
-	return cat
 }
 
 // Picker selects keys for lookups according to a popularity distribution.
