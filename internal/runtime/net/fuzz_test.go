@@ -70,6 +70,7 @@ func FuzzCodecDecode(f *testing.F) {
 		if len(payload) > 0 { // a field-less message encodes to nothing
 			f.Add(code, payload[:len(payload)/2])
 			f.Add(code, payload[:len(payload)-1])
+			f.Add(code, []byte{}) // truncated before the first field
 		}
 		// Length prefixes claiming far more than the frame holds: the
 		// largest the decoder accepts on its own, and one beyond it in
