@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.Landmarks, "landmarks", cfg.Landmarks, "number of landmarks (with -topoaware)")
 	fs.BoolVar(&cfg.Bypass, "bypass", cfg.Bypass, "enable bypass links")
 	fs.BoolVar(&cfg.TrackerMode, "tracker", cfg.TrackerMode, "BitTorrent-style tracker s-networks")
-	fs.IntVar(&cfg.InterestCategories, "interests", cfg.InterestCategories, "interest categories (>0 enables interest-based s-networks)")
 	fs.Float64Var(&p.Crash, "crash", 0, "fraction of peers to crash before the lookup phase, in [0, 1)")
 	fs.BoolVar(&p.Zipf, "zipf", false, "Zipf-skewed lookup popularity instead of uniform")
 	fs.BoolVar(&cfg.Caching, "caching", cfg.Caching, "enable the future-work hot-data caching scheme")

@@ -19,7 +19,7 @@ import (
 // exp.TestFreeformGolden, which pins the same lines below the flags).
 func TestStdoutGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs thirteen 200-peer simulations")
+		t.Skip("runs twelve 200-peer simulations")
 	}
 	raw, err := os.ReadFile("../../internal/exp/testdata/freeform_golden.sha256")
 	if err != nil {

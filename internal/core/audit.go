@@ -162,9 +162,9 @@ func (v *view) liveAt(a runtime.Addr) bool {
 	return v.local(a) != nil || a != runtime.None && v.s.partial && v.s.rt.Attached(a)
 }
 
-// owner returns the t-peer whose ring segment covers sid (tps is non-empty).
-func (v *view) owner(sid idspace.ID) *Peer {
-	i := sort.Search(len(v.tps), func(i int) bool { return v.tps[i].ID >= sid })
+// owner returns the t-peer whose ring segment covers id (tps is non-empty).
+func (v *view) owner(id idspace.ID) *Peer {
+	i := sort.Search(len(v.tps), func(i int) bool { return v.tps[i].ID >= id })
 	if i == len(v.tps) {
 		i = 0 // wrap: the smallest id owns the arc past the largest
 	}
@@ -285,9 +285,9 @@ func (v *view) deltaViolations() {
 	}
 }
 
-// unownedItems: the segment id is the key hash, or the category id in
-// interest-based mode, and tpeer names the root of the holder's s-network (a
-// t-peer's is itself; a rejoining s-peer has none to judge against).
+// unownedItems: an item belongs to the segment covering its d_id, and tpeer
+// names the root of the holder's s-network (a t-peer's is itself; a
+// rejoining s-peer has none to judge against).
 // Surrogate copies live in the separate cache map and are exempt.
 func (v *view) unownedItems() {
 	if len(v.tps) == 0 {
@@ -295,9 +295,9 @@ func (v *view) unownedItems() {
 	}
 	for _, p := range v.live {
 		for _, it := range p.data {
-			if own := v.owner(p.itemSID(it)); p.tpeer.Valid() && own.Addr != p.tpeer.Addr {
-				v.report(p.Addr, own.Addr, "item %q (sid %s) is stored in s-network %d but t-peer %d (id %s, pred %d) owns its segment; holder segLo=%s id=%s",
-					it.Key, p.itemSID(it), p.tpeer.Addr, own.Addr, own.ID, own.pred.Addr, p.segLo, p.ID)
+			if own := v.owner(it.DID); p.tpeer.Valid() && own.Addr != p.tpeer.Addr {
+				v.report(p.Addr, own.Addr, "item %q (did %s) is stored in s-network %d but t-peer %d (id %s, pred %d) owns its segment; holder segLo=%s id=%s",
+					it.Key, it.DID, p.tpeer.Addr, own.Addr, own.ID, own.pred.Addr, p.segLo, p.ID)
 			}
 		}
 	}

@@ -16,8 +16,6 @@ type PopulationOpts struct {
 	// Hosts optionally pins peers to physical hosts; missing entries are
 	// drawn uniformly from the topology's stub nodes.
 	Hosts []int
-	// Interests optionally assigns per-peer interest categories.
-	Interests []int
 	// ForceRole pins every peer's role instead of letting the server
 	// decide (used to build the ring before populating s-networks).
 	ForceRole *Role
@@ -47,9 +45,6 @@ func (s *System) BuildPopulation(o PopulationOpts) ([]*Peer, []JoinStats, error)
 			opts.Host = o.Hosts[i]
 		} else {
 			s.rt.Do(func() { opts.Host = stubs[s.rt.Rand().Intn(len(stubs))] })
-		}
-		if i < len(o.Interests) {
-			opts.Interest = o.Interests[i]
 		}
 		p, js, err := s.JoinSync(opts)
 		if err != nil {

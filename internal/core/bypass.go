@@ -49,11 +49,11 @@ func (p *Peer) handleBypassAdd(m bypassAdd) {
 // segment covers the given id, refreshing its expiry ("transmitting a packet
 // through the bypass link will refresh the attached timer"). Of several
 // covering links the lowest address wins, for determinism.
-func (p *Peer) bypassFor(sid idspace.ID) (Ref, bool) {
+func (p *Peer) bypassFor(id idspace.ID) (Ref, bool) {
 	best := NilRef
 	for _, e := range p.bypass {
 		l := e.val
-		if !idspace.Between(l.segLo, sid, l.peer.ID) {
+		if !idspace.Between(l.segLo, id, l.peer.ID) {
 			continue
 		}
 		if !best.Valid() || l.peer.Addr < best.Addr {

@@ -8,9 +8,8 @@
 // substitution-on-leave, s-peer join via random-branch walks, HELLO/ack
 // failure detection with suppress timers, data insertion under both placement
 // schemes, two-tier lookup (local flood, then t-network routing, then remote
-// flood), and the five enhancements (link heterogeneity, topology awareness,
-// interest-based s-networks, bypass links, and BitTorrent-style tracker
-// s-networks).
+// flood), and four of the five enhancements (link heterogeneity, topology
+// awareness, bypass links, and BitTorrent-style tracker s-networks).
 package core
 
 import (
@@ -86,8 +85,7 @@ type Config struct {
 	TTL int
 	// Placement selects the data placement scheme.
 	Placement Placement
-	// Assignment selects s-network assignment for joining s-peers; interest
-	// assignment (InterestCategories > 0) takes precedence over it.
+	// Assignment selects s-network assignment for joining s-peers.
 	Assignment Assignment
 
 	// Heterogeneity makes the server rank peers by link capacity and
@@ -98,11 +96,6 @@ type Config struct {
 	// Landmarks is the number of landmark peers AssignCluster bins by.
 	Landmarks int
 
-	// InterestCategories > 0 selects interest assignment (§5.3): a joining
-	// s-peer goes to the s-network serving its declared category, one of
-	// that many, whatever Assignment says.
-	InterestCategories int
-
 	// Bypass enables bypass links (§5.4).
 	Bypass bool
 
@@ -110,11 +103,6 @@ type Config struct {
 	// network (§5.5): the t-peer indexes its s-network's content and no
 	// flooding happens.
 	TrackerMode bool
-
-	// Reflood is how many times a failed local flood is retried with the
-	// TTL increased by one (§3.4 allows the peer to "increase the TTL
-	// value ... and reflood"). 0 disables refloods.
-	Reflood int
 
 	// Caching implements the paper's future-work scheme: a peer that
 	// serves the same item more than CacheHotThreshold times within
@@ -171,7 +159,6 @@ func DefaultConfig() Config {
 		Placement:          PlaceSpread,
 		Assignment:         AssignSmallest,
 		Landmarks:          8,
-		Reflood:            0,
 		HelloEvery:         2 * runtime.Second,
 		HelloTimeout:       5 * runtime.Second,
 		SuppressTimeout:    1 * runtime.Second,
@@ -208,7 +195,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: LookupTimeout must be positive")
 	case c.JoinTimeout <= 0, c.FingerRefreshEvery <= 0:
 		return fmt.Errorf("core: JoinTimeout and FingerRefreshEvery must be positive")
-	case c.topologyAware() && c.Landmarks < 1:
+	case c.Assignment == AssignCluster && c.Landmarks < 1:
 		return fmt.Errorf("core: AssignCluster requires at least one landmark")
 	case c.Caching && (c.CacheHotThreshold < 1 || c.CacheWindow <= 0 || c.CacheTTL <= 0):
 		return fmt.Errorf("core: Caching requires CacheHotThreshold >= 1 and positive CacheWindow and CacheTTL")
@@ -220,10 +207,4 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Route must be set (DefaultConfig uses FingerWalk)")
 	}
 	return nil
-}
-
-// topologyAware reports whether peers compute landmark coordinates (§5.2):
-// only cluster assignment consumes them, and interest assignment overrides it.
-func (c Config) topologyAware() bool {
-	return c.Assignment == AssignCluster && c.InterestCategories == 0
 }

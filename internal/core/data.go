@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/idspace"
@@ -9,63 +8,16 @@ import (
 	"repro/internal/runtime"
 )
 
-// CategoryID maps an interest category to the ring position whose s-network
-// serves it. Interest-based deployments place and look up a key by its
-// category id instead of its own hash, so an entire content category lives
-// in one s-network (§5.3).
-func CategoryID(cat int) idspace.ID {
-	return idspace.HashBytes([]byte(fmt.Sprintf("interest-category-%d", cat)))
-}
-
-// CategoryOf extracts the category index from keys of the form
-// "cat<NN>/...", returning -1 for uncategorized keys. This is the naming
-// convention the workload generator uses for interest-based experiments.
-func CategoryOf(key string) int {
-	if len(key) < 4 || key[0] != 'c' || key[1] != 'a' || key[2] != 't' {
-		return -1
-	}
-	n := 0
-	i := 3
-	for ; i < len(key) && key[i] >= '0' && key[i] <= '9'; i++ {
-		n = n*10 + int(key[i]-'0')
-	}
-	if i == 3 || i >= len(key) || key[i] != '/' {
-		return -1
-	}
-	return n
-}
-
-// segmentID returns the id used to pick the serving s-network for a key:
-// the key hash normally, the category id in interest-based mode.
-func (p *Peer) segmentID(key string) idspace.ID {
-	if p.sys.Cfg.InterestCategories > 0 {
-		if cat := CategoryOf(key); cat >= 0 {
-			return CategoryID(cat)
-		}
-	}
-	return idspace.HashKey(key)
-}
-
-// itemSID is segmentID for an item already in hand: without interest
-// categories the segment id is the data id the item carries, which spares
-// the per-tick scans a key hash per stored item.
-func (p *Peer) itemSID(it Item) idspace.ID {
-	if p.sys.Cfg.InterestCategories == 0 {
-		return it.DID
-	}
-	return p.segmentID(it.Key)
-}
-
 // inLocalSegment reports whether an id belongs to this peer's s-network,
 // using the segment bounds cached from join time and HELLO piggyback.
-func (p *Peer) inLocalSegment(sid idspace.ID) bool {
+func (p *Peer) inLocalSegment(id idspace.ID) bool {
 	if p.Role == TPeer {
 		if !p.pred.Valid() {
 			return true // lone t-peer owns the whole space
 		}
-		return idspace.Between(p.pred.ID, sid, p.ID)
+		return idspace.Between(p.pred.ID, id, p.ID)
 	}
-	return idspace.Between(p.segLo, sid, p.ID)
+	return idspace.Between(p.segLo, id, p.ID)
 }
 
 // newOp registers an in-flight operation with a timeout. Records come from
@@ -77,7 +29,6 @@ func (p *Peer) newOp(kind, key string, done func(OpResult)) (*op, uint64) {
 	o.key = key
 	o.qid = qid
 	o.did = idspace.HashKey(key)
-	o.sid = p.segmentID(key)
 	o.start = p.sys.rt.Now()
 	o.ttl = p.sys.Cfg.TTL
 	o.done = done
@@ -122,26 +73,14 @@ func (p *Peer) finishOp(qid uint64, r OpResult) {
 	}
 }
 
-// opTimeout handles an expired operation timer: refloods with a larger TTL
-// if configured (§3.4), otherwise declares failure.
+// opTimeout fails an operation whose timer expired. The handle is cleared
+// first: the timer has fired, so finishOp has nothing to unschedule.
 func (p *Peer) opTimeout(qid uint64) {
 	o, ok := p.pending[qid]
 	if !ok {
 		return
 	}
 	o.timer = runtime.Handle{}
-	if o.kind == "lookup" && o.attempt < p.sys.Cfg.Reflood && p.inLocalSegment(o.sid) && !p.sys.Cfg.TrackerMode {
-		o.attempt++
-		o.ttl++
-		// "The peer may choose to increase the TTL value and the
-		// expiration duration of the timer and reflood."
-		longer := p.sys.Cfg.LookupTimeout * runtime.Time(1<<uint(o.attempt))
-		o.timer = p.sys.rt.Schedule(longer, func() {
-			p.opTimeout(qid)
-		})
-		p.floodOut(qid, o.did, o.ttl, p.Ref())
-		return
-	}
 	p.finishOp(qid, OpResult{OK: false})
 }
 
@@ -150,9 +89,9 @@ func (p *Peer) opTimeout(qid uint64) {
 // otherwise it travels up the tree, along the t-network, and is placed in
 // the owning s-network per the configured placement scheme. done may be nil.
 func (p *Peer) Store(key, value string, done func(OpResult)) {
-	it := Item{Key: key, Value: value, DID: idspace.HashKey(key)}
 	o, qid := p.newOp("store", key, done)
-	if p.inLocalSegment(o.sid) {
+	it := Item{Key: key, Value: value, DID: o.did}
+	if p.inLocalSegment(it.DID) {
 		p.storeLocal(it)
 		if p.sys.Cfg.ReplicationK > 1 && p.Role == TPeer {
 			p.ownedAdd(it)
@@ -161,8 +100,7 @@ func (p *Peer) Store(key, value string, done func(OpResult)) {
 		p.finishOp(qid, OpResult{OK: true, Hops: 0, Holder: p.Ref()})
 		return
 	}
-	req := storeReq{Item: it, SID: o.sid, Origin: p.Ref(), Tag: qid, Hops: 1}
-	p.forwardTowardSegment(req.SID, req, runtime.None)
+	p.forwardTowardSegment(it.DID, storeReq{Item: it, Origin: p.Ref(), Tag: qid, Hops: 1}, runtime.None)
 }
 
 // storeLocal inserts an item into the local database and, in tracker mode,
@@ -185,14 +123,14 @@ func (p *Peer) storeLocal(it Item) {
 // configured RouteStrategy (finger walk + suspect detour by default).
 // Returns without sending when this peer already owns the segment (callers
 // check ownership first).
-func (p *Peer) forwardTowardSegment(sid idspace.ID, msg any, from runtime.Addr) {
+func (p *Peer) forwardTowardSegment(id idspace.ID, msg any, from runtime.Addr) {
 	if p.Role == SPeer {
 		if p.cp.Valid() {
 			p.send(p.cp.Addr, msg)
 		}
 		return
 	}
-	next := p.sys.Cfg.Route.NextHop(p, sid)
+	next := p.sys.Cfg.Route.NextHop(p, id)
 	if !next.Valid() || next.Addr == p.Addr {
 		return // lone t-peer: nowhere to forward
 	}
@@ -213,7 +151,7 @@ func (p *Peer) rehomeForeignItems() {
 	}
 	var moved []Item
 	for _, it := range p.data {
-		if !p.inLocalSegment(p.itemSID(it)) {
+		if !p.inLocalSegment(it.DID) {
 			moved = append(moved, it)
 		}
 	}
@@ -238,9 +176,8 @@ func (p *Peer) rehome(moved []Item) {
 			// and double-send the batch downstream.
 			continue
 		}
-		sid := p.itemSID(it)
 		p.sys.stats.ItemsRehomed++
-		p.forwardTowardSegment(sid, storeReq{Item: it, SID: sid, Origin: p.Ref(), Hops: 1}, runtime.None)
+		p.forwardTowardSegment(it.DID, storeReq{Item: it, Origin: p.Ref(), Hops: 1}, runtime.None)
 	}
 }
 
@@ -258,9 +195,9 @@ func (p *Peer) handleStoreReq(from runtime.Addr, m storeReq) {
 		return // looping route; the op timer fails the store
 	}
 	p.maybeAck(from)
-	if !p.inLocalSegment(m.SID) || p.Role == SPeer {
+	if !p.inLocalSegment(m.Item.DID) || p.Role == SPeer {
 		m.Hops++
-		p.forwardTowardSegment(m.SID, m, from)
+		p.forwardTowardSegment(m.Item.DID, m, from)
 		return
 	}
 	// We are the owning t-peer: record the authoritative copy and replicate

@@ -41,7 +41,7 @@ func TestStoreLocalWhenSegmentMatches(t *testing.T) {
 	for _, p := range sys.Peers() {
 		for i := 0; i < 2000; i++ {
 			key := fmt.Sprintf("local-probe-%d", i)
-			if p.inLocalSegment(p.segmentID(key)) {
+			if p.inLocalSegment(idspace.HashKey(key)) {
 				r, err := sys.StoreSync(p, key, "v")
 				if err != nil || !r.OK {
 					t.Fatalf("local store failed: %+v %v", r, err)
@@ -114,7 +114,7 @@ func TestPlacementSchemeTwoSpreads(t *testing.T) {
 
 func TestItemsLandInOwningSNetwork(t *testing.T) {
 	// Property: wherever placement puts an item, the holder's s-network
-	// root must be the ring owner of the item's segment id.
+	// root must be the ring owner of the item's d_id.
 	sys := newTestSystem(t, 43, func(c *Config) { c.Ps = 0.7 })
 	peers, _, err := sys.BuildPopulation(PopulationOpts{N: 60})
 	if err != nil {
@@ -225,36 +225,6 @@ func TestStoreAckCarriesHops(t *testing.T) {
 	}
 	if !sawRemote {
 		t.Fatal("all 40 stores were local; suspicious")
-	}
-}
-
-func TestCategoryOf(t *testing.T) {
-	cases := []struct {
-		key  string
-		want int
-	}{
-		{"cat03/item-000001", 3},
-		{"cat12/x", 12},
-		{"cat5/x", 5},
-		{"cat/x", -1},
-		{"catXY/x", -1},
-		{"cat03", -1},
-		{"dog01/x", -1},
-		{"", -1},
-	}
-	for _, c := range cases {
-		if got := CategoryOf(c.key); got != c.want {
-			t.Errorf("CategoryOf(%q) = %d, want %d", c.key, got, c.want)
-		}
-	}
-}
-
-func TestCategoryIDStable(t *testing.T) {
-	if CategoryID(3) != CategoryID(3) {
-		t.Fatal("CategoryID unstable")
-	}
-	if CategoryID(3) == CategoryID(4) {
-		t.Fatal("category collision")
 	}
 }
 

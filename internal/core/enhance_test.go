@@ -163,85 +163,6 @@ func TestLandmarkCoordOrdersByDistance(t *testing.T) {
 	}
 }
 
-// --- Interest-based s-networks (§5.3) --------------------------------------------
-
-func TestInterestLookupStaysLocal(t *testing.T) {
-	sys := newTestSystem(t, 65, func(c *Config) {
-		c.Ps = 0.8
-		c.InterestCategories = 4
-		c.TTL = 10
-	})
-	// Ring first so category segments are stable, then interest s-peers.
-	tRole, sRole := TPeer, SPeer
-	if _, _, err := sys.BuildPopulation(PopulationOpts{N: 12, ForceRole: &tRole}); err != nil {
-		t.Fatal(err)
-	}
-	// Let the last t-peer's registration land before interest assignment
-	// starts consulting the ring registry.
-	sys.Settle(2 * sim.Second)
-	interests := make([]int, 48)
-	for i := range interests {
-		interests[i] = i % 4
-	}
-	peers, _, err := sys.BuildPopulation(PopulationOpts{N: 48, Interests: interests, ForceRole: &sRole})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Settle(6 * sys.Cfg.HelloEvery)
-
-	// Publishers store within their own category.
-	keys := workload.InterestKeys(60, 4)
-	for i, key := range keys {
-		cat := CategoryOf(key)
-		var pub *Peer
-		for _, p := range peers {
-			if p.Interest == cat && p.Alive() {
-				pub = p
-				break
-			}
-		}
-		r, err := sys.StoreSync(pub, key, "v")
-		if err != nil || !r.OK {
-			t.Fatalf("store %d: %+v %v", i, r, err)
-		}
-		// Interest placement: the item must stay in the category's
-		// s-network.
-		holder := sys.Peer(r.Holder.Addr)
-		root := snetOf(sys, holder)
-		if owner := ownerOf(sys, CategoryID(cat)); owner != nil && root != nil && owner.Addr != root.Addr {
-			t.Errorf("key %s (cat %d) landed in s-network %d, want %d", key, cat, root.Addr, owner.Addr)
-		}
-	}
-
-	// Same-interest lookups must not touch the ring.
-	before := sys.Stats().RingForwards
-	okCount := 0
-	for i, key := range keys {
-		cat := CategoryOf(key)
-		var origin *Peer
-		for j := range peers {
-			p := peers[(i+j)%len(peers)]
-			if p.Interest == cat && p.Alive() {
-				origin = p
-				break
-			}
-		}
-		r, err := sys.LookupSync(origin, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.OK {
-			okCount++
-		}
-	}
-	if got := sys.Stats().RingForwards - before; got != 0 {
-		t.Fatalf("same-interest lookups used %d ring forwards, want 0", got)
-	}
-	if okCount*4 < len(keys)*3 {
-		t.Fatalf("only %d/%d same-interest lookups succeeded", okCount, len(keys))
-	}
-}
-
 // --- Bypass links (§5.4) -----------------------------------------------------------
 
 func TestBypassLinksCreatedAndUsed(t *testing.T) {

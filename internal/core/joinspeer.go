@@ -181,10 +181,9 @@ func (p *Peer) rejoin() {
 func (p *Peer) rejoinViaServer() {
 	req := serverJoinReq{
 		Capacity:  p.Capacity,
-		Interest:  p.Interest,
 		ForceRole: int8(SPeer),
 	}
-	if p.sys.Cfg.topologyAware() {
+	if p.sys.Cfg.Assignment == AssignCluster {
 		req.Coord = p.sys.landmarkCoord(p.Host)
 	}
 	// Re-enter the join state machine: the completed-join guard must not

@@ -64,7 +64,7 @@ func (p *Peer) armJoinTimer() {
 		if !p.alive || p.joined {
 			return
 		}
-		if p.sys.Cfg.topologyAware() {
+		if p.sys.Cfg.Assignment == AssignCluster {
 			p.joinReq.Coord = p.sys.landmarkCoord(p.Host)
 		}
 		p.send(p.sys.serverAddr, p.joinReq)
@@ -356,10 +356,9 @@ func (p *Peer) handleLoadTransfer(from runtime.Addr, m loadTransferReq) {
 func (p *Peer) handleItems(m itemsMsg) {
 	kept := m.Items[:0:0]
 	for _, it := range m.Items {
-		sid := p.segmentID(it.Key)
-		if p.Role == TPeer && !p.inLocalSegment(sid) &&
+		if p.Role == TPeer && !p.inLocalSegment(it.DID) &&
 			p.succ.Valid() && p.succ.Addr != p.Addr {
-			p.forwardTowardSegment(sid, storeReq{Item: it, SID: sid, Origin: p.Ref(), Hops: 1}, runtime.None)
+			p.forwardTowardSegment(it.DID, storeReq{Item: it, Origin: p.Ref(), Hops: 1}, runtime.None)
 			continue
 		}
 		if p.data == nil {

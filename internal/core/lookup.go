@@ -36,12 +36,12 @@ func (p *Peer) LookupWithTTL(key string, ttl int, done func(OpResult)) {
 			p.finishOp(qid, OpResult{OK: true, Value: it.Value, Hops: 0, Holder: p.Ref()})
 			return
 		}
-		if it, ok := p.replicaFallback(o.did, o.sid); ok {
+		if it, ok := p.replicaFallback(o.did); ok {
 			p.finishOp(qid, OpResult{OK: true, Value: it.Value, Hops: 0, Holder: p.Ref()})
 			return
 		}
 	}
-	if p.inLocalSegment(o.sid) {
+	if p.inLocalSegment(o.did) {
 		p.lookupLocal(o, qid)
 		return
 	}
@@ -53,11 +53,11 @@ func (p *Peer) lookupLocal(o *op, qid uint64) {
 	if p.sys.Cfg.TrackerMode {
 		// "A data lookup request is sent to the t-peer directly."
 		if p.Role == TPeer {
-			p.resolveFromIndex(lookupReq{QID: qid, DID: o.did, SID: o.sid, Origin: p.Ref(), TTL: o.ttl, Hops: 0})
+			p.resolveFromIndex(lookupReq{QID: qid, DID: o.did, Origin: p.Ref(), TTL: o.ttl, Hops: 0})
 			return
 		}
 		if p.tpeer.Valid() {
-			p.send(p.tpeer.Addr, lookupReq{QID: qid, DID: o.did, SID: o.sid, Origin: p.Ref(), TTL: o.ttl, Hops: 1})
+			p.send(p.tpeer.Addr, lookupReq{QID: qid, DID: o.did, Origin: p.Ref(), TTL: o.ttl, Hops: 1})
 		}
 		return
 	}
@@ -80,9 +80,9 @@ func (p *Peer) lookupRemote(o *op, qid uint64) {
 		o.localFlood = true
 		p.floodOut(qid, o.did, o.ttl, p.Ref())
 	}
-	m := lookupReq{QID: qid, DID: o.did, SID: o.sid, Origin: p.Ref(), TTL: o.ttl, Hops: 1}
+	m := lookupReq{QID: qid, DID: o.did, Origin: p.Ref(), TTL: o.ttl, Hops: 1}
 	if p.sys.Cfg.Bypass {
-		if far, ok := p.bypassFor(o.sid); ok {
+		if far, ok := p.bypassFor(o.did); ok {
 			o.probes = 1
 			p.sys.stats.BypassUses++
 			p.sys.trace(obs.EvLookupForward, qid, p.Addr, far.Addr, 1, "bypass")
@@ -92,7 +92,7 @@ func (p *Peer) lookupRemote(o *op, qid uint64) {
 	}
 	alpha := p.sys.Cfg.LookupAlpha
 	if alpha > 1 {
-		if n := p.sendRingProbes(o.sid, m, alpha); n > 0 {
+		if n := p.sendRingProbes(o.did, m, alpha); n > 0 {
 			o.probes = n
 			return
 		}
@@ -101,7 +101,7 @@ func (p *Peer) lookupRemote(o *op, qid uint64) {
 	}
 	o.probes = 1
 	p.sys.trace(obs.EvLookupForward, qid, p.Addr, runtime.None, 1, "ring")
-	p.forwardTowardSegment(o.sid, m, runtime.None)
+	p.forwardTowardSegment(o.did, m, runtime.None)
 }
 
 // sendRingProbes fans a remote lookup out along up to max ring paths
@@ -109,7 +109,7 @@ func (p *Peer) lookupRemote(o *op, qid uint64) {
 // hops itself; an s-peer origin sends indexed copies up the tree and the
 // first t-peer on the climb diverges them (lookupReq.Probe). Returns the
 // number of probes actually sent.
-func (p *Peer) sendRingProbes(sid idspace.ID, m lookupReq, max int) int {
+func (p *Peer) sendRingProbes(id idspace.ID, m lookupReq, max int) int {
 	if p.Role == SPeer {
 		if !p.cp.Valid() {
 			return 0
@@ -126,7 +126,7 @@ func (p *Peer) sendRingProbes(sid idspace.ID, m lookupReq, max int) int {
 		return max
 	}
 	var buf [MaxLookupAlpha]Ref
-	cands := p.sys.Cfg.Route.NextHops(p, sid, max, buf[:0])
+	cands := p.sys.Cfg.Route.NextHops(p, id, max, buf[:0])
 	for _, c := range cands {
 		p.sys.stats.RingForwards++
 		p.sys.stats.ProbesSent++
@@ -146,9 +146,9 @@ func (p *Peer) forwardProbe(m lookupReq, from runtime.Addr) {
 	idx := int(m.Probe)
 	m.Probe = 0
 	var buf [MaxLookupAlpha]Ref
-	cands := p.sys.Cfg.Route.NextHops(p, m.SID, idx+1, buf[:0])
+	cands := p.sys.Cfg.Route.NextHops(p, m.DID, idx+1, buf[:0])
 	if len(cands) == 0 {
-		p.forwardTowardSegment(m.SID, m, from)
+		p.forwardTowardSegment(m.DID, m, from)
 		return
 	}
 	if idx >= len(cands) {
@@ -184,8 +184,8 @@ func (p *Peer) handleLookupReq(from runtime.Addr, m lookupReq) {
 		p.answer(m.Origin, m.QID, it, m.Hops+1)
 		return
 	}
-	if !p.inLocalSegment(m.SID) {
-		if it, ok := p.replicaFallback(m.DID, m.SID); ok {
+	if !p.inLocalSegment(m.DID) {
+		if it, ok := p.replicaFallback(m.DID); ok {
 			// Forwarding would route into a suspected crash: serve the local
 			// replica and let read-repair re-home the item.
 			p.answer(m.Origin, m.QID, it, m.Hops+1)
@@ -198,7 +198,7 @@ func (p *Peer) handleLookupReq(from runtime.Addr, m lookupReq) {
 			p.forwardProbe(m, from)
 			return
 		}
-		p.forwardTowardSegment(m.SID, m, from)
+		p.forwardTowardSegment(m.DID, m, from)
 		return
 	}
 	// The request reached the owning s-network.

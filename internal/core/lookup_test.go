@@ -127,40 +127,6 @@ func TestSmallTTLCausesFailures(t *testing.T) {
 	}
 }
 
-func TestRefloodRecoversTTLMiss(t *testing.T) {
-	sys, peers, keys := populate(t, 54, 80, 150, func(c *Config) {
-		c.Ps = 0.9
-		c.Delta = 2
-		c.LookupTimeout = 2 * sim.Second
-		c.TTL = 1
-		c.Reflood = 6
-	})
-	// With refloods enabled, local lookups that would fail at TTL 1 should
-	// mostly recover by widening the radius.
-	fails := 0
-	local := 0
-	for i, key := range keys {
-		origin := peers[(i*11+1)%80]
-		if !origin.inLocalSegment(origin.segmentID(key)) {
-			continue
-		}
-		local++
-		r, err := sys.LookupSync(origin, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r.OK {
-			fails++
-		}
-	}
-	if local == 0 {
-		t.Skip("no local lookups at this seed")
-	}
-	if fails*5 > local {
-		t.Fatalf("reflood left %d/%d local lookups failing", fails, local)
-	}
-}
-
 func TestContactsCounted(t *testing.T) {
 	sys, peers, keys := populate(t, 55, 60, 100, func(c *Config) { c.Ps = 0.7 })
 	totalContacts := 0

@@ -30,7 +30,6 @@ type Item struct {
 // for a role, an id and an entry point into the system.
 type serverJoinReq struct {
 	Capacity float64
-	Interest int
 	// Coord is the peer's landmark coordinate (ordered landmark indices)
 	// when topology awareness is on; nil otherwise.
 	Coord string
@@ -270,12 +269,10 @@ type ackMsg struct{}
 
 // --- Data operations ---------------------------------------------------------
 
-// storeReq routes an insertion along the t-network toward the owning
-// segment. SID is the segment-selection id: the item's d_id normally, its
-// category id in interest-based mode.
+// storeReq routes an insertion along the t-network toward the segment that
+// owns the item's d_id.
 type storeReq struct {
 	Item   Item
-	SID    idspace.ID
 	Origin Ref
 	Tag    uint64
 	Hops   int
@@ -307,7 +304,6 @@ type storeAck struct {
 type lookupReq struct {
 	QID    uint64
 	DID    idspace.ID
-	SID    idspace.ID
 	Origin Ref
 	TTL    int
 	Hops   int
@@ -430,7 +426,6 @@ type ownerAnnounce struct {
 type deleteReq struct {
 	Key    string
 	DID    idspace.ID
-	SID    idspace.ID
 	Origin Ref
 	Tag    uint64
 	Hops   int

@@ -17,7 +17,6 @@ type Peer struct {
 	Addr     runtime.Addr
 	Host     int
 	Capacity float64
-	Interest int
 	Role     Role
 
 	sys   *System
@@ -185,14 +184,12 @@ type nbrWatch struct {
 
 // op is an in-flight store or lookup issued by this peer.
 type op struct {
-	kind    string // "store" or "lookup"
-	key     string
-	qid     uint64
-	did     idspace.ID
-	sid     idspace.ID // segment-selection id (differs from did in interest mode)
-	start   runtime.Time
-	ttl     int
-	attempt int
+	kind  string // "store" or "lookup"
+	key   string
+	qid   uint64
+	did   idspace.ID
+	start runtime.Time
+	ttl   int
 	// localFlood records that a remote lookup also flooded the local
 	// s-network in parallel (§3.1); ringMiss records that the ring path
 	// answered with a definitive miss while that flood was outstanding.

@@ -175,7 +175,7 @@ func (p *Peer) syncReplicas() {
 	// direct t-peer placement without extra hooks (value-compare in ownedAdd
 	// keeps this from perpetually re-queueing).
 	for _, it := range p.data {
-		if p.inLocalSegment(p.itemSID(it)) {
+		if p.inLocalSegment(it.DID) {
 			p.ownedAdd(it)
 		}
 	}
@@ -290,7 +290,7 @@ func (p *Peer) announceOwned() {
 	}
 	inSeg := items[:0]
 	for _, it := range items {
-		if p.inLocalSegment(p.itemSID(it)) {
+		if p.inLocalSegment(it.DID) {
 			inSeg = append(inSeg, it)
 		}
 	}
@@ -318,7 +318,7 @@ func (p *Peer) handleReplicaPut(from runtime.Addr, m replicaPut) {
 	}
 	now := p.sys.rt.Now()
 	for _, it := range m.Items {
-		if p.inLocalSegment(p.itemSID(it)) {
+		if p.inLocalSegment(it.DID) {
 			// The pusher thinks it owns a segment that is now ours (its
 			// pred pointer lags, or the owner crashed and we took over):
 			// install authoritatively instead of as a replica.
@@ -441,7 +441,7 @@ func (p *Peer) handleOwnerAnnounce(m ownerAnnounce) {
 		return
 	}
 	for _, it := range m.Items {
-		if p.inLocalSegment(p.itemSID(it)) {
+		if p.inLocalSegment(it.DID) {
 			p.ownedAdd(it)
 		}
 	}
@@ -452,7 +452,7 @@ func (p *Peer) handleOwnerAnnounce(m ownerAnnounce) {
 // detour either), re-installing the item on the current owner (read-repair)
 // so the next lookup routes normally. Returns false when normal routing
 // should proceed.
-func (p *Peer) replicaFallback(did, sid idspace.ID) (Item, bool) {
+func (p *Peer) replicaFallback(did idspace.ID) (Item, bool) {
 	if !p.replicationOn() || p.Role != TPeer || len(p.reps) == 0 {
 		return Item{}, false
 	}
@@ -463,7 +463,7 @@ func (p *Peer) replicaFallback(did, sid idspace.ID) (Item, bool) {
 	suspected := func(a runtime.Addr) bool {
 		return len(p.suspect) != 0 && p.suspect[a]
 	}
-	next := p.sys.Cfg.Route.NextHop(p, sid)
+	next := p.sys.Cfg.Route.NextHop(p, did)
 	if !suspected(e.owner.Addr) && next.Valid() && !suspected(next.Addr) {
 		return Item{}, false // the route is believed healthy; let it run
 	}
@@ -471,7 +471,7 @@ func (p *Peer) replicaFallback(did, sid idspace.ID) (Item, bool) {
 	p.sys.stats.ReadRepairs++
 	// Tag 0: the repair's storeAck hits finishOp(0), a no-op. The forward
 	// detours around the suspected hop, reaching the segment's new owner.
-	p.forwardTowardSegment(sid, storeReq{Item: e.it, SID: sid, Origin: p.Ref(), Hops: 1}, runtime.None)
+	p.forwardTowardSegment(did, storeReq{Item: e.it, Origin: p.Ref(), Hops: 1}, runtime.None)
 	return e.it, true
 }
 
@@ -486,7 +486,7 @@ func (p *Peer) sweepReplicas(moved []Item) []Item {
 	}
 	var foreign []Item
 	for _, it := range p.owned {
-		if !p.inLocalSegment(p.itemSID(it)) {
+		if !p.inLocalSegment(it.DID) {
 			foreign = append(foreign, it)
 		}
 	}
@@ -500,7 +500,7 @@ func (p *Peer) sweepReplicas(moved []Item) []Item {
 	var promote, orphaned []Item
 	for _, e := range p.reps {
 		switch {
-		case p.Role == TPeer && p.inLocalSegment(p.itemSID(e.it)):
+		case p.Role == TPeer && p.inLocalSegment(e.it.DID):
 			promote = append(promote, e.it)
 		case now-e.seen >= p.repExpiry(),
 			len(p.suspect) != 0 && p.suspect[e.owner.Addr]:
@@ -581,7 +581,7 @@ func (p *Peer) appendOwnedExtra(items []Item) []Item {
 // too) and retires replicas down the successor chain. done may be nil.
 func (p *Peer) Delete(key string, done func(OpResult)) {
 	o, qid := p.newOp("delete", key, done)
-	if p.Role == TPeer && p.inLocalSegment(o.sid) {
+	if p.Role == TPeer && p.inLocalSegment(o.did) {
 		existed := p.ownerDelete(o.did)
 		r := OpResult{OK: true, Hops: 0, Holder: p.Ref()}
 		if existed {
@@ -590,8 +590,7 @@ func (p *Peer) Delete(key string, done func(OpResult)) {
 		p.finishOp(qid, r)
 		return
 	}
-	req := deleteReq{Key: key, DID: o.did, SID: o.sid, Origin: p.Ref(), Tag: qid, Hops: 1}
-	p.forwardTowardSegment(req.SID, req, runtime.None)
+	p.forwardTowardSegment(o.did, deleteReq{Key: key, DID: o.did, Origin: p.Ref(), Tag: qid, Hops: 1}, runtime.None)
 }
 
 // ownerDelete removes every local trace of an item at its owning t-peer and
@@ -649,9 +648,9 @@ func (p *Peer) handleDeleteReq(from runtime.Addr, m deleteReq) {
 		return // looping route; the op timer fails the delete
 	}
 	p.maybeAck(from)
-	if !p.inLocalSegment(m.SID) || p.Role == SPeer {
+	if !p.inLocalSegment(m.DID) || p.Role == SPeer {
 		m.Hops++
-		p.forwardTowardSegment(m.SID, m, from)
+		p.forwardTowardSegment(m.DID, m, from)
 		return
 	}
 	existed := p.ownerDelete(m.DID)

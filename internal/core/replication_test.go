@@ -202,7 +202,7 @@ func TestRehomeSweepDedupes(t *testing.T) {
 		var it Item
 		for i := 0; ; i++ {
 			key := keyf("foreign-%04d", i)
-			if !p.inLocalSegment(p.segmentID(key)) {
+			if !p.inLocalSegment(idspace.HashKey(key)) {
 				it = Item{Key: key, Value: "v", DID: idspace.HashKey(key)}
 				break
 			}
@@ -481,7 +481,7 @@ func tapReplication(sys *System) *repTraffic {
 			inSeg := 0
 			sp := sys.peerAt(from)
 			for _, it := range sp.data {
-				if sp.inLocalSegment(sp.itemSID(it)) {
+				if sp.inLocalSegment(it.DID) {
 					inSeg++
 				}
 			}
@@ -761,7 +761,7 @@ func TestReplicationTakeover(t *testing.T) {
 			continue
 		}
 		for did, it := range sp.data {
-			if sp.inLocalSegment(sp.itemSID(it)) {
+			if sp.inLocalSegment(it.DID) {
 				covered++
 				if _, ok := heir.owned[did]; !ok {
 					t.Errorf("promoted owner does not cover item %v stored on s-peer %d", did, sp.Addr)

@@ -361,9 +361,6 @@ func (sv *Server) assignSNetwork(m serverJoinReq) (Ref, bool) {
 	if len(sv.ring) == 0 {
 		return NilRef, false
 	}
-	if sv.sys.Cfg.InterestCategories > 0 {
-		return sv.ringSuccessor(CategoryID(m.Interest)), true
-	}
 	switch sv.sys.Cfg.Assignment {
 	case AssignRandom:
 		return sv.ring[sv.sys.rt.Rand().Intn(len(sv.ring))], true

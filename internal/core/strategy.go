@@ -23,14 +23,14 @@ const MaxLookupAlpha = 8
 type RouteStrategy interface {
 	// Name identifies the strategy in CLI flags and docs.
 	Name() string
-	// NextHop picks the single best ring hop for a request targeting sid,
+	// NextHop picks the single best ring hop for a request targeting id,
 	// or an invalid/self Ref when there is nowhere to forward. This is the
 	// hot path: it must not allocate.
-	NextHop(p *Peer, sid idspace.ID) Ref
-	// NextHops appends distinct live hop candidates for sid to dst, best
+	NextHop(p *Peer, id idspace.ID) Ref
+	// NextHops appends distinct live hop candidates for id to dst, best
 	// first, until len(dst) == max, and returns dst. Used by the
 	// α-parallel probe fan-out; only called with max > 1.
-	NextHops(p *Peer, sid idspace.ID, max int, dst []Ref) []Ref
+	NextHops(p *Peer, id idspace.ID, max int, dst []Ref) []Ref
 }
 
 // FingerWalk is the default routing: the closest preceding finger, the
@@ -42,8 +42,8 @@ type FingerWalk struct{}
 func (FingerWalk) Name() string { return "finger" }
 
 // NextHop implements RouteStrategy.
-func (FingerWalk) NextHop(p *Peer, sid idspace.ID) Ref {
-	next := p.closestPreceding(sid)
+func (FingerWalk) NextHop(p *Peer, id idspace.ID) Ref {
+	next := p.closestPreceding(id)
 	if !next.Valid() || next.Addr == p.Addr {
 		next = p.succ
 	}
@@ -65,15 +65,15 @@ func (p *Peer) detour(next Ref) Ref {
 // preceding fingers scanned from above, then the successor chain — every
 // candidate distinct, live (not suspect) and strictly between this peer and
 // the target, so α probes enter the ring on genuinely diverse paths.
-func (s FingerWalk) NextHops(p *Peer, sid idspace.ID, max int, dst []Ref) []Ref {
-	first := s.NextHop(p, sid)
+func (s FingerWalk) NextHops(p *Peer, id idspace.ID, max int, dst []Ref) []Ref {
+	first := s.NextHop(p, id)
 	if !first.Valid() || first.Addr == p.Addr {
 		return dst
 	}
 	dst = append(dst, first)
 	for i := len(p.finger) - 1; i >= 0 && len(dst) < max; i-- {
 		f := p.finger[i]
-		if !f.Valid() || f.Addr == p.Addr || !idspace.StrictBetween(p.ID, f.ID, sid) {
+		if !f.Valid() || f.Addr == p.Addr || !idspace.StrictBetween(p.ID, f.ID, id) {
 			continue
 		}
 		if len(p.suspect) != 0 && p.suspect[f.Addr] {
@@ -116,8 +116,8 @@ func (SuccessorWalk) NextHop(p *Peer, _ idspace.ID) Ref { return p.detour(p.succ
 
 // NextHops implements RouteStrategy: the successor chain is the only path,
 // so at most succ and succ2 diverge.
-func (s SuccessorWalk) NextHops(p *Peer, sid idspace.ID, max int, dst []Ref) []Ref {
-	first := s.NextHop(p, sid)
+func (s SuccessorWalk) NextHops(p *Peer, id idspace.ID, max int, dst []Ref) []Ref {
+	first := s.NextHop(p, id)
 	if !first.Valid() || first.Addr == p.Addr {
 		return dst
 	}

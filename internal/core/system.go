@@ -242,8 +242,6 @@ type JoinOpts struct {
 	Host int
 	// Capacity is the relative access-link capacity (>= 1).
 	Capacity float64
-	// Interest is the peer's content category (interest-based mode).
-	Interest int
 	// ForceRole pins the role instead of letting the server decide.
 	ForceRole *Role
 }
@@ -262,7 +260,6 @@ func (s *System) Join(opts JoinOpts, done func(*Peer, JoinStats)) *Peer {
 		Addr:     s.rt.NewAddr(),
 		Host:     opts.Host,
 		Capacity: opts.Capacity,
-		Interest: opts.Interest,
 		sys:      s,
 		alive:    true,
 
@@ -279,13 +276,12 @@ func (s *System) Join(opts JoinOpts, done func(*Peer, JoinStats)) *Peer {
 	p.joinDone = done
 	req := serverJoinReq{
 		Capacity:  opts.Capacity,
-		Interest:  opts.Interest,
 		ForceRole: -1,
 	}
 	if opts.ForceRole != nil {
 		req.ForceRole = int8(*opts.ForceRole)
 	}
-	if s.Cfg.topologyAware() {
+	if s.Cfg.Assignment == AssignCluster {
 		req.Coord = s.landmarkCoord(opts.Host)
 	}
 	// Keep the request and arm the retry timer before the first send: with

@@ -117,7 +117,7 @@ func RunLinkStress(o Options) (*Result, error) {
 		if err != nil {
 			return stressArm{}, err
 		}
-		if err := sc.populate(o.N, nil, nil); err != nil {
+		if err := sc.populate(o.N, nil); err != nil {
 			return stressArm{}, err
 		}
 		if err := sc.storeItems(keys); err != nil {

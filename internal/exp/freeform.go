@@ -170,14 +170,7 @@ func (p Freeform) runPoint(w io.Writer, o Options, topo *topology.Graph, ps floa
 	if cfg.Heterogeneity {
 		caps = workload.CapacityClasses(p.N)
 	}
-	var ints []int
-	if cfg.InterestCategories > 0 {
-		ints = make([]int, p.N)
-		for i := range ints {
-			ints[i] = i % cfg.InterestCategories
-		}
-	}
-	if err := sc.populate(p.N, caps, ints); err != nil {
+	if err := sc.populate(p.N, caps); err != nil {
 		return err
 	}
 	// populate settled two HELLO periods; the free-form report has always
@@ -196,12 +189,7 @@ func (p Freeform) runPoint(w io.Writer, o Options, topo *topology.Graph, ps floa
 		len(sys.TPeers()), len(sys.SPeers()), &joinHops)
 
 	// Insert data.
-	var keys []string
-	if cfg.InterestCategories > 0 {
-		keys = workload.InterestKeys(p.Items, cfg.InterestCategories)
-	} else {
-		keys = workload.Keys(p.Items)
-	}
+	keys := workload.Keys(p.Items)
 	stored := 0
 	for i, key := range keys {
 		r, err := sys.StoreSync(peers[(i*31)%len(peers)], key, "value-of-"+key)

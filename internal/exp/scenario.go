@@ -169,12 +169,11 @@ func construct(o Options, topo *topology.Graph, ncfg simnet.Config, cfg core.Con
 }
 
 // populate joins n peers and lets the overlay settle for two HELLO periods.
-func (s *scenario) populate(n int, capacities []float64, interests []int) error {
+func (s *scenario) populate(n int, capacities []float64) error {
 	var err error
 	s.Peers, s.Joins, err = s.Sys.BuildPopulation(core.PopulationOpts{
 		N:          n,
 		Capacities: capacities,
-		Interests:  interests,
 	})
 	if err != nil {
 		return err
@@ -191,7 +190,7 @@ func buildScenario(o Options, cfg core.Config, seed int64, capacities []float64,
 	if err != nil {
 		return nil, err
 	}
-	if err := sc.populate(o.N, capacities, nil); err != nil {
+	if err := sc.populate(o.N, capacities); err != nil {
 		return nil, err
 	}
 	if err := sc.storeItems(keys); err != nil {

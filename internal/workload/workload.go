@@ -20,17 +20,6 @@ func Keys(n int) []string {
 	return keys
 }
 
-// InterestKeys returns n keys tagged with an interest category in [0, cats).
-// core.CategoryOf recovers the category, letting interest-based experiments
-// route keys to themed s-networks.
-func InterestKeys(n, cats int) []string {
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("cat%02d/item-%06d", i%cats, i)
-	}
-	return keys
-}
-
 // Picker selects keys for lookups according to a popularity distribution.
 type Picker interface {
 	// Pick returns an index in [0, n) for a universe of n keys.

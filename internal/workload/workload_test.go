@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -22,20 +21,6 @@ func TestKeysDistinctAndStable(t *testing.T) {
 			t.Fatalf("duplicate key %q", k)
 		}
 		seen[k] = true
-	}
-}
-
-// TestInterestKeysRoundTrip checks that every interest key names its own
-// category in the form the protocol's parser, core.CategoryOf, reads.
-func TestInterestKeysRoundTrip(t *testing.T) {
-	keys := InterestKeys(200, 7)
-	for i, k := range keys {
-		if got := core.CategoryOf(k); got != i%7 {
-			t.Fatalf("CategoryOf(%q) = %d, want %d", k, got, i%7)
-		}
-	}
-	if core.CategoryOf("plain-key") != -1 {
-		t.Fatal("uncategorized key should yield -1")
 	}
 }
 
