@@ -28,9 +28,6 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"join0", func(c *Config) { c.JoinTimeout = 0 }},
 		{"finger0", func(c *Config) { c.FingerRefreshEvery = 0 }},
 		{"landmarks", func(c *Config) { c.Assignment = AssignCluster; c.Landmarks = 0 }},
-		{"cachehot0", func(c *Config) { c.Caching = true; c.CacheHotThreshold = 0 }},
-		{"cachewindow0", func(c *Config) { c.Caching = true; c.CacheWindow = 0 }},
-		{"cachettl0", func(c *Config) { c.Caching = true; c.CacheTTL = 0 }},
 		{"k0", func(c *Config) { c.ReplicationK = 0 }},
 		{"alpha0", func(c *Config) { c.LookupAlpha = 0 }},
 		{"route nil", func(c *Config) { c.Route = nil }},
@@ -50,7 +47,7 @@ func TestConfigValidateErrors(t *testing.T) {
 // TestConfigWithDefaults: nothing fills a zero field in any more. A zero
 // Config is refused, and so is a partial one; a zero that is meaningful
 // (SuppressTimeout: never suppress) or belongs to a feature that is off
-// (Landmarks without AssignCluster, the cache knobs) is accepted.
+// (Landmarks without AssignCluster) is accepted.
 func TestConfigWithDefaults(t *testing.T) {
 	var zero Config
 	if err := zero.Validate(); err == nil {
@@ -61,7 +58,6 @@ func TestConfigWithDefaults(t *testing.T) {
 	}
 	c := DefaultConfig()
 	c.SuppressTimeout, c.Landmarks = 0, 0
-	c.CacheHotThreshold, c.CacheWindow, c.CacheTTL = 0, 0, 0
 	if err := c.Validate(); err != nil {
 		t.Fatalf("meaningful or unused zeros refused: %v", err)
 	}

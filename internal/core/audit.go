@@ -77,14 +77,12 @@ var invariants = []invariant{
 	{"delta_violations", true, false, (*view).deltaViolations, func(h *HealthScore) *int { return &h.DeltaViolations }},
 	// Every stored item lives in the s-network whose segment covers it.
 	{"unowned_items", true, true, (*view).unownedItems, func(h *HealthScore) *int { return &h.UnownedItems }},
-	// No client operation or search is pending.
+	// No client operation is pending.
 	{"stuck_ops", false, false, (*view).stuckOps, func(h *HealthScore) *int { return &h.StuckOps }},
 	// The successor walk from the smallest id visits every t-peer once.
 	{"ring_coverage", false, true, (*view).ringCoverage, nil},
 	// No failure-detection timer watches a dead peer.
 	{"dead_watchdogs", false, false, (*view).deadWatchdogs, nil},
-	// Every per-query contact counter was consumed by a finished operation.
-	{"contact_leaks", false, false, (*view).contactLeaks, nil},
 	// The server's registry and s-network sizes match the live system.
 	{"server_accounting", false, true, (*view).serverAccounting, nil},
 	// Every stored item has min(k, t-peers) distinct holders (k > 1).
@@ -191,9 +189,9 @@ func (v *view) walk(p *Peer) (end *Peer, depth int) {
 type census struct{ items, pending, suspected, repDeficit, depthMax int }
 
 func (v *view) census() (c census) {
+	c.pending = len(v.s.ops)
 	for _, p := range v.live {
 		c.items += len(p.data)
-		c.pending += len(p.pending)
 		c.suspected += len(p.suspect)
 		c.repDeficit += p.repDeficit
 		if _, d := v.walk(p); d > c.depthMax {
@@ -303,12 +301,11 @@ func (v *view) unownedItems() {
 	}
 }
 
-// stuckOps: a store or lookup still pending at quiescence.
+// stuckOps: a client operation still pending at quiescence.
 func (v *view) stuckOps() {
-	for _, p := range v.live {
-		for qid, o := range p.pending {
-			v.report(p.Addr, runtime.None, "%s of key %q pending (qid %d)", o.kind, o.key, qid)
-		}
+	for _, qid := range v.s.opsOf(nil) {
+		o := v.s.ops[qid]
+		v.report(o.peer.Addr, runtime.None, "%s of key %q pending (qid %d)", o.kind, o.key, qid)
 	}
 }
 
@@ -322,12 +319,6 @@ func (v *view) deadWatchdogs() {
 				v.report(p.Addr, nb.addr, "still watches dead peer %d", nb.addr)
 			}
 		}
-	}
-}
-
-func (v *view) contactLeaks() {
-	if n := len(v.s.contacts); n > 0 {
-		v.report(runtime.None, runtime.None, "%d per-query contact counters outlive their operations", n)
 	}
 }
 

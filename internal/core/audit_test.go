@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -78,7 +79,8 @@ func TestAuditTable(t *testing.T) {
 // TestAuditCountsTheDriftedChecks covers the checks the two former audits
 // disagreed on: a child edge the parent does not list and a cached t-peer
 // that is not the chain's root now fail Healthy, each named with both
-// addresses, and a leaked contact counter fails the contact_leaks row.
+// addresses, and an open client operation fails the stuck_ops row, named by
+// its origin peer and qid.
 func TestAuditCountsTheDriftedChecks(t *testing.T) {
 	sys := settled60(t)
 	child := sys.SPeers()[0]
@@ -122,9 +124,15 @@ func TestAuditCountsTheDriftedChecks(t *testing.T) {
 	if err := sys.CheckInvariants(); err != nil {
 		t.Fatalf("faults undone, audit still red: %v", err)
 	}
-	sys.newQID()
-	if err := sys.check("stuck_ops", "contact_leaks"); err == nil || !strings.Contains(err.Error(), "contact_leaks") {
-		t.Fatalf("check(stuck_ops, contact_leaks) = %v with a leaked contact counter", err)
+	origin := sys.Peers()[0]
+	_, qid := origin.newOp("lookup", "stuck-key", nil)
+	vs := sys.audit("stuck_ops")
+	if len(vs) != 1 || vs[0].Addr != origin.Addr || !strings.Contains(vs[0].Detail, fmt.Sprintf("(qid %d)", qid)) {
+		t.Fatalf("audit(stuck_ops) = %+v, want one violation at %d naming qid %d", vs, origin.Addr, qid)
+	}
+	origin.finishOp(qid, OpResult{})
+	if err := sys.check("stuck_ops"); err != nil {
+		t.Fatalf("finished op still reported: %v", err)
 	}
 }
 

@@ -9,9 +9,9 @@ package core
 // The three open questions the paper lists are answered as follows:
 //   - which surrogates: random tree neighbors of the overloaded holder, so
 //     a flood reaching the neighborhood hits a copy before the holder;
-//   - which data: any item served more than CacheHotThreshold times within
-//     one CacheWindow;
-//   - how long: CacheTTL of idleness, refreshed whenever the copy serves
+//   - which data: any item served more than cacheHotThreshold times within
+//     one cacheWindow;
+//   - how long: cacheTTL of idleness, refreshed whenever the copy serves
 //     (an idleTable keyed by data id).
 
 import (
@@ -20,8 +20,14 @@ import (
 	"repro/internal/runtime"
 )
 
-// cacheFanout is how many tree neighbors receive a copy of a hot item.
-const cacheFanout = 2
+// cacheFanout tree neighbors receive a copy of a hot item. The values are
+// ExtCaching's; none is swept.
+const (
+	cacheFanout       = 2
+	cacheHotThreshold = 8
+	cacheWindow       = 60 * runtime.Second
+	cacheTTL          = 600 * runtime.Second
+)
 
 // serveStat tracks per-item serve counts inside the current hot window.
 type serveStat struct {
@@ -65,12 +71,12 @@ func (p *Peer) recordServe(it Item) {
 	}
 	now := p.sys.rt.Now()
 	st, ok := p.serves[it.DID]
-	if !ok || now-st.windowStart > p.sys.Cfg.CacheWindow {
+	if !ok || now-st.windowStart > cacheWindow {
 		st = &serveStat{windowStart: now}
 		p.serves[it.DID] = st
 	}
 	st.count++
-	if st.count == p.sys.Cfg.CacheHotThreshold {
+	if st.count == cacheHotThreshold {
 		st.count = 0
 		st.windowStart = now
 		p.pushSurrogates(it)
@@ -100,7 +106,7 @@ func (p *Peer) handleCacheAdd(m cacheAdd) {
 	if _, owned := p.data[m.Item.DID]; owned {
 		return
 	}
-	p.cache.put(p.sys.rt, p.sys.Cfg.CacheTTL, m.Item.DID, m.Item)
+	p.cache.put(p.sys.rt, cacheTTL, m.Item.DID, m.Item)
 }
 
 // NumCached returns the number of surrogate copies this peer holds.

@@ -104,14 +104,11 @@ type Config struct {
 	// flooding happens.
 	TrackerMode bool
 
-	// Caching implements the paper's future-work scheme: a peer that
-	// serves the same item more than CacheHotThreshold times within
-	// CacheWindow pushes copies to random tree neighbors (surrogates);
-	// cached copies answer lookups and expire after CacheTTL of idleness.
-	Caching           bool
-	CacheHotThreshold int
-	CacheWindow       runtime.Time
-	CacheTTL          runtime.Time
+	// Caching implements the paper's future-work scheme (cache.go): a peer
+	// that serves an item cacheHotThreshold times within cacheWindow pushes
+	// copies to random tree neighbors (surrogates), which answer lookups and
+	// expire after cacheTTL of idleness.
+	Caching bool
 
 	// HelloEvery is the heartbeat period; HelloTimeout the failure
 	// detection timeout; SuppressTimeout gates acknowledgment messages.
@@ -165,9 +162,6 @@ func DefaultConfig() Config {
 		LookupTimeout:      30 * runtime.Second,
 		JoinTimeout:        30 * runtime.Second,
 		FingerRefreshEvery: 2 * runtime.Second,
-		CacheHotThreshold:  8,
-		CacheWindow:        30 * runtime.Second,
-		CacheTTL:           120 * runtime.Second,
 		ReplicationK:       1,
 		LookupAlpha:        1,
 		Route:              FingerWalk{},
@@ -197,8 +191,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: JoinTimeout and FingerRefreshEvery must be positive")
 	case c.Assignment == AssignCluster && c.Landmarks < 1:
 		return fmt.Errorf("core: AssignCluster requires at least one landmark")
-	case c.Caching && (c.CacheHotThreshold < 1 || c.CacheWindow <= 0 || c.CacheTTL <= 0):
-		return fmt.Errorf("core: Caching requires CacheHotThreshold >= 1 and positive CacheWindow and CacheTTL")
 	case c.ReplicationK < 1:
 		return fmt.Errorf("core: ReplicationK %d < 1", c.ReplicationK)
 	case c.LookupAlpha < 1 || c.LookupAlpha > MaxLookupAlpha:

@@ -58,11 +58,8 @@ func TestParallelFloodSurvivesRingMiss(t *testing.T) {
 	if got != nil {
 		t.Fatalf("ring miss failed the op while the local flood was outstanding: %+v", *got)
 	}
-	if _, ok := p.pending[qid]; !ok {
+	if _, ok := sys.ops[qid]; !ok {
 		t.Fatal("op no longer pending after ring miss")
-	}
-	if !o.ringMiss {
-		t.Fatal("ring miss not recorded on the op")
 	}
 	// A duplicated miss (dup faults) must also be harmless.
 	p.handleNotFound(notFoundMsg{QID: qid, Hops: 3})

@@ -23,19 +23,16 @@ func (p *Peer) inLocalSegment(id idspace.ID) bool {
 // newOp registers an in-flight operation with a timeout. Records come from
 // the system-wide free list and go back to it in finishOp.
 func (p *Peer) newOp(kind, key string, done func(OpResult)) (*op, uint64) {
-	qid := p.sys.newQID()
+	qid := p.sys.newTag()
 	o := p.sys.getOp()
+	o.peer = p
 	o.kind = kind
 	o.key = key
-	o.qid = qid
 	o.did = idspace.HashKey(key)
 	o.start = p.sys.rt.Now()
 	o.ttl = p.sys.Cfg.TTL
 	o.done = done
-	if p.pending == nil {
-		p.pending = make(map[uint64]*op)
-	}
-	p.pending[qid] = o
+	p.sys.ops[qid] = o
 	o.timer = p.sys.rt.Schedule(p.sys.Cfg.LookupTimeout, func() {
 		p.opTimeout(qid)
 	})
@@ -47,15 +44,15 @@ func (p *Peer) newOp(kind, key string, done func(OpResult)) (*op, uint64) {
 
 // finishOp completes an operation exactly once and reports the result.
 func (p *Peer) finishOp(qid uint64, r OpResult) {
-	o, ok := p.pending[qid]
-	if !ok {
+	o, ok := p.sys.ops[qid]
+	if !ok || o.peer != p {
 		return
 	}
-	delete(p.pending, qid)
+	delete(p.sys.ops, qid)
 	p.sys.rt.Unschedule(o.timer)
 	r.Key = o.key
 	r.Latency = p.sys.rt.Now() - o.start
-	r.Contacts = p.sys.takeContacts(qid)
+	r.Contacts = o.contacts
 	if !r.OK {
 		p.sys.trace(obs.EvLookupFail, qid, p.Addr, runtime.None, r.Hops, o.kind)
 	}
@@ -64,7 +61,7 @@ func (p *Peer) finishOp(qid uint64, r OpResult) {
 	}
 	done := o.done
 	// Recycle before the callback runs: the timer is unscheduled and the
-	// pending entry is gone, so nothing references the record — and the
+	// table entry is gone, so nothing references the record — and the
 	// callback may synchronously issue the next operation, which then reuses
 	// it immediately.
 	p.sys.putOp(o)
@@ -76,8 +73,8 @@ func (p *Peer) finishOp(qid uint64, r OpResult) {
 // opTimeout fails an operation whose timer expired. The handle is cleared
 // first: the timer has fired, so finishOp has nothing to unschedule.
 func (p *Peer) opTimeout(qid uint64) {
-	o, ok := p.pending[qid]
-	if !ok {
+	o, ok := p.sys.ops[qid]
+	if !ok || o.peer != p {
 		return
 	}
 	o.timer = runtime.Handle{}
@@ -213,7 +210,7 @@ func (p *Peer) handleStoreReq(from runtime.Addr, m storeReq) {
 		p.storeLocal(m.Item)
 		p.send(m.Origin.Addr, storeAck{Tag: m.Tag, Holder: p.Ref(), HolderSegLo: p.segLo, Hops: m.Hops})
 	case PlaceSpread:
-		p.handleSpreadReq(spreadReq{Item: m.Item, Origin: m.Origin, Tag: m.Tag, Hops: m.Hops, From: from})
+		p.handleSpreadReq(spreadReq{Item: m.Item, Origin: m.Origin, Tag: m.Tag, Hops: m.Hops})
 	}
 }
 
@@ -230,7 +227,6 @@ func (p *Peer) handleSpreadReq(m spreadReq) {
 		p.send(m.Origin.Addr, storeAck{Tag: m.Tag, Holder: p.Ref(), HolderSegLo: p.segLo, Hops: m.Hops})
 		return
 	}
-	m.From = p.Addr
 	m.Hops++
 	p.send(p.children[pick].Ref.Addr, m)
 }

@@ -79,8 +79,8 @@ func (p *Peer) armedTimers() int {
 	if p.sys.rt.Scheduled(p.joinTimer) {
 		n++
 	}
-	for _, o := range p.pending {
-		if p.sys.rt.Scheduled(o.timer) {
+	for _, o := range p.sys.ops {
+		if o.peer == p && p.sys.rt.Scheduled(o.timer) {
 			n++
 		}
 	}

@@ -13,9 +13,6 @@ func TestCachingSpreadsHotLoad(t *testing.T) {
 		sys := newTestSystem(t, 82, func(c *Config) {
 			c.Ps = 0.8
 			c.Caching = caching
-			c.CacheHotThreshold = 5
-			c.CacheWindow = 1000 * sim.Second
-			c.CacheTTL = 1000 * sim.Second
 		})
 		peers, _, err := sys.BuildPopulation(PopulationOpts{N: 60})
 		if err != nil {
@@ -59,9 +56,6 @@ func TestCachePushAndHitCounters(t *testing.T) {
 	sys := newTestSystem(t, 83, func(c *Config) {
 		c.Ps = 0.8
 		c.Caching = true
-		c.CacheHotThreshold = 3
-		c.CacheWindow = 1000 * sim.Second
-		c.CacheTTL = 1000 * sim.Second
 	})
 	peers, _, err := sys.BuildPopulation(PopulationOpts{N: 50})
 	if err != nil {

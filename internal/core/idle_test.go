@@ -53,7 +53,7 @@ func TestIdleTables(t *testing.T) {
 	}{
 		{
 			name: "cache",
-			ttl:  func(s *System) runtime.Time { return s.Cfg.CacheTTL },
+			ttl:  func(*System) runtime.Time { return cacheTTL },
 			put:  func(p, _ *Peer) { p.handleCacheAdd(cacheAdd{Item: Item{Key: "idle-item", Value: "v", DID: did}}) },
 			use:  func(p, _ *Peer) bool { _, ok := p.lookupCached(did); return ok },
 			n:    (*Peer).NumCached,

@@ -24,7 +24,6 @@ func (p *Peer) handleServerJoinResp(m serverJoinResp) {
 	if p.joined {
 		return // stale response: an earlier attempt already completed
 	}
-	p.joinAttempts++
 	p.joinEpoch++
 	switch m.Role {
 	case TPeer:
@@ -175,7 +174,7 @@ func (p *Peer) handleTJoinSetup(from runtime.Addr, m tJoinSetup) {
 	p.joining = true
 	p.insertPending = true
 	p.armMutexGuard(p.sys.Cfg.JoinTimeout)
-	p.send(m.Succ.Addr, tJoinToSucc{Joiner: p.Ref(), Hops: m.Hops + 1})
+	p.send(m.Succ.Addr, tJoinToSucc{Joiner: p.Ref()})
 	p.armInsertRetry(m.Succ, 0)
 	p.send(p.sys.serverAddr, ringRegister{Self: p.Ref()})
 	p.sys.stats.TJoins++
@@ -197,7 +196,7 @@ func (p *Peer) armInsertRetry(succ Ref, attempt int) {
 		if !p.alive || !p.insertPending || p.joinEpoch != epoch || p.succ.Addr != succ.Addr {
 			return
 		}
-		p.send(succ.Addr, tJoinToSucc{Joiner: p.Ref(), Hops: 1})
+		p.send(succ.Addr, tJoinToSucc{Joiner: p.Ref()})
 		p.armInsertRetry(succ, attempt+1)
 	})
 }
@@ -244,10 +243,10 @@ func (p *Peer) handleTJoinToSucc(m tJoinToSucc) {
 	pre := oldPred
 	if !pre.Valid() || pre.Addr == p.Addr {
 		// Singleton or bootstrap ring: we are pre ourselves.
-		p.handleTJoinDone(tJoinDone{Joiner: m.Joiner, Hops: m.Hops})
+		p.handleTJoinDone(tJoinDone{Joiner: m.Joiner})
 		return
 	}
-	p.send(pre.Addr, tJoinDone{Joiner: m.Joiner, Hops: m.Hops + 1})
+	p.send(pre.Addr, tJoinDone{Joiner: m.Joiner})
 }
 
 // handleTJoinDone is pre finishing the triangle: flip the successor pointer,
@@ -459,7 +458,7 @@ func (p *Peer) leaveBySubstitution() {
 func (p *Peer) leaveEmpty() {
 	if !p.succ.Valid() || p.succ.Addr == p.Addr {
 		// Last t-peer of the system.
-		p.send(p.sys.serverAddr, ringUnregister{Self: p.Ref(), Succ: NilRef})
+		p.send(p.sys.serverAddr, ringUnregister{Self: p.Ref()})
 		p.stop()
 		return
 	}
@@ -533,7 +532,7 @@ func (p *Peer) finishEmptyLeave() {
 		sortItemsByDID(items)
 		p.sendData(p.succ.Addr, len(items), itemsMsg{Items: items})
 	}
-	p.send(p.sys.serverAddr, ringUnregister{Self: p.Ref(), Succ: p.succ})
+	p.send(p.sys.serverAddr, ringUnregister{Self: p.Ref()})
 	p.stop()
 }
 
@@ -736,11 +735,11 @@ func (p *Peer) routeFindSucc(m findSuccReq) {
 		return // looping route; the refresh timeout clears the finger slot
 	}
 	if !p.succ.Valid() || p.succ.Addr == p.Addr {
-		p.answerFindSucc(m, p.Ref(), m.Hops)
+		p.answerFindSucc(m, p.Ref())
 		return
 	}
 	if idspace.Between(p.ID, m.Target, p.succ.ID) {
-		p.answerFindSucc(m, p.succ, m.Hops+1)
+		p.answerFindSucc(m, p.succ)
 		return
 	}
 	next := p.closestPreceding(m.Target)
@@ -755,8 +754,8 @@ func (p *Peer) routeFindSucc(m findSuccReq) {
 // mail itself: when the answerer is the query's origin (a finger start inside
 // (ID, succ.ID], or a probe that routed back home) the answer is applied in
 // place, so it crosses no link and the fault layer cannot lose it.
-func (p *Peer) answerFindSucc(m findSuccReq, succ Ref, hops int) {
-	resp := findSuccResp{Succ: succ, Tag: m.Tag, Fidx: m.Fidx, Hops: hops}
+func (p *Peer) answerFindSucc(m findSuccReq, succ Ref) {
+	resp := findSuccResp{Succ: succ, Tag: m.Tag, Fidx: m.Fidx}
 	if m.Origin == p.Addr {
 		p.handleFindSuccResp(resp)
 		return

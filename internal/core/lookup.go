@@ -177,7 +177,7 @@ func (p *Peer) handleLookupReq(from runtime.Addr, m lookupReq) {
 	if m.Hops > routeHopLimit {
 		return // looping route; the op timer fails the lookup
 	}
-	p.sys.contact(m.QID)
+	p.sys.contact(m.Origin, m.QID)
 	p.sys.trace(obs.EvLookupHop, m.QID, from, p.Addr, m.Hops, "route")
 	p.maybeAck(from)
 	if it, ok := p.findLocal(m.DID); ok {
@@ -257,7 +257,7 @@ func (p *Peer) handleLookupReq(from runtime.Addr, m lookupReq) {
 // lasts. The tree topology guarantees each peer sees the query once, so no
 // duplicate-suppression state is needed (§3.2.2).
 func (p *Peer) handleFlood(from runtime.Addr, m floodReq) {
-	p.sys.contact(m.QID)
+	p.sys.contact(m.Origin, m.QID)
 	p.sys.trace(obs.EvLookupHop, m.QID, from, p.Addr, m.Hops, "flood")
 	p.maybeAck(from)
 	if it, ok := p.findLocal(m.DID); ok {
@@ -298,16 +298,15 @@ func (p *Peer) handleFound(m foundMsg) {
 // are still outstanding (α>1: first success wins, so one probe's miss only
 // decrements the count) or the lookup also flooded the local s-network in
 // parallel (§3.1). The ring's miss says nothing about spread or cached
-// copies nearby, so in that case the miss is recorded and the op concludes
-// through foundMsg or its timer.
+// copies nearby, so in that case the op concludes through foundMsg or its
+// timer.
 func (p *Peer) handleNotFound(m notFoundMsg) {
-	if o, ok := p.pending[m.QID]; ok {
+	if o, ok := p.sys.ops[m.QID]; ok && o.peer == p {
 		if o.probes > 1 {
 			o.probes--
 			return
 		}
 		if o.localFlood {
-			o.ringMiss = true
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/idspace"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -153,6 +154,32 @@ func TestContactsCounted(t *testing.T) {
 	}
 }
 
+// TestForeignQIDIsNotCounted: each process of a cluster numbers its qids
+// from 1, so a query issued in another process can carry the qid of a local
+// op. A contact made for that query must not be charged to the local op;
+// one made for the op itself still is.
+func TestForeignQIDIsNotCounted(t *testing.T) {
+	sys := settled60(t)
+	peers := sys.Peers()
+	a, b, foreign := peers[0], peers[1], peers[2]
+	run := func(origin Ref) int {
+		var got *OpResult
+		_, qid := a.newOp("lookup", "collide", func(r OpResult) { got = &r })
+		b.handleFlood(foreign.Addr, floodReq{QID: qid, DID: idspace.HashKey("absent"), Origin: origin, TTL: 1, Hops: 1})
+		a.finishOp(qid, OpResult{})
+		if got == nil {
+			t.Fatal("op did not finish")
+		}
+		return got.Contacts
+	}
+	if n := run(foreign.Ref()); n != 0 {
+		t.Fatalf("a foreign query's contact was charged to the local op: Contacts = %d", n)
+	}
+	if n := run(a.Ref()); n != 1 {
+		t.Fatalf("the op's own contact: Contacts = %d, want 1", n)
+	}
+}
+
 func TestFloodExactlyOnce(t *testing.T) {
 	// The paper's tree argument: "a tree structure guarantees that each
 	// peer receives the query message exactly once." Count floodReq
@@ -287,10 +314,8 @@ func TestAlphaProbesUnderLookups(t *testing.T) {
 	if st := sys.Stats(); st.ProbesSent == 0 {
 		t.Fatal("α=3 sent no extra probes")
 	}
-	// Every operation completed, so the op tables must be empty again.
-	for _, p := range sys.Peers() {
-		if n := len(p.pending); n != 0 {
-			t.Fatalf("peer %v left %d ops pending after α-parallel lookups", p.Addr, n)
-		}
+	// Every operation completed, so the op table must be empty again.
+	if n := len(sys.ops); n != 0 {
+		t.Fatalf("%d ops left pending after α-parallel lookups", n)
 	}
 }

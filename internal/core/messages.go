@@ -109,14 +109,12 @@ type tJoinSetup struct {
 // tJoinToSucc is the second edge: the new peer introduces itself to succ.
 type tJoinToSucc struct {
 	Joiner Ref
-	Hops   int
 }
 
 // tJoinDone is the closing edge: succ tells pre the insertion is complete,
 // and pre flips its successor pointer and unblocks its request queue.
 type tJoinDone struct {
 	Joiner Ref
-	Hops   int
 }
 
 // tJoinConfirm tells the joiner its successor has processed the insertion.
@@ -223,7 +221,6 @@ type findSuccResp struct {
 	Succ Ref
 	Tag  uint64
 	Fidx int
-	Hops int
 }
 
 // --- S-network membership ---------------------------------------------------
@@ -285,7 +282,6 @@ type spreadReq struct {
 	Origin Ref
 	Tag    uint64
 	Hops   int
-	From   runtime.Addr // upstream neighbor, excluded from the next step
 }
 
 // storeAck confirms an insertion back to the origin; Holder is where the
@@ -424,7 +420,6 @@ type ownerAnnounce struct {
 // deleteReq routes a deletion along the t-network toward the owning segment,
 // mirroring storeReq.
 type deleteReq struct {
-	Key    string
 	DID    idspace.ID
 	Origin Ref
 	Tag    uint64

@@ -122,17 +122,13 @@ type Peer struct {
 	repSucc runtime.Addr
 	annTo   runtime.Addr
 
-	// --- client operations ---
-	pending map[uint64]*op
-
 	// --- pending join ---
 	joinStart runtime.Time
 	joinDone  func(*Peer, JoinStats)
 	joinTimer runtime.Handle
 	// joinReq is the original server request, kept so join retries preserve
 	// the caller's role pin instead of letting the server re-decide.
-	joinReq      serverJoinReq
-	joinAttempts int
+	joinReq serverJoinReq
 	// joined flips once the peer is a full member; retries and duplicate
 	// handshake suppression key off it (joinDone may legitimately be nil).
 	joined bool
@@ -182,21 +178,21 @@ type nbrWatch struct {
 	acked   bool
 }
 
-// op is an in-flight store or lookup issued by this peer.
+// op is an in-flight store, lookup or delete; System.ops keys it by qid.
 type op struct {
-	kind  string // "store" or "lookup"
+	peer  *Peer  // the origin
+	kind  string // "store", "lookup" or "delete"
 	key   string
-	qid   uint64
 	did   idspace.ID
 	start runtime.Time
 	ttl   int
+	// contacts counts the peers contacted on the op's behalf (connum).
+	contacts int
 	// localFlood records that a remote lookup also flooded the local
-	// s-network in parallel (§3.1); ringMiss records that the ring path
-	// answered with a definitive miss while that flood was outstanding.
-	// The op fails only when both paths have concluded (or the timer
-	// fires), so a spread or cached copy can still win the race.
+	// s-network in parallel (§3.1). A local flood reports no miss, so the
+	// ring's miss does not fail such a lookup: it ends on a hit or its
+	// timer, and a spread or cached copy can still win the race.
 	localFlood bool
-	ringMiss   bool
 	// probes counts outstanding ring probes (LookupAlpha > 1): a definitive
 	// ring miss only counts once every probe has reported.
 	probes int
@@ -734,12 +730,7 @@ func (p *Peer) stop() {
 	// callback, or it waits out the full Await timeout. The DES harnesses
 	// never crash a peer with its own operation pending (ops are issued
 	// synchronously), so this is only observable under the live runtime.
-	pending := make([]uint64, 0, len(p.pending))
-	for qid := range p.pending {
-		pending = append(pending, qid)
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
-	for _, qid := range pending {
+	for _, qid := range p.sys.opsOf(p) {
 		p.finishOp(qid, OpResult{OK: false})
 	}
 	p.cache.stopAll()

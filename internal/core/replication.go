@@ -590,7 +590,7 @@ func (p *Peer) Delete(key string, done func(OpResult)) {
 		p.finishOp(qid, r)
 		return
 	}
-	p.forwardTowardSegment(o.did, deleteReq{Key: key, DID: o.did, Origin: p.Ref(), Tag: qid, Hops: 1}, runtime.None)
+	p.forwardTowardSegment(o.did, deleteReq{DID: o.did, Origin: p.Ref(), Tag: qid, Hops: 1}, runtime.None)
 }
 
 // ownerDelete removes every local trace of an item at its owning t-peer and

@@ -17,8 +17,7 @@ import (
 // and is never on the data path, so it is not the BitTorrent-style single
 // point of failure the paper distinguishes itself from.
 type Server struct {
-	sys  *System
-	Host int
+	sys *System
 
 	// ring mirrors the live t-network, ordered by id.
 	ring []Ref
@@ -67,13 +66,10 @@ type Server struct {
 // Server-bound registration messages.
 type (
 	ringRegister   struct{ Self Ref }
-	ringUnregister struct {
-		Self Ref
-		Succ Ref
-	}
-	ringReplace struct{ Old, New Ref }
-	sRegister   struct{ TPeer Ref }
-	sUnregister struct{ TPeer Ref }
+	ringUnregister struct{ Self Ref }
+	ringReplace    struct{ Old, New Ref }
+	sRegister      struct{ TPeer Ref }
+	sUnregister    struct{ TPeer Ref }
 	// sSizeSync carries a t-peer's authoritative count of its s-network
 	// (piggybacked on its HELLO tick). The incremental sRegister/sUnregister
 	// stream drifts under crashes — a parent that dies with its child causes
@@ -89,7 +85,6 @@ type (
 func newServer(sys *System, host int) *Server {
 	sv := &Server{
 		sys:         sys,
-		Host:        host,
 		ringMember:  make(map[runtime.Addr]bool),
 		snetSize:    make(map[runtime.Addr]int),
 		clusterRR:   make(map[string]int),

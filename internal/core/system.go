@@ -34,11 +34,12 @@ type System struct {
 	peers    []*Peer
 	numPeers int // live peers (maintained by Join and Peer.stop)
 
-	// nextQID numbers lookups/stores globally so contact counts can be
-	// attributed per query.
+	// nextQID numbers client operations and internal request tags, so every
+	// tag is unique within the system.
 	nextQID uint64
-	// contacts counts peers contacted per in-flight query (connum).
-	contacts map[uint64]int
+	// ops is the one table of in-flight client operations, keyed by qid;
+	// each names its origin peer and counts its contacts (connum).
+	ops map[uint64]*op
 	// opFree recycles op records: every client operation allocates one, and
 	// at sweep scale the churn of short-lived ops dominated the heap
 	// profile. Release happens only in finishOp, after the timeout timer is
@@ -95,7 +96,7 @@ func NewSystem(rt runtime.Runtime, cfg Config, serverHost int) (*System, error) 
 		Cfg:        cfg,
 		rt:         rt,
 		serverAddr: rt.ServerAddr(),
-		contacts:   make(map[uint64]int),
+		ops:        make(map[uint64]*op),
 	}
 	s.server = newServer(s, serverHost)
 	return s, nil
@@ -116,7 +117,7 @@ func NewPeerSystem(rt runtime.Runtime, cfg Config) (*System, error) {
 		Cfg:        cfg,
 		rt:         rt,
 		serverAddr: rt.ServerAddr(),
-		contacts:   make(map[uint64]int),
+		ops:        make(map[uint64]*op),
 		partial:    true,
 	}, nil
 }
@@ -361,33 +362,31 @@ func (s *System) putOp(o *op) {
 	s.opFree = append(s.opFree, o)
 }
 
-// newQID allocates a globally unique query id and its contact counter.
-func (s *System) newQID() uint64 {
-	s.nextQID++
-	s.contacts[s.nextQID] = 0
-	return s.nextQID
-}
-
-// newTag allocates a globally unique request tag without contact tracking
-// (internal requests such as finger refresh). Sharing the qid counter keeps
-// every per-peer pending map collision-free.
+// newTag allocates a system-unique tag: a client operation's qid or an
+// internal request's tag (finger refresh, replica rounds).
 func (s *System) newTag() uint64 {
 	s.nextQID++
 	return s.nextQID
 }
 
-// contact records that a peer was contacted on behalf of a query.
-func (s *System) contact(qid uint64) {
-	if _, ok := s.contacts[qid]; ok {
-		s.contacts[qid]++
+// contact charges one contact to origin's op qid. The origin must match:
+// every process of a cluster numbers its qids from 1.
+func (s *System) contact(origin Ref, qid uint64) {
+	if o, ok := s.ops[qid]; ok && o.peer.Addr == origin.Addr {
+		o.contacts++
 	}
 }
 
-// takeContacts returns and clears the contact count for a finished query.
-func (s *System) takeContacts(qid uint64) int {
-	n := s.contacts[qid]
-	delete(s.contacts, qid)
-	return n
+// opsOf returns p's in-flight qids (every peer's for nil) in ascending order.
+func (s *System) opsOf(p *Peer) []uint64 {
+	var qids []uint64
+	for qid, o := range s.ops {
+		if p == nil || o.peer == p {
+			qids = append(qids, qid)
+		}
+	}
+	sort.Slice(qids, func(i, j int) bool { return qids[i] < qids[j] })
+	return qids
 }
 
 // TotalItems returns the number of data items stored across all live peers.

@@ -77,7 +77,7 @@ func (p *Peer) resolveFromIndex(m lookupReq) {
 // handleFetch delivers the item directly to the requester ("the data item
 // is delivered between the two peers directly").
 func (p *Peer) handleFetch(m fetchReq) {
-	p.sys.contact(m.QID)
+	p.sys.contact(m.Origin, m.QID)
 	if it, ok := p.findLocal(m.DID); ok {
 		p.answer(m.Origin, m.QID, it, m.Hops+1)
 		return

@@ -8,6 +8,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 )
 
 // RunAblationTree quantifies the design decision of §3.2.2: tree-shaped
@@ -18,7 +19,7 @@ import (
 func RunAblationTree(o Options) (*Result, error) {
 	res := newResult("AblationTree")
 
-	keys := keysN(o.Items / 2)
+	keys := workload.Keys(o.Items / 2)
 	if len(keys) == 0 {
 		return nil, errNoKeys // the mesh arm indexes keys without the scenario's check
 	}
@@ -113,7 +114,7 @@ func RunAblationTree(o Options) (*Result, error) {
 func RunAblationBypass(o Options) (*Result, error) {
 	res := newResult("AblationBypass")
 
-	keys := keysN(200) // small, hot key set so repeats hit bypass links
+	keys := workload.Keys(200) // small, hot key set so repeats hit bypass links
 	modes := []struct {
 		name, tag string
 		bypass    bool

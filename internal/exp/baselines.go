@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 )
 
 // overlay is what the baseline driver needs from a standalone system: add a
@@ -183,7 +184,7 @@ func runBaseline(o Options, b baseline, keys []string, queries int) (baselineRow
 // at p_s = 0.3 and 0.7.
 func RunBaselines(o Options) (*Result, error) {
 	res := newResult("Baselines")
-	keys := keysN(o.Items / 2)
+	keys := workload.Keys(o.Items / 2)
 	if len(keys) == 0 {
 		return nil, errNoKeys // runBaseline indexes keys without the scenario's check
 	}

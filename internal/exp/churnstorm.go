@@ -7,6 +7,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 )
 
 // RunChurnStorm is the randomized crash-test harness from the protocol
@@ -26,7 +27,7 @@ func RunChurnStorm(o Options) (*Result, error) {
 	if o.Quick {
 		epochs = 6
 	}
-	keys := keysN(o.Items / 2)
+	keys := workload.Keys(o.Items / 2)
 
 	type stormArm struct {
 		failure, latency    float64

@@ -18,15 +18,6 @@ import (
 // or look up.
 var errNoKeys = errors.New("exp: empty key universe: -items is too small for this experiment's share of it")
 
-// keysN builds a key universe of n items.
-func keysN(n int) []string {
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("item-%06d", i)
-	}
-	return keys
-}
-
 // grid runs cell for every (arm, x) pair as one worker-pool task each,
 // arm-major, and returns one curve per arm (named arms[a], y = the cell's
 // value at each x) plus the cells themselves in task order.

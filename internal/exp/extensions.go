@@ -18,7 +18,7 @@ import (
 func RunExtCaching(o Options) (*Result, error) {
 	res := newResult("ExtCaching")
 
-	keys := keysN(o.Items / 4) // small universe so Zipf repeats bite
+	keys := workload.Keys(o.Items / 4) // small universe so Zipf repeats bite
 	modes := []struct {
 		name, tag string
 		caching   bool
@@ -36,9 +36,6 @@ func RunExtCaching(o Options) (*Result, error) {
 		mode := modes[i]
 		cfg := expConfig(0.8)
 		cfg.Caching = mode.caching
-		cfg.CacheHotThreshold = 8
-		cfg.CacheWindow = 60 * sim.Second
-		cfg.CacheTTL = 600 * sim.Second
 		sc, err := buildScenario(o, cfg, o.Seed+900, nil, keys)
 		if err != nil {
 			return cacheArm{}, err
@@ -91,7 +88,7 @@ func RunExtCaching(o Options) (*Result, error) {
 func RunLinkStress(o Options) (*Result, error) {
 	res := newResult("LinkStress")
 
-	keys := keysN(o.Items / 2)
+	keys := workload.Keys(o.Items / 2)
 	modes := []struct {
 		name, tag string
 		aware     bool
@@ -165,7 +162,7 @@ func RunChurn(o Options) (*Result, error) {
 		{"busy (1/s)", 0.5, 0.25, 0.25},
 		{"storm (4/s)", 2, 1, 1},
 	}
-	keys := keysN(o.Items / 2)
+	keys := workload.Keys(o.Items / 2)
 
 	type churnArm struct {
 		failure, latency    float64

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 // fig3TTL is the flood radius of Fig. 3b's lookups and of its Eq. curves
@@ -70,7 +71,7 @@ func RunFig3a(o Options) (*Result, error) {
 func RunFig3b(o Options) (*Result, error) {
 	res := newResult("Fig3b")
 	points := o.psPoints()
-	keys := keysN(o.Items)
+	keys := workload.Keys(o.Items)
 
 	sim, cells, err := grid(o, []string{"simulated δ=3"}, points, func(_ int, ps float64) (histVal, error) {
 		cfg := expConfig(ps)

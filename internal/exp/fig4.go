@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 // RunFig4 regenerates Fig. 4: the probability density function of the number
@@ -18,7 +19,7 @@ func RunFig4(o Options) (*Result, error) {
 
 	psValues := []float64{0, 0.4, 0.9}
 	schemes := []core.Placement{core.PlaceAtTPeer, core.PlaceSpread}
-	keys := keysN(o.Items)
+	keys := workload.Keys(o.Items)
 
 	// One worker-pool task per (scheme, p_s) cell; each returns its summary
 	// row plus the PDF panel, assembled below in grid order.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 // ttls are the flood radii Fig. 5a and Table 2 compare.
@@ -16,7 +17,7 @@ var ttls = []int{1, 2, 4}
 // out[pi][ti] is measure over the batch at points[pi], ttls[ti].
 func ttlCells(o Options, id string, seedOff int64, config func(ps float64) core.Config,
 	pick func(ti, ttl, k int) int, measure func([]core.OpResult) float64) ([][]float64, error) {
-	keys := keysN(o.Items)
+	keys := workload.Keys(o.Items)
 	return sweepPoints(o, o.psPoints(), func(_ int, ps float64) ([]float64, error) {
 		sc, err := buildScenario(o, config(ps), o.Seed+seedOff+int64(ps*100), nil, keys)
 		if err != nil {
@@ -80,7 +81,7 @@ func RunFig5b(o Options) (*Result, error) {
 	if o.Quick {
 		fractions = []float64{0, 0.1, 0.2}
 	}
-	keys := keysN(o.Items)
+	keys := workload.Keys(o.Items)
 
 	arms := make([]string, len(psValues))
 	for i, ps := range psValues {

@@ -24,7 +24,7 @@ type latencyArm struct {
 func latencyVsPs(o Options, fig, what string, seedOff int64, capacities []float64, arms []latencyArm) (*Result, []*metrics.Series, error) {
 	res := newResult("Fig" + fig)
 	points := o.psPoints()
-	keys := keysN(o.Items)
+	keys := workload.Keys(o.Items)
 	names := make([]string, len(arms))
 	for i, arm := range arms {
 		names[i] = arm.name

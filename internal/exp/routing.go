@@ -4,6 +4,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 )
 
 // RunAblationRouting quantifies α-parallel ring probes: the same hybrid
@@ -16,7 +17,7 @@ import (
 func RunAblationRouting(o Options) (*Result, error) {
 	res := newResult("AblationRouting")
 
-	keys := keysN(o.Items / 2)
+	keys := workload.Keys(o.Items / 2)
 	queries := o.Lookups / 2
 
 	modes := []struct {
