@@ -131,12 +131,12 @@ func run(args []string) int {
 		return 2
 	}
 
-	strat, err := core.StrategyByName(*routeFlag)
+	route, err := core.ParseRoute(*routeFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hybridnode:", err)
 		return 2
 	}
-	cfg.Route = strat
+	cfg.Route = route
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "hybridnode:", err)
 		return 2

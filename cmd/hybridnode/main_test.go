@@ -11,6 +11,7 @@ func TestCountsCheckedBeforeTheCluster(t *testing.T) {
 	for _, args := range [][]string{
 		{"-items", "-1"}, {"-keys", "-1"}, {"-lookups", "-1"},
 		{"-k", "0"}, {"-alpha", "0"}, {"-delta", "0"},
+		{"-route", "random"}, {"-role", "x"},
 	} {
 		if code := run(args); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)

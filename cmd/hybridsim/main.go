@@ -102,13 +102,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "hybridsim: unknown placement %q (want tpeer or spread)\n", *placement)
 		return 2
 	}
-	strat, err := core.StrategyByName(*route)
+	r, err := core.ParseRoute(*route)
 	if err != nil {
 		fmt.Fprintln(stderr, "hybridsim:", err)
 		return 2
 	}
-	cfg.Route = strat
-	if _, linear := strat.(core.SuccessorWalk); linear {
+	cfg.Route = r
+	if cfg.Route == core.RouteSuccessor {
 		*cfg = exp.SuccessorWalk(*cfg)
 	}
 	if *topoaware {

@@ -30,7 +30,7 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"landmarks", func(c *Config) { c.Assignment = AssignCluster; c.Landmarks = 0 }},
 		{"k0", func(c *Config) { c.ReplicationK = 0 }},
 		{"alpha0", func(c *Config) { c.LookupAlpha = 0 }},
-		{"route nil", func(c *Config) { c.Route = nil }},
+		{"route7", func(c *Config) { c.Route = 7 }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -69,6 +69,9 @@ func TestEnumStrings(t *testing.T) {
 	}
 	if PlaceAtTPeer.String() != "t-peer" || PlaceSpread.String() != "spread" {
 		t.Fatal("Placement strings")
+	}
+	if RouteFinger.String() != "finger" || RouteSuccessor.String() != "succ" {
+		t.Fatal("Route strings")
 	}
 }
 

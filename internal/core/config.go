@@ -141,9 +141,9 @@ type Config struct {
 	// protocol. Bounded by MaxLookupAlpha.
 	LookupAlpha int
 
-	// Route is the ring routing strategy; DefaultConfig sets FingerWalk,
-	// the paper's closest-preceding-finger walk. See RouteStrategy.
-	Route RouteStrategy
+	// Route selects ring routing for data operations; the zero value is
+	// RouteFinger, the paper's closest-preceding-finger walk.
+	Route Route
 }
 
 // DefaultConfig returns the parameter set used by the paper-scale
@@ -164,7 +164,6 @@ func DefaultConfig() Config {
 		FingerRefreshEvery: 2 * runtime.Second,
 		ReplicationK:       1,
 		LookupAlpha:        1,
-		Route:              FingerWalk{},
 	}
 }
 
@@ -195,8 +194,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: ReplicationK %d < 1", c.ReplicationK)
 	case c.LookupAlpha < 1 || c.LookupAlpha > MaxLookupAlpha:
 		return fmt.Errorf("core: LookupAlpha %d outside [1, %d]", c.LookupAlpha, MaxLookupAlpha)
-	case c.Route == nil:
-		return fmt.Errorf("core: Route must be set (DefaultConfig uses FingerWalk)")
+	case c.Route > RouteSuccessor:
+		return fmt.Errorf("core: unknown Route %d", c.Route)
 	}
 	return nil
 }

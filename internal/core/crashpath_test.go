@@ -125,7 +125,7 @@ func TestCascadedChildCrashAccounting(t *testing.T) {
 func TestLookupDetoursSuspectedSuccessor(t *testing.T) {
 	sys := newTestSystem(t, 17, func(c *Config) {
 		c.Ps = 0.5
-		c.Route = SuccessorWalk{} // force the lookup through the succ pointer
+		c.Route = RouteSuccessor // force the lookup through the succ pointer
 		c.Placement = PlaceAtTPeer
 		hardenedConfig(c)
 	})

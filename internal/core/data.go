@@ -117,7 +117,7 @@ func (p *Peer) storeLocal(it Item) {
 
 // forwardTowardSegment moves a segment-routed request one step: s-peers
 // climb to their connect point, t-peers route along the ring via the
-// configured RouteStrategy (finger walk + suspect detour by default).
+// configured Route (finger walk + suspect detour by default).
 // Returns without sending when this peer already owns the segment (callers
 // check ownership first).
 func (p *Peer) forwardTowardSegment(id idspace.ID, msg any, from runtime.Addr) {
@@ -127,7 +127,7 @@ func (p *Peer) forwardTowardSegment(id idspace.ID, msg any, from runtime.Addr) {
 		}
 		return
 	}
-	next := p.sys.Cfg.Route.NextHop(p, id)
+	next := p.nextHop(id)
 	if !next.Valid() || next.Addr == p.Addr {
 		return // lone t-peer: nowhere to forward
 	}

@@ -156,10 +156,7 @@ func (p *Peer) handleReplaceResp(m replaceResp) {
 		}
 		p.watch(m.Pred.Addr)
 		p.watch(m.Succ.Addr)
-		if p.fingerTicker == nil {
-			p.fingerTicker = runtime.NewTicker(p.sys.rt, p.sys.Cfg.FingerRefreshEvery, p.refreshFingers)
-			p.fingerTicker.Start()
-		}
+		p.startFingerTicker()
 		// Swap the dead address out of every finger table on the ring.
 		if p.succ.Valid() && p.succ.Addr != p.Addr {
 			p.send(p.succ.Addr, substituteMsg{Old: oldAddr, New: p.Ref(), Origin: p.Addr})
@@ -190,18 +187,7 @@ func (p *Peer) handleReplaceResp(m replaceResp) {
 			return
 		}
 	}
-	p.cp = NilRef
 	p.tpeer = m.NewT
 	p.ID = m.NewT.ID
-	p.sys.stats.Rejoins++
-	p.send(m.NewT.Addr, sJoinReq{Joiner: Ref{Addr: p.Addr}, Rejoin: true, Epoch: p.joinEpoch, Hops: 1})
-	// Guard against the replacement crashing too.
-	addr := p.Addr
-	p.sys.rt.Schedule(p.sys.Cfg.HelloTimeout, func() {
-		pp := p.sys.peerAt(addr)
-		if pp == nil || !pp.alive || pp.cp.Valid() || pp.Role != SPeer {
-			return
-		}
-		pp.rejoinViaServer()
-	})
+	p.rejoin()
 }

@@ -103,10 +103,7 @@ func (p *Peer) handleTJoinReq(m tJoinReq) {
 		p.startJoinTriangle(m)
 		return
 	}
-	next := p.closestPreceding(m.Joiner.ID)
-	if !next.Valid() || next.Addr == p.Addr {
-		next = p.succ
-	}
+	next := p.fingerStep(m.Joiner.ID)
 	m.Hops++
 	p.sys.stats.RingForwards++
 	p.send(next.Addr, m)
@@ -568,10 +565,7 @@ func (p *Peer) handlePromote(m promoteMsg) {
 	if p.succ.Valid() && p.succ.Addr != p.Addr {
 		p.watch(p.succ.Addr)
 	}
-	if p.fingerTicker == nil {
-		p.fingerTicker = runtime.NewTicker(p.sys.rt, p.sys.Cfg.FingerRefreshEvery, p.refreshFingers)
-		p.fingerTicker.Start()
-	}
+	p.startFingerTicker()
 	if p.sys.Cfg.TrackerMode {
 		p.ensureIndex()
 		p.announceItems(m.Items)
@@ -660,10 +654,7 @@ func (p *Peer) handlePointerUpdate(m pointerUpdate) {
 func (p *Peer) closestPreceding(target idspace.ID) Ref {
 	for i := len(p.finger) - 1; i >= 0; i-- {
 		f := p.finger[i]
-		if f.Valid() && f.Addr != p.Addr && idspace.StrictBetween(p.ID, f.ID, target) {
-			if len(p.suspect) != 0 && p.suspect[f.Addr] {
-				continue
-			}
+		if f.Valid() && f.Addr != p.Addr && idspace.StrictBetween(p.ID, f.ID, target) && !p.suspected(f.Addr) {
 			return f
 		}
 	}
@@ -742,10 +733,7 @@ func (p *Peer) routeFindSucc(m findSuccReq) {
 		p.answerFindSucc(m, p.succ)
 		return
 	}
-	next := p.closestPreceding(m.Target)
-	if !next.Valid() || next.Addr == p.Addr {
-		next = p.succ
-	}
+	next := p.fingerStep(m.Target)
 	m.Hops++
 	p.send(next.Addr, m)
 }

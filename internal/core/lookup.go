@@ -126,7 +126,7 @@ func (p *Peer) sendRingProbes(id idspace.ID, m lookupReq, max int) int {
 		return max
 	}
 	var buf [MaxLookupAlpha]Ref
-	cands := p.sys.Cfg.Route.NextHops(p, id, max, buf[:0])
+	cands := p.nextHops(id, max, buf[:0])
 	for _, c := range cands {
 		p.sys.stats.RingForwards++
 		p.sys.stats.ProbesSent++
@@ -146,7 +146,7 @@ func (p *Peer) forwardProbe(m lookupReq, from runtime.Addr) {
 	idx := int(m.Probe)
 	m.Probe = 0
 	var buf [MaxLookupAlpha]Ref
-	cands := p.sys.Cfg.Route.NextHops(p, m.DID, idx+1, buf[:0])
+	cands := p.nextHops(m.DID, idx+1, buf[:0])
 	if len(cands) == 0 {
 		p.forwardTowardSegment(m.DID, m, from)
 		return

@@ -494,7 +494,15 @@ func (p *Peer) startMaintenance() {
 		p.helloTicker = runtime.NewTicker(p.sys.rt, p.sys.Cfg.HelloEvery, p.broadcastHello)
 		p.helloTicker.Start()
 	}
-	if p.Role == TPeer && p.fingerTicker == nil {
+	if p.Role == TPeer {
+		p.startFingerTicker()
+	}
+}
+
+// startFingerTicker starts the t-network finger refresh once: at join, and
+// when an s-peer is promoted into the ring.
+func (p *Peer) startFingerTicker() {
+	if p.fingerTicker == nil {
 		p.fingerTicker = runtime.NewTicker(p.sys.rt, p.sys.Cfg.FingerRefreshEvery, p.refreshFingers)
 		p.fingerTicker.Start()
 	}

@@ -130,11 +130,7 @@ func (p *Peer) takePending(from map[idspace.ID]Item) []Item {
 // detouring via succ2 when the successor is suspected dead (same rule as
 // segment routing). NilRef when there is nowhere to push.
 func (p *Peer) replicaSucc() Ref {
-	next := p.succ
-	if len(p.suspect) != 0 && p.suspect[next.Addr] &&
-		p.succ2.Valid() && p.succ2.Addr != p.Addr && !p.suspect[p.succ2.Addr] {
-		next = p.succ2
-	}
+	next := p.detour(p.succ)
 	if !next.Valid() || next.Addr == p.Addr {
 		return NilRef
 	}
@@ -448,7 +444,7 @@ func (p *Peer) handleOwnerAnnounce(m ownerAnnounce) {
 }
 
 // replicaFallback serves a lookup from the local replica set when the owner
-// is suspected dead or the routing strategy's next hop toward it is (no live
+// is suspected dead or the configured Route's next hop toward it is (no live
 // detour either), re-installing the item on the current owner (read-repair)
 // so the next lookup routes normally. Returns false when normal routing
 // should proceed.
@@ -460,11 +456,8 @@ func (p *Peer) replicaFallback(did idspace.ID) (Item, bool) {
 	if !ok {
 		return Item{}, false
 	}
-	suspected := func(a runtime.Addr) bool {
-		return len(p.suspect) != 0 && p.suspect[a]
-	}
-	next := p.sys.Cfg.Route.NextHop(p, did)
-	if !suspected(e.owner.Addr) && next.Valid() && !suspected(next.Addr) {
+	next := p.nextHop(did)
+	if !p.suspected(e.owner.Addr) && next.Valid() && !p.suspected(next.Addr) {
 		return Item{}, false // the route is believed healthy; let it run
 	}
 	p.sys.stats.ReplicaServes++
@@ -503,7 +496,7 @@ func (p *Peer) sweepReplicas(moved []Item) []Item {
 		case p.Role == TPeer && p.inLocalSegment(e.it.DID):
 			promote = append(promote, e.it)
 		case now-e.seen >= p.repExpiry(),
-			len(p.suspect) != 0 && p.suspect[e.owner.Addr]:
+			p.suspected(e.owner.Addr):
 			// Forward home immediately on owner suspicion instead of waiting
 			// out the expiry: shortens the unavailability window after an
 			// owner crash. A false positive is an idempotent re-install.

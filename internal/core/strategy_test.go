@@ -9,9 +9,9 @@ import (
 	"repro/internal/sim"
 )
 
-// TestStrategyEquivalence holds SuccessorWalk to what the Config bool it
-// replaced (successor-only routing forked inside FingerWalk) returned for
-// every (peer, target) pair of one built ring. testdata/succ_routing.golden
+// TestStrategyEquivalence holds RouteSuccessor to what the Config bool it
+// once replaced (successor-only routing forked inside the finger walk)
+// returned for every (peer, target) pair of one built ring. testdata/succ_routing.golden
 // was recorded from that bool before it was deleted: the hop was the same for
 // every target, so it holds one "peer: next hop" line per t-peer, first on a
 // healthy ring and then with every peer suspecting its own successor (the
@@ -22,15 +22,16 @@ func TestStrategyEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Settle(20 * sim.Second) // several stabilization rounds populate succ2
+	sys.Cfg.Route = RouteSuccessor
 	tps := sys.TPeers()
 
 	var b strings.Builder
 	record := func(title string) {
 		fmt.Fprintf(&b, "# %s\n", title)
 		for _, p := range tps {
-			next := SuccessorWalk{}.NextHop(p, p.ID)
+			next := p.nextHop(p.ID)
 			for _, target := range tps {
-				if got := (SuccessorWalk{}).NextHop(p, target.ID); got != next {
+				if got := p.nextHop(target.ID); got != next {
 					t.Errorf("%s: peer %d routes target %v via %d, others via %d", title, p.Addr, target.ID, got.Addr, next.Addr)
 				}
 			}
@@ -41,7 +42,7 @@ func TestStrategyEquivalence(t *testing.T) {
 	detours := 0
 	for _, p := range tps {
 		p.markSuspect(p.succ.Addr)
-		if next := (SuccessorWalk{}).NextHop(p, p.ID); next.Addr == p.succ2.Addr && next.Addr != p.succ.Addr {
+		if next := p.nextHop(p.ID); next.Addr == p.succ2.Addr && next.Addr != p.succ.Addr {
 			detours++
 		}
 	}
@@ -55,6 +56,47 @@ func TestStrategyEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b.String() != string(want) {
-		t.Errorf("SuccessorWalk diverged from the recorded successor-only hops:\n--- got ---\n%s--- want ---\n%s", b.String(), want)
+		t.Errorf("RouteSuccessor diverged from the recorded successor-only hops:\n--- got ---\n%s--- want ---\n%s", b.String(), want)
+	}
+}
+
+// TestNextHopsAllocFree pins the α-probe candidate ranking at zero
+// allocations: the caller's fixed-size buffer must stay on its stack.
+func TestNextHopsAllocFree(t *testing.T) {
+	sys := newTestSystem(t, 17, func(c *Config) { c.Ps = 0.5 })
+	if _, _, err := sys.BuildPopulation(PopulationOpts{N: 40}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Settle(20 * sim.Second)
+	tps := sys.TPeers()
+	p, target := tps[0], tps[len(tps)/2].ID
+	var n int
+	avg := testing.AllocsPerRun(100, func() {
+		var buf [MaxLookupAlpha]Ref
+		n = len(p.nextHops(target, 3, buf[:0]))
+	})
+	if n < 2 {
+		t.Fatalf("ranked %d candidates toward the far side of the ring, want at least 2", n)
+	}
+	if avg != 0 {
+		t.Fatalf("ranking %d hop candidates allocates %.1f allocs/op, want 0", n, avg)
+	}
+}
+
+func TestParseRoute(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Route
+	}{
+		{"", RouteFinger}, {"finger", RouteFinger},
+		{"succ", RouteSuccessor}, {"successor", RouteSuccessor},
+	} {
+		if got, err := ParseRoute(tc.name); err != nil || got != tc.want {
+			t.Errorf("ParseRoute(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	_, err := ParseRoute("random")
+	if err == nil || err.Error() != `core: unknown routing strategy "random" (want finger or succ)` {
+		t.Errorf("ParseRoute(\"random\") error = %v", err)
 	}
 }

@@ -108,10 +108,10 @@ func expConfig(ps float64) core.Config {
 func paperRoutingConfig(ps float64) core.Config { return SuccessorWalk(expConfig(ps)) }
 
 // SuccessorWalk returns cfg routing the ring by successors only, as the
-// paper's own simulation did (see core.SuccessorWalk), with the lookup
+// paper's own simulation did (see core.RouteSuccessor), with the lookup
 // timeout grown to cover linear ring traversals.
 func SuccessorWalk(cfg core.Config) core.Config {
-	cfg.Route = core.SuccessorWalk{}
+	cfg.Route = core.RouteSuccessor
 	cfg.LookupTimeout = 180 * sim.Second
 	return cfg
 }
