@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -16,14 +17,13 @@ import (
 // outright instead of waiting for someone to compare benchmark output.
 
 // TestEventEngineAllocFree pins the engine hot path at zero allocations per
-// event: after warm-up every Event comes from the engine's free list and the
-// heap slice never grows, so a steady-state schedule/dispatch cycle touches
-// no allocator at all.
+// event: after warm-up every Event comes from the engine's free list, and
+// the radix heap links events through their own fields, so a steady-state
+// schedule/dispatch cycle touches no allocator at all.
 func TestEventEngineAllocFree(t *testing.T) {
 	eng := sim.New(1)
 	tick := func() {}
-	// Warm-up: grow the heap array and the event pool past anything the
-	// measured loop needs.
+	// Warm-up: grow the event pool past anything the measured loop needs.
 	for i := 0; i < 1024; i++ {
 		eng.After(sim.Time(i%100+1), tick)
 	}
@@ -36,6 +36,44 @@ func TestEventEngineAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("event engine hot path allocates: %.2f allocs per 64-event cycle, want 0", avg)
+	}
+}
+
+// TestTimerRearmAllocFree pins the timer path at zero allocations: re-arming
+// a runtime.Timer (a cancel and a schedule on the engine), cancelling handles
+// from a burst of short events, and a RunUntil that stops short of the next
+// pending event, as a HELLO watchdog sees it on every heartbeat.
+func TestTimerRearmAllocFree(t *testing.T) {
+	eng := sim.New(1)
+	fired := 0
+	timers := make([]*runtime.Timer, 64)
+	for i := range timers {
+		timers[i] = runtime.NewTimer(eng, sim.Time(i+1)*sim.Second, func() { fired++ })
+	}
+	tick := func() {}
+	var hs [16]sim.Handle
+	cycle := func() {
+		for _, tm := range timers {
+			tm.Start()
+		}
+		for i := range hs {
+			hs[i] = eng.After(sim.Time(i)*sim.Millisecond, tick)
+		}
+		for i := 0; i < len(hs); i += 2 {
+			eng.Cancel(hs[i])
+		}
+		// Stops 900 ms before the earliest timer.
+		eng.RunUntil(eng.Now() + 100*sim.Millisecond)
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	avg := testing.AllocsPerRun(100, cycle)
+	if avg != 0 {
+		t.Fatalf("timer re-arm path allocates: %.2f allocs per cycle, want 0", avg)
+	}
+	if fired != 0 || eng.Pending() != len(timers) {
+		t.Fatalf("fired=%d pending=%d: a re-armed timer fired or leaked", fired, eng.Pending())
 	}
 }
 

@@ -5,11 +5,15 @@
 // (time, sequence-number) so two runs with the same seed and the same
 // schedule of calls produce byte-identical traces. There is no wall clock
 // anywhere: simulated time only advances when the engine dispatches the next
-// event.
+// event. Pending events sit in a monotone radix heap: scheduling and
+// cancelling are O(1), and a timer parked seconds ahead is not touched by
+// the pops that pass it.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/runtime"
@@ -32,12 +36,15 @@ const (
 // event fires or is cancelled, its struct is recycled for a later schedule.
 // Protocol code therefore never holds a *Event directly; it holds a Handle,
 // whose epoch check makes operations on an already-recycled event no-ops.
+//
+// While pending, an event is linked into one bucket of the engine's radix
+// heap; prev and next are its neighbours there.
 type Event struct {
-	at    Time
-	seq   uint64
-	index int // heap index, -1 once removed
-	epoch uint32
-	fn    func()
+	at         Time
+	seq        uint64
+	prev, next *Event
+	epoch      uint32
+	fn         func()
 }
 
 // Handle refers to one scheduled firing of an event. The zero Handle is
@@ -71,7 +78,7 @@ func (h Handle) At() Time {
 type Engine struct {
 	now        Time
 	seq        uint64
-	queue      eventQueue
+	events     radixHeap
 	free       []*Event // recycled Event structs
 	rng        *rand.Rand
 	dispatched uint64
@@ -92,7 +99,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.queue.items) }
+func (e *Engine) Pending() int { return e.events.n }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it is always a protocol bug, never a recoverable condition.
@@ -112,7 +119,7 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	ev.seq = e.seq
 	ev.fn = fn
 	e.seq++
-	e.queue.push(ev)
+	e.events.push(ev)
 	return Handle{ev: ev, epoch: ev.epoch}
 }
 
@@ -131,9 +138,8 @@ func (e *Engine) Cancel(h Handle) bool {
 	if !h.Pending() {
 		return false
 	}
-	ev := h.ev
-	e.queue.remove(ev.index)
-	e.recycle(ev)
+	e.events.remove(h.ev)
+	e.recycle(h.ev)
 	return true
 }
 
@@ -143,16 +149,21 @@ func (e *Engine) Cancel(h Handle) bool {
 func (e *Engine) recycle(ev *Event) {
 	ev.epoch++
 	ev.fn = nil
-	ev.index = -1
 	e.free = append(e.free, ev)
 }
 
 // Step dispatches the next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	if len(e.queue.items) == 0 {
+	ev := e.events.popUntil(math.MaxInt64)
+	if ev == nil {
 		return false
 	}
-	ev := e.queue.pop()
+	e.dispatch(ev)
+	return true
+}
+
+// dispatch runs a popped event.
+func (e *Engine) dispatch(ev *Event) {
 	e.now = ev.at
 	e.dispatched++
 	fn := ev.fn
@@ -160,7 +171,6 @@ func (e *Engine) Step() bool {
 	// struct immediately; stale handles are fenced off by the epoch bump.
 	e.recycle(ev)
 	fn()
-	return true
 }
 
 // Run dispatches events until the queue is empty.
@@ -171,8 +181,8 @@ func (e *Engine) Run() {
 
 // RunUntil dispatches events with timestamps <= t, then sets the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.queue.items) > 0 && e.queue.items[0].at <= t {
-		e.Step()
+	for ev := e.events.popUntil(t); ev != nil; ev = e.events.popUntil(t) {
+		e.dispatch(ev)
 	}
 	if e.now < t {
 		e.now = t
@@ -207,92 +217,104 @@ func (e *Engine) Scheduled(h runtime.Handle) bool {
 	return (Handle{ev: ev, epoch: h.Epoch()}).Pending()
 }
 
-// eventQueue is a binary min-heap over (time, seq), implemented inline
-// (mirroring topology's distHeap) so scheduling involves no interface
-// boxing or indirect Less/Swap calls.
-type eventQueue struct {
-	items []*Event
+// radixHeap is a monotone radix heap over (time, seq) (Ahuja, Mehlhorn,
+// Orlin & Tarjan, JACM 1990). Engine time never goes backwards, so every
+// pending event is at or after last, the time of the last extracted minimum,
+// and sits in bucket bits.Len64(at ^ last): bucket 0 holds the events at
+// exactly last, bucket b those whose time first differs from last in bit
+// b-1. Raising last to the minimum of the lowest non-empty bucket moves that
+// bucket's events to strictly lower buckets and leaves every higher bucket
+// correct, so a timer parked seconds ahead is touched O(log Δt) times in its
+// life instead of on every pop.
+//
+// Buckets are intrusive doubly linked lists through Event, so push and
+// remove are O(1) and nothing grows with the number pending; an event's
+// bucket is always bucketOf(at), so it is not stored. Events of one
+// time always share a bucket and move together in list order, so each list
+// keeps them in seq order: bucket 0 is the FIFO of the current instant.
+type radixHeap struct {
+	last     Time
+	n        int
+	occupied uint64 // bit b is set iff buckets[b] is non-empty
+	buckets  [64]eventList
 }
 
-func (q *eventQueue) less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if a.at != b.at {
-		return a.at < b.at
+type eventList struct{ head, tail *Event }
+
+func (h *radixHeap) push(ev *Event) {
+	h.link(ev, h.bucketOf(ev.at))
+	h.n++
+}
+
+func (h *radixHeap) bucketOf(at Time) int { return bits.Len64(uint64(at ^ h.last)) }
+
+// link appends ev to bucket b.
+func (h *radixHeap) link(ev *Event, b int) {
+	l := &h.buckets[b]
+	ev.prev, ev.next = l.tail, nil
+	if l.tail == nil {
+		l.head = ev
+		h.occupied |= 1 << b
+	} else {
+		l.tail.next = ev
 	}
-	return a.seq < b.seq
+	l.tail = ev
 }
 
-func (q *eventQueue) swap(i, j int) {
-	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.items[i].index = i
-	q.items[j].index = j
-}
-
-func (q *eventQueue) push(ev *Event) {
-	ev.index = len(q.items)
-	q.items = append(q.items, ev)
-	q.up(ev.index)
-}
-
-func (q *eventQueue) pop() *Event {
-	top := q.items[0]
-	last := len(q.items) - 1
-	q.swap(0, last)
-	q.items[last] = nil
-	q.items = q.items[:last]
-	if last > 0 {
-		q.down(0)
+func (h *radixHeap) remove(ev *Event) {
+	b := h.bucketOf(ev.at)
+	l := &h.buckets[b]
+	if ev.prev == nil {
+		l.head = ev.next
+	} else {
+		ev.prev.next = ev.next
 	}
-	top.index = -1
-	return top
+	if ev.next == nil {
+		l.tail = ev.prev
+	} else {
+		ev.next.prev = ev.prev
+	}
+	if l.head == nil {
+		h.occupied &^= 1 << b
+	}
+	ev.prev, ev.next = nil, nil
+	h.n--
 }
 
-// remove deletes the item at heap index i.
-func (q *eventQueue) remove(i int) {
-	last := len(q.items) - 1
-	if i != last {
-		q.swap(i, last)
+// popUntil removes and returns the earliest event if it is due at or before
+// limit. Otherwise it returns nil and leaves last where it was, so last never
+// passes the engine's clock and an event scheduled at any t >= now still
+// has a bucket.
+func (h *radixHeap) popUntil(limit Time) *Event {
+	if h.occupied == 0 {
+		return nil
 	}
-	q.items[last].index = -1
-	q.items[last] = nil
-	q.items = q.items[:last]
-	if i < last {
-		if !q.up(i) {
-			q.down(i)
+	if h.occupied&1 == 0 {
+		b := bits.TrailingZeros64(h.occupied)
+		l := &h.buckets[b]
+		least := l.head.at
+		for ev := l.head.next; ev != nil; ev = ev.next {
+			if ev.at < least {
+				least = ev.at
+			}
+		}
+		if least > limit {
+			return nil
+		}
+		h.last = least
+		ev := l.head
+		*l = eventList{}
+		h.occupied &^= 1 << b
+		for ev != nil {
+			next := ev.next
+			h.link(ev, h.bucketOf(ev.at))
+			ev = next
 		}
 	}
-}
-
-// up sifts the item at i toward the root; reports whether it moved.
-func (q *eventQueue) up(i int) bool {
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.swap(i, parent)
-		i = parent
-		moved = true
+	ev := h.buckets[0].head
+	if ev.at > limit {
+		return nil
 	}
-	return moved
-}
-
-// down sifts the item at i toward the leaves.
-func (q *eventQueue) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(q.items) && q.less(l, small) {
-			small = l
-		}
-		if r < len(q.items) && q.less(r, small) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		q.swap(i, small)
-		i = small
-	}
+	h.remove(ev)
+	return ev
 }

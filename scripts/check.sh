@@ -65,13 +65,14 @@ gate() {
         ;;
     allocguard)
         # Allocation budgets: the event-engine hot path must stay at zero
-        # allocs per event, a topology latency lookup at zero per call, a
-        # no-churn lookup within its per-op budget, and a finger refresh
-        # answered in place and the α-probe candidate ranking must allocate
-        # nothing. -count=1 defeats the cache; these are the cheap tripwires
+        # allocs per event, a timer re-arm, cancel and early-stopping
+        # RunUntil at zero per cycle, a topology latency lookup at zero per
+        # call, a no-churn lookup within its per-op budget, and a finger
+        # refresh answered in place and the α-probe candidate ranking must
+        # allocate nothing. -count=1 defeats the cache; these are the cheap tripwires
         # for the pooling work.
-        echo "== allocation budget gate (event engine, topology latency, lookup path, local finger refresh, hop ranking, histogram record)"
-        go test . -count=1 -run '^(TestEventEngineAllocFree|TestLatencyAllocFree|TestLookupAllocBudget|TestFingerRefreshLocalAllocFree)$'
+        echo "== allocation budget gate (event engine, timer re-arm, topology latency, lookup path, local finger refresh, hop ranking, histogram record)"
+        go test . -count=1 -run '^(TestEventEngineAllocFree|TestTimerRearmAllocFree|TestLatencyAllocFree|TestLookupAllocBudget|TestFingerRefreshLocalAllocFree)$'
         go test ./internal/core -count=1 -run '^TestNextHopsAllocFree$'
         go test ./internal/obs -count=1 -run '^TestHistogramRecordAllocFree$'
         ;;
@@ -119,11 +120,13 @@ gate() {
         # the op table with its audit row, the write-only op and peer fields,
         # the three cache knobs (constants now) and exp's copy of the key
         # generator; the routing-strategy interface with its two
-        # implementations and name lookup, which the Route enum replaced.
+        # implementations and name lookup, which the Route enum replaced; the
+        # engine's binary event heap and its slice, which the radix heap
+        # replaced.
         # CHANGES.md and ROADMAP.md may tell the story; this script
         # has to spell the patterns.
         echo "== retired-name gate (deleted flags, types, programs, files and Make targets stay deleted)"
-        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout|AssignInterest|metrics\.(Sample|NewHistogram)|FaultSeed|PathCache|pathcache|routeHint|hintDrop|PathHint|NumHints|hint_(uses|drops)|LookupWalk|RunSteps|DegreeHistogram|RandomWalk|WalkCount|WalkTTL|walkReq|startWalks|WalksSent|ExtWalk|SearchPrefix|SearchSync|searchReq|searchHit|SearchesSent|IDGen|IDLocation|IDHashAddr|HostCoord|KeyCategory|(^|[^[:alnum:]_-])-walk([^[:alnum:]_-]|$)|InterestCategories|InterestKeys|CategoryID|CategoryOf|segmentID|itemSID|Reflood|(^|[^[:alnum:]_-])-interests([^[:alnum:]_-]|$)|contact_leaks|contactLeaks|takeContacts|newQID|ringMiss|joinAttempts|CacheHotThreshold|CacheWindow|CacheTTL|keysN\(|RouteStrategy|StrategyByName|FingerWalk|SuccessorWalk\{\}|Route\.NextHops?\(' \
+        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout|AssignInterest|metrics\.(Sample|NewHistogram)|FaultSeed|PathCache|pathcache|routeHint|hintDrop|PathHint|NumHints|hint_(uses|drops)|LookupWalk|RunSteps|DegreeHistogram|RandomWalk|WalkCount|WalkTTL|walkReq|startWalks|WalksSent|ExtWalk|SearchPrefix|SearchSync|searchReq|searchHit|SearchesSent|IDGen|IDLocation|IDHashAddr|HostCoord|KeyCategory|(^|[^[:alnum:]_-])-walk([^[:alnum:]_-]|$)|InterestCategories|InterestKeys|CategoryID|CategoryOf|segmentID|itemSID|Reflood|(^|[^[:alnum:]_-])-interests([^[:alnum:]_-]|$)|contact_leaks|contactLeaks|takeContacts|newQID|ringMiss|joinAttempts|CacheHotThreshold|CacheWindow|CacheTTL|keysN\(|RouteStrategy|StrategyByName|FingerWalk|SuccessorWalk\{\}|Route\.NextHops?\(|eventQueue|queue\.items' \
             --include='*.go' --include='*.md' --include='*.sh' --include=Makefile \
             --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh \
             --exclude-dir=.git --exclude-dir=.bench_build .; then
