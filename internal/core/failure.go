@@ -125,11 +125,7 @@ func (p *Peer) handleRingRepair(m ringRepair) {
 			p.watch(m.Pred.Addr)
 		}
 	}
-	for i := range p.finger {
-		if p.finger[i].Addr == m.Crashed.Addr {
-			p.finger[i] = m.Succ
-		}
-	}
+	p.fingers.replace(m.Crashed.Addr, m.Succ)
 }
 
 // handleReplaceResp concludes the server's crash arbitration: the winner is
@@ -148,12 +144,11 @@ func (p *Peer) handleReplaceResp(m replaceResp) {
 		p.pred = m.Pred
 		p.succ = m.Succ
 		p.segLo = m.Pred.ID
-		p.ensureFingers()
-		for i := range p.finger {
-			if !p.finger[i].Valid() || p.finger[i].Addr == oldAddr.Addr {
-				p.finger[i] = m.Succ
-			}
-		}
+		// Every empty slot, and every slot naming the crashed t-peer,
+		// now names the successor.
+		p.fingers.size()
+		p.fingers.replace(runtime.None, m.Succ)
+		p.fingers.replace(oldAddr.Addr, m.Succ)
 		p.watch(m.Pred.Addr)
 		p.watch(m.Succ.Addr)
 		p.startFingerTicker()

@@ -57,10 +57,10 @@ func TestLocalFingerAnswerSurvivesDrops(t *testing.T) {
 			switch {
 			case localSlot(p, i):
 				local++
-				if p.finger[i] != p.succ {
+				if p.fingers.at(i) != p.succ {
 					lost++
 				}
-			case p.finger[i].Valid():
+			case p.fingers.at(i).Valid():
 				kept++
 			}
 		}
@@ -158,7 +158,7 @@ func TestFingersConvergeToOracle(t *testing.T) {
 			if !localSlot(p, i) {
 				want++
 			}
-			if got, succ := p.finger[i], successor(idspace.FingerStart(p.ID, i)); got != succ {
+			if got, succ := p.fingers.at(i), successor(idspace.FingerStart(p.ID, i)); got != succ {
 				t.Errorf("peer %d finger[%d] = %+v, want %+v", p.Addr, i, got, succ)
 			}
 		}
@@ -185,13 +185,13 @@ func TestLoneTPeerFillsFingersSilently(t *testing.T) {
 	}
 	p := peers[0]
 	sys.Settle(8 * sys.Cfg.FingerRefreshEvery)
-	for i, f := range p.finger {
+	for i, f := range p.fingers.slots() {
 		if f != p.Ref() {
 			t.Errorf("finger[%d] = %+v, want the peer itself", i, f)
 		}
 	}
-	if len(p.finger) != FingerBits || probes != 0 {
-		t.Errorf("%d slots, %d finger messages; want %d slots and none", len(p.finger), probes, FingerBits)
+	if n := len(p.fingers.slots()); n != FingerBits || probes != 0 {
+		t.Errorf("%d slots, %d finger messages; want %d slots and none", n, probes, FingerBits)
 	}
 	// An all-local round schedules nothing: no answer in transit, no timeout.
 	before := sys.Eng().Pending()
@@ -223,21 +223,21 @@ func TestFingerRoundTimeout(t *testing.T) {
 
 	const perRound = 8
 	first := FingerBits - perRound
-	p.nextFinger = first
-	before := append([]Ref(nil), p.finger...)
+	p.fingers.next = uint8(first)
+	before := p.fingers.slots()
 	p.refreshFingers()
-	if p.fingerTag[top] == 0 {
+	if p.fingers.tag(top) == 0 {
 		t.Fatal("the probe into the crashed finger was answered")
 	}
 	every := sys.Cfg.FingerRefreshEvery
 	sys.Settle(every - 1)
 	wedged := make(map[int]bool) // slots of the round still in flight
 	for i := first; i < FingerBits; i++ {
-		if p.fingerTag[i] != 0 {
+		if p.fingers.tag(i) != 0 {
 			wedged[i] = true
 		}
-		if p.finger[i] != before[i] {
-			t.Errorf("slot %d changed before the timeout: %+v -> %+v", i, before[i], p.finger[i])
+		if p.fingers.at(i) != before[i] {
+			t.Errorf("slot %d changed before the timeout: %+v -> %+v", i, before[i], p.fingers.at(i))
 		}
 	}
 	if len(wedged) == 0 || len(wedged) == perRound {
@@ -246,10 +246,10 @@ func TestFingerRoundTimeout(t *testing.T) {
 	sys.Settle(1)
 	for i := first; i < FingerBits; i++ {
 		switch {
-		case wedged[i] && (p.finger[i].Valid() || p.fingerTag[i] != 0):
-			t.Errorf("slot %d: timeout left finger %+v tag %d", i, p.finger[i], p.fingerTag[i])
-		case !wedged[i] && p.finger[i] != before[i]:
-			t.Errorf("slot %d was answered, yet the timeout changed it: %+v -> %+v", i, before[i], p.finger[i])
+		case wedged[i] && (p.fingers.at(i).Valid() || p.fingers.tag(i) != 0):
+			t.Errorf("slot %d: timeout left finger %+v tag %d", i, p.fingers.at(i), p.fingers.tag(i))
+		case !wedged[i] && p.fingers.at(i) != before[i]:
+			t.Errorf("slot %d was answered, yet the timeout changed it: %+v -> %+v", i, before[i], p.fingers.at(i))
 		}
 	}
 }

@@ -86,10 +86,8 @@ func (s *System) RingSummary() RingView {
 			Items:   len(p.data),
 			Subtree: 1,
 		}
-		seen := map[runtime.Addr]bool{}
-		for _, f := range p.finger {
-			if f.Valid() && !seen[f.Addr] {
-				seen[f.Addr] = true
+		for _, f := range p.fingers.entries() {
+			if f.Valid() && !slices.ContainsFunc(tv.Fingers, func(v RefView) bool { return v.Addr == f.Addr }) {
 				tv.Fingers = append(tv.Fingers, RefView{Addr: f.Addr, ID: f.ID})
 			}
 		}

@@ -30,14 +30,12 @@ func (p *Peer) handleServerJoinResp(m serverJoinResp) {
 		p.Role = TPeer
 		p.ID = m.ID
 		p.tpeer = p.Ref()
-		p.ensureFingers()
+		p.fingers.size()
 		if m.First {
 			self := p.Ref()
 			p.pred, p.succ = self, self
 			p.segLo = p.ID
-			for i := range p.finger {
-				p.finger[i] = self
-			}
+			p.fingers.fill(self)
 			p.send(p.sys.serverAddr, ringRegister{Self: self})
 			p.sys.stats.TJoins++
 			p.completeJoin(0)
@@ -69,19 +67,6 @@ func (p *Peer) armJoinTimer() {
 		p.send(p.sys.serverAddr, p.joinReq)
 		p.armJoinTimer()
 	})
-}
-
-// ensureFingers sizes the finger table and its flat refresh-tag table.
-func (p *Peer) ensureFingers() {
-	if p.finger == nil {
-		p.finger = make([]Ref, FingerBits)
-		for i := range p.finger {
-			p.finger[i] = NilRef
-		}
-	}
-	if p.fingerTag == nil {
-		p.fingerTag = make([]uint64, FingerBits)
-	}
 }
 
 // --- join request routing -----------------------------------------------------
@@ -158,10 +143,7 @@ func (p *Peer) handleTJoinSetup(from runtime.Addr, m tJoinSetup) {
 	p.pred = m.Pred
 	p.succ = m.Succ
 	p.segLo = m.Pred.ID
-	p.ensureFingers()
-	for i := range p.finger {
-		p.finger[i] = m.Succ
-	}
+	p.fingers.fill(m.Succ)
 	p.watch(m.Pred.Addr)
 	if m.Succ.Addr != m.Pred.Addr {
 		p.watch(m.Succ.Addr)
@@ -422,7 +404,7 @@ func (p *Peer) leaveBySubstitution() {
 		ID:       p.ID,
 		Pred:     p.pred,
 		Succ:     p.succ,
-		Fingers:  append([]Ref(nil), p.finger...),
+		Fingers:  p.fingers.slots(),
 		Items:    items,
 		Children: rest,
 	}
@@ -546,8 +528,7 @@ func (p *Peer) handlePromote(m promoteMsg) {
 	}
 	p.pred = m.Pred
 	p.succ = m.Succ
-	p.ensureFingers()
-	copy(p.finger, m.Fingers)
+	p.fingers.load(m.Fingers)
 	if len(m.Items) > 0 && p.data == nil {
 		p.data = make(map[idspace.ID]Item)
 	}
@@ -610,11 +591,7 @@ func (p *Peer) handleSubstitute(m substituteMsg) {
 			p.watch(m.New.Addr)
 		}
 	}
-	for i := range p.finger {
-		if p.finger[i].Addr == m.Old.Addr {
-			p.finger[i] = m.New
-		}
-	}
+	p.fingers.replace(m.Old.Addr, m.New)
 	if p.Addr == m.New.Addr {
 		return // the substitute swallows the notice
 	}
@@ -652,8 +629,9 @@ func (p *Peer) handlePointerUpdate(m pointerUpdate) {
 // closestPreceding returns the known t-peer closest to target from below,
 // skipping suspected-dead entries while their repair is pending.
 func (p *Peer) closestPreceding(target idspace.ID) Ref {
-	for i := len(p.finger) - 1; i >= 0; i-- {
-		f := p.finger[i]
+	fs := p.fingers.entries()
+	for i := len(fs) - 1; i >= 0; i-- {
+		f := fs[i]
 		if f.Valid() && f.Addr != p.Addr && idspace.StrictBetween(p.ID, f.ID, target) && !p.suspected(f.Addr) {
 			return f
 		}
@@ -677,45 +655,25 @@ func (p *Peer) refreshFingers() {
 		return
 	}
 	p.stabilizeRing()
-	p.ensureFingers()
-	const perRound = 8
-	start := p.nextFinger
-	var firstTag uint64
-	inFlight := false // some probe of this round left the peer
-	for i := 0; i < perRound; i++ {
-		idx := p.nextFinger
-		p.nextFinger = (p.nextFinger + 1) % FingerBits
-		target := idspace.FingerStart(p.ID, idx)
-		tag := p.sys.newTag()
-		if i == 0 {
-			firstTag = tag
-		}
-		p.fingerTag[idx] = tag
-		p.routeFindSucc(findSuccReq{Target: target, Origin: p.Addr, Tag: tag, Fidx: idx})
-		inFlight = inFlight || p.fingerTag[idx] == tag
+	p.fingers.size()
+	first := p.sys.newTags(fingerRoundLen)
+	lo := p.fingers.openRound(first)
+	for k := 0; k < fingerRoundLen; k++ {
+		idx := lo + k
+		p.routeFindSucc(findSuccReq{Target: idspace.FingerStart(p.ID, idx), Origin: p.Addr, Tag: first + uint64(k), Fidx: idx})
 	}
-	if !inFlight {
+	if !p.fingers.pending(lo, first) {
 		return // every probe was answered in place: nothing to time out
 	}
 	// A refresh that never answers was routed into a dead finger (a crashed
 	// peer gives no error). Clearing the slot on timeout makes the next
 	// route fall back to lower fingers or the successor, un-wedging the
-	// refresh itself. One timer covers the whole round: the loop draws its
-	// tags back to back — a slot answered in place draws one too, and has
-	// already cleared it — so slot k of this round holds exactly firstTag+k
-	// until the answer (or this timeout) clears it, and a slot is never
-	// re-issued before the timeout fires (the refresh cycles through all 64
-	// slots before returning, eight rounds later).
+	// refresh itself. One timer covers the whole round; a slot answered in
+	// the meantime, or a round reopened at the same slots eight ticks on,
+	// is left alone.
 	p.sys.rt.Schedule(p.sys.Cfg.FingerRefreshEvery, func() {
-		if !p.alive {
-			return
-		}
-		for k := 0; k < perRound; k++ {
-			idx := (start + k) % FingerBits
-			if p.fingerTag[idx] == firstTag+uint64(k) {
-				p.fingerTag[idx] = 0
-				p.finger[idx] = NilRef
-			}
+		if p.alive {
+			p.fingers.expire(lo, first)
 		}
 	})
 }
@@ -760,13 +718,7 @@ func (p *Peer) handleFindSucc(m findSuccReq) {
 
 func (p *Peer) handleFindSuccResp(m findSuccResp) {
 	// Accept only the answer to the probe currently in flight for the slot:
-	// a zero or stale tag means the probe timed out (or the peer changed
-	// role) and the slot has moved on, exactly as the old pending-record
-	// lookup decided.
-	if m.Fidx < 0 || m.Fidx >= len(p.fingerTag) ||
-		m.Tag == 0 || p.fingerTag[m.Fidx] != m.Tag {
-		return
-	}
-	p.fingerTag[m.Fidx] = 0
-	p.finger[m.Fidx] = m.Succ
+	// a stale tag means the probe timed out or its round was reopened, and
+	// the slot has moved on.
+	p.fingers.answer(m.Fidx, m.Tag, m.Succ)
 }

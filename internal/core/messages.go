@@ -208,7 +208,7 @@ type ringLocate struct {
 // findSuccReq resolves the successor of Target on the t-network; used for
 // finger maintenance. Fidx is the finger slot being refreshed; it rides the
 // request and is echoed in the response so the issuer can match the answer
-// against its flat per-slot tag table (fingerTag) instead of keeping one
+// against its open refresh rounds (fingerTable) instead of keeping one
 // pending-op record per probe.
 type findSuccReq struct {
 	Target idspace.ID

@@ -34,14 +34,10 @@ type Peer struct {
 	// still pending; routing avoids them. Entries clear on any liveness
 	// signal or once the pointer heals. Lazily allocated: nil for the
 	// (common) peers that never see a neighbor crash.
-	suspect    map[runtime.Addr]bool
-	finger     []Ref // lazily sized to FingerBits
-	nextFinger int
-	// fingerTag is the flat per-slot refresh table (sized with finger): a
-	// non-zero entry is the tag of the in-flight findSuccReq refreshing that
-	// slot. It replaces the per-probe pending-op records — eight fresh op
-	// structs and timeout closures per refresh tick — with two array writes.
-	fingerTag []uint64
+	suspect map[runtime.Addr]bool
+	// fingers is the finger table with its refresh rounds in flight,
+	// sized when the peer takes the t-role.
+	fingers fingerTable
 	// joining/leaving are the §3.3 mutex variables; joinQueue serializes
 	// join requests that arrive while a triangle is in flight.
 	joining    bool
@@ -138,6 +134,11 @@ type Peer struct {
 	// insertPending is true from sending tJoinToSucc until succ confirms
 	// the ring insertion; it gates the re-send loop (armInsertRetry).
 	insertPending bool
+	// deferLeave marks a leave requested while a join triangle was in
+	// flight; it runs once the triangle closes (§3.3: a joining pre
+	// accepts no leave requests, including its own). Beside the other flag
+	// so that Peer stays in its allocator size class.
+	deferLeave bool
 	// triJoiner/triEpoch identify the join triangle this peer currently
 	// anchors as pre, so a tJoinCancel from the joiner can release the
 	// joining mutex without racing a different (newer) triangle.
@@ -148,10 +149,6 @@ type Peer struct {
 	// through the server (a wedged rejoin would otherwise strand the peer
 	// silently forever).
 	cpLostTicks int
-	// deferLeave marks a leave requested while a join triangle was in
-	// flight; it runs once the triangle closes (§3.3: a joining pre
-	// accepts no leave requests, including its own).
-	deferLeave bool
 
 	fingerTicker *runtime.Ticker
 }

@@ -95,8 +95,9 @@ func (p *Peer) nextHops(id idspace.ID, max int, dst []Ref) []Ref {
 	}
 	dst = append(dst, first)
 	if p.sys.Cfg.Route == RouteFinger {
-		for i := len(p.finger) - 1; i >= 0 && len(dst) < max; i-- {
-			if f := p.finger[i]; idspace.StrictBetween(p.ID, f.ID, id) {
+		fs := p.fingers.entries()
+		for i := len(fs) - 1; i >= 0 && len(dst) < max; i-- {
+			if f := fs[i]; idspace.StrictBetween(p.ID, f.ID, id) {
 				dst = p.appendHop(dst, f)
 			}
 		}

@@ -365,8 +365,14 @@ func (s *System) putOp(o *op) {
 // newTag allocates a system-unique tag: a client operation's qid or an
 // internal request's tag (finger refresh, replica rounds).
 func (s *System) newTag() uint64 {
-	s.nextQID++
-	return s.nextQID
+	return s.newTags(1)
+}
+
+// newTags reserves n consecutive tags and returns the first.
+func (s *System) newTags(n int) uint64 {
+	first := s.nextQID + 1
+	s.nextQID += uint64(n)
+	return first
 }
 
 // contact charges one contact to origin's op qid. The origin must match:

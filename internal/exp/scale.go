@@ -67,11 +67,12 @@ func RunScale(o Options) (*Result, error) {
 	return res, nil
 }
 
-// scaleSizes returns the population ladder. The full sweep is fixed at
-// 10k/100k/1M regardless of -n (the point is the ladder, not one size);
-// quick mode runs a single reduced point, honoring -n up to 10k so
-// `make benchscale` (N=10k) and the test suite (N in the hundreds) share the
-// code path.
+// scaleSizes returns the population sizes to run. At the default size the
+// full sweep is the 10k/100k/1M ladder; any other -n runs that one size
+// with the ladder's items and lookups, so one rung (`-n 100000`) can be
+// re-measured without the ~30 min 1M point. Quick mode runs a single reduced
+// point, honoring -n up to 10k so `make benchscale` (N=10k) and the test
+// suite (N in the hundreds) share the code path.
 func scaleSizes(o Options) []int {
 	if o.Quick {
 		n := o.N
@@ -79,6 +80,9 @@ func scaleSizes(o Options) []int {
 			n = 10_000
 		}
 		return []int{n}
+	}
+	if o.N != DefaultOptions().N {
+		return []int{o.N}
 	}
 	return []int{10_000, 100_000, 1_000_000}
 }

@@ -1,0 +1,62 @@
+package exp
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"slices"
+	"testing"
+)
+
+// TestScaleSizes pins which population sizes a Scale run builds: the whole
+// ladder at the default size, the one size asked for otherwise, and one
+// point of at most 10k in quick mode.
+func TestScaleSizes(t *testing.T) {
+	full, quick := DefaultOptions(), QuickOptions()
+	for _, tc := range []struct {
+		quick bool
+		n     int
+		want  []int
+	}{
+		{false, full.N, []int{10_000, 100_000, 1_000_000}},
+		{false, 100_000, []int{100_000}},
+		{false, 10_000, []int{10_000}},
+		{false, 5_000, []int{5_000}},
+		{true, quick.N, []int{quick.N}},
+		{true, 2_000, []int{2_000}},
+		{true, 100_000, []int{10_000}},
+		{true, 0, []int{10_000}},
+	} {
+		o := full
+		if tc.quick {
+			o = quick
+		}
+		o.N = tc.n
+		if got := scaleSizes(o); !slices.Equal(got, tc.want) {
+			t.Errorf("quick=%v n=%d: sizes %v, want %v", tc.quick, tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestScaleQuickGolden pins the deterministic table of the quick Scale point
+// that `scripts/check.sh scale` runs (-quick -n 2000): population split,
+// events, simulated time and lookups answered, hashed into
+// testdata/scale_golden.sha256. The key values and notes are wall-clock and
+// heap readings and are left out. Same rule as the other goldens: only a
+// change that means to move the table regenerates the file.
+func TestScaleQuickGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2000-peer system")
+	}
+	want := readGolden(t, "testdata/scale_golden.sha256")["Scale"]
+	o := QuickOptions()
+	o.N, o.Workers = 2000, 1
+	res, err := RunScale(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := res.Tables[0].String()
+	sum := sha256.Sum256([]byte(table))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("Scale table changed:\n%s\nScale %s\nwant %q", table, got, want)
+	}
+}

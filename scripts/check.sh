@@ -69,11 +69,13 @@ gate() {
         # RunUntil at zero per cycle, a topology latency lookup at zero per
         # call, a no-churn lookup within its per-op budget, and a finger
         # refresh answered in place and the α-probe candidate ranking must
-        # allocate nothing. -count=1 defeats the cache; these are the cheap tripwires
-        # for the pooling work.
-        echo "== allocation budget gate (event engine, timer re-arm, topology latency, lookup path, local finger refresh, hop ranking, histogram record)"
+        # allocate nothing; the run-length finger table must match the
+        # slot-and-tag model it replaced and hold a settled t-peer's finger
+        # state at 512 bytes or less. -count=1 defeats the cache; these are
+        # the cheap tripwires for the pooling work.
+        echo "== allocation budget gate (event engine, timer re-arm, topology latency, lookup path, local finger refresh, hop ranking, finger table, histogram record)"
         go test . -count=1 -run '^(TestEventEngineAllocFree|TestTimerRearmAllocFree|TestLatencyAllocFree|TestLookupAllocBudget|TestFingerRefreshLocalAllocFree)$'
-        go test ./internal/core -count=1 -run '^TestNextHopsAllocFree$'
+        go test ./internal/core -count=1 -run '^(TestNextHopsAllocFree|TestFingerTableMatchesSlotModel|TestFingerTableFootprint)$'
         go test ./internal/obs -count=1 -run '^TestHistogramRecordAllocFree$'
         ;;
     routinggate)
@@ -122,11 +124,12 @@ gate() {
         # generator; the routing-strategy interface with its two
         # implementations and name lookup, which the Route enum replaced; the
         # engine's binary event heap and its slice, which the radix heap
-        # replaced.
+        # replaced; the per-slot finger tag array and its sizing helper,
+        # which the run-length finger table replaced.
         # CHANGES.md and ROADMAP.md may tell the story; this script
         # has to spell the patterns.
         echo "== retired-name gate (deleted flags, types, programs, files and Make targets stay deleted)"
-        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout|AssignInterest|metrics\.(Sample|NewHistogram)|FaultSeed|PathCache|pathcache|routeHint|hintDrop|PathHint|NumHints|hint_(uses|drops)|LookupWalk|RunSteps|DegreeHistogram|RandomWalk|WalkCount|WalkTTL|walkReq|startWalks|WalksSent|ExtWalk|SearchPrefix|SearchSync|searchReq|searchHit|SearchesSent|IDGen|IDLocation|IDHashAddr|HostCoord|KeyCategory|(^|[^[:alnum:]_-])-walk([^[:alnum:]_-]|$)|InterestCategories|InterestKeys|CategoryID|CategoryOf|segmentID|itemSID|Reflood|(^|[^[:alnum:]_-])-interests([^[:alnum:]_-]|$)|contact_leaks|contactLeaks|takeContacts|newQID|ringMiss|joinAttempts|CacheHotThreshold|CacheWindow|CacheTTL|keysN\(|RouteStrategy|StrategyByName|FingerWalk|SuccessorWalk\{\}|Route\.NextHops?\(|eventQueue|queue\.items' \
+        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout|AssignInterest|metrics\.(Sample|NewHistogram)|FaultSeed|PathCache|pathcache|routeHint|hintDrop|PathHint|NumHints|hint_(uses|drops)|LookupWalk|RunSteps|DegreeHistogram|RandomWalk|WalkCount|WalkTTL|walkReq|startWalks|WalksSent|ExtWalk|SearchPrefix|SearchSync|searchReq|searchHit|SearchesSent|IDGen|IDLocation|IDHashAddr|HostCoord|KeyCategory|(^|[^[:alnum:]_-])-walk([^[:alnum:]_-]|$)|InterestCategories|InterestKeys|CategoryID|CategoryOf|segmentID|itemSID|Reflood|(^|[^[:alnum:]_-])-interests([^[:alnum:]_-]|$)|contact_leaks|contactLeaks|takeContacts|newQID|ringMiss|joinAttempts|CacheHotThreshold|CacheWindow|CacheTTL|keysN\(|RouteStrategy|StrategyByName|FingerWalk|SuccessorWalk\{\}|Route\.NextHops?\(|eventQueue|queue\.items|fingerTag|ensureFingers' \
             --include='*.go' --include='*.md' --include='*.sh' --include=Makefile \
             --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh \
             --exclude-dir=.git --exclude-dir=.bench_build .; then
@@ -161,8 +164,11 @@ gate() {
         # Scale experiment (peers/GB, events/sec). Catches OOM-class
         # regressions in the dense peer/finger tables; the full 10k/100k/1M
         # ladder is `make benchscale` and `go run ./cmd/paperexp -run Scale`.
+        # The same point's deterministic table is held to its golden, and
+        # the sizes a run picks to TestScaleSizes.
         echo "== quick scale sweep (Scale, n=2000)"
         go run ./cmd/paperexp -run Scale -quick -n 2000 >/dev/null
+        go test ./internal/exp -count=1 -run '^(TestScaleQuickGolden|TestScaleSizes)$'
         ;;
     *)
         echo "check.sh: unknown gate '$1' (gates: $GATES)" >&2
