@@ -87,6 +87,8 @@ var invariants = []invariant{
 	{"server_accounting", false, true, (*view).serverAccounting, nil},
 	// Every stored item has min(k, t-peers) distinct holders (k > 1).
 	{"replica_holders", false, true, (*view).replicaHolders, nil},
+	// The running replication sums match a recount of the sets they cover.
+	{"replica_sums", false, false, (*view).replicaSums, nil},
 }
 
 // view is what one audit pass shares between invariants.
@@ -186,14 +188,16 @@ func (v *view) walk(p *Peer) (end *Peer, depth int) {
 
 // census is the totals HealthScore and RingSummary report beside the
 // violations and the lengths of the view's slices.
-type census struct{ items, pending, suspected, repDeficit, depthMax int }
+type census struct{ items, pending, suspected, deficit, depthMax int }
 
 func (v *view) census() (c census) {
 	c.pending = len(v.s.ops)
 	for _, p := range v.live {
 		c.items += len(p.data)
 		c.suspected += len(p.suspect)
-		c.repDeficit += p.repDeficit
+		if p.repl != nil {
+			c.deficit += p.repl.deficit
+		}
 		if _, d := v.walk(p); d > c.depthMax {
 			c.depthMax = d
 		}
@@ -364,14 +368,14 @@ func (v *view) replicaHolders() {
 		for did := range p.data {
 			holders[did]++
 		}
-		for did := range p.owned {
+		for did := range p.owned() {
 			if _, counted := p.data[did]; !counted {
 				holders[did]++
 			}
 		}
-		for did := range p.reps {
+		for did := range p.reps() {
 			_, inData := p.data[did]
-			if _, inOwned := p.owned[did]; !inData && !inOwned {
+			if _, inOwned := p.owned()[did]; !inData && !inOwned {
 				holders[did]++
 			}
 		}
@@ -383,6 +387,50 @@ func (v *view) replicaHolders() {
 					it.Key, did, n, want, v.s.Cfg.ReplicationK, len(v.tps))
 			}
 		}
+	}
+}
+
+// replicaSums recounts what the write helpers keep running: each peer's
+// digest over its owned set, and per owner the count and sum over the
+// replicas held for it. Drift is reported at the peer, with the owner as
+// the far end.
+func (v *view) replicaSums() {
+	for _, p := range v.live {
+		p.recountReplication(func(owner runtime.Addr, format string, args ...any) {
+			v.report(p.Addr, owner, format, args...)
+		})
+	}
+}
+
+// recountReplication recomputes one peer's running replication sums from
+// the sets and reports each one that differs.
+func (p *Peer) recountReplication(drift func(owner runtime.Addr, format string, args ...any)) {
+	r := p.repl
+	if r == nil {
+		return
+	}
+	var sum uint64
+	for _, it := range r.owned {
+		sum ^= itemSum(it)
+	}
+	if sum != r.ownedSum {
+		drift(runtime.None, "owned sum %x over %d items, recount %x", r.ownedSum, len(r.owned), sum)
+	}
+	recount := make(map[runtime.Addr]repHold)
+	for _, e := range r.reps {
+		h := recount[e.owner.Addr]
+		h.count++
+		h.sum ^= itemSum(e.it)
+		recount[e.owner.Addr] = h
+	}
+	for _, h := range r.holds {
+		if want, ok := recount[h.owner]; !ok || h.count != want.count || h.sum != want.sum {
+			drift(h.owner, "holds %d replicas summing to %x, recount %d summing to %x", h.count, h.sum, want.count, want.sum)
+		}
+		delete(recount, h.owner)
+	}
+	for owner, want := range recount {
+		drift(owner, "no aggregate over %d held replicas", want.count)
 	}
 }
 
@@ -409,6 +457,13 @@ func (s *System) CheckInvariants() error { return s.check() }
 // successor cycle through every t-peer.
 func (s *System) CheckRing() error {
 	return s.check("dead_ring_ptrs", "broken_ring_links", "ring_coverage")
+}
+
+// CheckReplication audits replication (k > 1): every stored item has
+// min(k, t-peers) holders, and the running sums that digests are built from
+// and compared against match a recount.
+func (s *System) CheckReplication() error {
+	return s.check("replica_holders", "replica_sums")
 }
 
 // CheckTrees audits the s-networks: every s-peer has a live connect point

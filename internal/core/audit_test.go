@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/idspace"
 	"repro/internal/sim"
 )
 
@@ -145,7 +144,7 @@ func TestAuditSkipsFullViewRowsOnSlice(t *testing.T) {
 	holder := tps[0]
 	// tps[1]'s own id lies in tps[1]'s segment, not in tps[0]'s.
 	did := tps[1].ID
-	holder.data = map[idspace.ID]Item{did: {Key: "foreign", DID: did}}
+	holder.dataPut(Item{Key: "foreign", DID: did})
 
 	vs := sys.audit("unowned_items")
 	if len(vs) != 1 || vs[0].Addr != holder.Addr || vs[0].Peer != tps[1].Addr {

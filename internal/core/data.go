@@ -8,16 +8,30 @@ import (
 	"repro/internal/runtime"
 )
 
+// segKey is everything inLocalSegment reads: the role and the id arc. The
+// rehome sweep and the replication fold each keep the key they last ran
+// under, and a key that has not moved lets them skip their scans.
+type segKey struct {
+	lo, hi idspace.ID
+	role   Role
+	whole  bool // a lone t-peer owns the whole space
+}
+
+func (p *Peer) segKey() segKey {
+	switch {
+	case p.Role != TPeer:
+		return segKey{lo: p.segLo, hi: p.ID, role: p.Role}
+	case !p.pred.Valid():
+		return segKey{hi: p.ID, role: TPeer, whole: true}
+	}
+	return segKey{lo: p.pred.ID, hi: p.ID, role: TPeer}
+}
+
 // inLocalSegment reports whether an id belongs to this peer's s-network,
 // using the segment bounds cached from join time and HELLO piggyback.
 func (p *Peer) inLocalSegment(id idspace.ID) bool {
-	if p.Role == TPeer {
-		if !p.pred.Valid() {
-			return true // lone t-peer owns the whole space
-		}
-		return idspace.Between(p.pred.ID, id, p.ID)
-	}
-	return idspace.Between(p.segLo, id, p.ID)
+	k := p.segKey()
+	return k.whole || idspace.Between(k.lo, id, k.hi)
 }
 
 // newOp registers an in-flight operation with a timeout. Records come from
@@ -103,15 +117,28 @@ func (p *Peer) Store(key, value string, done func(OpResult)) {
 // storeLocal inserts an item into the local database and, in tracker mode,
 // announces it to the s-network's tracker.
 func (p *Peer) storeLocal(it Item) {
+	p.dataPut(it)
+	if p.Role == SPeer && p.replicationOn() {
+		r := p.rs()
+		r.pending = append(r.pending, it.DID) // for the next ownerAnnounce
+	}
+	if p.sys.Cfg.TrackerMode {
+		p.announceItems([]Item{it})
+	}
+}
+
+// dataPut is the one write into the local database. It marks the put for
+// the next rehome sweep and replication fold, the two scans of data that
+// skip when nothing was put; a delete needs no mark, since taking an item
+// out can neither make another one foreign nor leave one unfolded.
+func (p *Peer) dataPut(it Item) {
 	if p.data == nil {
 		p.data = make(map[idspace.ID]Item)
 	}
 	p.data[it.DID] = it
-	if p.Role == SPeer && p.replicationOn() {
-		p.repPending = append(p.repPending, it.DID) // for the next ownerAnnounce
-	}
-	if p.sys.Cfg.TrackerMode {
-		p.announceItems([]Item{it})
+	p.dataAdded = true
+	if p.repl != nil {
+		p.repl.foldDirty = true
 	}
 }
 
@@ -141,21 +168,27 @@ func (p *Peer) forwardTowardSegment(id idspace.ID, msg any, from runtime.Addr) {
 // crash keeps its database, a t-peer re-anchored by the server can shrink its
 // arc. Such items are unreachable where they are — lookups route to the
 // owning segment and flood there, never here — so they are forwarded like
-// fresh insertions. Called whenever the root or segment bounds change.
+// fresh insertions. Called whenever the root or segment bounds change, and
+// on every hello tick as the backstop; each scan runs only when its set
+// gained an entry or the segment moved since the last sweep, because
+// otherwise the last sweep left nothing for it to find.
 func (p *Peer) rehomeForeignItems() {
-	if len(p.data) == 0 && len(p.owned) == 0 && len(p.reps) == 0 {
-		return
-	}
+	key := p.segKey()
+	segMoved := key != p.swept
+	p.swept = key
 	var moved []Item
-	for _, it := range p.data {
-		if !p.inLocalSegment(it.DID) {
-			moved = append(moved, it)
+	if p.dataAdded || segMoved {
+		p.dataAdded = false
+		for _, it := range p.data {
+			if !p.inLocalSegment(it.DID) {
+				moved = append(moved, it)
+			}
+		}
+		for _, it := range moved {
+			delete(p.data, it.DID)
 		}
 	}
-	for _, it := range moved {
-		delete(p.data, it.DID)
-	}
-	p.rehome(p.sweepReplicas(moved))
+	p.rehome(p.sweepReplicas(moved, segMoved))
 }
 
 // rehome forwards items this peer has already let go of toward their owning

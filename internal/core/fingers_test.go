@@ -314,8 +314,8 @@ func TestFingerTableFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 1000-peer ring")
 	}
-	if s := unsafe.Sizeof(Peer{}); s > 576 {
-		t.Errorf("Peer is %d bytes, past its 576-byte size class", s)
+	if s := unsafe.Sizeof(Peer{}); s > 512 {
+		t.Errorf("Peer is %d bytes, past its 512-byte size class", s)
 	}
 	sys := settledTPeers(t, 1000)
 	footprint := func(p *Peer) int {

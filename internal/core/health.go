@@ -71,7 +71,7 @@ func (s *System) HealthScore() HealthScore {
 	h := HealthScore{
 		At:        s.rt.Now(),
 		LivePeers: len(v.live), LiveTPeers: len(v.tps), LiveSPeers: len(v.sps),
-		TreeDepthMax: c.depthMax, SuspectedPtrs: c.suspected, ReplicaDeficit: c.repDeficit,
+		TreeDepthMax: c.depthMax, SuspectedPtrs: c.suspected, ReplicaDeficit: c.deficit,
 	}
 	for i := range invariants {
 		if inv := &invariants[i]; inv.count != nil {

@@ -339,10 +339,7 @@ func (p *Peer) handleItems(m itemsMsg) {
 			p.forwardTowardSegment(it.DID, storeReq{Item: it, Origin: p.Ref(), Hops: 1}, runtime.None)
 			continue
 		}
-		if p.data == nil {
-			p.data = make(map[idspace.ID]Item)
-		}
-		p.data[it.DID] = it
+		p.dataPut(it)
 		p.ownedAdd(it)
 		kept = append(kept, it)
 	}
@@ -529,11 +526,8 @@ func (p *Peer) handlePromote(m promoteMsg) {
 	p.pred = m.Pred
 	p.succ = m.Succ
 	p.fingers.load(m.Fingers)
-	if len(m.Items) > 0 && p.data == nil {
-		p.data = make(map[idspace.ID]Item)
-	}
 	for _, it := range m.Items {
-		p.data[it.DID] = it
+		p.dataPut(it)
 		p.ownedAdd(it)
 	}
 	for _, c := range m.Children {

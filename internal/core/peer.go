@@ -81,42 +81,16 @@ type Peer struct {
 	// --- bypass links (§5.4) ---
 	bypass idleTable[runtime.Addr, bypassLink]
 
-	// --- replication (ReplicationK > 1; all state nil/zero at k = 1) ---
-	// owned is the t-peer's authoritative copy of every in-segment item,
-	// including spread items whose bytes live on an s-peer below it.
-	owned map[idspace.ID]Item
-	// reps holds replicas kept on behalf of other owners.
-	reps map[idspace.ID]repEntry
-	// repRound is the in-flight tracked round (0 = none), a replicaPut or,
-	// when repDigest is set, a replicaDigest; repAcks counts its distinct
-	// ackers and repWrapped records that it came back around a ring smaller
-	// than k.
-	repRound   uint64
-	repAcks    map[runtime.Addr]bool
-	repWrapped bool
-	repDigest  bool
-	// repDirty marks that an item left the owned set since the last full
-	// push; repDeficit is the last evaluated replica deficit (0 = fully
-	// replicated). Either makes the next tick push the full set.
-	repDirty bool
-	// repTicks counts hello ticks since the owner's last full push or
-	// digest (at most repPushEvery), annTicks those since an s-peer's last
-	// full ownerAnnounce (at most announceFullEvery). Bytes, beside the
-	// flags, so that the replication fields do not push Peer into the
-	// allocator's next size class.
-	repTicks   uint8
-	annTicks   uint8
-	repDeficit int
-	// repPending lists the data ids added since the last tick: to owned on a
-	// t-peer (the next delta replicaPut), to data on an s-peer (the next
-	// ownerAnnounce). Released on every flush, so it is nil between writes.
-	repPending []idspace.ID
-	// repSucc is the successor the last tick pushed to. Its zero value is
-	// the server address, never a real successor, so a fresh t-peer's first
-	// sync pushes the full set. annTo is the same for an s-peer: the t-peer
-	// that has had its full in-segment set.
-	repSucc runtime.Addr
-	annTo   runtime.Addr
+	// swept is the segment the last rehome sweep judged the data against;
+	// dataAdded (beside the join flags, which share its word) marks an item
+	// put into data since then. With neither moved no stored item can be
+	// foreign, and the sweep skips the scan.
+	swept segKey
+
+	// --- replication (ReplicationK > 1) ---
+	// repl is allocated on the first replication write, so it stays nil on
+	// every peer of a k = 1 system.
+	repl *replState
 
 	// --- pending join ---
 	joinStart runtime.Time
@@ -125,20 +99,20 @@ type Peer struct {
 	// joinReq is the original server request, kept so join retries preserve
 	// the caller's role pin instead of letting the server re-decide.
 	joinReq serverJoinReq
-	// joined flips once the peer is a full member; retries and duplicate
-	// handshake suppression key off it (joinDone may legitimately be nil).
-	joined bool
 	// joinEpoch numbers join attempts; handshake messages echo it so a
 	// retried join cannot be completed by a stale earlier attempt.
 	joinEpoch int
+	// joined flips once the peer is a full member; retries and duplicate
+	// handshake suppression key off it (joinDone may legitimately be nil).
+	joined bool
 	// insertPending is true from sending tJoinToSucc until succ confirms
 	// the ring insertion; it gates the re-send loop (armInsertRetry).
 	insertPending bool
 	// deferLeave marks a leave requested while a join triangle was in
 	// flight; it runs once the triangle closes (§3.3: a joining pre
-	// accepts no leave requests, including its own). Beside the other flag
-	// so that Peer stays in its allocator size class.
+	// accepts no leave requests, including its own).
 	deferLeave bool
+	dataAdded  bool // see swept
 	// triJoiner/triEpoch identify the join triangle this peer currently
 	// anchors as pre, so a tJoinCancel from the joiner can release the
 	// joining mutex without racing a different (newer) triangle.
@@ -540,8 +514,8 @@ func (p *Peer) broadcastHello() {
 	}
 	// Rehoming is otherwise edge-triggered (segment-change events), so a
 	// load-transfer shipment lost by the network would strand a foreign
-	// item forever. Sweep every tick as the backstop; it is a no-op scan
-	// when nothing is foreign.
+	// item forever. Sweep every tick as the backstop; it scans nothing
+	// unless an item arrived or the segment moved since the last sweep.
 	if p.joined && !p.leaving && (p.Role == TPeer || p.cp.Valid()) {
 		p.rehomeForeignItems()
 	}
@@ -554,6 +528,9 @@ func (p *Peer) broadcastHello() {
 		} else if p.cp.Valid() {
 			p.announceOwned()
 		}
+	}
+	if p.sys.afterTick != nil {
+		p.sys.afterTick(p)
 	}
 	// Box the heartbeat into an interface value once per tick, not once per
 	// neighbor: every peer runs this forever, so per-send boxing dominates
@@ -693,6 +670,9 @@ func (p *Peer) markSuspect(nb runtime.Addr) {
 		p.suspect = make(map[runtime.Addr]bool)
 	}
 	p.suspect[nb] = true
+	if p.repl != nil {
+		p.repl.repsDirty = true // the replica sweep orphans what nb owns
+	}
 }
 
 // maybeAck responds to a data query with an acknowledgment unless the

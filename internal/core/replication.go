@@ -2,6 +2,7 @@ package core
 
 import (
 	"hash/crc32"
+	"math"
 	"unsafe"
 
 	"repro/internal/idspace"
@@ -45,13 +46,195 @@ import (
 //   - lookups that route toward a suspected owner serve the local replica
 //     and re-install the item on the current owner (read-repair).
 //
+// What a tick computes is proportional to what changed, too. The owner's
+// digest (ownedSum) and each owner's (count, sum) over the replicas held for
+// it (repHold) are running state, kept by the write helpers (dataPut,
+// ownedAdd, ownedDel, repPut, repDel), so building a digest and answering
+// one cost O(1); a matching digest refreshes its owner's replicas through
+// one stamp. The rehome sweep and the fold of data into owned scan a set
+// only when it gained an entry or the segment moved since they last ran
+// (segKey), and the replica sweep also when a suspicion was raised or some
+// owner's replicas may have gone unrefreshed past repExpiry. A quiet tick
+// visits no stored item.
+//
 // All of this is inert at k = 1: no state, no messages, no timers.
 
 // repEntry is one replica held for another owner.
 type repEntry struct {
 	it    Item
 	owner Ref
-	seen  runtime.Time // last refresh, for orphan expiry
+	seen  runtime.Time // last refresh, for orphan expiry; see replState.seen
+}
+
+// replState is a peer's replication state, allocated by rs on the first
+// replication write: nil on every peer of a k = 1 system.
+type replState struct {
+	// owned is the t-peer's authoritative copy of every in-segment item,
+	// including spread items whose bytes live on an s-peer below it;
+	// ownedSum is the XOR of itemSum over it, the owner's digest.
+	owned    map[idspace.ID]Item
+	ownedSum uint64
+	// reps holds replicas kept on behalf of other owners, and holds one
+	// aggregate per owner over them.
+	reps  map[idspace.ID]repEntry
+	holds []repHold
+	// round is the in-flight tracked round (0 = none), a replicaPut or,
+	// when digest is set, a replicaDigest; acks counts its distinct ackers
+	// and wrapped records that it came back around a ring smaller than k.
+	round   uint64
+	acks    map[runtime.Addr]bool
+	wrapped bool
+	digest  bool
+	// dirty marks that an item left the owned set since the last full push;
+	// deficit is the last evaluated replica deficit (0 = fully replicated).
+	// Either makes the next tick push the full set.
+	dirty bool
+	// ticks counts hello ticks since the owner's last full push or digest
+	// (at most repPushEvery), annTicks those since an s-peer's last full
+	// ownerAnnounce (at most announceFullEvery).
+	ticks    uint8
+	annTicks uint8
+	// ownedAdded and repsDirty mark what the next replica sweep must scan:
+	// an entry put into owned, or into reps or a suspicion raised. foldDirty
+	// marks that the fold of data into owned may find something: an item
+	// put into data or taken out of owned since folded, the key it last ran
+	// under.
+	ownedAdded bool
+	repsDirty  bool
+	foldDirty  bool
+	folded     segKey
+	deficit    int
+	// pending lists the data ids added since the last tick: to owned on a
+	// t-peer (the next delta replicaPut), to data on an s-peer (the next
+	// ownerAnnounce). Released on every flush, so it is nil between writes.
+	pending []idspace.ID
+	// succ is the successor the last tick pushed to. Its zero value is the
+	// server address, never a real successor, so a fresh t-peer's first sync
+	// pushes the full set. annTo is the same for an s-peer: the t-peer that
+	// has had its full in-segment set.
+	succ  runtime.Addr
+	annTo runtime.Addr
+}
+
+// repHold is the running aggregate over the replicas held for one owner:
+// their number, the XOR of their itemSums (what a matching digest carries)
+// and the time of the last matching digest, which refreshes them all at
+// once. A replica's refresh time is the later of its own seen and stamp;
+// oldest is a lower bound on those refresh times, so no replica of the
+// owner can have expired before oldest + repExpiry.
+type repHold struct {
+	owner  runtime.Addr
+	count  int
+	sum    uint64
+	stamp  runtime.Time
+	oldest runtime.Time
+}
+
+// rs returns the replication state, allocating it on first use. A fresh
+// state folds on its first tick: data may hold items put before it existed.
+func (p *Peer) rs() *replState {
+	if p.repl == nil {
+		p.repl = &replState{foldDirty: true}
+	}
+	return p.repl
+}
+
+// owned and reps read the two replica sets; both are nil while repl is.
+func (p *Peer) owned() map[idspace.ID]Item {
+	if p.repl == nil {
+		return nil
+	}
+	return p.repl.owned
+}
+
+func (p *Peer) reps() map[idspace.ID]repEntry {
+	if p.repl == nil {
+		return nil
+	}
+	return p.repl.reps
+}
+
+// hold returns the aggregate for one owner, nil when nothing is held for it
+// (or r is nil).
+func (r *replState) hold(owner runtime.Addr) *repHold {
+	if r == nil {
+		return nil
+	}
+	for i := range r.holds {
+		if r.holds[i].owner == owner {
+			return &r.holds[i]
+		}
+	}
+	return nil
+}
+
+// expiring reports whether some owner's replicas may have gone unrefreshed
+// for expiry.
+func (r *replState) expiring(now, expiry runtime.Time) bool {
+	for i := range r.holds {
+		if now-r.holds[i].oldest >= expiry {
+			return true
+		}
+	}
+	return false
+}
+
+// seen is a replica's effective refresh time.
+func (r *replState) seen(e repEntry) runtime.Time {
+	if h := r.hold(e.owner.Addr); h != nil && h.stamp > e.seen {
+		return h.stamp
+	}
+	return e.seen
+}
+
+// ownedDel takes an item out of the owner's set. The next tick pushes the
+// full set (an item left it) and re-folds data.
+func (p *Peer) ownedDel(did idspace.ID) {
+	it, ok := p.owned()[did]
+	if !ok {
+		return
+	}
+	r := p.repl
+	delete(r.owned, did)
+	r.ownedSum ^= itemSum(it)
+	r.dirty = true
+	r.foldDirty = true
+}
+
+// repPut installs or replaces one replica, keeping the per-owner aggregates,
+// and marks the set for the next replica sweep.
+func (p *Peer) repPut(e repEntry) {
+	r := p.rs()
+	if r.reps == nil {
+		r.reps = make(map[idspace.ID]repEntry)
+	}
+	p.repDel(e.it.DID)
+	r.reps[e.it.DID] = e
+	r.repsDirty = true
+	if h := r.hold(e.owner.Addr); h != nil {
+		h.count++
+		h.sum ^= itemSum(e.it)
+		h.oldest = min(h.oldest, e.seen)
+		return
+	}
+	r.holds = append(r.holds, repHold{owner: e.owner.Addr, count: 1, sum: itemSum(e.it), oldest: e.seen})
+}
+
+// repDel drops one replica, if held, from the set and its owner's aggregate.
+func (p *Peer) repDel(did idspace.ID) {
+	e, ok := p.reps()[did]
+	if !ok {
+		return
+	}
+	r := p.repl
+	delete(r.reps, did)
+	h := r.hold(e.owner.Addr)
+	h.count--
+	h.sum ^= itemSum(e.it)
+	if h.count == 0 {
+		*h = r.holds[len(r.holds)-1]
+		r.holds = r.holds[:len(r.holds)-1]
+	}
 }
 
 // repPushEvery is the owner's anti-entropy interval in hello ticks: a digest
@@ -92,29 +275,37 @@ func (p *Peer) ownedAdd(it Item) {
 	if !p.replicationOn() || p.Role != TPeer {
 		return
 	}
-	if cur, ok := p.owned[it.DID]; ok && cur == it {
+	r := p.rs()
+	cur, ok := r.owned[it.DID]
+	if ok && cur == it {
 		return
 	}
-	if p.owned == nil {
-		p.owned = make(map[idspace.ID]Item)
+	if r.owned == nil {
+		r.owned = make(map[idspace.ID]Item)
 	}
-	p.owned[it.DID] = it
-	p.repPending = append(p.repPending, it.DID)
+	if ok {
+		r.ownedSum ^= itemSum(cur)
+	}
+	r.owned[it.DID] = it
+	r.ownedSum ^= itemSum(it)
+	r.ownedAdded = true
+	r.pending = append(r.pending, it.DID)
 }
 
 // takePending returns the items of from that were queued since the last
 // push or announce, in DID order, and releases the queue.
 func (p *Peer) takePending(from map[idspace.ID]Item) []Item {
-	if len(p.repPending) == 0 {
+	r := p.repl
+	if len(r.pending) == 0 {
 		return nil
 	}
-	items := make([]Item, 0, len(p.repPending))
-	for _, did := range p.repPending {
+	items := make([]Item, 0, len(r.pending))
+	for _, did := range r.pending {
 		if it, ok := from[did]; ok {
 			items = append(items, it)
 		}
 	}
-	p.repPending = nil
+	r.pending = nil
 	sortItemsByDID(items)
 	// An item stored twice within a tick is queued twice; send it once.
 	uniq := items[:0]
@@ -167,67 +358,73 @@ func (p *Peer) eagerReplicate(it Item) {
 // the full set on an edge, else the pending delta, and a digest behind it on
 // every repPushEvery-th tick.
 func (p *Peer) syncReplicas() {
+	r := p.repl
+	if r == nil {
+		if len(p.data) == 0 {
+			return // nothing to fold, nothing owned, no round in flight
+		}
+		r = p.rs()
+	}
 	// Fold in-segment data into owned: covers promotion, crash takeover and
 	// direct t-peer placement without extra hooks (value-compare in ownedAdd
-	// keeps this from perpetually re-queueing).
-	for _, it := range p.data {
-		if p.inLocalSegment(it.DID) {
-			p.ownedAdd(it)
+	// keeps this from perpetually re-queueing). Only a put into data, a
+	// removal from owned or a moved segment can leave something to fold.
+	if key := p.segKey(); r.foldDirty || key != r.folded {
+		r.foldDirty = false
+		r.folded = key
+		for _, it := range p.data {
+			if p.inLocalSegment(it.DID) {
+				p.ownedAdd(it)
+			}
 		}
 	}
 	// Evaluate the previous round: a wrap (our own push came back around the
 	// ring) means the ring is smaller than k and every live t-peer holds the
 	// set; otherwise count distinct ackers against k−1.
-	if p.repRound != 0 {
-		if p.repWrapped {
-			p.repDeficit = 0
+	if r.round != 0 {
+		if r.wrapped {
+			r.deficit = 0
 		} else {
-			deficit := p.sys.Cfg.ReplicationK - 1 - len(p.repAcks)
-			if deficit < 0 {
-				deficit = 0
-			}
-			p.repDeficit = deficit
+			r.deficit = max(p.sys.Cfg.ReplicationK-1-len(r.acks), 0)
 		}
-		if p.repDigest && p.repDeficit > 0 {
+		if r.digest && r.deficit > 0 {
 			p.sys.stats.DigestMismatches++
 		}
-		p.repRound = 0
-		p.repWrapped = false
-		for a := range p.repAcks {
-			delete(p.repAcks, a)
-		}
+		r.round = 0
+		r.wrapped = false
+		clear(r.acks)
 	}
 	succ := p.replicaSucc()
-	if !succ.Valid() || len(p.owned) == 0 {
-		p.repDeficit = 0
-		p.repSucc = runtime.None
-		p.repPending = nil
+	if !succ.Valid() || len(r.owned) == 0 {
+		r.deficit = 0
+		r.succ = runtime.None
+		r.pending = nil
 		return
 	}
-	succChanged := succ.Addr != p.repSucc
-	p.repSucc = succ.Addr
-	p.repTicks++
-	full := p.repDirty || p.repDeficit > 0 || succChanged
-	digest := !full && p.repTicks >= repPushEvery
-	delta := p.takePending(p.owned)
+	succChanged := succ.Addr != r.succ
+	r.succ = succ.Addr
+	r.ticks++
+	full := r.dirty || r.deficit > 0 || succChanged
+	digest := !full && r.ticks >= repPushEvery
+	delta := p.takePending(r.owned)
 	if !full && !digest && len(delta) == 0 {
 		return
 	}
-	if p.repAcks == nil {
-		p.repAcks = make(map[runtime.Addr]bool)
+	if r.acks == nil {
+		r.acks = make(map[runtime.Addr]bool)
 	}
-	p.repRound = p.sys.newTag()
-	p.repDigest = digest
+	r.round = p.sys.newTag()
+	r.digest = digest
 	if full {
-		p.repDirty = false
-		p.repTicks = 0
-		items := make([]Item, 0, len(p.owned))
-		for _, it := range p.owned {
+		r.dirty = false
+		r.ticks = 0
+		items := make([]Item, 0, len(r.owned))
+		for _, it := range r.owned {
 			items = append(items, it)
 		}
 		sortItemsByDID(items)
 		p.sys.stats.ReplicaFullPushes++
-		p.pushReplicas(succ, p.repRound, true, items)
+		p.pushReplicas(succ, r.round, true, items)
 		return
 	}
 	if len(delta) > 0 {
@@ -235,7 +432,7 @@ func (p *Peer) syncReplicas() {
 		// digest only matches at a holder the delta reached, so its ack
 		// covers both, and a shared round would let the delta's ack hide a
 		// digest mismatch.
-		round := p.repRound
+		round := r.round
 		if digest {
 			round = 0
 		}
@@ -244,18 +441,14 @@ func (p *Peer) syncReplicas() {
 	if digest {
 		// Sent on every periodic tick, pending delta or not: replicas age
 		// out at repExpiry unless a digest (or a full push) refreshes them.
-		p.repTicks = 0
-		var sum uint64
-		for _, it := range p.owned {
-			sum ^= itemSum(it)
-		}
+		r.ticks = 0
 		p.sys.stats.ReplicaDigests++
 		p.send(succ.Addr, replicaDigest{
 			Owner: p.Ref(),
-			Round: p.repRound,
+			Round: r.round,
 			TTL:   p.sys.Cfg.ReplicationK - 1,
-			Count: len(p.owned),
-			Sum:   sum,
+			Count: len(r.owned),
+			Sum:   r.ownedSum,
 		})
 	}
 }
@@ -271,12 +464,13 @@ func (p *Peer) announceOwned() {
 	if len(p.data) == 0 || !p.tpeer.Valid() || p.tpeer.Addr == p.Addr {
 		return
 	}
-	p.annTicks++
+	r := p.rs()
+	r.annTicks++
 	var items []Item
-	if p.tpeer.Addr != p.annTo || p.annTicks >= announceFullEvery {
-		p.annTo = p.tpeer.Addr
-		p.annTicks = 0
-		p.repPending = nil
+	if p.tpeer.Addr != r.annTo || r.annTicks >= announceFullEvery {
+		r.annTo = p.tpeer.Addr
+		r.annTicks = 0
+		r.pending = nil
 		for _, it := range p.data {
 			items = append(items, it)
 		}
@@ -304,8 +498,8 @@ func (p *Peer) handleReplicaPut(from runtime.Addr, m replicaPut) {
 	if m.Owner.Addr == p.Addr {
 		// Our own push wrapped around the ring: fewer than k t-peers are
 		// live, so every one of them holds the set — no deficit.
-		if m.Round != 0 && m.Round == p.repRound {
-			p.repWrapped = true
+		if r := p.repl; r != nil && m.Round != 0 && m.Round == r.round {
+			r.wrapped = true
 		}
 		return
 	}
@@ -324,10 +518,7 @@ func (p *Peer) handleReplicaPut(from runtime.Addr, m replicaPut) {
 			p.ownedAdd(it)
 			continue
 		}
-		if p.reps == nil {
-			p.reps = make(map[idspace.ID]repEntry)
-		}
-		p.reps[it.DID] = repEntry{it: it, owner: m.Owner, seen: now}
+		p.repPut(repEntry{it: it, owner: m.Owner, seen: now})
 	}
 	if m.Full {
 		// The batch is the owner's whole set, so anything else held for it
@@ -337,10 +528,10 @@ func (p *Peer) handleReplicaPut(from runtime.Addr, m replicaPut) {
 		// There are no tombstones, so dropping it silently is not safe.
 		// Every entry the batch named was stamped with now just above.
 		var stale []Item
-		for did, e := range p.reps {
-			if e.owner.Addr == m.Owner.Addr && e.seen != now {
+		for did, e := range p.reps() {
+			if e.owner.Addr == m.Owner.Addr && p.repl.seen(e) != now {
 				stale = append(stale, e.it)
-				delete(p.reps, did)
+				p.repDel(did)
 			}
 		}
 		p.rehome(stale)
@@ -369,31 +560,20 @@ func (p *Peer) handleReplicaDigest(m replicaDigest) {
 		return
 	}
 	if m.Owner.Addr == p.Addr {
-		if m.Round != 0 && m.Round == p.repRound {
-			p.repWrapped = true
+		if r := p.repl; r != nil && m.Round != 0 && m.Round == r.round {
+			r.wrapped = true
 		}
 		return
 	}
 	if p.Role != TPeer {
 		return
 	}
-	count, sum := 0, uint64(0)
-	for _, e := range p.reps {
-		if e.owner.Addr == m.Owner.Addr {
-			count++
-			sum ^= itemSum(e.it)
-		}
+	h := p.repl.hold(m.Owner.Addr)
+	if h == nil || h.count != m.Count || h.sum != m.Sum {
+		return // an owner sends no digest of an empty set
 	}
-	if count != m.Count || sum != m.Sum {
-		return
-	}
-	now := p.sys.rt.Now()
-	for did, e := range p.reps {
-		if e.owner.Addr == m.Owner.Addr {
-			e.seen = now
-			p.reps[did] = e
-		}
-	}
+	h.stamp = p.sys.rt.Now()
+	h.oldest = h.stamp
 	p.send(m.Owner.Addr, replicaAck{Round: m.Round})
 	if m.TTL > 1 {
 		if succ := p.replicaSucc(); succ.Valid() {
@@ -406,13 +586,14 @@ func (p *Peer) handleReplicaDigest(m replicaDigest) {
 // handleReplicaAck counts one distinct acker for the owner's in-flight
 // tracked round.
 func (p *Peer) handleReplicaAck(from runtime.Addr, m replicaAck) {
-	if m.Round == 0 || m.Round != p.repRound {
+	r := p.repl
+	if r == nil || m.Round == 0 || m.Round != r.round {
 		return
 	}
-	if p.repAcks == nil {
-		p.repAcks = make(map[runtime.Addr]bool)
+	if r.acks == nil {
+		r.acks = make(map[runtime.Addr]bool)
 	}
-	p.repAcks[from] = true
+	r.acks[from] = true
 }
 
 // handleReplicaDrop retires replicas of deleted items along the chain.
@@ -421,7 +602,7 @@ func (p *Peer) handleReplicaDrop(from runtime.Addr, m replicaDrop) {
 		return
 	}
 	for _, did := range m.DIDs {
-		delete(p.reps, did)
+		p.repDel(did)
 	}
 	if m.TTL > 1 {
 		if succ := p.replicaSucc(); succ.Valid() {
@@ -449,10 +630,10 @@ func (p *Peer) handleOwnerAnnounce(m ownerAnnounce) {
 // so the next lookup routes normally. Returns false when normal routing
 // should proceed.
 func (p *Peer) replicaFallback(did idspace.ID) (Item, bool) {
-	if !p.replicationOn() || p.Role != TPeer || len(p.reps) == 0 {
+	if !p.replicationOn() || p.Role != TPeer || len(p.reps()) == 0 {
 		return Item{}, false
 	}
-	e, ok := p.reps[did]
+	e, ok := p.reps()[did]
 	if !ok {
 		return Item{}, false
 	}
@@ -472,41 +653,58 @@ func (p *Peer) replicaFallback(did idspace.ID) (Item, bool) {
 // owned entries whose segment moved away are dropped (and forwarded with the
 // rest of the batch when absent from data), and held replicas are promoted
 // (we became the owner), or forwarded home when their owner is suspected
-// dead or silent past expiry.
-func (p *Peer) sweepReplicas(moved []Item) []Item {
-	if !p.replicationOn() || (len(p.owned) == 0 && len(p.reps) == 0) {
+// dead or silent past expiry. Like the data scan, each scan runs only when
+// the last one can be out of date: owned after a put or a moved segment,
+// reps after a put, a moved segment, a raised suspicion or once some
+// owner's oldest replica may have expired.
+func (p *Peer) sweepReplicas(moved []Item, segMoved bool) []Item {
+	r := p.repl
+	if r == nil {
 		return moved
 	}
-	var foreign []Item
-	for _, it := range p.owned {
-		if !p.inLocalSegment(it.DID) {
-			foreign = append(foreign, it)
+	if r.ownedAdded || segMoved {
+		r.ownedAdded = false
+		var foreign []Item
+		for _, it := range r.owned {
+			if !p.inLocalSegment(it.DID) {
+				foreign = append(foreign, it)
+			}
+		}
+		sortItemsByDID(foreign)
+		for _, it := range foreign {
+			p.ownedDel(it.DID)
+			moved = append(moved, it)
 		}
 	}
-	sortItemsByDID(foreign)
-	for _, it := range foreign {
-		delete(p.owned, it.DID)
-		p.repDirty = true
-		moved = append(moved, it)
+	now, expiry := p.sys.rt.Now(), p.repExpiry()
+	if len(r.reps) == 0 || !r.repsDirty && !segMoved && !r.expiring(now, expiry) {
+		return moved
 	}
-	now := p.sys.rt.Now()
+	r.repsDirty = false
+	for i := range r.holds {
+		r.holds[i].oldest = math.MaxInt64
+	}
 	var promote, orphaned []Item
-	for _, e := range p.reps {
+	for _, e := range r.reps {
+		h := r.hold(e.owner.Addr)
+		seen := max(e.seen, h.stamp)
 		switch {
 		case p.Role == TPeer && p.inLocalSegment(e.it.DID):
 			promote = append(promote, e.it)
-		case now-e.seen >= p.repExpiry(),
+		case now-seen >= expiry,
 			p.suspected(e.owner.Addr):
 			// Forward home immediately on owner suspicion instead of waiting
 			// out the expiry: shortens the unavailability window after an
 			// owner crash. A false positive is an idempotent re-install.
 			orphaned = append(orphaned, e.it)
+		default:
+			h.oldest = min(h.oldest, seen)
 		}
 	}
 	sortItemsByDID(promote)
 	sortItemsByDID(orphaned)
 	for _, it := range promote {
-		delete(p.reps, it.DID)
+		p.repDel(it.DID)
 		if _, ok := p.data[it.DID]; !ok {
 			p.storeLocal(it)
 		}
@@ -514,7 +712,7 @@ func (p *Peer) sweepReplicas(moved []Item) []Item {
 		p.sys.stats.ReplicaPromotions++
 	}
 	for _, it := range orphaned {
-		delete(p.reps, it.DID)
+		p.repDel(it.DID)
 		moved = append(moved, it)
 	}
 	return moved
@@ -525,7 +723,7 @@ func (p *Peer) sweepReplicas(moved []Item) []Item {
 // (spread placement can leave the owner holding an authoritative copy whose
 // bytes live on an s-peer, and the joiner must become able to serve it).
 func (p *Peer) transferOwned(m loadTransferReq, moved []Item) []Item {
-	if !p.replicationOn() || len(p.owned) == 0 || m.Lo == m.Hi {
+	if !p.replicationOn() || len(p.owned()) == 0 || m.Lo == m.Hi {
 		return moved
 	}
 	seen := make(map[idspace.ID]bool, len(moved))
@@ -533,10 +731,9 @@ func (p *Peer) transferOwned(m loadTransferReq, moved []Item) []Item {
 		seen[it.DID] = true
 	}
 	var extra []Item
-	for did, it := range p.owned {
+	for did, it := range p.repl.owned {
 		if idspace.Between(m.Lo, did, m.Hi) {
-			delete(p.owned, did)
-			p.repDirty = true
+			p.ownedDel(did)
 			if !seen[did] {
 				extra = append(extra, it)
 			}
@@ -550,7 +747,7 @@ func (p *Peer) transferOwned(m loadTransferReq, moved []Item) []Item {
 // dump, so authoritative copies of spread items survive a graceful leave.
 // Callers re-sort the combined batch.
 func (p *Peer) appendOwnedExtra(items []Item) []Item {
-	if !p.replicationOn() || len(p.owned) == 0 {
+	if !p.replicationOn() || len(p.owned()) == 0 {
 		return items
 	}
 	seen := make(map[idspace.ID]bool, len(items))
@@ -558,7 +755,7 @@ func (p *Peer) appendOwnedExtra(items []Item) []Item {
 		seen[it.DID] = true
 	}
 	var extra []Item
-	for did, it := range p.owned {
+	for did, it := range p.repl.owned {
 		if !seen[did] {
 			extra = append(extra, it)
 		}
@@ -596,12 +793,11 @@ func (p *Peer) Delete(key string, done func(OpResult)) {
 func (p *Peer) ownerDelete(did idspace.ID) bool {
 	_, existed := p.data[did]
 	delete(p.data, did)
-	if _, ok := p.owned[did]; ok {
-		delete(p.owned, did)
-		p.repDirty = true
+	if _, ok := p.owned()[did]; ok {
+		p.ownedDel(did)
 		existed = true
 	}
-	delete(p.reps, did)
+	p.repDel(did)
 	if p.sys.Cfg.TrackerMode && p.index != nil {
 		if _, ok := p.index[did]; ok {
 			delete(p.index, did)

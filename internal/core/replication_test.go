@@ -218,7 +218,7 @@ func TestRehomeSweepDedupes(t *testing.T) {
 		if _, ok := p.data[it.DID]; ok {
 			t.Fatal("foreign item still in data after sweep")
 		}
-		if _, ok := p.owned[it.DID]; ok {
+		if _, ok := p.owned()[it.DID]; ok {
 			t.Fatal("foreign item still in owned after sweep")
 		}
 	})
@@ -259,7 +259,7 @@ func TestDeleteDropsReplicas(t *testing.T) {
 			if _, ok := p.data[did]; ok {
 				t.Errorf("peer %d still stores deleted item", p.Addr)
 			}
-			if _, ok := p.reps[did]; ok {
+			if _, ok := p.reps()[did]; ok {
 				t.Errorf("peer %d still holds a replica of deleted item", p.Addr)
 			}
 		}
@@ -524,11 +524,13 @@ func keysOwnedBy(sys *System, owner *Peer, prefix string, n int) []string {
 	return keys
 }
 
-// heldFor returns the replicas a peer holds on behalf of one owner.
+// heldFor returns the replicas a peer holds on behalf of one owner, each
+// with its effective refresh time as seen.
 func heldFor(holder, owner *Peer) map[idspace.ID]repEntry {
 	out := make(map[idspace.ID]repEntry)
-	for did, e := range holder.reps {
+	for did, e := range holder.reps() {
 		if e.owner.Addr == owner.Addr {
+			e.seen = holder.repl.seen(e)
 			out[did] = e
 		}
 	}
@@ -565,8 +567,8 @@ func steadyChain(t *testing.T, seed int64, warm int) (*System, *repTraffic, *Pee
 	}
 	holders := [2]*Peer{sys.peerAt(owner.succ.Addr), sys.peerAt(owner.succ2.Addr)}
 	for _, h := range holders {
-		if got := len(heldFor(h, owner)); got != len(owner.owned) {
-			t.Fatalf("holder %d keeps %d of the owner's %d items after warm-up", h.Addr, got, len(owner.owned))
+		if got := len(heldFor(h, owner)); got != len(owner.owned()) {
+			t.Fatalf("holder %d keeps %d of the owner's %d items after warm-up", h.Addr, got, len(owner.owned()))
 		}
 	}
 	return sys, tr, owner, holders
@@ -649,8 +651,8 @@ func TestReplicationDeltaLossFullPush(t *testing.T) {
 	if err := sys.check("replica_holders"); err != nil {
 		t.Fatalf("not repaired two ticks after the loss: %v", err)
 	}
-	if owner.repDeficit != 0 {
-		t.Fatalf("deficit %d after the repair", owner.repDeficit)
+	if owner.repl.deficit != 0 {
+		t.Fatalf("deficit %d after the repair", owner.repl.deficit)
 	}
 	sys.Settle(2 * repPushEvery * tick)
 	if got := tr.fullPuts[owner.Addr] - baseFull; got != 1 {
@@ -670,7 +672,7 @@ func TestReplicationDigestRepairs(t *testing.T) {
 	}{
 		{name: "missing", diverge: func(_ *System, owner, holder *Peer) idspace.ID {
 			for did := range heldFor(holder, owner) {
-				delete(holder.reps, did)
+				holder.repDel(did)
 				return did
 			}
 			return 0
@@ -680,7 +682,7 @@ func TestReplicationDigestRepairs(t *testing.T) {
 				key := keyf("stale-%04d", i)
 				if o := keyOwner(sys, key); o != owner && o != holder {
 					it := Item{Key: key, Value: "v", DID: idspace.HashKey(key)}
-					holder.reps[it.DID] = repEntry{it: it, owner: owner.Ref(), seen: sys.Eng().Now()}
+					holder.repPut(repEntry{it: it, owner: owner.Ref(), seen: sys.Eng().Now()})
 					return it.DID
 				}
 			}
@@ -706,8 +708,8 @@ func TestReplicationDigestRepairs(t *testing.T) {
 			if _, ok := held[did]; ok != (tc.rehomed == 0) {
 				t.Fatalf("diverged entry %v present=%v after the repair", did, ok)
 			}
-			if len(held) != len(owner.owned) {
-				t.Fatalf("holder keeps %d of the owner's %d items", len(held), len(owner.owned))
+			if len(held) != len(owner.owned()) {
+				t.Fatalf("holder keeps %d of the owner's %d items", len(held), len(owner.owned()))
 			}
 			// Matching again: digests keep going out, nothing else does.
 			digests := st.ReplicaDigests
@@ -750,8 +752,8 @@ func TestReplicationTakeover(t *testing.T) {
 	if heir == nil || heir == victim || heir.ID != victim.ID {
 		t.Fatalf("no s-peer was promoted into the crashed t-peer's position")
 	}
-	for did := range pred.owned {
-		if _, ok := heir.reps[did]; !ok {
+	for did := range pred.owned() {
+		if _, ok := heir.reps()[did]; !ok {
 			t.Errorf("new successor lacks replica %v of its predecessor's set", did)
 		}
 	}
@@ -763,7 +765,7 @@ func TestReplicationTakeover(t *testing.T) {
 		for did, it := range sp.data {
 			if sp.inLocalSegment(it.DID) {
 				covered++
-				if _, ok := heir.owned[did]; !ok {
+				if _, ok := heir.owned()[did]; !ok {
 					t.Errorf("promoted owner does not cover item %v stored on s-peer %d", did, sp.Addr)
 				}
 			}
@@ -811,7 +813,7 @@ func TestReplicationOffSendsNothing(t *testing.T) {
 		t.Fatal("the tap saw no traffic at all")
 	}
 	for _, p := range sys.Peers() {
-		if p.owned != nil || p.reps != nil || p.repPending != nil || p.repAcks != nil {
+		if p.repl != nil {
 			t.Errorf("peer %d allocated replication state at k=1", p.Addr)
 		}
 	}

@@ -55,6 +55,10 @@ type System struct {
 	// met caches registry metric pointers for the protocol hot paths; nil
 	// (the default) disables recording. See SetMetrics in obsmetrics.go.
 	met *sysMetrics
+	// afterTick, when set, runs at the end of every hello tick's
+	// maintenance. Nothing in the package sets it: it is where a test
+	// holds the scans a tick skipped to the full scans they replace.
+	afterTick func(*Peer)
 }
 
 // SystemStats aggregates protocol-level counters for a run.
