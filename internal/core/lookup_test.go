@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/idspace"
+	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -260,6 +261,57 @@ func TestLookupLatencyPositiveAndBounded(t *testing.T) {
 		if r.Latency >= sys.Cfg.LookupTimeout {
 			t.Fatalf("successful lookup %s slower than the timeout", key)
 		}
+	}
+}
+
+// TestRingLookupHopsCountTheAnswer pins the hop convention at p_s = 0, where
+// the hybrid is a pure finger-routed ring: a remote lookup's Hops is its ring
+// forwards plus one for the answer's leg back to the origin, and the forwards
+// stay within a loose O(log N) band (log2(120) ≈ 6.9). A missing key fails.
+func TestRingLookupHopsCountTheAnswer(t *testing.T) {
+	const n = 120
+	sys, peers, keys := populate(t, 23, n, 100, func(c *Config) { c.Ps = 0 })
+	if err := sys.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	forwards, remote := 0, 0
+	for i, key := range keys {
+		tr := obs.NewTracer(0)
+		sys.SetTracer(tr)
+		r, err := sys.LookupSync(peers[(i*31)%n], key)
+		if err != nil || !r.OK {
+			t.Fatalf("lookup %s: %+v %v", key, r, err)
+		}
+		fw := 0 // each ring forward is one lookup_hop event at its receiver
+		for _, e := range tr.Events() {
+			if e.Kind == obs.EvLookupHop {
+				fw++
+			}
+		}
+		if r.Hops == 0 { // the origin holds the item
+			if fw != 0 {
+				t.Fatalf("local hit %s traced %d ring forwards", key, fw)
+			}
+			continue
+		}
+		if r.Hops != fw+1 {
+			t.Errorf("lookup %s: Hops = %d, ring forwards = %d, want forwards + 1", key, r.Hops, fw)
+		}
+		if r.Latency <= 0 {
+			t.Errorf("remote lookup %s latency %v", key, r.Latency)
+		}
+		forwards += fw
+		remote++
+	}
+	sys.SetTracer(nil)
+	if remote < len(keys)*9/10 {
+		t.Fatalf("only %d of %d lookups were remote", remote, len(keys))
+	}
+	if mean := float64(forwards) / float64(remote); mean > 14 {
+		t.Fatalf("mean ring forwards %.1f too high for finger routing in a %d-peer ring", mean, n)
+	}
+	if r, err := sys.LookupSync(peers[0], "no-such-key"); err != nil || r.OK {
+		t.Fatalf("missing key: %+v %v", r, err)
 	}
 }
 

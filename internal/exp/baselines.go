@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/chord"
 	"repro/internal/gnutella"
-	"repro/internal/idspace"
 	"repro/internal/kad"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -22,6 +20,11 @@ type overlay struct {
 	lookup func(origin int, key string, done func(ok bool, hops int, latency sim.Time))
 }
 
+// baselineWarmup is the quiet time every arm gets before its lookups: after
+// the last join for a standalone overlay, after the stores for a hybrid arm,
+// so that no arm is measured on routing state that is still converging.
+const baselineWarmup = 30 * sim.Second
+
 // baseline is one standalone comparator. Everything that differs between
 // the arms apart from the protocol itself is data here; the values are part
 // of the committed output (seeds, draw order, settle times, origin strides).
@@ -30,7 +33,6 @@ type baseline struct {
 	seed           int64    // offset from Options.Seed
 	drawsID        bool     // a node draws an overlay id before its host
 	joinSettle     sim.Time // simulated time each join gets to stabilize
-	warmup         sim.Time // quiet time after the last join
 	storeStride    int      // the i-th key is stored from node i*storeStride
 	lookupStride   int      // the i-th lookup starts at node i*lookupStride
 	noLatencyValue bool     // latency is tabulated but not a key value
@@ -38,30 +40,6 @@ type baseline struct {
 }
 
 var baselines = []baseline{
-	{
-		name: "chord (pure structured)", tag: "chord", seed: 800, drawsID: true,
-		joinSettle: 600 * sim.Millisecond, warmup: 30 * sim.Second,
-		storeStride: 11, lookupStride: 17,
-		build: func(rt *simnet.Runtime) overlay {
-			net := chord.NewNetwork(rt, chord.DefaultConfig())
-			var nodes []*chord.Node
-			return overlay{
-				join: func(id uint64, host int) {
-					boot := simnet.None
-					if len(nodes) > 0 {
-						boot = nodes[0].Addr
-					}
-					nodes = append(nodes, net.CreateNode(idspace.ID(id), host, 1, boot))
-				},
-				store: func(i int, key string, done func()) {
-					nodes[i].Store(key, "v", func(chord.Result) { done() })
-				},
-				lookup: func(i int, key string, done func(bool, int, sim.Time)) {
-					nodes[i].Lookup(key, func(r chord.Result) { done(r.OK, r.Hops, r.Latency) })
-				},
-			}
-		},
-	},
 	{
 		name: "gnutella (pure unstructured, TTL 5)", tag: "gnutella", seed: 810,
 		storeStride: 13, lookupStride: 19, noLatencyValue: true,
@@ -82,8 +60,7 @@ var baselines = []baseline{
 	},
 	{
 		name: "kademlia (α=3, k=8 iterative)", tag: "kad", seed: 830, drawsID: true,
-		joinSettle: 200 * sim.Millisecond, warmup: 30 * sim.Second,
-		storeStride: 11, lookupStride: 17,
+		joinSettle: 200 * sim.Millisecond, storeStride: 11, lookupStride: 17,
 		build: func(rt *simnet.Runtime) overlay {
 			kcfg := kad.DefaultConfig()
 			kcfg.K = 8 // replica sets sized for paper-scale swarms, not the open internet
@@ -137,9 +114,7 @@ func runBaseline(o Options, b baseline, keys []string, queries int) (baselineRow
 			eng.RunUntil(eng.Now() + b.joinSettle)
 		}
 	}
-	if b.warmup > 0 {
-		eng.RunUntil(eng.Now() + b.warmup)
-	}
+	eng.RunUntil(eng.Now() + baselineWarmup)
 
 	for i, key := range keys {
 		done := false
@@ -172,16 +147,17 @@ func runBaseline(o Options, b baseline, keys []string, queries int) (baselineRow
 	}, nil
 }
 
-// RunBaselines compares the standalone Chord, Gnutella and Kademlia
-// implementations against the hybrid system at several p_s values on the
-// same topology and workload: mean lookup hops, latency and failure ratio.
-// This is the "compared to structured / unstructured peer-to-peer networks"
-// framing of the paper's conclusions, with the pure systems implemented
-// outright rather than taken as the hybrid's degenerate ends — Kademlia
-// (XOR metric, k-buckets, α-parallel iterative lookup) being the
-// industry-standard comparator. Each system is an independent simulation,
-// so the arms run as worker-pool tasks: the baselines first, then the hybrid
-// at p_s = 0.3 and 0.7.
+// RunBaselines compares the standalone Gnutella and Kademlia implementations
+// against the hybrid system at p_s = 0, 0.3 and 0.7 on the same topology and
+// workload: mean lookup hops, latency and failure ratio. This is the
+// "compared to structured / unstructured peer-to-peer networks" framing of
+// the paper's conclusions. The structured end is the hybrid itself at
+// p_s = 0, a pure finger-routed ring; Gnutella is the unstructured end and
+// Kademlia (XOR metric, k-buckets, α-parallel iterative lookup) the
+// industry-standard comparator off the ring. A hybrid hop count includes the
+// answer's leg back to the origin, so at p_s = 0 it is the ring forwards plus
+// one. Each system is an independent simulation, so the arms run as
+// worker-pool tasks: the baselines first, then the hybrid arms.
 func RunBaselines(o Options) (*Result, error) {
 	res := newResult("Baselines")
 	keys := workload.Keys(o.Items / 2)
@@ -190,7 +166,7 @@ func RunBaselines(o Options) (*Result, error) {
 	}
 	queries := o.Lookups / 2
 
-	hybridPs := []float64{0.3, 0.7}
+	hybridPs := []float64{0, 0.3, 0.7}
 	arms, err := sweep(o, len(baselines)+len(hybridPs), func(i int) (baselineRow, error) {
 		if i < len(baselines) {
 			return runBaseline(o, baselines[i], keys, queries)
@@ -201,6 +177,7 @@ func RunBaselines(o Options) (*Result, error) {
 		if err != nil {
 			return baselineRow{}, err
 		}
+		sc.Sys.Settle(baselineWarmup)
 		rs, err := sc.lookups(queries, 4, keys, sc.anyLive, func(k int) int { return k })
 		if err != nil {
 			return baselineRow{}, err
@@ -228,6 +205,6 @@ func RunBaselines(o Options) (*Result, error) {
 
 	res.Tables = append(res.Tables, t)
 	res.Notes = append(res.Notes,
-		"the hybrid sits between the pure systems: near-structured accuracy with fewer routing hops as p_s grows")
+		"hybrid p_s=0.0 is the pure structured ring; a hybrid hop count includes the answer's leg back to the origin")
 	return res, nil
 }

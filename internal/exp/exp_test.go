@@ -204,11 +204,11 @@ func TestBaselinesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Values["chord_failure"] > 0.05 {
-		t.Errorf("chord failure ratio %v; structured lookups should be ~exact", res.Values["chord_failure"])
+	if res.Values["hybrid_ps0.0_failure"] > 0.05 {
+		t.Errorf("p_s=0 failure ratio %v; structured lookups should be ~exact", res.Values["hybrid_ps0.0_failure"])
 	}
-	if res.Values["chord_hops"] <= 0 || res.Values["hybrid_ps0.7_hops"] <= 0 {
-		t.Error("missing hop measurements")
+	if res.Values["hybrid_ps0.0_hops"] <= 0 || res.Values["hybrid_ps0.0_latency_ms"] <= 0 || res.Values["hybrid_ps0.7_hops"] <= 0 {
+		t.Error("missing hop or latency measurements")
 	}
 	if res.Values["hybrid_ps0.7_failure"] > 0.1 {
 		t.Errorf("hybrid failure %v too high at TTL 4", res.Values["hybrid_ps0.7_failure"])
@@ -222,8 +222,8 @@ func TestBaselinesShape(t *testing.T) {
 }
 
 // TestBaselinesDeterminism is the baseline determinism gate: all arms —
-// hybrid, Chord, Gnutella, Kademlia — must render byte-identically across
-// repeated runs at the same seed.
+// Gnutella, Kademlia and the hybrid at p_s = 0, 0.3 and 0.7 — must render
+// byte-identically across repeated runs at the same seed.
 func TestBaselinesDeterminism(t *testing.T) {
 	r1, err := RunBaselines(testOptions())
 	if err != nil {

@@ -148,7 +148,7 @@ func Registry() []Experiment {
 		{ID: "AblationTree", Title: "Ablation: tree s-networks vs mesh flooding (duplicate deliveries)", Run: RunAblationTree},
 		{ID: "AblationBypass", Title: "Ablation: bypass links on/off (t-network load and latency)", Run: RunAblationBypass},
 		{ID: "AblationRouting", Title: "Ablation: routing seam — α-parallel probes under faults", Run: RunAblationRouting},
-		{ID: "Baselines", Title: "Chord, Gnutella and Kademlia baselines vs the hybrid system", Run: RunBaselines},
+		{ID: "Baselines", Title: "Gnutella and Kademlia baselines vs the hybrid system (p_s = 0 is the pure ring)", Run: RunBaselines},
 		{ID: "ExtCaching", Title: "Extension: future-work caching scheme under Zipf load", Run: RunExtCaching},
 		{ID: "LinkStress", Title: "Extension: physical link stress with/without topology awareness", Run: RunLinkStress},
 		{ID: "Churn", Title: "Extension: lookups under live Poisson churn", Run: RunChurn},

@@ -3,11 +3,11 @@
 // with least-recently-seen eviction, and α-parallel iterative FIND_NODE /
 // FIND_VALUE lookups.
 //
-// It is the third baseline next to internal/chord and internal/gnutella —
-// the industry-standard comparator (BitTorrent Mainline DHT, IPFS) for the
-// hybrid system's lookup cost and churn resilience — and the reference
-// design for the α-probe port in internal/core (see Config.LookupAlpha
-// there).
+// It is the baseline off the ring next to internal/gnutella and the hybrid
+// itself at p_s = 0 — the industry-standard comparator (BitTorrent Mainline
+// DHT, IPFS) for the hybrid system's lookup cost and churn resilience — and
+// the reference design for the α-probe port in internal/core (see
+// Config.LookupAlpha there).
 package kad
 
 import (
