@@ -187,7 +187,20 @@ func TestPartialViewAudit(t *testing.T) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("audit of process %d after the crash in process %d = %v, want %q", w, v, err, want)
+				// Tell a repair that healed the pointer before any audit
+				// ran apart from an audit that missed a pointer still there.
+				var succ, pred runtime.Addr
+				rts[w].Do(func() {
+					if p := syss[w].Peer(witness); p != nil {
+						succ, pred = p.Successor().Addr, p.Predecessor().Addr
+					}
+				})
+				verdict := "still names the victim: the audit missed the pointer"
+				if succ != victim && pred != victim {
+					verdict = "had already moved past the victim: the repair won the race"
+				}
+				t.Fatalf("audit of process %d after the crash in process %d = %v, want %q; at the deadline witness %d (succ %d, pred %d) %s",
+					w, v, err, want, witness, succ, pred, verdict)
 			}
 		}
 		awaitInvariants(t, rts[0], boot, "on the bootstrap's slice after repair")

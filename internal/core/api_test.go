@@ -95,7 +95,7 @@ func TestPeerAccessors(t *testing.T) {
 	if !sp.ConnectPoint().Valid() || !sp.tpeer.Valid() {
 		t.Fatal("s-peer accessors invalid")
 	}
-	if sp.NumItems() != len(sp.data) {
+	if sp.NumItems() != sp.data.len() {
 		t.Fatal("NumItems mismatch")
 	}
 }

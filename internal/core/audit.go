@@ -193,7 +193,7 @@ type census struct{ items, pending, suspected, deficit, depthMax int }
 func (v *view) census() (c census) {
 	c.pending = len(v.s.ops)
 	for _, p := range v.live {
-		c.items += len(p.data)
+		c.items += p.data.len()
 		c.suspected += len(p.suspect)
 		if p.repl != nil {
 			c.deficit += p.repl.deficit
@@ -210,7 +210,7 @@ func (v *view) deadRingPtrs() {
 		for _, r := range [2]Ref{p.succ, p.pred} {
 			if t := v.local(r.Addr); t == nil && !v.liveAt(r.Addr) || t != nil && t.Role != TPeer {
 				v.report(p.Addr, r.Addr, "succ=%d pred=%d: %d is not a live t-peer (suspected=%v)",
-					p.succ.Addr, p.pred.Addr, r.Addr, p.suspect[r.Addr])
+					p.succ.Addr, p.pred.Addr, r.Addr, p.suspected(r.Addr))
 			}
 		}
 	}
@@ -296,7 +296,7 @@ func (v *view) unownedItems() {
 		return
 	}
 	for _, p := range v.live {
-		for _, it := range p.data {
+		for _, it := range p.data.all() {
 			if own := v.owner(it.DID); p.tpeer.Valid() && own.Addr != p.tpeer.Addr {
 				v.report(p.Addr, own.Addr, "item %q (did %s) is stored in s-network %d but t-peer %d (id %s, pred %d) owns its segment; holder segLo=%s id=%s",
 					it.Key, it.DID, p.tpeer.Addr, own.Addr, own.ID, own.pred.Addr, p.segLo, p.ID)
@@ -365,26 +365,25 @@ func (v *view) replicaHolders() {
 	}
 	holders := make(map[idspace.ID]int)
 	for _, p := range v.live {
-		for did := range p.data {
-			holders[did]++
+		for _, it := range p.data.all() {
+			holders[it.DID]++
 		}
-		for did := range p.owned() {
-			if _, counted := p.data[did]; !counted {
-				holders[did]++
+		for _, it := range p.owned().all() {
+			if !p.data.has(it.DID) {
+				holders[it.DID]++
 			}
 		}
-		for did := range p.reps() {
-			_, inData := p.data[did]
-			if _, inOwned := p.owned()[did]; !inData && !inOwned {
+		for _, e := range p.reps().all() {
+			if did := e.it.DID; !p.data.has(did) && !p.owned().has(did) {
 				holders[did]++
 			}
 		}
 	}
 	for _, p := range v.live {
-		for did, it := range p.data {
-			if n := holders[did]; n < want {
+		for _, it := range p.data.all() {
+			if n := holders[it.DID]; n < want {
 				v.report(p.Addr, runtime.None, "item %q (%x) has %d holders, want >= %d (k=%d, %d t-peers)",
-					it.Key, did, n, want, v.s.Cfg.ReplicationK, len(v.tps))
+					it.Key, it.DID, n, want, v.s.Cfg.ReplicationK, len(v.tps))
 			}
 		}
 	}
@@ -410,14 +409,14 @@ func (p *Peer) recountReplication(drift func(owner runtime.Addr, format string, 
 		return
 	}
 	var sum uint64
-	for _, it := range r.owned {
+	for _, it := range r.owned.all() {
 		sum ^= itemSum(it)
 	}
 	if sum != r.ownedSum {
-		drift(runtime.None, "owned sum %x over %d items, recount %x", r.ownedSum, len(r.owned), sum)
+		drift(runtime.None, "owned sum %x over %d items, recount %x", r.ownedSum, r.owned.len(), sum)
 	}
 	recount := make(map[runtime.Addr]repHold)
-	for _, e := range r.reps {
+	for _, e := range r.reps.all() {
 		h := recount[e.owner.Addr]
 		h.count++
 		h.sum ^= itemSum(e.it)

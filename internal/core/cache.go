@@ -54,7 +54,7 @@ func (p *Peer) lookupCached(did idspace.ID) (Item, bool) {
 
 // findLocal checks the database and then the cache.
 func (p *Peer) findLocal(did idspace.ID) (Item, bool) {
-	if it, ok := p.data[did]; ok {
+	if it, ok := p.data.get(did); ok {
 		return it, true
 	}
 	return p.lookupCached(did)
@@ -103,7 +103,7 @@ func (p *Peer) pushSurrogates(it Item) {
 // handleCacheAdd installs a surrogate copy. Peers that already hold the item
 // in their database ignore the push.
 func (p *Peer) handleCacheAdd(m cacheAdd) {
-	if _, owned := p.data[m.Item.DID]; owned {
+	if p.data.has(m.Item.DID) {
 		return
 	}
 	p.cache.put(p.sys.rt, cacheTTL, m.Item.DID, m.Item)

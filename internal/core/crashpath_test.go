@@ -188,7 +188,7 @@ func TestLookupDetoursSuspectedSuccessor(t *testing.T) {
 	if !pre.Alive() || !succ.Alive() {
 		t.Fatal("test ring neighbors died during settling")
 	}
-	if !pre.suspect[victim.Addr] || pre.succ.Addr != victim.Addr {
+	if !pre.suspected(victim.Addr) || pre.succ.Addr != victim.Addr {
 		t.Fatalf("setup drifted: P must still point at the suspected-dead T here (succ=%d suspect=%v)",
 			pre.succ.Addr, pre.suspect)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/idspace"
 	"repro/internal/obs"
 	"repro/internal/runtime"
@@ -32,6 +30,15 @@ func (p *Peer) segKey() segKey {
 func (p *Peer) inLocalSegment(id idspace.ID) bool {
 	k := p.segKey()
 	return k.whole || idspace.Between(k.lo, id, k.hi)
+}
+
+// foreign reports the arc (lo, hi] of ids outside the key's segment; ok is
+// false when the segment is the whole space and nothing is foreign.
+func (k segKey) foreign() (lo, hi idspace.ID, ok bool) {
+	if k.whole || k.lo == k.hi {
+		return 0, 0, false
+	}
+	return k.hi, k.lo, true
 }
 
 // newOp registers an in-flight operation with a timeout. Records come from
@@ -132,10 +139,7 @@ func (p *Peer) storeLocal(it Item) {
 // skip when nothing was put; a delete needs no mark, since taking an item
 // out can neither make another one foreign nor leave one unfolded.
 func (p *Peer) dataPut(it Item) {
-	if p.data == nil {
-		p.data = make(map[idspace.ID]Item)
-	}
-	p.data[it.DID] = it
+	p.data.put(it)
 	p.dataAdded = true
 	if p.repl != nil {
 		p.repl.foldDirty = true
@@ -179,43 +183,24 @@ func (p *Peer) rehomeForeignItems() {
 	var moved []Item
 	if p.dataAdded || segMoved {
 		p.dataAdded = false
-		for _, it := range p.data {
-			if !p.inLocalSegment(it.DID) {
-				moved = append(moved, it)
-			}
-		}
-		for _, it := range moved {
-			delete(p.data, it.DID)
+		if lo, hi, ok := key.foreign(); ok {
+			moved = p.data.cut(lo, hi)
 		}
 	}
 	p.rehome(p.sweepReplicas(moved, segMoved))
 }
 
 // rehome forwards items this peer has already let go of toward their owning
-// segment, like fresh insertions, in DID order.
+// segment, like fresh insertions. The batch is DID-sorted without repeats:
+// the same item can surface from both the data scan and the replica sweep
+// in one tick (owner and detour target suspected together), and the sweep
+// merges it away, since a duplicate transfer would double-count rehomes and
+// double-send the batch downstream.
 func (p *Peer) rehome(moved []Item) {
-	if len(moved) == 0 {
-		return
-	}
-	sortItemsByDID(moved)
-	for i, it := range moved {
-		if i > 0 && it.DID == moved[i-1].DID {
-			// The same item can surface from both the data scan and the
-			// replica sweep in one tick (owner and detour target suspected
-			// together); a duplicate transfer would double-count rehomes
-			// and double-send the batch downstream.
-			continue
-		}
+	for _, it := range moved {
 		p.sys.stats.ItemsRehomed++
 		p.forwardTowardSegment(it.DID, storeReq{Item: it, Origin: p.Ref(), Hops: 1}, runtime.None)
 	}
-}
-
-// sortItemsByDID puts an item batch in deterministic order before it is sent
-// or announced. Every batch is collected by ranging over the data map, and map
-// iteration order must not leak into the event sequence.
-func sortItemsByDID(items []Item) {
-	sort.Slice(items, func(i, j int) bool { return items[i].DID < items[j].DID })
 }
 
 // handleStoreReq advances an insertion toward the owning segment and places

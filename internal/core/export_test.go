@@ -89,6 +89,5 @@ func (p *Peer) armedTimers() int {
 
 // HasItem reports whether the peer stores the item with the given key.
 func (p *Peer) HasItem(key string) bool {
-	_, ok := p.data[idspace.HashKey(key)]
-	return ok
+	return p.data.has(idspace.HashKey(key))
 }

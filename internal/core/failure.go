@@ -70,7 +70,7 @@ func (p *Peer) neighborTimeout(nb runtime.Addr) {
 			// The watchdog re-armed on a crashed neighbor that a repair
 			// has since replaced: it monitors nobody and the suspicion
 			// is obsolete.
-			delete(p.suspect, nb)
+			p.unsuspect(nb)
 			return
 		}
 		p.send(p.sys.serverAddr, ringDeadReq{Crashed: crashed, Self: p.Ref()})
@@ -158,12 +158,7 @@ func (p *Peer) handleReplaceResp(m replaceResp) {
 		}
 		if p.sys.Cfg.TrackerMode {
 			p.ensureIndex()
-			items := make([]Item, 0, len(p.data))
-			for _, it := range p.data {
-				items = append(items, it)
-			}
-			sortItemsByDID(items)
-			p.announceItems(items)
+			p.announceItems(p.data.all())
 		}
 		return
 	}

@@ -308,14 +308,17 @@ func settledTPeers(t *testing.T, n int) *System {
 // TestFingerTableFootprint pins the finger state of a settled N=1000 ring of
 // t-peers, counted from the capacities the table holds, at 512 bytes per
 // t-peer on average (the slot-and-tag arrays took 1 536), Peer in its
-// allocator size class, and the rounds in flight at two — through a crash
-// and join wave too.
+// allocator size class, replState at its own, and the rounds in flight at
+// two — through a crash and join wave too.
 func TestFingerTableFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 1000-peer ring")
 	}
 	if s := unsafe.Sizeof(Peer{}); s > 512 {
 		t.Errorf("Peer is %d bytes, past its 512-byte size class", s)
+	}
+	if s := unsafe.Sizeof(replState{}); s != 192 {
+		t.Errorf("replState is %d bytes, want 192: its size class, with owned, reps and acks as slices", s)
 	}
 	sys := settledTPeers(t, 1000)
 	footprint := func(p *Peer) int {

@@ -83,7 +83,7 @@ func (s *System) RingSummary() RingView {
 			Pred:    refView(p.pred),
 			Succ:    refView(p.succ),
 			Succ2:   refView(p.succ2),
-			Items:   len(p.data),
+			Items:   p.data.len(),
 			Subtree: 1,
 		}
 		for _, f := range p.fingers.entries() {
@@ -91,10 +91,10 @@ func (s *System) RingSummary() RingView {
 				tv.Fingers = append(tv.Fingers, RefView{Addr: f.Addr, ID: f.ID})
 			}
 		}
-		for a := range p.suspect {
-			tv.Suspects = append(tv.Suspects, a)
+		if len(p.suspect) > 0 {
+			tv.Suspects = slices.Clone(p.suspect)
+			slices.Sort(tv.Suspects)
 		}
-		slices.Sort(tv.Suspects)
 		for _, c := range p.children {
 			tv.Children = append(tv.Children, RefView{Addr: c.Ref.Addr, ID: c.Ref.ID})
 			tv.Subtree += c.Subtree

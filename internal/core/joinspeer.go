@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/runtime"
 )
 
@@ -122,15 +124,11 @@ func (p *Peer) leaveSPeer() {
 	for _, nb := range nbs {
 		p.send(nb.Addr, sLeaveMsg{})
 	}
-	if len(p.data) > 0 && len(nbs) > 0 {
+	if p.data.len() > 0 && len(nbs) > 0 {
 		// "The leaving s-peer should also choose a neighbor to transfer
 		// the load to."
 		target := nbs[p.sys.rt.Rand().Intn(len(nbs))]
-		items := make([]Item, 0, len(p.data))
-		for _, it := range p.data {
-			items = append(items, it)
-		}
-		sortItemsByDID(items)
+		items := slices.Clone(p.data.all())
 		p.sendData(target.Addr, len(items), itemsMsg{Items: items})
 	}
 	if p.tpeer.Valid() {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/idspace"
 	"repro/internal/obs"
 	"repro/internal/runtime"
@@ -298,15 +300,10 @@ func (p *Peer) drainJoinQueue() {
 // propagates the request down the s-network tree.
 func (p *Peer) handleLoadTransfer(from runtime.Addr, m loadTransferReq) {
 	var moved []Item
-	for did, it := range p.data {
-		if idspace.Between(m.Lo, did, m.Hi) && m.Lo != m.Hi {
-			moved = append(moved, it)
-			delete(p.data, did)
-		}
+	if m.Lo != m.Hi {
+		moved = p.transferOwned(m, p.data.cut(m.Lo, m.Hi))
 	}
-	moved = p.transferOwned(m, moved)
 	if len(moved) > 0 && m.Target.Addr != p.Addr {
-		sortItemsByDID(moved)
 		p.sendData(m.Target.Addr, len(moved), itemsMsg{Items: moved})
 		if p.sys.Cfg.TrackerMode && p.tpeer.Valid() {
 			for _, it := range moved {
@@ -385,12 +382,7 @@ func (p *Peer) leaveBySubstitution() {
 	pick := children[p.sys.rt.Rand().Intn(len(children))]
 	newRef := Ref{ID: p.ID, Addr: pick.Addr}
 
-	items := make([]Item, 0, len(p.data))
-	for _, it := range p.data {
-		items = append(items, it)
-	}
-	items = p.appendOwnedExtra(items)
-	sortItemsByDID(items)
+	items := p.withOwned(slices.Clone(p.data.all()))
 	rest := make([]Ref, 0, len(children)-1)
 	for _, c := range children {
 		if c.Addr != pick.Addr {
@@ -499,13 +491,8 @@ func (p *Peer) handleTLeaveToSucc(m tLeaveToSucc) {
 
 // finishEmptyLeave completes the departure after the triangle closes.
 func (p *Peer) finishEmptyLeave() {
-	var items []Item
-	for _, it := range p.data {
-		items = append(items, it)
-	}
-	items = p.appendOwnedExtra(items)
+	items := p.withOwned(slices.Clone(p.data.all()))
 	if len(items) > 0 && p.succ.Valid() && p.succ.Addr != p.Addr {
-		sortItemsByDID(items)
 		p.sendData(p.succ.Addr, len(items), itemsMsg{Items: items})
 	}
 	p.send(p.sys.serverAddr, ringUnregister{Self: p.Ref()})

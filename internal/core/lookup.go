@@ -31,7 +31,7 @@ func (p *Peer) LookupWithTTL(key string, ttl int, done func(OpResult)) {
 		// The authoritative copy answers spread items whose bytes live on an
 		// s-peer below; a held replica answers when the owner's route is
 		// suspected dead (with read-repair toward the segment's new owner).
-		if it, ok := p.owned()[o.did]; ok {
+		if it, ok := p.owned().get(o.did); ok {
 			p.sys.stats.ReplicaServes++
 			p.finishOp(qid, OpResult{OK: true, Value: it.Value, Hops: 0, Holder: p.Ref()})
 			return
@@ -206,12 +206,12 @@ func (p *Peer) handleLookupReq(from runtime.Addr, m lookupReq) {
 		// The owner's authoritative copy covers spread items; a replica not
 		// yet promoted after a takeover still answers (the sweep promotes it
 		// on the next tick).
-		if it, ok := p.owned()[m.DID]; ok {
+		if it, ok := p.owned().get(m.DID); ok {
 			p.sys.stats.ReplicaServes++
 			p.answer(m.Origin, m.QID, it, m.Hops+1)
 			return
 		}
-		if e, ok := p.reps()[m.DID]; ok {
+		if e, ok := p.reps().get(m.DID); ok {
 			p.sys.stats.ReplicaServes++
 			p.answer(m.Origin, m.QID, e.it, m.Hops+1)
 			return

@@ -17,10 +17,8 @@ type Peer struct {
 	Addr     runtime.Addr
 	Host     int
 	Capacity float64
-	Role     Role
 
-	sys   *System
-	alive bool
+	sys *System
 
 	// --- t-network state ---
 	pred, succ Ref
@@ -30,20 +28,17 @@ type Peer struct {
 	// segment routing detours via succ2 instead of forwarding into the
 	// crash.
 	succ2 Ref
-	// suspect marks neighbors whose watchdog expired but whose repair is
-	// still pending; routing avoids them. Entries clear on any liveness
-	// signal or once the pointer heals. Lazily allocated: nil for the
-	// (common) peers that never see a neighbor crash.
-	suspect map[runtime.Addr]bool
+	// suspect lists the neighbors whose watchdog expired but whose repair
+	// is still pending; routing avoids them. Entries clear on any liveness
+	// signal or once the pointer heals. Nil for the (common) peers that
+	// never see a neighbor crash, and a handful long at most.
+	suspect []runtime.Addr
 	// fingers is the finger table with its refresh rounds in flight,
 	// sized when the peer takes the t-role.
 	fingers fingerTable
-	// joining/leaving are the §3.3 mutex variables; joinQueue serializes
-	// join requests that arrive while a triangle is in flight.
-	joining    bool
-	leaving    bool
-	mutexEpoch int
-	joinQueue  []tJoinReq
+	// joinQueue serializes join requests that arrive while a triangle
+	// holds the joining mutex.
+	joinQueue []tJoinReq
 
 	// --- s-network state ---
 	// tpeer is the root of this peer's s-network (self for t-peers).
@@ -68,7 +63,8 @@ type Peer struct {
 	nbrs []nbrWatch
 
 	// --- data ---
-	data map[idspace.ID]Item
+	// data is the peer's database, sorted by DID.
+	data didSet[Item]
 	// index is the tracker-mode content index (tracker t-peers only).
 	index map[idspace.ID]Ref
 	// cache holds surrogate copies of hot items (future-work caching).
@@ -113,16 +109,24 @@ type Peer struct {
 	// accepts no leave requests, including its own).
 	deferLeave bool
 	dataAdded  bool // see swept
+	// The role and liveness fill the flags' word with joining/leaving, the
+	// §3.3 mutex variables.
+	Role    Role
+	alive   bool
+	joining bool
+	leaving bool
+	// mutexEpoch numbers the joining mutex's guards (armMutexGuard).
+	mutexEpoch uint32
+	// cpLostTicks counts consecutive hello ticks a joined s-peer has spent
+	// without a connect point; past a small grace it forces a rejoin
+	// through the server (a wedged rejoin would otherwise strand the peer
+	// silently forever).
+	cpLostTicks uint8
 	// triJoiner/triEpoch identify the join triangle this peer currently
 	// anchors as pre, so a tJoinCancel from the joiner can release the
 	// joining mutex without racing a different (newer) triangle.
 	triJoiner runtime.Addr
 	triEpoch  int
-	// cpLostTicks counts consecutive hello ticks a joined s-peer has spent
-	// without a connect point; past a small grace it forces a rejoin
-	// through the server (a wedged rejoin would otherwise strand the peer
-	// silently forever).
-	cpLostTicks int
 
 	fingerTicker *runtime.Ticker
 }
@@ -269,7 +273,7 @@ func (p *Peer) watching(a runtime.Addr) bool {
 }
 
 // NumItems returns the number of locally stored items.
-func (p *Peer) NumItems() int { return len(p.data) }
+func (p *Peer) NumItems() int { return p.data.len() }
 
 // Successor returns the ring successor (t-peers).
 func (p *Peer) Successor() Ref { return p.succ }
@@ -602,14 +606,9 @@ func (p *Peer) handleHello(from runtime.Addr, m helloMsg) {
 	p.tpeer = m.Root
 	p.ID = m.Root.ID
 	p.segLo = m.SegLo
-	if rootChanged && p.sys.Cfg.TrackerMode && len(p.data) > 0 {
+	if rootChanged && p.sys.Cfg.TrackerMode && p.data.len() > 0 {
 		// A substituted or replaced tracker lost the old index; re-announce.
-		items := make([]Item, 0, len(p.data))
-		for _, it := range p.data {
-			items = append(items, it)
-		}
-		sortItemsByDID(items)
-		p.announceItems(items)
+		p.announceItems(p.data.all())
 	}
 	if rootChanged || segChanged {
 		// The segment under our data moved (rejoin into a different
@@ -657,19 +656,16 @@ func (p *Peer) refreshWatchdog(from runtime.Addr) {
 	if i := p.nbrIndex(from); i >= 0 && p.nbrs[i].timer != nil {
 		p.nbrs[i].timer.Start()
 	}
-	if len(p.suspect) != 0 {
-		// Any liveness signal clears the routing suspicion (a partition
-		// healing looks exactly like this).
-		delete(p.suspect, from)
-	}
+	// Any liveness signal clears the routing suspicion (a partition healing
+	// looks exactly like this).
+	p.unsuspect(from)
 }
 
 // markSuspect flags a neighbor as suspected dead for routing purposes.
 func (p *Peer) markSuspect(nb runtime.Addr) {
-	if p.suspect == nil {
-		p.suspect = make(map[runtime.Addr]bool)
+	if !p.suspected(nb) {
+		p.suspect = append(p.suspect, nb)
 	}
-	p.suspect[nb] = true
 	if p.repl != nil {
 		p.repl.repsDirty = true // the replica sweep orphans what nb owns
 	}

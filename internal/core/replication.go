@@ -3,6 +3,7 @@ package core
 import (
 	"hash/crc32"
 	"math"
+	"slices"
 	"unsafe"
 
 	"repro/internal/idspace"
@@ -57,6 +58,13 @@ import (
 // owner's replicas may have gone unrefreshed past repExpiry. A quiet tick
 // visits no stored item.
 //
+// Storage: owned, reps and the peer's own data are didSets, slices sorted
+// by data id (didset.go). Every batch below is collected in DID order, the
+// order the event sequence needs, without a sort; an arc of the ring (a
+// load transfer, the items a moved segment left foreign) is cut out as one
+// or two contiguous runs, and batches from two sets are merged. Most sets
+// hold fewer than ten entries, where a slice takes a third of a map's bytes.
+//
 // All of this is inert at k = 1: no state, no messages, no timers.
 
 // repEntry is one replica held for another owner.
@@ -66,23 +74,26 @@ type repEntry struct {
 	seen  runtime.Time // last refresh, for orphan expiry; see replState.seen
 }
 
+func (e repEntry) did() idspace.ID { return e.it.DID }
+
 // replState is a peer's replication state, allocated by rs on the first
 // replication write: nil on every peer of a k = 1 system.
 type replState struct {
 	// owned is the t-peer's authoritative copy of every in-segment item,
 	// including spread items whose bytes live on an s-peer below it;
 	// ownedSum is the XOR of itemSum over it, the owner's digest.
-	owned    map[idspace.ID]Item
+	owned    didSet[Item]
 	ownedSum uint64
 	// reps holds replicas kept on behalf of other owners, and holds one
 	// aggregate per owner over them.
-	reps  map[idspace.ID]repEntry
+	reps  didSet[repEntry]
 	holds []repHold
 	// round is the in-flight tracked round (0 = none), a replicaPut or,
-	// when digest is set, a replicaDigest; acks counts its distinct ackers
-	// and wrapped records that it came back around a ring smaller than k.
+	// when digest is set, a replicaDigest; acks lists its distinct ackers
+	// (k−1 at most) and wrapped records that it came back around a ring
+	// smaller than k.
 	round   uint64
-	acks    map[runtime.Addr]bool
+	acks    []runtime.Addr
 	wrapped bool
 	digest  bool
 	// dirty marks that an item left the owned set since the last full push;
@@ -139,17 +150,18 @@ func (p *Peer) rs() *replState {
 	return p.repl
 }
 
-// owned and reps read the two replica sets; both are nil while repl is.
-func (p *Peer) owned() map[idspace.ID]Item {
+// owned and reps read the two replica sets; both are empty while repl is
+// nil.
+func (p *Peer) owned() didSet[Item] {
 	if p.repl == nil {
-		return nil
+		return didSet[Item]{}
 	}
 	return p.repl.owned
 }
 
-func (p *Peer) reps() map[idspace.ID]repEntry {
+func (p *Peer) reps() didSet[repEntry] {
 	if p.repl == nil {
-		return nil
+		return didSet[repEntry]{}
 	}
 	return p.repl.reps
 }
@@ -190,12 +202,28 @@ func (r *replState) seen(e repEntry) runtime.Time {
 // ownedDel takes an item out of the owner's set. The next tick pushes the
 // full set (an item left it) and re-folds data.
 func (p *Peer) ownedDel(did idspace.ID) {
-	it, ok := p.owned()[did]
-	if !ok {
+	if p.repl == nil {
 		return
 	}
+	if it, ok := p.repl.owned.del(did); ok {
+		p.ownedLeft(it)
+	}
+}
+
+// ownedCut takes every owned item in (lo, hi] out of the set, in DID order.
+// repl must be allocated.
+func (p *Peer) ownedCut(lo, hi idspace.ID) []Item {
+	cut := p.repl.owned.cut(lo, hi)
+	for _, it := range cut {
+		p.ownedLeft(it)
+	}
+	return cut
+}
+
+// ownedLeft settles the owner's digest and marks for an item taken out of
+// owned.
+func (p *Peer) ownedLeft(it Item) {
 	r := p.repl
-	delete(r.owned, did)
 	r.ownedSum ^= itemSum(it)
 	r.dirty = true
 	r.foldDirty = true
@@ -205,11 +233,9 @@ func (p *Peer) ownedDel(did idspace.ID) {
 // and marks the set for the next replica sweep.
 func (p *Peer) repPut(e repEntry) {
 	r := p.rs()
-	if r.reps == nil {
-		r.reps = make(map[idspace.ID]repEntry)
+	if old, ok := r.reps.put(e); ok {
+		p.holdDrop(old)
 	}
-	p.repDel(e.it.DID)
-	r.reps[e.it.DID] = e
 	r.repsDirty = true
 	if h := r.hold(e.owner.Addr); h != nil {
 		h.count++
@@ -222,12 +248,17 @@ func (p *Peer) repPut(e repEntry) {
 
 // repDel drops one replica, if held, from the set and its owner's aggregate.
 func (p *Peer) repDel(did idspace.ID) {
-	e, ok := p.reps()[did]
-	if !ok {
+	if p.repl == nil {
 		return
 	}
+	if e, ok := p.repl.reps.del(did); ok {
+		p.holdDrop(e)
+	}
+}
+
+// holdDrop takes a replica that left the set out of its owner's aggregate.
+func (p *Peer) holdDrop(e repEntry) {
 	r := p.repl
-	delete(r.reps, did)
 	h := r.hold(e.owner.Addr)
 	h.count--
 	h.sum ^= itemSum(e.it)
@@ -276,17 +307,14 @@ func (p *Peer) ownedAdd(it Item) {
 		return
 	}
 	r := p.rs()
-	cur, ok := r.owned[it.DID]
+	cur, ok := r.owned.get(it.DID)
 	if ok && cur == it {
 		return
-	}
-	if r.owned == nil {
-		r.owned = make(map[idspace.ID]Item)
 	}
 	if ok {
 		r.ownedSum ^= itemSum(cur)
 	}
-	r.owned[it.DID] = it
+	r.owned.put(it)
 	r.ownedSum ^= itemSum(it)
 	r.ownedAdded = true
 	r.pending = append(r.pending, it.DID)
@@ -294,27 +322,22 @@ func (p *Peer) ownedAdd(it Item) {
 
 // takePending returns the items of from that were queued since the last
 // push or announce, in DID order, and releases the queue.
-func (p *Peer) takePending(from map[idspace.ID]Item) []Item {
+func (p *Peer) takePending(from didSet[Item]) []Item {
 	r := p.repl
 	if len(r.pending) == 0 {
 		return nil
 	}
-	items := make([]Item, 0, len(r.pending))
-	for _, did := range r.pending {
-		if it, ok := from[did]; ok {
+	// An item stored twice within a tick is queued twice; send it once.
+	slices.Sort(r.pending)
+	dids := slices.Compact(r.pending)
+	r.pending = nil
+	items := make([]Item, 0, len(dids))
+	for _, did := range dids {
+		if it, ok := from.get(did); ok {
 			items = append(items, it)
 		}
 	}
-	r.pending = nil
-	sortItemsByDID(items)
-	// An item stored twice within a tick is queued twice; send it once.
-	uniq := items[:0]
-	for i, it := range items {
-		if i == 0 || it.DID != items[i-1].DID {
-			uniq = append(uniq, it)
-		}
-	}
-	return uniq
+	return items
 }
 
 // replicaSucc returns the next hop of the replica chain: the ring successor,
@@ -360,7 +383,7 @@ func (p *Peer) eagerReplicate(it Item) {
 func (p *Peer) syncReplicas() {
 	r := p.repl
 	if r == nil {
-		if len(p.data) == 0 {
+		if p.data.len() == 0 {
 			return // nothing to fold, nothing owned, no round in flight
 		}
 		r = p.rs()
@@ -372,7 +395,7 @@ func (p *Peer) syncReplicas() {
 	if key := p.segKey(); r.foldDirty || key != r.folded {
 		r.foldDirty = false
 		r.folded = key
-		for _, it := range p.data {
+		for _, it := range p.data.all() {
 			if p.inLocalSegment(it.DID) {
 				p.ownedAdd(it)
 			}
@@ -392,10 +415,10 @@ func (p *Peer) syncReplicas() {
 		}
 		r.round = 0
 		r.wrapped = false
-		clear(r.acks)
+		r.acks = r.acks[:0]
 	}
 	succ := p.replicaSucc()
-	if !succ.Valid() || len(r.owned) == 0 {
+	if !succ.Valid() || r.owned.len() == 0 {
 		r.deficit = 0
 		r.succ = runtime.None
 		r.pending = nil
@@ -410,21 +433,13 @@ func (p *Peer) syncReplicas() {
 	if !full && !digest && len(delta) == 0 {
 		return
 	}
-	if r.acks == nil {
-		r.acks = make(map[runtime.Addr]bool)
-	}
 	r.round = p.sys.newTag()
 	r.digest = digest
 	if full {
 		r.dirty = false
 		r.ticks = 0
-		items := make([]Item, 0, len(r.owned))
-		for _, it := range r.owned {
-			items = append(items, it)
-		}
-		sortItemsByDID(items)
 		p.sys.stats.ReplicaFullPushes++
-		p.pushReplicas(succ, r.round, true, items)
+		p.pushReplicas(succ, r.round, true, slices.Clone(r.owned.all()))
 		return
 	}
 	if len(delta) > 0 {
@@ -447,7 +462,7 @@ func (p *Peer) syncReplicas() {
 			Owner: p.Ref(),
 			Round: r.round,
 			TTL:   p.sys.Cfg.ReplicationK - 1,
-			Count: len(r.owned),
+			Count: r.owned.len(),
 			Sum:   r.ownedSum,
 		})
 	}
@@ -461,7 +476,7 @@ func (p *Peer) syncReplicas() {
 // has not had it yet (promotion, crash takeover, re-attachment) and every
 // announceFullEvery ticks.
 func (p *Peer) announceOwned() {
-	if len(p.data) == 0 || !p.tpeer.Valid() || p.tpeer.Addr == p.Addr {
+	if p.data.len() == 0 || !p.tpeer.Valid() || p.tpeer.Addr == p.Addr {
 		return
 	}
 	r := p.rs()
@@ -471,10 +486,7 @@ func (p *Peer) announceOwned() {
 		r.annTo = p.tpeer.Addr
 		r.annTicks = 0
 		r.pending = nil
-		for _, it := range p.data {
-			items = append(items, it)
-		}
-		sortItemsByDID(items)
+		items = slices.Clone(p.data.all())
 	} else {
 		items = p.takePending(p.data)
 	}
@@ -512,7 +524,7 @@ func (p *Peer) handleReplicaPut(from runtime.Addr, m replicaPut) {
 			// The pusher thinks it owns a segment that is now ours (its
 			// pred pointer lags, or the owner crashed and we took over):
 			// install authoritatively instead of as a replica.
-			if _, ok := p.data[it.DID]; !ok {
+			if !p.data.has(it.DID) {
 				p.storeLocal(it)
 			}
 			p.ownedAdd(it)
@@ -528,11 +540,13 @@ func (p *Peer) handleReplicaPut(from runtime.Addr, m replicaPut) {
 		// There are no tombstones, so dropping it silently is not safe.
 		// Every entry the batch named was stamped with now just above.
 		var stale []Item
-		for did, e := range p.reps() {
+		for _, e := range p.reps().all() {
 			if e.owner.Addr == m.Owner.Addr && p.repl.seen(e) != now {
 				stale = append(stale, e.it)
-				p.repDel(did)
 			}
+		}
+		for _, it := range stale {
+			p.repDel(it.DID)
 		}
 		p.rehome(stale)
 	}
@@ -590,10 +604,9 @@ func (p *Peer) handleReplicaAck(from runtime.Addr, m replicaAck) {
 	if r == nil || m.Round == 0 || m.Round != r.round {
 		return
 	}
-	if r.acks == nil {
-		r.acks = make(map[runtime.Addr]bool)
+	if !slices.Contains(r.acks, from) {
+		r.acks = append(r.acks, from)
 	}
-	r.acks[from] = true
 }
 
 // handleReplicaDrop retires replicas of deleted items along the chain.
@@ -630,10 +643,10 @@ func (p *Peer) handleOwnerAnnounce(m ownerAnnounce) {
 // so the next lookup routes normally. Returns false when normal routing
 // should proceed.
 func (p *Peer) replicaFallback(did idspace.ID) (Item, bool) {
-	if !p.replicationOn() || p.Role != TPeer || len(p.reps()) == 0 {
+	if !p.replicationOn() || p.Role != TPeer {
 		return Item{}, false
 	}
-	e, ok := p.reps()[did]
+	e, ok := p.reps().get(did)
 	if !ok {
 		return Item{}, false
 	}
@@ -664,20 +677,12 @@ func (p *Peer) sweepReplicas(moved []Item, segMoved bool) []Item {
 	}
 	if r.ownedAdded || segMoved {
 		r.ownedAdded = false
-		var foreign []Item
-		for _, it := range r.owned {
-			if !p.inLocalSegment(it.DID) {
-				foreign = append(foreign, it)
-			}
-		}
-		sortItemsByDID(foreign)
-		for _, it := range foreign {
-			p.ownedDel(it.DID)
-			moved = append(moved, it)
+		if lo, hi, ok := p.segKey().foreign(); ok {
+			moved = mergeItems(moved, p.ownedCut(lo, hi))
 		}
 	}
 	now, expiry := p.sys.rt.Now(), p.repExpiry()
-	if len(r.reps) == 0 || !r.repsDirty && !segMoved && !r.expiring(now, expiry) {
+	if r.reps.len() == 0 || !r.repsDirty && !segMoved && !r.expiring(now, expiry) {
 		return moved
 	}
 	r.repsDirty = false
@@ -685,7 +690,7 @@ func (p *Peer) sweepReplicas(moved []Item, segMoved bool) []Item {
 		r.holds[i].oldest = math.MaxInt64
 	}
 	var promote, orphaned []Item
-	for _, e := range r.reps {
+	for _, e := range r.reps.all() {
 		h := r.hold(e.owner.Addr)
 		seen := max(e.seen, h.stamp)
 		switch {
@@ -701,11 +706,9 @@ func (p *Peer) sweepReplicas(moved []Item, segMoved bool) []Item {
 			h.oldest = min(h.oldest, seen)
 		}
 	}
-	sortItemsByDID(promote)
-	sortItemsByDID(orphaned)
 	for _, it := range promote {
 		p.repDel(it.DID)
-		if _, ok := p.data[it.DID]; !ok {
+		if !p.data.has(it.DID) {
 			p.storeLocal(it)
 		}
 		p.ownedAdd(it)
@@ -713,55 +716,29 @@ func (p *Peer) sweepReplicas(moved []Item, segMoved bool) []Item {
 	}
 	for _, it := range orphaned {
 		p.repDel(it.DID)
-		moved = append(moved, it)
 	}
-	return moved
+	return mergeItems(moved, orphaned)
 }
 
 // transferOwned hands the in-range slice of the owned set to a joining
-// predecessor along with the data items handleLoadTransfer already collected
-// (spread placement can leave the owner holding an authoritative copy whose
-// bytes live on an s-peer, and the joiner must become able to serve it).
+// predecessor along with the DID-sorted data items handleLoadTransfer
+// already cut (spread placement can leave the owner holding an
+// authoritative copy whose bytes live on an s-peer, and the joiner must
+// become able to serve it).
 func (p *Peer) transferOwned(m loadTransferReq, moved []Item) []Item {
-	if !p.replicationOn() || len(p.owned()) == 0 || m.Lo == m.Hi {
+	if !p.replicationOn() || p.owned().len() == 0 || m.Lo == m.Hi {
 		return moved
 	}
-	seen := make(map[idspace.ID]bool, len(moved))
-	for _, it := range moved {
-		seen[it.DID] = true
-	}
-	var extra []Item
-	for did, it := range p.repl.owned {
-		if idspace.Between(m.Lo, did, m.Hi) {
-			p.ownedDel(did)
-			if !seen[did] {
-				extra = append(extra, it)
-			}
-		}
-	}
-	sortItemsByDID(extra)
-	return append(moved, extra...)
+	return mergeItems(moved, p.ownedCut(m.Lo, m.Hi))
 }
 
-// appendOwnedExtra adds owned entries absent from the data map to a leave
-// dump, so authoritative copies of spread items survive a graceful leave.
-// Callers re-sort the combined batch.
-func (p *Peer) appendOwnedExtra(items []Item) []Item {
-	if !p.replicationOn() || len(p.owned()) == 0 {
+// withOwned merges the owned set into a DID-sorted leave dump of the data
+// set, so authoritative copies of spread items survive a graceful leave.
+func (p *Peer) withOwned(items []Item) []Item {
+	if !p.replicationOn() {
 		return items
 	}
-	seen := make(map[idspace.ID]bool, len(items))
-	for _, it := range items {
-		seen[it.DID] = true
-	}
-	var extra []Item
-	for did, it := range p.repl.owned {
-		if !seen[did] {
-			extra = append(extra, it)
-		}
-	}
-	sortItemsByDID(extra)
-	return append(items, extra...)
+	return mergeItems(items, p.owned().all())
 }
 
 // --- delete -----------------------------------------------------------------
@@ -791,9 +768,8 @@ func (p *Peer) Delete(key string, done func(OpResult)) {
 // replica stranded outside the chain (e.g. on a partitioned peer) can
 // resurrect a deleted item via orphan forwarding.
 func (p *Peer) ownerDelete(did idspace.ID) bool {
-	_, existed := p.data[did]
-	delete(p.data, did)
-	if _, ok := p.owned()[did]; ok {
+	_, existed := p.data.del(did)
+	if p.owned().has(did) {
 		p.ownedDel(did)
 		existed = true
 	}
@@ -857,8 +833,7 @@ func (p *Peer) handleDeleteAck(m deleteAck) {
 
 // handleDeleteFlood removes stored and cached copies down an s-network tree.
 func (p *Peer) handleDeleteFlood(from runtime.Addr, m deleteFlood) {
-	if _, ok := p.data[m.DID]; ok {
-		delete(p.data, m.DID)
+	if _, ok := p.data.del(m.DID); ok {
 		if p.sys.Cfg.TrackerMode && p.Role == SPeer && p.tpeer.Valid() {
 			p.send(p.tpeer.Addr, indexRemove{DID: m.DID, Holder: p.Ref()})
 		}

@@ -215,10 +215,10 @@ func TestRehomeSweepDedupes(t *testing.T) {
 		if got := sys.stats.ItemsRehomed - before; got != 1 {
 			t.Fatalf("foreign item rehomed %d times, want exactly 1", got)
 		}
-		if _, ok := p.data[it.DID]; ok {
+		if p.data.has(it.DID) {
 			t.Fatal("foreign item still in data after sweep")
 		}
-		if _, ok := p.owned()[it.DID]; ok {
+		if p.owned().has(it.DID) {
 			t.Fatal("foreign item still in owned after sweep")
 		}
 	})
@@ -256,10 +256,10 @@ func TestDeleteDropsReplicas(t *testing.T) {
 	sys.Runtime().Do(func() {
 		did := idspace.HashKey(key)
 		for _, p := range sys.Peers() {
-			if _, ok := p.data[did]; ok {
+			if p.data.has(did) {
 				t.Errorf("peer %d still stores deleted item", p.Addr)
 			}
-			if _, ok := p.reps()[did]; ok {
+			if p.reps().has(did) {
 				t.Errorf("peer %d still holds a replica of deleted item", p.Addr)
 			}
 		}
@@ -480,7 +480,7 @@ func tapReplication(sys *System) *repTraffic {
 			tr.announced += len(m.Items)
 			inSeg := 0
 			sp := sys.peerAt(from)
-			for _, it := range sp.data {
+			for _, it := range sp.data.all() {
 				if sp.inLocalSegment(it.DID) {
 					inSeg++
 				}
@@ -528,10 +528,10 @@ func keysOwnedBy(sys *System, owner *Peer, prefix string, n int) []string {
 // with its effective refresh time as seen.
 func heldFor(holder, owner *Peer) map[idspace.ID]repEntry {
 	out := make(map[idspace.ID]repEntry)
-	for did, e := range holder.reps() {
+	for _, e := range holder.reps().all() {
 		if e.owner.Addr == owner.Addr {
 			e.seen = holder.repl.seen(e)
-			out[did] = e
+			out[e.it.DID] = e
 		}
 	}
 	return out
@@ -567,8 +567,8 @@ func steadyChain(t *testing.T, seed int64, warm int) (*System, *repTraffic, *Pee
 	}
 	holders := [2]*Peer{sys.peerAt(owner.succ.Addr), sys.peerAt(owner.succ2.Addr)}
 	for _, h := range holders {
-		if got := len(heldFor(h, owner)); got != len(owner.owned()) {
-			t.Fatalf("holder %d keeps %d of the owner's %d items after warm-up", h.Addr, got, len(owner.owned()))
+		if got := len(heldFor(h, owner)); got != owner.owned().len() {
+			t.Fatalf("holder %d keeps %d of the owner's %d items after warm-up", h.Addr, got, owner.owned().len())
 		}
 	}
 	return sys, tr, owner, holders
@@ -708,8 +708,8 @@ func TestReplicationDigestRepairs(t *testing.T) {
 			if _, ok := held[did]; ok != (tc.rehomed == 0) {
 				t.Fatalf("diverged entry %v present=%v after the repair", did, ok)
 			}
-			if len(held) != len(owner.owned()) {
-				t.Fatalf("holder keeps %d of the owner's %d items", len(held), len(owner.owned()))
+			if len(held) != owner.owned().len() {
+				t.Fatalf("holder keeps %d of the owner's %d items", len(held), owner.owned().len())
 			}
 			// Matching again: digests keep going out, nothing else does.
 			digests := st.ReplicaDigests
@@ -752,8 +752,8 @@ func TestReplicationTakeover(t *testing.T) {
 	if heir == nil || heir == victim || heir.ID != victim.ID {
 		t.Fatalf("no s-peer was promoted into the crashed t-peer's position")
 	}
-	for did := range pred.owned() {
-		if _, ok := heir.reps()[did]; !ok {
+	for _, it := range pred.owned().all() {
+		if did := it.DID; !heir.reps().has(did) {
 			t.Errorf("new successor lacks replica %v of its predecessor's set", did)
 		}
 	}
@@ -762,11 +762,11 @@ func TestReplicationTakeover(t *testing.T) {
 		if sp.tpeer.Addr != heir.Addr {
 			continue
 		}
-		for did, it := range sp.data {
+		for _, it := range sp.data.all() {
 			if sp.inLocalSegment(it.DID) {
 				covered++
-				if _, ok := heir.owned()[did]; !ok {
-					t.Errorf("promoted owner does not cover item %v stored on s-peer %d", did, sp.Addr)
+				if !heir.owned().has(it.DID) {
+					t.Errorf("promoted owner does not cover item %v stored on s-peer %d", it.DID, sp.Addr)
 				}
 			}
 		}

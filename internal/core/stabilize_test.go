@@ -89,10 +89,10 @@ func TestRingNotifyTransfersLoad(t *testing.T) {
 	succ.pred = pred.Ref()
 	// The successor now believes it owns x's segment; move x's items there
 	// to simulate the worst case (data landed at the wrong owner).
-	for did, it := range x.data {
+	for _, it := range x.data.all() {
 		succ.storeLocal(it)
-		delete(x.data, did)
 	}
+	x.data = didSet[Item]{}
 	sys.Settle(10 * sys.Cfg.FingerRefreshEvery)
 	if err := sys.CheckRing(); err != nil {
 		t.Fatal(err)

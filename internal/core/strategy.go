@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/idspace"
 	"repro/internal/runtime"
@@ -51,7 +52,14 @@ func ParseRoute(name string) (Route, error) {
 // suspected reports whether a is presumed crashed and its repair has not
 // landed yet.
 func (p *Peer) suspected(a runtime.Addr) bool {
-	return len(p.suspect) != 0 && p.suspect[a]
+	return slices.Contains(p.suspect, a)
+}
+
+// unsuspect clears a's suspicion, if raised.
+func (p *Peer) unsuspect(a runtime.Addr) {
+	if i := slices.Index(p.suspect, a); i >= 0 {
+		p.suspect = slices.Delete(p.suspect, i, i+1)
+	}
 }
 
 // fingerStep is one closest-preceding-finger step toward id: the finger

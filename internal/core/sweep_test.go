@@ -22,8 +22,8 @@ func missedByTick(p *Peer) []string {
 	}
 	var out []string
 	miss := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
-	for did := range p.data {
-		if !p.inLocalSegment(did) {
+	for _, it := range p.data.all() {
+		if did := it.DID; !p.inLocalSegment(did) {
 			miss("foreign data item %v", did)
 		}
 	}
@@ -31,14 +31,14 @@ func missedByTick(p *Peer) []string {
 	if r == nil {
 		return out
 	}
-	for did := range r.owned {
-		if !p.inLocalSegment(did) {
+	for _, it := range r.owned.all() {
+		if did := it.DID; !p.inLocalSegment(did) {
 			miss("foreign owned item %v", did)
 		}
 	}
 	now, expiry := p.sys.rt.Now(), p.repExpiry()
-	for did, e := range r.reps {
-		seen := r.seen(e)
+	for _, e := range r.reps.all() {
+		did, seen := e.it.DID, r.seen(e)
 		switch {
 		case p.Role == TPeer && p.inLocalSegment(did):
 			miss("replica %v to promote", did)
@@ -52,9 +52,9 @@ func missedByTick(p *Peer) []string {
 		}
 	}
 	if p.Role == TPeer {
-		for did, it := range p.data {
-			if cur, ok := r.owned[did]; p.inLocalSegment(did) && (!ok || cur != it) {
-				miss("in-segment item %v not folded into owned", did)
+		for _, it := range p.data.all() {
+			if cur, ok := r.owned.get(it.DID); p.inLocalSegment(it.DID) && (!ok || cur != it) {
+				miss("in-segment item %v not folded into owned", it.DID)
 			}
 		}
 	}
@@ -90,7 +90,7 @@ func TestSkippedScansMatchFullScan(t *testing.T) {
 				sys.afterTick = func(p *Peer) {
 					if p.Role == TPeer {
 						ticks++
-						if len(p.reps()) > 0 {
+						if p.reps().len() > 0 {
 							holding++
 						}
 					}
@@ -141,7 +141,7 @@ func TestSkippedScansMatchFullScan(t *testing.T) {
 							if p.repl != nil && len(p.repl.holds) > 0 {
 								owner := p.repl.holds[0].owner
 								p.markSuspect(owner)
-								suspicions = append(suspicions, func() { delete(p.suspect, owner) })
+								suspicions = append(suspicions, func() { p.unsuspect(owner) })
 							}
 						})
 						sys.Eng().At(sys.Eng().Now()+sim.Time(2*i+1)*sys.Cfg.HelloEvery/2, func() {

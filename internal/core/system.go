@@ -404,7 +404,7 @@ func (s *System) TotalItems() int {
 	total := 0
 	for _, p := range s.peers {
 		if p != nil && p.alive {
-			total += len(p.data)
+			total += p.data.len()
 		}
 	}
 	return total
@@ -416,7 +416,7 @@ func (s *System) ItemsPerPeer() []int {
 	peers := s.Peers()
 	out := make([]int, len(peers))
 	for i, p := range peers {
-		out[i] = len(p.data)
+		out[i] = p.data.len()
 	}
 	return out
 }
