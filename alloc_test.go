@@ -42,7 +42,9 @@ func TestEventEngineAllocFree(t *testing.T) {
 // TestTimerRearmAllocFree pins the timer path at zero allocations: re-arming
 // a runtime.Timer (a cancel and a schedule on the engine), cancelling handles
 // from a burst of short events, and a RunUntil that stops short of the next
-// pending event, as a HELLO watchdog sees it on every heartbeat.
+// pending event, as the idle tables' timers (internal/core/idle.go) see it
+// on every use of a cached copy or bypass link. No HELLO re-arms a timer:
+// a watchdog is a deadline checked on the hello tick.
 func TestTimerRearmAllocFree(t *testing.T) {
 	eng := sim.New(1)
 	fired := 0

@@ -314,12 +314,12 @@ func (v *view) stuckOps() {
 }
 
 // deadWatchdogs: a watchdog on a crashed neighbor is how the crash gets
-// detected, so one that survives to quiescence is a leaked timer.
+// detected, so one that survives to quiescence is a leaked watch.
 func (v *view) deadWatchdogs() {
 	for _, p := range v.live {
 		for i := range p.nbrs {
-			// A nil timer is a retired entry kept for its ack-suppression history.
-			if nb := &p.nbrs[i]; nb.timer != nil && !v.liveAt(nb.addr) {
+			// A zero deadline is a retired entry kept for its ack-suppression history.
+			if nb := &p.nbrs[i]; nb.due != 0 && !v.liveAt(nb.addr) {
 				v.report(p.Addr, nb.addr, "still watches dead peer %d", nb.addr)
 			}
 		}

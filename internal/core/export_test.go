@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/idspace"
 	"repro/internal/runtime"
 	"repro/internal/sim"
@@ -15,10 +17,39 @@ import (
 // these helpers keep sim/simnet out of the package's import graph.
 
 func (s *System) desRuntime() *simnet.Runtime {
-	if tr, ok := s.rt.(*tapRuntime); ok {
-		return tr.Runtime
+	switch rt := s.rt.(type) {
+	case *tapRuntime:
+		return rt.Runtime
+	case *countingRuntime:
+		return rt.Runtime
 	}
 	return s.rt.(*simnet.Runtime)
+}
+
+// countingRuntime is the DES runtime counting the protocol's Schedule and
+// Unschedule calls. A ticker keeps the clock it was started on, so its
+// re-arms are not counted.
+type countingRuntime struct {
+	*simnet.Runtime
+	schedules, unschedules int
+}
+
+func (r *countingRuntime) Schedule(d runtime.Time, fn func()) runtime.Handle {
+	r.schedules++
+	return r.Runtime.Schedule(d, fn)
+}
+
+func (r *countingRuntime) Unschedule(h runtime.Handle) bool {
+	r.unschedules++
+	return r.Runtime.Unschedule(h)
+}
+
+// CountClock routes every later Schedule and Unschedule of the system
+// through a counter.
+func (s *System) CountClock() *countingRuntime {
+	cr := &countingRuntime{Runtime: s.desRuntime()}
+	s.rt = cr
+	return cr
 }
 
 // tapRuntime is the DES runtime with a hook that sees every message the
@@ -67,12 +98,12 @@ func (t idleTable[K, V]) armed() int {
 	return n
 }
 
-// armedTimers counts the timers this peer has scheduled, bar its two
-// maintenance tickers (a runtime.Ticker does not say whether it is armed).
+// armedTimers counts the timers this peer has scheduled, bar its hello tick
+// and finger ticker (a runtime.Ticker does not say whether it is armed).
 func (p *Peer) armedTimers() int {
 	n := p.cache.armed() + p.bypass.armed()
-	for i := range p.nbrs {
-		if t := p.nbrs[i].timer; t != nil && t.Active() {
+	for _, e := range p.sys.expiries {
+		if slices.Contains(e.peers, p) {
 			n++
 		}
 	}

@@ -308,8 +308,8 @@ func settledTPeers(t *testing.T, n int) *System {
 // TestFingerTableFootprint pins the finger state of a settled N=1000 ring of
 // t-peers, counted from the capacities the table holds, at 512 bytes per
 // t-peer on average (the slot-and-tag arrays took 1 536), Peer in its
-// allocator size class, replState at its own, and the rounds in flight at
-// two — through a crash and join wave too.
+// allocator size class, replState at its own, a watchdog entry at 32 bytes,
+// and the rounds in flight at two — through a crash and join wave too.
 func TestFingerTableFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 1000-peer ring")
@@ -319,6 +319,9 @@ func TestFingerTableFootprint(t *testing.T) {
 	}
 	if s := unsafe.Sizeof(replState{}); s != 192 {
 		t.Errorf("replState is %d bytes, want 192: its size class, with owned, reps and acks as slices", s)
+	}
+	if s := unsafe.Sizeof(nbrWatch{}); s != 32 {
+		t.Errorf("nbrWatch is %d bytes, want 32: a deadline in place of the timer pointer, the set order in the padding", s)
 	}
 	sys := settledTPeers(t, 1000)
 	footprint := func(p *Peer) int {

@@ -626,6 +626,9 @@ func (p *Peer) closestPreceding(target idspace.ID) Ref {
 // refreshFingers refreshes a few finger entries per tick by resolving their
 // targets through the ring.
 func (p *Peer) refreshFingers() {
+	if p.sys.Cfg.FingerRefreshEvery < p.sys.Cfg.HelloTimeout {
+		p.sys.expireNow()
+	}
 	if !p.alive || p.Role != TPeer {
 		return
 	}

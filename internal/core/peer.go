@@ -55,10 +55,12 @@ type Peer struct {
 	children []childLink
 
 	// --- failure detection ---
-	helloTicker *runtime.Ticker
+	// hb is the hello tick, allocated by the first watch or when
+	// maintenance starts.
+	hb *heartbeat
 	// nbrs is the flat failure-detection table: one entry per neighbor this
-	// peer has ever monitored, merging the watchdog timer and the ack
-	// suppress clock. An entry whose timer is nil is not being watched but
+	// peer has ever monitored, merging the watchdog deadline and the ack
+	// suppress clock. An entry whose deadline is 0 is not being watched but
 	// keeps its suppress history (the previous map never forgot it either).
 	nbrs []nbrWatch
 
@@ -142,15 +144,18 @@ type childLink struct {
 	Subtree int
 }
 
-// nbrWatch is one monitored neighbor: the failure-detection timer plus the
-// ack suppress clock (§3.2.2). timer is nil while the neighbor is not being
-// watched; the suppress fields outlive the watch, matching the old lastAck
+// nbrWatch is one monitored neighbor: the failure-detection deadline plus
+// the ack suppress clock (§3.2.2). due is when the neighbor is presumed
+// crashed unless a HELLO or ack moves it, and 0 while the neighbor is not
+// being watched; seq orders the deadlines that fall in one µs by when they
+// were set. The suppress fields outlive the watch, matching the old lastAck
 // map which was never pruned.
 type nbrWatch struct {
 	addr    runtime.Addr
-	timer   *runtime.Timer
+	due     runtime.Time
 	lastAck runtime.Time
 	acked   bool
+	seq     uint32
 }
 
 // op is an in-flight store, lookup or delete; System.ops keys it by qid.
@@ -269,7 +274,7 @@ func (p *Peer) nbrIndex(a runtime.Addr) int {
 // watching reports whether the address is under an armed failure detector.
 func (p *Peer) watching(a runtime.Addr) bool {
 	i := p.nbrIndex(a)
-	return i >= 0 && p.nbrs[i].timer != nil
+	return i >= 0 && p.nbrs[i].due != 0
 }
 
 // NumItems returns the number of locally stored items.
@@ -465,10 +470,7 @@ func (p *Peer) numNeighbors() int {
 // startMaintenance begins the peer's periodic protocols once it is a full
 // member: HELLO heartbeats for everyone, finger refresh for t-peers.
 func (p *Peer) startMaintenance() {
-	if p.helloTicker == nil {
-		p.helloTicker = runtime.NewTicker(p.sys.rt, p.sys.Cfg.HelloEvery, p.broadcastHello)
-		p.helloTicker.Start()
-	}
+	p.startHello()
 	if p.Role == TPeer {
 		p.startFingerTicker()
 	}
@@ -618,43 +620,39 @@ func (p *Peer) handleHello(from runtime.Addr, m helloMsg) {
 	}
 }
 
-// watch (re)arms the failure detector for a neighbor.
+// watch (re)arms the failure detector for a neighbor: its deadline is one
+// HelloTimeout from now. Only a peer whose hello tick has not started
+// registers the deadline with an expiry event here; otherwise the tick
+// does when the deadline comes within one HelloEvery.
 func (p *Peer) watch(nb runtime.Addr) {
 	if nb == p.Addr || nb == runtime.None {
 		return
 	}
 	i := p.nbrIndex(nb)
-	if i >= 0 && p.nbrs[i].timer != nil {
-		p.nbrs[i].timer.Start()
-		return
-	}
 	if i < 0 {
 		p.nbrs = append(p.nbrs, nbrWatch{addr: nb})
 		i = len(p.nbrs) - 1
 	}
-	nbCopy := nb
-	t := runtime.NewTimer(p.sys.rt, p.sys.Cfg.HelloTimeout, func() {
-		p.neighborTimeout(nbCopy)
-	})
-	p.nbrs[i].timer = t
-	t.Start()
+	if due := p.setDue(i); due <= p.beat().horizon {
+		p.sys.register(p, due)
+	}
 }
 
 // unwatch stops monitoring a neighbor. The table entry stays so the ack
 // suppress history survives a watch/unwatch cycle, exactly like the old
 // never-pruned lastAck map.
 func (p *Peer) unwatch(nb runtime.Addr) {
-	if i := p.nbrIndex(nb); i >= 0 && p.nbrs[i].timer != nil {
-		p.nbrs[i].timer.Stop()
-		p.nbrs[i].timer = nil
+	if i := p.nbrIndex(nb); i >= 0 {
+		p.nbrs[i].due = 0
 	}
 }
 
 // refreshWatchdog resets the failure detector for a neighbor on any
-// liveness signal (HELLO or ack).
+// liveness signal (HELLO or ack). If the old deadline was registered with an
+// expiry event, that event finds it moved and skips it.
 func (p *Peer) refreshWatchdog(from runtime.Addr) {
-	if i := p.nbrIndex(from); i >= 0 && p.nbrs[i].timer != nil {
-		p.nbrs[i].timer.Start()
+	if i := p.nbrIndex(from); i >= 0 && p.nbrs[i].due != 0 {
+		p.setDue(i)
 	}
 	// Any liveness signal clears the routing suspicion (a partition healing
 	// looks exactly like this).
@@ -676,7 +674,7 @@ func (p *Peer) markSuspect(nb runtime.Addr) {
 // liveness signals, letting failure detection accelerate under query load.
 func (p *Peer) maybeAck(to runtime.Addr) {
 	i := p.nbrIndex(to)
-	if i < 0 || p.nbrs[i].timer == nil {
+	if i < 0 || p.nbrs[i].due == 0 {
 		return // acks only matter between tree neighbors
 	}
 	now := p.sys.rt.Now()
@@ -693,16 +691,12 @@ func (p *Peer) maybeAck(to runtime.Addr) {
 // stop halts all timers and detaches the peer from the network.
 func (p *Peer) stop() {
 	p.alive = false
-	if p.helloTicker != nil {
-		p.helloTicker.Stop()
+	if p.hb != nil {
+		p.sys.rt.Unschedule(p.hb.tick)
+		p.withdrawDeadlines()
 	}
 	if p.fingerTicker != nil {
 		p.fingerTicker.Stop()
-	}
-	for i := range p.nbrs {
-		if p.nbrs[i].timer != nil {
-			p.nbrs[i].timer.Stop()
-		}
 	}
 	p.nbrs = nil
 	p.sys.rt.Unschedule(p.joinTimer)

@@ -59,6 +59,18 @@ type System struct {
 	// maintenance. Nothing in the package sets it: it is where a test
 	// holds the scans a tick skipped to the full scans they replace.
 	afterTick func(*Peer)
+	// watchdogExpired, when set, is told of every watchdog expiry before
+	// neighborTimeout runs. Nothing in the package sets it either: it is
+	// where a test holds the deadlines to a timer per neighbor.
+	watchdogExpired func(p *Peer, nb runtime.Addr)
+
+	// expiries is the event for each µs at which some peer's watchdog
+	// deadline is registered (failure.go).
+	expiries map[runtime.Time]*expiry
+	// watchSeq numbers watchdog deadlines as they are set; dueBuf is the
+	// batch an expiry reuses.
+	watchSeq uint32
+	dueBuf   []dueWatch
 }
 
 // SystemStats aggregates protocol-level counters for a run.

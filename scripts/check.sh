@@ -73,11 +73,13 @@ gate() {
         # refresh answered in place and the α-probe candidate ranking must
         # allocate nothing; the run-length finger table must match the
         # slot-and-tag model it replaced and hold a settled t-peer's finger
-        # state at 512 bytes or less. -count=1 defeats the cache; these are
-        # the cheap tripwires for the pooling work.
-        echo "== allocation budget gate (event engine, timer re-arm, topology latency, lookup path, local finger refresh, hop ranking, finger table, histogram record)"
+        # state at 512 bytes or less; in a quiet system no HELLO or ack may
+        # cancel an event and only the tickers and messages in flight may be
+        # pending. -count=1 defeats the cache; these are the cheap tripwires
+        # for the pooling work.
+        echo "== allocation budget gate (event engine, timer re-arm, topology latency, lookup path, local finger refresh, hop ranking, finger table, quiet HELLO path, histogram record)"
         go test . -count=1 -run '^(TestEventEngineAllocFree|TestTimerRearmAllocFree|TestLatencyAllocFree|TestLookupAllocBudget|TestFingerRefreshLocalAllocFree)$'
-        go test ./internal/core -count=1 -run '^(TestNextHopsAllocFree|TestFingerTableMatchesSlotModel|TestFingerTableFootprint)$'
+        go test ./internal/core -count=1 -run '^(TestNextHopsAllocFree|TestFingerTableMatchesSlotModel|TestFingerTableFootprint|TestQuietHelloPathCancelsNothing)$'
         go test ./internal/obs -count=1 -run '^TestHistogramRecordAllocFree$'
         ;;
     routinggate)
@@ -132,11 +134,12 @@ gate() {
         # standalone Chord package (its import path and any chord.X use),
         # which the hybrid at p_s = 0 replaced as the structured baseline;
         # the batch sort and the owned-set appender, which the DID-sorted
-        # item sets and their merge replaced.
+        # item sets and their merge replaced; the timer per watched
+        # neighbor, which a deadline checked on the hello tick replaced.
         # CHANGES.md and ROADMAP.md may tell the story; this script
         # has to spell the patterns.
         echo "== retired-name gate (deleted flags, types, programs, files and Make targets stay deleted)"
-        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout|AssignInterest|metrics\.(Sample|NewHistogram)|FaultSeed|PathCache|pathcache|routeHint|hintDrop|PathHint|NumHints|hint_(uses|drops)|LookupWalk|RunSteps|DegreeHistogram|RandomWalk|WalkCount|WalkTTL|walkReq|startWalks|WalksSent|ExtWalk|SearchPrefix|SearchSync|searchReq|searchHit|SearchesSent|IDGen|IDLocation|IDHashAddr|HostCoord|KeyCategory|(^|[^[:alnum:]_-])-walk([^[:alnum:]_-]|$)|InterestCategories|InterestKeys|CategoryID|CategoryOf|segmentID|itemSID|Reflood|(^|[^[:alnum:]_-])-interests([^[:alnum:]_-]|$)|contact_leaks|contactLeaks|takeContacts|newQID|ringMiss|joinAttempts|CacheHotThreshold|CacheWindow|CacheTTL|keysN\(|RouteStrategy|StrategyByName|FingerWalk|SuccessorWalk\{\}|Route\.NextHops?\(|eventQueue|queue\.items|fingerTag|ensureFingers|\.rep(Round|Acks|Wrapped|Digest|Dirty|Ticks|Deficit|Pending|Succ)([^[:alnum:]_]|$)|repro/internal/chord|(^|[^[:alnum:]_])chord\.[A-Z]|sortItemsByDID|appendOwnedExtra' \
+        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout|AssignInterest|metrics\.(Sample|NewHistogram)|FaultSeed|PathCache|pathcache|routeHint|hintDrop|PathHint|NumHints|hint_(uses|drops)|LookupWalk|RunSteps|DegreeHistogram|RandomWalk|WalkCount|WalkTTL|walkReq|startWalks|WalksSent|ExtWalk|SearchPrefix|SearchSync|searchReq|searchHit|SearchesSent|IDGen|IDLocation|IDHashAddr|HostCoord|KeyCategory|(^|[^[:alnum:]_-])-walk([^[:alnum:]_-]|$)|InterestCategories|InterestKeys|CategoryID|CategoryOf|segmentID|itemSID|Reflood|(^|[^[:alnum:]_-])-interests([^[:alnum:]_-]|$)|contact_leaks|contactLeaks|takeContacts|newQID|ringMiss|joinAttempts|CacheHotThreshold|CacheWindow|CacheTTL|keysN\(|RouteStrategy|StrategyByName|FingerWalk|SuccessorWalk\{\}|Route\.NextHops?\(|eventQueue|queue\.items|fingerTag|ensureFingers|\.rep(Round|Acks|Wrapped|Digest|Dirty|Ticks|Deficit|Pending|Succ)([^[:alnum:]_]|$)|repro/internal/chord|(^|[^[:alnum:]_])chord\.[A-Z]|sortItemsByDID|appendOwnedExtra|nbrs\[[a-z]+\]\.timer' \
             --include='*.go' --include='*.md' --include='*.sh' --include=Makefile \
             --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh \
             --exclude-dir=.git --exclude-dir=.bench_build .; then
