@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	placement := fs.String("placement", "spread", "data placement: tpeer | spread")
 	fs.BoolVar(&cfg.Heterogeneity, "hetero", cfg.Heterogeneity, "enable link heterogeneity support")
 	topoaware := fs.Bool("topoaware", false, "enable landmark binning")
-	fs.IntVar(&cfg.Landmarks, "landmarks", cfg.Landmarks, "number of landmarks (with -topoaware)")
+	fs.IntVar(&cfg.Landmarks, "landmarks", 8, "number of landmarks (with -topoaware)")
 	fs.BoolVar(&cfg.Bypass, "bypass", cfg.Bypass, "enable bypass links")
 	fs.BoolVar(&cfg.TrackerMode, "tracker", cfg.TrackerMode, "BitTorrent-style tracker s-networks")
 	fs.Float64Var(&p.Crash, "crash", 0, "fraction of peers to crash before the lookup phase, in [0, 1)")
@@ -111,8 +111,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if cfg.Route == core.RouteSuccessor {
 		*cfg = exp.SuccessorWalk(*cfg)
 	}
-	if *topoaware {
-		cfg.Assignment = core.AssignCluster
+	switch {
+	case !*topoaware:
+		cfg.Landmarks = 0 // §3.2.2's smallest-s-network rule
+	case cfg.Landmarks < 1:
+		fmt.Fprintf(stderr, "hybridsim: -topoaware needs -landmarks of at least 1, got %d\n", cfg.Landmarks)
+		return 2
 	}
 	p.Faults.JitterMax = sim.Time(jitter.Microseconds())
 	if *partition != "" {

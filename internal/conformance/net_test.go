@@ -175,33 +175,39 @@ func TestPartialViewAudit(t *testing.T) {
 			}
 		}
 	}
-	// crash crashes victim in process v and waits until the audit of process
-	// w names the dead pointer at witness, then until the repair lands.
+	// crash crashes victim in process v, audits process w in the executor
+	// turn in which w's directory first shows the victim gone, and then
+	// waits until the repair lands. The directory push that carries the
+	// crash is applied outside the executor lock, and every repair of the
+	// witness's pointer is a handler on w that runs after it, so no repair
+	// can slip in between the push and an audit made in that turn.
 	crash := func(w, v int, witness, victim runtime.Addr) {
 		rts[v].Do(func() { syss[v].Peer(victim).Crash() })
 		want := fmt.Sprintf("dead_ring_ptrs at %d (peer %d)", witness, victim)
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-			var err error
-			rts[w].Do(func() { err = syss[w].CheckInvariants() })
-			if err != nil && strings.Contains(err.Error(), want) {
-				break
+		var (
+			err        error
+			learned    bool
+			succ, pred runtime.Addr
+		)
+		rts[w].Do(func() {
+			for deadline := time.Now().Add(5 * time.Second); !learned && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				learned = !rts[w].Attached(victim)
 			}
-			if time.Now().After(deadline) {
-				// Tell a repair that healed the pointer before any audit
-				// ran apart from an audit that missed a pointer still there.
-				var succ, pred runtime.Addr
-				rts[w].Do(func() {
-					if p := syss[w].Peer(witness); p != nil {
-						succ, pred = p.Successor().Addr, p.Predecessor().Addr
-					}
-				})
-				verdict := "still names the victim: the audit missed the pointer"
-				if succ != victim && pred != victim {
-					verdict = "had already moved past the victim: the repair won the race"
-				}
-				t.Fatalf("audit of process %d after the crash in process %d = %v, want %q; at the deadline witness %d (succ %d, pred %d) %s",
-					w, v, err, want, witness, succ, pred, verdict)
+			err = syss[w].CheckInvariants()
+			if p := syss[w].Peer(witness); p != nil {
+				succ, pred = p.Successor().Addr, p.Predecessor().Addr
 			}
+		})
+		if !learned {
+			t.Fatalf("process %d never learned of the crash of %d in process %d", w, victim, v)
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			verdict := "still names the victim: the audit missed the pointer"
+			if succ != victim && pred != victim {
+				verdict = "had already moved past the victim: a repair ran before the push"
+			}
+			t.Fatalf("audit of process %d after the crash in process %d = %v, want %q; witness %d (succ %d, pred %d) %s",
+				w, v, err, want, witness, succ, pred, verdict)
 		}
 		awaitInvariants(t, rts[0], boot, "on the bootstrap's slice after repair")
 		awaitInvariants(t, rts[1], worker, "on the worker's slice after repair")

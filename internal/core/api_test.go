@@ -19,7 +19,6 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"ps<0", func(c *Config) { c.Ps = -0.1 }},
 		{"ps>1", func(c *Config) { c.Ps = 1.1 }},
 		{"placement7", func(c *Config) { c.Placement = 7 }},
-		{"assignment7", func(c *Config) { c.Assignment = 7 }},
 		{"delta<2", func(c *Config) { c.Delta = 1 }},
 		{"ttl<1", func(c *Config) { c.TTL = 0 }},
 		{"hello0", func(c *Config) { c.HelloEvery = 0 }},
@@ -27,7 +26,7 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"lookup0", func(c *Config) { c.LookupTimeout = 0 }},
 		{"join0", func(c *Config) { c.JoinTimeout = 0 }},
 		{"finger0", func(c *Config) { c.FingerRefreshEvery = 0 }},
-		{"landmarks", func(c *Config) { c.Assignment = AssignCluster; c.Landmarks = 0 }},
+		{"landmarks<0", func(c *Config) { c.Landmarks = -1 }},
 		{"k0", func(c *Config) { c.ReplicationK = 0 }},
 		{"alpha0", func(c *Config) { c.LookupAlpha = 0 }},
 		{"route7", func(c *Config) { c.Route = 7 }},
@@ -46,8 +45,8 @@ func TestConfigValidateErrors(t *testing.T) {
 
 // TestConfigWithDefaults: nothing fills a zero field in any more. A zero
 // Config is refused, and so is a partial one; a zero that is meaningful
-// (SuppressTimeout: never suppress) or belongs to a feature that is off
-// (Landmarks without AssignCluster) is accepted.
+// (SuppressTimeout: never suppress; Landmarks: the smallest-s-network rule)
+// is accepted.
 func TestConfigWithDefaults(t *testing.T) {
 	var zero Config
 	if err := zero.Validate(); err == nil {
@@ -101,7 +100,7 @@ func TestPeerAccessors(t *testing.T) {
 }
 
 func TestServerAccessors(t *testing.T) {
-	sys := newTestSystem(t, 91, func(c *Config) { c.Ps = 0.6 })
+	sys := newTestSystem(t, 91, func(c *Config) { c.Ps, c.Landmarks = 0.6, 8 })
 	if _, _, err := sys.BuildPopulation(PopulationOpts{N: 40}); err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +112,9 @@ func TestServerAccessors(t *testing.T) {
 	if len(sv.Landmarks()) == 0 {
 		t.Fatal("no landmarks")
 	}
-	sizes := sv.snetSize
 	total := 0
-	for _, n := range sizes {
-		total += n
+	for _, e := range sv.ring {
+		total += e.size
 	}
 	if total != len(sys.SPeers()) {
 		t.Fatalf("registry s-peer count %d != live %d", total, len(sys.SPeers()))

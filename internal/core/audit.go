@@ -340,15 +340,10 @@ func (v *view) serverAccounting() {
 		}
 	}
 	for _, p := range v.tps {
-		if !sv.ringMember[p.Addr] {
+		if i, ok := sv.find(p.Addr); !ok {
 			v.report(p.Addr, runtime.None, "live t-peer %d missing from the server registry", p.Addr)
-		} else if size := sv.snetSize[p.Addr]; size != actual[p.Addr] {
+		} else if size := sv.ring[i].size; size != actual[p.Addr] {
 			v.report(p.Addr, runtime.None, "server counts %d s-peers under t-peer %d, actual %d", size, p.Addr, actual[p.Addr])
-		}
-	}
-	for addr := range sv.snetSize {
-		if !sv.ringMember[addr] {
-			v.report(addr, runtime.None, "server tracks an s-network size for unregistered t-peer %d", addr)
 		}
 	}
 	for addr := range sv.deadPending {

@@ -58,21 +58,6 @@ func (p Placement) String() string {
 	return "spread"
 }
 
-// Assignment selects how the server maps joining s-peers to s-networks.
-type Assignment uint8
-
-const (
-	// AssignSmallest picks the s-network with the fewest s-peers,
-	// distributing the load evenly (the default in §3.2.2).
-	AssignSmallest Assignment = iota
-	// AssignRandom picks uniformly at random.
-	AssignRandom
-	// AssignCluster uses landmark binning to co-locate physically close
-	// peers in the same s-network (§5.2): joining peers report a landmark
-	// coordinate and Config.Landmarks sets the number of landmarks.
-	AssignCluster
-)
-
 // Config carries every tunable of the hybrid system. Build one from
 // DefaultConfig: NewSystem uses every field as given and Validate refuses a
 // zero that has no meaning (a zero Config is invalid).
@@ -85,15 +70,16 @@ type Config struct {
 	TTL int
 	// Placement selects the data placement scheme.
 	Placement Placement
-	// Assignment selects s-network assignment for joining s-peers.
-	Assignment Assignment
 
 	// Heterogeneity makes the server rank peers by link capacity and
 	// assign the fastest as t-peers (§5.1), and makes connect points
 	// check link usage before accepting a child.
 	Heterogeneity bool
 
-	// Landmarks is the number of landmark peers AssignCluster bins by.
+	// Landmarks turns on topology awareness (§5.2): above 0, joining peers
+	// report their bin over that many landmarks and the server co-locates
+	// peers of one bin in one s-network. 0 is §3.2.2's rule: the server
+	// assigns a joining s-peer to the smallest s-network.
 	Landmarks int
 
 	// Bypass enables bypass links (§5.4).
@@ -154,8 +140,6 @@ func DefaultConfig() Config {
 		Delta:              3,
 		TTL:                4,
 		Placement:          PlaceSpread,
-		Assignment:         AssignSmallest,
-		Landmarks:          8,
 		HelloEvery:         2 * runtime.Second,
 		HelloTimeout:       5 * runtime.Second,
 		SuppressTimeout:    1 * runtime.Second,
@@ -174,8 +158,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Ps %v outside [0, 1]", c.Ps)
 	case c.Placement > PlaceSpread:
 		return fmt.Errorf("core: unknown Placement %d", c.Placement)
-	case c.Assignment > AssignCluster:
-		return fmt.Errorf("core: unknown Assignment %d", c.Assignment)
+	case c.Landmarks < 0:
+		return fmt.Errorf("core: Landmarks %d < 0", c.Landmarks)
 	case c.Delta < 2:
 		return fmt.Errorf("core: Delta %d < 2 cannot form a tree", c.Delta)
 	case c.TTL < 1:
@@ -188,8 +172,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: LookupTimeout must be positive")
 	case c.JoinTimeout <= 0, c.FingerRefreshEvery <= 0:
 		return fmt.Errorf("core: JoinTimeout and FingerRefreshEvery must be positive")
-	case c.Assignment == AssignCluster && c.Landmarks < 1:
-		return fmt.Errorf("core: AssignCluster requires at least one landmark")
 	case c.ReplicationK < 1:
 		return fmt.Errorf("core: ReplicationK %d < 1", c.ReplicationK)
 	case c.LookupAlpha < 1 || c.LookupAlpha > MaxLookupAlpha:

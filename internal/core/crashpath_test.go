@@ -137,10 +137,10 @@ func TestLookupDetoursSuspectedSuccessor(t *testing.T) {
 	// Pick a crash victim T with a non-empty s-network (so the server waits
 	// for its s-peers to drive replacement before force-patching the ring,
 	// which keeps the repair window open) and its ring neighbors P and S.
-	sizes := sys.Server().snetSize
+	sv := sys.Server()
 	var pre, victim, succ *Peer
 	for _, tp := range sys.TPeers() {
-		if sizes[tp.Addr] == 0 {
+		if sv.snetSize(tp.Addr) == 0 {
 			continue
 		}
 		p2 := sys.Peer(tp.succ.Addr)
@@ -240,9 +240,9 @@ func TestRecoveryPathsUnderFaults(t *testing.T) {
 			name: "replace-arbitration",
 			ps:   0.7,
 			run: func(t *testing.T, sys *System) {
-				sizes := sys.Server().snetSize
+				sv := sys.Server()
 				for _, tp := range sys.TPeers() {
-					if sizes[tp.Addr] > 0 {
+					if sv.snetSize(tp.Addr) > 0 {
 						tp.Crash()
 						return
 					}

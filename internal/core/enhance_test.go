@@ -109,7 +109,6 @@ func TestClusterAssignmentGroupsNearbyPeers(t *testing.T) {
 	sys := newTestSystem(t, 63, func(c *Config) {
 		c.Ps = 0.8
 		c.Landmarks = 6
-		c.Assignment = AssignCluster
 	})
 	// Host peers in pairs on the same physical node: both halves of a pair
 	// have identical landmark coordinates and should mostly share an

@@ -181,7 +181,7 @@ func (p *Peer) rejoinViaServer() {
 		Capacity:  p.Capacity,
 		ForceRole: int8(SPeer),
 	}
-	if p.sys.Cfg.Assignment == AssignCluster {
+	if p.sys.Cfg.Landmarks > 0 {
 		req.Coord = p.sys.landmarkCoord(p.Host)
 	}
 	// Re-enter the join state machine: the completed-join guard must not

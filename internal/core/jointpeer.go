@@ -63,7 +63,7 @@ func (p *Peer) armJoinTimer() {
 		if !p.alive || p.joined {
 			return
 		}
-		if p.sys.Cfg.Assignment == AssignCluster {
+		if p.sys.Cfg.Landmarks > 0 {
 			p.joinReq.Coord = p.sys.landmarkCoord(p.Host)
 		}
 		p.send(p.sys.serverAddr, p.joinReq)

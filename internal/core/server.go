@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/idspace"
@@ -19,25 +20,17 @@ import (
 type Server struct {
 	sys *System
 
-	// ring mirrors the live t-network, ordered by id.
-	ring []Ref
-	// ringMember mirrors ring's address set so the hot per-HELLO paths
-	// (size sync, dead-peer bookkeeping) check membership in O(1) instead
-	// of scanning the registry; at scale the scan made every sync round
-	// quadratic in the number of t-peers.
-	ringMember map[runtime.Addr]bool
-	// ringUnsorted flips when an in-place update (id change on
-	// re-registration, address change on crash substitution) may have
-	// broken the (id, addr) sort order. While set, insertion falls back to
-	// append+sort — the pre-existing behavior — and clears the flag.
-	ringUnsorted bool
+	// ring mirrors the live t-network, each t-peer with the size of its
+	// s-network, ordered by (id, addr).
+	ring []member
+	// ringMember is ring's only index: the id each registered address sits
+	// under, so finding an entry is one binary search, not a registry scan.
+	ringMember map[runtime.Addr]idspace.ID
 	// detachDirty flips whenever a peer detaches (or a registration
 	// arrives from an already-dead peer) and arms the next sweepDead scan.
 	// Without the gate the sweep walks the whole registry on every size
 	// sync even when nobody has crashed since the last one.
 	detachDirty bool
-	// snetSize tracks s-peers per s-network, keyed by t-peer address.
-	snetSize map[runtime.Addr]int
 	// tCount/sCount track how many role assignments were made.
 	tCount, sCount int
 
@@ -85,8 +78,7 @@ type (
 func newServer(sys *System, host int) *Server {
 	sv := &Server{
 		sys:         sys,
-		ringMember:  make(map[runtime.Addr]bool),
-		snetSize:    make(map[runtime.Addr]int),
+		ringMember:  make(map[runtime.Addr]idspace.ID),
 		clusterRR:   make(map[string]int),
 		replaced:    make(map[runtime.Addr]Ref),
 		deadPending: make(map[runtime.Addr]bool),
@@ -130,18 +122,13 @@ func (sv *Server) recv(from runtime.Addr, msg any) {
 		delete(sv.replaced, m.Self.Addr)
 	case ringUnregister:
 		sv.ringRemove(m.Self.Addr)
-		delete(sv.snetSize, m.Self.Addr)
 	case ringReplace:
 		sv.ringSubstitute(m.Old, m.New)
-		sv.snetSize[m.New.Addr] = sv.snetSize[m.Old.Addr]
-		delete(sv.snetSize, m.Old.Addr)
 		sv.replaced[m.Old.Addr] = m.New
 	case sRegister:
-		sv.snetSize[m.TPeer.Addr]++
+		sv.resize(m.TPeer.Addr, +1)
 	case sUnregister:
-		if sv.snetSize[m.TPeer.Addr] > 0 {
-			sv.snetSize[m.TPeer.Addr]--
-		}
+		sv.resize(m.TPeer.Addr, -1)
 	case sSizeSync:
 		sv.handleSizeSync(m)
 	case replaceReq:
@@ -166,15 +153,13 @@ func (sv *Server) send(to runtime.Addr, msg any) {
 // dead senders are ignored so a late sync cannot resurrect them.
 func (sv *Server) handleSizeSync(m sSizeSync) {
 	sv.sweepDead()
-	if sv.ringMember[m.Self.Addr] {
-		sv.snetSize[m.Self.Addr] = m.Size
-		return
+	if _, ok := sv.ringMember[m.Self.Addr]; !ok {
+		if !sv.sys.rt.Attached(m.Self.Addr) {
+			return
+		}
+		sv.handleRingLocate(ringLocate{Self: m.Self})
 	}
-	if !sv.sys.rt.Attached(m.Self.Addr) {
-		return
-	}
-	sv.handleRingLocate(ringLocate{Self: m.Self})
-	sv.snetSize[m.Self.Addr] = m.Size
+	sv.setSize(m.Self.Addr, m.Size)
 }
 
 // sweepDead notices registered t-peers that crashed without a surviving
@@ -192,9 +177,9 @@ func (sv *Server) sweepDead() {
 	}
 	sv.detachDirty = false
 	var dead []Ref
-	for _, r := range sv.ring {
-		if !sv.sys.rt.Attached(r.Addr) {
-			dead = append(dead, r)
+	for _, e := range sv.ring {
+		if !sv.sys.rt.Attached(e.Addr) {
+			dead = append(dead, e.Ref)
 		}
 	}
 	for _, r := range dead {
@@ -212,10 +197,10 @@ func (sv *Server) noteDead(crashed Ref) {
 	if sv.sys.rt.Attached(crashed.Addr) {
 		return
 	}
-	if !sv.ringMember[crashed.Addr] {
+	if _, ok := sv.ringMember[crashed.Addr]; !ok {
 		return
 	}
-	if sv.snetSize[crashed.Addr] > 0 {
+	if sv.snetSize(crashed.Addr) > 0 {
 		if !sv.deadPending[crashed.Addr] {
 			sv.deadPending[crashed.Addr] = true
 			c := crashed
@@ -224,7 +209,7 @@ func (sv *Server) noteDead(crashed Ref) {
 				if _, done := sv.replaced[c.Addr]; done {
 					return
 				}
-				if sv.ringMember[c.Addr] {
+				if _, ok := sv.ringMember[c.Addr]; ok {
 					sv.patchAround(c)
 				}
 			})
@@ -288,7 +273,7 @@ func (sv *Server) handleJoin(from runtime.Addr, m serverJoinReq) {
 			resp.First = true
 		} else {
 			// An arbitrary existing t-peer is the entry point.
-			resp.Entry = sv.ring[sv.sys.rt.Rand().Intn(len(sv.ring))]
+			resp.Entry = sv.ring[sv.sys.rt.Rand().Intn(len(sv.ring))].Ref
 		}
 	case SPeer:
 		entry, ok := sv.assignSNetwork(m)
@@ -351,36 +336,30 @@ func (sv *Server) generateID() idspace.ID {
 	return idspace.ID(sv.sys.rt.Rand().Uint64())
 }
 
-// assignSNetwork picks the s-network for a joining s-peer.
+// assignSNetwork picks the s-network for a joining s-peer: by landmark bin
+// when the request carries a coordinate (Landmarks > 0, §5.2), else the
+// smallest.
 func (sv *Server) assignSNetwork(m serverJoinReq) (Ref, bool) {
 	if len(sv.ring) == 0 {
 		return NilRef, false
 	}
-	switch sv.sys.Cfg.Assignment {
-	case AssignRandom:
-		return sv.ring[sv.sys.rt.Rand().Intn(len(sv.ring))], true
-	case AssignCluster:
-		if m.Coord != "" {
-			return sv.assignByCluster(m.Coord), true
-		}
-		return sv.smallestSNet(), true
-	default: // AssignSmallest
-		return sv.smallestSNet(), true
+	if m.Coord != "" {
+		return sv.assignByCluster(m.Coord), true
 	}
+	return sv.smallestSNet(), true
 }
 
-// smallestSNet returns the t-peer with the fewest s-peers (§3.2.2: "the
-// server is responsible for assigning a joining s-peer to some s-network
-// with a smaller size").
+// smallestSNet returns the t-peer with the fewest s-peers, the first in ring
+// order on a tie (§3.2.2: "the server is responsible for assigning a joining
+// s-peer to some s-network with a smaller size").
 func (sv *Server) smallestSNet() Ref {
-	best := sv.ring[0]
-	bestSize := sv.snetSize[best.Addr]
-	for _, r := range sv.ring[1:] {
-		if s := sv.snetSize[r.Addr]; s < bestSize {
-			best, bestSize = r, s
+	best := 0
+	for i, e := range sv.ring {
+		if e.size < sv.ring[best].size {
+			best = i
 		}
 	}
-	return best
+	return sv.ring[best].Ref
 }
 
 // assignByCluster maps a landmark bin to an s-network (§5.2). Peers in the
@@ -390,135 +369,143 @@ func (sv *Server) smallestSNet() Ref {
 func (sv *Server) assignByCluster(coord string) Ref {
 	base := int(idspace.HashBytes([]byte(coord)) % idspace.ID(len(sv.ring)))
 	idx := (base + sv.clusterRR[coord]) % len(sv.ring)
-	chosen := sv.ring[idx]
-
 	total := 0
-	for _, s := range sv.snetSize {
-		total += s
+	for _, e := range sv.ring {
+		total += e.size
 	}
 	avg := float64(total) / float64(len(sv.ring))
-	if float64(sv.snetSize[chosen.Addr]) > avg+float64(len(sv.ring)) {
+	if float64(sv.ring[idx].size) > avg+float64(len(sv.ring)) {
 		sv.clusterRR[coord]++
 		idx = (base + sv.clusterRR[coord]) % len(sv.ring)
-		chosen = sv.ring[idx]
 	}
-	return chosen
+	return sv.ring[idx].Ref
 }
 
 // --- ring registry -----------------------------------------------------------
 
-func (sv *Server) ringInsert(r Ref) {
-	if sv.ringMember[r.Addr] {
-		for i, e := range sv.ring {
-			if e.Addr == r.Addr {
-				if e.ID != r.ID {
-					// The id changed under an existing entry; the array may
-					// now violate the sort order, exactly as it did before
-					// sorted insertion existed. The next append re-sorts.
-					sv.ringUnsorted = true
-				}
-				sv.ring[i] = r
-				return
-			}
-		}
+// member is one registry entry: a registered t-peer and the number of s-peers
+// in its s-network.
+type member struct {
+	Ref
+	size int
+}
+
+// search returns the index of the first entry not below (id, addr). (id, addr)
+// is a strict total order, as addresses are unique.
+func (sv *Server) search(id idspace.ID, addr runtime.Addr) int {
+	return sort.Search(len(sv.ring), func(i int) bool {
+		e := sv.ring[i]
+		return e.ID > id || e.ID == id && e.Addr >= addr
+	})
+}
+
+// find returns the index of addr's entry.
+func (sv *Server) find(addr runtime.Addr) (int, bool) {
+	id, ok := sv.ringMember[addr]
+	if !ok {
+		return -1, false
 	}
-	if !sv.sys.rt.Attached(r.Addr) {
+	return sv.search(id, addr), true
+}
+
+// snetSize is the registered size of addr's s-network, 0 for an address
+// that is not registered.
+func (sv *Server) snetSize(addr runtime.Addr) int {
+	if i, ok := sv.find(addr); ok {
+		return sv.ring[i].size
+	}
+	return 0
+}
+
+// setSize records the size of a registered t-peer's s-network.
+func (sv *Server) setSize(addr runtime.Addr, size int) {
+	if i, ok := sv.find(addr); ok {
+		sv.ring[i].size = size
+	}
+}
+
+// resize moves a registered t-peer's s-network size by delta, never below 0.
+func (sv *Server) resize(addr runtime.Addr, delta int) {
+	if i, ok := sv.find(addr); ok {
+		sv.ring[i].size = max(sv.ring[i].size+delta, 0)
+	}
+}
+
+// drop removes addr's entry, s-network size included, and returns that size.
+func (sv *Server) drop(addr runtime.Addr) (size int, ok bool) {
+	i, ok := sv.find(addr)
+	if !ok {
+		return 0, false
+	}
+	size = sv.ring[i].size
+	sv.ring = slices.Delete(sv.ring, i, i+1)
+	delete(sv.ringMember, addr)
+	return size, true
+}
+
+// ringInsert registers a t-peer. One that re-registers under a new id moves
+// to its new place and keeps its s-network size.
+func (sv *Server) ringInsert(r Ref) {
+	size := 0
+	if id, ok := sv.ringMember[r.Addr]; ok {
+		if id == r.ID {
+			return
+		}
+		size, _ = sv.drop(r.Addr)
+	} else if !sv.sys.rt.Attached(r.Addr) {
 		// A registration from a peer that crashed before it arrived: arm the
 		// sweep, or the corpse would sit in the registry with no surviving
 		// witness to report it.
 		sv.detachDirty = true
 	}
-	sv.ringMember[r.Addr] = true
-	if sv.ringUnsorted {
-		sv.ring = append(sv.ring, r)
-		sort.Slice(sv.ring, func(i, j int) bool {
-			if sv.ring[i].ID != sv.ring[j].ID {
-				return sv.ring[i].ID < sv.ring[j].ID
-			}
-			return sv.ring[i].Addr < sv.ring[j].Addr
-		})
-		sv.ringUnsorted = false
-		return
-	}
-	// Sorted insert: (id, addr) is a strict total order (addresses are
-	// unique), so the result is byte-identical to append+sort at a fraction
-	// of the cost — building a 10k-entry registry no longer re-sorts 10k
-	// times.
-	i := sort.Search(len(sv.ring), func(i int) bool {
-		if sv.ring[i].ID != r.ID {
-			return sv.ring[i].ID > r.ID
-		}
-		return sv.ring[i].Addr > r.Addr
-	})
-	sv.ring = append(sv.ring, Ref{})
-	copy(sv.ring[i+1:], sv.ring[i:])
-	sv.ring[i] = r
+	sv.ring = slices.Insert(sv.ring, sv.search(r.ID, r.Addr), member{Ref: r, size: size})
+	sv.ringMember[r.Addr] = r.ID
 }
 
 func (sv *Server) ringRemove(addr runtime.Addr) {
-	if !sv.ringMember[addr] {
-		return
-	}
-	delete(sv.ringMember, addr)
-	for i, e := range sv.ring {
-		if e.Addr == addr {
-			sv.ring = append(sv.ring[:i], sv.ring[i+1:]...)
-			if len(sv.ring) == 0 {
-				// The t-network died out entirely; the next t-join
-				// bootstraps a fresh ring.
-				sv.firstIssued = false
-				sv.firstAddr = runtime.None
-			}
-			return
-		}
+	if _, ok := sv.drop(addr); ok && len(sv.ring) == 0 {
+		// The t-network died out entirely; the next t-join bootstraps a
+		// fresh ring.
+		sv.firstIssued = false
+		sv.firstAddr = runtime.None
 	}
 }
 
+// ringSubstitute hands old's entry, s-network size included, to new.
 func (sv *Server) ringSubstitute(old, new Ref) {
-	if sv.ringMember[old.Addr] {
-		for i, e := range sv.ring {
-			if e.Addr == old.Addr {
-				sv.ring[i] = new
-				delete(sv.ringMember, old.Addr)
-				sv.ringMember[new.Addr] = true
-				// Same id, different address: the (id, addr) tiebreak may
-				// now be out of order, so fall back to append+sort on the
-				// next insert (which is what always happened before).
-				sv.ringUnsorted = true
-				return
-			}
-		}
-	}
+	size, _ := sv.drop(old.Addr)
 	sv.ringInsert(new)
+	sv.setSize(new.Addr, size)
 }
 
-// ringSuccessor returns the registered t-peer owning the given id.
+// ringSuccessor returns the registered t-peer owning the given id: the first
+// at or after it, wrapping around.
 func (sv *Server) ringSuccessor(id idspace.ID) Ref {
 	if len(sv.ring) == 0 {
 		return NilRef
 	}
-	for _, r := range sv.ring {
-		if r.ID >= id {
-			return r
-		}
+	return sv.ring[sv.search(id, math.MinInt)%len(sv.ring)].Ref
+}
+
+// ringPredecessor returns the registered t-peer preceding the given id: the
+// last before it, wrapping around.
+func (sv *Server) ringPredecessor(id idspace.ID) Ref {
+	n := len(sv.ring)
+	if n == 0 {
+		return NilRef
 	}
-	return sv.ring[0]
+	return sv.ring[(sv.search(id, math.MinInt)-1+n)%n].Ref
 }
 
 // ringNeighbors returns the registered predecessor and successor of the
 // entry with the given address.
 func (sv *Server) ringNeighbors(addr runtime.Addr) (pred, succ Ref, ok bool) {
-	for i, e := range sv.ring {
-		if e.Addr == addr {
-			if len(sv.ring) == 1 {
-				return e, e, true
-			}
-			pred = sv.ring[(i-1+len(sv.ring))%len(sv.ring)]
-			succ = sv.ring[(i+1)%len(sv.ring)]
-			return pred, succ, true
-		}
+	i, ok := sv.find(addr)
+	if !ok {
+		return NilRef, NilRef, false
 	}
-	return NilRef, NilRef, false
+	n := len(sv.ring)
+	return sv.ring[(i-1+n)%n].Ref, sv.ring[(i+1)%n].Ref, true
 }
 
 // handleRingLocate re-anchors a t-peer that lost its ring pointers: it is
@@ -589,11 +576,7 @@ func (sv *Server) handleReplace(from runtime.Addr, m replaceReq) {
 	newRef := Ref{ID: m.Crashed.ID, Addr: winner.Addr}
 	sv.ringSubstitute(m.Crashed, newRef)
 	sv.replaced[m.Crashed.Addr] = newRef
-	size := sv.snetSize[m.Crashed.Addr]
-	delete(sv.snetSize, m.Crashed.Addr)
-	if size > 0 {
-		sv.snetSize[winner.Addr] = size - 1 // the winner is no longer an s-peer
-	}
+	sv.resize(winner.Addr, -1) // the winner is no longer an s-peer
 	sv.sys.stats.Promotions++
 
 	if pred.Addr == m.Crashed.Addr {
@@ -658,7 +641,6 @@ func (sv *Server) patchAround(crashed Ref) {
 		return
 	}
 	sv.ringRemove(crashed.Addr)
-	delete(sv.snetSize, crashed.Addr)
 	sv.replaced[crashed.Addr] = succ
 	if pred.Addr != crashed.Addr && pred.Addr != succ.Addr {
 		sv.send(pred.Addr, pointerUpdate{Succ: succ, Pred: NilRef, IfCurrent: crashed})
@@ -672,17 +654,4 @@ func (sv *Server) patchAround(crashed Ref) {
 	if succ.Addr != crashed.Addr {
 		sv.send(succ.Addr, substituteMsg{Old: crashed, New: succ, Origin: succ.Addr})
 	}
-}
-
-// ringPredecessor returns the registered t-peer preceding the given id.
-func (sv *Server) ringPredecessor(id idspace.ID) Ref {
-	if len(sv.ring) == 0 {
-		return NilRef
-	}
-	for i := len(sv.ring) - 1; i >= 0; i-- {
-		if sv.ring[i].ID < id {
-			return sv.ring[i]
-		}
-	}
-	return sv.ring[len(sv.ring)-1]
 }

@@ -298,7 +298,7 @@ func (s *System) Join(opts JoinOpts, done func(*Peer, JoinStats)) *Peer {
 	if opts.ForceRole != nil {
 		req.ForceRole = int8(*opts.ForceRole)
 	}
-	if s.Cfg.Assignment == AssignCluster {
+	if s.Cfg.Landmarks > 0 {
 		req.Coord = s.landmarkCoord(opts.Host)
 	}
 	// Keep the request and arm the retry timer before the first send: with

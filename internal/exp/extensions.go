@@ -108,7 +108,6 @@ func RunLinkStress(o Options) (*Result, error) {
 		cfg := expConfig(0.7)
 		if modes[i].aware {
 			cfg.Landmarks = 8
-			cfg.Assignment = core.AssignCluster
 		}
 		sc, err := construct(o, nil, ncfg, cfg, o.Seed+920)
 		if err != nil {

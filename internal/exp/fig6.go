@@ -91,7 +91,6 @@ func RunFig6b(o Options) (*Result, error) {
 	aware := func(landmarks int) func(*core.Config) {
 		return func(c *core.Config) {
 			c.Landmarks = landmarks
-			c.Assignment = core.AssignCluster
 		}
 	}
 	res, curves, err := latencyVsPs(o, "6b", "topology awareness", 500, nil, []latencyArm{

@@ -35,7 +35,7 @@ var freeformPinned = map[string]func(p *Freeform){
 	},
 	" -partition 5,20": func(p *Freeform) { p.PartStart, p.PartEnd = 5*sim.Second, 20*sim.Second },
 	" -hetero -topoaware -bypass": func(p *Freeform) {
-		p.Cfg.Heterogeneity, p.Cfg.Assignment, p.Cfg.Bypass = true, core.AssignCluster, true
+		p.Cfg.Heterogeneity, p.Cfg.Landmarks, p.Cfg.Bypass = true, 8, true
 	},
 	" -tracker": func(p *Freeform) { p.Cfg.TrackerMode = true },
 	" -caching -zipf -alpha 3 -hist": func(p *Freeform) {
@@ -47,7 +47,7 @@ var freeformPinned = map[string]func(p *Freeform){
 		p.Cfg.Placement, p.Seed, p.Cfg.Delta, p.Cfg.TTL = core.PlaceAtTPeer, 7, 2, 3
 	},
 	" -topoaware -landmarks 12 -droprate 0.05 -faultseed 9": func(p *Freeform) {
-		p.Cfg.Assignment, p.Cfg.Landmarks, p.Faults.DropRate, p.Faults.Seed = core.AssignCluster, 12, 0.05, 9
+		p.Cfg.Landmarks, p.Faults.DropRate, p.Faults.Seed = 12, 0.05, 9
 	},
 }
 
@@ -123,11 +123,11 @@ func TestFreeformValidate(t *testing.T) {
 		{"no points", func(p *Freeform) { p.Ps = nil }, "no p_s point"},
 		{"placement", func(p *Freeform) { p.Cfg.Placement = 9 }, "unknown Placement 9"},
 		{"route", func(p *Freeform) { p.Cfg.Route = 9 }, "unknown Route 9"},
-		{"landmarks 0 unused", func(p *Freeform) { p.Cfg.Landmarks = 0 }, ""},
+		{"landmarks 0 smallest rule", func(p *Freeform) { p.Cfg.Landmarks = 0 }, ""},
 		{"ttl 0", func(p *Freeform) { p.Cfg.TTL = 0 }, "TTL 0 < 1"},
 		{"delta 0", func(p *Freeform) { p.Cfg.Delta = 0 }, "Delta 0 < 2"},
 		{"alpha 0", func(p *Freeform) { p.Cfg.LookupAlpha = 0 }, "LookupAlpha 0"},
-		{"topoaware landmarks 0", func(p *Freeform) { p.Cfg.Assignment, p.Cfg.Landmarks = core.AssignCluster, 0 }, "landmark"},
+		{"Landmarks -1", func(p *Freeform) { p.Cfg.Landmarks = -1 }, "Landmarks -1 < 0"},
 		{"ps 1.5", func(p *Freeform) { p.Ps = []float64{0.3, 1.5} }, "Ps 1.5 outside"},
 		{"tracer count", func(p *Freeform) { p.Ps = []float64{0.3, 0.8}; p.Tracers = make([]*obs.Tracer, 1) }, "1 tracers for 2 points"},
 	}

@@ -85,9 +85,6 @@ func Midpoint(a, b ID) ID {
 	return a + ID(Distance(a, b)/2)
 }
 
-// Add offsets an id clockwise, wrapping around the ring.
-func Add(a ID, off uint64) ID { return a + ID(off) }
-
 // FingerStart returns the start of the i-th finger interval for a peer with
 // the given id: id + 2^i (mod 2^64), for i in [0, 64).
 func FingerStart(id ID, i int) ID {

@@ -140,15 +140,6 @@ func TestDistanceProperty(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	if Add(10, 5) != 15 {
-		t.Fatal("Add broken")
-	}
-	if Add(^ID(0), 1) != 0 {
-		t.Fatal("Add does not wrap")
-	}
-}
-
 func TestFingerStart(t *testing.T) {
 	if FingerStart(0, 0) != 1 {
 		t.Fatal("finger 0 of id 0 should be 1")

@@ -24,15 +24,14 @@ type PointRecord struct {
 // run, with which knobs, and what each point cost. It is written alongside
 // the text tables, never instead of them.
 type Manifest struct {
-	Schema      int                `json:"schema"`
-	Tool        string             `json:"tool"`
-	StartedAt   string             `json:"started_at"`
-	WallSeconds float64            `json:"wall_seconds"`
-	Seed        int64              `json:"seed"`
-	Workers     int                `json:"workers"`
-	Config      map[string]any     `json:"config,omitempty"`
-	Points      []PointRecord      `json:"points"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	Schema      int            `json:"schema"`
+	Tool        string         `json:"tool"`
+	StartedAt   string         `json:"started_at"`
+	WallSeconds float64        `json:"wall_seconds"`
+	Seed        int64          `json:"seed"`
+	Workers     int            `json:"workers"`
+	Config      map[string]any `json:"config,omitempty"`
+	Points      []PointRecord  `json:"points"`
 }
 
 // Recorder accumulates PointRecords from concurrent sweep workers and
@@ -48,7 +47,6 @@ type Recorder struct {
 	workers  int
 	config   map[string]any
 	points   []PointRecord
-	metrics  map[string]float64
 	progress io.Writer
 	done     int
 }
@@ -94,27 +92,6 @@ func (r *Recorder) Point(label string, wall time.Duration, metrics map[string]fl
 	r.mu.Unlock()
 }
 
-// SetMetrics attaches a run-level metrics snapshot (as opposed to the
-// per-point snapshots recorded via Point).
-func (r *Recorder) SetMetrics(m map[string]float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.metrics = m
-	r.mu.Unlock()
-}
-
-// Points returns how many points have been recorded so far.
-func (r *Recorder) Points() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.points)
-}
-
 // Manifest finalizes the run into a Manifest. Points are sorted by label so
 // the document is stable across worker counts and scheduling orders.
 func (r *Recorder) Manifest() *Manifest {
@@ -135,7 +112,6 @@ func (r *Recorder) Manifest() *Manifest {
 		Workers:     r.workers,
 		Config:      r.config,
 		Points:      pts,
-		Metrics:     r.metrics,
 	}
 }
 

@@ -135,11 +135,16 @@ gate() {
         # which the hybrid at p_s = 0 replaced as the structured baseline;
         # the batch sort and the owned-set appender, which the DID-sorted
         # item sets and their merge replaced; the timer per watched
-        # neighbor, which a deadline checked on the hello tick replaced.
+        # neighbor, which a deadline checked on the hello tick replaced; the
+        # Assignment knob with its three values (Landmarks > 0 is topology
+        # awareness, 0 the smallest rule), the registry's unsorted mode and
+        # its separate size map, which one sorted table of t-peers and sizes
+        # replaced; the manifest's run-level metrics with the recorder's two
+        # methods nobody called, and idspace.Add.
         # CHANGES.md and ROADMAP.md may tell the story; this script
         # has to spell the patterns.
         echo "== retired-name gate (deleted flags, types, programs, files and Make targets stay deleted)"
-        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout|AssignInterest|metrics\.(Sample|NewHistogram)|FaultSeed|PathCache|pathcache|routeHint|hintDrop|PathHint|NumHints|hint_(uses|drops)|LookupWalk|RunSteps|DegreeHistogram|RandomWalk|WalkCount|WalkTTL|walkReq|startWalks|WalksSent|ExtWalk|SearchPrefix|SearchSync|searchReq|searchHit|SearchesSent|IDGen|IDLocation|IDHashAddr|HostCoord|KeyCategory|(^|[^[:alnum:]_-])-walk([^[:alnum:]_-]|$)|InterestCategories|InterestKeys|CategoryID|CategoryOf|segmentID|itemSID|Reflood|(^|[^[:alnum:]_-])-interests([^[:alnum:]_-]|$)|contact_leaks|contactLeaks|takeContacts|newQID|ringMiss|joinAttempts|CacheHotThreshold|CacheWindow|CacheTTL|keysN\(|RouteStrategy|StrategyByName|FingerWalk|SuccessorWalk\{\}|Route\.NextHops?\(|eventQueue|queue\.items|fingerTag|ensureFingers|\.rep(Round|Acks|Wrapped|Digest|Dirty|Ticks|Deficit|Pending|Succ)([^[:alnum:]_]|$)|repro/internal/chord|(^|[^[:alnum:]_])chord\.[A-Z]|sortItemsByDID|appendOwnedExtra|nbrs\[[a-z]+\]\.timer' \
+        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout|AssignInterest|metrics\.(Sample|NewHistogram)|FaultSeed|PathCache|pathcache|routeHint|hintDrop|PathHint|NumHints|hint_(uses|drops)|LookupWalk|RunSteps|DegreeHistogram|RandomWalk|WalkCount|WalkTTL|walkReq|startWalks|WalksSent|ExtWalk|SearchPrefix|SearchSync|searchReq|searchHit|SearchesSent|IDGen|IDLocation|IDHashAddr|HostCoord|KeyCategory|(^|[^[:alnum:]_-])-walk([^[:alnum:]_-]|$)|InterestCategories|InterestKeys|CategoryID|CategoryOf|segmentID|itemSID|Reflood|(^|[^[:alnum:]_-])-interests([^[:alnum:]_-]|$)|contact_leaks|contactLeaks|takeContacts|newQID|ringMiss|joinAttempts|CacheHotThreshold|CacheWindow|CacheTTL|keysN\(|RouteStrategy|StrategyByName|FingerWalk|SuccessorWalk\{\}|Route\.NextHops?\(|eventQueue|queue\.items|fingerTag|ensureFingers|\.rep(Round|Acks|Wrapped|Digest|Dirty|Ticks|Deficit|Pending|Succ)([^[:alnum:]_]|$)|repro/internal/chord|(^|[^[:alnum:]_])chord\.[A-Z]|sortItemsByDID|appendOwnedExtra|nbrs\[[a-z]+\]\.timer|AssignRandom|AssignSmallest|AssignCluster|[Cc]fg\.Assignment|type Assignment |ringUnsorted|snetSize\[|\(r \*Recorder\) (SetMetrics|Points)\(|rec\.(SetMetrics|Points)\(|r\.metrics([^[:alnum:]_]|$)|idspace\.Add\(|func Add\(' \
             --include='*.go' --include='*.md' --include='*.sh' --include=Makefile \
             --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh \
             --exclude-dir=.git --exclude-dir=.bench_build .; then
