@@ -123,7 +123,7 @@ func TestFreeformValidate(t *testing.T) {
 		{"no points", func(p *Freeform) { p.Ps = nil }, "no p_s point"},
 		{"placement", func(p *Freeform) { p.Cfg.Placement = 9 }, "unknown Placement 9"},
 		{"route", func(p *Freeform) { p.Cfg.Route = 9 }, "unknown Route 9"},
-		{"landmarks 0 smallest rule", func(p *Freeform) { p.Cfg.Landmarks = 0 }, ""},
+		{"landmarks 0 unused", func(p *Freeform) { p.Cfg.Landmarks = 0 }, ""},
 		{"ttl 0", func(p *Freeform) { p.Cfg.TTL = 0 }, "TTL 0 < 1"},
 		{"delta 0", func(p *Freeform) { p.Cfg.Delta = 0 }, "Delta 0 < 2"},
 		{"alpha 0", func(p *Freeform) { p.Cfg.LookupAlpha = 0 }, "LookupAlpha 0"},
