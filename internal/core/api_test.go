@@ -131,10 +131,10 @@ func TestRingLocateHealsOrphanTPeer(t *testing.T) {
 	}
 	sys.Settle(5 * sim.Second)
 	victim := peers[5]
-	victim.pred = NilRef
-	victim.succ = NilRef
+	victim.t.pred = NilRef
+	victim.t.succ = NilRef
 	sys.Settle(6 * sys.Cfg.FingerRefreshEvery)
-	if !victim.succ.Valid() {
+	if !victim.t.succ.Valid() {
 		t.Fatal("orphaned t-peer did not re-anchor")
 	}
 	// Stabilization then reconciles the whole ring.

@@ -89,6 +89,8 @@ var invariants = []invariant{
 	{"replica_holders", false, true, (*view).replicaHolders, nil},
 	// The running replication sums match a recount of the sets they cover.
 	{"replica_sums", false, false, (*view).replicaSums, nil},
+	// A peer holds ring state exactly while it holds the t-role.
+	{"t_state", false, false, (*view).ringState, nil},
 }
 
 // view is what one audit pass shares between invariants.
@@ -194,7 +196,9 @@ func (v *view) census() (c census) {
 	c.pending = len(v.s.ops)
 	for _, p := range v.live {
 		c.items += p.data.len()
-		c.suspected += len(p.suspect)
+		if p.t != nil {
+			c.suspected += len(p.t.suspect)
+		}
 		if p.repl != nil {
 			c.deficit += p.repl.deficit
 		}
@@ -207,10 +211,11 @@ func (v *view) census() (c census) {
 
 func (v *view) deadRingPtrs() {
 	for _, p := range v.tps {
-		for _, r := range [2]Ref{p.succ, p.pred} {
+		succ, pred := p.Successor(), p.Predecessor()
+		for _, r := range [2]Ref{succ, pred} {
 			if t := v.local(r.Addr); t == nil && !v.liveAt(r.Addr) || t != nil && t.Role != TPeer {
 				v.report(p.Addr, r.Addr, "succ=%d pred=%d: %d is not a live t-peer (suspected=%v)",
-					p.succ.Addr, p.pred.Addr, r.Addr, p.suspected(r.Addr))
+					succ.Addr, pred.Addr, r.Addr, p.t != nil && p.t.suspected(r.Addr))
 			}
 		}
 	}
@@ -218,10 +223,14 @@ func (v *view) deadRingPtrs() {
 
 func (v *view) brokenRingLinks() {
 	for _, p := range v.tps {
-		if next := v.local(p.succ.Addr); next != nil && next.Role == TPeer && next.pred.Addr != p.Addr {
+		next := v.local(p.Successor().Addr)
+		if next == nil || next.Role != TPeer {
+			continue
+		}
+		if np := next.Predecessor(); np.Addr != p.Addr {
 			v.report(p.Addr, next.Addr, "successor %d (id %s) names %d as predecessor, not %d (id %s); joining=%v/%v leaving=%v/%v watched=%v",
-				next.Addr, next.ID, next.pred.Addr, p.Addr, p.ID,
-				p.joining, next.joining, p.leaving, next.leaving, next.watching(next.pred.Addr))
+				next.Addr, next.ID, np.Addr, p.Addr, p.ID,
+				p.joining, next.joining, p.leaving, next.leaving, next.watching(np.Addr))
 		}
 	}
 }
@@ -233,13 +242,13 @@ func (v *view) ringCoverage() {
 		return
 	}
 	seen := make(map[*Peer]bool, len(v.tps))
-	for cur := v.tps[0]; cur != nil && cur.Role == TPeer && !seen[cur]; cur = v.local(cur.succ.Addr) {
+	for cur := v.tps[0]; cur != nil && cur.Role == TPeer && !seen[cur]; cur = v.local(cur.Successor().Addr) {
 		seen[cur] = true
 	}
 	for _, p := range v.tps {
 		if !seen[p] {
 			v.report(p.Addr, v.tps[0].Addr, "not on the successor walk from %d, which covers %d of %d t-peers (pred=%d succ=%d)",
-				v.tps[0].Addr, len(seen), len(v.tps), p.pred.Addr, p.succ.Addr)
+				v.tps[0].Addr, len(seen), len(v.tps), p.Predecessor().Addr, p.Successor().Addr)
 		}
 	}
 }
@@ -299,7 +308,7 @@ func (v *view) unownedItems() {
 		for _, it := range p.data.all() {
 			if own := v.owner(it.DID); p.tpeer.Valid() && own.Addr != p.tpeer.Addr {
 				v.report(p.Addr, own.Addr, "item %q (did %s) is stored in s-network %d but t-peer %d (id %s, pred %d) owns its segment; holder segLo=%s id=%s",
-					it.Key, it.DID, p.tpeer.Addr, own.Addr, own.ID, own.pred.Addr, p.segLo, p.ID)
+					it.Key, it.DID, p.tpeer.Addr, own.Addr, own.ID, own.Predecessor().Addr, p.segLo, p.ID)
 			}
 		}
 	}
@@ -393,6 +402,16 @@ func (v *view) replicaSums() {
 		p.recountReplication(func(owner runtime.Addr, format string, args ...any) {
 			v.report(p.Addr, owner, format, args...)
 		})
+	}
+}
+
+// ringState: the ring state goes with the t-role. A t-peer without it has not
+// been placed by the server; an s-peer with it was left one by a role change.
+func (v *view) ringState() {
+	for _, p := range v.live {
+		if (p.t != nil) != (p.Role == TPeer) {
+			v.report(p.Addr, runtime.None, "%s holds ring state: %v (joined=%v)", p.Role, p.t != nil, p.joined)
+		}
 	}
 }
 

@@ -135,6 +135,35 @@ func TestAuditCountsTheDriftedChecks(t *testing.T) {
 	}
 }
 
+// TestAuditTStateRow: ring state goes with the t-role. An s-peer handed a
+// tState and a t-peer without one each fail the quiescence-only t_state row,
+// named at the peer, and HealthScore stays healthy: the row is unscored.
+func TestAuditTStateRow(t *testing.T) {
+	sys := settled60(t)
+	sp, tp := sys.SPeers()[0], sys.TPeers()[0]
+	sp.swapRingState(new(tState))
+	vs := sys.audit("t_state")
+	if len(vs) != 1 || vs[0].Addr != sp.Addr || !strings.Contains(vs[0].Detail, "s-peer holds ring state: true") {
+		t.Fatalf("audit(t_state) = %+v, want one violation at s-peer %d", vs, sp.Addr)
+	}
+	if err := sys.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "t_state") {
+		t.Fatalf("CheckInvariants = %v, want a t_state violation", err)
+	}
+	if h := sys.HealthScore(); !h.Healthy() {
+		t.Fatalf("t_state is quiescence-only, yet the score is unhealthy: %+v", h)
+	}
+	sp.swapRingState(nil)
+
+	ring := tp.swapRingState(nil)
+	if vs := sys.audit("t_state"); len(vs) != 1 || vs[0].Addr != tp.Addr {
+		t.Fatalf("audit(t_state) = %+v, want one violation at t-peer %d", vs, tp.Addr)
+	}
+	tp.swapRingState(ring)
+	if err := sys.CheckInvariants(); err != nil {
+		t.Fatalf("faults undone, audit still red: %v", err)
+	}
+}
+
 // TestAuditSkipsFullViewRowsOnSlice: data ownership needs the whole ring, so
 // an item planted outside its segment is reported on the full view and not
 // evaluated once the same system is marked a slice of a deployment.

@@ -29,11 +29,15 @@ func (p *Peer) installBypass(peer Ref, segLo idspace.ID, announce bool) {
 	if peer.Addr == p.Addr {
 		return
 	}
-	_, known := p.bypass.peek(peer.Addr)
-	if !known && p.Degree()+len(p.bypass) >= p.sys.Cfg.Delta {
+	var links idleTable[runtime.Addr, bypassLink]
+	if p.enh != nil {
+		links = p.enh.bypass
+	}
+	_, known := links.peek(peer.Addr)
+	if !known && p.Degree()+len(links) >= p.sys.Cfg.Delta {
 		return // rule 1: no bypass link on a peer at the degree threshold
 	}
-	p.bypass.put(p.sys.rt, bypassTTL, peer.Addr, bypassLink{peer: peer, segLo: segLo})
+	p.enhance().bypass.put(p.sys.rt, bypassTTL, peer.Addr, bypassLink{peer: peer, segLo: segLo})
 	if !known && announce {
 		p.send(peer.Addr, bypassAdd{Peer: p.Ref(), SegLo: p.segLo})
 	}
@@ -50,8 +54,11 @@ func (p *Peer) handleBypassAdd(m bypassAdd) {
 // through the bypass link will refresh the attached timer"). Of several
 // covering links the lowest address wins, for determinism.
 func (p *Peer) bypassFor(id idspace.ID) (Ref, bool) {
+	if p.enh == nil {
+		return NilRef, false
+	}
 	best := NilRef
-	for _, e := range p.bypass {
+	for _, e := range p.enh.bypass {
 		l := e.val
 		if !idspace.Between(l.segLo, id, l.peer.ID) {
 			continue
@@ -63,6 +70,6 @@ func (p *Peer) bypassFor(id idspace.ID) (Ref, bool) {
 	if !best.Valid() {
 		return NilRef, false
 	}
-	p.bypass.get(best.Addr) // a use: restarts the link's idle timer
+	p.enh.bypass.get(best.Addr) // a use: restarts the link's idle timer
 	return best, true
 }

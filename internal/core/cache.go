@@ -42,10 +42,10 @@ type cacheAdd struct {
 
 // lookupCached consults the surrogate cache, refreshing the hit's expiry.
 func (p *Peer) lookupCached(did idspace.ID) (Item, bool) {
-	if !p.sys.Cfg.Caching || p.cache == nil {
+	if !p.sys.Cfg.Caching || p.enh == nil {
 		return Item{}, false
 	}
-	it, ok := p.cache.get(did)
+	it, ok := p.enh.cache.get(did)
 	if ok {
 		p.sys.stats.CacheHits++
 	}
@@ -66,14 +66,15 @@ func (p *Peer) recordServe(it Item) {
 	if !p.sys.Cfg.Caching {
 		return
 	}
-	if p.serves == nil {
-		p.serves = make(map[idspace.ID]*serveStat)
+	e := p.enhance()
+	if e.serves == nil {
+		e.serves = make(map[idspace.ID]*serveStat)
 	}
 	now := p.sys.rt.Now()
-	st, ok := p.serves[it.DID]
+	st, ok := e.serves[it.DID]
 	if !ok || now-st.windowStart > cacheWindow {
 		st = &serveStat{windowStart: now}
-		p.serves[it.DID] = st
+		e.serves[it.DID] = st
 	}
 	st.count++
 	if st.count == cacheHotThreshold {
@@ -106,11 +107,23 @@ func (p *Peer) handleCacheAdd(m cacheAdd) {
 	if p.data.has(m.Item.DID) {
 		return
 	}
-	p.cache.put(p.sys.rt, cacheTTL, m.Item.DID, m.Item)
+	p.enhance().cache.put(p.sys.rt, cacheTTL, m.Item.DID, m.Item)
 }
 
 // NumCached returns the number of surrogate copies this peer holds.
-func (p *Peer) NumCached() int { return len(p.cache) }
+func (p *Peer) NumCached() int {
+	if p.enh == nil {
+		return 0
+	}
+	return len(p.enh.cache)
+}
+
+// dropCached removes a surrogate copy, if held.
+func (p *Peer) dropCached(did idspace.ID) {
+	if p.enh != nil {
+		p.enh.cache.drop(did)
+	}
+}
 
 // ServeCount reports how many times this peer answered lookups (database or
 // cache) since creation; the caching experiment uses it to measure load

@@ -64,6 +64,11 @@ func TestSustainedChurnKeepsInvariants(t *testing.T) {
 	if err := sys.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	// The t_state row above holds every promoted s-peer to its new ring
+	// state, so the run must have promoted some.
+	if sys.Stats().Promotions == 0 {
+		t.Fatal("no s-peer substituted a t-peer: the churn exercised no promotion")
+	}
 }
 
 // TestChurnStormUnderFaults is the randomized churn-storm crash test: epochs

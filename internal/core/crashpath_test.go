@@ -143,12 +143,12 @@ func TestLookupDetoursSuspectedSuccessor(t *testing.T) {
 		if sv.snetSize(tp.Addr) == 0 {
 			continue
 		}
-		p2 := sys.Peer(tp.succ.Addr)
-		p0 := sys.Peer(tp.pred.Addr)
+		p2 := sys.Peer(tp.t.succ.Addr)
+		p0 := sys.Peer(tp.t.pred.Addr)
 		if p0 == nil || p2 == nil || p0.Addr == tp.Addr || p2.Addr == tp.Addr || p0.Addr == p2.Addr {
 			continue
 		}
-		if p0.succ2.Addr == p2.Addr { // stabilization has published S to P
+		if p0.t.succ2.Addr == p2.Addr { // stabilization has published S to P
 			pre, victim, succ = p0, tp, p2
 			break
 		}
@@ -188,9 +188,9 @@ func TestLookupDetoursSuspectedSuccessor(t *testing.T) {
 	if !pre.Alive() || !succ.Alive() {
 		t.Fatal("test ring neighbors died during settling")
 	}
-	if !pre.suspected(victim.Addr) || pre.succ.Addr != victim.Addr {
+	if !pre.t.suspected(victim.Addr) || pre.t.succ.Addr != victim.Addr {
 		t.Fatalf("setup drifted: P must still point at the suspected-dead T here (succ=%d suspect=%v)",
-			pre.succ.Addr, pre.suspect)
+			pre.t.succ.Addr, pre.t.suspect)
 	}
 	r, err := sys.LookupSync(pre, key)
 	if err != nil {
@@ -198,7 +198,7 @@ func TestLookupDetoursSuspectedSuccessor(t *testing.T) {
 	}
 	if !r.OK {
 		t.Fatalf("lookup through suspected successor failed; succ2=%d suspect=%v",
-			pre.succ2.Addr, pre.suspect)
+			pre.t.succ2.Addr, pre.t.suspect)
 	}
 
 	// After full recovery everything must be consistent again.

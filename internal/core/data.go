@@ -16,13 +16,13 @@ type segKey struct {
 }
 
 func (p *Peer) segKey() segKey {
-	switch {
-	case p.Role != TPeer:
+	if p.Role != TPeer {
 		return segKey{lo: p.segLo, hi: p.ID, role: p.Role}
-	case !p.pred.Valid():
-		return segKey{hi: p.ID, role: TPeer, whole: true}
 	}
-	return segKey{lo: p.pred.ID, hi: p.ID, role: TPeer}
+	if pred := p.Predecessor(); pred.Valid() {
+		return segKey{lo: pred.ID, hi: p.ID, role: TPeer}
+	}
+	return segKey{hi: p.ID, role: TPeer, whole: true}
 }
 
 // inLocalSegment reports whether an id belongs to this peer's s-network,
@@ -158,7 +158,11 @@ func (p *Peer) forwardTowardSegment(id idspace.ID, msg any, from runtime.Addr) {
 		}
 		return
 	}
-	next := p.nextHop(id)
+	t := p.t
+	if t == nil {
+		return // not placed by the server yet
+	}
+	next := p.nextHop(t, id)
 	if !next.Valid() || next.Addr == p.Addr {
 		return // lone t-peer: nowhere to forward
 	}

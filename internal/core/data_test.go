@@ -11,10 +11,10 @@ import (
 // ownerOf returns the live t-peer owning an id, per the actual ring.
 func ownerOf(sys *System, id idspace.ID) *Peer {
 	for _, tp := range sys.TPeers() {
-		if !tp.pred.Valid() {
+		if !tp.t.pred.Valid() {
 			return tp
 		}
-		if idspace.Between(tp.pred.ID, id, tp.ID) {
+		if idspace.Between(tp.t.pred.ID, id, tp.ID) {
 			return tp
 		}
 	}

@@ -16,7 +16,7 @@ func TestLeaveWhilePredIsJoining(t *testing.T) {
 	}
 	sys.Settle(5 * sim.Second)
 	leaver := peers[4]
-	pred := sys.Peer(leaver.pred.Addr)
+	pred := sys.Peer(leaver.t.pred.Addr)
 	pred.joining = true // hold the mutex open by hand
 	leaver.Leave()
 	sys.Settle(2 * sim.Second)
@@ -24,7 +24,7 @@ func TestLeaveWhilePredIsJoining(t *testing.T) {
 		t.Fatal("leave completed while pred was mid-triangle")
 	}
 	pred.joining = false
-	pred.drainJoinQueue()
+	pred.drainJoinQueue(pred.t)
 	// The leaver's retry loop (or force-finish timeout) must conclude.
 	sys.Settle(2 * sys.Cfg.JoinTimeout)
 	if leaver.Alive() {

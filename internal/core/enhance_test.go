@@ -200,7 +200,7 @@ func TestBypassLinksCreatedAndUsed(t *testing.T) {
 			}
 		}
 	}
-	if len(origin.bypass) == 0 {
+	if origin.numBypass() == 0 {
 		t.Fatal("no bypass links created despite cross-s-network traffic")
 	}
 	if sys.Stats().BypassUses == 0 {
@@ -230,9 +230,9 @@ func TestBypassRespectsDegreeRule(t *testing.T) {
 	}
 	// Rule 1: tree degree + bypass links never exceed δ.
 	for _, p := range sys.Peers() {
-		if p.Degree()+len(p.bypass) > sys.Cfg.Delta {
+		if p.Degree()+p.numBypass() > sys.Cfg.Delta {
 			t.Errorf("peer %d: degree %d + bypass %d > delta %d",
-				p.Addr, p.Degree(), len(p.bypass), sys.Cfg.Delta)
+				p.Addr, p.Degree(), p.numBypass(), sys.Cfg.Delta)
 		}
 	}
 }
@@ -277,7 +277,7 @@ func TestTrackerLookupNoFlooding(t *testing.T) {
 	// Trackers actually hold index entries.
 	indexed := 0
 	for _, tp := range sys.TPeers() {
-		indexed += len(tp.index)
+		indexed += len(tp.t.index)
 	}
 	if indexed == 0 {
 		t.Fatal("no tracker index entries")

@@ -101,13 +101,16 @@ func (t idleTable[K, V]) armed() int {
 // armedTimers counts the timers this peer has scheduled, bar its hello tick
 // and finger ticker (a runtime.Ticker does not say whether it is armed).
 func (p *Peer) armedTimers() int {
-	n := p.cache.armed() + p.bypass.armed()
+	n := 0
+	if p.enh != nil {
+		n += p.enh.cache.armed() + p.enh.bypass.armed()
+	}
 	for _, e := range p.sys.expiries {
 		if slices.Contains(e.peers, p) {
 			n++
 		}
 	}
-	if p.sys.rt.Scheduled(p.joinTimer) {
+	if p.join != nil && p.sys.rt.Scheduled(p.join.timer) {
 		n++
 	}
 	for _, o := range p.sys.ops {
@@ -116,6 +119,22 @@ func (p *Peer) armedTimers() int {
 		}
 	}
 	return n
+}
+
+// swapRingState replaces the peer's ring state and returns the old one, so a
+// test can plant a role the state does not match.
+func (p *Peer) swapRingState(t *tState) *tState {
+	old := p.t
+	p.t = t
+	return old
+}
+
+// numBypass counts the peer's bypass links.
+func (p *Peer) numBypass() int {
+	if p.enh == nil {
+		return 0
+	}
+	return len(p.enh.bypass)
 }
 
 // HasItem reports whether the peer stores the item with the given key.

@@ -239,33 +239,33 @@ func (p *Peer) neighborTimeout(nb runtime.Addr) {
 		return
 	}
 
-	if p.Role == TPeer {
+	if t := p.t; t != nil {
 		// A ring neighbor went silent. Report it; the server patches an
 		// empty-s-network crash directly and otherwise lets the dead
 		// peer's s-network drive the replacement.
 		var crashed Ref
 		switch nb {
-		case p.pred.Addr:
-			crashed = p.pred
+		case t.pred.Addr:
+			crashed = t.pred
 			// Clear the dead predecessor so ring stabilization can
 			// adopt the next live candidate that notifies us. The
 			// segment bound (segLo) is kept until a real predecessor
 			// appears.
-			p.pred = NilRef
-			p.markSuspect(nb)
-		case p.succ.Addr:
-			crashed = p.succ
+			t.pred = NilRef
+			p.markSuspect(t, nb)
+		case t.succ.Addr:
+			crashed = t.succ
 			// The successor pointer is kept because the pending repair
 			// messages (ringRepair, conditional pointerUpdate) match on
 			// the stale value — but routing must stop forwarding into
 			// the crash. Mark it suspect so segment routing detours via
 			// the successor's successor until the repair lands.
-			p.markSuspect(nb)
+			p.markSuspect(t, nb)
 		default:
 			// The watchdog re-armed on a crashed neighbor that a repair
 			// has since replaced: it monitors nobody and the suspicion
 			// is obsolete.
-			p.unsuspect(nb)
+			t.unsuspect(nb)
 			return
 		}
 		p.send(p.sys.serverAddr, ringDeadReq{Crashed: crashed, Self: p.Ref()})
@@ -304,23 +304,24 @@ func (p *Peer) armReplaceRetry(crashed Ref) {
 // handleRingRepair swaps whichever of this peer's ring pointers still names
 // the crashed peer for the registry's current neighbor.
 func (p *Peer) handleRingRepair(m ringRepair) {
-	if p.Role != TPeer {
+	t := p.t
+	if t == nil {
 		return
 	}
-	if p.succ.Addr == m.Crashed.Addr && m.Succ.Valid() && m.Succ.Addr != m.Crashed.Addr {
-		p.succ = m.Succ
+	if t.succ.Addr == m.Crashed.Addr && m.Succ.Valid() && m.Succ.Addr != m.Crashed.Addr {
+		t.succ = m.Succ
 		if m.Succ.Addr != p.Addr {
 			p.watch(m.Succ.Addr)
 		}
 	}
-	if p.pred.Addr == m.Crashed.Addr && m.Pred.Valid() && m.Pred.Addr != m.Crashed.Addr {
-		p.pred = m.Pred
+	if t.pred.Addr == m.Crashed.Addr && m.Pred.Valid() && m.Pred.Addr != m.Crashed.Addr {
+		t.pred = m.Pred
 		p.segLo = m.Pred.ID
 		if m.Pred.Addr != p.Addr {
 			p.watch(m.Pred.Addr)
 		}
 	}
-	p.fingers.replace(m.Crashed.Addr, m.Succ)
+	t.fingers.replace(m.Crashed.Addr, m.Succ)
 }
 
 // handleReplaceResp concludes the server's crash arbitration: the winner is
@@ -331,28 +332,28 @@ func (p *Peer) handleReplaceResp(m replaceResp) {
 		return // stale: already promoted or re-homed
 	}
 	if m.Promote {
-		p.Role = TPeer
+		t := p.takeTRole()
 		oldAddr := p.tpeer
 		p.ID = m.ID
 		p.tpeer = p.Ref()
 		p.cp = NilRef
-		p.pred = m.Pred
-		p.succ = m.Succ
+		t.pred = m.Pred
+		t.succ = m.Succ
 		p.segLo = m.Pred.ID
 		// Every empty slot, and every slot naming the crashed t-peer,
 		// now names the successor.
-		p.fingers.size()
-		p.fingers.replace(runtime.None, m.Succ)
-		p.fingers.replace(oldAddr.Addr, m.Succ)
+		t.fingers.size()
+		t.fingers.replace(runtime.None, m.Succ)
+		t.fingers.replace(oldAddr.Addr, m.Succ)
 		p.watch(m.Pred.Addr)
 		p.watch(m.Succ.Addr)
-		p.startFingerTicker()
+		p.startFingerTicker(t)
 		// Swap the dead address out of every finger table on the ring.
-		if p.succ.Valid() && p.succ.Addr != p.Addr {
-			p.send(p.succ.Addr, substituteMsg{Old: oldAddr, New: p.Ref(), Origin: p.Addr})
+		if t.succ.Valid() && t.succ.Addr != p.Addr {
+			p.send(t.succ.Addr, substituteMsg{Old: oldAddr, New: p.Ref(), Origin: p.Addr})
 		}
 		if p.sys.Cfg.TrackerMode {
-			p.ensureIndex()
+			t.ensureIndex()
 			p.announceItems(p.data.all())
 		}
 		return

@@ -37,7 +37,7 @@ func fingerRing(t *testing.T, seed int64, n int) *System {
 // localSlot reports whether p answers finger slot i itself: the slot's start
 // lies in (ID, succ.ID].
 func localSlot(p *Peer, i int) bool {
-	return idspace.Between(p.ID, idspace.FingerStart(p.ID, i), p.succ.ID)
+	return idspace.Between(p.ID, idspace.FingerStart(p.ID, i), p.t.succ.ID)
 }
 
 // TestLocalFingerAnswerSurvivesDrops: an answer a peer gives itself never
@@ -57,10 +57,10 @@ func TestLocalFingerAnswerSurvivesDrops(t *testing.T) {
 			switch {
 			case localSlot(p, i):
 				local++
-				if p.fingers.at(i) != p.succ {
+				if p.t.fingers.at(i) != p.t.succ {
 					lost++
 				}
-			case p.fingers.at(i).Valid():
+			case p.t.fingers.at(i).Valid():
 				kept++
 			}
 		}
@@ -158,7 +158,7 @@ func TestFingersConvergeToOracle(t *testing.T) {
 			if !localSlot(p, i) {
 				want++
 			}
-			if got, succ := p.fingers.at(i), successor(idspace.FingerStart(p.ID, i)); got != succ {
+			if got, succ := p.t.fingers.at(i), successor(idspace.FingerStart(p.ID, i)); got != succ {
 				t.Errorf("peer %d finger[%d] = %+v, want %+v", p.Addr, i, got, succ)
 			}
 		}
@@ -185,12 +185,12 @@ func TestLoneTPeerFillsFingersSilently(t *testing.T) {
 	}
 	p := peers[0]
 	sys.Settle(8 * sys.Cfg.FingerRefreshEvery)
-	for i, f := range p.fingers.slots() {
+	for i, f := range p.t.fingers.slots() {
 		if f != p.Ref() {
 			t.Errorf("finger[%d] = %+v, want the peer itself", i, f)
 		}
 	}
-	if n := len(p.fingers.slots()); n != FingerBits || probes != 0 {
+	if n := len(p.t.fingers.slots()); n != FingerBits || probes != 0 {
 		t.Errorf("%d slots, %d finger messages; want %d slots and none", n, probes, FingerBits)
 	}
 	// An all-local round schedules nothing: no answer in transit, no timeout.
@@ -211,7 +211,7 @@ func TestFingerRoundTimeout(t *testing.T) {
 	var p *Peer
 	var victim Ref
 	for _, c := range sys.TPeers() {
-		if v := c.closestPreceding(idspace.FingerStart(c.ID, top)); v.Valid() && v.Addr != c.succ.Addr {
+		if v := c.closestPreceding(c.t, idspace.FingerStart(c.ID, top)); v.Valid() && v.Addr != c.t.succ.Addr {
 			p, victim = c, v
 			break
 		}
@@ -223,21 +223,21 @@ func TestFingerRoundTimeout(t *testing.T) {
 
 	const perRound = 8
 	first := FingerBits - perRound
-	p.fingers.next = uint8(first)
-	before := p.fingers.slots()
+	p.t.fingers.next = uint8(first)
+	before := p.t.fingers.slots()
 	p.refreshFingers()
-	if p.fingers.tag(top) == 0 {
+	if p.t.fingers.tag(top) == 0 {
 		t.Fatal("the probe into the crashed finger was answered")
 	}
 	every := sys.Cfg.FingerRefreshEvery
 	sys.Settle(every - 1)
 	wedged := make(map[int]bool) // slots of the round still in flight
 	for i := first; i < FingerBits; i++ {
-		if p.fingers.tag(i) != 0 {
+		if p.t.fingers.tag(i) != 0 {
 			wedged[i] = true
 		}
-		if p.fingers.at(i) != before[i] {
-			t.Errorf("slot %d changed before the timeout: %+v -> %+v", i, before[i], p.fingers.at(i))
+		if p.t.fingers.at(i) != before[i] {
+			t.Errorf("slot %d changed before the timeout: %+v -> %+v", i, before[i], p.t.fingers.at(i))
 		}
 	}
 	if len(wedged) == 0 || len(wedged) == perRound {
@@ -246,10 +246,10 @@ func TestFingerRoundTimeout(t *testing.T) {
 	sys.Settle(1)
 	for i := first; i < FingerBits; i++ {
 		switch {
-		case wedged[i] && (p.fingers.at(i).Valid() || p.fingers.tag(i) != 0):
-			t.Errorf("slot %d: timeout left finger %+v tag %d", i, p.fingers.at(i), p.fingers.tag(i))
-		case !wedged[i] && p.fingers.at(i) != before[i]:
-			t.Errorf("slot %d was answered, yet the timeout changed it: %+v -> %+v", i, before[i], p.fingers.at(i))
+		case wedged[i] && (p.t.fingers.at(i).Valid() || p.t.fingers.tag(i) != 0):
+			t.Errorf("slot %d: timeout left finger %+v tag %d", i, p.t.fingers.at(i), p.t.fingers.tag(i))
+		case !wedged[i] && p.t.fingers.at(i) != before[i]:
+			t.Errorf("slot %d was answered, yet the timeout changed it: %+v -> %+v", i, before[i], p.t.fingers.at(i))
 		}
 	}
 }

@@ -19,9 +19,8 @@ const fingerRoundLen = 8
 // t-peers, so the 64 slots compress to about ten entries; a refresh tag is
 // kept only while its probe is unanswered.
 //
-// The zero value is unsized: it has no slots, as an s-peer that never held
-// the t-role. A t-peer sizes it on joining (size, fill or load) and it stays
-// sized through any later role change, like the slice it replaced.
+// The zero value is unsized: it has no slots. It lives in a tState, and a
+// t-peer sizes it on joining or promotion (size, fill or load).
 type fingerTable struct {
 	// runs holds one Ref per run, in slot order; neighbours always differ.
 	runs []Ref

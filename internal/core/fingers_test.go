@@ -307,15 +307,18 @@ func settledTPeers(t *testing.T, n int) *System {
 
 // TestFingerTableFootprint pins the finger state of a settled N=1000 ring of
 // t-peers, counted from the capacities the table holds, at 512 bytes per
-// t-peer on average (the slot-and-tag arrays took 1 536), Peer in its
-// allocator size class, replState at its own, a watchdog entry at 32 bytes,
-// and the rounds in flight at two — through a crash and join wave too.
+// t-peer on average (the slot-and-tag arrays took 1 536), Peer, tState and
+// replState each filling their allocator size class, a watchdog entry at 32
+// bytes, and the rounds in flight at two — through a crash and join wave too.
 func TestFingerTableFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 1000-peer ring")
 	}
-	if s := unsafe.Sizeof(Peer{}); s > 512 {
-		t.Errorf("Peer is %d bytes, past its 512-byte size class", s)
+	if s := unsafe.Sizeof(Peer{}); s != 240 {
+		t.Errorf("Peer is %d bytes, want 240: its size class, with the ring, a pending join and the enhancements behind pointers", s)
+	}
+	if s := unsafe.Sizeof(tState{}); s != 192 {
+		t.Errorf("tState is %d bytes, want 192: its size class, with the triangle epoch in 32 bits", s)
 	}
 	if s := unsafe.Sizeof(replState{}); s != 192 {
 		t.Errorf("replState is %d bytes, want 192: its size class, with owned, reps and acks as slices", s)
@@ -325,7 +328,7 @@ func TestFingerTableFootprint(t *testing.T) {
 	}
 	sys := settledTPeers(t, 1000)
 	footprint := func(p *Peer) int {
-		f := &p.fingers
+		f := &p.t.fingers
 		return int(unsafe.Sizeof(*f)) + cap(f.runs)*int(unsafe.Sizeof(Ref{})) +
 			cap(f.rounds)*int(unsafe.Sizeof(fingerRound{}))
 	}
@@ -333,7 +336,7 @@ func TestFingerTableFootprint(t *testing.T) {
 	bytes, runs := 0, 0
 	for _, p := range tps {
 		bytes += footprint(p)
-		runs += len(p.fingers.entries())
+		runs += len(p.t.fingers.entries())
 	}
 	per := float64(bytes) / float64(len(tps))
 	t.Logf("%d t-peers: %.1f runs and %.0f bytes of finger state per t-peer", len(tps), float64(runs)/float64(len(tps)), per)
@@ -350,7 +353,7 @@ func TestFingerTableFootprint(t *testing.T) {
 	}
 	sys.Settle(4 * sys.Cfg.HelloTimeout)
 	for _, p := range sys.TPeers() {
-		if c := cap(p.fingers.rounds); c > 2 {
+		if c := cap(p.t.fingers.rounds); c > 2 {
 			t.Errorf("peer %d: room for %d refresh rounds, want at most 2 ever open", p.Addr, c)
 		}
 	}
@@ -378,7 +381,7 @@ func TestRingSummaryFingersMatchSlots(t *testing.T) {
 		p := sys.peerAt(want.Ring[i].Addr)
 		seen := map[runtime.Addr]bool{}
 		var fs []RefView
-		for _, f := range p.fingers.slots() {
+		for _, f := range p.t.fingers.slots() {
 			if f.Valid() && !seen[f.Addr] {
 				seen[f.Addr] = true
 				fs = append(fs, RefView{Addr: f.Addr, ID: f.ID})

@@ -63,7 +63,7 @@ func TestIdleTables(t *testing.T) {
 			ttl:  func(*System) runtime.Time { return bypassTTL },
 			put:  func(p, other *Peer) { p.handleBypassAdd(bypassAdd{Peer: other.Ref(), SegLo: other.segLo}) },
 			use:  func(p, other *Peer) bool { _, ok := p.bypassFor(other.ID); return ok },
-			n:    func(p *Peer) int { return len(p.bypass) },
+			n:    func(p *Peer) int { return p.numBypass() },
 		},
 	}
 	for i, tb := range tables {
@@ -117,7 +117,7 @@ func TestDeleteDropsCachedCopy(t *testing.T) {
 	if p.NumCached() != 1 {
 		t.Fatalf("after delete: %d cached copies, want the unrelated one", p.NumCached())
 	}
-	if _, ok := p.cache.peek(keep.DID); !ok {
+	if _, ok := p.enh.cache.peek(keep.DID); !ok {
 		t.Fatal("delete dropped the copy of another item")
 	}
 	if got := p.armedTimers(); got != armed-1 {
@@ -139,7 +139,7 @@ func TestCrashedBypassEndpointKeepsNoTimers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	links := len(origin.bypass)
+	links := origin.numBypass()
 	if links == 0 {
 		t.Fatal("no bypass links created despite cross-s-network traffic")
 	}
@@ -148,7 +148,7 @@ func TestCrashedBypassEndpointKeepsNoTimers(t *testing.T) {
 		t.Fatalf("crashed peer still has %d timers scheduled", n)
 	}
 	sys.Settle(bypassTTL + sim.Second)
-	if got := len(origin.bypass); got != links {
+	if got := origin.numBypass(); got != links {
 		t.Fatalf("an expiry fired on the dead peer: %d bypass links, had %d", got, links)
 	}
 }

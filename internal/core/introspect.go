@@ -80,20 +80,22 @@ func (s *System) RingSummary() RingView {
 		tv := TPeerView{
 			Addr:    p.Addr,
 			ID:      p.ID,
-			Pred:    refView(p.pred),
-			Succ:    refView(p.succ),
-			Succ2:   refView(p.succ2),
+			Pred:    refView(p.Predecessor()),
+			Succ:    refView(p.Successor()),
 			Items:   p.data.len(),
 			Subtree: 1,
 		}
-		for _, f := range p.fingers.entries() {
-			if f.Valid() && !slices.ContainsFunc(tv.Fingers, func(v RefView) bool { return v.Addr == f.Addr }) {
-				tv.Fingers = append(tv.Fingers, RefView{Addr: f.Addr, ID: f.ID})
+		if t := p.t; t != nil {
+			tv.Succ2 = refView(t.succ2)
+			for _, f := range t.fingers.entries() {
+				if f.Valid() && !slices.ContainsFunc(tv.Fingers, func(v RefView) bool { return v.Addr == f.Addr }) {
+					tv.Fingers = append(tv.Fingers, RefView{Addr: f.Addr, ID: f.ID})
+				}
 			}
-		}
-		if len(p.suspect) > 0 {
-			tv.Suspects = slices.Clone(p.suspect)
-			slices.Sort(tv.Suspects)
+			if len(t.suspect) > 0 {
+				tv.Suspects = slices.Clone(t.suspect)
+				slices.Sort(tv.Suspects)
+			}
 		}
 		for _, c := range p.children {
 			tv.Children = append(tv.Children, RefView{Addr: c.Ref.Addr, ID: c.Ref.ID})

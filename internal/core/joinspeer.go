@@ -96,7 +96,7 @@ func (p *Peer) acceptChild() bool {
 // point, its s-network's t-peer, and adopts the s-network's p_id ("the p_id
 // of the s-peer is the same as its neighbor").
 func (p *Peer) handleSJoinAck(from runtime.Addr, m sJoinAck) {
-	if m.Epoch != p.joinEpoch {
+	if m.Epoch != int(p.joinEpoch) {
 		return // handshake of an abandoned join attempt
 	}
 	if p.cp.Valid() {
@@ -105,7 +105,7 @@ func (p *Peer) handleSJoinAck(from runtime.Addr, m sJoinAck) {
 	if m.CP.Addr == p.Addr {
 		return // self-offer from a forked walk; wait for a real parent
 	}
-	p.Role = SPeer
+	p.dropTRole()
 	p.ID = m.ID
 	p.cp = m.CP
 	p.tpeer = m.TPeer
@@ -161,7 +161,7 @@ func (p *Peer) rejoin() {
 		p.rejoinViaServer()
 		return
 	}
-	p.send(p.tpeer.Addr, sJoinReq{Joiner: Ref{Addr: p.Addr}, Rejoin: true, Epoch: p.joinEpoch, Hops: 1})
+	p.send(p.tpeer.Addr, sJoinReq{Joiner: Ref{Addr: p.Addr}, Rejoin: true, Epoch: int(p.joinEpoch), Hops: 1})
 	// If the t-peer is also gone the request vanishes; the watchdog on
 	// nothing won't fire, so arm a retry through the server.
 	addr := p.Addr
@@ -189,8 +189,11 @@ func (p *Peer) rejoinViaServer() {
 	// The retry timer covers a lost request or response.
 	p.cp = NilRef
 	p.joined = false
-	p.joinStart = p.sys.rt.Now()
-	p.joinReq = req
+	if p.join == nil {
+		p.join = new(pendingJoin)
+	}
+	p.join.start = p.sys.rt.Now()
+	p.join.req = req
 	p.armJoinTimer()
 	p.send(p.sys.serverAddr, req)
 }

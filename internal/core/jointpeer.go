@@ -29,26 +29,26 @@ func (p *Peer) handleServerJoinResp(m serverJoinResp) {
 	p.joinEpoch++
 	switch m.Role {
 	case TPeer:
-		p.Role = TPeer
+		t := p.takeTRole()
 		p.ID = m.ID
 		p.tpeer = p.Ref()
-		p.fingers.size()
+		t.fingers.size()
 		if m.First {
 			self := p.Ref()
-			p.pred, p.succ = self, self
+			t.pred, t.succ = self, self
 			p.segLo = p.ID
-			p.fingers.fill(self)
+			t.fingers.fill(self)
 			p.send(p.sys.serverAddr, ringRegister{Self: self})
 			p.sys.stats.TJoins++
 			p.completeJoin(0)
 			return
 		}
 		p.armJoinTimer()
-		p.send(m.Entry.Addr, tJoinReq{Joiner: p.Ref(), Epoch: p.joinEpoch, Hops: 1})
+		p.send(m.Entry.Addr, tJoinReq{Joiner: p.Ref(), Epoch: int(p.joinEpoch), Hops: 1})
 	case SPeer:
-		p.Role = SPeer
+		p.dropTRole()
 		p.armJoinTimer()
-		p.send(m.Entry.Addr, sJoinReq{Joiner: Ref{Addr: p.Addr}, Epoch: p.joinEpoch, Hops: 1})
+		p.send(m.Entry.Addr, sJoinReq{Joiner: Ref{Addr: p.Addr}, Epoch: int(p.joinEpoch), Hops: 1})
 	}
 }
 
@@ -58,15 +58,15 @@ func (p *Peer) handleServerJoinResp(m serverJoinResp) {
 // pin included — and re-arms itself, so a join survives losing any number of
 // individual messages.
 func (p *Peer) armJoinTimer() {
-	p.sys.rt.Unschedule(p.joinTimer)
-	p.joinTimer = p.sys.rt.Schedule(p.sys.Cfg.JoinTimeout, func() {
+	p.sys.rt.Unschedule(p.join.timer)
+	p.join.timer = p.sys.rt.Schedule(p.sys.Cfg.JoinTimeout, func() {
 		if !p.alive || p.joined {
 			return
 		}
 		if p.sys.Cfg.Landmarks > 0 {
-			p.joinReq.Coord = p.sys.landmarkCoord(p.Host)
+			p.join.req.Coord = p.sys.landmarkCoord(p.Host)
 		}
-		p.send(p.sys.serverAddr, p.joinReq)
+		p.send(p.sys.serverAddr, p.join.req)
 		p.armJoinTimer()
 	})
 }
@@ -79,18 +79,19 @@ func (p *Peer) handleTJoinReq(m tJoinReq) {
 	if m.Hops > routeHopLimit {
 		return // looping route; the joiner's timer retries the whole join
 	}
-	if p.Role != TPeer || !p.succ.Valid() {
+	t := p.t
+	if t == nil || !t.succ.Valid() {
 		// Not a ring member (promotion in flight): bounce to our root.
 		if p.tpeer.Valid() && p.tpeer.Addr != p.Addr {
 			p.send(p.tpeer.Addr, m)
 		}
 		return
 	}
-	if idspace.Between(p.ID, m.Joiner.ID, p.succ.ID) || p.succ.Addr == p.Addr {
-		p.startJoinTriangle(m)
+	if idspace.Between(p.ID, m.Joiner.ID, t.succ.ID) || t.succ.Addr == p.Addr {
+		p.startJoinTriangle(t, m)
 		return
 	}
-	next := p.fingerStep(m.Joiner.ID)
+	next := p.fingerStep(t, m.Joiner.ID)
 	m.Hops++
 	p.sys.stats.RingForwards++
 	p.send(next.Addr, m)
@@ -99,20 +100,20 @@ func (p *Peer) handleTJoinReq(m tJoinReq) {
 // startJoinTriangle begins the §3.3 join triangle with this peer as pre.
 // While the triangle is open the peer queues further join requests and
 // refuses leave requests (its own included).
-func (p *Peer) startJoinTriangle(m tJoinReq) {
+func (p *Peer) startJoinTriangle(t *tState, m tJoinReq) {
 	if p.joining || p.leaving {
-		p.joinQueue = append(p.joinQueue, m)
+		t.joinQueue = append(t.joinQueue, m)
 		p.sys.stats.QueuedJoinRequests++
 		return
 	}
 	p.joining = true
-	p.triJoiner = m.Joiner.Addr
-	p.triEpoch = m.Epoch
-	p.armMutexGuard(p.sys.Cfg.HelloTimeout)
-	setup := tJoinSetup{Pred: p.Ref(), Succ: p.succ, Epoch: m.Epoch, Hops: m.Hops}
+	t.triJoiner = m.Joiner.Addr
+	t.triEpoch = int32(m.Epoch)
+	p.armMutexGuard(t, p.sys.Cfg.HelloTimeout)
+	setup := tJoinSetup{Pred: p.Ref(), Succ: t.succ, Epoch: m.Epoch, Hops: m.Hops}
 	// pre.check: resolve id conflicts with the midpoint rule (Table 1).
-	if m.Joiner.ID == p.ID || m.Joiner.ID == p.succ.ID {
-		setup.NewID = idspace.Midpoint(p.ID, p.succ.ID)
+	if m.Joiner.ID == p.ID || m.Joiner.ID == t.succ.ID {
+		setup.NewID = idspace.Midpoint(p.ID, t.succ.ID)
 		setup.HasNewID = true
 		p.sys.stats.IDConflicts++
 	}
@@ -121,13 +122,14 @@ func (p *Peer) startJoinTriangle(m tJoinReq) {
 
 // handleTJoinSetup is the joiner receiving its ring neighbors from pre.
 func (p *Peer) handleTJoinSetup(from runtime.Addr, m tJoinSetup) {
-	if m.Epoch != p.joinEpoch || p.Role != TPeer {
+	t := p.t
+	if m.Epoch != int(p.joinEpoch) || t == nil {
 		// Handshake of an abandoned join attempt: this triangle can never
 		// complete, so release pre's mutex right away.
 		p.send(from, tJoinCancel{Joiner: Ref{ID: p.ID, Addr: p.Addr}, Epoch: m.Epoch})
 		return
 	}
-	if p.joined && p.pred.Valid() {
+	if p.joined && t.pred.Valid() {
 		// Duplicate setup (e.g. pre re-ran a triangle it had queued, or the
 		// network duplicated the message). While our own insertion is still
 		// awaiting confirmation the triangle is live and will close through
@@ -142,10 +144,10 @@ func (p *Peer) handleTJoinSetup(from runtime.Addr, m tJoinSetup) {
 		p.ID = m.NewID
 		p.tpeer = p.Ref()
 	}
-	p.pred = m.Pred
-	p.succ = m.Succ
+	t.pred = m.Pred
+	t.succ = m.Succ
 	p.segLo = m.Pred.ID
-	p.fingers.fill(m.Succ)
+	t.fingers.fill(m.Succ)
 	p.watch(m.Pred.Addr)
 	if m.Succ.Addr != m.Pred.Addr {
 		p.watch(m.Succ.Addr)
@@ -154,9 +156,9 @@ func (p *Peer) handleTJoinSetup(from runtime.Addr, m tJoinSetup) {
 	// triangle we anchor as pre cannot reach succ before our own did.
 	p.joining = true
 	p.insertPending = true
-	p.armMutexGuard(p.sys.Cfg.JoinTimeout)
+	p.armMutexGuard(t, p.sys.Cfg.JoinTimeout)
 	p.send(m.Succ.Addr, tJoinToSucc{Joiner: p.Ref()})
-	p.armInsertRetry(m.Succ, 0)
+	p.armInsertRetry(t, m.Succ, 0)
 	p.send(p.sys.serverAddr, ringRegister{Self: p.Ref()})
 	p.sys.stats.TJoins++
 	p.completeJoin(m.Hops)
@@ -168,17 +170,17 @@ func (p *Peer) handleTJoinSetup(from runtime.Addr, m tJoinSetup) {
 // reciprocates — and the joiner's own failure detector would then raise
 // false crash alarms on both neighbors before stabilization catches up.
 // tJoinToSucc is idempotent at succ, so re-sending is safe.
-func (p *Peer) armInsertRetry(succ Ref, attempt int) {
+func (p *Peer) armInsertRetry(t *tState, succ Ref, attempt int) {
 	if attempt >= 5 {
 		return // give up; the stabilize/notify pair reconciles eventually
 	}
 	epoch := p.joinEpoch
 	p.sys.rt.Schedule(p.sys.Cfg.HelloEvery, func() {
-		if !p.alive || !p.insertPending || p.joinEpoch != epoch || p.succ.Addr != succ.Addr {
+		if !p.alive || !p.insertPending || p.joinEpoch != epoch || t.succ.Addr != succ.Addr {
 			return
 		}
 		p.send(succ.Addr, tJoinToSucc{Joiner: p.Ref()})
-		p.armInsertRetry(succ, attempt+1)
+		p.armInsertRetry(t, succ, attempt+1)
 	})
 }
 
@@ -188,13 +190,13 @@ func (p *Peer) armInsertRetry(succ Ref, attempt int) {
 // covers that), but pre's triangle needs only a few message hops, so pre's
 // guard is much shorter — a queue of triangles whose joiners crashed must
 // not wedge pre for minutes, one JoinTimeout each.
-func (p *Peer) armMutexGuard(d runtime.Time) {
-	p.mutexEpoch++
-	epoch := p.mutexEpoch
+func (p *Peer) armMutexGuard(t *tState, d runtime.Time) {
+	t.mutexEpoch++
+	epoch := t.mutexEpoch
 	p.sys.rt.Schedule(d, func() {
-		if p.alive && p.joining && p.mutexEpoch == epoch {
+		if p.alive && p.joining && t.mutexEpoch == epoch {
 			p.joining = false
-			p.drainJoinQueue()
+			p.drainJoinQueue(t)
 		}
 	})
 }
@@ -202,12 +204,16 @@ func (p *Peer) armMutexGuard(d runtime.Time) {
 // handleTJoinToSucc is succ learning about the inserted joiner: it adopts the
 // joiner as predecessor, triggers the load transfer and closes the triangle.
 func (p *Peer) handleTJoinToSucc(m tJoinToSucc) {
-	oldPred := p.pred
-	p.pred = m.Joiner
+	t := p.t
+	if t == nil {
+		return // not a ring member: the joiner's retries and stabilization heal it
+	}
+	oldPred := t.pred
+	t.pred = m.Joiner
 	p.segLo = m.Joiner.ID
 	p.watch(m.Joiner.Addr)
 	if oldPred.Valid() && oldPred.Addr != m.Joiner.Addr &&
-		oldPred.Addr != p.succ.Addr && oldPred.Addr != p.Addr {
+		oldPred.Addr != t.succ.Addr && oldPred.Addr != p.Addr {
 		p.unwatch(oldPred.Addr)
 	}
 	// suc.loadtransfer(n.id): everything in (oldPred, joiner] now belongs
@@ -233,7 +239,8 @@ func (p *Peer) handleTJoinToSucc(m tJoinToSucc) {
 // handleTJoinDone is pre finishing the triangle: flip the successor pointer,
 // then drain the queued join requests (FIFO, §3.3).
 func (p *Peer) handleTJoinDone(m tJoinDone) {
-	if m.Joiner.Addr == p.Addr {
+	t := p.t
+	if t == nil || m.Joiner.Addr == p.Addr {
 		// A re-sent tJoinToSucc makes succ close the triangle toward its
 		// current pred — the joiner itself. Adopting ourselves as successor
 		// would detach us from the ring.
@@ -244,21 +251,21 @@ func (p *Peer) handleTJoinDone(m tJoinDone) {
 	// improvement: strictly between us and the current successor. A stale
 	// done for a joiner that no longer belongs there must not detach the
 	// successor pointer stabilization has since repaired.
-	if !p.succ.Valid() || p.succ.Addr == p.Addr ||
-		idspace.StrictBetween(p.ID, m.Joiner.ID, p.succ.ID) {
-		oldSucc := p.succ
-		p.succ = m.Joiner
+	if !t.succ.Valid() || t.succ.Addr == p.Addr ||
+		idspace.StrictBetween(p.ID, m.Joiner.ID, t.succ.ID) {
+		oldSucc := t.succ
+		t.succ = m.Joiner
 		p.watch(m.Joiner.Addr)
 		if oldSucc.Valid() && oldSucc.Addr != m.Joiner.Addr &&
-			oldSucc.Addr != p.pred.Addr && oldSucc.Addr != p.Addr {
+			oldSucc.Addr != t.pred.Addr && oldSucc.Addr != p.Addr {
 			p.unwatch(oldSucc.Addr)
 		}
 	}
 	// Release the mutex only for the triangle actually being closed; a
 	// stale done must not unlock a newer, still-open triangle.
-	if p.joining && !p.insertPending && p.triJoiner == m.Joiner.Addr {
+	if p.joining && !p.insertPending && t.triJoiner == m.Joiner.Addr {
 		p.joining = false
-		p.drainJoinQueue()
+		p.drainJoinQueue(t)
 	}
 }
 
@@ -267,25 +274,26 @@ func (p *Peer) handleTJoinDone(m tJoinDone) {
 // mutex and move on to the queued requests instead of waiting out the mutex
 // guard's full JoinTimeout.
 func (p *Peer) handleTJoinCancel(m tJoinCancel) {
-	if !p.joining || p.insertPending {
+	t := p.t
+	if t == nil || !p.joining || p.insertPending {
 		return // not anchoring a triangle (the mutex is our own insertion's)
 	}
-	if p.triJoiner != m.Joiner.Addr || p.triEpoch != m.Epoch {
+	if t.triJoiner != m.Joiner.Addr || int(t.triEpoch) != m.Epoch {
 		return // cancel for an older triangle than the one now open
 	}
 	p.joining = false
-	p.drainJoinQueue()
+	p.drainJoinQueue(t)
 }
 
 // drainJoinQueue processes the next queued join request, or honors a
 // deferred leave once the queue is empty.
-func (p *Peer) drainJoinQueue() {
+func (p *Peer) drainJoinQueue(t *tState) {
 	if p.joining {
 		return
 	}
-	if len(p.joinQueue) > 0 {
-		next := p.joinQueue[0]
-		p.joinQueue = p.joinQueue[1:]
+	if len(t.joinQueue) > 0 {
+		next := t.joinQueue[0]
+		t.joinQueue = t.joinQueue[1:]
 		// Re-route rather than assume we are still pre: the ring moved.
 		p.handleTJoinReq(next)
 		return
@@ -331,8 +339,8 @@ func (p *Peer) handleLoadTransfer(from runtime.Addr, m loadTransferReq) {
 func (p *Peer) handleItems(m itemsMsg) {
 	kept := m.Items[:0:0]
 	for _, it := range m.Items {
-		if p.Role == TPeer && !p.inLocalSegment(it.DID) &&
-			p.succ.Valid() && p.succ.Addr != p.Addr {
+		if t := p.t; t != nil && !p.inLocalSegment(it.DID) &&
+			t.succ.Valid() && t.succ.Addr != p.Addr {
 			p.forwardTowardSegment(it.DID, storeReq{Item: it, Origin: p.Ref(), Hops: 1}, runtime.None)
 			continue
 		}
@@ -359,7 +367,8 @@ func (p *Peer) Leave() {
 		p.leaveSPeer()
 		return
 	}
-	if p.joining || len(p.joinQueue) > 0 {
+	t := p.t
+	if p.joining || t != nil && len(t.joinQueue) > 0 {
 		// §3.3: process queued joins first, then leave.
 		p.deferLeave = true
 		return
@@ -367,17 +376,17 @@ func (p *Peer) Leave() {
 	p.leaving = true
 	p.sys.stats.TLeaves++
 	if len(p.children) > 0 {
-		p.leaveBySubstitution()
+		p.leaveBySubstitution(t)
 		return
 	}
-	p.leaveEmpty()
+	p.leaveEmpty(t)
 }
 
 // leaveBySubstitution promotes a random direct child to take over this
 // t-peer's identity: ring position, fingers, data and remaining children.
 // The total number and position of t-peers is unchanged, so no finger
 // recomputation happens anywhere — other t-peers only swap an address.
-func (p *Peer) leaveBySubstitution() {
+func (p *Peer) leaveBySubstitution(t *tState) {
 	children := p.Children()
 	pick := children[p.sys.rt.Rand().Intn(len(children))]
 	newRef := Ref{ID: p.ID, Addr: pick.Addr}
@@ -391,9 +400,9 @@ func (p *Peer) leaveBySubstitution() {
 	}
 	pm := promoteMsg{
 		ID:       p.ID,
-		Pred:     p.pred,
-		Succ:     p.succ,
-		Fingers:  p.fingers.slots(),
+		Pred:     t.pred,
+		Succ:     t.succ,
+		Fingers:  t.fingers.slots(),
 		Items:    items,
 		Children: rest,
 	}
@@ -407,15 +416,15 @@ func (p *Peer) leaveBySubstitution() {
 	for _, c := range rest {
 		p.send(c.Addr, newParentMsg{Parent: newRef})
 	}
-	if p.pred.Valid() && p.pred.Addr != p.Addr {
-		p.send(p.pred.Addr, pointerUpdate{Succ: newRef, Pred: NilRef, IfCurrent: p.Ref()})
+	if t.pred.Valid() && t.pred.Addr != p.Addr {
+		p.send(t.pred.Addr, pointerUpdate{Succ: newRef, Pred: NilRef, IfCurrent: p.Ref()})
 	}
-	if p.succ.Valid() && p.succ.Addr != p.Addr && p.succ.Addr != p.pred.Addr {
-		p.send(p.succ.Addr, pointerUpdate{Pred: newRef, Succ: NilRef, IfCurrent: p.Ref()})
+	if t.succ.Valid() && t.succ.Addr != p.Addr && t.succ.Addr != t.pred.Addr {
+		p.send(t.succ.Addr, pointerUpdate{Pred: newRef, Succ: NilRef, IfCurrent: p.Ref()})
 	}
 	p.send(p.sys.serverAddr, ringReplace{Old: p.Ref(), New: newRef})
-	if p.succ.Valid() && p.succ.Addr != p.Addr {
-		p.send(p.succ.Addr, substituteMsg{Old: p.Ref(), New: newRef, Origin: p.Addr})
+	if t.succ.Valid() && t.succ.Addr != p.Addr {
+		p.send(t.succ.Addr, substituteMsg{Old: p.Ref(), New: newRef, Origin: p.Addr})
 	}
 	p.sys.stats.Promotions++
 	p.stop()
@@ -423,14 +432,15 @@ func (p *Peer) leaveBySubstitution() {
 
 // leaveEmpty runs the leave triangle (Fig. 2 right) for a t-peer with no
 // s-network, then dumps its data onto its successor (Table 1, n.loaddump).
-func (p *Peer) leaveEmpty() {
-	if !p.succ.Valid() || p.succ.Addr == p.Addr {
+// A peer the server has not placed yet (t is nil) just unregisters.
+func (p *Peer) leaveEmpty(t *tState) {
+	if t == nil || !t.succ.Valid() || t.succ.Addr == p.Addr {
 		// Last t-peer of the system.
 		p.send(p.sys.serverAddr, ringUnregister{Self: p.Ref()})
 		p.stop()
 		return
 	}
-	p.send(p.pred.Addr, tLeaveToPred{Leaver: p.Ref(), Succ: p.succ})
+	p.send(t.pred.Addr, tLeaveToPred{Leaver: p.Ref(), Succ: t.succ})
 	// Departure completes when succ confirms with tLeaveDone. If a
 	// triangle counterparty dies first the confirmation never comes, so
 	// the leaver force-finishes after a timeout rather than lingering
@@ -455,14 +465,15 @@ func (p *Peer) handleTLeaveToPred(from runtime.Addr, m tLeaveToPred) {
 		})
 		return
 	}
-	if p.succ.Addr != m.Leaver.Addr {
+	t := p.t
+	if t == nil || t.succ.Addr != m.Leaver.Addr {
 		// Stale: the leaver is no longer our successor.
 		return
 	}
-	oldSucc := p.succ
-	p.succ = m.Succ
+	oldSucc := t.succ
+	t.succ = m.Succ
 	p.watch(m.Succ.Addr)
-	if oldSucc.Addr != p.pred.Addr {
+	if oldSucc.Addr != t.pred.Addr {
 		p.unwatch(oldSucc.Addr)
 	}
 	p.send(m.Succ.Addr, tLeaveToSucc{Leaver: m.Leaver, Pred: p.Ref()})
@@ -472,14 +483,15 @@ func (p *Peer) handleTLeaveToPred(from runtime.Addr, m tLeaveToPred) {
 // "only if they are the same peer, will the peer suc set its predecessor
 // pointer to peer pre and send a packet to the leaving peer".
 func (p *Peer) handleTLeaveToSucc(m tLeaveToSucc) {
-	if p.pred.Addr != m.Leaver.Addr {
+	t := p.t
+	if t == nil || t.pred.Addr != m.Leaver.Addr {
 		return
 	}
-	oldPred := p.pred
-	p.pred = m.Pred
+	oldPred := t.pred
+	t.pred = m.Pred
 	p.segLo = m.Pred.ID
 	p.watch(m.Pred.Addr)
-	if oldPred.Addr != p.succ.Addr {
+	if oldPred.Addr != t.succ.Addr {
 		p.unwatch(oldPred.Addr)
 	}
 	p.send(m.Leaver.Addr, tLeaveDone{})
@@ -492,8 +504,8 @@ func (p *Peer) handleTLeaveToSucc(m tLeaveToSucc) {
 // finishEmptyLeave completes the departure after the triangle closes.
 func (p *Peer) finishEmptyLeave() {
 	items := p.withOwned(slices.Clone(p.data.all()))
-	if len(items) > 0 && p.succ.Valid() && p.succ.Addr != p.Addr {
-		p.sendData(p.succ.Addr, len(items), itemsMsg{Items: items})
+	if succ := p.Successor(); len(items) > 0 && succ.Valid() && succ.Addr != p.Addr {
+		p.sendData(succ.Addr, len(items), itemsMsg{Items: items})
 	}
 	p.send(p.sys.serverAddr, ringUnregister{Self: p.Ref()})
 	p.stop()
@@ -501,7 +513,7 @@ func (p *Peer) finishEmptyLeave() {
 
 // handlePromote converts an s-peer into the t-peer it is substituting.
 func (p *Peer) handlePromote(m promoteMsg) {
-	p.Role = TPeer
+	t := p.takeTRole()
 	p.ID = m.ID
 	p.tpeer = p.Ref()
 	p.segLo = m.Pred.ID
@@ -510,9 +522,9 @@ func (p *Peer) handlePromote(m promoteMsg) {
 	if oldCP.Valid() {
 		p.unwatch(oldCP.Addr)
 	}
-	p.pred = m.Pred
-	p.succ = m.Succ
-	p.fingers.load(m.Fingers)
+	t.pred = m.Pred
+	t.succ = m.Succ
+	t.fingers.load(m.Fingers)
 	for _, it := range m.Items {
 		p.dataPut(it)
 		p.ownedAdd(it)
@@ -521,15 +533,15 @@ func (p *Peer) handlePromote(m promoteMsg) {
 		p.addChild(c)
 		p.watch(c.Addr)
 	}
-	if p.pred.Valid() && p.pred.Addr != p.Addr {
-		p.watch(p.pred.Addr)
+	if t.pred.Valid() && t.pred.Addr != p.Addr {
+		p.watch(t.pred.Addr)
 	}
-	if p.succ.Valid() && p.succ.Addr != p.Addr {
-		p.watch(p.succ.Addr)
+	if t.succ.Valid() && t.succ.Addr != p.Addr {
+		p.watch(t.succ.Addr)
 	}
-	p.startFingerTicker()
+	p.startFingerTicker(t)
 	if p.sys.Cfg.TrackerMode {
-		p.ensureIndex()
+		t.ensureIndex()
 		p.announceItems(m.Items)
 	}
 }
@@ -553,41 +565,46 @@ func (p *Peer) handleNewParent(m newParentMsg) {
 // terminates when it reaches the substitute itself (which occupies the old
 // ring position, so a full traversal always lands there) or its origin.
 func (p *Peer) handleSubstitute(m substituteMsg) {
-	if p.Role != TPeer {
+	t := p.t
+	if t == nil {
 		return
 	}
 	// A swapped-in ring neighbor needs a failure detector like any other:
 	// without it a substitute that later crashes is never detected and the
 	// dead pointer survives quiescence.
-	if p.pred.Addr == m.Old.Addr {
-		p.pred = m.New
+	if t.pred.Addr == m.Old.Addr {
+		t.pred = m.New
 		p.segLo = m.New.ID
 		if m.New.Addr != p.Addr {
 			p.watch(m.New.Addr)
 		}
 	}
-	if p.succ.Addr == m.Old.Addr {
-		p.succ = m.New
+	if t.succ.Addr == m.Old.Addr {
+		t.succ = m.New
 		if m.New.Addr != p.Addr {
 			p.watch(m.New.Addr)
 		}
 	}
-	p.fingers.replace(m.Old.Addr, m.New)
+	t.fingers.replace(m.Old.Addr, m.New)
 	if p.Addr == m.New.Addr {
 		return // the substitute swallows the notice
 	}
-	if p.succ.Valid() && p.succ.Addr != m.Origin && p.succ.Addr != m.New.Addr && p.succ.Addr != p.Addr {
-		p.send(p.succ.Addr, m)
+	if t.succ.Valid() && t.succ.Addr != m.Origin && t.succ.Addr != m.New.Addr && t.succ.Addr != p.Addr {
+		p.send(t.succ.Addr, m)
 	}
 }
 
 // handlePointerUpdate applies a ring pointer patch, honoring the IfCurrent
 // condition so stale repairs cannot overwrite newer pointers.
 func (p *Peer) handlePointerUpdate(m pointerUpdate) {
+	t := p.t
+	if t == nil {
+		return // not a ring member (yet): a promotion brings its own pointers
+	}
 	if m.Pred.Valid() {
-		if !m.IfCurrent.Valid() || p.pred.Addr == m.IfCurrent.Addr || !p.pred.Valid() {
+		if !m.IfCurrent.Valid() || t.pred.Addr == m.IfCurrent.Addr || !t.pred.Valid() {
 			segChanged := p.segLo != m.Pred.ID
-			p.pred = m.Pred
+			t.pred = m.Pred
 			p.segLo = m.Pred.ID
 			p.watch(m.Pred.Addr)
 			if segChanged {
@@ -598,8 +615,8 @@ func (p *Peer) handlePointerUpdate(m pointerUpdate) {
 		}
 	}
 	if m.Succ.Valid() {
-		if !m.IfCurrent.Valid() || p.succ.Addr == m.IfCurrent.Addr || !p.succ.Valid() {
-			p.succ = m.Succ
+		if !m.IfCurrent.Valid() || t.succ.Addr == m.IfCurrent.Addr || !t.succ.Valid() {
+			t.succ = m.Succ
 			p.watch(m.Succ.Addr)
 		}
 	}
@@ -609,16 +626,16 @@ func (p *Peer) handlePointerUpdate(m pointerUpdate) {
 
 // closestPreceding returns the known t-peer closest to target from below,
 // skipping suspected-dead entries while their repair is pending.
-func (p *Peer) closestPreceding(target idspace.ID) Ref {
-	fs := p.fingers.entries()
+func (p *Peer) closestPreceding(t *tState, target idspace.ID) Ref {
+	fs := t.fingers.entries()
 	for i := len(fs) - 1; i >= 0; i-- {
 		f := fs[i]
-		if f.Valid() && f.Addr != p.Addr && idspace.StrictBetween(p.ID, f.ID, target) && !p.suspected(f.Addr) {
+		if f.Valid() && f.Addr != p.Addr && idspace.StrictBetween(p.ID, f.ID, target) && !t.suspected(f.Addr) {
 			return f
 		}
 	}
-	if p.succ.Valid() && p.succ.Addr != p.Addr && idspace.StrictBetween(p.ID, p.succ.ID, target) {
-		return p.succ
+	if t.succ.Valid() && t.succ.Addr != p.Addr && idspace.StrictBetween(p.ID, t.succ.ID, target) {
+		return t.succ
 	}
 	return NilRef
 }
@@ -629,24 +646,25 @@ func (p *Peer) refreshFingers() {
 	if p.sys.Cfg.FingerRefreshEvery < p.sys.Cfg.HelloTimeout {
 		p.sys.expireNow()
 	}
-	if !p.alive || p.Role != TPeer {
+	t := p.t
+	if !p.alive || t == nil {
 		return
 	}
-	if !p.succ.Valid() {
+	if !t.succ.Valid() {
 		// Orphaned ring member (both triangle counterparties died):
 		// re-anchor through the server's registry.
 		p.send(p.sys.serverAddr, ringLocate{Self: p.Ref()})
 		return
 	}
-	p.stabilizeRing()
-	p.fingers.size()
+	p.stabilizeRing(t)
+	t.fingers.size()
 	first := p.sys.newTags(fingerRoundLen)
-	lo := p.fingers.openRound(first)
+	lo := t.fingers.openRound(first)
 	for k := 0; k < fingerRoundLen; k++ {
 		idx := lo + k
-		p.routeFindSucc(findSuccReq{Target: idspace.FingerStart(p.ID, idx), Origin: p.Addr, Tag: first + uint64(k), Fidx: idx})
+		p.routeFindSucc(t, findSuccReq{Target: idspace.FingerStart(p.ID, idx), Origin: p.Addr, Tag: first + uint64(k), Fidx: idx})
 	}
-	if !p.fingers.pending(lo, first) {
+	if !t.fingers.pending(lo, first) {
 		return // every probe was answered in place: nothing to time out
 	}
 	// A refresh that never answers was routed into a dead finger (a crashed
@@ -657,25 +675,25 @@ func (p *Peer) refreshFingers() {
 	// is left alone.
 	p.sys.rt.Schedule(p.sys.Cfg.FingerRefreshEvery, func() {
 		if p.alive {
-			p.fingers.expire(lo, first)
+			t.fingers.expire(lo, first)
 		}
 	})
 }
 
 // routeFindSucc forwards a successor query one step (or answers it).
-func (p *Peer) routeFindSucc(m findSuccReq) {
+func (p *Peer) routeFindSucc(t *tState, m findSuccReq) {
 	if m.Hops > routeHopLimit {
 		return // looping route; the refresh timeout clears the finger slot
 	}
-	if !p.succ.Valid() || p.succ.Addr == p.Addr {
+	if !t.succ.Valid() || t.succ.Addr == p.Addr {
 		p.answerFindSucc(m, p.Ref())
 		return
 	}
-	if idspace.Between(p.ID, m.Target, p.succ.ID) {
-		p.answerFindSucc(m, p.succ)
+	if idspace.Between(p.ID, m.Target, t.succ.ID) {
+		p.answerFindSucc(m, t.succ)
 		return
 	}
-	next := p.fingerStep(m.Target)
+	next := p.fingerStep(t, m.Target)
 	m.Hops++
 	p.send(next.Addr, m)
 }
@@ -694,15 +712,16 @@ func (p *Peer) answerFindSucc(m findSuccReq, succ Ref) {
 }
 
 func (p *Peer) handleFindSucc(m findSuccReq) {
-	if p.Role != TPeer {
-		return
+	if p.t != nil {
+		p.routeFindSucc(p.t, m)
 	}
-	p.routeFindSucc(m)
 }
 
 func (p *Peer) handleFindSuccResp(m findSuccResp) {
 	// Accept only the answer to the probe currently in flight for the slot:
 	// a stale tag means the probe timed out or its round was reopened, and
 	// the slot has moved on.
-	p.fingers.answer(m.Fidx, m.Tag, m.Succ)
+	if p.t != nil {
+		p.t.fingers.answer(m.Fidx, m.Tag, m.Succ)
+	}
 }

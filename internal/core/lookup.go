@@ -125,8 +125,12 @@ func (p *Peer) sendRingProbes(id idspace.ID, m lookupReq, max int) int {
 		}
 		return max
 	}
+	t := p.t
+	if t == nil {
+		return 0 // not placed by the server yet
+	}
 	var buf [MaxLookupAlpha]Ref
-	cands := p.nextHops(id, max, buf[:0])
+	cands := p.nextHops(t, id, max, buf[:0])
 	for _, c := range cands {
 		p.sys.stats.RingForwards++
 		p.sys.stats.ProbesSent++
@@ -142,11 +146,11 @@ func (p *Peer) sendRingProbes(id idspace.ID, m lookupReq, max int) int {
 // first t-peer on the path picks the Probe-th best candidate hop (falling
 // back to the best available) and clears the index, so from here the probe
 // follows the normal best-hop walk.
-func (p *Peer) forwardProbe(m lookupReq, from runtime.Addr) {
+func (p *Peer) forwardProbe(t *tState, m lookupReq, from runtime.Addr) {
 	idx := int(m.Probe)
 	m.Probe = 0
 	var buf [MaxLookupAlpha]Ref
-	cands := p.nextHops(m.DID, idx+1, buf[:0])
+	cands := p.nextHops(t, m.DID, idx+1, buf[:0])
 	if len(cands) == 0 {
 		p.forwardTowardSegment(m.DID, m, from)
 		return
@@ -192,10 +196,10 @@ func (p *Peer) handleLookupReq(from runtime.Addr, m lookupReq) {
 			return
 		}
 		m.Hops++
-		if m.Probe > 0 && p.Role == TPeer {
+		if t := p.t; m.Probe > 0 && t != nil {
 			// α-divergence point: the first t-peer under an s-peer origin
 			// spreads the indexed probes across distinct candidate hops.
-			p.forwardProbe(m, from)
+			p.forwardProbe(t, m, from)
 			return
 		}
 		p.forwardTowardSegment(m.DID, m, from)

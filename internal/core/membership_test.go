@@ -41,7 +41,7 @@ func TestRingIDsOrdered(t *testing.T) {
 	cur := tps[0]
 	wraps := 0
 	for i := 0; i < len(tps); i++ {
-		next := sys.Peer(cur.succ.Addr)
+		next := sys.Peer(cur.t.succ.Addr)
 		if next == cur {
 			break
 		}
@@ -267,7 +267,7 @@ func TestTLeaveEmptyUsesTriangle(t *testing.T) {
 	// n.loaddump).
 	did := idspace.HashKey("dumped")
 	victim.storeLocal(Item{Key: "dumped", Value: "v", DID: did})
-	succ := sys.Peer(victim.succ.Addr)
+	succ := sys.Peer(victim.t.succ.Addr)
 	nT := len(sys.TPeers())
 
 	victim.Leave()
@@ -315,7 +315,7 @@ func TestLeaveWhileJoiningIsDeferred(t *testing.T) {
 	}
 	// Closing the triangle releases the deferred leave.
 	pre.joining = false
-	pre.drainJoinQueue()
+	pre.drainJoinQueue(pre.t)
 	sys.Settle(10 * sim.Second)
 	if pre.Alive() {
 		t.Fatal("deferred leave never executed")

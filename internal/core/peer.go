@@ -9,9 +9,12 @@ import (
 	"repro/internal/runtime"
 )
 
-// Peer is one participant of the hybrid system. A single struct serves both
-// roles because the paper's substitution mechanism converts s-peers into
-// t-peers in place.
+// Peer is one participant of the hybrid system. Its state is split by role:
+// what every member needs (tree links, failure detection, data) lives here,
+// the ring a t-peer runs lives in t, and the state of a join in flight or of
+// the enhancements lives in structs that exist only while used. The paper's
+// substitution mechanism converts an s-peer into a t-peer in place: it takes
+// a tState then (takeTRole).
 type Peer struct {
 	ID       idspace.ID
 	Addr     runtime.Addr
@@ -20,25 +23,10 @@ type Peer struct {
 
 	sys *System
 
-	// --- t-network state ---
-	pred, succ Ref
-	// succ2 is the successor's successor, learned from ring stabilization
-	// answers. It is a routing fallback only — never a ring pointer: when
-	// the successor is suspected dead and its repair has not landed yet,
-	// segment routing detours via succ2 instead of forwarding into the
-	// crash.
-	succ2 Ref
-	// suspect lists the neighbors whose watchdog expired but whose repair
-	// is still pending; routing avoids them. Entries clear on any liveness
-	// signal or once the pointer heals. Nil for the (common) peers that
-	// never see a neighbor crash, and a handful long at most.
-	suspect []runtime.Addr
-	// fingers is the finger table with its refresh rounds in flight,
-	// sized when the peer takes the t-role.
-	fingers fingerTable
-	// joinQueue serializes join requests that arrive while a triangle
-	// holds the joining mutex.
-	joinQueue []tJoinReq
+	// t is the t-network state: set exactly while the peer holds the
+	// t-role, nil on every s-peer (and on a peer the server has not placed
+	// yet). Code that reads ring state holds it.
+	t *tState
 
 	// --- s-network state ---
 	// tpeer is the root of this peer's s-network (self for t-peers).
@@ -67,17 +55,12 @@ type Peer struct {
 	// --- data ---
 	// data is the peer's database, sorted by DID.
 	data didSet[Item]
-	// index is the tracker-mode content index (tracker t-peers only).
-	index map[idspace.ID]Ref
-	// cache holds surrogate copies of hot items (future-work caching).
-	cache idleTable[idspace.ID, Item]
-	// serves tracks per-item hot-window serve counts.
-	serves map[idspace.ID]*serveStat
-	// served counts every lookup this peer answered.
+	// served counts every lookup this peer answered, with or without the
+	// caching enhancement.
 	served uint64
-
-	// --- bypass links (§5.4) ---
-	bypass idleTable[runtime.Addr, bypassLink]
+	// enh is the caching and bypass state (§5.4, future-work caching),
+	// allocated on first use.
+	enh *enhState
 
 	// swept is the segment the last rehome sweep judged the data against;
 	// dataAdded (beside the join flags, which share its word) marks an item
@@ -90,18 +73,20 @@ type Peer struct {
 	// every peer of a k = 1 system.
 	repl *replState
 
-	// --- pending join ---
-	joinStart runtime.Time
-	joinDone  func(*Peer, JoinStats)
-	joinTimer runtime.Handle
-	// joinReq is the original server request, kept so join retries preserve
-	// the caller's role pin instead of letting the server re-decide.
-	joinReq serverJoinReq
+	// join is the join or rejoin through the server in flight: set from the
+	// request until the peer is a member again (completeJoin).
+	join *pendingJoin
 	// joinEpoch numbers join attempts; handshake messages echo it so a
 	// retried join cannot be completed by a stale earlier attempt.
-	joinEpoch int
+	joinEpoch int32
+	// cpLostTicks counts consecutive hello ticks a joined s-peer has spent
+	// without a connect point; past a small grace it forces a rejoin
+	// through the server (a wedged rejoin would otherwise strand the peer
+	// silently forever).
+	cpLostTicks uint8
 	// joined flips once the peer is a full member; retries and duplicate
-	// handshake suppression key off it (joinDone may legitimately be nil).
+	// handshake suppression key off it (the join's done may legitimately be
+	// nil).
 	joined bool
 	// insertPending is true from sending tJoinToSucc until succ confirms
 	// the ring insertion; it gates the re-send loop (armInsertRetry).
@@ -117,20 +102,92 @@ type Peer struct {
 	alive   bool
 	joining bool
 	leaving bool
-	// mutexEpoch numbers the joining mutex's guards (armMutexGuard).
-	mutexEpoch uint32
-	// cpLostTicks counts consecutive hello ticks a joined s-peer has spent
-	// without a connect point; past a small grace it forces a rejoin
-	// through the server (a wedged rejoin would otherwise strand the peer
-	// silently forever).
-	cpLostTicks uint8
+}
+
+// tState is the ring state of a t-peer (§3.3, §4.1): ring pointers, finger
+// table, the joining mutex's queue and guards, and the tracker index. At
+// p_s close to 1 almost every peer is an s-peer, which never reads any of
+// it, so it is allocated only when a peer takes the t-role.
+type tState struct {
+	pred, succ Ref
+	// succ2 is the successor's successor, learned from ring stabilization
+	// answers. It is a routing fallback only — never a ring pointer: when
+	// the successor is suspected dead and its repair has not landed yet,
+	// segment routing detours via succ2 instead of forwarding into the
+	// crash.
+	succ2 Ref
+	// suspect lists the neighbors whose watchdog expired but whose repair
+	// is still pending; routing avoids them. Entries clear on any liveness
+	// signal or once the pointer heals. Nil for the (common) peers that
+	// never see a neighbor crash, and a handful long at most.
+	suspect []runtime.Addr
+	// fingers is the finger table with its refresh rounds in flight.
+	fingers fingerTable
+	// joinQueue serializes join requests that arrive while a triangle
+	// holds the joining mutex.
+	joinQueue []tJoinReq
+	// index is the tracker-mode content index (TrackerMode only).
+	index map[idspace.ID]Ref
+
+	fingerTicker *runtime.Ticker
 	// triJoiner/triEpoch identify the join triangle this peer currently
 	// anchors as pre, so a tJoinCancel from the joiner can release the
 	// joining mutex without racing a different (newer) triangle.
 	triJoiner runtime.Addr
-	triEpoch  int
+	triEpoch  int32
+	// mutexEpoch numbers the joining mutex's guards (armMutexGuard).
+	mutexEpoch uint32
+}
 
-	fingerTicker *runtime.Ticker
+// takeTRole gives the peer its ring state, keeping any it already holds. A
+// t-join (handleServerJoinResp) and the two promotions (handlePromote,
+// handleReplaceResp) are its only callers.
+func (p *Peer) takeTRole() *tState {
+	p.Role = TPeer
+	if p.t == nil {
+		p.t = &tState{pred: NilRef, succ: NilRef, succ2: NilRef}
+	}
+	return p.t
+}
+
+// dropTRole makes the peer an s-peer: a retried join the server placed in an
+// s-network, or an sJoinAck that lands after a promotion. The ring state
+// goes with the role, finger refresh included.
+func (p *Peer) dropTRole() {
+	p.Role = SPeer
+	if p.t != nil {
+		if p.t.fingerTicker != nil {
+			p.t.fingerTicker.Stop()
+		}
+		p.t = nil
+	}
+}
+
+// pendingJoin is a join through the server in flight.
+type pendingJoin struct {
+	start runtime.Time
+	done  func(*Peer, JoinStats)
+	timer runtime.Handle
+	// req is the original server request, kept so join retries preserve
+	// the caller's role pin instead of letting the server re-decide.
+	req serverJoinReq
+}
+
+// enhState holds the enhancements' soft state: surrogate copies of hot
+// items with their serve counts (future-work caching) and the bypass links
+// (§5.4). Every table is allocated on its first write.
+type enhState struct {
+	cache  idleTable[idspace.ID, Item]
+	serves map[idspace.ID]*serveStat
+	bypass idleTable[runtime.Addr, bypassLink]
+}
+
+// enhance returns the enhancement state, allocating it on first use.
+func (p *Peer) enhance() *enhState {
+	if p.enh == nil {
+		p.enh = new(enhState)
+	}
+	return p.enh
 }
 
 // childLink is one s-tree child edge plus the latest subtree-size report
@@ -280,11 +337,21 @@ func (p *Peer) watching(a runtime.Addr) bool {
 // NumItems returns the number of locally stored items.
 func (p *Peer) NumItems() int { return p.data.len() }
 
-// Successor returns the ring successor (t-peers).
-func (p *Peer) Successor() Ref { return p.succ }
+// Successor returns the ring successor, NilRef off the t-role.
+func (p *Peer) Successor() Ref {
+	if p.t == nil {
+		return NilRef
+	}
+	return p.t.succ
+}
 
-// Predecessor returns the ring predecessor (t-peers).
-func (p *Peer) Predecessor() Ref { return p.pred }
+// Predecessor returns the ring predecessor, NilRef off the t-role.
+func (p *Peer) Predecessor() Ref {
+	if p.t == nil {
+		return NilRef
+	}
+	return p.t.pred
+}
 
 // Nominal wire sizes: every control message is messageBytes, and a message
 // carrying data items adds dataBytes per item.
@@ -328,7 +395,9 @@ func (p *Peer) recv(from runtime.Addr, msg any) {
 	case tJoinConfirm:
 		p.joining = false
 		p.insertPending = false
-		p.drainJoinQueue()
+		if p.t != nil {
+			p.drainJoinQueue(p.t)
+		}
 	case tJoinCancel:
 		p.handleTJoinCancel(m)
 	case loadTransferReq:
@@ -396,7 +465,7 @@ func (p *Peer) recv(from runtime.Addr, msg any) {
 	case cacheAdd:
 		p.handleCacheAdd(m)
 	case ringStabQ:
-		p.send(from, ringStabA{Pred: p.pred, Succ: p.succ})
+		p.send(from, ringStabA{Pred: p.Predecessor(), Succ: p.Successor()})
 	case ringStabA:
 		p.handleRingStabA(from, m)
 	case ringNotify:
@@ -471,17 +540,17 @@ func (p *Peer) numNeighbors() int {
 // member: HELLO heartbeats for everyone, finger refresh for t-peers.
 func (p *Peer) startMaintenance() {
 	p.startHello()
-	if p.Role == TPeer {
-		p.startFingerTicker()
+	if p.t != nil {
+		p.startFingerTicker(p.t)
 	}
 }
 
 // startFingerTicker starts the t-network finger refresh once: at join, and
 // when an s-peer is promoted into the ring.
-func (p *Peer) startFingerTicker() {
-	if p.fingerTicker == nil {
-		p.fingerTicker = runtime.NewTicker(p.sys.rt, p.sys.Cfg.FingerRefreshEvery, p.refreshFingers)
-		p.fingerTicker.Start()
+func (p *Peer) startFingerTicker(t *tState) {
+	if t.fingerTicker == nil {
+		t.fingerTicker = runtime.NewTicker(p.sys.rt, p.sys.Cfg.FingerRefreshEvery, p.refreshFingers)
+		t.fingerTicker.Start()
 	}
 }
 
@@ -546,13 +615,13 @@ func (p *Peer) broadcastHello() {
 		p.send(nb.Addr, hello)
 		p.sys.stats.HellosSent++
 	})
-	if p.Role == TPeer {
-		if p.pred.Valid() && p.pred.Addr != p.Addr {
-			p.send(p.pred.Addr, hello)
+	if t := p.t; t != nil {
+		if t.pred.Valid() && t.pred.Addr != p.Addr {
+			p.send(t.pred.Addr, hello)
 			p.sys.stats.HellosSent++
 		}
-		if p.succ.Valid() && p.succ.Addr != p.Addr && p.succ.Addr != p.pred.Addr {
-			p.send(p.succ.Addr, hello)
+		if t.succ.Valid() && t.succ.Addr != p.Addr && t.succ.Addr != t.pred.Addr {
+			p.send(t.succ.Addr, hello)
 			p.sys.stats.HellosSent++
 		}
 		if p.joined && !p.leaving {
@@ -656,13 +725,15 @@ func (p *Peer) refreshWatchdog(from runtime.Addr) {
 	}
 	// Any liveness signal clears the routing suspicion (a partition healing
 	// looks exactly like this).
-	p.unsuspect(from)
+	if p.t != nil {
+		p.t.unsuspect(from)
+	}
 }
 
-// markSuspect flags a neighbor as suspected dead for routing purposes.
-func (p *Peer) markSuspect(nb runtime.Addr) {
-	if !p.suspected(nb) {
-		p.suspect = append(p.suspect, nb)
+// markSuspect flags a ring neighbor as suspected dead for routing purposes.
+func (p *Peer) markSuspect(t *tState, nb runtime.Addr) {
+	if !t.suspected(nb) {
+		t.suspect = append(t.suspect, nb)
 	}
 	if p.repl != nil {
 		p.repl.repsDirty = true // the replica sweep orphans what nb owns
@@ -695,11 +766,13 @@ func (p *Peer) stop() {
 		p.sys.rt.Unschedule(p.hb.tick)
 		p.withdrawDeadlines()
 	}
-	if p.fingerTicker != nil {
-		p.fingerTicker.Stop()
+	if p.t != nil && p.t.fingerTicker != nil {
+		p.t.fingerTicker.Stop()
 	}
 	p.nbrs = nil
-	p.sys.rt.Unschedule(p.joinTimer)
+	if p.join != nil {
+		p.sys.rt.Unschedule(p.join.timer)
+	}
 	// Fail in-flight operations instead of silently dropping them: a live
 	// client blocked in LookupSync/StoreSync on this peer must get its
 	// callback, or it waits out the full Await timeout. The DES harnesses
@@ -708,8 +781,10 @@ func (p *Peer) stop() {
 	for _, qid := range p.sys.opsOf(p) {
 		p.finishOp(qid, OpResult{OK: false})
 	}
-	p.cache.stopAll()
-	p.bypass.stopAll()
+	if p.enh != nil {
+		p.enh.cache.stopAll()
+		p.enh.bypass.stopAll()
+	}
 	p.sys.rt.Detach(p.Addr)
 	p.sys.removePeer(p.Addr)
 }
@@ -731,17 +806,16 @@ func (p *Peer) completeJoin(hops int) {
 		return
 	}
 	p.joined = true
-	p.sys.rt.Unschedule(p.joinTimer)
-	p.joinTimer = runtime.Handle{}
+	j := p.join
+	p.join = nil
+	p.sys.rt.Unschedule(j.timer)
 	p.sys.trace(obs.EvPeerJoin, 0, p.Addr, runtime.None, hops, p.Role.String())
 	p.startMaintenance()
-	if p.joinDone != nil {
-		done := p.joinDone
-		p.joinDone = nil
-		done(p, JoinStats{
+	if j.done != nil {
+		j.done(p, JoinStats{
 			Role:    p.Role,
 			Hops:    hops,
-			Latency: p.sys.rt.Now() - p.joinStart,
+			Latency: p.sys.rt.Now() - j.start,
 		})
 	}
 }

@@ -344,7 +344,11 @@ func (p *Peer) takePending(from didSet[Item]) []Item {
 // detouring via succ2 when the successor is suspected dead (same rule as
 // segment routing). NilRef when there is nowhere to push.
 func (p *Peer) replicaSucc() Ref {
-	next := p.detour(p.succ)
+	t := p.t
+	if t == nil {
+		return NilRef
+	}
+	next := p.detour(t, t.succ)
 	if !next.Valid() || next.Addr == p.Addr {
 		return NilRef
 	}
@@ -643,15 +647,16 @@ func (p *Peer) handleOwnerAnnounce(m ownerAnnounce) {
 // so the next lookup routes normally. Returns false when normal routing
 // should proceed.
 func (p *Peer) replicaFallback(did idspace.ID) (Item, bool) {
-	if !p.replicationOn() || p.Role != TPeer {
+	t := p.t
+	if !p.replicationOn() || t == nil {
 		return Item{}, false
 	}
 	e, ok := p.reps().get(did)
 	if !ok {
 		return Item{}, false
 	}
-	next := p.nextHop(did)
-	if !p.suspected(e.owner.Addr) && next.Valid() && !p.suspected(next.Addr) {
+	next := p.nextHop(t, did)
+	if !t.suspected(e.owner.Addr) && next.Valid() && !t.suspected(next.Addr) {
 		return Item{}, false // the route is believed healthy; let it run
 	}
 	p.sys.stats.ReplicaServes++
@@ -697,7 +702,7 @@ func (p *Peer) sweepReplicas(moved []Item, segMoved bool) []Item {
 		case p.Role == TPeer && p.inLocalSegment(e.it.DID):
 			promote = append(promote, e.it)
 		case now-seen >= expiry,
-			p.suspected(e.owner.Addr):
+			p.t != nil && p.t.suspected(e.owner.Addr):
 			// Forward home immediately on owner suspicion instead of waiting
 			// out the expiry: shortens the unavailability window after an
 			// owner crash. A false positive is an idempotent re-install.
@@ -774,13 +779,13 @@ func (p *Peer) ownerDelete(did idspace.ID) bool {
 		existed = true
 	}
 	p.repDel(did)
-	if p.sys.Cfg.TrackerMode && p.index != nil {
-		if _, ok := p.index[did]; ok {
-			delete(p.index, did)
+	if t := p.t; p.sys.Cfg.TrackerMode && t != nil {
+		if _, ok := t.index[did]; ok {
+			delete(t.index, did)
 			existed = true
 		}
 	}
-	p.cache.drop(did)
+	p.dropCached(did)
 	if len(p.children) > 0 {
 		var flood any = deleteFlood{DID: did, TTL: 1 << 20}
 		for i := range p.children {
@@ -791,8 +796,8 @@ func (p *Peer) ownerDelete(did idspace.ID) bool {
 	// other s-networks that this tree flood cannot reach; walk the ring so
 	// every t-peer purges and re-floods its own tree. Never sent with
 	// Caching off — no copy can exist outside the owner's segment then.
-	if p.sys.Cfg.Caching && p.succ.Valid() && p.succ.Addr != p.Addr {
-		p.send(p.succ.Addr, deleteRing{DID: did, Origin: p.Ref(), TTL: 1 << 20})
+	if succ := p.Successor(); p.sys.Cfg.Caching && succ.Valid() && succ.Addr != p.Addr {
+		p.send(succ.Addr, deleteRing{DID: did, Origin: p.Ref(), TTL: 1 << 20})
 	}
 	if p.replicationOn() {
 		if succ := p.replicaSucc(); succ.Valid() {
@@ -838,7 +843,7 @@ func (p *Peer) handleDeleteFlood(from runtime.Addr, m deleteFlood) {
 			p.send(p.tpeer.Addr, indexRemove{DID: m.DID, Holder: p.Ref()})
 		}
 	}
-	p.cache.drop(m.DID)
+	p.dropCached(m.DID)
 	if m.TTL <= 1 {
 		return
 	}
@@ -857,15 +862,15 @@ func (p *Peer) handleDeleteRing(m deleteRing) {
 	if p.Addr == m.Origin.Addr || m.TTL <= 1 {
 		return
 	}
-	p.cache.drop(m.DID)
+	p.dropCached(m.DID)
 	if len(p.children) > 0 {
 		var flood any = deleteFlood{DID: m.DID, TTL: 1 << 20}
 		for i := range p.children {
 			p.send(p.children[i].Ref.Addr, flood)
 		}
 	}
-	if p.Role == TPeer && p.succ.Valid() && p.succ.Addr != p.Addr && p.succ.Addr != m.Origin.Addr {
+	if t := p.t; t != nil && t.succ.Valid() && t.succ.Addr != p.Addr && t.succ.Addr != m.Origin.Addr {
 		m.TTL--
-		p.send(p.succ.Addr, m)
+		p.send(t.succ.Addr, m)
 	}
 }

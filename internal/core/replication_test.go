@@ -402,8 +402,8 @@ func TestReplicationLiveRuntime(t *testing.T) {
 				continue
 			}
 			forbidden[p.Addr] = true
-			forbidden[p.succ.Addr] = true
-			forbidden[p.pred.Addr] = true
+			forbidden[p.t.succ.Addr] = true
+			forbidden[p.t.pred.Addr] = true
 			p.Crash()
 		}
 	})
@@ -499,7 +499,7 @@ func busiestOwner(t *testing.T, sys *System) *Peer {
 	t.Helper()
 	var best *Peer
 	for _, tp := range sys.TPeers() {
-		if tp.succ.Addr == tp.Addr || tp.succ2.Addr == tp.Addr || tp.succ2.Addr == tp.succ.Addr {
+		if tp.t.succ.Addr == tp.Addr || tp.t.succ2.Addr == tp.Addr || tp.t.succ2.Addr == tp.t.succ.Addr {
 			continue
 		}
 		if best == nil || tp.subtreeSize() > best.subtreeSize() {
@@ -560,12 +560,12 @@ func steadyChain(t *testing.T, seed int64, warm int) (*System, *repTraffic, *Pee
 	}
 	sys.Settle(10 * sim.Second)
 	owner := busiestOwner(t, sys)
-	storeVia(t, sys, sys.peerAt(owner.pred.Addr), keysOwnedBy(sys, owner, "warm", warm))
+	storeVia(t, sys, sys.peerAt(owner.t.pred.Addr), keysOwnedBy(sys, owner, "warm", warm))
 	sys.Settle(2 * repPushEvery * sys.Cfg.HelloEvery)
 	if err := sys.CheckInvariants(); err != nil {
 		t.Fatalf("after warm-up: %v", err)
 	}
-	holders := [2]*Peer{sys.peerAt(owner.succ.Addr), sys.peerAt(owner.succ2.Addr)}
+	holders := [2]*Peer{sys.peerAt(owner.t.succ.Addr), sys.peerAt(owner.t.succ2.Addr)}
 	for _, h := range holders {
 		if got := len(heldFor(h, owner)); got != owner.owned().len() {
 			t.Fatalf("holder %d keeps %d of the owner's %d items after warm-up", h.Addr, got, owner.owned().len())
@@ -586,7 +586,7 @@ func TestReplicationSteadyWrites(t *testing.T) {
 	tick := sys.Cfg.HelloEvery
 	base, baseFull, baseAnnounced := sys.Stats(), tr.fullPuts[owner.Addr], tr.announced
 	stores := 3*int(owner.repExpiry()/tick) + 5
-	origin := sys.peerAt(owner.pred.Addr)
+	origin := sys.peerAt(owner.t.pred.Addr)
 	for i, key := range keysOwnedBy(sys, owner, "steady", stores) {
 		storeVia(t, sys, origin, []string{key})
 		sys.Settle(tick)
@@ -742,13 +742,13 @@ func TestReplicationTakeover(t *testing.T) {
 	if len(victim.children) == 0 {
 		t.Fatal("victim has no s-peers to promote")
 	}
-	pred := sys.peerAt(victim.pred.Addr)
+	pred := sys.peerAt(victim.t.pred.Addr)
 	storeVia(t, sys, pred, keysOwnedBy(sys, pred, "pred", 4))
 	sys.Settle(2 * tick)
 	victim.Crash()
 	sys.Settle(2*sys.Cfg.HelloTimeout + 4*tick)
 
-	heir := sys.peerAt(pred.succ.Addr)
+	heir := sys.peerAt(pred.t.succ.Addr)
 	if heir == nil || heir == victim || heir.ID != victim.ID {
 		t.Fatalf("no s-peer was promoted into the crashed t-peer's position")
 	}

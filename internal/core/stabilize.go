@@ -30,38 +30,39 @@ type (
 
 // stabilizeRing runs one stabilization round; it is invoked from the finger
 // refresh ticker so it shares that cadence.
-func (p *Peer) stabilizeRing() {
-	if p.Role != TPeer || p.joining || p.leaving {
+func (p *Peer) stabilizeRing(t *tState) {
+	if p.joining || p.leaving {
 		return
 	}
-	if !p.succ.Valid() || p.succ.Addr == p.Addr {
+	if !t.succ.Valid() || t.succ.Addr == p.Addr {
 		return
 	}
-	p.send(p.succ.Addr, ringStabQ{})
+	p.send(t.succ.Addr, ringStabQ{})
 }
 
 // handleRingStabA adopts a closer successor if the current successor knows
 // one, then notifies the (possibly new) successor.
 func (p *Peer) handleRingStabA(from runtime.Addr, m ringStabA) {
-	if p.Role != TPeer || p.joining || p.leaving {
+	t := p.t
+	if t == nil || p.joining || p.leaving {
 		return
 	}
-	if from != p.succ.Addr {
+	if from != t.succ.Addr {
 		return // stale answer from a replaced successor
 	}
-	p.succ2 = m.Succ
+	t.succ2 = m.Succ
 	if m.Pred.Valid() && m.Pred.Addr != p.Addr &&
-		idspace.StrictBetween(p.ID, m.Pred.ID, p.succ.ID) {
-		p.succ = m.Pred
+		idspace.StrictBetween(p.ID, m.Pred.ID, t.succ.ID) {
+		t.succ = m.Pred
 		p.watch(m.Pred.Addr)
 		// Cascade: re-probe the adopted successor right away instead of
 		// waiting a full tick, so a long dangling chain reconnects in one
 		// round trip per hop rather than one tick per hop. Each adoption
 		// strictly shrinks the successor arc, so the cascade terminates.
-		p.send(p.succ.Addr, ringStabQ{})
+		p.send(t.succ.Addr, ringStabQ{})
 	}
-	if p.succ.Valid() && p.succ.Addr != p.Addr {
-		p.send(p.succ.Addr, ringNotify{Cand: p.Ref()})
+	if t.succ.Valid() && t.succ.Addr != p.Addr {
+		p.send(t.succ.Addr, ringNotify{Cand: p.Ref()})
 	}
 }
 
@@ -69,18 +70,19 @@ func (p *Peer) handleRingStabA(from runtime.Addr, m ringStabA) {
 // the current predecessor and us, handing over the slice of our segment it
 // now owns — the same load transfer a triangle insertion performs.
 func (p *Peer) handleRingNotify(m ringNotify) {
-	if p.Role != TPeer || m.Cand.Addr == p.Addr {
+	t := p.t
+	if t == nil || m.Cand.Addr == p.Addr {
 		return
 	}
-	if p.pred.Valid() && p.pred.Addr != p.Addr &&
-		!idspace.StrictBetween(p.pred.ID, m.Cand.ID, p.ID) {
+	if t.pred.Valid() && t.pred.Addr != p.Addr &&
+		!idspace.StrictBetween(t.pred.ID, m.Cand.ID, p.ID) {
 		return
 	}
-	oldPred := p.pred
+	oldPred := t.pred
 	if oldPred.Addr == m.Cand.Addr {
 		return // already our predecessor
 	}
-	p.pred = m.Cand
+	t.pred = m.Cand
 	p.segLo = m.Cand.ID
 	p.watch(m.Cand.Addr)
 	lo := oldPred.ID

@@ -24,10 +24,10 @@ func TestStabilizationHealsHalfInsertion(t *testing.T) {
 	// own (correct) pointers — the half-inserted state.
 	tps := sys.TPeers()
 	x := tps[4]
-	pred := sys.Peer(x.pred.Addr)
-	succ := sys.Peer(x.succ.Addr)
-	pred.succ = succ.Ref()
-	succ.pred = pred.Ref()
+	pred := sys.Peer(x.t.pred.Addr)
+	succ := sys.Peer(x.t.succ.Addr)
+	pred.t.succ = succ.Ref()
+	succ.t.pred = pred.Ref()
 
 	if err := sys.CheckRing(); err == nil {
 		t.Fatal("splice did not break the ring (test setup wrong)")
@@ -51,10 +51,10 @@ func TestStabilizationHealsDanglingChain(t *testing.T) {
 	sys.Settle(5 * sim.Second)
 	tps := sys.TPeers() // id-sorted
 	// Bypass three consecutive members.
-	before := sys.Peer(tps[5].pred.Addr)
-	after := sys.Peer(tps[8].succ.Addr)
-	before.succ = after.Ref()
-	after.pred = before.Ref()
+	before := sys.Peer(tps[5].t.pred.Addr)
+	after := sys.Peer(tps[8].t.succ.Addr)
+	before.t.succ = after.Ref()
+	after.t.pred = before.Ref()
 
 	sys.Settle(10 * sys.Cfg.FingerRefreshEvery)
 	if err := sys.CheckRing(); err != nil {
@@ -83,10 +83,10 @@ func TestRingNotifyTransfersLoad(t *testing.T) {
 	// reintegrate it; afterwards every item must be at its ring owner.
 	tps := sys.TPeers()
 	x := tps[3]
-	pred := sys.Peer(x.pred.Addr)
-	succ := sys.Peer(x.succ.Addr)
-	pred.succ = succ.Ref()
-	succ.pred = pred.Ref()
+	pred := sys.Peer(x.t.pred.Addr)
+	succ := sys.Peer(x.t.succ.Addr)
+	pred.t.succ = succ.Ref()
+	succ.t.pred = pred.Ref()
 	// The successor now believes it owns x's segment; move x's items there
 	// to simulate the worst case (data landed at the wrong owner).
 	for _, it := range x.data.all() {

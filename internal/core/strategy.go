@@ -51,32 +51,32 @@ func ParseRoute(name string) (Route, error) {
 
 // suspected reports whether a is presumed crashed and its repair has not
 // landed yet.
-func (p *Peer) suspected(a runtime.Addr) bool {
-	return slices.Contains(p.suspect, a)
+func (t *tState) suspected(a runtime.Addr) bool {
+	return slices.Contains(t.suspect, a)
 }
 
 // unsuspect clears a's suspicion, if raised.
-func (p *Peer) unsuspect(a runtime.Addr) {
-	if i := slices.Index(p.suspect, a); i >= 0 {
-		p.suspect = slices.Delete(p.suspect, i, i+1)
+func (t *tState) unsuspect(a runtime.Addr) {
+	if i := slices.Index(t.suspect, a); i >= 0 {
+		t.suspect = slices.Delete(t.suspect, i, i+1)
 	}
 }
 
 // fingerStep is one closest-preceding-finger step toward id: the finger
 // closest to id from below, the successor when no finger is closer.
-func (p *Peer) fingerStep(id idspace.ID) Ref {
-	if next := p.closestPreceding(id); next.Valid() {
+func (p *Peer) fingerStep(t *tState, id idspace.ID) Ref {
+	if next := p.closestPreceding(t, id); next.Valid() {
 		return next
 	}
-	return p.succ
+	return t.succ
 }
 
 // detour replaces a hop that is suspected dead, and whose repair has not
 // landed, by the successor's successor learned from stabilization, instead
 // of forwarding into the crash.
-func (p *Peer) detour(next Ref) Ref {
-	if p.suspected(next.Addr) && p.succ2.Valid() && p.succ2.Addr != p.Addr && !p.suspected(p.succ2.Addr) {
-		return p.succ2
+func (p *Peer) detour(t *tState, next Ref) Ref {
+	if t.suspected(next.Addr) && t.succ2.Valid() && t.succ2.Addr != p.Addr && !t.suspected(t.succ2.Addr) {
+		return t.succ2
 	}
 	return next
 }
@@ -84,11 +84,11 @@ func (p *Peer) detour(next Ref) Ref {
 // nextHop picks the single ring hop for a data operation targeting id under
 // Cfg.Route, or an invalid/self Ref when there is nowhere to forward. This is
 // the hot path: it must not allocate.
-func (p *Peer) nextHop(id idspace.ID) Ref {
+func (p *Peer) nextHop(t *tState, id idspace.ID) Ref {
 	if p.sys.Cfg.Route == RouteSuccessor {
-		return p.detour(p.succ)
+		return p.detour(t, t.succ)
 	}
-	return p.detour(p.fingerStep(id))
+	return p.detour(t, p.fingerStep(t, id))
 }
 
 // nextHops appends distinct live hop candidates for id to dst, best first,
@@ -96,25 +96,25 @@ func (p *Peer) nextHop(id idspace.ID) Ref {
 // the remaining fingers strictly between this peer and id scanned from above,
 // then the successor chain — so α probes enter the ring on genuinely diverse
 // paths. Under RouteSuccessor at most succ and succ2 diverge.
-func (p *Peer) nextHops(id idspace.ID, max int, dst []Ref) []Ref {
-	first := p.nextHop(id)
+func (p *Peer) nextHops(t *tState, id idspace.ID, max int, dst []Ref) []Ref {
+	first := p.nextHop(t, id)
 	if !first.Valid() || first.Addr == p.Addr {
 		return dst
 	}
 	dst = append(dst, first)
 	if p.sys.Cfg.Route == RouteFinger {
-		fs := p.fingers.entries()
+		fs := t.fingers.entries()
 		for i := len(fs) - 1; i >= 0 && len(dst) < max; i-- {
 			if f := fs[i]; idspace.StrictBetween(p.ID, f.ID, id) {
-				dst = p.appendHop(dst, f)
+				dst = p.appendHop(t, dst, f)
 			}
 		}
 	}
-	for _, c := range [2]Ref{p.succ, p.succ2} {
+	for _, c := range [2]Ref{t.succ, t.succ2} {
 		if len(dst) >= max {
 			break
 		}
-		dst = p.appendHop(dst, c)
+		dst = p.appendHop(t, dst, c)
 	}
 	return dst
 }
@@ -122,8 +122,8 @@ func (p *Peer) nextHops(id idspace.ID, max int, dst []Ref) []Ref {
 // appendHop appends c to the candidate list unless it is invalid, this peer,
 // suspected or already listed. The list is at most MaxLookupAlpha long, so a
 // linear scan wins.
-func (p *Peer) appendHop(dst []Ref, c Ref) []Ref {
-	if !c.Valid() || c.Addr == p.Addr || p.suspected(c.Addr) {
+func (p *Peer) appendHop(t *tState, dst []Ref, c Ref) []Ref {
+	if !c.Valid() || c.Addr == p.Addr || t.suspected(c.Addr) {
 		return dst
 	}
 	for i := range dst {

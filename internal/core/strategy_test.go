@@ -29,9 +29,9 @@ func TestStrategyEquivalence(t *testing.T) {
 	record := func(title string) {
 		fmt.Fprintf(&b, "# %s\n", title)
 		for _, p := range tps {
-			next := p.nextHop(p.ID)
+			next := p.nextHop(p.t, p.ID)
 			for _, target := range tps {
-				if got := p.nextHop(target.ID); got != next {
+				if got := p.nextHop(p.t, target.ID); got != next {
 					t.Errorf("%s: peer %d routes target %v via %d, others via %d", title, p.Addr, target.ID, got.Addr, next.Addr)
 				}
 			}
@@ -41,8 +41,8 @@ func TestStrategyEquivalence(t *testing.T) {
 	record("healthy ring")
 	detours := 0
 	for _, p := range tps {
-		p.markSuspect(p.succ.Addr)
-		if next := p.nextHop(p.ID); next.Addr == p.succ2.Addr && next.Addr != p.succ.Addr {
+		p.markSuspect(p.t, p.t.succ.Addr)
+		if next := p.nextHop(p.t, p.ID); next.Addr == p.t.succ2.Addr && next.Addr != p.t.succ.Addr {
 			detours++
 		}
 	}
@@ -73,7 +73,7 @@ func TestNextHopsAllocFree(t *testing.T) {
 	var n int
 	avg := testing.AllocsPerRun(100, func() {
 		var buf [MaxLookupAlpha]Ref
-		n = len(p.nextHops(target, 3, buf[:0]))
+		n = len(p.nextHops(p.t, target, 3, buf[:0]))
 	})
 	if n < 2 {
 		t.Fatalf("ranked %d candidates toward the far side of the ring, want at least 2", n)

@@ -44,7 +44,7 @@ func missedByTick(p *Peer) []string {
 			miss("replica %v to promote", did)
 		case now-seen >= expiry:
 			miss("replica %v expired", did)
-		case p.suspected(e.owner.Addr):
+		case p.t.suspected(e.owner.Addr):
 			miss("replica %v of suspected owner %d", did, e.owner.Addr)
 		}
 		if h := r.hold(e.owner.Addr); h == nil || seen < h.oldest {
@@ -140,8 +140,8 @@ func TestSkippedScansMatchFullScan(t *testing.T) {
 							p := tps[sys.Eng().Rand().Intn(len(tps))]
 							if p.repl != nil && len(p.repl.holds) > 0 {
 								owner := p.repl.holds[0].owner
-								p.markSuspect(owner)
-								suspicions = append(suspicions, func() { p.unsuspect(owner) })
+								p.markSuspect(p.t, owner)
+								suspicions = append(suspicions, func() { p.t.unsuspect(owner) })
 							}
 						})
 						sys.Eng().At(sys.Eng().Now()+sim.Time(2*i+1)*sys.Cfg.HelloEvery/2, func() {

@@ -279,18 +279,14 @@ func (s *System) Join(opts JoinOpts, done func(*Peer, JoinStats)) *Peer {
 		Capacity: opts.Capacity,
 		sys:      s,
 		alive:    true,
-
-		pred:  NilRef,
-		succ:  NilRef,
-		succ2: NilRef,
-		tpeer: NilRef,
-		cp:    NilRef,
+		tpeer:    NilRef,
+		cp:       NilRef,
+		join:     &pendingJoin{done: done},
 	}
 	s.setPeer(p)
 	s.rt.Attach(p.Addr, runtime.Endpoint{Host: opts.Host, Capacity: opts.Capacity}, runtime.HandlerFunc(p.recv))
 
-	p.joinStart = s.rt.Now()
-	p.joinDone = done
+	p.join.start = s.rt.Now()
 	req := serverJoinReq{
 		Capacity:  opts.Capacity,
 		ForceRole: -1,
@@ -304,7 +300,7 @@ func (s *System) Join(opts JoinOpts, done func(*Peer, JoinStats)) *Peer {
 	// Keep the request and arm the retry timer before the first send: with
 	// faults injected even this initial message can be lost, and without a
 	// pending response there is no watchdog to notice.
-	p.joinReq = req
+	p.join.req = req
 	p.armJoinTimer()
 	p.send(s.serverAddr, req)
 	return p

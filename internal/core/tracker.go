@@ -8,19 +8,19 @@ import "repro/internal/idspace"
 // item is fetched directly — no flooding anywhere.
 
 // ensureIndex allocates the tracker index.
-func (p *Peer) ensureIndex() {
-	if p.index == nil {
-		p.index = make(map[idspace.ID]Ref)
+func (t *tState) ensureIndex() {
+	if t.index == nil {
+		t.index = make(map[idspace.ID]Ref)
 	}
 }
 
 // announceItems reports locally stored items to this s-network's tracker.
 // T-peers index their own items directly.
 func (p *Peer) announceItems(items []Item) {
-	if p.Role == TPeer {
-		p.ensureIndex()
+	if t := p.t; t != nil {
+		t.ensureIndex()
 		for _, it := range items {
-			p.index[it.DID] = p.Ref()
+			t.index[it.DID] = p.Ref()
 		}
 		return
 	}
@@ -34,25 +34,26 @@ func (p *Peer) announceItems(items []Item) {
 
 // handleIndexAdd records a holder for an item.
 func (p *Peer) handleIndexAdd(m indexAdd) {
-	if p.Role != TPeer {
+	t := p.t
+	if t == nil {
 		// A stale announcement to a demoted peer; re-point it.
 		if p.tpeer.Valid() && p.tpeer.Addr != p.Addr {
 			p.send(p.tpeer.Addr, m)
 		}
 		return
 	}
-	p.ensureIndex()
-	p.index[m.DID] = m.Holder
+	t.ensureIndex()
+	t.index[m.DID] = m.Holder
 }
 
 // handleIndexRemove withdraws an index entry, but only if it still points at
 // the withdrawing holder (a newer announcement wins).
 func (p *Peer) handleIndexRemove(m indexRemove) {
-	if p.index == nil {
+	if p.t == nil {
 		return
 	}
-	if cur, ok := p.index[m.DID]; ok && cur.Addr == m.Holder.Addr {
-		delete(p.index, m.DID)
+	if cur, ok := p.t.index[m.DID]; ok && cur.Addr == m.Holder.Addr {
+		delete(p.t.index, m.DID)
 	}
 }
 
@@ -64,8 +65,8 @@ func (p *Peer) resolveFromIndex(m lookupReq) {
 		return
 	}
 	holder, ok := Ref{}, false
-	if p.index != nil {
-		holder, ok = p.index[m.DID]
+	if p.t != nil {
+		holder, ok = p.t.index[m.DID]
 	}
 	if !ok {
 		p.send(m.Origin.Addr, notFoundMsg{QID: m.QID, Hops: m.Hops + 1})

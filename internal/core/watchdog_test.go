@@ -166,8 +166,7 @@ func runWatchdogDeadlines(t *testing.T, seed int64, sc watchScript) ([]watchEven
 		shared[i] = sys.rt.NewAddr()
 	}
 	for i := range peers {
-		p := &Peer{Addr: sys.rt.NewAddr(), sys: sys, alive: true, Role: SPeer,
-			pred: NilRef, succ: NilRef, succ2: NilRef, tpeer: NilRef, cp: NilRef}
+		p := &Peer{Addr: sys.rt.NewAddr(), sys: sys, alive: true, Role: SPeer, tpeer: NilRef, cp: NilRef}
 		sys.setPeer(p)
 		sys.rt.Attach(p.Addr, runtime.Endpoint{Host: hosts[i%len(hosts)], Capacity: 1}, runtime.HandlerFunc(p.recv))
 		for range sc.pool {
@@ -175,9 +174,9 @@ func runWatchdogDeadlines(t *testing.T, seed int64, sc watchScript) ([]watchEven
 		}
 		pools[i] = append(pools[i], shared...)
 		if i%2 == 0 {
-			p.Role = TPeer
-			p.pred = Ref{ID: 1, Addr: pools[i][0]}
-			p.succ = Ref{ID: 2, Addr: pools[i][1]}
+			t := p.takeTRole()
+			t.pred = Ref{ID: 1, Addr: pools[i][0]}
+			t.succ = Ref{ID: 2, Addr: pools[i][1]}
 		}
 		p.addChild(Ref{ID: 3, Addr: pools[i][2]})
 		p.addChild(Ref{ID: 4, Addr: pools[i][3]})

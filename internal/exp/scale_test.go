@@ -60,3 +60,30 @@ func TestScaleQuickGolden(t *testing.T) {
 		t.Errorf("Scale table changed:\n%s\nScale %s\nwant %q", table, got, want)
 	}
 }
+
+// scaleBytesPerPeerBound caps the live heap per peer that the quick Scale
+// point (-quick -n 2000) grows across its population build. It was recorded
+// once, from the tree where an s-peer stopped carrying ring, pending-join and
+// enhancement state: that tree reads 530 bytes/peer (512 on a process's first
+// point), where the layout before it read 800. The bound adds 30 bytes, about
+// 6 %, for runtime drift across Go releases; it is not to be re-tuned to let a
+// larger peer through.
+const scaleBytesPerPeerBound = 560
+
+// TestScaleBytesPerPeer holds the quick Scale point's bytes/peer under
+// scaleBytesPerPeerBound. The figure is live heap after a forced GC, so it
+// does not depend on the host.
+func TestScaleBytesPerPeer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2000-peer system")
+	}
+	o := QuickOptions()
+	o.N, o.Workers = 2000, 1
+	res, err := RunScale(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Values["bytes_per_peer_n2000"]; got > scaleBytesPerPeerBound {
+		t.Errorf("the quick Scale point grows %.1f bytes of live heap per peer, want at most %d", got, scaleBytesPerPeerBound)
+	}
+}

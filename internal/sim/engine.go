@@ -1,8 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine is the substrate every overlay in this repository runs on: it
-// replaces the NS2 simulator used in the paper. Events are ordered by
-// (time, sequence-number) so two runs with the same seed and the same
+// replaces the NS2 simulator used in the paper. Events are ordered by time,
+// then by scheduling order, so two runs with the same seed and the same
 // schedule of calls produce byte-identical traces. There is no wall clock
 // anywhere: simulated time only advances when the engine dispatches the next
 // event. Pending events sit in a monotone radix heap: scheduling and
@@ -41,7 +41,6 @@ const (
 // heap; prev and next are its neighbours there.
 type Event struct {
 	at         Time
-	seq        uint64
 	prev, next *Event
 	epoch      uint32
 	fn         func()
@@ -77,7 +76,6 @@ func (h Handle) At() Time {
 // run one Engine per sweep point, never sharing an Engine across goroutines.
 type Engine struct {
 	now        Time
-	seq        uint64
 	events     radixHeap
 	free       []*Event // recycled Event structs
 	rng        *rand.Rand
@@ -116,9 +114,7 @@ func (e *Engine) At(t Time, fn func()) Handle {
 		ev = &Event{}
 	}
 	ev.at = t
-	ev.seq = e.seq
 	ev.fn = fn
-	e.seq++
 	e.events.push(ev)
 	return Handle{ev: ev, epoch: ev.epoch}
 }
@@ -217,21 +213,22 @@ func (e *Engine) Scheduled(h runtime.Handle) bool {
 	return (Handle{ev: ev, epoch: h.Epoch()}).Pending()
 }
 
-// radixHeap is a monotone radix heap over (time, seq) (Ahuja, Mehlhorn,
-// Orlin & Tarjan, JACM 1990). Engine time never goes backwards, so every
-// pending event is at or after last, the time of the last extracted minimum,
-// and sits in bucket bits.Len64(at ^ last): bucket 0 holds the events at
-// exactly last, bucket b those whose time first differs from last in bit
-// b-1. Raising last to the minimum of the lowest non-empty bucket moves that
-// bucket's events to strictly lower buckets and leaves every higher bucket
-// correct, so a timer parked seconds ahead is touched O(log Δt) times in its
-// life instead of on every pop.
+// radixHeap is a monotone radix heap over time, then scheduling order
+// (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990). Engine time never goes
+// backwards, so every pending event is at or after last, the time of the
+// last extracted minimum, and sits in bucket bits.Len64(at ^ last): bucket 0
+// holds the events at exactly last, bucket b those whose time first differs
+// from last in bit b-1. Raising last to the minimum of the lowest non-empty
+// bucket moves that bucket's events to strictly lower buckets and leaves
+// every higher bucket correct, so a timer parked seconds ahead is touched
+// O(log Δt) times in its life instead of on every pop.
 //
 // Buckets are intrusive doubly linked lists through Event, so push and
 // remove are O(1) and nothing grows with the number pending; an event's
 // bucket is always bucketOf(at), so it is not stored. Events of one
 // time always share a bucket and move together in list order, so each list
-// keeps them in seq order: bucket 0 is the FIFO of the current instant.
+// keeps them in scheduling order: bucket 0 is the FIFO of the current
+// instant.
 type radixHeap struct {
 	last     Time
 	n        int

@@ -73,7 +73,8 @@ gate() {
         # refresh answered in place and the α-probe candidate ranking must
         # allocate nothing; the run-length finger table must match the
         # slot-and-tag model it replaced and hold a settled t-peer's finger
-        # state at 512 bytes or less; in a quiet system no HELLO or ack may
+        # state at 512 bytes or less, with Peer and its ring state (tState)
+        # pinned at their sizes; in a quiet system no HELLO or ack may
         # cancel an event and only the tickers and messages in flight may be
         # pending. -count=1 defeats the cache; these are the cheap tripwires
         # for the pooling work.
@@ -179,11 +180,12 @@ gate() {
         # Scale experiment (peers/GB, events/sec). Catches OOM-class
         # regressions in the dense peer/finger tables; the full 10k/100k/1M
         # ladder is `make benchscale` and `go run ./cmd/paperexp -run Scale`.
-        # The same point's deterministic table is held to its golden, and
+        # The same point's deterministic table is held to its golden, its
+        # live heap per peer to a recorded bound (TestScaleBytesPerPeer), and
         # the sizes a run picks to TestScaleSizes.
         echo "== quick scale sweep (Scale, n=2000)"
         go run ./cmd/paperexp -run Scale -quick -n 2000 >/dev/null
-        go test ./internal/exp -count=1 -run '^(TestScaleQuickGolden|TestScaleSizes)$'
+        go test ./internal/exp -count=1 -run '^(TestScaleQuickGolden|TestScaleBytesPerPeer|TestScaleSizes)$'
         ;;
     *)
         echo "check.sh: unknown gate '$1' (gates: $GATES)" >&2
