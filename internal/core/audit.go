@@ -352,7 +352,7 @@ func (v *view) serverAccounting() {
 		if i, ok := sv.find(p.Addr); !ok {
 			v.report(p.Addr, runtime.None, "live t-peer %d missing from the server registry", p.Addr)
 		} else if size := sv.ring[i].size; size != actual[p.Addr] {
-			v.report(p.Addr, runtime.None, "server counts %d s-peers under t-peer %d, actual %d", size, p.Addr, actual[p.Addr])
+			v.report(p.Addr, runtime.None, "server counts %d s-peers under t-peer %d, which counts %d itself; actual %d", size, p.Addr, p.subtreeSize()-1, actual[p.Addr])
 		}
 	}
 	for addr := range sv.deadPending {

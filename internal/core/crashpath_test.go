@@ -75,11 +75,10 @@ func TestParallelFloodSurvivesRingMiss(t *testing.T) {
 	}
 }
 
-// TestCascadedChildCrashAccounting is the regression test for s-network size
-// drift: when a parent and its child crash together only the parent's
-// watchdog-driven unregistration fires (the child's own parent is dead), so
-// the server's incremental counter ends up one too high. The periodic
-// absolute size sync must reconcile it.
+// TestCascadedChildCrashAccounting crashes an s-peer together with its
+// child: only the parent's own parent sees a crash (the child's parent is
+// dead), and the grandchildren rejoin. The subtree reports must still leave
+// the server's size of the s-network exact.
 func TestCascadedChildCrashAccounting(t *testing.T) {
 	sys := newTestSystem(t, 11, func(c *Config) {
 		c.Ps = 0.8
@@ -90,8 +89,8 @@ func TestCascadedChildCrashAccounting(t *testing.T) {
 	}
 	sys.Settle(10 * sim.Second)
 
-	// Find an s-peer that has a child: crashing both loses two peers but
-	// triggers only one unregistration.
+	// Find an s-peer that has a child: crashing both loses two peers, of
+	// which only one is seen to crash.
 	var parent, child *Peer
 	for _, sp := range sys.SPeers() {
 		if len(sp.children) > 0 {
@@ -106,7 +105,7 @@ func TestCascadedChildCrashAccounting(t *testing.T) {
 	parent.Crash()
 	child.Crash()
 
-	// Let detection, subtree rejoin and several size-sync HELLO ticks run.
+	// Let detection, the subtree's rejoin and its reports run.
 	sys.Settle(6 * sys.Cfg.HelloTimeout)
 
 	if err := sys.check("server_accounting"); err != nil {

@@ -141,3 +141,11 @@ func (p *Peer) numBypass() int {
 func (p *Peer) HasItem(key string) bool {
 	return p.data.has(idspace.HashKey(key))
 }
+
+// linkCycle makes a and b each other's connect point and child: the
+// connect-point cycle that a stale child edge can close.
+func linkCycle(a, b *Peer) {
+	a.cp, b.cp = b.Ref(), a.Ref()
+	a.addChild(b.Ref())
+	b.addChild(a.Ref())
+}

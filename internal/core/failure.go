@@ -209,20 +209,10 @@ func (p *Peer) neighborTimeout(nb runtime.Addr) {
 	p.sys.stats.WatchdogExpiries++
 	p.unwatch(nb)
 
-	// A crashed child: drop it from the tree. Its own subtree re-attaches
-	// itself when the grandchildren's watchdogs fire. The unregistration
-	// covers the crashed peer only — the subtree stays counted because its
-	// members stay in the s-network; any residual drift (a child that
-	// crashed along with its parent, a grandchild that rejoined elsewhere)
-	// is reconciled by the periodic absolute size sync (sSizeSync).
+	// A crashed child: drop it from the tree, its subtree with it. The
+	// subtree re-attaches itself when the grandchildren's watchdogs fire,
+	// and is counted again where it lands.
 	if p.removeChild(nb) {
-		root := p.tpeer
-		if p.Role == TPeer {
-			root = p.Ref()
-		}
-		if root.Valid() {
-			p.send(p.sys.serverAddr, sUnregister{TPeer: root})
-		}
 		return
 	}
 
@@ -356,6 +346,7 @@ func (p *Peer) handleReplaceResp(m replaceResp) {
 			t.ensureIndex()
 			p.announceItems(p.data.all())
 		}
+		p.reportSize(1) // the registry still counts this peer as an s-peer
 		return
 	}
 	// Lost the race: rejoin under the replacement.

@@ -83,7 +83,7 @@ func (s *System) RingSummary() RingView {
 			Pred:    refView(p.Predecessor()),
 			Succ:    refView(p.Successor()),
 			Items:   p.data.len(),
-			Subtree: 1,
+			Subtree: p.subtreeSize(),
 		}
 		if t := p.t; t != nil {
 			tv.Succ2 = refView(t.succ2)
@@ -99,7 +99,6 @@ func (s *System) RingSummary() RingView {
 		}
 		for _, c := range p.children {
 			tv.Children = append(tv.Children, RefView{Addr: c.Ref.Addr, ID: c.Ref.ID})
-			tv.Subtree += c.Subtree
 		}
 		rv.Ring = append(rv.Ring, tv)
 	}

@@ -11,7 +11,9 @@ import (
 // and picks a random branch at every full peer, so the resulting topology is
 // a tree with maximum degree δ. FCFS concurrency falls out of the engine's
 // run-to-completion event processing: the first request to arrive takes the
-// last slot and later ones walk on.
+// last slot and later ones walk on. A joiner this peer already lists as its
+// child (a duplicated request, or a rejoin that walked back to its parent)
+// is acked again in place: walking it on would give it a second parent.
 func (p *Peer) handleSJoinReq(m sJoinReq) {
 	if m.Joiner.Addr == p.Addr || m.Hops > routeHopLimit {
 		// A rejoin walk that reaches the joiner itself descended through a
@@ -20,7 +22,8 @@ func (p *Peer) handleSJoinReq(m sJoinReq) {
 		// rejoin retry goes through the server.
 		return
 	}
-	if p.acceptChild() {
+	if p.childIndex(m.Joiner.Addr) >= 0 || p.acceptChild() {
+		was := p.subtreeSize()
 		joiner := Ref{ID: p.ID, Addr: m.Joiner.Addr}
 		p.addChild(joiner)
 		p.watch(joiner.Addr)
@@ -35,39 +38,15 @@ func (p *Peer) handleSJoinReq(m sJoinReq) {
 			Epoch: m.Epoch,
 			Hops:  m.Hops,
 		})
-		if !m.Rejoin {
-			p.send(p.sys.serverAddr, sRegister{TPeer: root})
+		if p.subtreeSize() != was {
+			p.reportSize(1)
 		}
 		return
 	}
 	// Degree (or link usage) exhausted: pass the request down a random
-	// branch — but never into the joiner itself (a rejoining subtree root
-	// may still be listed as a stale child somewhere; descending through it
-	// would attach the root beneath its own subtree).
-	eligible := len(p.children)
-	if p.childIndex(m.Joiner.Addr) >= 0 {
-		eligible--
-	}
-	if eligible == 0 {
-		// δ < 2 would make trees impossible; Validate prevents it, so a
-		// full peer always has a live branch unless the only one is the
-		// joiner — then the walk dies and the rejoin retry covers it.
-		return
-	}
-	// Draw among the eligible children (same address order, same draw as
-	// the old filtered-copy code) and step to the picked one.
-	pick := p.sys.rt.Rand().Intn(eligible)
-	var next Ref
-	for i := range p.children {
-		if p.children[i].Ref.Addr == m.Joiner.Addr {
-			continue
-		}
-		if pick == 0 {
-			next = p.children[i].Ref
-			break
-		}
-		pick--
-	}
+	// branch. A full peer has one: Validate keeps δ ≥ 2, and a peer with no
+	// children accepts.
+	next := p.children[p.sys.rt.Rand().Intn(len(p.children))].Ref
 	m.Hops++
 	p.send(next.Addr, m)
 }
@@ -94,16 +73,21 @@ func (p *Peer) acceptChild() bool {
 
 // handleSJoinAck finalizes an s-peer's membership: it records its connect
 // point, its s-network's t-peer, and adopts the s-network's p_id ("the p_id
-// of the s-peer is the same as its neighbor").
-func (p *Peer) handleSJoinAck(from runtime.Addr, m sJoinAck) {
-	if m.Epoch != int(p.joinEpoch) {
-		return // handshake of an abandoned join attempt
-	}
-	if p.cp.Valid() {
-		return // duplicate ack from a retried join
-	}
+// of the s-peer is the same as its neighbor"). A peer that joins with a
+// subtree (a rejoin) reports its size to the new connect point.
+func (p *Peer) handleSJoinAck(m sJoinAck) {
 	if m.CP.Addr == p.Addr {
 		return // self-offer from a forked walk; wait for a real parent
+	}
+	if m.Epoch != int(p.joinEpoch) || p.cp.Valid() {
+		// An abandoned attempt's ack, or a duplicate: the acceptor lists
+		// this peer all the same. Release that edge once this peer is
+		// attached elsewhere; before then the current attempt may land on
+		// the same acceptor.
+		if (p.cp.Valid() || p.t != nil) && m.CP.Addr != p.cp.Addr {
+			p.send(m.CP.Addr, sLeaveMsg{})
+		}
+		return
 	}
 	p.dropTRole()
 	p.ID = m.ID
@@ -113,6 +97,9 @@ func (p *Peer) handleSJoinAck(from runtime.Addr, m sJoinAck) {
 	p.watch(m.CP.Addr)
 	p.sys.stats.SJoins++
 	p.completeJoin(m.Hops)
+	if len(p.children) > 0 {
+		p.reportSize(1)
+	}
 }
 
 // leaveSPeer departs gracefully: neighbors are notified, the stored load is
@@ -130,9 +117,6 @@ func (p *Peer) leaveSPeer() {
 		target := nbs[p.sys.rt.Rand().Intn(len(nbs))]
 		items := slices.Clone(p.data.all())
 		p.sendData(target.Addr, len(items), itemsMsg{Items: items})
-	}
-	if p.tpeer.Valid() {
-		p.send(p.sys.serverAddr, sUnregister{TPeer: p.tpeer})
 	}
 	p.stop()
 }
@@ -161,7 +145,7 @@ func (p *Peer) rejoin() {
 		p.rejoinViaServer()
 		return
 	}
-	p.send(p.tpeer.Addr, sJoinReq{Joiner: Ref{Addr: p.Addr}, Rejoin: true, Epoch: int(p.joinEpoch), Hops: 1})
+	p.send(p.tpeer.Addr, sJoinReq{Joiner: Ref{Addr: p.Addr}, Epoch: int(p.joinEpoch), Hops: 1})
 	// If the t-peer is also gone the request vanishes; the watchdog on
 	// nothing won't fire, so arm a retry through the server.
 	addr := p.Addr

@@ -544,6 +544,7 @@ func (p *Peer) handlePromote(m promoteMsg) {
 		t.ensureIndex()
 		p.announceItems(m.Items)
 	}
+	p.reportSize(1) // the registry still counts this peer as an s-peer
 }
 
 // handleNewParent re-parents this peer onto the promoted substitute.
@@ -558,6 +559,9 @@ func (p *Peer) handleNewParent(m newParentMsg) {
 		p.unwatch(old.Addr)
 	}
 	p.watch(m.Parent.Addr)
+	if len(p.children) > 0 {
+		p.reportSize(1)
+	}
 }
 
 // handleSubstitute swaps Old for New in the ring pointers and finger table,

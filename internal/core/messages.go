@@ -226,12 +226,9 @@ type findSuccResp struct {
 // --- S-network membership ---------------------------------------------------
 
 // sJoinReq walks from the t-peer down a random branch until it reaches a
-// peer with degree < δ (§3.2.2). Rejoin marks an existing s-peer
-// re-attaching after losing its connect point, so the server's s-network
-// size accounting is not inflated.
+// peer with degree < δ (§3.2.2).
 type sJoinReq struct {
 	Joiner Ref
-	Rejoin bool
 	Epoch  int
 	Hops   int
 }
@@ -245,16 +242,23 @@ type sJoinAck struct {
 	Hops  int
 }
 
-// sLeaveMsg notifies neighbors of a graceful s-peer departure.
+// sLeaveMsg notifies neighbors of a graceful s-peer departure. A joiner also
+// sends it to release the child edge of an acceptor whose ack it ignored.
 type sLeaveMsg struct{}
+
+// sizeReport carries a peer's subtree size, itself included, to its connect
+// point whenever it changes; Hops bounds the cascade (Peer.reportSize).
+type sizeReport struct {
+	Size int
+	Hops int
+}
 
 // --- Failure detection -------------------------------------------------------
 
 // helloMsg is the periodic heartbeat. Heartbeats flowing down the tree
 // piggyback the s-network's identity and segment bounds so every s-peer
-// tracks them without extra traffic; heartbeats flowing up carry the
-// sender's subtree size so every ancestor (and ultimately the server's size
-// registry) tracks live membership.
+// tracks them without extra traffic; heartbeats flowing up repeat the
+// sender's subtree size, so a lost sizeReport is made good within a tick.
 type helloMsg struct {
 	Root    Ref
 	SegLo   idspace.ID

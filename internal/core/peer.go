@@ -190,12 +190,10 @@ func (p *Peer) enhance() *enhState {
 	return p.enh
 }
 
-// childLink is one s-tree child edge plus the latest subtree-size report
-// piggybacked on the child's HELLOs (0 = not reported yet, counted as a bare
-// leaf). Summing the reports gives this peer's own subtree size, which
-// t-peers report to the server so the s-network size registry self-corrects
-// after cascaded crashes and cross-network rejoins that the event-by-event
-// accounting cannot see.
+// childLink is one s-tree child edge plus the child's latest subtree-size
+// report (0 = not reported yet, counted as a bare leaf). Summing the reports
+// gives this peer's own subtree size, which goes up the tree whenever it
+// changes and from a t-peer to the server as the size of its s-network.
 type childLink struct {
 	Ref     Ref
 	Subtree int
@@ -306,13 +304,14 @@ func (p *Peer) addChild(r Ref) {
 }
 
 // removeChild drops a child edge (and its subtree report), reporting whether
-// the address was a child.
+// the address was a child, and reports the smaller count on.
 func (p *Peer) removeChild(a runtime.Addr) bool {
 	i := p.childIndex(a)
 	if i < 0 {
 		return false
 	}
 	p.children = append(p.children[:i], p.children[i+1:]...)
+	p.reportSize(1)
 	return true
 }
 
@@ -431,9 +430,13 @@ func (p *Peer) recv(from runtime.Addr, msg any) {
 	case sJoinReq:
 		p.handleSJoinReq(m)
 	case sJoinAck:
-		p.handleSJoinAck(from, m)
+		p.handleSJoinAck(m)
 	case sLeaveMsg:
 		p.handleSLeave(from)
+	case sizeReport:
+		if ci := p.childIndex(from); ci >= 0 {
+			p.noteSubtree(ci, m.Size, m.Hops+1)
+		}
 
 	// Failure detection.
 	case helloMsg:
@@ -624,21 +627,38 @@ func (p *Peer) broadcastHello() {
 			p.send(t.succ.Addr, hello)
 			p.sys.stats.HellosSent++
 		}
-		if p.joined && !p.leaving {
-			// Absolute size report: the event-by-event sRegister and
-			// sUnregister accounting drifts whenever a departure goes
-			// unobserved (a parent and child crash together, an s-peer
-			// rejoins into a different s-network), so every hello tick the
-			// t-peer syncs the server with its aggregated subtree count.
-			// The sync also acts as the registry keep-alive, so a leaving
-			// peer must not send it — it could race its own unregistration.
-			p.send(p.sys.serverAddr, sSizeSync{Self: p.Ref(), Size: p.subtreeSize() - 1})
-		}
+		// The size sync is also the registry keep-alive, so it goes out on
+		// every tick, changed or not.
+		p.reportSize(0)
+	}
+}
+
+// reportSize sends this peer's subtree count to its keeper: a t-peer to the
+// server, as its s-network's size, an attached s-peer to its connect point.
+// hops counts the levels a change has climbed; past routeHopLimit it stops,
+// as a connect-point cycle would pass a growing count round for ever.
+func (p *Peer) reportSize(hops int) {
+	if !p.joined || p.leaving || hops > routeHopLimit {
+		return
+	}
+	if p.t != nil {
+		p.send(p.sys.serverAddr, sSizeSync{Self: p.Ref(), Size: p.subtreeSize() - 1})
+	} else if p.cp.Valid() {
+		p.send(p.cp.Addr, sizeReport{Size: p.subtreeSize(), Hops: hops})
+	}
+}
+
+// noteSubtree records child ci's subtree report, reporting this peer's own
+// count on if that moved it (an unreported child counts as a leaf).
+func (p *Peer) noteSubtree(ci, size, hops int) {
+	if c := &p.children[ci]; size > 0 && size != max(c.Subtree, 1) {
+		c.Subtree = size
+		p.reportSize(hops)
 	}
 }
 
 // subtreeSize returns the number of peers in this peer's subtree, itself
-// included, from the latest per-child HELLO reports (a child that has not
+// included, from the latest per-child reports (a child that has not
 // reported yet counts as a bare leaf).
 func (p *Peer) subtreeSize() int {
 	n := 1
@@ -657,17 +677,22 @@ func (p *Peer) subtreeSize() int {
 // reference, the segment lower bound and the s-network's shared p_id.
 func (p *Peer) handleHello(from runtime.Addr, m helloMsg) {
 	p.refreshWatchdog(from)
-	if ci := p.childIndex(from); ci >= 0 {
-		if m.Root.Valid() && m.Root.Addr == from {
-			// The listed child announces itself as a root: a retried join
-			// re-assigned it as a t-peer, so the child edge is stale. (Its
-			// ring hellos would otherwise keep the stale edge's subtree
-			// count fresh forever.) The watchdog entry stays — it may be
-			// doing ring-neighbor duty for the same address.
-			p.removeChild(from)
-		} else if m.Subtree > 0 {
-			p.children[ci].Subtree = m.Subtree
-		}
+	ci := p.childIndex(from)
+	switch {
+	case ci >= 0 && m.Root.Valid() && m.Root.Addr == from:
+		// The listed child announces itself as a root: a retried join
+		// re-assigned it as a t-peer, so the child edge is stale. (Its
+		// ring hellos would otherwise keep the stale edge's subtree
+		// count fresh forever.) The watchdog entry stays — it may be
+		// doing ring-neighbor duty for the same address.
+		p.removeChild(from)
+	case ci >= 0:
+		p.noteSubtree(ci, m.Subtree, 1)
+	case from != p.cp.Addr && (p.cp.Valid() || p.t != nil && m.Root.Addr != from):
+		// The sender lists a tree edge this peer lacks (its ack was lost or
+		// ignored): release it. A t-peer's ring neighbors hello it too.
+		p.send(from, sLeaveMsg{})
+		return
 	}
 	if p.Role != SPeer || p.cp.Addr != from || !m.Root.Valid() {
 		return

@@ -61,14 +61,8 @@ type (
 	ringRegister   struct{ Self Ref }
 	ringUnregister struct{ Self Ref }
 	ringReplace    struct{ Old, New Ref }
-	sRegister      struct{ TPeer Ref }
-	sUnregister    struct{ TPeer Ref }
-	// sSizeSync carries a t-peer's authoritative count of its s-network
-	// (piggybacked on its HELLO tick). The incremental sRegister/sUnregister
-	// stream drifts under crashes — a parent that dies with its child causes
-	// one decrement for two losses, a subtree that rejoins elsewhere
-	// increments the new network but never decrements the old — so the
-	// absolute figure periodically overwrites the counter.
+	// sSizeSync carries a t-peer's count of its s-network whenever it
+	// changes and on every hello tick: the registry's one size writer.
 	sSizeSync struct {
 		Self Ref
 		Size int
@@ -125,10 +119,6 @@ func (sv *Server) recv(from runtime.Addr, msg any) {
 	case ringReplace:
 		sv.ringSubstitute(m.Old, m.New)
 		sv.replaced[m.Old.Addr] = m.New
-	case sRegister:
-		sv.resize(m.TPeer.Addr, +1)
-	case sUnregister:
-		sv.resize(m.TPeer.Addr, -1)
 	case sSizeSync:
 		sv.handleSizeSync(m)
 	case replaceReq:
@@ -146,11 +136,11 @@ func (sv *Server) send(to runtime.Addr, msg any) {
 	sv.sys.rt.Send(sv.sys.serverAddr, to, messageBytes, msg)
 }
 
-// handleSizeSync overwrites the incremental s-network counter with the
-// t-peer's own count. The sync doubles as a registry keep-alive: a live
-// t-peer that is missing from the ring registry (its ringRegister was lost,
-// or a false crash alarm evicted it) is re-registered and re-anchored, while
-// dead senders are ignored so a late sync cannot resurrect them.
+// handleSizeSync records the t-peer's count of its s-network. The sync
+// doubles as a registry keep-alive: a live t-peer that is missing from the
+// ring registry (its ringRegister was lost, or a false crash alarm evicted
+// it) is re-registered and re-anchored, while dead senders are ignored so a
+// late sync cannot resurrect them.
 func (sv *Server) handleSizeSync(m sSizeSync) {
 	sv.sweepDead()
 	if _, ok := sv.ringMember[m.Self.Addr]; !ok {
@@ -165,7 +155,7 @@ func (sv *Server) handleSizeSync(m sSizeSync) {
 // sweepDead notices registered t-peers that crashed without a surviving
 // witness — both ring neighbors died in the same burst, or every crash
 // report was lost — and starts the normal repair for each. Piggybacked on
-// the periodic size sync, so the registry converges while at least one
+// the size sync, so the registry converges while at least one
 // t-peer is alive, without a dedicated server timer.
 func (sv *Server) sweepDead() {
 	// Scan only when something detached since the last sweep. Skipped
@@ -424,13 +414,6 @@ func (sv *Server) setSize(addr runtime.Addr, size int) {
 	}
 }
 
-// resize moves a registered t-peer's s-network size by delta, never below 0.
-func (sv *Server) resize(addr runtime.Addr, delta int) {
-	if i, ok := sv.find(addr); ok {
-		sv.ring[i].size = max(sv.ring[i].size+delta, 0)
-	}
-}
-
 // drop removes addr's entry, s-network size included, and returns that size.
 func (sv *Server) drop(addr runtime.Addr) (size int, ok bool) {
 	i, ok := sv.find(addr)
@@ -576,7 +559,6 @@ func (sv *Server) handleReplace(from runtime.Addr, m replaceReq) {
 	newRef := Ref{ID: m.Crashed.ID, Addr: winner.Addr}
 	sv.ringSubstitute(m.Crashed, newRef)
 	sv.replaced[m.Crashed.Addr] = newRef
-	sv.resize(winner.Addr, -1) // the winner is no longer an s-peer
 	sv.sys.stats.Promotions++
 
 	if pred.Addr == m.Crashed.Addr {
@@ -623,7 +605,7 @@ func (sv *Server) handleRingDead(m ringDeadReq) {
 		return
 	}
 	// The s-network, if any, should drive replacement through replaceReq;
-	// when it does not (the size accounting drifted, or the children
+	// when it does not (the registered size is stale, or the children
 	// crashed too), noteDead force-patches after one detection window.
 	sv.noteDead(m.Crashed)
 }

@@ -102,12 +102,12 @@ func (m regModel) neighbors(self Ref) (pred, succ Ref) {
 
 // TestServerRegistryMatchesLinearModel drives a bare server's registry
 // through random registrations (re-registrations under a new id among
-// them), unregistrations, crash substitutions, size syncs and the
-// incremental sRegister/sUnregister stream, and after every step holds the
-// sorted table to the linear model: one entry per index key in (id, addr)
-// order, and the same successor, predecessor, neighbours and s-network size
-// for every probe. Ids come from a handful of values so (id, addr) ties are
-// common.
+// them), unregistrations, crash substitutions and size syncs, the one writer
+// of s-network sizes (a sync from a live t-peer the registry lacks
+// re-registers it), and after every step holds the sorted table to the
+// linear model: one entry per index key in (id, addr) order, and the same
+// successor, predecessor, neighbours and s-network size for every probe. Ids
+// come from a handful of values so (id, addr) ties are common.
 func TestServerRegistryMatchesLinearModel(t *testing.T) {
 	sys := newTestSystem(t, 93, nil)
 	sv := sys.Server()
@@ -116,9 +116,14 @@ func TestServerRegistryMatchesLinearModel(t *testing.T) {
 	ids := []idspace.ID{0, 1, 1 << 62, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
 	id := func() idspace.ID { return ids[rng.Intn(len(ids))] }
 	addr := func() runtime.Addr { return runtime.Addr(1000 + rng.Intn(12)) }
+	// The t-peers are live endpoints, so no sync is ignored as a dead
+	// sender's and no dead-peer sweep reshapes the registry.
+	for a := runtime.Addr(1000); a < 1012; a++ {
+		sys.rt.Attach(a, runtime.Endpoint{Host: sys.Topo().StubNodes()[0]}, runtime.HandlerFunc(func(runtime.Addr, any) {}))
+	}
 	for step := 0; step < 4000; step++ {
 		var op string
-		switch rng.Intn(7) {
+		switch rng.Intn(6) {
 		case 0, 1:
 			r := Ref{ID: id(), Addr: addr()}
 			op = "register"
@@ -140,27 +145,14 @@ func TestServerRegistryMatchesLinearModel(t *testing.T) {
 			size := model.drop(old.Addr)
 			model.register(nu)
 			model[model.at(nu.Addr)].size = size
-		case 4:
-			a, n := addr(), rng.Intn(5)
-			op = "size write"
-			sv.setSize(a, n)
-			if i := model.at(a); i >= 0 {
-				model[i].size = n
+		case 4, 5:
+			r, n := Ref{ID: id(), Addr: addr()}, rng.Intn(5)
+			op = "size sync"
+			sv.recv(r.Addr, sSizeSync{Self: r, Size: n})
+			if model.at(r.Addr) < 0 {
+				model.register(r)
 			}
-		case 5:
-			a := addr()
-			op = "sRegister"
-			sv.recv(a, sRegister{TPeer: Ref{Addr: a}})
-			if i := model.at(a); i >= 0 {
-				model[i].size++
-			}
-		case 6:
-			a := addr()
-			op = "sUnregister"
-			sv.recv(a, sUnregister{TPeer: Ref{Addr: a}})
-			if i := model.at(a); i >= 0 && model[i].size > 0 {
-				model[i].size--
-			}
+			model[model.at(r.Addr)].size = n
 		}
 
 		if len(sv.ring) != len(model) || len(sv.ringMember) != len(model) {

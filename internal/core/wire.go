@@ -23,8 +23,6 @@ func WireMessages() []any {
 		ringRegister{},
 		ringUnregister{},
 		ringReplace{},
-		sRegister{},
-		sUnregister{},
 		sSizeSync{},
 		ringLocate{},
 
@@ -56,6 +54,7 @@ func WireMessages() []any {
 		sJoinReq{},
 		sJoinAck{},
 		sLeaveMsg{},
+		sizeReport{},
 
 		// Failure detection.
 		helloMsg{},

@@ -3,8 +3,14 @@ package exp
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"slices"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/simnet"
+	"repro/internal/topology"
 )
 
 // TestScaleSizes pins which population sizes a Scale run builds: the whole
@@ -85,5 +91,46 @@ func TestScaleBytesPerPeer(t *testing.T) {
 	}
 	if got := res.Values["bytes_per_peer_n2000"]; got > scaleBytesPerPeerBound {
 		t.Errorf("the quick Scale point grows %.1f bytes of live heap per peer, want at most %d", got, scaleBytesPerPeerBound)
+	}
+}
+
+// TestScaleRegistrySizesExact builds and settles the quick Scale point
+// (-quick -n 2000) as runScalePoint does and requires the server's size of
+// every s-network to equal the number of live s-peers under its t-peer (the
+// audit's server_accounting row). The sizes decide where the smallest-s-network
+// rule puts each joiner, so a registry that lags the trees shapes them.
+func TestScaleRegistrySizesExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2000-peer system")
+	}
+	o := QuickOptions()
+	const n = 2000
+	topo, err := topology.GenerateTransitStub(expTopoConfig(Options{Quick: true}), o.topoSeed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := scaleConfig()
+	eng := sim.New(o.Seed + int64(n))
+	net := simnet.New(eng, topo, simnet.DefaultConfig())
+	sys, err := core.NewSystem(simnet.NewRuntime(eng, net), cfg, topo.StubNodes()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sys.BuildPopulation(core.PopulationOpts{N: n}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Settle(2 * cfg.HelloEvery)
+
+	var wrong []error
+	if joined, ok := sys.CheckInvariants().(interface{ Unwrap() []error }); ok {
+		for _, err := range joined.Unwrap() {
+			var v core.Violation
+			if errors.As(err, &v) && v.Invariant == "server_accounting" {
+				wrong = append(wrong, err)
+			}
+		}
+	}
+	if len(wrong) > 0 {
+		t.Errorf("%d of %d registry entries are wrong after the build:\n%v", len(wrong), len(sys.TPeers()), errors.Join(wrong...))
 	}
 }

@@ -93,12 +93,24 @@ func validateWireType(t reflect.Type, depth int, fp io.Writer) error {
 
 // Encode serializes a registered message, returning its code and payload.
 func (c *Codec) Encode(msg any) (uint16, []byte, error) {
+	code, err := c.code(msg)
+	if err != nil {
+		return 0, nil, err
+	}
+	return code, encodePayload(msg), nil
+}
+
+// code returns a registered message's wire code.
+func (c *Codec) code(msg any) (uint16, error) {
 	code, ok := c.byType[reflect.TypeOf(msg)]
 	if !ok {
-		return 0, nil, fmt.Errorf("net: unregistered wire type %T", msg)
+		return 0, fmt.Errorf("net: unregistered wire type %T", msg)
 	}
-	return code, appendValue(nil, reflect.ValueOf(msg)), nil
+	return code, nil
 }
+
+// encodePayload serializes a message of a registered type.
+func encodePayload(msg any) []byte { return appendValue(nil, reflect.ValueOf(msg)) }
 
 // Decode reconstructs the message for a code from its payload. The returned
 // value has the registered concrete type (not a pointer), so receiver-side

@@ -31,8 +31,11 @@ type wconn struct {
 // writing to that peer waited for it.
 func (c *wconn) write(frames ...envelope) error {
 	n := 0
-	for _, env := range frames {
-		n += headerLen + len(env.Payload)
+	for i := range frames {
+		if env := &frames[i]; env.msg != nil {
+			env.Payload, env.msg = encodePayload(env.msg), nil
+		}
+		n += headerLen + len(frames[i].Payload)
 	}
 	// Allocated per batch, not kept for reuse: one full replica push is
 	// megabytes, and a buffer held per endpoint would keep that much live.

@@ -255,8 +255,11 @@ func (r *Runtime) Attached(a runtime.Addr) bool {
 	return r.Runtime.Attached(a) || r.dir.alive(int64(a))
 }
 
-// Send encodes the message and posts it to the outbox of the destination's
-// process, as this process's directory names it. A worker posts an address
+// Send posts the message to the outbox of the destination's process, as
+// this process's directory names it; the outbox's writer encodes it, so a
+// send costs the executor the same for any message size. A message must not
+// be changed once sent, which the protocol already relies on where a
+// runtime delivers the value itself. A worker posts an address
 // its copy lacks to the bootstrap, which relays it; the bootstrap drops it
 // silently — the transport contract is unreliable delivery — and so does
 // anything the outbox drops; an endpoint that is down for a moment (a
@@ -274,12 +277,12 @@ func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
 		}
 		ep = r.boot // the bootstrap relays it
 	}
-	code, payload, err := r.codec.Encode(msg)
+	code, err := r.codec.code(msg)
 	if err != nil {
 		r.cfg.Logf("send %d->%d: %v", from, to, err)
 		return
 	}
-	r.post(ep, envelope{Type: code, From: int64(from), To: int64(to), Payload: payload})
+	r.post(ep, envelope{Type: code, From: int64(from), To: int64(to), msg: msg})
 }
 
 // NewAddr allocates the next cluster-wide peer address: locally on the

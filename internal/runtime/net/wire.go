@@ -54,6 +54,10 @@ type envelope struct {
 	To      int64
 	MsgID   uint64
 	Payload []byte
+	// msg is a protocol message Send posted unencoded: the outbox writer
+	// encodes it into Payload, so the executor does no work that grows with
+	// the message's size.
+	msg any
 }
 
 // appendEnvelope serializes the frame into buf.

@@ -34,10 +34,14 @@ gate() {
         # quiescence point, and the replication churn that holds every
         # hello tick's skipped scans to the full scans they replace.
         # -count=1 defeats the test cache so the gate always actually
-        # executes.
+        # executes. Then the two paper-scale crash repros the audit once
+        # failed (full-scale ChurnStorm, ~5 s, and a 1000-peer crash wave at
+        # p_s 0.9, ~2 s) must exit 0.
         echo "== fault-injection invariant gate"
         go test ./internal/core -count=1 \
             -run '^(TestChurnStormUnderFaults|TestRecoveryPathsUnderFaults|TestSustainedChurnKeepsInvariants|TestSkippedScansMatchFullScan)$'
+        go run ./cmd/paperexp -run ChurnStorm >/dev/null
+        go run ./cmd/hybridsim -ps 0.9 -crash 0.2 >/dev/null
         ;;
     determinism)
         # Determinism gate: with the fault layer compiled in but disabled,
@@ -141,11 +145,13 @@ gate() {
         # awareness, 0 the smallest rule), the registry's unsorted mode and
         # its separate size map, which one sorted table of t-peers and sizes
         # replaced; the manifest's run-level metrics with the recorder's two
-        # methods nobody called, and idspace.Add.
+        # methods nobody called, and idspace.Add; the server's s-network
+        # size increments and decrements, which the t-peer's exact subtree
+        # report replaced as the one writer.
         # CHANGES.md and ROADMAP.md may tell the story; this script
         # has to spell the patterns.
         echo "== retired-name gate (deleted flags, types, programs, files and Make targets stay deleted)"
-        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout|AssignInterest|metrics\.(Sample|NewHistogram)|FaultSeed|PathCache|pathcache|routeHint|hintDrop|PathHint|NumHints|hint_(uses|drops)|LookupWalk|RunSteps|DegreeHistogram|RandomWalk|WalkCount|WalkTTL|walkReq|startWalks|WalksSent|ExtWalk|SearchPrefix|SearchSync|searchReq|searchHit|SearchesSent|IDGen|IDLocation|IDHashAddr|HostCoord|KeyCategory|(^|[^[:alnum:]_-])-walk([^[:alnum:]_-]|$)|InterestCategories|InterestKeys|CategoryID|CategoryOf|segmentID|itemSID|Reflood|(^|[^[:alnum:]_-])-interests([^[:alnum:]_-]|$)|contact_leaks|contactLeaks|takeContacts|newQID|ringMiss|joinAttempts|CacheHotThreshold|CacheWindow|CacheTTL|keysN\(|RouteStrategy|StrategyByName|FingerWalk|SuccessorWalk\{\}|Route\.NextHops?\(|eventQueue|queue\.items|fingerTag|ensureFingers|\.rep(Round|Acks|Wrapped|Digest|Dirty|Ticks|Deficit|Pending|Succ)([^[:alnum:]_]|$)|repro/internal/chord|(^|[^[:alnum:]_])chord\.[A-Z]|sortItemsByDID|appendOwnedExtra|nbrs\[[a-z]+\]\.timer|AssignRandom|AssignSmallest|AssignCluster|[Cc]fg\.Assignment|type Assignment |ringUnsorted|snetSize\[|\(r \*Recorder\) (SetMetrics|Points)\(|rec\.(SetMetrics|Points)\(|r\.metrics([^[:alnum:]_]|$)|idspace\.Add\(|func Add\(' \
+        if grep -rnE 'SuccessorRouting|SetTraceHook|\.tracef\(|obs\.Timer|\.Timer\(|(^|[^[:alnum:]_-])-linear([^[:alnum:]_-]|$)|cmd/topogen|examples/(filesharing|churnstorm|tracker|hotspot)|sim\.New(Timer|Ticker)|metrics\.Ratio|RenderSeries|MassAtOrBelow|results_full\.txt|test_output\.txt|bench_output\.txt|make bench([^[:alnum:]_-]|$)|capacities13|keysFor\(|lookupFrom|lookupBatch|(Dial|Write)Timeout:|\.cfg\.(Dial|RPC|Write)Timeout|(Dial|RPC|Write)Timeout +time\.Duration|CheckDegrees|CheckDataOwnership|CheckWatchdogs|\.Partial\(\)|\.SetDuration\(|dialFailAt|dialBackoff|dialAndInstall|connTo\(|dialState|deliverLoop|ctrlResolve|ctrlAttached|ctrlRegisterResp|endpointOf|resolvePayload|boolPayload|markDeadAll|latencyMatrix|stubMatrix|HasStubMatrix|withDefaults|SeedZero([^[:alnum:]_]|$)|\.normalize\(\)|MessageBytes|BaseCapacity|SuccessorListLen|FixFingersPerRound|RPCTimeout|AssignInterest|metrics\.(Sample|NewHistogram)|FaultSeed|PathCache|pathcache|routeHint|hintDrop|PathHint|NumHints|hint_(uses|drops)|LookupWalk|RunSteps|DegreeHistogram|RandomWalk|WalkCount|WalkTTL|walkReq|startWalks|WalksSent|ExtWalk|SearchPrefix|SearchSync|searchReq|searchHit|SearchesSent|IDGen|IDLocation|IDHashAddr|HostCoord|KeyCategory|(^|[^[:alnum:]_-])-walk([^[:alnum:]_-]|$)|InterestCategories|InterestKeys|CategoryID|CategoryOf|segmentID|itemSID|Reflood|(^|[^[:alnum:]_-])-interests([^[:alnum:]_-]|$)|contact_leaks|contactLeaks|takeContacts|newQID|ringMiss|joinAttempts|CacheHotThreshold|CacheWindow|CacheTTL|keysN\(|RouteStrategy|StrategyByName|FingerWalk|SuccessorWalk\{\}|Route\.NextHops?\(|eventQueue|queue\.items|fingerTag|ensureFingers|\.rep(Round|Acks|Wrapped|Digest|Dirty|Ticks|Deficit|Pending|Succ)([^[:alnum:]_]|$)|repro/internal/chord|(^|[^[:alnum:]_])chord\.[A-Z]|sortItemsByDID|appendOwnedExtra|nbrs\[[a-z]+\]\.timer|AssignRandom|AssignSmallest|AssignCluster|[Cc]fg\.Assignment|type Assignment |ringUnsorted|snetSize\[|\(r \*Recorder\) (SetMetrics|Points)\(|rec\.(SetMetrics|Points)\(|r\.metrics([^[:alnum:]_]|$)|idspace\.Add\(|func Add\(|sRegister|sUnregister|sv\.resize\(' \
             --include='*.go' --include='*.md' --include='*.sh' --include=Makefile \
             --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh \
             --exclude-dir=.git --exclude-dir=.bench_build .; then
