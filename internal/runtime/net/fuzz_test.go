@@ -3,6 +3,7 @@ package net_test
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	goruntime "runtime"
 	"testing"
@@ -55,6 +56,8 @@ func FuzzCodecDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	var next uint64
+	var fieldCode uint16 // the first message with fields, and its encoding
+	var fieldPayload []byte
 	for _, p := range protos {
 		v := reflect.New(reflect.TypeOf(p)).Elem()
 		populate(v, &next)
@@ -67,6 +70,9 @@ func FuzzCodecDecode(f *testing.F) {
 			f.Fatalf("populated %T does not round-trip: %#v -> %#v (%v)", p, v.Interface(), got, err)
 		}
 		f.Add(code, payload)
+		if len(payload) > 0 && fieldPayload == nil {
+			fieldCode, fieldPayload = code, payload
+		}
 		if len(payload) > 0 { // a field-less message encodes to nothing
 			f.Add(code, payload[:len(payload)/2])
 			f.Add(code, payload[:len(payload)-1])
@@ -80,6 +86,16 @@ func FuzzCodecDecode(f *testing.F) {
 	}
 	f.Add(uint16(0), []byte{})
 	f.Add(uint16(len(protos)+1), []byte{1, 2, 3})
+	// Malformed framing around real content: the largest code, the reserved
+	// code 0 with a whole payload, one byte trailing a whole message, a
+	// varint running past 64 bits, one cut after its continuation bit, and a
+	// non-minimal zero in front of real content.
+	f.Add(uint16(math.MaxUint16), []byte{})
+	f.Add(uint16(0), fieldPayload)
+	f.Add(fieldCode, append(append([]byte{}, fieldPayload...), 0))
+	f.Add(fieldCode, bytes.Repeat([]byte{0xff}, 11))
+	f.Add(fieldCode, []byte{0x80})
+	f.Add(fieldCode, append([]byte{0x80, 0x00}, fieldPayload...))
 
 	f.Fuzz(func(t *testing.T, code uint16, payload []byte) {
 		var before, after goruntime.MemStats
